@@ -14,10 +14,9 @@
 //!   is needed.  At 8 processes these simultaneous broadcasts saturate the
 //!   network, which is why PVM's own speedup is poor here.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per body-cell or body-body interaction evaluated during the force
 /// computation.
@@ -296,21 +295,6 @@ fn checksum(bodies: &[Body]) -> f64 {
         .sum()
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &BarnesParams) -> SeqRun {
-    let mut bodies = p.initial();
-    let mut time = 0.0;
-    for _ in 0..p.steps {
-        let (tree, inserts) = build_tree(&bodies);
-        let interactions = step_bodies(&mut bodies, 0..p.bodies, &tree);
-        time += inserts as f64 * COST_INSERT + interactions as f64 * COST_INTERACTION;
-    }
-    SeqRun {
-        checksum: checksum(&bodies),
-        time,
-    }
-}
-
 const BODY_F64: usize = 7; // pos 3, vel 3, mass
 
 fn pack_body(b: &Body) -> [f64; BODY_F64] {
@@ -327,130 +311,110 @@ fn unpack_body(f: &[f64]) -> Body {
     }
 }
 
-/// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &BarnesParams) -> f64 {
-    let n = p.bodies;
-    let nprocs = tmk.nprocs();
-    let bodies_addr = tmk.malloc(n * BODY_F64 * 8);
-    if tmk.id() == 0 {
-        let init = p.initial();
-        let flat: Vec<f64> = init.iter().flat_map(pack_body).collect();
-        tmk.write_f64_slice(bodies_addr, &flat);
-    }
-    tmk.barrier(0);
-
-    let mine = block_range(n, nprocs, tmk.id());
-    let mut barrier = 1u32;
-    for _ in 0..p.steps {
-        // MakeTree: read all shared bodies and build a private tree.
-        let mut flat = vec![0.0f64; n * BODY_F64];
-        tmk.read_f64_slice(bodies_addr, &mut flat);
-        let mut bodies: Vec<Body> = flat.chunks_exact(BODY_F64).map(unpack_body).collect();
-        let (tree, inserts) = build_tree(&bodies);
-        tmk.proc().compute(inserts as f64 * COST_INSERT);
-        tmk.barrier(barrier);
-        barrier += 1;
-
-        // Force computation + update of my own bodies.
-        let interactions = step_bodies(&mut bodies, mine.clone(), &tree);
-        tmk.proc().compute(interactions as f64 * COST_INTERACTION);
-        let flat_mine: Vec<f64> = bodies[mine.clone()].iter().flat_map(pack_body).collect();
-        tmk.write_f64_slice(bodies_addr + mine.start * BODY_F64 * 8, &flat_mine);
-        tmk.barrier(barrier);
-        barrier += 1;
+impl App for BarnesParams {
+    fn heap_bytes(&self) -> usize {
+        (self.bodies * BODY_F64 * 8 + (1 << 20)).next_power_of_two()
     }
 
-    let mut flat = vec![0.0f64; mine.len() * BODY_F64];
-    tmk.read_f64_slice(bodies_addr + mine.start * BODY_F64 * 8, &mut flat);
-    let own: Vec<Body> = flat.chunks_exact(BODY_F64).map(unpack_body).collect();
-    checksum(&own)
-}
+    fn problem_size(&self) -> String {
+        format!("{} bodies, {} steps", self.bodies, self.steps)
+    }
 
-/// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &BarnesParams) -> f64 {
-    let n = p.bodies;
-    let nprocs = pvm.nprocs();
-    let me = pvm.id();
-    let mine = block_range(n, nprocs, me);
-    let mut bodies = p.initial();
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        let mut bodies = self.initial();
+        let mut time = 0.0;
+        for _ in 0..self.steps {
+            let (tree, inserts) = build_tree(&bodies);
+            let interactions = step_bodies(&mut bodies, 0..self.bodies, &tree);
+            time += inserts as f64 * COST_INSERT + interactions as f64 * COST_INTERACTION;
+        }
+        SeqRun {
+            checksum: checksum(&bodies),
+            time,
+        }
+    }
 
-    for step in 0..p.steps {
-        let (tree, inserts) = build_tree(&bodies);
-        pvm.proc().compute(inserts as f64 * COST_INSERT);
-        let interactions = step_bodies(&mut bodies, mine.clone(), &tree);
-        pvm.proc().compute(interactions as f64 * COST_INTERACTION);
+    /// TreadMarks version.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let n = self.bodies;
+        let nprocs = tmk.nprocs();
+        let bodies_addr = tmk.malloc(n * BODY_F64 * 8);
+        if tmk.id() == 0 {
+            let init = self.initial();
+            let flat: Vec<f64> = init.iter().flat_map(pack_body).collect();
+            tmk.write_f64_slice(bodies_addr, &flat);
+        }
+        tmk.barrier(0);
 
-        // Broadcast my updated bodies; receive everyone else's.
-        if nprocs > 1 {
-            let tag = 300 + step as u32;
-            let mut b = pvm.new_buffer();
-            let flat: Vec<f64> = bodies[mine.clone()].iter().flat_map(pack_body).collect();
-            b.pack_f64(&flat);
-            pvm.bcast(tag, b);
-            for _ in 0..nprocs - 1 {
-                let mut m = pvm.recv(None, tag);
-                let src = m.src();
-                let owned = block_range(n, nprocs, src);
-                let flat = m.unpack_f64(owned.len() * BODY_F64);
-                for (k, i) in owned.enumerate() {
-                    bodies[i] = unpack_body(&flat[k * BODY_F64..(k + 1) * BODY_F64]);
+        let mine = block_range(n, nprocs, tmk.id());
+        let mut barrier = 1u32;
+        for _ in 0..self.steps {
+            // MakeTree: read all shared bodies and build a private tree.
+            let mut flat = vec![0.0f64; n * BODY_F64];
+            tmk.read_f64_slice(bodies_addr, &mut flat);
+            let mut bodies: Vec<Body> = flat.chunks_exact(BODY_F64).map(unpack_body).collect();
+            let (tree, inserts) = build_tree(&bodies);
+            tmk.proc().compute(inserts as f64 * COST_INSERT);
+            tmk.barrier(barrier);
+            barrier += 1;
+
+            // Force computation + update of my own bodies.
+            let interactions = step_bodies(&mut bodies, mine.clone(), &tree);
+            tmk.proc().compute(interactions as f64 * COST_INTERACTION);
+            let flat_mine: Vec<f64> = bodies[mine.clone()].iter().flat_map(pack_body).collect();
+            tmk.write_f64_slice(bodies_addr + mine.start * BODY_F64 * 8, &flat_mine);
+            tmk.barrier(barrier);
+            barrier += 1;
+        }
+
+        let mut flat = vec![0.0f64; mine.len() * BODY_F64];
+        tmk.read_f64_slice(bodies_addr + mine.start * BODY_F64 * 8, &mut flat);
+        let own: Vec<Body> = flat.chunks_exact(BODY_F64).map(unpack_body).collect();
+        checksum(&own)
+    }
+
+    /// PVM version.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let n = self.bodies;
+        let nprocs = pvm.nprocs();
+        let me = pvm.id();
+        let mine = block_range(n, nprocs, me);
+        let mut bodies = self.initial();
+
+        for step in 0..self.steps {
+            let (tree, inserts) = build_tree(&bodies);
+            pvm.proc().compute(inserts as f64 * COST_INSERT);
+            let interactions = step_bodies(&mut bodies, mine.clone(), &tree);
+            pvm.proc().compute(interactions as f64 * COST_INTERACTION);
+
+            // Broadcast my updated bodies; receive everyone else's.
+            if nprocs > 1 {
+                let tag = 300 + step as u32;
+                let mut b = pvm.new_buffer();
+                let flat: Vec<f64> = bodies[mine.clone()].iter().flat_map(pack_body).collect();
+                b.pack_f64(&flat);
+                pvm.bcast(tag, b);
+                for _ in 0..nprocs - 1 {
+                    let mut m = pvm.recv(None, tag);
+                    let src = m.src();
+                    let owned = block_range(n, nprocs, src);
+                    let flat = m.unpack_f64(owned.len() * BODY_F64);
+                    for (k, i) in owned.enumerate() {
+                        bodies[i] = unpack_body(&flat[k * BODY_F64..(k + 1) * BODY_F64]);
+                    }
                 }
             }
         }
+        checksum(&bodies[mine])
     }
-    checksum(&bodies[mine])
-}
-
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &BarnesParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &BarnesParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &BarnesParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &BarnesParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.bodies * BODY_F64 * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &BarnesParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &BarnesParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &BarnesParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn tree_mass_equals_total_mass() {
@@ -468,10 +432,10 @@ mod tests {
     #[test]
     fn versions_agree_on_final_positions() {
         let p = BarnesParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             let tol = seq.checksum.abs() * 1e-9 + 1e-9;
             assert!((t.checksum - seq.checksum).abs() < tol, "TMK n={n}");
             assert!((m.checksum - seq.checksum).abs() < tol, "PVM n={n}");
@@ -483,8 +447,8 @@ mod tests {
         // Broadcast-everything PVM moves whole body arrays; page-based TMK
         // moves diffs but needs many more messages (diff requests).
         let p = BarnesParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         assert!(t.messages > m.messages, "{} vs {}", t.messages, m.messages);
     }
 }

@@ -11,10 +11,9 @@
 //! Because the communication is negligible relative to the computation, both
 //! systems achieve near-linear speedup (Figure 1 of the paper).
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Number of annuli tabulated (as in NAS EP).
 pub const BINS: usize = 10;
@@ -118,25 +117,6 @@ fn checksum(bins: &[i64; BINS]) -> f64 {
         .sum()
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &EpParams) -> SeqRun {
-    // The pair stream is split into per-chunk sub-streams exactly as the
-    // parallel versions split it, so all versions tabulate identical pairs.
-    let chunks = 64u64;
-    let per = p.pairs / chunks;
-    let mut bins = [0i64; BINS];
-    for c in 0..chunks {
-        let b = tabulate(p.seed, c, per);
-        for i in 0..BINS {
-            bins[i] += b[i];
-        }
-    }
-    SeqRun {
-        checksum: checksum(&bins),
-        time: p.pairs as f64 * COST_PER_PAIR,
-    }
-}
-
 fn local_bins(p: &EpParams, rank: usize, nprocs: usize) -> ([i64; BINS], f64) {
     let chunks = 64usize;
     let per = p.pairs / chunks as u64;
@@ -153,129 +133,115 @@ fn local_bins(p: &EpParams, rank: usize, nprocs: usize) -> ([i64; BINS], f64) {
     (bins, work as f64 * COST_PER_PAIR)
 }
 
-/// TreadMarks version: private tabulation, then a lock-protected update of
-/// the shared ten-integer list, then a barrier.
-pub fn treadmarks_body(tmk: &Tmk, p: &EpParams) -> f64 {
-    let shared = tmk.malloc(BINS * 8);
-    tmk.barrier(0);
-    let (bins, cost) = local_bins(p, tmk.id(), tmk.nprocs());
-    tmk.proc().compute(cost);
-    tmk.lock_acquire(0);
-    #[allow(clippy::needless_range_loop)] // indexing is clearer for the coordinate/matrix access
-    for i in 0..BINS {
-        let v = tmk.read_i64(shared + i * 8);
-        tmk.write_i64(shared + i * 8, v + bins[i]);
+impl App for EpParams {
+    fn heap_bytes(&self) -> usize {
+        1 << 20
     }
-    tmk.lock_release(0);
-    tmk.barrier(1);
-    let mut total = [0i64; BINS];
-    for (i, t) in total.iter_mut().enumerate() {
-        *t = tmk.read_i64(shared + i * 8);
+
+    fn problem_size(&self) -> String {
+        format!("2^{} pairs", self.pairs.trailing_zeros())
     }
-    tmk.barrier(2);
-    // Every process read the final tabulation (as the NAS rules require);
-    // only process 0 contributes it to the run checksum.
-    if tmk.id() == 0 {
-        checksum(&total)
-    } else {
-        0.0
-    }
-}
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &EpParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &EpParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &EpParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &EpParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_treadmarks_on(cfg, 1 << 20, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// PVM version: private tabulation; process 0 receives every other process's
-/// list, sums them, and broadcasts the result.
-pub fn pvm_body(pvm: &Pvm, p: &EpParams) -> f64 {
-    let (bins, cost) = local_bins(p, pvm.id(), pvm.nprocs());
-    pvm.proc().compute(cost);
-    let n = pvm.nprocs();
-    if pvm.id() == 0 {
-        let mut total = bins;
-        for _ in 1..n {
-            let mut m = pvm.recv(None, 1);
-            let other = m.unpack_i64(BINS);
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        // The pair stream is split into per-chunk sub-streams exactly as the
+        // parallel versions split it, so all versions tabulate identical pairs.
+        let chunks = 64u64;
+        let per = self.pairs / chunks;
+        let mut bins = [0i64; BINS];
+        for c in 0..chunks {
+            let b = tabulate(self.seed, c, per);
             for i in 0..BINS {
-                total[i] += other[i];
+                bins[i] += b[i];
             }
         }
-        if n > 1 {
-            let mut b = pvm.new_buffer();
-            b.pack_i64(&total);
-            pvm.bcast(2, b);
+        SeqRun {
+            checksum: checksum(&bins),
+            time: self.pairs as f64 * COST_PER_PAIR,
         }
-        checksum(&total)
-    } else {
-        let mut b = pvm.new_buffer();
-        b.pack_i64(&bins);
-        pvm.send(0, 1, b);
-        let mut m = pvm.recv(Some(0), 2);
-        let total = m.unpack_i64(BINS);
-        let mut arr = [0i64; BINS];
-        arr.copy_from_slice(&total);
-        // Slaves verify the broadcast result but contribute zero so the
-        // summed run checksum equals the sequential one.
-        assert!(checksum(&arr) > 0.0);
-        0.0
     }
-}
 
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &EpParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
+    /// TreadMarks version: private tabulation, then a lock-protected update of
+    /// the shared ten-integer list, then a barrier.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let shared = tmk.malloc(BINS * 8);
+        tmk.barrier(0);
+        let (bins, cost) = local_bins(self, tmk.id(), tmk.nprocs());
+        tmk.proc().compute(cost);
+        tmk.lock_acquire(0);
+        #[allow(clippy::needless_range_loop)]
+        // indexing is clearer for the coordinate/matrix access
+        for i in 0..BINS {
+            let v = tmk.read_i64(shared + i * 8);
+            tmk.write_i64(shared + i * 8, v + bins[i]);
+        }
+        tmk.lock_release(0);
+        tmk.barrier(1);
+        let mut total = [0i64; BINS];
+        for (i, t) in total.iter_mut().enumerate() {
+            *t = tmk.read_i64(shared + i * 8);
+        }
+        tmk.barrier(2);
+        // Every process read the final tabulation (as the NAS rules require);
+        // only process 0 contributes it to the run checksum.
+        if tmk.id() == 0 {
+            checksum(&total)
+        } else {
+            0.0
+        }
+    }
 
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &EpParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &EpParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+    /// PVM version: private tabulation; process 0 receives every other process's
+    /// list, sums them, and broadcasts the result.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let (bins, cost) = local_bins(self, pvm.id(), pvm.nprocs());
+        pvm.proc().compute(cost);
+        let n = pvm.nprocs();
+        if pvm.id() == 0 {
+            let mut total = bins;
+            for _ in 1..n {
+                let mut m = pvm.recv(None, 1);
+                let other = m.unpack_i64(BINS);
+                for i in 0..BINS {
+                    total[i] += other[i];
+                }
+            }
+            if n > 1 {
+                let mut b = pvm.new_buffer();
+                b.pack_i64(&total);
+                pvm.bcast(2, b);
+            }
+            checksum(&total)
+        } else {
+            let mut b = pvm.new_buffer();
+            b.pack_i64(&bins);
+            pvm.send(0, 1, b);
+            let mut m = pvm.recv(Some(0), 2);
+            let total = m.unpack_i64(BINS);
+            let mut arr = [0i64; BINS];
+            arr.copy_from_slice(&total);
+            // Slaves verify the broadcast result but contribute zero so the
+            // summed run checksum equals the sequential one.
+            assert!(checksum(&arr) > 0.0);
+            0.0
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn all_versions_agree_on_the_tabulation() {
         let p = EpParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         assert!(seq.checksum > 0.0);
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             assert_eq!(t.checksum, seq.checksum, "TreadMarks at {n} procs");
             assert_eq!(m.checksum, seq.checksum, "PVM at {n} procs");
         }
@@ -284,9 +250,9 @@ mod tests {
     #[test]
     fn speedup_is_near_linear_for_both_systems() {
         let p = EpParams::scaled();
-        let seq = sequential(&p);
-        let t = treadmarks(8, &p);
-        let m = pvm(8, &p);
+        let seq = p.sequential();
+        let t = run(&p, LRC, &fddi(8)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(8)).unwrap();
         assert!(
             t.speedup(seq.time) > 5.5,
             "TMK speedup {}",
@@ -302,8 +268,8 @@ mod tests {
     #[test]
     fn communication_is_negligible() {
         let p = EpParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         // A handful of messages, well under a hundred for either system.
         assert!(t.messages < 100);
         assert!(m.messages < 100);
@@ -313,8 +279,8 @@ mod tests {
 
     #[test]
     fn sequential_time_scales_with_pairs() {
-        let small = sequential(&EpParams::tiny());
-        let big = sequential(&EpParams::scaled());
+        let small = EpParams::tiny().sequential();
+        let big = EpParams::scaled().sequential();
         assert!(big.time > small.time * 100.0);
     }
 }

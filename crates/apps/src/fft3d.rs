@@ -16,10 +16,9 @@
 //!   message, `n * (n - 1)` messages per transpose.  The paper notes this
 //!   index arithmetic made the PVM version considerably harder to write.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per complex point per 1-D FFT butterfly level.
 pub const COST_FFT: f64 = 0.09e-6;
@@ -200,253 +199,219 @@ fn slab_checksum(data: &[f64]) -> f64 {
     data.iter().map(|v| v.abs()).sum()
 }
 
-/// Sequential reference implementation.  After every iteration the array is
-/// left in transposed layout and the dimension roles swap, exactly as in the
-/// parallel versions (which avoid transposing back).
-pub fn sequential(p: &FftParams) -> SeqRun {
-    let mut a = p.initial();
-    let mut time = 0.0;
-    let mut dims = (p.n1, p.n2, p.n3);
-    for _ in 0..p.iters {
-        let cur = FftParams {
-            n1: dims.0,
-            n2: dims.1,
-            n3: dims.2,
-            iters: 1,
-        };
-        let mut b = vec![0.0f64; cur.elems() * 2];
-        time += local_ffts(&mut a, &cur, 0..cur.n1);
-        for x in 0..cur.n1 {
-            for y in 0..cur.n2 {
-                for z in 0..cur.n3 {
-                    let src = ((x * cur.n2 + y) * cur.n3 + z) * 2;
-                    let dst = ((z * cur.n2 + y) * cur.n1 + x) * 2;
-                    b[dst] = a[src];
-                    b[dst + 1] = a[src + 1];
+impl App for FftParams {
+    fn heap_bytes(&self) -> usize {
+        (self.elems() * 32 + (1 << 20)).next_power_of_two()
+    }
+
+    fn problem_size(&self) -> String {
+        format!("{}x{}x{}, {} iters", self.n1, self.n2, self.n3, self.iters)
+    }
+
+    /// Sequential reference implementation.  After every iteration the array is
+    /// left in transposed layout and the dimension roles swap, exactly as in the
+    /// parallel versions (which avoid transposing back).
+    fn sequential(&self) -> SeqRun {
+        let mut a = self.initial();
+        let mut time = 0.0;
+        let mut dims = (self.n1, self.n2, self.n3);
+        for _ in 0..self.iters {
+            let cur = FftParams {
+                n1: dims.0,
+                n2: dims.1,
+                n3: dims.2,
+                iters: 1,
+            };
+            let mut b = vec![0.0f64; cur.elems() * 2];
+            time += local_ffts(&mut a, &cur, 0..cur.n1);
+            for x in 0..cur.n1 {
+                for y in 0..cur.n2 {
+                    for z in 0..cur.n3 {
+                        let src = ((x * cur.n2 + y) * cur.n3 + z) * 2;
+                        let dst = ((z * cur.n2 + y) * cur.n1 + x) * 2;
+                        b[dst] = a[src];
+                        b[dst + 1] = a[src + 1];
+                    }
                 }
             }
+            time += transposed_ffts(&mut b, &cur, 0..cur.n3);
+            a = b;
+            dims = (dims.2, dims.1, dims.0);
         }
-        time += transposed_ffts(&mut b, &cur, 0..cur.n3);
-        a = b;
-        dims = (dims.2, dims.1, dims.0);
+        SeqRun {
+            checksum: slab_checksum(&a),
+            time,
+        }
     }
-    SeqRun {
-        checksum: slab_checksum(&a),
-        time,
-    }
-}
 
-/// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &FftParams) -> f64 {
-    let nprocs = tmk.nprocs();
-    let me = tmk.id();
-    let elems = p.elems();
-    let a_addr = tmk.malloc(elems * 16);
-    let b_addr = tmk.malloc(elems * 16);
-    if me == 0 {
-        tmk.write_f64_slice(a_addr, &p.initial());
-    }
-    tmk.barrier(0);
+    /// TreadMarks version.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let nprocs = tmk.nprocs();
+        let me = tmk.id();
+        let elems = self.elems();
+        let a_addr = tmk.malloc(elems * 16);
+        let b_addr = tmk.malloc(elems * 16);
+        if me == 0 {
+            tmk.write_f64_slice(a_addr, &self.initial());
+        }
+        tmk.barrier(0);
 
-    let mut dims = (p.n1, p.n2, p.n3);
-    let (mut src_addr, mut dst_addr) = (a_addr, b_addr);
-    let mut barrier = 1u32;
-    let mut final_slab = Vec::new();
-    for _ in 0..p.iters {
-        let cur = FftParams {
-            n1: dims.0,
-            n2: dims.1,
-            n3: dims.2,
-            iters: 1,
-        };
-        let my_x = block_range(cur.n1, nprocs, me);
-        // Local FFTs on my planes of the source array.
-        let plane = cur.n2 * cur.n3 * 2;
-        let mut slab = vec![0.0f64; my_x.len() * plane];
-        tmk.read_f64_slice(src_addr + my_x.start * plane * 8, &mut slab);
-        let local = FftParams {
-            n1: my_x.len(),
-            ..cur.clone()
-        };
-        let cost = local_ffts(&mut slab, &local, 0..my_x.len());
-        tmk.proc().compute(cost);
-        tmk.write_f64_slice(src_addr + my_x.start * plane * 8, &slab);
-        tmk.barrier(barrier);
-        barrier += 1;
+        let mut dims = (self.n1, self.n2, self.n3);
+        let (mut src_addr, mut dst_addr) = (a_addr, b_addr);
+        let mut barrier = 1u32;
+        let mut final_slab = Vec::new();
+        for _ in 0..self.iters {
+            let cur = FftParams {
+                n1: dims.0,
+                n2: dims.1,
+                n3: dims.2,
+                iters: 1,
+            };
+            let my_x = block_range(cur.n1, nprocs, me);
+            // Local FFTs on my planes of the source array.
+            let plane = cur.n2 * cur.n3 * 2;
+            let mut slab = vec![0.0f64; my_x.len() * plane];
+            tmk.read_f64_slice(src_addr + my_x.start * plane * 8, &mut slab);
+            let local = FftParams {
+                n1: my_x.len(),
+                ..cur.clone()
+            };
+            let cost = local_ffts(&mut slab, &local, 0..my_x.len());
+            tmk.proc().compute(cost);
+            tmk.write_f64_slice(src_addr + my_x.start * plane * 8, &slab);
+            tmk.barrier(barrier);
+            barrier += 1;
 
-        // Transpose: build my z-slab of the destination by reading the
-        // needed pencils of the (shared) source array.
-        let my_z = block_range(cur.n3, nprocs, me);
-        let dplane = cur.n2 * cur.n1 * 2;
-        let mut dst_slab = vec![0.0f64; my_z.len() * dplane];
-        for x in 0..cur.n1 {
-            for y in 0..cur.n2 {
-                let base = ((x * cur.n2 + y) * cur.n3 + my_z.start) * 2;
-                let mut seg = vec![0.0f64; my_z.len() * 2];
-                tmk.read_f64_slice(src_addr + base * 8, &mut seg);
-                for (k, z) in my_z.clone().enumerate() {
-                    let dst = (((z - my_z.start) * cur.n2 + y) * cur.n1 + x) * 2;
-                    dst_slab[dst] = seg[k * 2];
-                    dst_slab[dst + 1] = seg[k * 2 + 1];
+            // Transpose: build my z-slab of the destination by reading the
+            // needed pencils of the (shared) source array.
+            let my_z = block_range(cur.n3, nprocs, me);
+            let dplane = cur.n2 * cur.n1 * 2;
+            let mut dst_slab = vec![0.0f64; my_z.len() * dplane];
+            for x in 0..cur.n1 {
+                for y in 0..cur.n2 {
+                    let base = ((x * cur.n2 + y) * cur.n3 + my_z.start) * 2;
+                    let mut seg = vec![0.0f64; my_z.len() * 2];
+                    tmk.read_f64_slice(src_addr + base * 8, &mut seg);
+                    for (k, z) in my_z.clone().enumerate() {
+                        let dst = (((z - my_z.start) * cur.n2 + y) * cur.n1 + x) * 2;
+                        dst_slab[dst] = seg[k * 2];
+                        dst_slab[dst + 1] = seg[k * 2 + 1];
+                    }
                 }
             }
+            let cost = transposed_ffts(&mut dst_slab, &cur, 0..my_z.len());
+            tmk.proc().compute(cost);
+            tmk.write_f64_slice(dst_addr + my_z.start * dplane * 8, &dst_slab);
+            tmk.barrier(barrier);
+            barrier += 1;
+
+            final_slab = dst_slab;
+            std::mem::swap(&mut src_addr, &mut dst_addr);
+            dims = (dims.2, dims.1, dims.0);
         }
-        let cost = transposed_ffts(&mut dst_slab, &cur, 0..my_z.len());
-        tmk.proc().compute(cost);
-        tmk.write_f64_slice(dst_addr + my_z.start * dplane * 8, &dst_slab);
-        tmk.barrier(barrier);
-        barrier += 1;
-
-        final_slab = dst_slab;
-        std::mem::swap(&mut src_addr, &mut dst_addr);
-        dims = (dims.2, dims.1, dims.0);
+        slab_checksum(&final_slab)
     }
-    slab_checksum(&final_slab)
-}
 
-/// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &FftParams) -> f64 {
-    let nprocs = pvm.nprocs();
-    let me = pvm.id();
-    let mut dims = (p.n1, p.n2, p.n3);
+    /// PVM version.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let nprocs = pvm.nprocs();
+        let me = pvm.id();
+        let mut dims = (self.n1, self.n2, self.n3);
 
-    // Initial distribution: every process generates the whole array and keeps
-    // its own planes (excluded from the paper's measurements; generating it
-    // locally avoids charging PVM an artificial scatter).
-    let init = p.initial();
-    let my_x0 = block_range(p.n1, nprocs, me);
-    let plane0 = p.n2 * p.n3 * 2;
-    let mut slab: Vec<f64> = init[my_x0.start * plane0..my_x0.end * plane0].to_vec();
+        // Initial distribution: every process generates the whole array and keeps
+        // its own planes (excluded from the paper's measurements; generating it
+        // locally avoids charging PVM an artificial scatter).
+        let init = self.initial();
+        let my_x0 = block_range(self.n1, nprocs, me);
+        let plane0 = self.n2 * self.n3 * 2;
+        let mut slab: Vec<f64> = init[my_x0.start * plane0..my_x0.end * plane0].to_vec();
 
-    let mut checksum = 0.0;
-    for iter in 0..p.iters {
-        let cur = FftParams {
-            n1: dims.0,
-            n2: dims.1,
-            n3: dims.2,
-            iters: 1,
-        };
-        let my_x = block_range(cur.n1, nprocs, me);
-        let local = FftParams {
-            n1: my_x.len(),
-            ..cur.clone()
-        };
-        let cost = local_ffts(&mut slab, &local, 0..my_x.len());
-        pvm.proc().compute(cost);
+        let mut checksum = 0.0;
+        for iter in 0..self.iters {
+            let cur = FftParams {
+                n1: dims.0,
+                n2: dims.1,
+                n3: dims.2,
+                iters: 1,
+            };
+            let my_x = block_range(cur.n1, nprocs, me);
+            let local = FftParams {
+                n1: my_x.len(),
+                ..cur.clone()
+            };
+            let cost = local_ffts(&mut slab, &local, 0..my_x.len());
+            pvm.proc().compute(cost);
 
-        // Hand-coded transpose: send to every other process the (x, y, z)
-        // block it needs for its z-slab; receive the blocks for mine.
-        let my_z = block_range(cur.n3, nprocs, me);
-        let dplane = cur.n2 * cur.n1 * 2;
-        let mut dst_slab = vec![0.0f64; my_z.len() * dplane];
-        let tag = 400 + iter as u32;
-        for dst in 0..nprocs {
-            let dst_z = block_range(cur.n3, nprocs, dst);
-            if dst == me {
-                // Local part of the transpose.
-                for (lx, _x) in my_x.clone().enumerate() {
+            // Hand-coded transpose: send to every other process the (x, y, z)
+            // block it needs for its z-slab; receive the blocks for mine.
+            let my_z = block_range(cur.n3, nprocs, me);
+            let dplane = cur.n2 * cur.n1 * 2;
+            let mut dst_slab = vec![0.0f64; my_z.len() * dplane];
+            let tag = 400 + iter as u32;
+            for dst in 0..nprocs {
+                let dst_z = block_range(cur.n3, nprocs, dst);
+                if dst == me {
+                    // Local part of the transpose.
+                    for (lx, _x) in my_x.clone().enumerate() {
+                        for y in 0..cur.n2 {
+                            for z in dst_z.clone() {
+                                let src = ((lx * cur.n2 + y) * cur.n3 + z) * 2;
+                                let d =
+                                    (((z - my_z.start) * cur.n2 + y) * cur.n1 + my_x.start + lx)
+                                        * 2;
+                                dst_slab[d] = slab[src];
+                                dst_slab[d + 1] = slab[src + 1];
+                            }
+                        }
+                    }
+                    continue;
+                }
+                let mut buf = pvm.new_buffer();
+                let mut block = Vec::with_capacity(my_x.len() * cur.n2 * dst_z.len() * 2);
+                for lx in 0..my_x.len() {
                     for y in 0..cur.n2 {
                         for z in dst_z.clone() {
                             let src = ((lx * cur.n2 + y) * cur.n3 + z) * 2;
-                            let d =
-                                (((z - my_z.start) * cur.n2 + y) * cur.n1 + my_x.start + lx) * 2;
-                            dst_slab[d] = slab[src];
-                            dst_slab[d + 1] = slab[src + 1];
+                            block.push(slab[src]);
+                            block.push(slab[src + 1]);
                         }
                     }
                 }
-                continue;
+                buf.pack_f64(&block);
+                pvm.send(dst, tag, buf);
             }
-            let mut buf = pvm.new_buffer();
-            let mut block = Vec::with_capacity(my_x.len() * cur.n2 * dst_z.len() * 2);
-            for lx in 0..my_x.len() {
-                for y in 0..cur.n2 {
-                    for z in dst_z.clone() {
-                        let src = ((lx * cur.n2 + y) * cur.n3 + z) * 2;
-                        block.push(slab[src]);
-                        block.push(slab[src + 1]);
+            for _ in 0..nprocs.saturating_sub(1) {
+                let mut m = pvm.recv(None, tag);
+                let src = m.src();
+                let src_x = block_range(cur.n1, nprocs, src);
+                let block = m.unpack_f64(src_x.len() * cur.n2 * my_z.len() * 2);
+                let mut it = 0usize;
+                for x in src_x.clone() {
+                    for y in 0..cur.n2 {
+                        for z in my_z.clone() {
+                            let d = (((z - my_z.start) * cur.n2 + y) * cur.n1 + x) * 2;
+                            dst_slab[d] = block[it];
+                            dst_slab[d + 1] = block[it + 1];
+                            it += 2;
+                        }
                     }
                 }
             }
-            buf.pack_f64(&block);
-            pvm.send(dst, tag, buf);
+            let cost = transposed_ffts(&mut dst_slab, &cur, 0..my_z.len());
+            pvm.proc().compute(cost);
+            checksum = slab_checksum(&dst_slab);
+            slab = dst_slab;
+            dims = (dims.2, dims.1, dims.0);
         }
-        for _ in 0..nprocs.saturating_sub(1) {
-            let mut m = pvm.recv(None, tag);
-            let src = m.src();
-            let src_x = block_range(cur.n1, nprocs, src);
-            let block = m.unpack_f64(src_x.len() * cur.n2 * my_z.len() * 2);
-            let mut it = 0usize;
-            for x in src_x.clone() {
-                for y in 0..cur.n2 {
-                    for z in my_z.clone() {
-                        let d = (((z - my_z.start) * cur.n2 + y) * cur.n1 + x) * 2;
-                        dst_slab[d] = block[it];
-                        dst_slab[d + 1] = block[it + 1];
-                        it += 2;
-                    }
-                }
-            }
-        }
-        let cost = transposed_ffts(&mut dst_slab, &cur, 0..my_z.len());
-        pvm.proc().compute(cost);
-        checksum = slab_checksum(&dst_slab);
-        slab = dst_slab;
-        dims = (dims.2, dims.1, dims.0);
+        checksum
     }
-    checksum
-}
-
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &FftParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &FftParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &FftParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &FftParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.elems() * 32 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &FftParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &FftParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &FftParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn fft1d_of_constant_signal_concentrates_in_bin_zero() {
@@ -464,10 +429,10 @@ mod tests {
     #[test]
     fn versions_agree_on_the_transform() {
         let p = FftParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             let tol = seq.checksum.abs() * 1e-9;
             assert!(
                 (t.checksum - seq.checksum).abs() < tol,
@@ -487,8 +452,8 @@ mod tests {
     #[test]
     fn transpose_dominates_message_counts() {
         let p = FftParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         // PVM: n*(n-1) messages per transpose (plus nothing else).
         assert!(m.messages as usize >= p.iters * 4 * 3);
         // TreadMarks needs many more messages (one diff request per page).

@@ -22,10 +22,9 @@
 //! (sparse genarrays spanning several pages, per-family re-initialisation) —
 //! see README.md §Design notes.
 
-use crate::runner::{try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost of updating one non-zero genarray element (conditioning on the rest
 /// of the nuclear family), the dominant computation.
@@ -106,206 +105,171 @@ fn update_element(value: f64, family: usize) -> f64 {
     (value * scale + 0.01).sqrt() * 0.5
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &IlinkParams) -> SeqRun {
-    let mut time = 0.0;
-    let mut likelihood = 0.0;
-    for f in 0..p.families {
-        let gen = p.family_genarray(f);
-        let mut sum = 0.0;
-        for &(_, v) in &gen {
-            sum += update_element(v, f);
-        }
-        time += gen.len() as f64 * (COST_ELEMENT + COST_SUM);
-        likelihood += sum.ln();
-    }
-    SeqRun {
-        checksum: likelihood,
-        time,
-    }
-}
-
-/// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &IlinkParams) -> f64 {
-    let n = tmk.nprocs();
-    let me = tmk.id();
-    let bank = tmk.malloc(p.genarray * 8);
-    tmk.barrier(0);
-
-    let mut likelihood = 0.0;
-    let mut barrier = 1u32;
-    for f in 0..p.families {
-        let gen = p.family_genarray(f);
-        // The master re-initialises the bank for this nuclear family.
-        if me == 0 {
-            let mut full = vec![0.0f64; p.genarray];
-            for &(i, v) in &gen {
-                full[i] = v;
-            }
-            tmk.write_f64_slice(bank, &full);
-        }
-        tmk.barrier(barrier);
-        barrier += 1;
-
-        // Round-robin update of the non-zero elements.
-        let mut mine = 0u64;
-        for (k, &(i, _)) in gen.iter().enumerate() {
-            if k % n == me {
-                let v = tmk.read_f64(bank + i * 8);
-                tmk.write_f64(bank + i * 8, update_element(v, f));
-                mine += 1;
-            }
-        }
-        tmk.proc().compute(mine as f64 * COST_ELEMENT);
-        tmk.barrier(barrier);
-        barrier += 1;
-
-        // The master sums the contributions.
-        if me == 0 {
-            let mut full = vec![0.0f64; p.genarray];
-            tmk.read_f64_slice(bank, &mut full);
-            let sum: f64 = gen.iter().map(|&(i, _)| full[i]).sum();
-            tmk.proc().compute(gen.len() as f64 * COST_SUM);
-            likelihood += sum.ln();
-        }
-        tmk.barrier(barrier);
-        barrier += 1;
-    }
-    if me == 0 {
-        likelihood
-    } else {
-        0.0
-    }
-}
-
 const TAG_ASSIGN: u32 = 30;
 const TAG_RESULT: u32 = 31;
 
-/// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &IlinkParams) -> f64 {
-    let n = pvm.nprocs();
-    let me = pvm.id();
+impl App for IlinkParams {
+    fn heap_bytes(&self) -> usize {
+        (self.genarray * 8 + (1 << 20)).next_power_of_two()
+    }
 
-    let mut likelihood = 0.0;
-    for f in 0..p.families {
-        let gen = p.family_genarray(f);
-        if me == 0 {
-            // Assign non-zero elements round-robin and ship each slave its
-            // share (indices and values) in a single message.
-            for slave in 1..n {
-                let share: Vec<(usize, f64)> = gen
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| k % n == slave)
-                    .map(|(_, &e)| e)
-                    .collect();
-                let mut b = pvm.new_buffer();
-                b.pack_u64(&[f as u64, share.len() as u64]);
-                b.pack_u64(&share.iter().map(|&(i, _)| i as u64).collect::<Vec<_>>());
-                b.pack_f64(&share.iter().map(|&(_, v)| v).collect::<Vec<_>>());
-                pvm.send(slave, TAG_ASSIGN, b);
+    fn problem_size(&self) -> String {
+        format!("{} families, genarray {}", self.families, self.genarray)
+    }
+
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        let mut time = 0.0;
+        let mut likelihood = 0.0;
+        for f in 0..self.families {
+            let gen = self.family_genarray(f);
+            let mut sum = 0.0;
+            for &(_, v) in &gen {
+                sum += update_element(v, f);
             }
-            // Master's own share.
-            let mut results: Vec<(usize, f64)> = gen
-                .iter()
-                .enumerate()
-                .filter(|(k, _)| k % n == 0)
-                .map(|(_, &(i, v))| (i, update_element(v, f)))
-                .collect();
-            pvm.proc().compute(results.len() as f64 * COST_ELEMENT);
-            // Collect the slaves' results (only the non-zero elements travel).
-            for _ in 1..n {
-                let mut m = pvm.recv(None, TAG_RESULT);
-                let count = m.unpack_u64(1)[0] as usize;
-                let idx = m.unpack_u64(count);
-                let vals = m.unpack_f64(count);
-                for k in 0..count {
-                    results.push((idx[k] as usize, vals[k]));
-                }
-            }
-            let sum: f64 = results.iter().map(|&(_, v)| v).sum();
-            pvm.proc().compute(gen.len() as f64 * COST_SUM);
+            time += gen.len() as f64 * (COST_ELEMENT + COST_SUM);
             likelihood += sum.ln();
-        } else {
-            let mut m = pvm.recv(Some(0), TAG_ASSIGN);
-            let hdr = m.unpack_u64(2);
-            let (family, count) = (hdr[0] as usize, hdr[1] as usize);
-            let idx = m.unpack_u64(count);
-            let vals = m.unpack_f64(count);
-            let updated: Vec<f64> = vals.iter().map(|&v| update_element(v, family)).collect();
-            pvm.proc().compute(count as f64 * COST_ELEMENT);
-            let mut b = pvm.new_buffer();
-            b.pack_u64(&[count as u64]);
-            b.pack_u64(&idx);
-            b.pack_f64(&updated);
-            pvm.send(0, TAG_RESULT, b);
+        }
+        SeqRun {
+            checksum: likelihood,
+            time,
         }
     }
-    if me == 0 {
-        likelihood
-    } else {
-        0.0
+
+    /// TreadMarks version.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let n = tmk.nprocs();
+        let me = tmk.id();
+        let bank = tmk.malloc(self.genarray * 8);
+        tmk.barrier(0);
+
+        let mut likelihood = 0.0;
+        let mut barrier = 1u32;
+        for f in 0..self.families {
+            let gen = self.family_genarray(f);
+            // The master re-initialises the bank for this nuclear family.
+            if me == 0 {
+                let mut full = vec![0.0f64; self.genarray];
+                for &(i, v) in &gen {
+                    full[i] = v;
+                }
+                tmk.write_f64_slice(bank, &full);
+            }
+            tmk.barrier(barrier);
+            barrier += 1;
+
+            // Round-robin update of the non-zero elements.
+            let mut mine = 0u64;
+            for (k, &(i, _)) in gen.iter().enumerate() {
+                if k % n == me {
+                    let v = tmk.read_f64(bank + i * 8);
+                    tmk.write_f64(bank + i * 8, update_element(v, f));
+                    mine += 1;
+                }
+            }
+            tmk.proc().compute(mine as f64 * COST_ELEMENT);
+            tmk.barrier(barrier);
+            barrier += 1;
+
+            // The master sums the contributions.
+            if me == 0 {
+                let mut full = vec![0.0f64; self.genarray];
+                tmk.read_f64_slice(bank, &mut full);
+                let sum: f64 = gen.iter().map(|&(i, _)| full[i]).sum();
+                tmk.proc().compute(gen.len() as f64 * COST_SUM);
+                likelihood += sum.ln();
+            }
+            tmk.barrier(barrier);
+            barrier += 1;
+        }
+        if me == 0 {
+            likelihood
+        } else {
+            0.0
+        }
     }
-}
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &IlinkParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
+    /// PVM version.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let n = pvm.nprocs();
+        let me = pvm.id();
 
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &IlinkParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &IlinkParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &IlinkParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.genarray * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &IlinkParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &IlinkParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &IlinkParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+        let mut likelihood = 0.0;
+        for f in 0..self.families {
+            let gen = self.family_genarray(f);
+            if me == 0 {
+                // Assign non-zero elements round-robin and ship each slave its
+                // share (indices and values) in a single message.
+                for slave in 1..n {
+                    let share: Vec<(usize, f64)> = gen
+                        .iter()
+                        .enumerate()
+                        .filter(|(k, _)| k % n == slave)
+                        .map(|(_, &e)| e)
+                        .collect();
+                    let mut b = pvm.new_buffer();
+                    b.pack_u64(&[f as u64, share.len() as u64]);
+                    b.pack_u64(&share.iter().map(|&(i, _)| i as u64).collect::<Vec<_>>());
+                    b.pack_f64(&share.iter().map(|&(_, v)| v).collect::<Vec<_>>());
+                    pvm.send(slave, TAG_ASSIGN, b);
+                }
+                // Master's own share.
+                let mut results: Vec<(usize, f64)> = gen
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, _)| k % n == 0)
+                    .map(|(_, &(i, v))| (i, update_element(v, f)))
+                    .collect();
+                pvm.proc().compute(results.len() as f64 * COST_ELEMENT);
+                // Collect the slaves' results (only the non-zero elements travel).
+                for _ in 1..n {
+                    let mut m = pvm.recv(None, TAG_RESULT);
+                    let count = m.unpack_u64(1)[0] as usize;
+                    let idx = m.unpack_u64(count);
+                    let vals = m.unpack_f64(count);
+                    for k in 0..count {
+                        results.push((idx[k] as usize, vals[k]));
+                    }
+                }
+                let sum: f64 = results.iter().map(|&(_, v)| v).sum();
+                pvm.proc().compute(gen.len() as f64 * COST_SUM);
+                likelihood += sum.ln();
+            } else {
+                let mut m = pvm.recv(Some(0), TAG_ASSIGN);
+                let hdr = m.unpack_u64(2);
+                let (family, count) = (hdr[0] as usize, hdr[1] as usize);
+                let idx = m.unpack_u64(count);
+                let vals = m.unpack_f64(count);
+                let updated: Vec<f64> = vals.iter().map(|&v| update_element(v, family)).collect();
+                pvm.proc().compute(count as f64 * COST_ELEMENT);
+                let mut b = pvm.new_buffer();
+                b.pack_u64(&[count as u64]);
+                b.pack_u64(&idx);
+                b.pack_f64(&updated);
+                pvm.send(0, TAG_RESULT, b);
+            }
+        }
+        if me == 0 {
+            likelihood
+        } else {
+            0.0
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn versions_agree_on_the_likelihood() {
         let p = IlinkParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             // Contributions are summed in a different order in the parallel
             // versions, so allow normal floating-point drift.
             let tol = seq.checksum.abs() * 1e-6 + 1e-6;
@@ -333,8 +297,8 @@ mod tests {
         // shared medium by virtual timestamps), so the bracket is tight: the
         // TMK/PVM ratio at this input is ~2.53.
         let p = IlinkParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         assert!(t.messages > m.messages);
         let ratio = t.time / m.time;
         assert!(

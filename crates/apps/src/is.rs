@@ -19,10 +19,9 @@
 //! large key range (IS-Large, buckets spread over many pages); the large
 //! range is where PVM wins by roughly a factor of two.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost of counting one key into a bucket.
 pub const COST_COUNT: f64 = 0.045e-6;
@@ -128,180 +127,150 @@ fn rank_block(p: &IsParams, range: std::ops::Range<usize>, global: &[i32]) -> f6
     sum
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &IsParams) -> SeqRun {
-    let mut time = 0.0;
-    let mut checksum = 0.0;
-    for _ in 0..p.iters {
-        let mut buckets = vec![0i32; p.buckets];
-        count_block(p, 0..p.keys, &mut buckets);
-        checksum = rank_block(p, 0..p.keys, &buckets);
-        time += p.keys as f64 * (COST_COUNT + COST_RANK) + p.buckets as f64 * COST_ADD;
+impl App for IsParams {
+    fn heap_bytes(&self) -> usize {
+        (self.buckets * 4 + (1 << 20)).next_power_of_two()
     }
-    SeqRun { checksum, time }
-}
 
-/// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &IsParams) -> f64 {
-    let n = tmk.nprocs();
-    let me = tmk.id();
-    let my_keys = block_range(p.keys, n, me);
-    let shared = tmk.malloc(p.buckets * 4);
-    // A monotonically increasing writer counter shared with the buckets; the
-    // first writer of an iteration overwrites the previous iteration's values
-    // (no separate clearing phase), exactly the access pattern the paper
-    // describes as the source of diff accumulation in IS.
-    let counter = tmk.malloc(8);
-    tmk.barrier(0);
+    fn problem_size(&self) -> String {
+        format!(
+            "N=2^{}, Bmax=2^{}, {} iters",
+            self.keys.trailing_zeros(),
+            self.buckets.trailing_zeros(),
+            self.iters
+        )
+    }
 
-    let mut checksum = 0.0;
-    let mut barrier = 1u32;
-    for _ in 0..p.iters {
-        // Count into a private array.
-        let mut private = vec![0i32; p.buckets];
-        count_block(p, my_keys.clone(), &mut private);
-        tmk.proc().compute(my_keys.len() as f64 * COST_COUNT);
-
-        // Add the private counts to the shared array under the lock; the
-        // first writer of the iteration overwrites instead of adding.
-        tmk.lock_acquire(0);
-        let done = tmk.read_i64(counter);
-        if done % n as i64 == 0 {
-            tmk.write_i32_slice(shared, &private);
-        } else {
-            let mut global = vec![0i32; p.buckets];
-            tmk.read_i32_slice(shared, &mut global);
-            for b in 0..p.buckets {
-                global[b] += private[b];
-            }
-            tmk.write_i32_slice(shared, &global);
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        let mut time = 0.0;
+        let mut checksum = 0.0;
+        for _ in 0..self.iters {
+            let mut buckets = vec![0i32; self.buckets];
+            count_block(self, 0..self.keys, &mut buckets);
+            checksum = rank_block(self, 0..self.keys, &buckets);
+            time += self.keys as f64 * (COST_COUNT + COST_RANK) + self.buckets as f64 * COST_ADD;
         }
-        tmk.write_i64(counter, done + 1);
-        tmk.proc().compute(p.buckets as f64 * COST_ADD);
-        tmk.lock_release(0);
-        tmk.barrier(barrier);
-        barrier += 1;
-
-        // Read the final sums and rank this block's keys.
-        let mut global = vec![0i32; p.buckets];
-        tmk.read_i32_slice(shared, &mut global);
-        checksum = rank_block(p, my_keys.clone(), &global);
-        tmk.proc().compute(my_keys.len() as f64 * COST_RANK);
-        tmk.barrier(barrier);
-        barrier += 1;
+        SeqRun { checksum, time }
     }
-    checksum
-}
 
-/// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &IsParams) -> f64 {
-    let n = pvm.nprocs();
-    let me = pvm.id();
-    let my_keys = block_range(p.keys, n, me);
+    /// TreadMarks version.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let n = tmk.nprocs();
+        let me = tmk.id();
+        let my_keys = block_range(self.keys, n, me);
+        let shared = tmk.malloc(self.buckets * 4);
+        // A monotonically increasing writer counter shared with the buckets; the
+        // first writer of an iteration overwrites the previous iteration's values
+        // (no separate clearing phase), exactly the access pattern the paper
+        // describes as the source of diff accumulation in IS.
+        let counter = tmk.malloc(8);
+        tmk.barrier(0);
 
-    let mut checksum = 0.0;
-    for iter in 0..p.iters {
-        let tag_chain = 100 + iter as u32;
-        let tag_final = 200 + iter as u32;
+        let mut checksum = 0.0;
+        let mut barrier = 1u32;
+        for _ in 0..self.iters {
+            // Count into a private array.
+            let mut private = vec![0i32; self.buckets];
+            count_block(self, my_keys.clone(), &mut private);
+            tmk.proc().compute(my_keys.len() as f64 * COST_COUNT);
 
-        let mut private = vec![0i32; p.buckets];
-        count_block(p, my_keys.clone(), &mut private);
-        pvm.proc().compute(my_keys.len() as f64 * COST_COUNT);
-
-        // Chain sum: 0 -> 1 -> ... -> n-1, then the last broadcasts.
-        let global = if n == 1 {
-            private
-        } else if me == 0 {
-            let mut b = pvm.new_buffer();
-            b.pack_i32(&private);
-            pvm.send(1, tag_chain, b);
-            let mut m = pvm.recv(Some(n - 1), tag_final);
-            m.unpack_i32(p.buckets)
-        } else {
-            let mut m = pvm.recv(Some(me - 1), tag_chain);
-            let mut sums = m.unpack_i32(p.buckets);
-            for b in 0..p.buckets {
-                sums[b] += private[b];
-            }
-            pvm.proc().compute(p.buckets as f64 * COST_ADD);
-            if me == n - 1 {
-                let mut b = pvm.new_buffer();
-                b.pack_i32(&sums);
-                pvm.bcast(tag_final, b);
-                sums
+            // Add the private counts to the shared array under the lock; the
+            // first writer of the iteration overwrites instead of adding.
+            tmk.lock_acquire(0);
+            let done = tmk.read_i64(counter);
+            if done % n as i64 == 0 {
+                tmk.write_i32_slice(shared, &private);
             } else {
-                let mut b = pvm.new_buffer();
-                b.pack_i32(&sums);
-                pvm.send(me + 1, tag_chain, b);
-                let mut m = pvm.recv(Some(n - 1), tag_final);
-                m.unpack_i32(p.buckets)
+                let mut global = vec![0i32; self.buckets];
+                tmk.read_i32_slice(shared, &mut global);
+                for b in 0..self.buckets {
+                    global[b] += private[b];
+                }
+                tmk.write_i32_slice(shared, &global);
             }
-        };
+            tmk.write_i64(counter, done + 1);
+            tmk.proc().compute(self.buckets as f64 * COST_ADD);
+            tmk.lock_release(0);
+            tmk.barrier(barrier);
+            barrier += 1;
 
-        checksum = rank_block(p, my_keys.clone(), &global);
-        pvm.proc().compute(my_keys.len() as f64 * COST_RANK);
+            // Read the final sums and rank this block's keys.
+            let mut global = vec![0i32; self.buckets];
+            tmk.read_i32_slice(shared, &mut global);
+            checksum = rank_block(self, my_keys.clone(), &global);
+            tmk.proc().compute(my_keys.len() as f64 * COST_RANK);
+            tmk.barrier(barrier);
+            barrier += 1;
+        }
+        checksum
     }
-    checksum
-}
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &IsParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
+    /// PVM version.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let n = pvm.nprocs();
+        let me = pvm.id();
+        let my_keys = block_range(self.keys, n, me);
 
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &IsParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
+        let mut checksum = 0.0;
+        for iter in 0..self.iters {
+            let tag_chain = 100 + iter as u32;
+            let tag_final = 200 + iter as u32;
 
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &IsParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
+            let mut private = vec![0i32; self.buckets];
+            count_block(self, my_keys.clone(), &mut private);
+            pvm.proc().compute(my_keys.len() as f64 * COST_COUNT);
 
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &IsParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.buckets * 4 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
+            // Chain sum: 0 -> 1 -> ... -> n-1, then the last broadcasts.
+            let global = if n == 1 {
+                private
+            } else if me == 0 {
+                let mut b = pvm.new_buffer();
+                b.pack_i32(&private);
+                pvm.send(1, tag_chain, b);
+                let mut m = pvm.recv(Some(n - 1), tag_final);
+                m.unpack_i32(self.buckets)
+            } else {
+                let mut m = pvm.recv(Some(me - 1), tag_chain);
+                let mut sums = m.unpack_i32(self.buckets);
+                for b in 0..self.buckets {
+                    sums[b] += private[b];
+                }
+                pvm.proc().compute(self.buckets as f64 * COST_ADD);
+                if me == n - 1 {
+                    let mut b = pvm.new_buffer();
+                    b.pack_i32(&sums);
+                    pvm.bcast(tag_final, b);
+                    sums
+                } else {
+                    let mut b = pvm.new_buffer();
+                    b.pack_i32(&sums);
+                    pvm.send(me + 1, tag_chain, b);
+                    let mut m = pvm.recv(Some(n - 1), tag_final);
+                    m.unpack_i32(self.buckets)
+                }
+            };
 
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &IsParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &IsParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &IsParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+            checksum = rank_block(self, my_keys.clone(), &global);
+            pvm.proc().compute(my_keys.len() as f64 * COST_RANK);
+        }
+        checksum
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn versions_agree_on_ranks() {
         let p = IsParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             assert_eq!(t.checksum, seq.checksum, "TMK n={n}");
             assert_eq!(m.checksum, seq.checksum, "PVM n={n}");
         }
@@ -310,8 +279,8 @@ mod tests {
     #[test]
     fn treadmarks_sends_far_more_messages_than_pvm() {
         let p = IsParams::tiny();
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         assert!(
             t.messages > 3 * m.messages,
             "TMK {} msgs vs PVM {} msgs",
@@ -338,10 +307,10 @@ mod tests {
             buckets: 1 << 13,
             ..small.clone()
         };
-        let ts = treadmarks(4, &small);
-        let ps = pvm(4, &small);
-        let tl = treadmarks(4, &large);
-        let pl = pvm(4, &large);
+        let ts = run(&small, LRC, &fddi(4)).unwrap();
+        let ps = run(&small, System::Pvm, &fddi(4)).unwrap();
+        let tl = run(&large, LRC, &fddi(4)).unwrap();
+        let pl = run(&large, System::Pvm, &fddi(4)).unwrap();
         let ratio_small = ts.time / ps.time;
         let ratio_large = tl.time / pl.time;
         // Virtual times are bit-deterministic, so the bracket is tight:
@@ -368,10 +337,10 @@ mod tests {
             iters: 2,
             seed: 7,
         };
-        let t2 = treadmarks(2, &p);
-        let p2 = pvm(2, &p);
-        let t6 = treadmarks(6, &p);
-        let p6 = pvm(6, &p);
+        let t2 = run(&p, LRC, &fddi(2)).unwrap();
+        let p2 = run(&p, System::Pvm, &fddi(2)).unwrap();
+        let t6 = run(&p, LRC, &fddi(6)).unwrap();
+        let p6 = run(&p, System::Pvm, &fddi(6)).unwrap();
         let r2 = t2.kilobytes / p2.kilobytes;
         let r6 = t6.kilobytes / p6.kilobytes;
         assert!(r6 > r2, "data ratio at 2 procs {r2}, at 6 procs {r6}");

@@ -15,10 +15,13 @@
 //! | [`ilink`] | Genetic linkage analysis (synthetic pedigree) | ILINK |
 //!
 //! Every module follows the same shape: a `*Params` struct with `paper()`,
-//! `scaled()` and `tiny()` presets, a `sequential` reference returning a
-//! [`runner::SeqRun`], and `treadmarks` / `pvm` drivers returning a
+//! `scaled()` and `tiny()` presets that implements [`App`] — the sequential
+//! reference plus one process body per paradigm — and [`run`] executes
+//! either parallel version on any cluster model, returning a
 //! [`runner::AppRun`] with the time, message and data metrics the paper's
-//! tables and figures report.  Computation is charged through a calibrated
+//! tables and figures report.  [`Workload`] names every (application, input
+//! set) pair of the study and holds the one table from workload and
+//! [`Preset`] to parameters.  Computation is charged through a calibrated
 //! work model (see README.md §Design notes) so that speedups are deterministic
 //! and independent of the host machine.
 
@@ -35,7 +38,46 @@ pub mod sor;
 pub mod tsp;
 pub mod water;
 
-pub use runner::{AppRun, SeqRun, System};
+pub use runner::{run, App, AppRun, SeqRun, System};
+
+use cluster::{ClusterConfig, RunFailure};
+
+/// Problem-size preset of a [`Workload`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preset {
+    /// Tiny inputs used by tests of the harness itself.
+    Tiny,
+    /// Scaled-down inputs (default): the whole suite runs in minutes.
+    Scaled,
+    /// Paper-scale inputs.
+    Paper,
+}
+
+impl Preset {
+    /// The name scenario files and `--list` use.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Preset::Tiny => "tiny",
+            Preset::Scaled => "scaled",
+            Preset::Paper => "paper",
+        }
+    }
+}
+
+impl std::str::FromStr for Preset {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "tiny" => Ok(Preset::Tiny),
+            "scaled" => Ok(Preset::Scaled),
+            "paper" | "full" => Ok(Preset::Paper),
+            other => Err(format!(
+                "unknown preset '{other}'; known presets: tiny, scaled, paper"
+            )),
+        }
+    }
+}
 
 /// The applications and input sets of the study, in the order the paper
 /// lists them (Figures 1–12).
@@ -124,6 +166,64 @@ impl Workload {
     }
 }
 
+/// The one table from (workload, preset) to the application's parameters:
+/// evaluates `$body` with `$app` bound to them, monomorphised per row.  A
+/// new workload is one module implementing [`App`] plus one row here.
+macro_rules! with_app {
+    ($w:expr, $preset:expr, $app:ident => $body:expr) => {
+        with_app!(@rows $w, $preset, $app, $body;
+            Ep => ep::EpParams::tiny(), ep::EpParams::scaled(), ep::EpParams::paper();
+            SorZero => sor::SorParams::tiny(true), sor::SorParams::scaled_zero(), sor::SorParams::paper_zero();
+            SorNonzero => sor::SorParams::tiny(false), sor::SorParams::scaled_nonzero(), sor::SorParams::paper_nonzero();
+            IsSmall => is::IsParams::tiny(), is::IsParams::scaled_small(), is::IsParams::paper_small();
+            IsLarge => is::IsParams::tiny(), is::IsParams::scaled_large(), is::IsParams::paper_large();
+            Tsp => tsp::TspParams::tiny(), tsp::TspParams::scaled(), tsp::TspParams::paper();
+            Qsort => qsort::QsortParams::tiny(), qsort::QsortParams::scaled(), qsort::QsortParams::paper();
+            Water288 => water::WaterParams::tiny(), water::WaterParams::scaled_288(), water::WaterParams::paper_288();
+            Water1728 => water::WaterParams::tiny(), water::WaterParams::scaled_1728(), water::WaterParams::paper_1728();
+            BarnesHut => barnes::BarnesParams::tiny(), barnes::BarnesParams::scaled(), barnes::BarnesParams::paper();
+            Fft3d => fft3d::FftParams::tiny(), fft3d::FftParams::scaled(), fft3d::FftParams::paper();
+            Ilink => ilink::IlinkParams::tiny(), ilink::IlinkParams::scaled(), ilink::IlinkParams::paper();
+        )
+    };
+    (@rows $w:expr, $preset:expr, $app:ident, $body:expr;
+     $($variant:ident => $tiny:expr, $scaled:expr, $paper:expr;)*) => {
+        match $w {
+            $(Workload::$variant => {
+                let $app = &match $preset {
+                    Preset::Tiny => $tiny,
+                    Preset::Scaled => $scaled,
+                    Preset::Paper => $paper,
+                };
+                $body
+            })*
+        }
+    };
+}
+
+impl Workload {
+    /// The sequential reference of this workload at `preset`.
+    pub fn sequential(self, preset: Preset) -> SeqRun {
+        with_app!(self, preset, app => app.sequential())
+    }
+
+    /// Problem-size description printed in the Table 1 reproduction.
+    pub fn problem_size(self, preset: Preset) -> String {
+        with_app!(self, preset, app => app.problem_size())
+    }
+
+    /// Run this workload at `preset` under `sys` on `cfg`'s cluster model
+    /// (see [`run`]).
+    pub fn run(
+        self,
+        preset: Preset,
+        sys: System,
+        cfg: &ClusterConfig,
+    ) -> Result<AppRun, RunFailure> {
+        with_app!(self, preset, app => run(app, sys, cfg))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +234,41 @@ mod tests {
         assert_eq!(all.len(), 12);
         for (i, w) in all.iter().enumerate() {
             assert_eq!(w.figure(), i as u32 + 1);
+        }
+    }
+
+    /// Walks the one workload table: every row has a sequential baseline
+    /// and a problem size, runs under every system at 2 processes, and
+    /// reproduces its sequential checksum with a finite speedup and real
+    /// communication.
+    #[test]
+    fn every_workload_runs_under_every_system_and_matches_its_sequential_checksum() {
+        let cfg = ClusterConfig::calibrated_fddi(2);
+        for w in Workload::all() {
+            let seq = w.sequential(Preset::Tiny);
+            assert!(seq.time > 0.0, "{}: no sequential baseline", w.name());
+            assert!(!w.problem_size(Preset::Scaled).is_empty(), "{}", w.name());
+            for sys in System::all() {
+                let run = w.run(Preset::Tiny, sys, &cfg).unwrap();
+                let speedup = run.speedup(seq.time);
+                assert!(
+                    run.time > 0.0 && speedup.is_finite() && speedup > 0.0,
+                    "{} under {sys}: speedup {speedup} not finite",
+                    w.name()
+                );
+                assert!(
+                    run.messages > 0,
+                    "{} under {sys}: no messages at 2 processes",
+                    w.name()
+                );
+                assert!(
+                    (run.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
+                    "{} under {sys}: checksum {} vs sequential {}",
+                    w.name(),
+                    run.checksum,
+                    seq.checksum
+                );
+            }
         }
     }
 

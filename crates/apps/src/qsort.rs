@@ -13,10 +13,9 @@
 //!   work queue; subarray contents travel to a slave and back with every
 //!   task.
 
-use crate::runner::{try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per element moved during a partition step.
 pub const COST_PART: f64 = 0.12e-6;
@@ -124,112 +123,9 @@ fn partition(v: &mut [i32]) -> usize {
     store
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &QsortParams) -> SeqRun {
-    let mut data = p.input();
-    let mut time = 0.0;
-    let mut stack = vec![(0usize, p.elems)];
-    while let Some((start, len)) = stack.pop() {
-        if len == 0 {
-            continue;
-        }
-        if len <= p.threshold {
-            let cmps = bubblesort(&mut data[start..start + len]);
-            time += cmps as f64 * COST_CMP;
-        } else {
-            let pivot = partition(&mut data[start..start + len]);
-            time += len as f64 * COST_PART;
-            stack.push((start, pivot));
-            stack.push((start + pivot + 1, len - pivot - 1));
-        }
-    }
-    SeqRun {
-        checksum: checksum(&data),
-        time,
-    }
-}
-
 // -------------------------------------------------------------- TreadMarks
 
 const LOCK_QUEUE: u32 = 0;
-
-/// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &QsortParams) -> f64 {
-    let data_addr = tmk.malloc(p.elems * 4);
-    let qlen_addr = tmk.malloc(4);
-    let outstanding_addr = tmk.malloc(4);
-    let queue_addr = tmk.malloc(QUEUE_CAP * 8); // (start, len) pairs of i32
-
-    if tmk.id() == 0 {
-        tmk.write_i32_slice(data_addr, &p.input());
-        tmk.write_i32(qlen_addr, 1);
-        tmk.write_i32(outstanding_addr, 1);
-        tmk.write_i32(queue_addr, 0);
-        tmk.write_i32(queue_addr + 4, p.elems as i32);
-    }
-    tmk.barrier(0);
-
-    loop {
-        // Pop a task (or detect global completion) under the queue lock.
-        tmk.lock_acquire(LOCK_QUEUE);
-        let qlen = tmk.read_i32(qlen_addr);
-        let task = if qlen > 0 {
-            let start = tmk.read_i32(queue_addr + (qlen as usize - 1) * 8) as usize;
-            let len = tmk.read_i32(queue_addr + (qlen as usize - 1) * 8 + 4) as usize;
-            tmk.write_i32(qlen_addr, qlen - 1);
-            Some((start, len))
-        } else {
-            None
-        };
-        let outstanding = tmk.read_i32(outstanding_addr);
-        tmk.lock_release(LOCK_QUEUE);
-
-        let Some((start, len)) = task else {
-            if outstanding == 0 {
-                break;
-            }
-            tmk.proc().compute(POLL_BACKOFF);
-            continue;
-        };
-
-        // Fetch the sublist, process it privately, write it back.
-        let mut sub = vec![0i32; len];
-        tmk.read_i32_slice(data_addr + start * 4, &mut sub);
-        if len <= p.threshold {
-            let cmps = bubblesort(&mut sub);
-            tmk.proc().compute(cmps as f64 * COST_CMP);
-            tmk.write_i32_slice(data_addr + start * 4, &sub);
-            tmk.lock_acquire(LOCK_QUEUE);
-            let o = tmk.read_i32(outstanding_addr);
-            tmk.write_i32(outstanding_addr, o - 1);
-            tmk.lock_release(LOCK_QUEUE);
-        } else {
-            let pivot = partition(&mut sub);
-            tmk.proc().compute(len as f64 * COST_PART);
-            tmk.write_i32_slice(data_addr + start * 4, &sub);
-            tmk.lock_acquire(LOCK_QUEUE);
-            let qlen = tmk.read_i32(qlen_addr) as usize;
-            assert!(qlen + 2 <= QUEUE_CAP, "work queue overflow");
-            tmk.write_i32(queue_addr + qlen * 8, start as i32);
-            tmk.write_i32(queue_addr + qlen * 8 + 4, pivot as i32);
-            tmk.write_i32(queue_addr + (qlen + 1) * 8, (start + pivot + 1) as i32);
-            tmk.write_i32(queue_addr + (qlen + 1) * 8 + 4, (len - pivot - 1) as i32);
-            tmk.write_i32(qlen_addr, qlen as i32 + 2);
-            let o = tmk.read_i32(outstanding_addr);
-            tmk.write_i32(outstanding_addr, o + 1);
-            tmk.lock_release(LOCK_QUEUE);
-        }
-    }
-
-    tmk.barrier(1);
-    if tmk.id() == 0 {
-        let mut data = vec![0i32; p.elems];
-        tmk.read_i32_slice(data_addr, &mut data);
-        checksum(&data)
-    } else {
-        0.0
-    }
-}
 
 // --------------------------------------------------------------------- PVM
 
@@ -238,211 +134,281 @@ const TAG_TASK: u32 = 21;
 const TAG_DONE: u32 = 22;
 const TAG_RESULT: u32 = 23;
 
-/// PVM version: the master owns the array and queue; subarrays travel to the
-/// slaves and back.
-pub fn pvm_body(pvm: &Pvm, p: &QsortParams) -> f64 {
-    let n = pvm.nprocs();
-    if pvm.id() == 0 {
-        let mut data = p.input();
-        let mut queue = vec![(0usize, p.elems)];
-        let mut outstanding_remote = 0usize;
-        let mut slaves_done = 0usize;
-        // Slaves whose work request arrived while the queue was empty; they
-        // are answered as soon as a result generates new tasks (or with DONE
-        // once everything has drained), so idle slaves never busy-poll.
-        let mut waiting: Vec<usize> = Vec::new();
+impl App for QsortParams {
+    fn heap_bytes(&self) -> usize {
+        (self.elems * 4 + QUEUE_CAP * 8 + (1 << 20)).next_power_of_two()
+    }
 
-        let process_result =
-            |m: &mut msgpass::RecvBuffer, data: &mut Vec<i32>, queue: &mut Vec<(usize, usize)>| {
-                let hdr = m.unpack_u64(3);
-                let (start, len, kind) = (hdr[0] as usize, hdr[1] as usize, hdr[2]);
-                let content = m.unpack_i32(len);
-                data[start..start + len].copy_from_slice(&content);
-                if kind == 1 {
-                    // Partitioned: the pivot position follows.
-                    let pivot = m.unpack_u64(1)[0] as usize;
-                    queue.push((start, pivot));
-                    queue.push((start + pivot + 1, len - pivot - 1));
-                }
-            };
+    fn problem_size(&self) -> String {
+        format!("{}K integers", self.elems / 1024)
+    }
 
-        let send_task = |pvm: &Pvm,
-                         data: &Vec<i32>,
-                         slave: usize,
-                         start: usize,
-                         len: usize,
-                         threshold: usize| {
-            let mut b = pvm.new_buffer();
-            b.pack_u64(&[start as u64, len as u64, u64::from(len <= threshold)]);
-            b.pack_i32(&data[start..start + len]);
-            pvm.send(slave, TAG_TASK, b);
-        };
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        let mut data = self.input();
+        let mut time = 0.0;
+        let mut stack = vec![(0usize, self.elems)];
+        while let Some((start, len)) = stack.pop() {
+            if len == 0 {
+                continue;
+            }
+            if len <= self.threshold {
+                let cmps = bubblesort(&mut data[start..start + len]);
+                time += cmps as f64 * COST_CMP;
+            } else {
+                let pivot = partition(&mut data[start..start + len]);
+                time += len as f64 * COST_PART;
+                stack.push((start, pivot));
+                stack.push((start + pivot + 1, len - pivot - 1));
+            }
+        }
+        SeqRun {
+            checksum: checksum(&data),
+            time,
+        }
+    }
+
+    /// TreadMarks version.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let data_addr = tmk.malloc(self.elems * 4);
+        let qlen_addr = tmk.malloc(4);
+        let outstanding_addr = tmk.malloc(4);
+        let queue_addr = tmk.malloc(QUEUE_CAP * 8); // (start, len) pairs of i32
+
+        if tmk.id() == 0 {
+            tmk.write_i32_slice(data_addr, &self.input());
+            tmk.write_i32(qlen_addr, 1);
+            tmk.write_i32(outstanding_addr, 1);
+            tmk.write_i32(queue_addr, 0);
+            tmk.write_i32(queue_addr + 4, self.elems as i32);
+        }
+        tmk.barrier(0);
 
         loop {
-            if let Some(mut m) = pvm.nrecv(None, TAG_RESULT) {
-                process_result(&mut m, &mut data, &mut queue);
-                outstanding_remote -= 1;
-                // Serve slaves that were waiting for new tasks.
-                while !waiting.is_empty() {
-                    match queue.pop() {
-                        Some((start, len)) if len > 0 => {
-                            let slave = waiting.pop().unwrap();
-                            send_task(pvm, &data, slave, start, len, p.threshold);
-                            outstanding_remote += 1;
-                        }
-                        Some(_) => {}
-                        None => break,
-                    }
+            // Pop a task (or detect global completion) under the queue lock.
+            tmk.lock_acquire(LOCK_QUEUE);
+            let qlen = tmk.read_i32(qlen_addr);
+            let task = if qlen > 0 {
+                let start = tmk.read_i32(queue_addr + (qlen as usize - 1) * 8) as usize;
+                let len = tmk.read_i32(queue_addr + (qlen as usize - 1) * 8 + 4) as usize;
+                tmk.write_i32(qlen_addr, qlen - 1);
+                Some((start, len))
+            } else {
+                None
+            };
+            let outstanding = tmk.read_i32(outstanding_addr);
+            tmk.lock_release(LOCK_QUEUE);
+
+            let Some((start, len)) = task else {
+                if outstanding == 0 {
+                    break;
                 }
+                tmk.proc().compute(POLL_BACKOFF);
                 continue;
+            };
+
+            // Fetch the sublist, process it privately, write it back.
+            let mut sub = vec![0i32; len];
+            tmk.read_i32_slice(data_addr + start * 4, &mut sub);
+            if len <= self.threshold {
+                let cmps = bubblesort(&mut sub);
+                tmk.proc().compute(cmps as f64 * COST_CMP);
+                tmk.write_i32_slice(data_addr + start * 4, &sub);
+                tmk.lock_acquire(LOCK_QUEUE);
+                let o = tmk.read_i32(outstanding_addr);
+                tmk.write_i32(outstanding_addr, o - 1);
+                tmk.lock_release(LOCK_QUEUE);
+            } else {
+                let pivot = partition(&mut sub);
+                tmk.proc().compute(len as f64 * COST_PART);
+                tmk.write_i32_slice(data_addr + start * 4, &sub);
+                tmk.lock_acquire(LOCK_QUEUE);
+                let qlen = tmk.read_i32(qlen_addr) as usize;
+                assert!(qlen + 2 <= QUEUE_CAP, "work queue overflow");
+                tmk.write_i32(queue_addr + qlen * 8, start as i32);
+                tmk.write_i32(queue_addr + qlen * 8 + 4, pivot as i32);
+                tmk.write_i32(queue_addr + (qlen + 1) * 8, (start + pivot + 1) as i32);
+                tmk.write_i32(queue_addr + (qlen + 1) * 8 + 4, (len - pivot - 1) as i32);
+                tmk.write_i32(qlen_addr, qlen as i32 + 2);
+                let o = tmk.read_i32(outstanding_addr);
+                tmk.write_i32(outstanding_addr, o + 1);
+                tmk.lock_release(LOCK_QUEUE);
             }
-            if let Some(m) = pvm.nrecv(None, TAG_REQ) {
-                let slave = m.src();
-                match queue.pop() {
-                    Some((start, len)) if len > 0 => {
-                        send_task(pvm, &data, slave, start, len, p.threshold);
-                        outstanding_remote += 1;
-                    }
-                    Some(_) => waiting.push(slave),
-                    None => {
-                        if outstanding_remote == 0 {
-                            pvm.send(slave, TAG_DONE, pvm.new_buffer());
-                            slaves_done += 1;
-                        } else {
-                            waiting.push(slave);
-                        }
-                    }
-                }
-                continue;
-            }
-            // Master works on a task itself when no requests are pending.
-            match queue.pop() {
-                Some((start, len)) if len > 0 => {
-                    if len <= p.threshold {
-                        let cmps = bubblesort(&mut data[start..start + len]);
-                        pvm.proc().compute(cmps as f64 * COST_CMP);
-                    } else {
-                        let pivot = partition(&mut data[start..start + len]);
-                        pvm.proc().compute(len as f64 * COST_PART);
+        }
+
+        tmk.barrier(1);
+        if tmk.id() == 0 {
+            let mut data = vec![0i32; self.elems];
+            tmk.read_i32_slice(data_addr, &mut data);
+            checksum(&data)
+        } else {
+            0.0
+        }
+    }
+
+    /// PVM version: the master owns the array and queue; subarrays travel to the
+    /// slaves and back.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let n = pvm.nprocs();
+        if pvm.id() == 0 {
+            let mut data = self.input();
+            let mut queue = vec![(0usize, self.elems)];
+            let mut outstanding_remote = 0usize;
+            let mut slaves_done = 0usize;
+            // Slaves whose work request arrived while the queue was empty; they
+            // are answered as soon as a result generates new tasks (or with DONE
+            // once everything has drained), so idle slaves never busy-poll.
+            let mut waiting: Vec<usize> = Vec::new();
+
+            let process_result =
+                |m: &mut msgpass::RecvBuffer,
+                 data: &mut Vec<i32>,
+                 queue: &mut Vec<(usize, usize)>| {
+                    let hdr = m.unpack_u64(3);
+                    let (start, len, kind) = (hdr[0] as usize, hdr[1] as usize, hdr[2]);
+                    let content = m.unpack_i32(len);
+                    data[start..start + len].copy_from_slice(&content);
+                    if kind == 1 {
+                        // Partitioned: the pivot position follows.
+                        let pivot = m.unpack_u64(1)[0] as usize;
                         queue.push((start, pivot));
                         queue.push((start + pivot + 1, len - pivot - 1));
                     }
+                };
+
+            let send_task = |pvm: &Pvm,
+                             data: &Vec<i32>,
+                             slave: usize,
+                             start: usize,
+                             len: usize,
+                             threshold: usize| {
+                let mut b = pvm.new_buffer();
+                b.pack_u64(&[start as u64, len as u64, u64::from(len <= threshold)]);
+                b.pack_i32(&data[start..start + len]);
+                pvm.send(slave, TAG_TASK, b);
+            };
+
+            loop {
+                if let Some(mut m) = pvm.nrecv(None, TAG_RESULT) {
+                    process_result(&mut m, &mut data, &mut queue);
+                    outstanding_remote -= 1;
+                    // Serve slaves that were waiting for new tasks.
+                    while !waiting.is_empty() {
+                        match queue.pop() {
+                            Some((start, len)) if len > 0 => {
+                                let slave = waiting.pop().unwrap();
+                                send_task(pvm, &data, slave, start, len, self.threshold);
+                                outstanding_remote += 1;
+                            }
+                            Some(_) => {}
+                            None => break,
+                        }
+                    }
+                    continue;
                 }
-                Some(_) => {}
-                None => {
-                    if outstanding_remote == 0 {
-                        // Everything has drained: release the waiting and
-                        // any remaining slaves, then stop.
-                        for slave in waiting.drain(..) {
-                            pvm.send(slave, TAG_DONE, pvm.new_buffer());
+                if let Some(m) = pvm.nrecv(None, TAG_REQ) {
+                    let slave = m.src();
+                    match queue.pop() {
+                        Some((start, len)) if len > 0 => {
+                            send_task(pvm, &data, slave, start, len, self.threshold);
+                            outstanding_remote += 1;
+                        }
+                        Some(_) => waiting.push(slave),
+                        None => {
+                            if outstanding_remote == 0 {
+                                pvm.send(slave, TAG_DONE, pvm.new_buffer());
+                                slaves_done += 1;
+                            } else {
+                                waiting.push(slave);
+                            }
+                        }
+                    }
+                    continue;
+                }
+                // Master works on a task itself when no requests are pending.
+                match queue.pop() {
+                    Some((start, len)) if len > 0 => {
+                        if len <= self.threshold {
+                            let cmps = bubblesort(&mut data[start..start + len]);
+                            pvm.proc().compute(cmps as f64 * COST_CMP);
+                        } else {
+                            let pivot = partition(&mut data[start..start + len]);
+                            pvm.proc().compute(len as f64 * COST_PART);
+                            queue.push((start, pivot));
+                            queue.push((start + pivot + 1, len - pivot - 1));
+                        }
+                    }
+                    Some(_) => {}
+                    None => {
+                        if outstanding_remote == 0 {
+                            // Everything has drained: release the waiting and
+                            // any remaining slaves, then stop.
+                            for slave in waiting.drain(..) {
+                                pvm.send(slave, TAG_DONE, pvm.new_buffer());
+                                slaves_done += 1;
+                            }
+                            if slaves_done == n - 1 {
+                                break;
+                            }
+                            let m = pvm.recv(None, TAG_REQ);
+                            pvm.send(m.src(), TAG_DONE, pvm.new_buffer());
                             slaves_done += 1;
+                        } else {
+                            let mut m = pvm.recv(None, TAG_RESULT);
+                            process_result(&mut m, &mut data, &mut queue);
+                            outstanding_remote -= 1;
                         }
-                        if slaves_done == n - 1 {
-                            break;
-                        }
-                        let m = pvm.recv(None, TAG_REQ);
-                        pvm.send(m.src(), TAG_DONE, pvm.new_buffer());
-                        slaves_done += 1;
-                    } else {
-                        let mut m = pvm.recv(None, TAG_RESULT);
-                        process_result(&mut m, &mut data, &mut queue);
-                        outstanding_remote -= 1;
                     }
                 }
             }
-        }
-        checksum(&data)
-    } else {
-        loop {
-            pvm.send(0, TAG_REQ, pvm.new_buffer());
-            // Block for the master's answer — a task or DONE — instead of
-            // busy-polling the two tags: the reply is in this process's
-            // virtual future, so a poll loop would never see it (and never
-            // advances the clock to it).
-            let m = pvm.recv_any(Some(0));
-            let reply = match m.tag() {
-                TAG_TASK => Some(m),
-                TAG_DONE => None,
-                other => unreachable!("slave got unexpected tag {other}"),
-            };
-            let Some(mut m) = reply else { break };
-            let hdr = m.unpack_u64(3);
-            let (start, len, kind) = (hdr[0] as usize, hdr[1] as usize, hdr[2]);
-            let mut sub = m.unpack_i32(len);
-            let mut b = pvm.new_buffer();
-            if kind == 1 {
-                let cmps = bubblesort(&mut sub);
-                pvm.proc().compute(cmps as f64 * COST_CMP);
-                b.pack_u64(&[start as u64, len as u64, 0]);
-                b.pack_i32(&sub);
-            } else {
-                let pivot = partition(&mut sub);
-                pvm.proc().compute(len as f64 * COST_PART);
-                b.pack_u64(&[start as u64, len as u64, 1]);
-                b.pack_i32(&sub);
-                b.pack_u64(&[pivot as u64]);
+            checksum(&data)
+        } else {
+            loop {
+                pvm.send(0, TAG_REQ, pvm.new_buffer());
+                // Block for the master's answer — a task or DONE — instead of
+                // busy-polling the two tags: the reply is in this process's
+                // virtual future, so a poll loop would never see it (and never
+                // advances the clock to it).
+                let m = pvm.recv_any(Some(0));
+                let reply = match m.tag() {
+                    TAG_TASK => Some(m),
+                    TAG_DONE => None,
+                    other => unreachable!("slave got unexpected tag {other}"),
+                };
+                let Some(mut m) = reply else { break };
+                let hdr = m.unpack_u64(3);
+                let (start, len, kind) = (hdr[0] as usize, hdr[1] as usize, hdr[2]);
+                let mut sub = m.unpack_i32(len);
+                let mut b = pvm.new_buffer();
+                if kind == 1 {
+                    let cmps = bubblesort(&mut sub);
+                    pvm.proc().compute(cmps as f64 * COST_CMP);
+                    b.pack_u64(&[start as u64, len as u64, 0]);
+                    b.pack_i32(&sub);
+                } else {
+                    let pivot = partition(&mut sub);
+                    pvm.proc().compute(len as f64 * COST_PART);
+                    b.pack_u64(&[start as u64, len as u64, 1]);
+                    b.pack_i32(&sub);
+                    b.pack_u64(&[pivot as u64]);
+                }
+                pvm.send(0, TAG_RESULT, b);
             }
-            pvm.send(0, TAG_RESULT, b);
+            0.0
         }
-        0.0
     }
-}
-
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &QsortParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &QsortParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &QsortParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &QsortParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.elems * 4 + QUEUE_CAP * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &QsortParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &QsortParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &QsortParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn sequential_sorts_correctly() {
         let p = QsortParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         let mut sorted = p.input();
         sorted.sort_unstable();
         assert_eq!(seq.checksum, checksum(&sorted));
@@ -452,10 +418,10 @@ mod tests {
     #[test]
     fn parallel_versions_sort_correctly() {
         let p = QsortParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             assert_eq!(t.checksum, seq.checksum, "TMK n={n}");
             assert_eq!(m.checksum, seq.checksum, "PVM n={n}");
         }
@@ -468,8 +434,8 @@ mod tests {
             threshold: 256,
             seed: 7,
         };
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         assert!(
             t.messages > m.messages,
             "TMK {} msgs vs PVM {}",

@@ -116,57 +116,42 @@ impl AppRun {
     }
 }
 
-/// Run `body` on `nprocs` TreadMarks processes over the calibrated FDDI
-/// cluster under the default (LRC) protocol.  See
-/// [`run_treadmarks_with`].
-pub fn run_treadmarks<F>(nprocs: usize, heap_bytes: usize, body: F) -> AppRun
-where
-    F: Fn(&Tmk) -> f64 + Send + Sync,
-{
-    run_treadmarks_with(nprocs, heap_bytes, ProtocolKind::Lrc, body)
+/// One application of the study, written the paper's three ways.  The nine
+/// `*Params` types implement it; [`run`] executes either parallel version
+/// and [`crate::Workload`] names every (application, input set) pair.
+pub trait App: Sync {
+    /// Bytes of shared heap the TreadMarks version allocates from.
+    fn heap_bytes(&self) -> usize;
+    /// Problem-size description printed in the Table 1 reproduction.
+    fn problem_size(&self) -> String;
+    /// The sequential reference: the baseline of Table 1 and of every
+    /// speedup curve.
+    fn sequential(&self) -> SeqRun;
+    /// One process of the TreadMarks version; returns its checksum
+    /// contribution.
+    fn dsm_body(&self, tmk: &Tmk) -> f64;
+    /// One process of the PVM version; returns its checksum contribution.
+    fn pvm_body(&self, pvm: &Pvm) -> f64;
 }
 
-/// Run `body` on `nprocs` TreadMarks processes over the calibrated FDDI
-/// cluster under the given coherence protocol.  Convenience wrapper over
-/// [`run_treadmarks_on`] for the paper's own testbed.
-pub fn run_treadmarks_with<F>(
-    nprocs: usize,
-    heap_bytes: usize,
-    protocol: ProtocolKind,
-    body: F,
-) -> AppRun
-where
-    F: Fn(&Tmk) -> f64 + Send + Sync,
-{
-    run_treadmarks_on(
-        &ClusterConfig::calibrated_fddi(nprocs),
-        heap_bytes,
-        protocol,
-        body,
-    )
+/// Run `app` under `sys` on `cfg.nprocs` processes over `cfg`'s cluster
+/// model and gather the paper's metrics.  A deadlock, livelock or
+/// fault-plan crash comes back as a structured [`RunFailure`], which the
+/// fuzzing harness classifies as a finding.
+pub fn run<A: App>(app: &A, sys: System, cfg: &ClusterConfig) -> Result<AppRun, RunFailure> {
+    match sys {
+        System::TreadMarks(protocol) => {
+            try_run_treadmarks_on(cfg, app.heap_bytes(), protocol, |tmk| app.dsm_body(tmk))
+        }
+        System::Pvm => try_run_pvm_on(cfg, |pvm| app.pvm_body(pvm)),
+    }
 }
 
-/// Run `body` on TreadMarks processes over an arbitrary cluster model —
-/// the scenario subsystem's entry point — under the given coherence
-/// protocol, and gather the paper's metrics.  The body returns the
-/// process's local checksum *contribution*; the contributions are summed
-/// into the run's checksum (so a gather that the paper's programs do not
-/// perform is not needed just for validation).
-pub fn run_treadmarks_on<F>(
-    cfg: &ClusterConfig,
-    heap_bytes: usize,
-    protocol: ProtocolKind,
-    body: F,
-) -> AppRun
-where
-    F: Fn(&Tmk) -> f64 + Send + Sync,
-{
-    try_run_treadmarks_on(cfg, heap_bytes, protocol, body).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// As [`run_treadmarks_on`], but a structured [`RunFailure`] — a deadlock,
-/// livelock, or fault-plan crash — comes back as an `Err` instead of a
-/// panic, so the fuzzing harness can classify it as a finding and continue.
+/// Run `body` on TreadMarks processes over `cfg`'s cluster model under the
+/// given coherence protocol.  The body returns the process's local checksum
+/// *contribution*; the contributions are summed into the run's checksum (so
+/// a gather that the paper's programs do not perform is not needed just for
+/// validation).
 pub fn try_run_treadmarks_on<F>(
     cfg: &ClusterConfig,
     heap_bytes: usize,
@@ -228,26 +213,7 @@ where
     })
 }
 
-/// Run `body` on `nprocs` PVM processes over the calibrated FDDI cluster.
-/// Convenience wrapper over [`run_pvm_on`] for the paper's own testbed.
-pub fn run_pvm<F>(nprocs: usize, body: F) -> AppRun
-where
-    F: Fn(&Pvm) -> f64 + Send + Sync,
-{
-    run_pvm_on(&ClusterConfig::calibrated_fddi(nprocs), body)
-}
-
-/// Run `body` on PVM processes over an arbitrary cluster model — the
-/// scenario subsystem's entry point — and gather the paper's metrics.
-pub fn run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> AppRun
-where
-    F: Fn(&Pvm) -> f64 + Send + Sync,
-{
-    try_run_pvm_on(cfg, body).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// As [`run_pvm_on`], but a structured [`RunFailure`] comes back as an
-/// `Err` instead of a panic.  See [`try_run_treadmarks_on`].
+/// Run `body` on PVM processes over `cfg`'s cluster model.
 pub fn try_run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> Result<AppRun, RunFailure>
 where
     F: Fn(&Pvm) -> f64 + Send + Sync,
@@ -364,8 +330,23 @@ pub fn charge(proc: &Proc, units: f64, unit_cost: f64) {
     }
 }
 
+/// Shorthands the per-application unit tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{ClusterConfig, ProtocolKind, System};
+
+    /// The paper's own DSM: TreadMarks under lazy release consistency.
+    pub const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    /// The paper's testbed at `nprocs` processes.
+    pub fn fddi(nprocs: usize) -> ClusterConfig {
+        ClusterConfig::calibrated_fddi(nprocs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::fddi;
     use super::*;
 
     #[test]
@@ -395,7 +376,7 @@ mod tests {
 
     #[test]
     fn treadmarks_runner_reports_messages() {
-        let run = run_treadmarks(2, 1 << 20, |tmk| {
+        let run = try_run_treadmarks_on(&fddi(2), 1 << 20, ProtocolKind::Lrc, |tmk| {
             let a = tmk.malloc(8);
             if tmk.id() == 0 {
                 tmk.write_f64(a, 7.0);
@@ -406,7 +387,8 @@ mod tests {
             } else {
                 0.0
             }
-        });
+        })
+        .unwrap();
         assert_eq!(run.checksum, 7.0);
         assert!(run.messages > 0);
         assert!(run.time > 0.0);
@@ -432,13 +414,9 @@ mod tests {
                 0.0
             }
         };
-        let slow = run_treadmarks_on(
-            &ClusterConfig::ethernet_10mbit(2),
-            1 << 20,
-            ProtocolKind::Lrc,
-            body,
-        );
-        let fast = run_treadmarks_on(&ClusterConfig::ideal(2), 1 << 20, ProtocolKind::Lrc, body);
+        let on = |cfg| try_run_treadmarks_on(&cfg, 1 << 20, ProtocolKind::Lrc, body).unwrap();
+        let slow = on(ClusterConfig::ethernet_10mbit(2));
+        let fast = on(ClusterConfig::ideal(2));
         assert_eq!(slow.checksum, 7.0);
         assert_eq!(fast.checksum, 7.0);
         assert!(
@@ -447,7 +425,7 @@ mod tests {
             slow.time,
             fast.time
         );
-        let pvm_run = run_pvm_on(&ClusterConfig::atm_155mbit(2), |pvm| {
+        let pvm_run = try_run_pvm_on(&ClusterConfig::atm_155mbit(2), |pvm| {
             if pvm.id() == 0 {
                 let mut b = pvm.new_buffer();
                 b.pack_f64(&[2.5]);
@@ -456,14 +434,15 @@ mod tests {
             } else {
                 pvm.recv(Some(0), 1).unpack_f64(1)[0]
             }
-        });
+        })
+        .unwrap();
         assert_eq!(pvm_run.checksum, 2.5);
         assert_eq!(pvm_run.nprocs, 2);
     }
 
     #[test]
     fn pvm_runner_reports_user_messages() {
-        let run = run_pvm(2, |pvm| {
+        let run = try_run_pvm_on(&fddi(2), |pvm| {
             if pvm.id() == 0 {
                 let mut b = pvm.new_buffer();
                 b.pack_f64(&[3.5]);
@@ -472,7 +451,8 @@ mod tests {
             } else {
                 pvm.recv(Some(0), 1).unpack_f64(1)[0]
             }
-        });
+        })
+        .unwrap();
         assert_eq!(run.checksum, 3.5);
         assert_eq!(run.messages, 1);
         assert!((run.kilobytes - 8.0 / 1024.0).abs() < 1e-9);

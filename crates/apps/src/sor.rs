@@ -17,10 +17,9 @@
 //! The row width is chosen so that one shared row occupies one and a half
 //! pages, as in the paper.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost of updating one element whose stencil inputs are non-zero.
 pub const COST_NONZERO: f64 = 0.30e-6;
@@ -135,113 +134,6 @@ fn grid_checksum(red: &[f32], black: &[f32]) -> f64 {
     red.iter().chain(black.iter()).map(|&v| v as f64).sum()
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &SorParams) -> SeqRun {
-    let mut red: Vec<f32> = (0..p.rows * p.cols)
-        .map(|i| p.initial(i / p.cols, i % p.cols))
-        .collect();
-    let mut black = red.clone();
-    let mut time = 0.0;
-    for _ in 0..p.iters {
-        time += relax_band(&mut red, &black, p.cols, p.rows, 0..p.rows);
-        time += relax_band(&mut black, &red, p.cols, p.rows, 0..p.rows);
-    }
-    SeqRun {
-        checksum: grid_checksum(&red, &black),
-        time,
-    }
-}
-
-/// TreadMarks version: shared red/black arrays, barrier-separated phases.
-pub fn treadmarks_body(tmk: &Tmk, p: &SorParams) -> f64 {
-    let elems = p.rows * p.cols;
-    let red_addr = tmk.malloc(elems * 4);
-    let black_addr = tmk.malloc(elems * 4);
-    let my_rows = block_range(p.rows, tmk.nprocs(), tmk.id());
-    // Initialisation is distributed, as in the paper's experiments: the
-    // initial values are a deterministic function of the coordinates, so
-    // each process fills its own band and no initial page distribution
-    // crosses the network (the paper's PVM version does the same and the
-    // measurements exclude first-iteration distribution effects).
-    let init: Vec<f32> = (my_rows.start * p.cols..my_rows.end * p.cols)
-        .map(|i| p.initial(i / p.cols, i % p.cols))
-        .collect();
-    tmk.write_f32_slice(red_addr + my_rows.start * p.cols * 4, &init);
-    tmk.write_f32_slice(black_addr + my_rows.start * p.cols * 4, &init);
-    tmk.barrier(0);
-
-    // Rows needed for the stencil: my band plus one halo row on each side.
-    let lo = my_rows.start.saturating_sub(1);
-    let hi = (my_rows.end + 1).min(p.rows);
-    let span_rows = hi - lo;
-    let mut red = vec![0.0f32; span_rows * p.cols];
-    let mut black = vec![0.0f32; span_rows * p.cols];
-
-    let mut barrier = 1u32;
-    for _ in 0..p.iters {
-        // Red phase: read black (with halo), update my red rows, write back.
-        tmk.read_f32_slice(black_addr + lo * p.cols * 4, &mut black);
-        tmk.read_f32_slice(
-            red_addr + my_rows.start * p.cols * 4,
-            &mut red[..my_rows.len() * p.cols],
-        );
-        let mut local_red = vec![0.0f32; span_rows * p.cols];
-        local_red
-            [(my_rows.start - lo) * p.cols..(my_rows.start - lo) * p.cols + my_rows.len() * p.cols]
-            .copy_from_slice(&red[..my_rows.len() * p.cols]);
-        let cost = relax_band(
-            &mut local_red,
-            &black,
-            p.cols,
-            span_rows,
-            (my_rows.start - lo)..(my_rows.end - lo),
-        );
-        tmk.proc().compute(cost);
-        tmk.write_f32_slice(
-            red_addr + my_rows.start * p.cols * 4,
-            &local_red[(my_rows.start - lo) * p.cols
-                ..(my_rows.start - lo) * p.cols + my_rows.len() * p.cols],
-        );
-        tmk.barrier(barrier);
-        barrier += 1;
-
-        // Black phase.
-        tmk.read_f32_slice(red_addr + lo * p.cols * 4, &mut red);
-        tmk.read_f32_slice(
-            black_addr + my_rows.start * p.cols * 4,
-            &mut black[..my_rows.len() * p.cols],
-        );
-        let mut local_black = vec![0.0f32; span_rows * p.cols];
-        local_black
-            [(my_rows.start - lo) * p.cols..(my_rows.start - lo) * p.cols + my_rows.len() * p.cols]
-            .copy_from_slice(&black[..my_rows.len() * p.cols]);
-        let cost = relax_band(
-            &mut local_black,
-            &red,
-            p.cols,
-            span_rows,
-            (my_rows.start - lo)..(my_rows.end - lo),
-        );
-        tmk.proc().compute(cost);
-        tmk.write_f32_slice(
-            black_addr + my_rows.start * p.cols * 4,
-            &local_black[(my_rows.start - lo) * p.cols
-                ..(my_rows.start - lo) * p.cols + my_rows.len() * p.cols],
-        );
-        tmk.barrier(barrier);
-        barrier += 1;
-    }
-
-    // Each process contributes the checksum of its own band; the runner sums
-    // the contributions, so no extra communication is needed for validation.
-    let len = my_rows.len() * p.cols;
-    let mut red_own = vec![0.0f32; len];
-    let mut black_own = vec![0.0f32; len];
-    tmk.read_f32_slice(red_addr + my_rows.start * p.cols * 4, &mut red_own);
-    tmk.read_f32_slice(black_addr + my_rows.start * p.cols * 4, &mut black_own);
-    grid_checksum(&red_own, &black_own)
-}
-
 /// A privately-held band of rows (with halo rows) used by the PVM version;
 /// the stencil code is shared with the sequential and DSM versions.
 struct Band {
@@ -249,172 +141,244 @@ struct Band {
     black: Vec<f32>,
 }
 
-/// PVM version: private bands, explicit boundary-row exchange each phase.
-pub fn pvm_body(pvm: &Pvm, p: &SorParams) -> f64 {
-    let n = pvm.nprocs();
-    let me = pvm.id();
-    let my_rows = block_range(p.rows, n, me);
-    // With more processes than rows the tail ranks own nothing: they
-    // contribute no work, no checksum, and — crucially — take no part in
-    // the boundary exchange.  `block_range` packs the owning ranks
-    // contiguously at the front, so the active topology is 0..active.
-    let active = n.min(p.rows);
-    if my_rows.is_empty() {
-        return 0.0;
+impl App for SorParams {
+    fn heap_bytes(&self) -> usize {
+        (self.rows * self.cols * 8 + (1 << 20)).next_power_of_two()
     }
-    let lo = my_rows.start.saturating_sub(1);
-    let hi = (my_rows.end + 1).min(p.rows);
-    let span = hi - lo;
-    let cols = p.cols;
 
-    let mut band = Band {
-        red: vec![0.0f32; span * cols],
-        black: vec![0.0f32; span * cols],
-    };
-    for r in lo..hi {
-        for c in 0..cols {
-            band.red[(r - lo) * cols + c] = p.initial(r, c);
-            band.black[(r - lo) * cols + c] = p.initial(r, c);
+    fn problem_size(&self) -> String {
+        format!("{}x{} floats, {} iters", self.rows, self.cols, self.iters)
+    }
+
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        let mut red: Vec<f32> = (0..self.rows * self.cols)
+            .map(|i| self.initial(i / self.cols, i % self.cols))
+            .collect();
+        let mut black = red.clone();
+        let mut time = 0.0;
+        for _ in 0..self.iters {
+            time += relax_band(&mut red, &black, self.cols, self.rows, 0..self.rows);
+            time += relax_band(&mut black, &red, self.cols, self.rows, 0..self.rows);
+        }
+        SeqRun {
+            checksum: grid_checksum(&red, &black),
+            time,
         }
     }
 
-    let up_neighbour = if me > 0 { Some(me - 1) } else { None };
-    let down_neighbour = if me + 1 < active { Some(me + 1) } else { None };
+    /// TreadMarks version: shared red/black arrays, barrier-separated phases.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let elems = self.rows * self.cols;
+        let red_addr = tmk.malloc(elems * 4);
+        let black_addr = tmk.malloc(elems * 4);
+        let my_rows = block_range(self.rows, tmk.nprocs(), tmk.id());
+        // Initialisation is distributed, as in the paper's experiments: the
+        // initial values are a deterministic function of the coordinates, so
+        // each process fills its own band and no initial page distribution
+        // crosses the network (the paper's PVM version does the same and the
+        // measurements exclude first-iteration distribution effects).
+        let init: Vec<f32> = (my_rows.start * self.cols..my_rows.end * self.cols)
+            .map(|i| self.initial(i / self.cols, i % self.cols))
+            .collect();
+        tmk.write_f32_slice(red_addr + my_rows.start * self.cols * 4, &init);
+        tmk.write_f32_slice(black_addr + my_rows.start * self.cols * 4, &init);
+        tmk.barrier(0);
 
-    for iter in 0..p.iters {
-        for colour in 0..2u32 {
-            // Exchange boundary rows of the colour we are about to read.
-            let exchange_black = colour == 0;
-            let tag = iter as u32 * 4 + colour;
-            {
-                let src = if exchange_black {
-                    &band.black
-                } else {
-                    &band.red
-                };
-                if let Some(up) = up_neighbour {
-                    let mut b = pvm.new_buffer();
-                    let first_owned = (my_rows.start - lo) * cols;
-                    b.pack_f32(&src[first_owned..first_owned + cols]);
-                    pvm.send(up, tag, b);
-                }
-                if let Some(down) = down_neighbour {
-                    let mut b = pvm.new_buffer();
-                    let last_owned = (my_rows.end - 1 - lo) * cols;
-                    b.pack_f32(&src[last_owned..last_owned + cols]);
-                    pvm.send(down, tag, b);
-                }
-            }
-            {
-                let dst = if exchange_black {
-                    &mut band.black
-                } else {
-                    &mut band.red
-                };
-                if let Some(up) = up_neighbour {
-                    let mut m = pvm.recv(Some(up), tag);
-                    let row = m.unpack_f32(cols);
-                    let halo = (my_rows.start - 1 - lo) * cols;
-                    dst[halo..halo + cols].copy_from_slice(&row);
-                }
-                if let Some(down) = down_neighbour {
-                    let mut m = pvm.recv(Some(down), tag);
-                    let row = m.unpack_f32(cols);
-                    let halo = (my_rows.end - lo) * cols;
-                    dst[halo..halo + cols].copy_from_slice(&row);
-                }
-            }
-            let cost = if colour == 0 {
-                let (red, black) = (&mut band.red, &band.black);
-                relax_band(
-                    red,
-                    black,
-                    cols,
-                    span,
-                    (my_rows.start - lo)..(my_rows.end - lo),
-                )
-            } else {
-                let (black, red) = (&mut band.black, &band.red);
-                relax_band(
-                    black,
-                    red,
-                    cols,
-                    span,
-                    (my_rows.start - lo)..(my_rows.end - lo),
-                )
-            };
-            pvm.proc().compute(cost);
+        // Rows needed for the stencil: my band plus one halo row on each side.
+        let lo = my_rows.start.saturating_sub(1);
+        let hi = (my_rows.end + 1).min(self.rows);
+        let span_rows = hi - lo;
+        let mut red = vec![0.0f32; span_rows * self.cols];
+        let mut black = vec![0.0f32; span_rows * self.cols];
+
+        let mut barrier = 1u32;
+        for _ in 0..self.iters {
+            // Red phase: read black (with halo), update my red rows, write back.
+            tmk.read_f32_slice(black_addr + lo * self.cols * 4, &mut black);
+            tmk.read_f32_slice(
+                red_addr + my_rows.start * self.cols * 4,
+                &mut red[..my_rows.len() * self.cols],
+            );
+            let mut local_red = vec![0.0f32; span_rows * self.cols];
+            local_red[(my_rows.start - lo) * self.cols
+                ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols]
+                .copy_from_slice(&red[..my_rows.len() * self.cols]);
+            let cost = relax_band(
+                &mut local_red,
+                &black,
+                self.cols,
+                span_rows,
+                (my_rows.start - lo)..(my_rows.end - lo),
+            );
+            tmk.proc().compute(cost);
+            tmk.write_f32_slice(
+                red_addr + my_rows.start * self.cols * 4,
+                &local_red[(my_rows.start - lo) * self.cols
+                    ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols],
+            );
+            tmk.barrier(barrier);
+            barrier += 1;
+
+            // Black phase.
+            tmk.read_f32_slice(red_addr + lo * self.cols * 4, &mut red);
+            tmk.read_f32_slice(
+                black_addr + my_rows.start * self.cols * 4,
+                &mut black[..my_rows.len() * self.cols],
+            );
+            let mut local_black = vec![0.0f32; span_rows * self.cols];
+            local_black[(my_rows.start - lo) * self.cols
+                ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols]
+                .copy_from_slice(&black[..my_rows.len() * self.cols]);
+            let cost = relax_band(
+                &mut local_black,
+                &red,
+                self.cols,
+                span_rows,
+                (my_rows.start - lo)..(my_rows.end - lo),
+            );
+            tmk.proc().compute(cost);
+            tmk.write_f32_slice(
+                black_addr + my_rows.start * self.cols * 4,
+                &local_black[(my_rows.start - lo) * self.cols
+                    ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols],
+            );
+            tmk.barrier(barrier);
+            barrier += 1;
         }
+
+        // Each process contributes the checksum of its own band; the runner sums
+        // the contributions, so no extra communication is needed for validation.
+        let len = my_rows.len() * self.cols;
+        let mut red_own = vec![0.0f32; len];
+        let mut black_own = vec![0.0f32; len];
+        tmk.read_f32_slice(red_addr + my_rows.start * self.cols * 4, &mut red_own);
+        tmk.read_f32_slice(black_addr + my_rows.start * self.cols * 4, &mut black_own);
+        grid_checksum(&red_own, &black_own)
     }
 
-    // Contribution of this process's own rows to the run checksum.
-    let first = (my_rows.start - lo) * cols;
-    let len = my_rows.len() * cols;
-    grid_checksum(
-        &band.red[first..first + len],
-        &band.black[first..first + len],
-    )
-}
+    /// PVM version: private bands, explicit boundary-row exchange each phase.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let n = pvm.nprocs();
+        let me = pvm.id();
+        let my_rows = block_range(self.rows, n, me);
+        // With more processes than rows the tail ranks own nothing: they
+        // contribute no work, no checksum, and — crucially — take no part in
+        // the boundary exchange.  `block_range` packs the owning ranks
+        // contiguously at the front, so the active topology is 0..active.
+        let active = n.min(self.rows);
+        if my_rows.is_empty() {
+            return 0.0;
+        }
+        let lo = my_rows.start.saturating_sub(1);
+        let hi = (my_rows.end + 1).min(self.rows);
+        let span = hi - lo;
+        let cols = self.cols;
 
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &SorParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
+        let mut band = Band {
+            red: vec![0.0f32; span * cols],
+            black: vec![0.0f32; span * cols],
+        };
+        for r in lo..hi {
+            for c in 0..cols {
+                band.red[(r - lo) * cols + c] = self.initial(r, c);
+                band.black[(r - lo) * cols + c] = self.initial(r, c);
+            }
+        }
 
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &SorParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
+        let up_neighbour = if me > 0 { Some(me - 1) } else { None };
+        let down_neighbour = if me + 1 < active { Some(me + 1) } else { None };
 
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &SorParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
+        for iter in 0..self.iters {
+            for colour in 0..2u32 {
+                // Exchange boundary rows of the colour we are about to read.
+                let exchange_black = colour == 0;
+                let tag = iter as u32 * 4 + colour;
+                {
+                    let src = if exchange_black {
+                        &band.black
+                    } else {
+                        &band.red
+                    };
+                    if let Some(up) = up_neighbour {
+                        let mut b = pvm.new_buffer();
+                        let first_owned = (my_rows.start - lo) * cols;
+                        b.pack_f32(&src[first_owned..first_owned + cols]);
+                        pvm.send(up, tag, b);
+                    }
+                    if let Some(down) = down_neighbour {
+                        let mut b = pvm.new_buffer();
+                        let last_owned = (my_rows.end - 1 - lo) * cols;
+                        b.pack_f32(&src[last_owned..last_owned + cols]);
+                        pvm.send(down, tag, b);
+                    }
+                }
+                {
+                    let dst = if exchange_black {
+                        &mut band.black
+                    } else {
+                        &mut band.red
+                    };
+                    if let Some(up) = up_neighbour {
+                        let mut m = pvm.recv(Some(up), tag);
+                        let row = m.unpack_f32(cols);
+                        let halo = (my_rows.start - 1 - lo) * cols;
+                        dst[halo..halo + cols].copy_from_slice(&row);
+                    }
+                    if let Some(down) = down_neighbour {
+                        let mut m = pvm.recv(Some(down), tag);
+                        let row = m.unpack_f32(cols);
+                        let halo = (my_rows.end - lo) * cols;
+                        dst[halo..halo + cols].copy_from_slice(&row);
+                    }
+                }
+                let cost = if colour == 0 {
+                    let (red, black) = (&mut band.red, &band.black);
+                    relax_band(
+                        red,
+                        black,
+                        cols,
+                        span,
+                        (my_rows.start - lo)..(my_rows.end - lo),
+                    )
+                } else {
+                    let (black, red) = (&mut band.black, &band.red);
+                    relax_band(
+                        black,
+                        red,
+                        cols,
+                        span,
+                        (my_rows.start - lo)..(my_rows.end - lo),
+                    )
+                };
+                pvm.proc().compute(cost);
+            }
+        }
 
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &SorParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.rows * p.cols * 8 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &SorParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &SorParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &SorParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
+        // Contribution of this process's own rows to the run checksum.
+        let first = (my_rows.start - lo) * cols;
+        let len = my_rows.len() * cols;
+        grid_checksum(
+            &band.red[first..first + len],
+            &band.black[first..first + len],
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn versions_agree_on_small_grids() {
         for zero in [true, false] {
             let p = SorParams::tiny(zero);
-            let seq = sequential(&p);
+            let seq = p.sequential();
             for n in [1, 2, 3] {
-                let t = treadmarks(n, &p);
-                let m = pvm(n, &p);
+                let t = run(&p, LRC, &fddi(n)).unwrap();
+                let m = run(&p, System::Pvm, &fddi(n)).unwrap();
                 assert!(
                     (t.checksum - seq.checksum).abs() < 1e-3,
                     "TMK zero={zero} n={n}: {} vs {}",
@@ -435,8 +399,8 @@ mod tests {
     fn zero_interior_costs_more_sequentially() {
         // The zero-initialised grid triggers the slow-zero cost model, so its
         // sequential time is longer, as in Table 1.
-        let z = sequential(&SorParams::tiny(true));
-        let nz = sequential(&SorParams::tiny(false));
+        let z = SorParams::tiny(true).sequential();
+        let nz = SorParams::tiny(false).sequential();
         assert!(z.time > nz.time);
     }
 
@@ -449,8 +413,8 @@ mod tests {
             iters: 3,
             zero_interior: true,
         };
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         assert!(
             t.kilobytes < m.kilobytes,
             "TMK {} KB vs PVM {} KB",
@@ -473,10 +437,10 @@ mod tests {
             zero_interior: false,
             ..pz.clone()
         };
-        let sz = sequential(&pz);
-        let sn = sequential(&pn);
-        let tz = treadmarks(4, &pz);
-        let tn = treadmarks(4, &pn);
+        let sz = pz.sequential();
+        let sn = pn.sequential();
+        let tz = run(&pz, LRC, &fddi(4)).unwrap();
+        let tn = run(&pn, LRC, &fddi(4)).unwrap();
         for (name, speedup) in [
             ("zero", tz.speedup(sz.time)),
             ("nonzero", tn.speedup(sn.time)),

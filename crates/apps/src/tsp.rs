@@ -17,10 +17,9 @@
 //!   behalf of the slaves, and tracks the best tour; slaves only exchange
 //!   solvable tours and best-tour updates with the master.
 
-use crate::runner::{try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost charged per node visited in `recursive_solve`.
 pub const COST_NODE: f64 = 1.1e-6;
@@ -305,21 +304,6 @@ impl Engine {
     }
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &TspParams) -> SeqRun {
-    let mut eng = Engine::new(p);
-    let mut nodes = 0u64;
-    while let Some(tour) = eng.get_tour() {
-        let (best, n) = recursive_solve(&eng.dist, &tour, eng.nc, eng.best);
-        eng.best = eng.best.min(best);
-        nodes += n;
-    }
-    SeqRun {
-        checksum: (eng.best * 1000.0).round() / 1000.0,
-        time: nodes as f64 * COST_NODE + eng.expansions as f64 * COST_EXPAND,
-    }
-}
-
 // -------------------------------------------------------------- TreadMarks
 
 const LOCK_QUEUE: u32 = 0;
@@ -374,152 +358,6 @@ impl SharedTsp {
     }
 }
 
-/// TreadMarks version: shared pool / queue / free-stack / best, lock-guarded
-/// `get_tour`, private `recursive_solve`.
-pub fn treadmarks_body(tmk: &Tmk, p: &TspParams) -> f64 {
-    let dist = p.distances();
-    let nc = p.cities;
-    let sh = SharedTsp::alloc(tmk);
-
-    if tmk.id() == 0 {
-        tmk.write_f64(sh.best, greedy_cost(&dist, nc));
-        let root = Tour {
-            cities: vec![0],
-            cost: 0.0,
-        };
-        sh.write_tour(tmk, 0, &root);
-        tmk.write_f64(sh.bounds, lower_bound(&dist, &root, nc));
-        tmk.write_i32(sh.qlen, 1);
-        tmk.write_i32(sh.queue, 0);
-        let free: Vec<i32> = (1..POOL_SLOTS as i32).rev().collect();
-        tmk.write_i32(sh.free_sp, free.len() as i32);
-        tmk.write_i32_slice(sh.free, &free);
-    }
-    tmk.barrier(0);
-
-    loop {
-        // ---- get_tour under the queue lock --------------------------------
-        tmk.lock_acquire(LOCK_QUEUE);
-        let mut found: Option<Tour> = None;
-        let mut expansions = 0u64;
-        loop {
-            let qlen = tmk.read_i32(sh.qlen) as usize;
-            if qlen == 0 {
-                break;
-            }
-            // lint:allow(unsync-read): optimistic incumbent read under the
-            // queue lock, not LOCK_BEST; a stale bound only weakens pruning
-            // and every update re-checks under LOCK_BEST.
-            let best = tmk.read_f64_unsync(sh.best);
-            let mut slots = vec![0i32; qlen];
-            tmk.read_i32_slice(sh.queue, &mut slots);
-            let mut best_idx = 0usize;
-            let mut best_bound = f64::INFINITY;
-            for (i, &s) in slots.iter().enumerate() {
-                let b = tmk.read_f64(sh.bounds + s as usize * 8);
-                if b < best_bound {
-                    best_bound = b;
-                    best_idx = i;
-                }
-            }
-            let slot = slots[best_idx] as usize;
-            let tour = sh.read_tour(tmk, slot);
-            // Remove from the queue and return the slot to the free stack.
-            slots[best_idx] = slots[qlen - 1];
-            tmk.write_i32_slice(sh.queue, &slots[..qlen]);
-            tmk.write_i32(sh.qlen, qlen as i32 - 1);
-            let sp = tmk.read_i32(sh.free_sp);
-            tmk.write_i32(sh.free + sp as usize * 4, slot as i32);
-            tmk.write_i32(sh.free_sp, sp + 1);
-
-            if best_bound >= best {
-                continue;
-            }
-            if tour.cities.len() >= p.threshold {
-                found = Some(tour);
-                break;
-            }
-            let last = *tour.cities.last().unwrap() as usize;
-            let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
-            for c in 0..nc {
-                if visited & (1 << c) == 0 {
-                    let cost = tour.cost + dist[last][c];
-                    if cost >= best {
-                        continue;
-                    }
-                    let mut cities = tour.cities.clone();
-                    cities.push(c as u8);
-                    let child = Tour { cities, cost };
-                    let child_bound = lower_bound(&dist, &child, nc);
-                    // A child whose bound cannot beat the incumbent is
-                    // dominated: every completion costs at least the bound.
-                    if child_bound >= best {
-                        continue;
-                    }
-                    let sp = tmk.read_i32(sh.free_sp);
-                    if sp == 0 {
-                        // Pool exhausted: solve the child in place rather
-                        // than queueing it (bounds the shared pool), unless
-                        // a freshly-read incumbent already dominates it.
-                        // lint:allow(unsync-read): optimistic incumbent
-                        // read; stale values only weaken pruning.
-                        let cur = tmk.read_f64_unsync(sh.best);
-                        if child_bound >= cur {
-                            continue;
-                        }
-                        let (found_best, nodes) = recursive_solve(&dist, &child, nc, cur);
-                        tmk.proc().compute(nodes as f64 * COST_NODE);
-                        if found_best < cur {
-                            tmk.lock_acquire(LOCK_BEST);
-                            let now = tmk.read_f64(sh.best);
-                            if found_best < now {
-                                tmk.write_f64(sh.best, found_best);
-                            }
-                            tmk.lock_release(LOCK_BEST);
-                        }
-                        continue;
-                    }
-                    let child_slot = tmk.read_i32(sh.free + (sp - 1) as usize * 4) as usize;
-                    tmk.write_i32(sh.free_sp, sp - 1);
-                    sh.write_tour(tmk, child_slot, &child);
-                    tmk.write_f64(sh.bounds + child_slot * 8, child_bound);
-                    let ql = tmk.read_i32(sh.qlen);
-                    tmk.write_i32(sh.queue + ql as usize * 4, child_slot as i32);
-                    tmk.write_i32(sh.qlen, ql + 1);
-                    expansions += 1;
-                }
-            }
-        }
-        tmk.proc().compute(expansions as f64 * COST_EXPAND);
-        tmk.lock_release(LOCK_QUEUE);
-
-        let Some(tour) = found else { break };
-
-        // ---- recursive_solve privately ------------------------------------
-        // lint:allow(unsync-read): optimistic incumbent read outside any
-        // lock; stale values only weaken pruning, and the update below
-        // re-reads under LOCK_BEST before writing.
-        let best_now = tmk.read_f64_unsync(sh.best);
-        let (found_best, nodes) = recursive_solve(&dist, &tour, nc, best_now);
-        tmk.proc().compute(nodes as f64 * COST_NODE);
-        if found_best < best_now {
-            tmk.lock_acquire(LOCK_BEST);
-            let cur = tmk.read_f64(sh.best);
-            if found_best < cur {
-                tmk.write_f64(sh.best, found_best);
-            }
-            tmk.lock_release(LOCK_BEST);
-        }
-    }
-
-    tmk.barrier(1);
-    if tmk.id() == 0 {
-        (tmk.read_f64(sh.best) * 1000.0).round() / 1000.0
-    } else {
-        0.0
-    }
-}
-
 // --------------------------------------------------------------------- PVM
 
 const TAG_WORK_REQ: u32 = 10;
@@ -527,153 +365,279 @@ const TAG_WORK: u32 = 11;
 const TAG_NOWORK: u32 = 12;
 const TAG_BEST: u32 = 13;
 
-/// PVM version: master/slave; the master (process 0) also runs a slave.
-pub fn pvm_body(pvm: &Pvm, p: &TspParams) -> f64 {
-    let dist = p.distances();
-    let nc = p.cities;
-    let n = pvm.nprocs();
+impl App for TspParams {
+    fn heap_bytes(&self) -> usize {
+        (POOL_SLOTS * (SLOT_BYTES + 16) + (1 << 20)).next_power_of_two()
+    }
 
-    if pvm.id() == 0 {
-        let mut eng = Engine::new(p);
-        let mut slaves_done = 0usize;
-        let total_slaves = n - 1;
+    fn problem_size(&self) -> String {
+        format!("{} cities, threshold {}", self.cities, self.threshold)
+    }
+
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        let mut eng = Engine::new(self);
+        let mut nodes = 0u64;
+        while let Some(tour) = eng.get_tour() {
+            let (best, n) = recursive_solve(&eng.dist, &tour, eng.nc, eng.best);
+            eng.best = eng.best.min(best);
+            nodes += n;
+        }
+        SeqRun {
+            checksum: (eng.best * 1000.0).round() / 1000.0,
+            time: nodes as f64 * COST_NODE + eng.expansions as f64 * COST_EXPAND,
+        }
+    }
+
+    /// TreadMarks version: shared pool / queue / free-stack / best, lock-guarded
+    /// `get_tour`, private `recursive_solve`.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let dist = self.distances();
+        let nc = self.cities;
+        let sh = SharedTsp::alloc(tmk);
+
+        if tmk.id() == 0 {
+            tmk.write_f64(sh.best, greedy_cost(&dist, nc));
+            let root = Tour {
+                cities: vec![0],
+                cost: 0.0,
+            };
+            sh.write_tour(tmk, 0, &root);
+            tmk.write_f64(sh.bounds, lower_bound(&dist, &root, nc));
+            tmk.write_i32(sh.qlen, 1);
+            tmk.write_i32(sh.queue, 0);
+            let free: Vec<i32> = (1..POOL_SLOTS as i32).rev().collect();
+            tmk.write_i32(sh.free_sp, free.len() as i32);
+            tmk.write_i32_slice(sh.free, &free);
+        }
+        tmk.barrier(0);
+
         loop {
+            // ---- get_tour under the queue lock --------------------------------
+            tmk.lock_acquire(LOCK_QUEUE);
+            let mut found: Option<Tour> = None;
+            let mut expansions = 0u64;
+            loop {
+                let qlen = tmk.read_i32(sh.qlen) as usize;
+                if qlen == 0 {
+                    break;
+                }
+                // lint:allow(unsync-read): optimistic incumbent read under the
+                // queue lock, not LOCK_BEST; a stale bound only weakens pruning
+                // and every update re-checks under LOCK_BEST.
+                let best = tmk.read_f64_unsync(sh.best);
+                let mut slots = vec![0i32; qlen];
+                tmk.read_i32_slice(sh.queue, &mut slots);
+                let mut best_idx = 0usize;
+                let mut best_bound = f64::INFINITY;
+                for (i, &s) in slots.iter().enumerate() {
+                    let b = tmk.read_f64(sh.bounds + s as usize * 8);
+                    if b < best_bound {
+                        best_bound = b;
+                        best_idx = i;
+                    }
+                }
+                let slot = slots[best_idx] as usize;
+                let tour = sh.read_tour(tmk, slot);
+                // Remove from the queue and return the slot to the free stack.
+                slots[best_idx] = slots[qlen - 1];
+                tmk.write_i32_slice(sh.queue, &slots[..qlen]);
+                tmk.write_i32(sh.qlen, qlen as i32 - 1);
+                let sp = tmk.read_i32(sh.free_sp);
+                tmk.write_i32(sh.free + sp as usize * 4, slot as i32);
+                tmk.write_i32(sh.free_sp, sp + 1);
+
+                if best_bound >= best {
+                    continue;
+                }
+                if tour.cities.len() >= self.threshold {
+                    found = Some(tour);
+                    break;
+                }
+                let last = *tour.cities.last().unwrap() as usize;
+                let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
+                for c in 0..nc {
+                    if visited & (1 << c) == 0 {
+                        let cost = tour.cost + dist[last][c];
+                        if cost >= best {
+                            continue;
+                        }
+                        let mut cities = tour.cities.clone();
+                        cities.push(c as u8);
+                        let child = Tour { cities, cost };
+                        let child_bound = lower_bound(&dist, &child, nc);
+                        // A child whose bound cannot beat the incumbent is
+                        // dominated: every completion costs at least the bound.
+                        if child_bound >= best {
+                            continue;
+                        }
+                        let sp = tmk.read_i32(sh.free_sp);
+                        if sp == 0 {
+                            // Pool exhausted: solve the child in place rather
+                            // than queueing it (bounds the shared pool), unless
+                            // a freshly-read incumbent already dominates it.
+                            // lint:allow(unsync-read): optimistic incumbent
+                            // read; stale values only weaken pruning.
+                            let cur = tmk.read_f64_unsync(sh.best);
+                            if child_bound >= cur {
+                                continue;
+                            }
+                            let (found_best, nodes) = recursive_solve(&dist, &child, nc, cur);
+                            tmk.proc().compute(nodes as f64 * COST_NODE);
+                            if found_best < cur {
+                                tmk.lock_acquire(LOCK_BEST);
+                                let now = tmk.read_f64(sh.best);
+                                if found_best < now {
+                                    tmk.write_f64(sh.best, found_best);
+                                }
+                                tmk.lock_release(LOCK_BEST);
+                            }
+                            continue;
+                        }
+                        let child_slot = tmk.read_i32(sh.free + (sp - 1) as usize * 4) as usize;
+                        tmk.write_i32(sh.free_sp, sp - 1);
+                        sh.write_tour(tmk, child_slot, &child);
+                        tmk.write_f64(sh.bounds + child_slot * 8, child_bound);
+                        let ql = tmk.read_i32(sh.qlen);
+                        tmk.write_i32(sh.queue + ql as usize * 4, child_slot as i32);
+                        tmk.write_i32(sh.qlen, ql + 1);
+                        expansions += 1;
+                    }
+                }
+            }
+            tmk.proc().compute(expansions as f64 * COST_EXPAND);
+            tmk.lock_release(LOCK_QUEUE);
+
+            let Some(tour) = found else { break };
+
+            // ---- recursive_solve privately ------------------------------------
+            // lint:allow(unsync-read): optimistic incumbent read outside any
+            // lock; stale values only weaken pruning, and the update below
+            // re-reads under LOCK_BEST before writing.
+            let best_now = tmk.read_f64_unsync(sh.best);
+            let (found_best, nodes) = recursive_solve(&dist, &tour, nc, best_now);
+            tmk.proc().compute(nodes as f64 * COST_NODE);
+            if found_best < best_now {
+                tmk.lock_acquire(LOCK_BEST);
+                let cur = tmk.read_f64(sh.best);
+                if found_best < cur {
+                    tmk.write_f64(sh.best, found_best);
+                }
+                tmk.lock_release(LOCK_BEST);
+            }
+        }
+
+        tmk.barrier(1);
+        if tmk.id() == 0 {
+            (tmk.read_f64(sh.best) * 1000.0).round() / 1000.0
+        } else {
+            0.0
+        }
+    }
+
+    /// PVM version: master/slave; the master (process 0) also runs a slave.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let dist = self.distances();
+        let nc = self.cities;
+        let n = pvm.nprocs();
+
+        if pvm.id() == 0 {
+            let mut eng = Engine::new(self);
+            let mut slaves_done = 0usize;
+            let total_slaves = n - 1;
+            loop {
+                while let Some(mut m) = pvm.nrecv(None, TAG_BEST) {
+                    let b = m.unpack_f64(1)[0];
+                    eng.best = eng.best.min(b);
+                }
+                if let Some(m) = pvm.nrecv(None, TAG_WORK_REQ) {
+                    let slave = m.src();
+                    let before = eng.expansions;
+                    let tour = eng.get_tour();
+                    pvm.proc()
+                        .compute((eng.expansions - before) as f64 * COST_EXPAND);
+                    match tour {
+                        Some(t) => {
+                            let mut b = pvm.new_buffer();
+                            b.pack_f64(&[eng.best, t.cost]);
+                            b.pack_u32(&[t.cities.len() as u32]);
+                            b.pack_bytes(&t.cities);
+                            pvm.send(slave, TAG_WORK, b);
+                        }
+                        None => {
+                            pvm.send(slave, TAG_NOWORK, pvm.new_buffer());
+                            slaves_done += 1;
+                        }
+                    }
+                    continue;
+                }
+                // No requests pending: the master's own slave does some work.
+                let before = eng.expansions;
+                match eng.get_tour() {
+                    Some(t) => {
+                        pvm.proc()
+                            .compute((eng.expansions - before) as f64 * COST_EXPAND);
+                        let (best, nodes) = recursive_solve(&dist, &t, nc, eng.best);
+                        pvm.proc().compute(nodes as f64 * COST_NODE);
+                        eng.best = eng.best.min(best);
+                    }
+                    None => {
+                        pvm.proc()
+                            .compute((eng.expansions - before) as f64 * COST_EXPAND);
+                        if slaves_done == total_slaves {
+                            break;
+                        }
+                        let m = pvm.recv(None, TAG_WORK_REQ);
+                        pvm.send(m.src(), TAG_NOWORK, pvm.new_buffer());
+                        slaves_done += 1;
+                    }
+                }
+            }
             while let Some(mut m) = pvm.nrecv(None, TAG_BEST) {
                 let b = m.unpack_f64(1)[0];
                 eng.best = eng.best.min(b);
             }
-            if let Some(m) = pvm.nrecv(None, TAG_WORK_REQ) {
-                let slave = m.src();
-                let before = eng.expansions;
-                let tour = eng.get_tour();
-                pvm.proc()
-                    .compute((eng.expansions - before) as f64 * COST_EXPAND);
-                match tour {
-                    Some(t) => {
-                        let mut b = pvm.new_buffer();
-                        b.pack_f64(&[eng.best, t.cost]);
-                        b.pack_u32(&[t.cities.len() as u32]);
-                        b.pack_bytes(&t.cities);
-                        pvm.send(slave, TAG_WORK, b);
-                    }
-                    None => {
-                        pvm.send(slave, TAG_NOWORK, pvm.new_buffer());
-                        slaves_done += 1;
-                    }
-                }
-                continue;
-            }
-            // No requests pending: the master's own slave does some work.
-            let before = eng.expansions;
-            match eng.get_tour() {
-                Some(t) => {
-                    pvm.proc()
-                        .compute((eng.expansions - before) as f64 * COST_EXPAND);
-                    let (best, nodes) = recursive_solve(&dist, &t, nc, eng.best);
-                    pvm.proc().compute(nodes as f64 * COST_NODE);
-                    eng.best = eng.best.min(best);
-                }
-                None => {
-                    pvm.proc()
-                        .compute((eng.expansions - before) as f64 * COST_EXPAND);
-                    if slaves_done == total_slaves {
-                        break;
-                    }
-                    let m = pvm.recv(None, TAG_WORK_REQ);
-                    pvm.send(m.src(), TAG_NOWORK, pvm.new_buffer());
-                    slaves_done += 1;
+            (eng.best * 1000.0).round() / 1000.0
+        } else {
+            let mut my_best = f64::INFINITY;
+            loop {
+                pvm.send(0, TAG_WORK_REQ, pvm.new_buffer());
+                // Block for the master's answer — work or NOWORK — instead of
+                // busy-polling the two tags: the reply is in this process's
+                // virtual future, so a poll loop would never see it (and never
+                // advances the clock to it).
+                let m = pvm.recv_any(Some(0));
+                let reply = match m.tag() {
+                    TAG_WORK => Some(m),
+                    TAG_NOWORK => None,
+                    other => unreachable!("slave got unexpected tag {other}"),
+                };
+                let Some(mut m) = reply else { break };
+                let header = m.unpack_f64(2);
+                let (master_best, cost) = (header[0], header[1]);
+                let len = m.unpack_u32(1)[0] as usize;
+                let cities = m.unpack_bytes(len);
+                let tour = Tour { cities, cost };
+                let bound = master_best.min(my_best);
+                let (best, nodes) = recursive_solve(&dist, &tour, nc, bound);
+                pvm.proc().compute(nodes as f64 * COST_NODE);
+                if best < bound {
+                    my_best = best;
+                    let mut b = pvm.new_buffer();
+                    b.pack_f64(&[best]);
+                    pvm.send(0, TAG_BEST, b);
                 }
             }
+            0.0
         }
-        while let Some(mut m) = pvm.nrecv(None, TAG_BEST) {
-            let b = m.unpack_f64(1)[0];
-            eng.best = eng.best.min(b);
-        }
-        (eng.best * 1000.0).round() / 1000.0
-    } else {
-        let mut my_best = f64::INFINITY;
-        loop {
-            pvm.send(0, TAG_WORK_REQ, pvm.new_buffer());
-            // Block for the master's answer — work or NOWORK — instead of
-            // busy-polling the two tags: the reply is in this process's
-            // virtual future, so a poll loop would never see it (and never
-            // advances the clock to it).
-            let m = pvm.recv_any(Some(0));
-            let reply = match m.tag() {
-                TAG_WORK => Some(m),
-                TAG_NOWORK => None,
-                other => unreachable!("slave got unexpected tag {other}"),
-            };
-            let Some(mut m) = reply else { break };
-            let header = m.unpack_f64(2);
-            let (master_best, cost) = (header[0], header[1]);
-            let len = m.unpack_u32(1)[0] as usize;
-            let cities = m.unpack_bytes(len);
-            let tour = Tour { cities, cost };
-            let bound = master_best.min(my_best);
-            let (best, nodes) = recursive_solve(&dist, &tour, nc, bound);
-            pvm.proc().compute(nodes as f64 * COST_NODE);
-            if best < bound {
-                my_best = best;
-                let mut b = pvm.new_buffer();
-                b.pack_f64(&[best]);
-                pvm.send(0, TAG_BEST, b);
-            }
-        }
-        0.0
     }
-}
-
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &TspParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &TspParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &TspParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &TspParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (POOL_SLOTS * (SLOT_BYTES + 16) + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &TspParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &TspParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &TspParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn branch_and_bound_finds_the_optimum_of_a_small_instance() {
@@ -701,7 +665,7 @@ mod tests {
             }
         }
         permute(&mut perm, 0, &dist, &mut best);
-        let seq = sequential(&p);
+        let seq = p.sequential();
         assert!(
             (seq.checksum - best).abs() < 1e-3,
             "{} vs {best}",
@@ -712,10 +676,10 @@ mod tests {
     #[test]
     fn parallel_versions_find_the_same_optimum() {
         let p = TspParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             assert!((t.checksum - seq.checksum).abs() < 1e-3, "TMK n={n}");
             assert!((m.checksum - seq.checksum).abs() < 1e-3, "PVM n={n}");
         }
@@ -730,8 +694,8 @@ mod tests {
             threshold: 6,
             seed: 99,
         };
-        let t = treadmarks(4, &p);
-        let m = pvm(4, &p);
+        let t = run(&p, LRC, &fddi(4)).unwrap();
+        let m = run(&p, System::Pvm, &fddi(4)).unwrap();
         assert!(t.messages > m.messages, "{} vs {}", t.messages, m.messages);
         assert!(
             t.kilobytes > m.kilobytes,

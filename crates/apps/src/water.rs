@@ -15,10 +15,9 @@
 //!   their accumulated force contributions to the owners afterwards — two
 //!   user-level messages per pair of interacting processes.
 
-use crate::runner::{block_range, try_run_pvm_on, try_run_treadmarks_on, AppRun, SeqRun};
-use cluster::{ClusterConfig, RunFailure};
+use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
-use treadmarks::{ProtocolKind, Tmk};
+use treadmarks::Tmk;
 
 /// Cost per molecule pair examined in the force phase.
 pub const COST_PAIR: f64 = 1.6e-6;
@@ -138,237 +137,202 @@ fn positions_checksum(pos: &[[f64; 3]]) -> f64 {
     pos.iter().map(|p| p[0] + 2.0 * p[1] + 3.0 * p[2]).sum()
 }
 
-/// Sequential reference implementation.
-pub fn sequential(p: &WaterParams) -> SeqRun {
-    let mut pos = p.initial_positions();
-    let n = p.molecules;
-    let mut time = 0.0;
-    for _ in 0..p.steps {
-        let mut forces = vec![[0.0; 3]; n];
-        let pairs = compute_forces(&pos, 0..n, &mut forces);
-        time += pairs as f64 * COST_PAIR + n as f64 * COST_UPDATE;
-        for i in 0..n {
-            integrate(&mut pos[i], &forces[i]);
-        }
-    }
-    SeqRun {
-        checksum: positions_checksum(&pos),
-        time,
-    }
-}
-
-/// TreadMarks version.
-pub fn treadmarks_body(tmk: &Tmk, p: &WaterParams) -> f64 {
-    let n = p.molecules;
-    let nprocs = tmk.nprocs();
-    // Shared arrays: positions (3 f64 per molecule) and forces (3 f64).
-    let pos_addr = tmk.malloc(n * 24);
-    let force_addr = tmk.malloc(n * 24);
-    if tmk.id() == 0 {
-        let init = p.initial_positions();
-        let flat: Vec<f64> = init.iter().flat_map(|m| m.iter().copied()).collect();
-        tmk.write_f64_slice(pos_addr, &flat);
-    }
-    tmk.barrier(0);
-
-    let mine = block_range(n, nprocs, tmk.id());
-    let mut barrier = 1u32;
-    for _ in 0..p.steps {
-        // Read the positions this process needs (its own plus the half-shell
-        // following it, wraparound); simply read the whole array as the
-        // SPLASH code effectively touches nearly all of it at 8 processes.
-        let mut flat = vec![0.0f64; n * 3];
-        tmk.read_f64_slice(pos_addr, &mut flat);
-        let pos: Vec<[f64; 3]> = flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-
-        // Private force accumulation.
-        let mut forces = vec![[0.0; 3]; n];
-        let pairs = compute_forces(&pos, mine.clone(), &mut forces);
-        tmk.proc().compute(pairs as f64 * COST_PAIR);
-
-        // Add contributions to each owner's shared forces under its lock.
-        for owner in 0..nprocs {
-            let owned = block_range(n, nprocs, owner);
-            let any = owned.clone().any(|i| forces[i] != [0.0; 3]);
-            if !any {
-                continue;
-            }
-            tmk.lock_acquire(owner as u32);
-            let mut shared = vec![0.0f64; owned.len() * 3];
-            tmk.read_f64_slice(force_addr + owned.start * 24, &mut shared);
-            for (k, i) in owned.clone().enumerate() {
-                for c in 0..3 {
-                    shared[k * 3 + c] += forces[i][c];
-                }
-            }
-            tmk.write_f64_slice(force_addr + owned.start * 24, &shared);
-            tmk.lock_release(owner as u32);
-        }
-        tmk.barrier(barrier);
-        barrier += 1;
-
-        // Update phase: integrate own molecules and clear their forces.
-        let mut own_pos = vec![0.0f64; mine.len() * 3];
-        let mut own_force = vec![0.0f64; mine.len() * 3];
-        tmk.read_f64_slice(pos_addr + mine.start * 24, &mut own_pos);
-        tmk.read_f64_slice(force_addr + mine.start * 24, &mut own_force);
-        for k in 0..mine.len() {
-            let mut pmol = [own_pos[k * 3], own_pos[k * 3 + 1], own_pos[k * 3 + 2]];
-            let f = [own_force[k * 3], own_force[k * 3 + 1], own_force[k * 3 + 2]];
-            integrate(&mut pmol, &f);
-            own_pos[k * 3..k * 3 + 3].copy_from_slice(&pmol);
-        }
-        tmk.proc().compute(mine.len() as f64 * COST_UPDATE);
-        tmk.write_f64_slice(pos_addr + mine.start * 24, &own_pos);
-        tmk.write_f64_slice(force_addr + mine.start * 24, &vec![0.0f64; mine.len() * 3]);
-        tmk.barrier(barrier);
-        barrier += 1;
+impl App for WaterParams {
+    fn heap_bytes(&self) -> usize {
+        (self.molecules * 48 + (1 << 20)).next_power_of_two()
     }
 
-    // Contribution of this process's own molecules to the run checksum.
-    let mut own_pos = vec![0.0f64; mine.len() * 3];
-    tmk.read_f64_slice(pos_addr + mine.start * 24, &mut own_pos);
-    let own: Vec<[f64; 3]> = own_pos
-        .chunks_exact(3)
-        .map(|c| [c[0], c[1], c[2]])
-        .collect();
-    positions_checksum(&own)
-}
+    fn problem_size(&self) -> String {
+        format!("{} molecules, {} steps", self.molecules, self.steps)
+    }
 
-/// PVM version.
-pub fn pvm_body(pvm: &Pvm, p: &WaterParams) -> f64 {
-    let n = p.molecules;
-    let nprocs = pvm.nprocs();
-    let me = pvm.id();
-    let mine = block_range(n, nprocs, me);
-    let mut pos = p.initial_positions();
-
-    for step in 0..p.steps {
-        let tag_pos = 100 + step as u32;
-        let tag_force = 200 + step as u32;
-
-        // Exchange positions: send mine to everyone who interacts with them,
-        // receive everyone else's (at 8 processes the half-shell spans all
-        // other processes, matching the paper's all-pairs-of-processors
-        // message count).
-        if nprocs > 1 {
-            let mut b = pvm.new_buffer();
-            let flat: Vec<f64> = pos[mine.clone()]
-                .iter()
-                .flat_map(|m| m.iter().copied())
-                .collect();
-            b.pack_f64(&flat);
-            let others: Vec<usize> = (0..nprocs).filter(|&q| q != me).collect();
-            pvm.mcast(&others, tag_pos, b);
-            for _ in 0..nprocs - 1 {
-                let mut m = pvm.recv(None, tag_pos);
-                let src = m.src();
-                let owned = block_range(n, nprocs, src);
-                let flat = m.unpack_f64(owned.len() * 3);
-                for (k, i) in owned.enumerate() {
-                    pos[i] = [flat[k * 3], flat[k * 3 + 1], flat[k * 3 + 2]];
-                }
+    /// Sequential reference implementation.
+    fn sequential(&self) -> SeqRun {
+        let mut pos = self.initial_positions();
+        let n = self.molecules;
+        let mut time = 0.0;
+        for _ in 0..self.steps {
+            let mut forces = vec![[0.0; 3]; n];
+            let pairs = compute_forces(&pos, 0..n, &mut forces);
+            time += pairs as f64 * COST_PAIR + n as f64 * COST_UPDATE;
+            for i in 0..n {
+                integrate(&mut pos[i], &forces[i]);
             }
         }
+        SeqRun {
+            checksum: positions_checksum(&pos),
+            time,
+        }
+    }
 
-        // Private force accumulation over my half-shell.
-        let mut forces = vec![[0.0; 3]; n];
-        let pairs = compute_forces(&pos, mine.clone(), &mut forces);
-        pvm.proc().compute(pairs as f64 * COST_PAIR);
+    /// TreadMarks version.
+    fn dsm_body(&self, tmk: &Tmk) -> f64 {
+        let n = self.molecules;
+        let nprocs = tmk.nprocs();
+        // Shared arrays: positions (3 f64 per molecule) and forces (3 f64).
+        let pos_addr = tmk.malloc(n * 24);
+        let force_addr = tmk.malloc(n * 24);
+        if tmk.id() == 0 {
+            let init = self.initial_positions();
+            let flat: Vec<f64> = init.iter().flat_map(|m| m.iter().copied()).collect();
+            tmk.write_f64_slice(pos_addr, &flat);
+        }
+        tmk.barrier(0);
 
-        // Send accumulated contributions to each owner; receive mine.
-        let mut my_forces: Vec<[f64; 3]> = mine.clone().map(|i| forces[i]).collect();
-        if nprocs > 1 {
+        let mine = block_range(n, nprocs, tmk.id());
+        let mut barrier = 1u32;
+        for _ in 0..self.steps {
+            // Read the positions this process needs (its own plus the half-shell
+            // following it, wraparound); simply read the whole array as the
+            // SPLASH code effectively touches nearly all of it at 8 processes.
+            let mut flat = vec![0.0f64; n * 3];
+            tmk.read_f64_slice(pos_addr, &mut flat);
+            let pos: Vec<[f64; 3]> = flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
+
+            // Private force accumulation.
+            let mut forces = vec![[0.0; 3]; n];
+            let pairs = compute_forces(&pos, mine.clone(), &mut forces);
+            tmk.proc().compute(pairs as f64 * COST_PAIR);
+
+            // Add contributions to each owner's shared forces under its lock.
             for owner in 0..nprocs {
-                if owner == me {
+                let owned = block_range(n, nprocs, owner);
+                let any = owned.clone().any(|i| forces[i] != [0.0; 3]);
+                if !any {
                     continue;
                 }
-                let owned = block_range(n, nprocs, owner);
-                let flat: Vec<f64> = owned.clone().flat_map(|i| forces[i].to_vec()).collect();
-                let mut b = pvm.new_buffer();
-                b.pack_f64(&flat);
-                pvm.send(owner, tag_force, b);
-            }
-            for _ in 0..nprocs - 1 {
-                let mut m = pvm.recv(None, tag_force);
-                let flat = m.unpack_f64(mine.len() * 3);
-                for k in 0..mine.len() {
+                tmk.lock_acquire(owner as u32);
+                let mut shared = vec![0.0f64; owned.len() * 3];
+                tmk.read_f64_slice(force_addr + owned.start * 24, &mut shared);
+                for (k, i) in owned.clone().enumerate() {
                     for c in 0..3 {
-                        my_forces[k][c] += flat[k * 3 + c];
+                        shared[k * 3 + c] += forces[i][c];
+                    }
+                }
+                tmk.write_f64_slice(force_addr + owned.start * 24, &shared);
+                tmk.lock_release(owner as u32);
+            }
+            tmk.barrier(barrier);
+            barrier += 1;
+
+            // Update phase: integrate own molecules and clear their forces.
+            let mut own_pos = vec![0.0f64; mine.len() * 3];
+            let mut own_force = vec![0.0f64; mine.len() * 3];
+            tmk.read_f64_slice(pos_addr + mine.start * 24, &mut own_pos);
+            tmk.read_f64_slice(force_addr + mine.start * 24, &mut own_force);
+            for k in 0..mine.len() {
+                let mut pmol = [own_pos[k * 3], own_pos[k * 3 + 1], own_pos[k * 3 + 2]];
+                let f = [own_force[k * 3], own_force[k * 3 + 1], own_force[k * 3 + 2]];
+                integrate(&mut pmol, &f);
+                own_pos[k * 3..k * 3 + 3].copy_from_slice(&pmol);
+            }
+            tmk.proc().compute(mine.len() as f64 * COST_UPDATE);
+            tmk.write_f64_slice(pos_addr + mine.start * 24, &own_pos);
+            tmk.write_f64_slice(force_addr + mine.start * 24, &vec![0.0f64; mine.len() * 3]);
+            tmk.barrier(barrier);
+            barrier += 1;
+        }
+
+        // Contribution of this process's own molecules to the run checksum.
+        let mut own_pos = vec![0.0f64; mine.len() * 3];
+        tmk.read_f64_slice(pos_addr + mine.start * 24, &mut own_pos);
+        let own: Vec<[f64; 3]> = own_pos
+            .chunks_exact(3)
+            .map(|c| [c[0], c[1], c[2]])
+            .collect();
+        positions_checksum(&own)
+    }
+
+    /// PVM version.
+    fn pvm_body(&self, pvm: &Pvm) -> f64 {
+        let n = self.molecules;
+        let nprocs = pvm.nprocs();
+        let me = pvm.id();
+        let mine = block_range(n, nprocs, me);
+        let mut pos = self.initial_positions();
+
+        for step in 0..self.steps {
+            let tag_pos = 100 + step as u32;
+            let tag_force = 200 + step as u32;
+
+            // Exchange positions: send mine to everyone who interacts with them,
+            // receive everyone else's (at 8 processes the half-shell spans all
+            // other processes, matching the paper's all-pairs-of-processors
+            // message count).
+            if nprocs > 1 {
+                let mut b = pvm.new_buffer();
+                let flat: Vec<f64> = pos[mine.clone()]
+                    .iter()
+                    .flat_map(|m| m.iter().copied())
+                    .collect();
+                b.pack_f64(&flat);
+                let others: Vec<usize> = (0..nprocs).filter(|&q| q != me).collect();
+                pvm.mcast(&others, tag_pos, b);
+                for _ in 0..nprocs - 1 {
+                    let mut m = pvm.recv(None, tag_pos);
+                    let src = m.src();
+                    let owned = block_range(n, nprocs, src);
+                    let flat = m.unpack_f64(owned.len() * 3);
+                    for (k, i) in owned.enumerate() {
+                        pos[i] = [flat[k * 3], flat[k * 3 + 1], flat[k * 3 + 2]];
                     }
                 }
             }
+
+            // Private force accumulation over my half-shell.
+            let mut forces = vec![[0.0; 3]; n];
+            let pairs = compute_forces(&pos, mine.clone(), &mut forces);
+            pvm.proc().compute(pairs as f64 * COST_PAIR);
+
+            // Send accumulated contributions to each owner; receive mine.
+            let mut my_forces: Vec<[f64; 3]> = mine.clone().map(|i| forces[i]).collect();
+            if nprocs > 1 {
+                for owner in 0..nprocs {
+                    if owner == me {
+                        continue;
+                    }
+                    let owned = block_range(n, nprocs, owner);
+                    let flat: Vec<f64> = owned.clone().flat_map(|i| forces[i].to_vec()).collect();
+                    let mut b = pvm.new_buffer();
+                    b.pack_f64(&flat);
+                    pvm.send(owner, tag_force, b);
+                }
+                for _ in 0..nprocs - 1 {
+                    let mut m = pvm.recv(None, tag_force);
+                    let flat = m.unpack_f64(mine.len() * 3);
+                    for k in 0..mine.len() {
+                        for c in 0..3 {
+                            my_forces[k][c] += flat[k * 3 + c];
+                        }
+                    }
+                }
+            }
+
+            // Integrate own molecules.
+            for (k, i) in mine.clone().enumerate() {
+                integrate(&mut pos[i], &my_forces[k]);
+            }
+            pvm.proc().compute(mine.len() as f64 * COST_UPDATE);
         }
 
-        // Integrate own molecules.
-        for (k, i) in mine.clone().enumerate() {
-            integrate(&mut pos[i], &my_forces[k]);
-        }
-        pvm.proc().compute(mine.len() as f64 * COST_UPDATE);
+        let own: Vec<[f64; 3]> = pos[mine].to_vec();
+        positions_checksum(&own)
     }
-
-    let own: Vec<[f64; 3]> = pos[mine].to_vec();
-    positions_checksum(&own)
-}
-
-/// Run the TreadMarks version under the default (LRC) protocol.
-pub fn treadmarks(nprocs: usize, p: &WaterParams) -> AppRun {
-    treadmarks_with(nprocs, p, ProtocolKind::Lrc)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on the
-/// paper's calibrated FDDI testbed.
-pub fn treadmarks_with(nprocs: usize, p: &WaterParams, protocol: ProtocolKind) -> AppRun {
-    treadmarks_on(&ClusterConfig::calibrated_fddi(nprocs), p, protocol)
-}
-
-/// Run the TreadMarks version under the given coherence protocol on an
-/// arbitrary cluster model (see `cluster::NetPreset` and the scenario
-/// subsystem).
-pub fn treadmarks_on(cfg: &ClusterConfig, p: &WaterParams, protocol: ProtocolKind) -> AppRun {
-    try_treadmarks_on(cfg, p, protocol).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`treadmarks_on`]: a structured [`RunFailure`]
-/// (deadlock, livelock, or fault-plan crash) comes back as `Err` instead
-/// of a panic, so the fuzzing harness can record it and keep going.
-pub fn try_treadmarks_on(
-    cfg: &ClusterConfig,
-    p: &WaterParams,
-    protocol: ProtocolKind,
-) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    let heap = (p.molecules * 48 + (1 << 20)).next_power_of_two();
-    try_run_treadmarks_on(cfg, heap, protocol, move |tmk| treadmarks_body(tmk, &p))
-}
-
-/// Run the PVM version on the paper's calibrated FDDI testbed.
-pub fn pvm(nprocs: usize, p: &WaterParams) -> AppRun {
-    pvm_on(&ClusterConfig::calibrated_fddi(nprocs), p)
-}
-
-/// Run the PVM version on an arbitrary cluster model.
-pub fn pvm_on(cfg: &ClusterConfig, p: &WaterParams) -> AppRun {
-    try_pvm_on(cfg, p).unwrap_or_else(|f| panic!("{f}"))
-}
-
-/// Fallible variant of [`pvm_on`]; see [`try_treadmarks_on`].
-pub fn try_pvm_on(cfg: &ClusterConfig, p: &WaterParams) -> Result<AppRun, RunFailure> {
-    let p = p.clone();
-    try_run_pvm_on(cfg, move |pvm| pvm_body(pvm, &p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::testing::{fddi, LRC};
+    use crate::runner::{run, System};
 
     #[test]
     fn versions_agree_on_final_positions() {
         let p = WaterParams::tiny();
-        let seq = sequential(&p);
+        let seq = p.sequential();
         for n in [1, 2, 4] {
-            let t = treadmarks(n, &p);
-            let m = pvm(n, &p);
+            let t = run(&p, LRC, &fddi(n)).unwrap();
+            let m = run(&p, System::Pvm, &fddi(n)).unwrap();
             // Force contributions are summed in a different order in the
             // parallel versions, so allow normal floating-point drift.
             let tol = seq.checksum.abs() * 1e-6 + 1e-6;
@@ -399,8 +363,10 @@ mod tests {
             molecules: 384,
             steps: 2,
         };
-        let rs = treadmarks(4, &small).time / pvm(4, &small).time;
-        let rl = treadmarks(4, &large).time / pvm(4, &large).time;
+        let rs = run(&small, LRC, &fddi(4)).unwrap().time
+            / run(&small, System::Pvm, &fddi(4)).unwrap().time;
+        let rl = run(&large, LRC, &fddi(4)).unwrap().time
+            / run(&large, System::Pvm, &fddi(4)).unwrap().time;
         assert!(rl < rs, "ratio small {rs}, large {rl}");
     }
 }

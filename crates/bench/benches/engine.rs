@@ -16,7 +16,7 @@
 
 use apps::runner::System;
 use apps::Workload;
-use bench::{exec, run_matrix, run_parallel, run_parallel_on, Preset, RunKey};
+use bench::{exec, run_matrix, run_parallel_on, Exec, Preset, RunKey};
 use cluster::ClusterConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
@@ -39,6 +39,7 @@ fn engine_throughput(c: &mut Criterion) {
     ];
     for (w, sys, n) in configs {
         let label = format!("engine/{}/{sys}/{n}p", w.name());
+        let cfg = ClusterConfig::calibrated_fddi(n);
         // Explicit throughput numbers (criterion's shim prints only times).
         // lint:allow(wall-clock): benchmark measures this machine's throughput
         let started = Instant::now();
@@ -46,7 +47,7 @@ fn engine_throughput(c: &mut Criterion) {
         let mut events = 0u64;
         let mut virtual_seconds = 0.0;
         for _ in 0..iters {
-            let run = run_parallel(w, sys, n, Preset::Tiny);
+            let run = run_parallel_on(w, sys, &cfg, Preset::Tiny);
             events += transport_messages(&run);
             virtual_seconds += run.time;
         }
@@ -56,7 +57,9 @@ fn engine_throughput(c: &mut Criterion) {
             events as f64 / wall,
             virtual_seconds / wall
         );
-        c.bench_function(&label, |b| b.iter(|| run_parallel(w, sys, n, Preset::Tiny)));
+        c.bench_function(&label, |b| {
+            b.iter(|| run_parallel_on(w, sys, &cfg, Preset::Tiny))
+        });
     }
 }
 
@@ -67,12 +70,14 @@ fn engine_throughput(c: &mut Criterion) {
 fn threaded_windows(c: &mut Criterion) {
     let (w, sys, n) = (Workload::Water288, System::TreadMarks(ProtocolKind::Lrc), 8);
     for (islands, threads) in [(1usize, 1usize), (4, 1), (4, 4)] {
-        let run_once = || {
-            let mut cfg = ClusterConfig::calibrated_fddi(n);
-            cfg.islands = islands;
-            cfg.island_threads = threads;
-            run_parallel_on(w, sys, &cfg, Preset::Tiny)
-        };
+        let mut cfg = ClusterConfig::calibrated_fddi(n);
+        Exec {
+            islands,
+            island_threads: threads,
+            ..Exec::with_jobs(1)
+        }
+        .apply(&mut cfg);
+        let run_once = || run_parallel_on(w, sys, &cfg, Preset::Tiny);
         let label = format!(
             "engine/windowed/{}/{sys}/{n}p/islands{islands}_threads{threads}",
             w.name()
@@ -112,9 +117,12 @@ fn slab_vs_btreemap(c: &mut Criterion) {
         b.iter(|| {
             let mut map: BTreeMap<Key, Rec> = BTreeMap::new();
             for i in 0..n {
-                map.insert(key_of(i), Rec {
-                    payload: [i as u64; 8],
-                });
+                map.insert(
+                    key_of(i),
+                    Rec {
+                        payload: [i as u64; 8],
+                    },
+                );
             }
             let scanned: u64 = map
                 .range((0u64, 0usize, 0u32)..(32u64, 0usize, 0u32))

@@ -3,139 +3,36 @@
 //! independent runs out across cores.
 //!
 //! ```text
-//! cargo run -p bench --release --bin reproduce                       # every protocol, everything
-//! cargo run -p bench --release --bin reproduce -- --protocol hlrc   # HLRC backend only
-//! cargo run -p bench --release --bin reproduce -- --protocol sc     # sequential-consistency baseline
-//! cargo run -p bench --release --bin reproduce -- --list            # protocols, nets, workloads
-//! cargo run -p bench --release --bin reproduce -- --full            # paper-scale inputs
-//! cargo run -p bench --release --bin reproduce -- --table1
-//! cargo run -p bench --release --bin reproduce -- --table2
-//! cargo run -p bench --release --bin reproduce -- --figure water-288
-//! cargo run -p bench --release --bin reproduce -- --net atm         # 155 Mbit switched ATM
-//! cargo run -p bench --release --bin reproduce -- --procs 16        # past the paper's 8
-//! cargo run -p bench --release --bin reproduce -- --islands 4       # PDES island scheduler
-//! cargo run -p bench --release --bin reproduce -- --islands 4 --island-threads 4  # threaded windows
-//! cargo run -p bench --release --bin reproduce -- --scenario examples/scenarios/atm_16procs.toml
-//! cargo run -p bench --release --bin reproduce -- sweep --vary procs      # speedup past 8
-//! cargo run -p bench --release --bin reproduce -- sweep --vary bandwidth  # runtime vs bandwidth
-//! cargo run -p bench --release --bin reproduce -- sweep --vary islands    # execution invariance
-//! cargo run -p bench --release --bin reproduce -- fuzz --seeds 25         # schedule exploration
-//! cargo run -p bench --release --bin reproduce -- fuzz --seeds 25 --faults lossy
-//! cargo run -p bench --release --bin reproduce -- fuzz --until-failure --faults FILE
-//! cargo run -p bench --release --bin reproduce -- --json            # machine-readable dump
-//! cargo run -p bench --release --bin reproduce -- --metrics         # latency histograms + profile
-//! cargo run -p bench --release --bin reproduce -- --trace trace.json  # Perfetto trace export
-//! cargo run -p bench --release --bin reproduce -- --racecheck       # happens-before race detector
-//! cargo run -p bench --release --bin reproduce -- --jobs 1          # serial execution
-//! cargo run -p bench --release --bin reproduce -- --bench-out BENCH_PR3.json
+//! cargo run -p bench --release --bin reproduce                        # every protocol, everything
+//! cargo run -p bench --release --bin reproduce -- --list              # everything a flag can name
+//! cargo run -p bench --release --bin reproduce -- sweep --vary procs  # speedup past 8
+//! cargo run -p bench --release --bin reproduce -- fuzz --seeds 25     # schedule exploration
 //! ```
 //!
-//! Every run of the reproduction matrix is an independent deterministic
-//! simulation, so the harness computes the whole requested matrix first —
-//! on `--jobs N` worker threads (default: one per core) — and renders the
-//! output from the completed matrix afterwards.  Results are stored under
-//! their matrix keys, never in completion order, so stdout and JSON are
-//! **byte-identical for every `--jobs` value**; the determinism suite and
-//! the CI `perf-smoke` job assert exactly that.
+//! docs/EXPERIMENTS.md is the reference for every flag and the scenario
+//! schema (docs/FUZZING.md, OBSERVABILITY.md and ANALYSIS.md for `fuzz`,
+//! `--metrics`/`--trace` and `--racecheck`); the flags themselves are the
+//! one table in [`bench::cli`].
 //!
-//! `--protocol {lrc,hlrc,sc,all}` selects the DSM coherence backend(s)
-//! compared against PVM (`all` — or its alias `both`, from the two-backend
-//! era — runs every backend).  `--list` prints everything a scenario can
-//! name — protocols, systems, net presets, workloads, problem-size presets
-//! and sweep axes — and composes with `--json` for a machine-readable
-//! catalogue, so scenario authors never grep the source.
-//!
-//! The scenario flags compose: `--net {fddi,ethernet,atm,ideal}` swaps the
-//! interconnect preset, `--procs N` lifts the top processor count (counts
-//! beyond 8 step by powers of two to keep the figures readable),
-//! `--workload NAME` (repeatable) restricts the workload set, and
-//! `--scenario FILE` loads all of the above — plus per-field cost-model
-//! overrides — from a TOML or JSON file (schema: docs/EXPERIMENTS.md;
-//! commented examples: `examples/scenarios/`).  Explicit CLI flags override
-//! the scenario file.
-//!
-//! `--islands N` (scenario key `islands`) partitions every simulated run's
-//! processes into N scheduler islands — the conservative-PDES execution
-//! strategy of `cluster::sched`.  An execution knob, never a model knob:
-//! output is byte-identical for every width (CI diffs `--json` and
-//! `--trace` across `--islands 1/2/4` with `oracle-checks` on), so it is
-//! not stamped into `--json` records; `--bench-out` stamps the width into
-//! the `timing` section only, and only when it is not 1.
-//!
-//! `--island-threads N` (scenario key `island_threads`) additionally runs
-//! the islands of each simulation on N worker threads inside every horizon
-//! window — cross-island sends stage into per-(source, destination)
-//! buffers merged in fixed island order at the window barrier, so no
-//! thread interleaving ever reaches a simulated byte.  Like `--islands` it
-//! is an execution knob: bit-identical output at every thread count (CI
-//! diffs `--json` and `--trace` across `--island-threads 1/2/4` with
-//! `oracle-checks` replaying every threaded run against the serial
-//! engine), excluded from `--json` records, stamped into the `--bench-out`
-//! `timing` section only when not 1.
-//!
-//! `sweep --vary {procs,bandwidth,latency,islands}` renders sensitivity
-//! figures instead of the reproduction: speedup versus processor count
-//! past the paper's 8, or runtime versus a ×0.25…×4 scaling of one
-//! interconnect field, per workload × system (see `bench::sweep`).
-//! `--vary islands` is the execution-invariance figure: the same matrix is
-//! computed at island widths 1/2/4, asserted bit-identical, and rendered
-//! as one (identical) row per width.
-//!
-//! `fuzz --seeds N` (docs/FUZZING.md) fans the selected workload × system
-//! points across N fuzz seeds: seed 0 is the pristine schedule, seed `s`
-//! seeds the arbiter's tie-breaking and re-keys the fault plan named by
-//! `--faults {lossy,partitioned,FILE}` (default: no faults).  Every run is
-//! checked against the invariant battery (`bench::invariants`); failures
-//! are shrunk to minimal reproducer scenarios (`bench::shrink`) replayable
-//! with `--scenario`, and the exit status is nonzero when anything failed.
-//! `--until-failure` stops at the first failing seed.  The report is
-//! byte-identical across reruns and `--jobs` widths.
-//!
-//! A scenario file may itself carry `sched_seed`, `tie_limit` and a
-//! `[fault]` section (the shape fuzz reproducers use): the reproduction
-//! then runs under that tuning, stamping `sched_seed` / `fault_hash` into
-//! `--json` records and the `--bench-out` report — absent at the defaults,
-//! so untuned output stays byte-identical.  A scenario whose plan crashes
-//! processes replays as a verdict table instead of a matrix (a crashed run
-//! has no complete result to tabulate).
-//!
-//! `--json` replaces the human-readable tables with a machine-readable dump
-//! of every run, with every virtual time printed both as a decimal and as
-//! its raw f64 bit pattern.  CI runs the dump twice and `diff`s the
-//! outputs.  `--bench-out FILE` additionally writes an engine-throughput
-//! report: the deterministic totals of the matrix followed by the
-//! wall-clock timing of *this* execution.  The `deterministic` section is
-//! byte-stable across runs and job counts; the `timing` section is this
-//! machine's measurement.
-//!
-//! The observability flags (docs/OBSERVABILITY.md) compute the same matrix
-//! at a recording level: `--metrics` appends the latency-histogram and
-//! virtual-time-profile report (and, with `--json`, adds integer quantile
-//! fields to every run record); `--trace FILE` records the full structured
-//! event stream and writes a Chrome-trace / Perfetto JSON file.  Both
-//! outputs are stamped in virtual time, so they are byte-identical across
-//! reruns and `--jobs` values — CI diffs the trace exactly as it diffs the
-//! JSON dump.  Sweeps always run at metrics level: their tables include a
-//! per-cell p99 lock-acquire latency column.
-//!
-//! `--racecheck` (docs/ANALYSIS.md) computes the same matrix with the
-//! happens-before data-race detector enabled on every DSM run and appends
-//! one report line per checked run plus a `racecheck summary:` total (with
-//! `--json`, per-run `races` fields instead).  Like the observability
-//! levels the detector lives outside the cost model, so every simulated
-//! number stays bit-identical to a `--racecheck`-free run; the exit status
-//! is nonzero when any race is found.
+//! Every run of a matrix is an independent deterministic simulation, so the
+//! harness computes the whole requested matrix first — on `--jobs N` worker
+//! threads — and renders from the completed matrix afterwards.  Results are
+//! stored under their matrix keys, never in completion order, so stdout,
+//! `--json`, `--trace` and the `deterministic` section of `--bench-out` are
+//! byte-identical for every value of the execution knobs.
 
 use apps::runner::System;
 use apps::Workload;
-use bench::fuzz::{run_fuzz, FuzzSpec};
-use bench::scenario::{workload_by_name, ResolvedScenario};
-use bench::sweep::{Sweep, Vary};
+use bench::cli::{self, Invocation, Mode};
+use bench::fuzz::{self, run_fuzz, FuzzSpec};
+use bench::scenario::ResolvedScenario;
+use bench::sweep::{Sweep, Vary, ISLAND_WIDTHS};
 use bench::{
-    exec, invariants, obs, problem_size, proc_series, render_race_reports, run_matrix_islands,
-    run_record_json, run_sequential, try_run_parallel_on, Preset, RunKey, RunMatrix, RunTuning,
+    exec, invariants, obs, proc_series, render_race_reports, run_matrix_exec, run_record_json,
+    Exec, Preset, RunKey, RunMatrix, RunTuning,
 };
-use cluster::{AnalysisLevel, FaultPlan, NetModel, NetPreset, ObsLevel, Scenario};
+use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, NetModel, NetPreset, ObsLevel, Scenario};
+use std::path::Path;
 use treadmarks::ProtocolKind;
 
 fn table1(matrix: &RunMatrix, workloads: &[Workload]) {
@@ -152,7 +49,7 @@ fn table1(matrix: &RunMatrix, workloads: &[Workload]) {
         println!(
             "{:<12} {:<34} {:>12.2}",
             w.name(),
-            problem_size(w, matrix.preset),
+            w.problem_size(matrix.preset),
             seq.time
         );
     }
@@ -286,14 +183,7 @@ fn json_dump(
 /// The engine-throughput report written by `--bench-out`: deterministic
 /// matrix totals first (byte-stable across runs and job counts — CI diffs
 /// them), wall-clock timing of this execution second.
-fn bench_report(
-    matrix: &RunMatrix,
-    tuning: &RunTuning,
-    jobs: usize,
-    islands: usize,
-    island_threads: usize,
-    wall_seconds: f64,
-) -> String {
+fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, exec: &Exec, wall_seconds: f64) -> String {
     let mut events = 0u64; // transport messages processed (sent == consumed)
     let mut virtual_seconds = 0.0f64;
     let mut checksum_xor = 0u64;
@@ -319,11 +209,14 @@ fn bench_report(
     // and only when not 1 — keeping the deterministic section identical
     // across every (islands, island_threads) combination.
     let mut timing_fields = String::new();
-    if islands != 1 {
-        timing_fields.push_str(&format!("    \"islands\": {islands},\n"));
+    if exec.islands != 1 {
+        timing_fields.push_str(&format!("    \"islands\": {},\n", exec.islands));
     }
-    if island_threads != 1 {
-        timing_fields.push_str(&format!("    \"island_threads\": {island_threads},\n"));
+    if exec.island_threads != 1 {
+        timing_fields.push_str(&format!(
+            "    \"island_threads\": {},\n",
+            exec.island_threads
+        ));
     }
     format!(
         "{{\n  \"preset\": \"{:?}\",\n  \"deterministic\": {{\n{tuning_fields}    \"runs\": {},\n    \
@@ -337,7 +230,7 @@ fn bench_report(
         virtual_seconds,
         virtual_seconds.to_bits(),
         checksum_xor,
-        jobs,
+        exec.jobs,
         wall_seconds,
         events as f64 / wall_seconds,
         virtual_seconds / wall_seconds,
@@ -350,7 +243,7 @@ fn bench_report(
 fn list_catalogue(json: bool) {
     let protocols: Vec<ProtocolKind> = ProtocolKind::all().to_vec();
     let systems: Vec<System> = System::all().to_vec();
-    let presets = ["tiny", "scaled", "paper"];
+    let presets = [Preset::Tiny, Preset::Scaled, Preset::Paper].map(|p| p.name());
     let axes = ["procs", "bandwidth", "latency", "islands"];
     if json {
         println!("{{");
@@ -394,18 +287,16 @@ fn list_catalogue(json: bool) {
             })
             .collect();
         println!("  \"workloads\": [\n{}\n  ],", loads.join(",\n"));
-        let quoted = |xs: &[&str]| {
-            xs.iter()
-                .map(|x| format!("\"{x}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
+        fn quoted<S: std::fmt::Display>(xs: &[S]) -> String {
+            let quoted: Vec<String> = xs.iter().map(|x| format!("\"{x}\"")).collect();
+            quoted.join(", ")
+        }
         println!("  \"presets\": [{}],", quoted(&presets));
         println!("  \"sweep_axes\": [{}],", quoted(&axes));
-        println!(
-            "  \"execution_knobs\": [{}],",
-            quoted(&["jobs", "islands", "island_threads"])
-        );
+        let knobs: Vec<String> = cli::knobs()
+            .map(|f| f.name.trim_start_matches("--").replace('-', "_"))
+            .collect();
+        println!("  \"execution_knobs\": [{}],", quoted(&knobs));
         let kinds: Vec<String> = FaultPlan::kinds()
             .iter()
             .map(|(name, desc)| {
@@ -450,9 +341,10 @@ fn list_catalogue(json: bool) {
     }
     println!("\nProblem-size presets: {}", presets.join(", "));
     println!("Sweep axes (sweep --vary AXIS): {}", axes.join(", "));
+    let knobs: Vec<String> = cli::knobs().map(cli::Flag::usage).collect();
     println!(
-        "Execution knobs (byte-identical output at every value): \
-         --jobs N, --islands N, --island-threads N"
+        "Execution knobs (byte-identical output at every value): {}",
+        knobs.join(", ")
     );
     println!("\nFault kinds (scenario [fault] section; fuzz --faults {{lossy,partitioned,FILE}}):");
     for (name, desc) in FaultPlan::kinds() {
@@ -465,50 +357,221 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// Everything the three modes share once the flags and the scenario file
+/// are resolved against each other.
+struct Setup {
+    preset: Preset,
+    net: NetModel,
+    max_procs: usize,
+    systems: Vec<System>,
+    workloads: Vec<Workload>,
+    exec: Exec,
+    /// The scenario file's schedule seed, tie-break cap and fault plan.
+    tuning: RunTuning,
+}
+
+/// Resolve an invocation: the scenario file (if any) supplies defaults and
+/// explicit flags override its individual fields.
+fn resolve(inv: &Invocation) -> Setup {
+    // Sweeps default to a top of 16 processes so `--vary procs` goes past
+    // the paper's 8 even when a scenario file leaves `procs` unset; fuzz
+    // campaigns default to 4 so a many-seed campaign stays fast.
+    let default_procs = match inv.mode {
+        Mode::Reproduction => 8,
+        Mode::Sweep => 16,
+        Mode::Fuzz => 4,
+    };
+    let file = match &inv.scenario {
+        Some(path) => Scenario::from_path(Path::new(path)).unwrap_or_else(|e| fail(e)),
+        None => Scenario::default(),
+    };
+    let scenario =
+        ResolvedScenario::resolve(&file, Preset::Scaled, default_procs).unwrap_or_else(|e| fail(e));
+    // Sweeps always record at metrics level (their tables carry a p99
+    // lock-acquire column); the reproduction records only when asked, so
+    // the default path stays on the zero-cost null sink.
+    let obs = if inv.trace.is_some() {
+        ObsLevel::Trace
+    } else if inv.metrics || inv.mode == Mode::Sweep {
+        ObsLevel::Metrics
+    } else {
+        ObsLevel::Off
+    };
+    Setup {
+        preset: inv.preset.unwrap_or(scenario.preset),
+        net: inv.net.unwrap_or(scenario.net),
+        max_procs: inv.procs.unwrap_or(scenario.max_procs),
+        systems: inv.systems.clone().unwrap_or(scenario.systems),
+        workloads: if inv.workloads.is_empty() {
+            scenario.workloads
+        } else {
+            Workload::all()
+                .into_iter()
+                .filter(|w| inv.workloads.contains(w))
+                .collect()
+        },
+        exec: Exec {
+            jobs: inv.jobs.unwrap_or_else(exec::default_jobs),
+            islands: inv.islands.unwrap_or(scenario.islands),
+            island_threads: inv.island_threads.unwrap_or(scenario.island_threads),
+            obs,
+            analysis: if inv.racecheck {
+                AnalysisLevel::Race
+            } else {
+                AnalysisLevel::Off
+            },
+        },
+        tuning: scenario.tuning,
+    }
+}
+
+/// One stderr line when `cfg` — the invocation's most favourable run —
+/// asks for island threads the engine will not use.  stderr only: no
+/// deterministic output mentions an execution knob.
+fn note_unhonoured_island_threads(cfg: &ClusterConfig) {
+    if cfg.island_threads >= 2 {
+        if let Err(reason) = cluster::window::verdict(cfg) {
+            eprintln!(
+                "note: --island-threads {} is not honoured ({reason}); \
+                 runs use the serial engine",
+                cfg.island_threads
+            );
+        }
+    }
+}
+
+fn write_bench_report(path: &str, report: &str) {
+    if let Err(err) = std::fs::write(path, report) {
+        fail(format!("cannot write {path}: {err}"));
+    }
+    eprintln!("bench report written to {path}");
+}
+
+fn fuzz_campaign(inv: &Invocation, setup: Setup) {
+    let plan: FaultPlan = match inv.faults.as_deref() {
+        // No --faults: fuzz the scenario's plan if one was loaded,
+        // otherwise pure schedule exploration on a fault-free cluster.
+        None => setup.tuning.fault,
+        Some("lossy") => FaultPlan::lossy(1),
+        Some("partition") | Some("partitioned") => FaultPlan::partitioned(1, setup.max_procs),
+        Some(path) => {
+            let parsed = Scenario::from_path(Path::new(path)).unwrap_or_else(|e| fail(e));
+            parsed.fault.unwrap_or_else(|| {
+                fail(format!(
+                    "{path} carries no [fault] section; \
+                     --faults takes `lossy`, `partitioned` or a scenario file with [fault]"
+                ))
+            })
+        }
+    };
+    let spec = FuzzSpec {
+        preset: setup.preset,
+        net: setup.net,
+        nprocs: setup.max_procs,
+        workloads: setup.workloads,
+        systems: setup.systems,
+        seeds: inv.seeds.unwrap_or(10),
+        plan,
+        until_failure: inv.until_failure,
+        exec: setup.exec,
+    };
+    note_unhonoured_island_threads(&fuzz::point_config(&spec, &fuzz::tuning_for(&spec.plan, 0)));
+    let out = run_fuzz(&spec);
+    print!("{}", out.report);
+    // Like --racecheck: a campaign that found anything fails the
+    // invocation, after the report (and every reproducer) is printed.
+    if !out.findings.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+fn sweep_figures(inv: &Invocation, setup: Setup) {
+    let sweep = Sweep {
+        vary: inv.vary.unwrap_or(Vary::Procs),
+        preset: setup.preset,
+        base: setup.net,
+        workloads: setup.workloads,
+        systems: setup.systems,
+        max_procs: setup.max_procs,
+    };
+    let exec = setup.exec;
+    // `--vary islands` is the execution-invariance figure: the matrix is
+    // computed once per width, asserted bit-identical, and rendered from
+    // the first.  Every other axis runs at the one requested width.
+    let widths: &[usize] = if sweep.vary == Vary::Islands {
+        &ISLAND_WIDTHS
+    } else {
+        std::slice::from_ref(&exec.islands)
+    };
+    let mut top = sweep.base.config(sweep.max_procs);
+    Exec {
+        islands: widths[widths.len() - 1],
+        ..exec
+    }
+    .apply(&mut top);
+    note_unhonoured_island_threads(&top);
+    let keys = sweep.keys();
+    // lint:allow(wall-clock): times this machine's execution for the --bench-out report
+    let started = std::time::Instant::now();
+    let matrix_at = |islands: usize| {
+        run_matrix_exec(
+            sweep.preset,
+            &sweep.workloads,
+            &keys,
+            &Exec { islands, ..exec },
+            &RunTuning::default(),
+        )
+    };
+    let matrix = matrix_at(widths[0]);
+    for &width in &widths[1..] {
+        let other = matrix_at(width);
+        for key in &keys {
+            assert!(
+                format!("{:?}", matrix.run(key)) == format!("{:?}", other.run(key)),
+                "execution-invariance violation: {key:?} differs between \
+                 islands={} and islands={width}",
+                widths[0],
+            );
+        }
+    }
+    let wall_seconds = started.elapsed().as_secs_f64();
+    print!("{}", sweep.render(&matrix));
+    if inv.metrics {
+        print!("\n{}", obs::metrics_report(&matrix));
+    }
+    if let Some(path) = &inv.bench_out {
+        let report = bench_report(&matrix, &RunTuning::default(), &exec, wall_seconds);
+        write_bench_report(path, &report);
+    }
+}
+
 /// Replay a scenario whose fault plan crashes processes: instead of a
 /// reproduction matrix (impossible — crashed runs have no results to
 /// tabulate), classify every workload × system point through the invariant
 /// battery and print one verdict line each, naming the fault context.  The
 /// fan uses the ordered executor, so the table is byte-identical across
 /// `--jobs` widths.
-#[allow(clippy::too_many_arguments)]
-fn replay_verdicts(
-    preset: Preset,
-    net: NetModel,
-    nprocs: usize,
-    workloads: &[Workload],
-    systems: &[System],
-    tuning: &RunTuning,
-    jobs: usize,
-    islands: usize,
-    island_threads: usize,
-) {
+fn replay_verdicts(setup: &Setup, top: &ClusterConfig) {
     println!(
-        "Crash-plan scenario: verdict replay at {nprocs} processes (net {}, {preset:?} preset)",
-        net.label()
+        "Crash-plan scenario: verdict replay at {} processes (net {}, {:?} preset)",
+        setup.max_procs,
+        setup.net.label(),
+        setup.preset
     );
-    let seqs: Vec<_> = workloads
+    let seqs: Vec<_> = setup
+        .workloads
         .iter()
-        .map(|&w| (w, run_sequential(w, preset)))
+        .map(|&w| (w, w.sequential(setup.preset)))
         .collect();
-    let points: Vec<(Workload, System)> = workloads
+    let points: Vec<_> = seqs
         .iter()
-        .flat_map(|&w| systems.iter().map(move |&sys| (w, sys)))
+        .flat_map(|(w, seq)| setup.systems.iter().map(move |&sys| (*w, sys, seq)))
         .collect();
     let tasks: Vec<_> = points
         .iter()
-        .map(|&(w, sys)| {
-            let seq = &seqs.iter().find(|(k, _)| *k == w).unwrap().1;
-            move || {
-                let mut cfg = net.config(nprocs);
-                cfg.islands = islands;
-                cfg.island_threads = island_threads;
-                tuning.apply(&mut cfg);
-                invariants::verdict(try_run_parallel_on(w, sys, &cfg, preset), seq)
-            }
-        })
+        .map(|&(w, sys, seq)| move || invariants::verdict(w.run(setup.preset, sys, top), seq))
         .collect();
-    for (&(w, sys), verdict) in points.iter().zip(exec::run_ordered(jobs, tasks)) {
+    for (&(w, sys, _), verdict) in points.iter().zip(exec::run_ordered(setup.exec.jobs, tasks)) {
         println!(
             "  {:<12} {:<10} {}",
             w.name(),
@@ -518,412 +581,43 @@ fn replay_verdicts(
     }
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sweep_mode = args.first().map(String::as_str) == Some("sweep");
-    let fuzz_mode = args.first().map(String::as_str) == Some("fuzz");
-    if sweep_mode || fuzz_mode {
-        args.remove(0);
-    }
-
-    let wants = |flag: &str| args.iter().any(|a| a == flag);
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    const VALUE_FLAGS: [&str; 14] = [
-        "--protocol",
-        "--jobs",
-        "--bench-out",
-        "--net",
-        "--procs",
-        "--scenario",
-        "--vary",
-        "--workload",
-        "--figure",
-        "--trace",
-        "--seeds",
-        "--faults",
-        "--islands",
-        "--island-threads",
-    ];
-    for flag in VALUE_FLAGS {
-        if args.last().map(String::as_str) == Some(flag) {
-            fail(format!("{flag} requires a value"));
-        }
-    }
-    // `sweep` and `fuzz` are only subcommands in first position; catch them
-    // anywhere else (except as a flag's value, e.g. a `--bench-out sweep`
-    // filename) rather than silently running the full reproduction.
-    if !sweep_mode && !fuzz_mode {
-        for (i, arg) in args.iter().enumerate() {
-            let is_flag_value = i > 0 && VALUE_FLAGS.contains(&args[i - 1].as_str());
-            if (arg == "sweep" || arg == "fuzz") && !is_flag_value {
-                fail(format!(
-                    "`{arg}` must be the first argument: `reproduce {arg} ...`"
-                ));
-            }
-        }
-    }
-
-    if wants("--list") {
-        if sweep_mode {
-            fail("--list does not apply to sweep mode");
-        }
-        list_catalogue(wants("--json"));
-        return;
-    }
-
-    // Defaults shared by the CLI and scenario resolution: sweeps default
-    // to a top of 16 processes so `--vary procs` goes past the paper's 8
-    // even when a scenario file leaves `procs` unset; fuzz campaigns
-    // default to 4 so a many-seed sweep stays fast.
-    let default_procs = if sweep_mode {
-        16
-    } else if fuzz_mode {
-        4
-    } else {
-        8
-    };
-
-    // The scenario file (if any) supplies defaults; explicit CLI flags
-    // override its individual fields below.
-    let scenario: Option<ResolvedScenario> = flag_value("--scenario").map(|path| {
-        let parsed = Scenario::from_path(std::path::Path::new(path)).unwrap_or_else(|e| fail(e));
-        ResolvedScenario::resolve(&parsed, Preset::Scaled, default_procs)
-            .unwrap_or_else(|e| fail(e))
-    });
-
-    let preset = if wants("--full") {
-        Preset::Paper
-    } else if wants("--tiny") {
-        Preset::Tiny
-    } else {
-        scenario
-            .as_ref()
-            .map(|s| s.preset)
-            .unwrap_or(Preset::Scaled)
-    };
-    let net: NetModel = match flag_value("--net") {
-        Some(name) => match name.parse::<NetPreset>() {
-            Ok(preset) => NetModel::preset(preset),
-            Err(e) => fail(e),
-        },
-        None => scenario
-            .as_ref()
-            .map(|s| s.net)
-            .unwrap_or(NetModel::preset(NetPreset::Fddi)),
-    };
-    let max_procs: usize = match flag_value("--procs") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => fail(format!("--procs requires a positive integer, got '{v}'")),
-        },
-        None => scenario
-            .as_ref()
-            .map(|s| s.max_procs)
-            .unwrap_or(default_procs),
-    };
-    let islands: usize = match flag_value("--islands") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => fail(format!("--islands requires a positive integer, got '{v}'")),
-        },
-        None => scenario.as_ref().map(|s| s.islands).unwrap_or(1),
-    };
-    let island_threads: usize = match flag_value("--island-threads") {
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => fail(format!(
-                "--island-threads requires a positive integer, got '{v}'"
-            )),
-        },
-        None => scenario.as_ref().map(|s| s.island_threads).unwrap_or(1),
-    };
-    let systems: Vec<System> = match flag_value("--protocol").map(String::as_str) {
-        None => scenario
-            .as_ref()
-            .map(|s| s.systems.clone())
-            .unwrap_or_else(|| System::all().to_vec()),
-        Some("both") | Some("all") => ProtocolKind::all()
-            .iter()
-            .map(|&p| System::TreadMarks(p))
-            .chain(std::iter::once(System::Pvm))
-            .collect(),
-        Some(name) => match name.parse::<ProtocolKind>() {
-            Ok(kind) => vec![System::TreadMarks(kind), System::Pvm],
-            Err(err) => fail(err),
-        },
-    };
-    let jobs: usize = match flag_value("--jobs") {
-        None => exec::default_jobs(),
-        Some(v) => match v.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => fail(format!("--jobs requires a positive integer, got '{v}'")),
-        },
-    };
-    let bench_out = flag_value("--bench-out").cloned();
-    let trace_out = flag_value("--trace").cloned();
-    let want_metrics = wants("--metrics");
-    // Sweeps always record at metrics level (their tables carry a p99
-    // lock-acquire column); the reproduction records only when asked, so
-    // the default path stays on the zero-cost null sink.
-    let obs_level = if trace_out.is_some() {
-        ObsLevel::Trace
-    } else if want_metrics || sweep_mode {
-        ObsLevel::Metrics
-    } else {
-        ObsLevel::Off
-    };
-    let analysis_level = if wants("--racecheck") {
-        AnalysisLevel::Race
-    } else {
-        AnalysisLevel::Off
-    };
-
-    // `--workload` (repeatable) narrows the set; a scenario file's subset
-    // applies when no explicit flag does.
-    let workload_flags: Vec<Workload> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--workload")
-        .map(|(i, _)| {
-            let name = args.get(i + 1).expect("checked above");
-            workload_by_name(name).unwrap_or_else(|e| fail(e))
-        })
-        .collect();
-    let selected_workloads: Vec<Workload> = if !workload_flags.is_empty() {
-        Workload::all()
-            .into_iter()
-            .filter(|w| workload_flags.contains(w))
-            .collect()
-    } else {
-        scenario
-            .as_ref()
-            .map(|s| s.workloads.clone())
-            .unwrap_or_else(|| Workload::all().to_vec())
-    };
-
-    if fuzz_mode {
-        // Fuzz renders its own deterministic report; the reproduction-only
-        // output selectors have no meaning here.
-        for flag in [
-            "--json",
-            "--table1",
-            "--table2",
-            "--figure",
-            "--trace",
-            "--racecheck",
-            "--metrics",
-            "--bench-out",
-            "--vary",
-        ] {
-            if wants(flag) {
-                fail(format!("{flag} does not apply to fuzz mode"));
-            }
-        }
-        let seeds: u64 = match flag_value("--seeds") {
-            None => 10,
-            Some(v) => match v.parse() {
-                Ok(n) if n >= 1 => n,
-                _ => fail(format!("--seeds requires a positive integer, got '{v}'")),
-            },
-        };
-        let plan: FaultPlan = match flag_value("--faults").map(String::as_str) {
-            // No --faults: fuzz the scenario's plan if one was loaded,
-            // otherwise pure schedule exploration on a fault-free cluster.
-            None => scenario
-                .as_ref()
-                .map(|s| s.tuning.fault.clone())
-                .unwrap_or_default(),
-            Some("lossy") => FaultPlan::lossy(1),
-            Some("partition") | Some("partitioned") => FaultPlan::partitioned(1, max_procs),
-            Some(path) => {
-                let parsed =
-                    Scenario::from_path(std::path::Path::new(path)).unwrap_or_else(|e| fail(e));
-                parsed.fault.unwrap_or_else(|| {
-                    fail(format!(
-                        "{path} carries no [fault] section; \
-                         --faults takes `lossy`, `partitioned` or a scenario file with [fault]"
-                    ))
-                })
-            }
-        };
-        let spec = FuzzSpec {
-            preset,
-            net,
-            nprocs: max_procs,
-            workloads: selected_workloads,
-            systems,
-            seeds,
-            plan,
-            until_failure: wants("--until-failure"),
-            jobs,
-            islands,
-            island_threads,
-        };
-        let out = run_fuzz(&spec);
-        print!("{}", out.report);
-        // Like --racecheck: a campaign that found anything fails the
-        // invocation, after the report (and every reproducer) is printed.
-        if !out.findings.is_empty() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    for flag in ["--seeds", "--faults", "--until-failure"] {
-        if wants(flag) {
-            fail(format!(
-                "{flag} only applies to fuzz mode: `reproduce fuzz ...`"
-            ));
-        }
-    }
-
-    if sweep_mode {
-        if trace_out.is_some() {
-            fail("--trace only applies to the reproduction; sweeps record at metrics level");
-        }
-        if analysis_level.enabled() {
-            fail("--racecheck only applies to the reproduction; sweeps have no race rendering");
-        }
-        // The reproduction-only output selectors have no sweep rendering;
-        // reject them rather than silently printing the ASCII figures to a
-        // consumer that asked for a table or the JSON dump.
-        for flag in ["--json", "--table1", "--table2", "--figure"] {
-            if wants(flag) {
-                fail(format!(
-                    "{flag} only applies to the reproduction; sweep renders its own figures \
-                     (use --workload to narrow a sweep)"
-                ));
-            }
-        }
-        let vary: Vary = match flag_value("--vary") {
-            Some(v) => v.parse().unwrap_or_else(|e: String| fail(e)),
-            None => Vary::Procs,
-        };
-        let sweep = Sweep {
-            vary,
-            preset,
-            base: net,
-            workloads: selected_workloads,
-            systems,
-            max_procs,
-        };
-        let keys = sweep.keys();
-        // lint:allow(wall-clock): times this machine's execution for the --bench-out report
-        let started = std::time::Instant::now();
-        let sweep_matrix_at = |islands: usize| {
-            run_matrix_islands(
-                preset,
-                &sweep.workloads,
-                &keys,
-                jobs,
-                obs_level,
-                AnalysisLevel::Off,
-                &RunTuning::default(),
-                islands,
-                island_threads,
-            )
-        };
-        let matrix = if vary == Vary::Islands {
-            if wants("--islands") {
-                fail(
-                    "--islands does not compose with `sweep --vary islands`; \
-                     the sweep runs every island width itself",
-                );
-            }
-            // The execution-invariance figure: compute the matrix once per
-            // width, assert bit-identity, render from the width-1 matrix.
-            let reference = sweep_matrix_at(bench::sweep::ISLAND_WIDTHS[0]);
-            for &width in &bench::sweep::ISLAND_WIDTHS[1..] {
-                let other = sweep_matrix_at(width);
-                for key in &keys {
-                    assert!(
-                        format!("{:?}", reference.run(key)) == format!("{:?}", other.run(key)),
-                        "execution-invariance violation: {key:?} differs between \
-                         islands={} and islands={width}",
-                        bench::sweep::ISLAND_WIDTHS[0],
-                    );
-                }
-            }
-            reference
-        } else {
-            sweep_matrix_at(islands)
-        };
-        let wall_seconds = started.elapsed().as_secs_f64();
-        print!("{}", sweep.render(&matrix));
-        if want_metrics {
-            print!("\n{}", obs::metrics_report(&matrix));
-        }
-        if let Some(path) = bench_out {
-            let report = bench_report(
-                &matrix,
-                &RunTuning::default(),
-                jobs,
-                islands,
-                island_threads,
-                wall_seconds,
-            );
-            if let Err(err) = std::fs::write(&path, &report) {
-                fail(format!("cannot write {path}: {err}"));
-            }
-            eprintln!("bench report written to {path}");
-        }
-        return;
-    }
-
-    if wants("--vary") {
-        fail("--vary only applies to sweep mode; run `reproduce sweep --vary ...`");
-    }
-
-    // The scenario's tuning (schedule seed, tie cap, fault plan) rides on
-    // every run of the reproduction.  A plan that crashes processes cannot
-    // fill a matrix — the crashed runs have no results to tabulate — so it
-    // replays as a verdict table instead: one classified outcome per
-    // workload × system, naming the fault context.  This is how a shrunk
-    // fuzz reproducer with a crash is replayed.
-    let tuning = scenario
-        .as_ref()
-        .map(|s| s.tuning.clone())
-        .unwrap_or_default();
+fn reproduction(inv: &Invocation, setup: Setup) {
+    let Setup {
+        preset,
+        net,
+        max_procs,
+        ref systems,
+        ref workloads,
+        ref exec,
+        ref tuning,
+    } = setup;
+    let mut top = net.config(max_procs);
+    exec.apply(&mut top);
+    tuning.apply(&mut top);
+    note_unhonoured_island_threads(&top);
+    // The scenario's tuning rides on every run of the reproduction.  A plan
+    // that crashes processes cannot fill a matrix — the crashed runs have no
+    // results to tabulate — so it replays as a verdict table instead; this
+    // is how a shrunk fuzz reproducer with a crash is replayed.
     if !tuning.fault.crashes.is_empty() {
-        replay_verdicts(
-            preset,
-            net,
-            max_procs,
-            &selected_workloads,
-            &systems,
-            &tuning,
-            jobs,
-            islands,
-            island_threads,
-        );
+        replay_verdicts(&setup, &top);
         return;
     }
-    let want_json = wants("--json");
-    let figure_arg = flag_value("--figure");
-    let run_all = !want_json && !wants("--table1") && !wants("--table2") && figure_arg.is_none();
-    let want_table1 = wants("--table1") || run_all;
-    let want_table2 = wants("--table2") || run_all;
-    // `--json` dumps the full matrix and ignores `--figure`/`--table*`,
-    // exactly as it always has.
-    let figure_workloads: Vec<Workload> = if want_json || run_all {
-        selected_workloads.clone()
-    } else if let Some(name) = figure_arg {
-        match workload_by_name(name) {
-            Ok(w) => vec![w],
-            Err(e) => fail(e),
-        }
+    let run_all = !inv.json && !inv.table1 && !inv.table2 && inv.figure.is_none();
+    let want_table1 = inv.table1 || run_all;
+    let want_table2 = inv.table2 || run_all;
+    // `--json` dumps the full matrix and ignores `--figure`/`--table*`.
+    let figure_workloads: Vec<Workload> = if inv.json || run_all {
+        workloads.clone()
     } else {
-        Vec::new()
+        inv.figure.into_iter().collect()
     };
 
     // Assemble the requested matrix: sequential baselines plus parallel
     // runs.  (Everything below renders from this precomputed matrix.)
     let mut seq_workloads: Vec<Workload> = Vec::new();
-    if want_table1 || want_json {
-        seq_workloads.extend(&selected_workloads);
+    if want_table1 || inv.json {
+        seq_workloads.extend(workloads);
     }
     seq_workloads.extend(&figure_workloads);
     let mut keys: Vec<RunKey> = Vec::new();
@@ -943,20 +637,20 @@ fn main() {
         counts
     };
     for &w in &figure_workloads {
-        let counts = if want_json {
+        let counts = if inv.json {
             json_procs.clone()
         } else {
             proc_series(max_procs)
         };
         for n in counts {
-            for &sys in &systems {
+            for &sys in systems {
                 keys.push(RunKey::new(w, sys, net, n));
             }
         }
     }
     if want_table2 {
-        for &w in &selected_workloads {
-            for &sys in &systems {
+        for &w in workloads {
+            for &sys in systems {
                 keys.push(RunKey::new(w, sys, net, max_procs));
             }
         }
@@ -964,39 +658,29 @@ fn main() {
 
     // lint:allow(wall-clock): times this machine's execution for the --bench-out report
     let started = std::time::Instant::now();
-    let matrix = run_matrix_islands(
-        preset,
-        &seq_workloads,
-        &keys,
-        jobs,
-        obs_level,
-        analysis_level,
-        &tuning,
-        islands,
-        island_threads,
-    );
+    let matrix = run_matrix_exec(preset, &seq_workloads, &keys, exec, tuning);
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    if want_json {
-        json_dump(&matrix, net, &json_procs, &systems, &selected_workloads);
+    if inv.json {
+        json_dump(&matrix, net, &json_procs, systems, workloads);
     } else {
         if want_table1 {
-            table1(&matrix, &selected_workloads);
+            table1(&matrix, workloads);
         }
         for &w in &figure_workloads {
-            figure(&matrix, w, net, max_procs, &systems);
+            figure(&matrix, w, net, max_procs, systems);
         }
         if want_table2 {
-            table2(&matrix, net, max_procs, &systems, &selected_workloads);
+            table2(&matrix, net, max_procs, systems, workloads);
         }
-        if want_metrics {
+        if inv.metrics {
             print!("\n{}", obs::metrics_report(&matrix));
         }
     }
 
-    if analysis_level.enabled() {
+    if exec.analysis.enabled() {
         let report = render_race_reports(&matrix);
-        if want_json {
+        if inv.json {
             // stdout is a pure JSON document (the per-run `races` fields are
             // already in it), so the readable report goes to stderr.
             eprint!("{report}");
@@ -1005,23 +689,19 @@ fn main() {
         }
     }
 
-    if let Some(path) = trace_out {
+    if let Some(path) = &inv.trace {
         let trace = obs::chrome_trace_json(&matrix);
         if let Err(err) = obs::validate_json(&trace) {
             fail(format!("internal error: exported trace is invalid: {err}"));
         }
-        if let Err(err) = std::fs::write(&path, &trace) {
+        if let Err(err) = std::fs::write(path, &trace) {
             fail(format!("cannot write {path}: {err}"));
         }
         eprintln!("trace written to {path} (open in https://ui.perfetto.dev)");
     }
 
-    if let Some(path) = bench_out {
-        let report = bench_report(&matrix, &tuning, jobs, islands, island_threads, wall_seconds);
-        if let Err(err) = std::fs::write(&path, &report) {
-            fail(format!("cannot write {path}: {err}"));
-        }
-        eprintln!("bench report written to {path}");
+    if let Some(path) = &inv.bench_out {
+        write_bench_report(path, &bench_report(&matrix, tuning, exec, wall_seconds));
     }
 
     // A racecheck run that found races fails the invocation — after every
@@ -1031,5 +711,20 @@ fn main() {
         .any(|(_, r)| r.race.as_ref().is_some_and(|rep| !rep.is_race_free()));
     if races_found {
         std::process::exit(1);
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let inv = cli::parse(&args).unwrap_or_else(|e| fail(e));
+    if inv.list {
+        list_catalogue(inv.json);
+        return;
+    }
+    let setup = resolve(&inv);
+    match inv.mode {
+        Mode::Reproduction => reproduction(&inv, setup),
+        Mode::Sweep => sweep_figures(&inv, setup),
+        Mode::Fuzz => fuzz_campaign(&inv, setup),
     }
 }

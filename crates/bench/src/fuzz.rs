@@ -21,7 +21,7 @@
 //! asserts.
 
 use crate::invariants::{self, RunVerdict};
-use crate::{exec, run_sequential, shrink, try_run_parallel_on, Preset, RunTuning};
+use crate::{exec, shrink, Exec, Preset, RunTuning};
 use apps::runner::{SeqRun, System};
 use apps::Workload;
 use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, NetModel, Scenario};
@@ -47,17 +47,14 @@ pub struct FuzzSpec {
     pub plan: FaultPlan,
     /// Stop after the first seed whose batch produced a finding.
     pub until_failure: bool,
-    /// Worker threads for the per-seed fan (the report is identical for
-    /// every value).
-    pub jobs: usize,
-    /// Scheduler island width of every run (the report is identical for
-    /// every value: faults draw from per-link PRNG streams, so island order
-    /// never leaks into draws).
-    pub islands: usize,
-    /// Island worker threads inside each horizon window (the report is
-    /// identical for every value: the staging-buffer merge fixes delivery
-    /// order before any thread interleaving can reach a simulated byte).
-    pub island_threads: usize,
+    /// Worker threads for the per-seed fan and the island width and thread
+    /// count of every run.  The report is identical for every value: faults
+    /// draw from per-link PRNG streams, so island order never leaks into
+    /// draws, and the staging-buffer merge fixes delivery order before any
+    /// thread interleaving can reach a simulated byte.  The observability
+    /// and analysis levels are the campaign's own: every run is
+    /// race-checked and none records.
+    pub exec: Exec,
 }
 
 /// One invariant failure the fuzzer found, shrunk and ready to replay.
@@ -115,22 +112,17 @@ fn system_name(sys: System) -> &'static str {
     }
 }
 
-fn preset_name(p: Preset) -> &'static str {
-    match p {
-        Preset::Tiny => "tiny",
-        Preset::Scaled => "scaled",
-        Preset::Paper => "paper",
-    }
-}
-
 /// The cluster configuration of one fuzz point: the spec's interconnect at
 /// its processor count, racecheck enabled (the race detector is one of the
 /// invariants and never perturbs simulated output), and the tuning applied.
-fn point_config(spec: &FuzzSpec, tuning: &RunTuning) -> ClusterConfig {
+pub fn point_config(spec: &FuzzSpec, tuning: &RunTuning) -> ClusterConfig {
     let mut cfg = spec.net.config(spec.nprocs);
-    cfg.analysis = AnalysisLevel::Race;
-    cfg.islands = spec.islands;
-    cfg.island_threads = spec.island_threads;
+    Exec {
+        obs: cluster::ObsLevel::Off,
+        analysis: AnalysisLevel::Race,
+        ..spec.exec
+    }
+    .apply(&mut cfg);
     tuning.apply(&mut cfg);
     cfg
 }
@@ -151,7 +143,7 @@ fn reproducer(spec: &FuzzSpec, w: Workload, systems: &[System], tuning: &RunTuni
         ),
         net: spec.net.preset,
         procs: Some(spec.nprocs),
-        preset: Some(preset_name(spec.preset).to_string()),
+        preset: Some(spec.preset.name().to_string()),
         workloads: vec![w.name().to_string()],
         systems: systems
             .iter()
@@ -185,7 +177,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
     let seqs: Vec<(Workload, SeqRun)> = spec
         .workloads
         .iter()
-        .map(|&w| (w, run_sequential(w, spec.preset)))
+        .map(|&w| (w, w.sequential(spec.preset)))
         .collect();
     let seq_of = |w: Workload| &seqs.iter().find(|(k, _)| *k == w).unwrap().1;
     let points: Vec<(Workload, System)> = spec
@@ -203,7 +195,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
         points.len(),
         spec.workloads.len(),
         spec.systems.len(),
-        preset_name(spec.preset),
+        spec.preset.name(),
         spec.net.label(),
         spec.nprocs,
         if spec.plan.is_empty() && spec.plan.seed == 0 {
@@ -224,13 +216,13 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
                 let seq = seq_of(w);
                 move || {
                     let cfg = point_config(spec, &tuning);
-                    let result = try_run_parallel_on(w, sys, &cfg, spec.preset);
+                    let result = w.run(spec.preset, sys, &cfg);
                     let checksum = result.as_ref().ok().map(|r| r.checksum);
                     (invariants::verdict(result, seq), checksum)
                 }
             })
             .collect();
-        let outcomes = exec::run_ordered(spec.jobs, tasks);
+        let outcomes = exec::run_ordered(spec.exec.jobs, tasks);
 
         // Per-point verdicts, then the per-workload cross-backend check
         // over whichever DSM backends completed this seed.
@@ -318,18 +310,14 @@ fn shrink_finding(
             let completed: Vec<(System, f64)> = spec
                 .systems
                 .iter()
-                .filter_map(|&s| {
-                    try_run_parallel_on(w, s, &cfg, spec.preset)
-                        .ok()
-                        .map(|r| (s, r.checksum))
-                })
+                .filter_map(|&s| w.run(spec.preset, s, &cfg).ok().map(|r| (s, r.checksum)))
                 .collect();
             invariants::cross_backend_equality(&completed).is_failure()
         })
     } else {
         shrink::shrink(tuning, |t| {
             let cfg = point_config(spec, t);
-            invariants::verdict(try_run_parallel_on(w, sys, &cfg, spec.preset), seq).kind() == kind
+            invariants::verdict(w.run(spec.preset, sys, &cfg), seq).kind() == kind
         })
     };
     let systems: Vec<System> = if cross_backend {
@@ -364,9 +352,7 @@ mod tests {
             seeds,
             plan,
             until_failure: false,
-            jobs: 2,
-            islands: 1,
-            island_threads: 1,
+            exec: Exec::with_jobs(2),
         }
     }
 
@@ -410,8 +396,8 @@ mod tests {
             FaultPlan::lossy(5),
         );
         let mut wide = narrow.clone();
-        narrow.jobs = 1;
-        wide.jobs = 4;
+        narrow.exec.jobs = 1;
+        wide.exec.jobs = 4;
         assert_eq!(run_fuzz(&narrow).report, run_fuzz(&wide).report);
     }
 

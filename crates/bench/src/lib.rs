@@ -16,6 +16,7 @@
 
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod exec;
 pub mod fuzz;
 pub mod invariants;
@@ -24,54 +25,51 @@ pub mod scenario;
 pub mod shrink;
 pub mod sweep;
 
-use apps::runner::{AppRun, SeqRun, System};
-use apps::{barnes, ep, fft3d, ilink, is, qsort, sor, tsp, water, Workload};
-use cluster::{
-    AnalysisLevel, ClusterConfig, FaultPlan, NetModel, NetPreset, ObsLevel, RunFailure, SpanCat,
-};
+pub use apps::Preset;
 
-/// Problem-size preset used by the harness.
+use apps::runner::{AppRun, SeqRun, System};
+use apps::Workload;
+use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, NetModel, NetPreset, ObsLevel, SpanCat};
+
+/// How a matrix, sweep or fuzz campaign is *executed*: the worker-pool
+/// width plus the per-run execution settings that ride on
+/// [`ClusterConfig`].  None of it is part of a run's identity — every value
+/// produces bit-identical simulated output — so none of it reaches
+/// [`RunKey`], `--json` or `--trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preset {
-    /// Tiny inputs used by tests of the harness itself.
-    Tiny,
-    /// Scaled-down inputs (default): the whole suite runs in minutes.
-    Scaled,
-    /// Paper-scale inputs.
-    Paper,
+pub struct Exec {
+    /// Worker threads the independent runs fan out over.
+    pub jobs: usize,
+    /// Scheduler island width of every run.
+    pub islands: usize,
+    /// Island worker threads inside each horizon window.
+    pub island_threads: usize,
+    /// Observability level of every run.
+    pub obs: ObsLevel,
+    /// Analysis level of every run.
+    pub analysis: AnalysisLevel,
 }
 
-impl std::str::FromStr for Preset {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "tiny" => Ok(Preset::Tiny),
-            "scaled" => Ok(Preset::Scaled),
-            "paper" | "full" => Ok(Preset::Paper),
-            other => Err(format!(
-                "unknown preset '{other}'; known presets: tiny, scaled, paper"
-            )),
+impl Exec {
+    /// `jobs` workers, everything else at the engine's defaults: the flat
+    /// serial engine with recording and analysis off.
+    pub fn with_jobs(jobs: usize) -> Self {
+        Exec {
+            jobs,
+            islands: 1,
+            island_threads: 1,
+            obs: ObsLevel::Off,
+            analysis: AnalysisLevel::Off,
         }
     }
-}
 
-macro_rules! dispatch {
-    ($mod:ident, $params:expr, $sys:expr, $cfg:expr) => {
-        match $sys {
-            System::TreadMarks(protocol) => $mod::treadmarks_on($cfg, &$params, protocol),
-            System::Pvm => $mod::pvm_on($cfg, &$params),
-        }
-    };
-}
-
-macro_rules! try_dispatch {
-    ($mod:ident, $params:expr, $sys:expr, $cfg:expr) => {
-        match $sys {
-            System::TreadMarks(protocol) => $mod::try_treadmarks_on($cfg, &$params, protocol),
-            System::Pvm => $mod::try_pvm_on($cfg, &$params),
-        }
-    };
+    /// Stamp the per-run settings onto a cluster configuration.
+    pub fn apply(&self, cfg: &mut ClusterConfig) {
+        cfg.islands = self.islands;
+        cfg.island_threads = self.island_threads;
+        cfg.obs = self.obs;
+        cfg.analysis = self.analysis;
+    }
 }
 
 /// The schedule-exploration and fault-injection knobs of a run, all riding
@@ -104,74 +102,22 @@ impl RunTuning {
     }
 }
 
-/// Run the sequential reference for a workload under a preset.
+/// The sequential reference of a workload under a preset:
+/// [`Workload::sequential`], under the name the benchmark probes call.
 pub fn run_sequential(w: Workload, preset: Preset) -> SeqRun {
-    match w {
-        Workload::Ep => ep::sequential(&ep_params(preset)),
-        Workload::SorZero => sor::sequential(&sor_params(preset, true)),
-        Workload::SorNonzero => sor::sequential(&sor_params(preset, false)),
-        Workload::IsSmall => is::sequential(&is_params(preset, false)),
-        Workload::IsLarge => is::sequential(&is_params(preset, true)),
-        Workload::Tsp => tsp::sequential(&tsp_params(preset)),
-        Workload::Qsort => qsort::sequential(&qsort_params(preset)),
-        Workload::Water288 => water::sequential(&water_params(preset, false)),
-        Workload::Water1728 => water::sequential(&water_params(preset, true)),
-        Workload::BarnesHut => barnes::sequential(&barnes_params(preset)),
-        Workload::Fft3d => fft3d::sequential(&fft_params(preset)),
-        Workload::Ilink => ilink::sequential(&ilink_params(preset)),
-    }
+    w.sequential(preset)
 }
 
-/// Run a workload on `nprocs` processes under one of the two systems, on
-/// the paper's calibrated FDDI testbed.  See [`run_parallel_on`] for other
-/// interconnects.
-pub fn run_parallel(w: Workload, sys: System, nprocs: usize, preset: Preset) -> AppRun {
-    run_parallel_on(w, sys, &ClusterConfig::calibrated_fddi(nprocs), preset)
-}
-
-/// Run a workload under one of the two systems on an arbitrary cluster
-/// model (`cfg.nprocs` processes over `cfg`'s interconnect).
+/// Run a workload under a system on an arbitrary cluster model
+/// (`cfg.nprocs` processes over `cfg`'s interconnect): [`Workload::run`]
+/// for callers that have no use for a failed run.
+///
+/// # Panics
+///
+/// Panics on any structured [`cluster::RunFailure`] — a virtual-time
+/// deadlock or livelock, or a fault-plan crash.
 pub fn run_parallel_on(w: Workload, sys: System, cfg: &ClusterConfig, preset: Preset) -> AppRun {
-    match w {
-        Workload::Ep => dispatch!(ep, ep_params(preset), sys, cfg),
-        Workload::SorZero => dispatch!(sor, sor_params(preset, true), sys, cfg),
-        Workload::SorNonzero => dispatch!(sor, sor_params(preset, false), sys, cfg),
-        Workload::IsSmall => dispatch!(is, is_params(preset, false), sys, cfg),
-        Workload::IsLarge => dispatch!(is, is_params(preset, true), sys, cfg),
-        Workload::Tsp => dispatch!(tsp, tsp_params(preset), sys, cfg),
-        Workload::Qsort => dispatch!(qsort, qsort_params(preset), sys, cfg),
-        Workload::Water288 => dispatch!(water, water_params(preset, false), sys, cfg),
-        Workload::Water1728 => dispatch!(water, water_params(preset, true), sys, cfg),
-        Workload::BarnesHut => dispatch!(barnes, barnes_params(preset), sys, cfg),
-        Workload::Fft3d => dispatch!(fft3d, fft_params(preset), sys, cfg),
-        Workload::Ilink => dispatch!(ilink, ilink_params(preset), sys, cfg),
-    }
-}
-
-/// As [`run_parallel_on`], but a structured [`RunFailure`] — a virtual-time
-/// deadlock or livelock, or a fault-plan crash — comes back as an `Err`
-/// instead of a panic, so the fuzzing harness can classify it as a finding
-/// and keep going.
-pub fn try_run_parallel_on(
-    w: Workload,
-    sys: System,
-    cfg: &ClusterConfig,
-    preset: Preset,
-) -> Result<AppRun, RunFailure> {
-    match w {
-        Workload::Ep => try_dispatch!(ep, ep_params(preset), sys, cfg),
-        Workload::SorZero => try_dispatch!(sor, sor_params(preset, true), sys, cfg),
-        Workload::SorNonzero => try_dispatch!(sor, sor_params(preset, false), sys, cfg),
-        Workload::IsSmall => try_dispatch!(is, is_params(preset, false), sys, cfg),
-        Workload::IsLarge => try_dispatch!(is, is_params(preset, true), sys, cfg),
-        Workload::Tsp => try_dispatch!(tsp, tsp_params(preset), sys, cfg),
-        Workload::Qsort => try_dispatch!(qsort, qsort_params(preset), sys, cfg),
-        Workload::Water288 => try_dispatch!(water, water_params(preset, false), sys, cfg),
-        Workload::Water1728 => try_dispatch!(water, water_params(preset, true), sys, cfg),
-        Workload::BarnesHut => try_dispatch!(barnes, barnes_params(preset), sys, cfg),
-        Workload::Fft3d => try_dispatch!(fft3d, fft_params(preset), sys, cfg),
-        Workload::Ilink => try_dispatch!(ilink, ilink_params(preset), sys, cfg),
-    }
+    w.run(preset, sys, cfg).unwrap_or_else(|f| panic!("{f}"))
 }
 
 /// One entry of a reproduction matrix: a workload under a system, on an
@@ -340,10 +286,7 @@ pub fn run_matrix(
 
 /// [`run_matrix`] with an observability level applied to every parallel run
 /// in the matrix (sequential baselines are plain closed-form models and
-/// record nothing).  The level reaches the simulations through
-/// [`ClusterConfig::obs`] — it is *not* part of the [`RunKey`], so matrices
-/// computed at different levels are keyed (and rendered) identically, and
-/// the recorded output rides along on [`AppRun::obs`].
+/// record nothing); the recorded output rides along on [`AppRun::obs`].
 pub fn run_matrix_obs(
     preset: Preset,
     seq_workloads: &[Workload],
@@ -351,73 +294,29 @@ pub fn run_matrix_obs(
     jobs: usize,
     obs: ObsLevel,
 ) -> RunMatrix {
-    run_matrix_full(preset, seq_workloads, keys, jobs, obs, AnalysisLevel::Off)
-}
-
-/// [`run_matrix_obs`] with an analysis level on top: like the observability
-/// level it reaches the simulations through the configuration
-/// ([`ClusterConfig::analysis`]), is *not* part of the [`RunKey`], and never
-/// perturbs the simulated output — a matrix computed under
-/// [`AnalysisLevel::Race`] carries a [`apps::runner::AppRun::race`] report
-/// per DSM run and is otherwise bit-identical to one computed at
-/// [`AnalysisLevel::Off`].
-pub fn run_matrix_full(
-    preset: Preset,
-    seq_workloads: &[Workload],
-    keys: &[RunKey],
-    jobs: usize,
-    obs: ObsLevel,
-    analysis: AnalysisLevel,
-) -> RunMatrix {
-    run_matrix_tuned(
-        preset,
-        seq_workloads,
-        keys,
-        jobs,
+    let exec = Exec {
         obs,
-        analysis,
-        &RunTuning::default(),
-    )
+        ..Exec::with_jobs(jobs)
+    };
+    run_matrix_exec(preset, seq_workloads, keys, &exec, &RunTuning::default())
 }
 
-/// [`run_matrix_full`] with a [`RunTuning`] applied to every parallel run:
-/// the schedule seed, tie-break cap and fault plan reach the simulations
-/// through the configuration, exactly like the observability and analysis
-/// levels — not part of the [`RunKey`], and a no-op at the default tuning.
-/// Crash plans panic the matrix (a crashed run has no complete result to
-/// store); the fuzzer fans crash plans through [`try_run_parallel_on`]
-/// instead.
-pub fn run_matrix_tuned(
+/// The matrix computation behind [`run_matrix`]: every execution setting
+/// in `exec` and the schedule seed, tie-break cap and fault plan in
+/// `tuning` are stamped onto each parallel run's configuration.  Neither is
+/// part of the [`RunKey`]: a matrix computed under
+/// [`AnalysisLevel::Race`] carries an [`AppRun::race`] report per DSM run
+/// and is otherwise bit-identical, every island width and thread count
+/// renders byte-identically (asserted against the serial reference executor
+/// under `oracle-checks`), and the default tuning is a no-op.  Crash plans
+/// panic the matrix (a crashed run has no complete result to store); the
+/// fuzzer fans crash plans through [`Workload::run`] instead.
+pub fn run_matrix_exec(
     preset: Preset,
     seq_workloads: &[Workload],
     keys: &[RunKey],
-    jobs: usize,
-    obs: ObsLevel,
-    analysis: AnalysisLevel,
+    exec: &Exec,
     tuning: &RunTuning,
-) -> RunMatrix {
-    run_matrix_islands(preset, seq_workloads, keys, jobs, obs, analysis, tuning, 1, 1)
-}
-
-/// [`run_matrix_tuned`] with a scheduler island width and an island thread
-/// count applied to every parallel run.  Like the observability, analysis
-/// and tuning knobs both reach the simulations through the configuration
-/// ([`ClusterConfig::islands`] / [`ClusterConfig::island_threads`]) and are
-/// *not* part of the [`RunKey`]: every width and thread count produces
-/// bit-identical runs (asserted against the serial reference executor under
-/// `oracle-checks`), so matrices computed at different widths render
-/// byte-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_matrix_islands(
-    preset: Preset,
-    seq_workloads: &[Workload],
-    keys: &[RunKey],
-    jobs: usize,
-    obs: ObsLevel,
-    analysis: AnalysisLevel,
-    tuning: &RunTuning,
-    islands: usize,
-    island_threads: usize,
 ) -> RunMatrix {
     let mut seq_keys: Vec<Workload> = Vec::new();
     for &w in seq_workloads {
@@ -448,15 +347,11 @@ pub fn run_matrix_islands(
     let closures: Vec<_> = tasks
         .into_iter()
         .map(|t| {
-            let tuning = tuning.clone();
             move || match t {
-                Task::Seq(w) => Done::Seq(w, run_sequential(w, preset)),
+                Task::Seq(w) => Done::Seq(w, w.sequential(preset)),
                 Task::Run(key) => {
                     let mut cfg = key.config();
-                    cfg.obs = obs;
-                    cfg.analysis = analysis;
-                    cfg.islands = islands;
-                    cfg.island_threads = island_threads;
+                    exec.apply(&mut cfg);
                     tuning.apply(&mut cfg);
                     Done::Run(
                         key,
@@ -471,7 +366,7 @@ pub fn run_matrix_islands(
         seq: Vec::with_capacity(seq_keys.len()),
         runs: Vec::with_capacity(run_keys.len()),
     };
-    for done in exec::run_ordered(jobs, closures) {
+    for done in crate::exec::run_ordered(exec.jobs, closures) {
         match done {
             Done::Seq(w, s) => matrix.seq.push((w, s)),
             Done::Run(k, r) => matrix.runs.push((k, *r)),
@@ -600,182 +495,9 @@ pub fn run_record_json(key: &RunKey, run: &AppRun) -> String {
     rec
 }
 
-/// Problem-size description printed in the Table 1 reproduction.
-pub fn problem_size(w: Workload, preset: Preset) -> String {
-    match w {
-        Workload::Ep => format!("2^{} pairs", ep_params(preset).pairs.trailing_zeros()),
-        Workload::SorZero | Workload::SorNonzero => {
-            let p = sor_params(preset, true);
-            format!("{}x{} floats, {} iters", p.rows, p.cols, p.iters)
-        }
-        Workload::IsSmall | Workload::IsLarge => {
-            let p = is_params(preset, matches!(w, Workload::IsLarge));
-            format!(
-                "N=2^{}, Bmax=2^{}, {} iters",
-                p.keys.trailing_zeros(),
-                p.buckets.trailing_zeros(),
-                p.iters
-            )
-        }
-        Workload::Tsp => {
-            let p = tsp_params(preset);
-            format!("{} cities, threshold {}", p.cities, p.threshold)
-        }
-        Workload::Qsort => {
-            let p = qsort_params(preset);
-            format!("{}K integers", p.elems / 1024)
-        }
-        Workload::Water288 | Workload::Water1728 => {
-            let p = water_params(preset, matches!(w, Workload::Water1728));
-            format!("{} molecules, {} steps", p.molecules, p.steps)
-        }
-        Workload::BarnesHut => {
-            let p = barnes_params(preset);
-            format!("{} bodies, {} steps", p.bodies, p.steps)
-        }
-        Workload::Fft3d => {
-            let p = fft_params(preset);
-            format!("{}x{}x{}, {} iters", p.n1, p.n2, p.n3, p.iters)
-        }
-        Workload::Ilink => {
-            let p = ilink_params(preset);
-            format!("{} families, genarray {}", p.families, p.genarray)
-        }
-    }
-}
-
-fn ep_params(p: Preset) -> ep::EpParams {
-    match p {
-        Preset::Tiny => ep::EpParams::tiny(),
-        Preset::Scaled => ep::EpParams::scaled(),
-        Preset::Paper => ep::EpParams::paper(),
-    }
-}
-
-fn sor_params(p: Preset, zero: bool) -> sor::SorParams {
-    match (p, zero) {
-        (Preset::Tiny, z) => sor::SorParams::tiny(z),
-        (Preset::Scaled, true) => sor::SorParams::scaled_zero(),
-        (Preset::Scaled, false) => sor::SorParams::scaled_nonzero(),
-        (Preset::Paper, true) => sor::SorParams::paper_zero(),
-        (Preset::Paper, false) => sor::SorParams::paper_nonzero(),
-    }
-}
-
-fn is_params(p: Preset, large: bool) -> is::IsParams {
-    match (p, large) {
-        (Preset::Tiny, _) => is::IsParams::tiny(),
-        (Preset::Scaled, false) => is::IsParams::scaled_small(),
-        (Preset::Scaled, true) => is::IsParams::scaled_large(),
-        (Preset::Paper, false) => is::IsParams::paper_small(),
-        (Preset::Paper, true) => is::IsParams::paper_large(),
-    }
-}
-
-fn tsp_params(p: Preset) -> tsp::TspParams {
-    match p {
-        Preset::Tiny => tsp::TspParams::tiny(),
-        Preset::Scaled => tsp::TspParams::scaled(),
-        Preset::Paper => tsp::TspParams::paper(),
-    }
-}
-
-fn qsort_params(p: Preset) -> qsort::QsortParams {
-    match p {
-        Preset::Tiny => qsort::QsortParams::tiny(),
-        Preset::Scaled => qsort::QsortParams::scaled(),
-        Preset::Paper => qsort::QsortParams::paper(),
-    }
-}
-
-fn water_params(p: Preset, large: bool) -> water::WaterParams {
-    match (p, large) {
-        (Preset::Tiny, _) => water::WaterParams::tiny(),
-        (Preset::Scaled, false) => water::WaterParams::scaled_288(),
-        (Preset::Scaled, true) => water::WaterParams::scaled_1728(),
-        (Preset::Paper, false) => water::WaterParams::paper_288(),
-        (Preset::Paper, true) => water::WaterParams::paper_1728(),
-    }
-}
-
-fn barnes_params(p: Preset) -> barnes::BarnesParams {
-    match p {
-        Preset::Tiny => barnes::BarnesParams::tiny(),
-        Preset::Scaled => barnes::BarnesParams::scaled(),
-        Preset::Paper => barnes::BarnesParams::paper(),
-    }
-}
-
-fn fft_params(p: Preset) -> fft3d::FftParams {
-    match p {
-        Preset::Tiny => fft3d::FftParams::tiny(),
-        Preset::Scaled => fft3d::FftParams::scaled(),
-        Preset::Paper => fft3d::FftParams::paper(),
-    }
-}
-
-fn ilink_params(p: Preset) -> ilink::IlinkParams {
-    match p {
-        Preset::Tiny => ilink::IlinkParams::tiny(),
-        Preset::Scaled => ilink::IlinkParams::scaled(),
-        Preset::Paper => ilink::IlinkParams::paper(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_workload_has_a_sequential_runner() {
-        for w in Workload::all() {
-            let s = run_sequential(w, Preset::Tiny);
-            assert!(s.time > 0.0, "{} has zero sequential time", w.name());
-        }
-    }
-
-    #[test]
-    fn every_workload_runs_under_every_system() {
-        for w in Workload::all() {
-            for sys in System::all() {
-                let r = run_parallel(w, sys, 2, Preset::Tiny);
-                assert!(r.time > 0.0, "{} failed under {}", w.name(), sys);
-            }
-        }
-    }
-
-    /// The `Preset::Tiny` smoke test of the reproduce harness: all
-    /// applications at 2 processes under both DSM protocol backends report
-    /// finite speedups and nonzero message counts.
-    #[test]
-    fn tiny_preset_smokes_all_apps_under_both_protocols() {
-        use treadmarks::ProtocolKind;
-        for w in Workload::all() {
-            let seq = run_sequential(w, Preset::Tiny);
-            assert!(seq.time > 0.0, "{}: no sequential baseline", w.name());
-            for protocol in ProtocolKind::all() {
-                let run = run_parallel(w, System::TreadMarks(protocol), 2, Preset::Tiny);
-                let speedup = run.speedup(seq.time);
-                assert!(
-                    speedup.is_finite() && speedup > 0.0,
-                    "{} under {protocol}: speedup {speedup} not finite",
-                    w.name()
-                );
-                assert!(
-                    run.messages > 0,
-                    "{} under {protocol}: no messages at 2 processes",
-                    w.name()
-                );
-                assert!(
-                    (run.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
-                    "{} under {protocol}: checksum {} vs sequential {}",
-                    w.name(),
-                    run.checksum,
-                    seq.checksum
-                );
-            }
-        }
-    }
 
     /// The tentpole guarantee of the parallel executor: a matrix computed on
     /// a worker pool is bit-identical — every virtual time, checksum and
@@ -844,17 +566,18 @@ mod tests {
                     .map(move |sys| RunKey::fddi(w, sys, 4))
             })
             .collect();
-        let matrix_at = |islands: usize, threads: usize| {
-            run_matrix_islands(
+        let matrix_at = |islands: usize, island_threads: usize| {
+            let exec = Exec {
+                islands,
+                island_threads,
+                ..Exec::with_jobs(2)
+            };
+            run_matrix_exec(
                 Preset::Tiny,
                 &workloads,
                 &keys,
-                2,
-                ObsLevel::Off,
-                AnalysisLevel::Off,
+                &exec,
                 &RunTuning::default(),
-                islands,
-                threads,
             )
         };
         let flat = matrix_at(1, 1);
@@ -918,12 +641,5 @@ mod tests {
         assert_eq!(proc_series(16), vec![1, 2, 3, 4, 5, 6, 7, 8, 16]);
         assert_eq!(proc_series(32), vec![1, 2, 3, 4, 5, 6, 7, 8, 16, 32]);
         assert_eq!(proc_series(24), vec![1, 2, 3, 4, 5, 6, 7, 8, 16, 24]);
-    }
-
-    #[test]
-    fn problem_sizes_are_described() {
-        for w in Workload::all() {
-            assert!(!problem_size(w, Preset::Scaled).is_empty());
-        }
     }
 }

@@ -1,0 +1,193 @@
+//! The `reproduce` binary from outside: stdout of six representative
+//! invocations pinned by FNV-1a 64 (recorded at the commit before the
+//! runner family was collapsed into `apps::run`, so any drift in a rendered
+//! byte fails here), and the command-line rejections and notices that must
+//! reach stderr without running anything.
+
+use std::process::{Command, Output};
+
+fn reproduce(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .output()
+        .expect("the reproduce binary runs")
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn assert_stdout_hash(args: &[&str], want: u64) {
+    let out = reproduce(args);
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    assert_eq!(
+        fnv1a64(&out.stdout),
+        want,
+        "{args:?}: stdout drifted from the pinned bytes"
+    );
+}
+
+#[test]
+fn the_tiny_reproduction_renders_the_pinned_bytes() {
+    assert_stdout_hash(&["--tiny", "--jobs", "2"], 0xf9c4_8187_a993_9bfe);
+}
+
+#[test]
+fn the_tiny_json_dump_renders_the_pinned_bytes() {
+    assert_stdout_hash(&["--tiny", "--json"], 0xce4e_e950_2775_f575);
+}
+
+#[test]
+fn the_catalogue_renders_the_pinned_bytes() {
+    assert_stdout_hash(&["--list"], 0x6772_cbfa_1eed_6759);
+    assert_stdout_hash(&["--list", "--json"], 0x3a06_cf98_b2f6_0cb3);
+}
+
+#[test]
+fn a_procs_sweep_renders_the_pinned_bytes() {
+    assert_stdout_hash(
+        &["sweep", "--vary", "procs", "--tiny", "--workload", "EP"],
+        0xc20d_a129_8ace_9a06,
+    );
+}
+
+#[test]
+fn a_lossy_fuzz_campaign_renders_the_pinned_bytes() {
+    assert_stdout_hash(
+        &[
+            "fuzz",
+            "--seeds",
+            "2",
+            "--faults",
+            "lossy",
+            "--workload",
+            "EP",
+        ],
+        0x9495_c53f_58e1_f534,
+    );
+}
+
+/// `--trace` and the `deterministic` section of `--bench-out` on a slice
+/// small enough to export in a debug build.
+#[test]
+fn the_trace_and_the_deterministic_report_section_are_the_pinned_bytes() {
+    let dir = std::env::temp_dir().join(format!("reproduce-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, report) = (dir.join("trace.json"), dir.join("bench.json"));
+    let out = reproduce(&[
+        "--tiny",
+        "--table2",
+        "--workload",
+        "EP",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--bench-out",
+        report.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(fnv1a64(&out.stdout), 0x884b_32e1_b85a_ccd2);
+    assert_eq!(
+        fnv1a64(&std::fs::read(&trace).unwrap()),
+        0x2f1c_aedd_560b_0486
+    );
+    let report = std::fs::read_to_string(&report).unwrap();
+    let deterministic = &report[..report.find("  \"timing\"").unwrap()];
+    assert_eq!(
+        deterministic,
+        "{\n  \"preset\": \"Tiny\",\n  \"deterministic\": {\n    \"runs\": 4,\n    \
+         \"total_messages\": 384,\n    \"total_virtual_seconds\": 0.13761199952380926,\n    \
+         \"total_virtual_seconds_bits\": \"3fc19d451ebef782\",\n    \
+         \"checksum_bits_xor\": \"0000000000000000\"\n  },\n"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A rejected command line: exit 1, nothing on stdout, one stderr line that
+/// names `needle` and lists the flags the mode does take.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = reproduce(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    assert!(out.stdout.is_empty(), "{args:?} still printed a report");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(stderr.contains("--island-threads N"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn a_mistyped_flag_runs_nothing() {
+    assert_rejected(&["--tiny", "--tabel2"], "'--tabel2'");
+}
+
+#[test]
+fn a_repeated_flag_runs_nothing() {
+    assert_rejected(
+        &["--procs", "2", "--procs", "4"],
+        "--procs given more than once",
+    );
+}
+
+#[test]
+fn contradictory_presets_run_nothing() {
+    assert_rejected(&["--tiny", "--full"], "--tiny and --full");
+}
+
+#[test]
+fn a_flag_in_value_position_runs_nothing_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("reproduce-cli-value-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--tiny", "--workload", "EP", "--bench-out", "--json"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty());
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("--bench-out requires a value"));
+    assert!(
+        !dir.join("--json").exists(),
+        "wrote a report named `--json`"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_both_alias_and_the_json_carrier_are_named_errors() {
+    assert_rejected(&["--tiny", "--protocol", "both"], "'both'");
+    let out = reproduce(&["--scenario", "examples/scenarios/ideal_32procs.json"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("ideal_32procs.json") && stderr.contains("TOML"),
+        "{stderr}"
+    );
+}
+
+/// Island threads the engine will not use are reported once, on stderr
+/// only; island threads it does use are not mentioned at all.
+#[test]
+fn unhonoured_island_threads_say_so_on_stderr_only() {
+    let campaign = ["fuzz", "--seeds", "2", "--workload", "EP", "--tiny"];
+    let plain = reproduce(&campaign);
+    let threaded =
+        reproduce(&[&campaign[..], &["--islands", "4", "--island-threads", "4"]].concat());
+    assert!(plain.status.success() && threaded.status.success());
+    assert_eq!(plain.stdout, threaded.stdout);
+    assert!(plain.stderr.is_empty(), "{plain:?}");
+    let stderr = String::from_utf8(threaded.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("--island-threads 4 is not honoured") && stderr.contains("race analysis"),
+        "{stderr}"
+    );
+
+    let slice = ["--tiny", "--table2", "--workload", "EP", "--procs", "4"];
+    let honoured = reproduce(&[&slice[..], &["--islands", "2", "--island-threads", "2"]].concat());
+    assert!(honoured.status.success());
+    assert!(honoured.stderr.is_empty(), "{honoured:?}");
+    assert_eq!(honoured.stdout, reproduce(&slice).stdout);
+}

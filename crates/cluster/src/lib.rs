@@ -59,7 +59,7 @@ pub mod scenario;
 pub(crate) mod sched;
 pub mod stats;
 pub mod time;
-pub(crate) mod window;
+pub mod window;
 
 pub use analysis::AnalysisLevel;
 pub use config::{ClusterConfig, NetModel, NetPreset, Overrides};
@@ -71,7 +71,8 @@ pub use scenario::Scenario;
 pub use stats::{ClusterReport, ProcStats};
 pub use time::VirtualClock;
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 /// A simulated cluster of workstations.
 ///
@@ -106,6 +107,9 @@ fn quiet_teardown_hook() {
         }));
     });
 }
+
+/// Clusters running in this process right now (see [`Cluster::try_run`]).
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
 
 impl Cluster {
     /// Run `f` on `cfg.nprocs` simulated processes and collect the results.
@@ -154,6 +158,15 @@ impl Cluster {
         quiet_teardown_hook();
         let core = Arc::new(net::NetworkCore::new(cfg.clone()));
         let f = &f;
+        // Rank 0 — most often a run's largest process: it initialises, it is
+        // the master — starts first (its first allocation binds it to an arena)
+        // and leaves last.  The host allocator hands a new thread the arena the
+        // last exited thread gave back, so rank 0 keeps one arena run after run
+        // and a batch reuses its memory instead of now and then keeping a
+        // second footprint (docs/ARCHITECTURE.md).  Only while no other cluster
+        // runs in the process: beside one, waiting just loses it the arena.
+        let alone = RUNNING.fetch_add(1, Ordering::Relaxed) == 0;
+        let gate = &Barrier::new(2);
         let results: Result<Vec<(R, ProcStats, Option<obs::ProcObs>)>, RunFailure> =
             // lint:allow(threads): the cluster's own per-process OS threads —
             // the arbiter (and, threaded, the window coordinator) serialises
@@ -162,7 +175,12 @@ impl Cluster {
                 let mut handles = Vec::with_capacity(cfg.nprocs);
                 for id in 0..cfg.nprocs {
                     let core = Arc::clone(&core);
+                    let hold = alone && id == 0;
                     handles.push(s.spawn(move || {
+                        if hold {
+                            drop(std::hint::black_box(Box::new(id)));
+                            gate.wait();
+                        }
                         let mut proc = Proc::new(id, Arc::clone(&core));
                         // A panicking process aborts the whole cluster: peers
                         // blocked on messages it will never send fail fast
@@ -173,27 +191,34 @@ impl Cluster {
                         // tore itself down via `core.crash`, and its peers
                         // must run on — the crash kills one process, not the
                         // cluster.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             let r = f(&proc);
                             let po = proc.take_obs();
                             let stats = proc.into_stats();
                             (r, stats, po)
-                        })) {
-                            Ok(tuple) => tuple,
-                            Err(payload) => {
-                                if payload.downcast_ref::<net::CrashPayload>().is_none() {
-                                    core.abort(id);
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
+                        }));
+                        if outcome.as_ref().is_err_and(|p| !p.is::<net::CrashPayload>()) {
+                            core.abort(id);
                         }
+                        if hold {
+                            gate.wait();
+                        }
+                        outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
                     }));
+                    if hold {
+                        gate.wait();
+                    }
                 }
                 // Join every thread before propagating a failure, and prefer
                 // the *originating* panic over the typed `PeerAbort` panics of
                 // the peers it took down, so the surfaced message is the root
                 // cause (deterministically the lowest-rank originator).
-                let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+                let mut joined: Vec<_> = handles.drain(1..).map(|h| h.join()).collect();
+                if alone {
+                    gate.wait();
+                }
+                joined.insert(0, handles.remove(0).join());
+                RUNNING.fetch_sub(1, Ordering::Relaxed);
                 let mut out = Vec::with_capacity(joined.len());
                 let mut originator = None;
                 let mut victim = None;

@@ -202,7 +202,7 @@ struct SimState {
 /// Facade over two engines: the serial reference engine (this module — one
 /// lock, one grant at a time) and the threaded windowed engine
 /// (`crate::window`), selected at construction when the configuration is
-/// [eligible](crate::window::eligible) and `cfg.island_threads >= 2`.  Both
+/// [eligible](crate::window::verdict) and `cfg.island_threads >= 2`.  Both
 /// produce bit-identical output; the serial engine remains the semantics of
 /// record and the `oracle-checks` reference executor.
 pub struct NetworkCore {

@@ -4,11 +4,11 @@
 //! overrides on top of it, a processor count, and — opaquely to this crate
 //! — the benchmark preset, workload subset and system subset the
 //! reproduction harness should run (the harness resolves those strings; the
-//! cluster crate only owns the network model).  Both TOML and JSON carriers
-//! are accepted; `examples/scenarios/` in the repository root holds
-//! commented examples and docs/EXPERIMENTS.md documents every key.
+//! cluster crate only owns the network model).  The carrier is TOML;
+//! `examples/scenarios/` in the repository root holds commented examples
+//! and docs/EXPERIMENTS.md documents every key.
 //!
-//! The canonical TOML shape:
+//! The canonical shape:
 //!
 //! ```toml
 //! name = "atm-16"
@@ -25,11 +25,9 @@
 //! ```
 //!
 //! The build environment has no crates.io access and the `serde` shim is
-//! declare-only, so this module carries its own small reader for the two
-//! carriers (a line-oriented TOML subset: comments, one `[section]` level,
-//! scalar and single-line-array values — and a recursive-descent JSON
-//! subset: one nesting level of objects, scalars, arrays of scalars).
-//! [`Scenario::to_toml`] re-serialises canonically; parse → serialise →
+//! declare-only, so this module carries its own small reader (a
+//! line-oriented TOML subset: comments, one `[section]` level, scalar and
+//! single-line-array values).  [`Scenario::to_toml`] re-serialises canonically; parse → serialise →
 //! parse is the identity, which the round-trip tests assert.
 //!
 //! # Example
@@ -132,7 +130,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ScenarioError> {
     Err(ScenarioError(msg.into()))
 }
 
-/// A parsed right-hand-side value, shared by the TOML and JSON readers.
+/// A parsed right-hand-side value.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     Str(String),
@@ -250,22 +248,24 @@ impl Value {
 }
 
 impl Scenario {
-    /// Load a scenario from a file, picking the carrier by extension:
-    /// `.json` parses as JSON, everything else as TOML.
+    /// Load a scenario from a TOML file.  A `.json` path is rejected by
+    /// name rather than misread as TOML.
     pub fn from_path(path: &Path) -> Result<Self, ScenarioError> {
+        if path
+            .extension()
+            .is_some_and(|e| e.eq_ignore_ascii_case("json"))
+        {
+            return err(format!(
+                "{}: scenario files are TOML (see docs/EXPERIMENTS.md and \
+                 examples/scenarios/*.toml); there is no JSON carrier",
+                path.display()
+            ));
+        }
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => return err(format!("cannot read {}: {e}", path.display())),
         };
-        let is_json = path
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("json"));
-        if is_json {
-            Self::parse_json(&text)
-        } else {
-            Self::parse_toml(&text)
-        }
-        .map_err(|e| ScenarioError(format!("{}: {}", path.display(), e.0)))
+        Self::parse_toml(&text).map_err(|e| ScenarioError(format!("{}: {}", path.display(), e.0)))
     }
 
     /// Parse the TOML carrier (see the module docs for the accepted subset).
@@ -303,37 +303,6 @@ impl Scenario {
             scenario
                 .set(section.as_deref(), key, &value)
                 .map_err(|e| at(e.0))?;
-        }
-        Ok(scenario)
-    }
-
-    /// Parse the JSON carrier: one top-level object, with `"overrides"` as
-    /// an optional nested object and the remaining keys as in TOML.
-    pub fn parse_json(text: &str) -> Result<Self, ScenarioError> {
-        let mut scenario = Scenario::default();
-        let pairs = json::parse_object(text)?;
-        for (key, value) in pairs {
-            match value {
-                json::Json::Object(inner) => {
-                    if key != "overrides" && key != "fault" {
-                        return err(format!(
-                            "unknown object-valued key '{key}'; only \"overrides\" and \
-                             \"fault\" nest"
-                        ));
-                    }
-                    if key == "fault" {
-                        scenario.fault.get_or_insert_with(FaultPlan::default);
-                    }
-                    for (k, v) in inner {
-                        let v = v.into_value(&k)?;
-                        scenario.set(Some(&key), &k, &v)?;
-                    }
-                }
-                other => {
-                    let v = other.into_value(&key)?;
-                    scenario.set(None, &key, &v)?;
-                }
-            }
         }
         Ok(scenario)
     }
@@ -734,212 +703,6 @@ fn parse_value_at(chars: &[char], pos: &mut usize, rhs: &str) -> Result<Value, S
     }
 }
 
-/// The minimal JSON reader backing [`Scenario::parse_json`].
-mod json {
-    use super::{err, ScenarioError, Value};
-
-    /// A parsed JSON value (no `null`: a scenario key is either present
-    /// with a value or absent).
-    #[derive(Debug)]
-    pub enum Json {
-        Str(String),
-        Num(f64),
-        Int(u64),
-        Bool(bool),
-        Array(Vec<Json>),
-        Object(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Lower to the carrier-independent [`Value`]; objects don't lower
-        /// (the caller handles the one permitted nesting level).
-        pub fn into_value(self, key: &str) -> Result<Value, ScenarioError> {
-            match self {
-                Json::Str(s) => Ok(Value::Str(s)),
-                Json::Num(n) => Ok(Value::Num(n)),
-                Json::Int(n) => Ok(Value::Int(n)),
-                Json::Bool(b) => Ok(Value::Bool(b)),
-                Json::Array(items) => Ok(Value::List(
-                    items
-                        .into_iter()
-                        .map(|i| i.into_value(key))
-                        .collect::<Result<_, _>>()?,
-                )),
-                Json::Object(_) => err(format!("'{key}' must not be an object")),
-            }
-        }
-    }
-
-    /// Parse a full document that must be a single object.
-    pub fn parse_object(text: &str) -> Result<Vec<(String, Json)>, ScenarioError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return err(format!("trailing content at byte {}", p.pos));
-        }
-        match value {
-            Json::Object(pairs) => Ok(pairs),
-            other => err(format!(
-                "a scenario must be a JSON object, got {}",
-                match other {
-                    Json::Str(_) => "a string",
-                    Json::Num(_) | Json::Int(_) => "a number",
-                    Json::Bool(_) => "a boolean",
-                    Json::Array(_) => "an array",
-                    Json::Object(_) => unreachable!(),
-                }
-            )),
-        }
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), ScenarioError> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, ScenarioError> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'"') => Ok(Json::Str(self.string()?)),
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b't') => self.literal("true", Json::Bool(true)),
-                Some(b'f') => self.literal("false", Json::Bool(false)),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                _ => err(format!("unexpected content at byte {}", self.pos)),
-            }
-        }
-
-        fn literal(&mut self, word: &str, out: Json) -> Result<Json, ScenarioError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(out)
-            } else {
-                err(format!("unexpected content at byte {}", self.pos))
-            }
-        }
-
-        fn string(&mut self) -> Result<String, ScenarioError> {
-            self.expect(b'"')?;
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'\\' {
-                    return err("escape sequences in strings are not supported".to_string());
-                }
-                if b == b'"' {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| ScenarioError("invalid UTF-8 in string".into()))?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                self.pos += 1;
-            }
-            err("unterminated string".to_string())
-        }
-
-        fn number(&mut self) -> Result<Json, ScenarioError> {
-            let start = self.pos;
-            while self.peek().is_some_and(|b| {
-                b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-            // Bare integers stay exact: 64-bit seeds don't survive f64.
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Json::Int(n));
-            }
-            match text.parse::<f64>() {
-                Ok(n) if n.is_finite() => Ok(Json::Num(n)),
-                _ => err(format!("cannot parse number '{text}'")),
-            }
-        }
-
-        fn array(&mut self) -> Result<Json, ScenarioError> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Json::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                    }
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Json::Array(items));
-                    }
-                    _ => return err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Json, ScenarioError> {
-            self.expect(b'{')?;
-            let mut pairs = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Json::Object(pairs));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let value = self.value()?;
-                pairs.push((key, value));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                    }
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Json::Object(pairs));
-                    }
-                    _ => return err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1015,29 +778,10 @@ mod tests {
     }
 
     #[test]
-    fn json_carrier_parses_the_same_scenario() {
-        let toml = Scenario::parse_toml(FULL_TOML).unwrap();
-        let json = Scenario::parse_json(
-            r#"{
-                "name": "atm-sixteen",
-                "net": "atm",
-                "procs": 16,
-                "preset": "tiny",
-                "workloads": ["EP", "SOR-Zero"],
-                "systems": ["lrc", "pvm"],
-                "overrides": {
-                    "latency": 250e-6,
-                    "fragment_overhead": 1e-4,
-                    "bandwidth": 8.0e6,
-                    "mtu": 9180,
-                    "send_overhead": 75e-6,
-                    "recv_overhead": 0.0,
-                    "shared_medium": false
-                }
-            }"#,
-        )
-        .unwrap();
-        assert_eq!(json, toml);
+    fn a_json_path_is_a_located_error_naming_the_toml_carrier() {
+        let e = Scenario::from_path(Path::new("examples/scenarios/old.json")).unwrap_err();
+        assert!(e.to_string().contains("old.json"), "{e}");
+        assert!(e.to_string().contains("TOML"), "{e}");
     }
 
     #[test]
@@ -1069,10 +813,6 @@ mod tests {
         assert!(e.to_string().contains("unknown override 'warp'"), "{e}");
         let e = Scenario::parse_toml("procs = 2.5").unwrap_err();
         assert!(e.to_string().contains("positive integer"), "{e}");
-        let e = Scenario::parse_json("[1, 2]").unwrap_err();
-        assert!(e.to_string().contains("must be a JSON object"), "{e}");
-        let e = Scenario::parse_json("{\"procs\": 4} extra").unwrap_err();
-        assert!(e.to_string().contains("trailing content"), "{e}");
     }
 
     #[test]
@@ -1119,17 +859,6 @@ mod tests {
         let reparsed = Scenario::parse_toml(&s.to_toml()).unwrap();
         assert_eq!(reparsed, s);
         assert_eq!(reparsed.to_toml(), s.to_toml());
-        // And through the JSON carrier.
-        let json = Scenario::parse_json(
-            r#"{
-                "sched_seed": 18446744073709551615,
-                "fault": {"seed": 9874321098765432109, "drop": 0.02,
-                          "crashes": ["2@0.0015"]}
-            }"#,
-        )
-        .unwrap();
-        assert_eq!(json.sched_seed, Some(u64::MAX));
-        assert_eq!(json.fault.as_ref().unwrap().seed, 9874321098765432109);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!   remaining record): records beyond it are deferred to the next barrier,
 //!   so the committed prefix is always a prefix of the serial execution.
 //!   Under the `oracle-checks` feature the walk replays every decision
-//!   through a shadow [`IslandSched`] — the PR 9 serial reference arbiter —
+//!   through a shadow `IslandSched` — the PR 9 serial reference arbiter —
 //!   and asserts it grants the same `(key, rank)`.
 //!
 //! Arrival times (and the shared-medium reservation) are computed at the
@@ -51,7 +51,7 @@
 //! # Livelock, deadlock, and the below-floor backstop
 //!
 //! The serial engine counts consecutive futile grants and aborts at
-//! [`LIVELOCK_GRANT_LIMIT`].  The walk accumulates the same counter in the
+//! `LIVELOCK_GRANT_LIMIT`.  The walk accumulates the same counter in the
 //! same order; windows cap each island at `(LIMIT/2)/islands` grants so the
 //! count can never silently cross the limit mid-window, and once it reaches
 //! `LIMIT/2` the engine degrades to *step mode* — one barrier-issued grant
@@ -86,32 +86,46 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// True when `cfg` can run on the windowed engine with bit-identical output.
+/// Whether `cfg` runs on the windowed engine with bit-identical output:
+/// `Ok(())`, or the reason it falls back to the serial engine (which
+/// remains the reference semantics).
 ///
-/// Excluded (each falls back to the serial engine, which remains the
-/// reference semantics): fewer than two effective islands or threads
-/// (nothing to parallelise), a seeded arbiter (tie-break draws depend on the
-/// global grant sequence, which the window does not replay until the
-/// barrier), fault-plan crashes (a rank unwinding mid-window would strand
-/// its island), reorder faults (a slip positions the message against the
+/// Excluded: fewer than two effective islands or threads (nothing to
+/// parallelise), a seeded arbiter (tie-break draws depend on the global
+/// grant sequence, which the window does not replay until the barrier),
+/// fault-plan crashes (a rank unwinding mid-window would strand its
+/// island), reorder faults (a slip positions the message against the
 /// *instantaneous* serial mailbox tail, which staged delivery cannot
 /// reconstruct — drop, duplicate, delay and partition faults resolve
 /// per-link and stay eligible), run-time analysis (the race detector
 /// observes under the serial lock), and a zero-latency network (the
 /// lookahead window would be empty).
+pub fn verdict(cfg: &ClusterConfig) -> Result<(), &'static str> {
+    let n = cfg.nprocs.max(1);
+    let block = n.div_ceil(cfg.islands.clamp(1, n));
+    let decline = [
+        (cfg.island_threads < 2, "fewer than two island threads"),
+        (n.div_ceil(block) < 2, "fewer than two effective islands"),
+        (cfg.sched_seed != 0, "seeded tie-breaking"),
+        (
+            !cfg.fault.crashes.is_empty(),
+            "the fault plan crashes ranks",
+        ),
+        (cfg.fault.reorder != 0.0, "the fault plan reorders messages"),
+        (cfg.analysis != AnalysisLevel::Off, "run-time race analysis"),
+        (
+            cfg.latency.is_nan() || cfg.latency <= 0.0,
+            "a zero-latency network",
+        ),
+    ];
+    match decline.iter().find(|(declined, _)| *declined) {
+        Some(&(_, reason)) => Err(reason),
+        None => Ok(()),
+    }
+}
+
 pub(crate) fn eligible(cfg: &ClusterConfig) -> bool {
-    let n = cfg.nprocs;
-    let islands = cfg.islands.clamp(1, n.max(1));
-    let block = n.max(1).div_ceil(islands);
-    let k = n.max(1).div_ceil(block);
-    cfg.island_threads >= 2
-        && k >= 2
-        && n >= 2
-        && cfg.sched_seed == 0
-        && cfg.fault.crashes.is_empty()
-        && cfg.fault.reorder == 0.0
-        && cfg.analysis == AnalysisLevel::Off
-        && cfg.latency > 0.0
+    verdict(cfg).is_ok()
 }
 
 /// A send staged on a slot record: everything the walk needs to reproduce
@@ -493,8 +507,7 @@ impl WindowedCore {
         if coord.done {
             return;
         }
-        let mut shards: Vec<MutexGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.lock()).collect();
+        let mut shards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(|s| s.lock()).collect();
         #[cfg(feature = "oracle-checks")]
         if coord.shadow.is_none() {
             // First barrier: every rank has reached its first scheduling
@@ -542,9 +555,7 @@ impl WindowedCore {
                 if let Some((k, r, is_rec)) = cand {
                     let better = match best {
                         None => true,
-                        Some((bk, br, b_rec)) => {
-                            (k, r, !is_rec as u8) < (bk, br, !b_rec as u8)
-                        }
+                        Some((bk, br, b_rec)) => (k, r, !is_rec as u8) < (bk, br, !b_rec as u8),
                     };
                     if better {
                         best = Some((k, r, is_rec));
@@ -716,9 +727,7 @@ impl WindowedCore {
             let end = match rec.end {
                 PState::RecvBlocked { src, tag, clock } => shadow.mailboxes[rec.rank]
                     .iter()
-                    .find(|&&(s, t, _)| {
-                        src.is_none_or(|w| w == s) && tag.is_none_or(|w| w == t)
-                    })
+                    .find(|&&(s, t, _)| src.is_none_or(|w| w == s) && tag.is_none_or(|w| w == t))
                     .map_or(rec.end, |&(_, _, arrival)| PState::Parked {
                         key: clock.max(arrival),
                     }),
@@ -781,7 +790,10 @@ impl WindowedCore {
     }
 
     fn global_states(&self, shards: &[MutexGuard<'_, Shard>]) -> Vec<PState> {
-        shards.iter().flat_map(|sh| sh.procs.iter().copied()).collect()
+        shards
+            .iter()
+            .flat_map(|sh| sh.procs.iter().copied())
+            .collect()
     }
 
     fn global_mailboxes(&self, shards: &[MutexGuard<'_, Shard>]) -> Vec<VecDeque<Message>> {
@@ -1060,7 +1072,10 @@ impl WindowedCore {
             .as_mut()
             .expect("granted rank has an open slot")
             .observed = true;
-        sh.mailboxes[idx].iter().filter(|m| m.arrival <= now).count()
+        sh.mailboxes[idx]
+            .iter()
+            .filter(|m| m.arrival <= now)
+            .count()
     }
 
     /// Mark `id` finished; its last slot record (if any) closes with the
@@ -1158,7 +1173,10 @@ mod tests {
     {
         let mut serial = mk();
         serial.island_threads = 1;
-        assert!(!super::eligible(&serial), "width 1 must use the serial engine");
+        assert!(
+            !super::eligible(&serial),
+            "width 1 must use the serial engine"
+        );
         let base = fingerprint(serial, f);
         for threads in [2usize, 4] {
             let mut c = mk();
@@ -1239,7 +1257,9 @@ mod tests {
             let mut polls = 0u64;
             loop {
                 if let Some(m) = p.try_recv(Some(0), 1) {
-                    return polls.wrapping_mul(1000).wrapping_add(m.payload.len() as u64);
+                    return polls
+                        .wrapping_mul(1000)
+                        .wrapping_add(m.payload.len() as u64);
                 }
                 polls += 1;
                 p.compute(1e-6);
@@ -1383,10 +1403,12 @@ mod tests {
         let mut seeded = base.clone();
         seeded.sched_seed = 9;
         assert!(!super::eligible(&seeded));
+        assert_eq!(super::verdict(&seeded), Err("seeded tie-breaking"));
 
         let mut race = base.clone();
         race.analysis = crate::AnalysisLevel::Race;
         assert!(!super::eligible(&race));
+        assert_eq!(super::verdict(&race), Err("run-time race analysis"));
 
         let mut one_island = base.clone();
         one_island.islands = 1;

@@ -7,11 +7,14 @@
 //!
 //! Run with: `cargo run --release --example genetic_linkage`
 
-use netws::apps::ilink::{self, IlinkParams};
+use netws::apps::ilink::IlinkParams;
+use netws::apps::{run, App, System};
+use netws::cluster::ClusterConfig;
+use netws::treadmarks::ProtocolKind;
 
 fn main() {
     let params = IlinkParams::scaled();
-    let seq = ilink::sequential(&params);
+    let seq = params.sequential();
     println!(
         "ILINK: {} nuclear families, genarrays of {} genotypes ({}% non-zero)",
         params.families,
@@ -25,8 +28,10 @@ fn main() {
 
     println!("{:>6} {:>12} {:>12}", "procs", "TreadMarks", "PVM");
     for n in [2, 4, 8] {
-        let t = ilink::treadmarks(n, &params);
-        let m = ilink::pvm(n, &params);
+        let fddi = ClusterConfig::calibrated_fddi(n);
+        let t = run(&params, System::TreadMarks(ProtocolKind::Lrc), &fddi)
+            .expect("the TreadMarks run completes");
+        let m = run(&params, System::Pvm, &fddi).expect("the PVM run completes");
         assert!((t.checksum - seq.checksum).abs() < 1e-6);
         assert!((m.checksum - seq.checksum).abs() < 1e-6);
         println!(

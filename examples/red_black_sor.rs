@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example red_black_sor`
 
-use netws::apps::sor::{self, SorParams};
+use netws::apps::sor::SorParams;
+use netws::apps::{run, App, System};
+use netws::cluster::ClusterConfig;
+use netws::treadmarks::ProtocolKind;
 
 fn main() {
     let params = SorParams {
@@ -13,15 +16,17 @@ fn main() {
         iters: 8,
         zero_interior: true,
     };
-    let seq = sor::sequential(&params);
+    let seq = params.sequential();
     println!(
         "Red-Black SOR {}x{} ({} iterations), sequential time {:.2}s\n",
         params.rows, params.cols, params.iters, seq.time
     );
     println!("{:>6} {:>12} {:>12}", "procs", "TreadMarks", "PVM");
     for n in [1, 2, 4, 8] {
-        let t = sor::treadmarks(n, &params);
-        let m = sor::pvm(n, &params);
+        let fddi = ClusterConfig::calibrated_fddi(n);
+        let t = run(&params, System::TreadMarks(ProtocolKind::Lrc), &fddi)
+            .expect("the TreadMarks run completes");
+        let m = run(&params, System::Pvm, &fddi).expect("the PVM run completes");
         println!(
             "{:>6} {:>12.2} {:>12.2}",
             n,

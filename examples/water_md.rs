@@ -7,7 +7,10 @@
 //!
 //! Run with: `cargo run --release --example water_md`
 
-use netws::apps::water::{self, WaterParams};
+use netws::apps::water::WaterParams;
+use netws::apps::{run, App, System};
+use netws::cluster::ClusterConfig;
+use netws::treadmarks::ProtocolKind;
 
 fn main() {
     for (label, params) in [
@@ -26,9 +29,11 @@ fn main() {
             },
         ),
     ] {
-        let seq = water::sequential(&params);
-        let t = water::treadmarks(8, &params);
-        let m = water::pvm(8, &params);
+        let seq = params.sequential();
+        let fddi = ClusterConfig::calibrated_fddi(8);
+        let t = run(&params, System::TreadMarks(ProtocolKind::Lrc), &fddi)
+            .expect("the TreadMarks run completes");
+        let m = run(&params, System::Pvm, &fddi).expect("the PVM run completes");
         println!(
             "{label}: {} molecules, sequential {:.2}s",
             params.molecules, seq.time

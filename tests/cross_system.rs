@@ -4,62 +4,17 @@
 //! paper reports hold.
 
 use netws::apps::runner::System;
-use netws::apps::Workload;
+use netws::apps::{Preset, Workload};
+use netws::cluster::ClusterConfig;
 use netws::treadmarks::ProtocolKind;
 
 fn seq(w: Workload) -> netws::apps::SeqRun {
-    bench_harness::run_sequential(w)
+    w.sequential(Preset::Tiny)
 }
 
 fn run(w: Workload, sys: System, n: usize) -> netws::apps::AppRun {
-    bench_harness::run_parallel(w, sys, n)
-}
-
-// The bench crate is not a dependency of the root package (it is a harness),
-// so re-derive the tiny-preset dispatch locally for the integration tests.
-mod bench_harness {
-    use netws::apps::runner::{AppRun, SeqRun, System};
-    use netws::apps::*;
-
-    pub fn run_sequential(w: Workload) -> SeqRun {
-        match w {
-            Workload::Ep => ep::sequential(&ep::EpParams::tiny()),
-            Workload::SorZero => sor::sequential(&sor::SorParams::tiny(true)),
-            Workload::SorNonzero => sor::sequential(&sor::SorParams::tiny(false)),
-            Workload::IsSmall | Workload::IsLarge => is::sequential(&is::IsParams::tiny()),
-            Workload::Tsp => tsp::sequential(&tsp::TspParams::tiny()),
-            Workload::Qsort => qsort::sequential(&qsort::QsortParams::tiny()),
-            Workload::Water288 | Workload::Water1728 => {
-                water::sequential(&water::WaterParams::tiny())
-            }
-            Workload::BarnesHut => barnes::sequential(&barnes::BarnesParams::tiny()),
-            Workload::Fft3d => fft3d::sequential(&fft3d::FftParams::tiny()),
-            Workload::Ilink => ilink::sequential(&ilink::IlinkParams::tiny()),
-        }
-    }
-
-    pub fn run_parallel(w: Workload, sys: System, n: usize) -> AppRun {
-        macro_rules! go {
-            ($m:ident, $params:expr) => {
-                match sys {
-                    System::TreadMarks(protocol) => $m::treadmarks_with(n, &$params, protocol),
-                    System::Pvm => $m::pvm(n, &$params),
-                }
-            };
-        }
-        match w {
-            Workload::Ep => go!(ep, ep::EpParams::tiny()),
-            Workload::SorZero => go!(sor, sor::SorParams::tiny(true)),
-            Workload::SorNonzero => go!(sor, sor::SorParams::tiny(false)),
-            Workload::IsSmall | Workload::IsLarge => go!(is, is::IsParams::tiny()),
-            Workload::Tsp => go!(tsp, tsp::TspParams::tiny()),
-            Workload::Qsort => go!(qsort, qsort::QsortParams::tiny()),
-            Workload::Water288 | Workload::Water1728 => go!(water, water::WaterParams::tiny()),
-            Workload::BarnesHut => go!(barnes, barnes::BarnesParams::tiny()),
-            Workload::Fft3d => go!(fft3d, fft3d::FftParams::tiny()),
-            Workload::Ilink => go!(ilink, ilink::IlinkParams::tiny()),
-        }
-    }
+    w.run(Preset::Tiny, sys, &ClusterConfig::calibrated_fddi(n))
+        .unwrap()
 }
 
 #[test]

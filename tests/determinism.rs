@@ -5,33 +5,12 @@
 //! facts instead of thread-interleaving lottery tickets.
 
 use netws::apps::runner::{AppRun, System};
-use netws::apps::Workload;
+use netws::apps::{Preset, Workload};
 use netws::cluster::{Cluster, ClusterConfig, ProcStats};
 
-// The bench crate is not a dependency of the root package (it is a harness),
-// so re-derive the tiny-preset dispatch locally, as cross_system.rs does.
 fn run(w: Workload, sys: System, n: usize) -> AppRun {
-    use netws::apps::*;
-    macro_rules! go {
-        ($m:ident, $params:expr) => {
-            match sys {
-                System::TreadMarks(protocol) => $m::treadmarks_with(n, &$params, protocol),
-                System::Pvm => $m::pvm(n, &$params),
-            }
-        };
-    }
-    match w {
-        Workload::Ep => go!(ep, ep::EpParams::tiny()),
-        Workload::SorZero => go!(sor, sor::SorParams::tiny(true)),
-        Workload::SorNonzero => go!(sor, sor::SorParams::tiny(false)),
-        Workload::IsSmall | Workload::IsLarge => go!(is, is::IsParams::tiny()),
-        Workload::Tsp => go!(tsp, tsp::TspParams::tiny()),
-        Workload::Qsort => go!(qsort, qsort::QsortParams::tiny()),
-        Workload::Water288 | Workload::Water1728 => go!(water, water::WaterParams::tiny()),
-        Workload::BarnesHut => go!(barnes, barnes::BarnesParams::tiny()),
-        Workload::Fft3d => go!(fft3d, fft3d::FftParams::tiny()),
-        Workload::Ilink => go!(ilink, ilink::IlinkParams::tiny()),
-    }
+    w.run(Preset::Tiny, sys, &ClusterConfig::calibrated_fddi(n))
+        .unwrap()
 }
 
 /// Bitwise equality of two per-process stat records: every virtual time is
@@ -168,13 +147,17 @@ fn parallel_executor_matches_serial_bit_for_bit() {
 /// arbiter, so this pins the island refactor to the pre-island engine.
 #[test]
 fn island_scheduling_is_bit_identical_at_every_width() {
-    use bench::{run_parallel_on, Preset};
+    use bench::{run_parallel_on, Exec};
     let workloads = [Workload::Ep, Workload::SorZero, Workload::Tsp];
     for w in workloads {
         for sys in System::all() {
             let at_width = |islands: usize| {
                 let mut cfg = ClusterConfig::calibrated_fddi(4);
-                cfg.islands = islands;
+                Exec {
+                    islands,
+                    ..Exec::with_jobs(1)
+                }
+                .apply(&mut cfg);
                 run_parallel_on(w, sys, &cfg, Preset::Tiny)
             };
             let flat = at_width(1);
@@ -196,14 +179,18 @@ fn island_scheduling_is_bit_identical_at_every_width() {
 /// flat serial engine at `(1, 1)`.  `plan` injects faults under the same
 /// grid; `ctx_plan` names it in failure messages.
 fn threaded_width_battery(plan: &netws::cluster::FaultPlan, ctx_plan: &str) {
-    use bench::{run_parallel_on, Preset};
+    use bench::{run_parallel_on, Exec};
     let workloads = [Workload::Ep, Workload::SorZero, Workload::Tsp];
     for w in workloads {
         for sys in System::all() {
-            let at = |islands: usize, threads: usize| {
+            let at = |islands: usize, island_threads: usize| {
                 let mut cfg = ClusterConfig::calibrated_fddi(4);
-                cfg.islands = islands;
-                cfg.island_threads = threads;
+                Exec {
+                    islands,
+                    island_threads,
+                    ..Exec::with_jobs(1)
+                }
+                .apply(&mut cfg);
                 cfg.fault = plan.clone();
                 run_parallel_on(w, sys, &cfg, Preset::Tiny)
             };
@@ -249,7 +236,10 @@ fn threaded_windows_are_bit_identical_under_a_lossy_plan() {
 /// reach them.
 #[test]
 fn threaded_windows_are_bit_identical_under_a_timed_partition() {
-    threaded_width_battery(&netws::cluster::FaultPlan::partitioned(1, 4), "timed partition");
+    threaded_width_battery(
+        &netws::cluster::FaultPlan::partitioned(1, 4),
+        "timed partition",
+    );
 }
 
 /// The full structured obs trace — every event token of every run, as the
@@ -257,24 +247,26 @@ fn threaded_windows_are_bit_identical_under_a_timed_partition() {
 /// widths: virtual-time stamping means recording order never leaks.
 #[test]
 fn obs_traces_are_byte_identical_across_thread_widths() {
-    use bench::{obs, run_matrix_islands, Preset, RunKey, RunTuning};
-    use netws::cluster::{AnalysisLevel, ObsLevel};
+    use bench::{obs, run_matrix_exec, Exec, RunKey, RunTuning};
+    use netws::cluster::ObsLevel;
     let workloads = [Workload::Tsp];
     let keys: Vec<RunKey> = System::all()
         .into_iter()
         .map(|sys| RunKey::fddi(Workload::Tsp, sys, 4))
         .collect();
-    let traced = |threads: usize| {
-        run_matrix_islands(
+    let traced = |island_threads: usize| {
+        let exec = Exec {
+            islands: 4,
+            island_threads,
+            obs: ObsLevel::Trace,
+            ..Exec::with_jobs(2)
+        };
+        run_matrix_exec(
             Preset::Tiny,
             &workloads,
             &keys,
-            2,
-            ObsLevel::Trace,
-            AnalysisLevel::Off,
+            &exec,
             &RunTuning::default(),
-            4,
-            threads,
         )
     };
     let a = obs::chrome_trace_json(&traced(1));

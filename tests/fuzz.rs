@@ -22,7 +22,7 @@ use apps::Workload;
 use bench::fuzz::{run_fuzz, FuzzSpec};
 use bench::invariants::{self, RunVerdict};
 use bench::shrink::shrink;
-use bench::{run_parallel_on, run_sequential, try_run_parallel_on, Preset, RunTuning};
+use bench::{run_parallel_on, run_sequential, Exec, Preset, RunTuning};
 use cluster::{AnalysisLevel, FaultPlan, NetModel, NetPreset};
 use treadmarks::ProtocolKind;
 
@@ -36,9 +36,7 @@ fn spec(systems: Vec<System>, seeds: u64, plan: FaultPlan) -> FuzzSpec {
         seeds,
         plan,
         until_failure: false,
-        jobs: 2,
-        islands: 1,
-        island_threads: 1,
+        exec: Exec::with_jobs(2),
     }
 }
 
@@ -100,8 +98,11 @@ fn a_fault_campaign_is_bit_identical_at_every_island_width() {
     let narrow = run_fuzz(&base);
     for (islands, threads) in [(4usize, 1usize), (2, 2), (4, 4)] {
         let wide = run_fuzz(&FuzzSpec {
-            islands,
-            island_threads: threads,
+            exec: Exec {
+                islands,
+                island_threads: threads,
+                ..base.exec
+            },
             ..base.clone()
         });
         assert_eq!(
@@ -133,12 +134,7 @@ fn shrinking_is_a_fixpoint_against_the_real_cluster_oracle() {
         cfg.analysis = AnalysisLevel::Race;
         t.apply(&mut cfg);
         let v = invariants::verdict(
-            try_run_parallel_on(
-                Workload::Ep,
-                System::TreadMarks(ProtocolKind::Lrc),
-                &cfg,
-                Preset::Tiny,
-            ),
+            Workload::Ep.run(Preset::Tiny, System::TreadMarks(ProtocolKind::Lrc), &cfg),
             &seq,
         );
         v.kind() == want

@@ -5,11 +5,12 @@
 //! never perturb a simulated byte.
 
 use bench::{
-    render_race_reports, run_matrix_full, run_parallel_on, run_record_json, Preset, RunKey,
+    render_race_reports, run_matrix_exec, run_parallel_on, run_record_json, Exec, Preset, RunKey,
+    RunTuning,
 };
 use netws::apps::runner::System;
 use netws::apps::Workload;
-use netws::cluster::{AnalysisLevel, Cluster, ClusterConfig, ObsLevel};
+use netws::cluster::{AnalysisLevel, Cluster, ClusterConfig};
 use netws::treadmarks::race::{self, AccessKind, RaceReport};
 use netws::treadmarks::{ProtocolKind, Tmk};
 use std::sync::Arc;
@@ -114,22 +115,14 @@ fn racecheck_matrix_is_bit_identical_across_job_widths() {
                 .map(move |p| RunKey::fddi(w, System::TreadMarks(p), 2))
         })
         .collect();
-    let serial = run_matrix_full(
-        Preset::Tiny,
-        &[],
-        &keys,
-        1,
-        ObsLevel::Off,
-        AnalysisLevel::Race,
-    );
-    let pooled = run_matrix_full(
-        Preset::Tiny,
-        &[],
-        &keys,
-        4,
-        ObsLevel::Off,
-        AnalysisLevel::Race,
-    );
+    let checked = |jobs: usize| {
+        let exec = Exec {
+            analysis: AnalysisLevel::Race,
+            ..Exec::with_jobs(jobs)
+        };
+        run_matrix_exec(Preset::Tiny, &[], &keys, &exec, &RunTuning::default())
+    };
+    let (serial, pooled) = (checked(1), checked(4));
     assert_eq!(render_race_reports(&serial), render_race_reports(&pooled));
     for key in &keys {
         assert_eq!(

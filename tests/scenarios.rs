@@ -130,18 +130,20 @@ fn checked_in_example_scenarios_parse_and_resolve() {
     );
 }
 
-/// The JSON carrier is a first-class citizen: the checked-in JSON example
-/// parses and pins the fields it declares.
+/// The checked-in 32-process example parses and pins the fields it
+/// declares; a `.json` path is refused by name, pointing at the TOML carrier.
 #[test]
-fn json_example_scenario_parses_with_its_declared_fields() {
-    let s = Scenario::from_path(Path::new("examples/scenarios/ideal_32procs.json")).unwrap();
+fn ideal_example_scenario_parses_with_its_declared_fields() {
+    let s = Scenario::from_path(Path::new("examples/scenarios/ideal_32procs.toml")).unwrap();
     assert_eq!(s.net, NetPreset::Ideal);
     assert_eq!(s.procs, Some(32));
     assert_eq!(s.workloads.len(), 3);
     assert_eq!(s.overrides.send_overhead, Some(80e-6));
-    // JSON and TOML carriers meet in the same canonical TOML form.
     let round = Scenario::parse_toml(&s.to_toml()).unwrap();
     assert_eq!(round, s);
+    let e = Scenario::from_path(Path::new("examples/scenarios/ideal_32procs.json")).unwrap_err();
+    assert!(e.to_string().contains("ideal_32procs.json"), "{e}");
+    assert!(e.to_string().contains("TOML"), "{e}");
 }
 
 /// Nothing in core/cluster silently assumes the paper's 8 ranks: every
