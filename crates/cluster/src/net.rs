@@ -21,8 +21,8 @@ use crate::fault::{FaultKind, FaultState, FaultStats};
 use crate::obs::{self, Event, EventKind, ObsLevel};
 use crate::sched::{wait_graph, Decision, IslandSched, PState};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::VecDeque;
+use parking_lot::{Mutex, MutexGuard};
+use std::{collections::VecDeque, sync::OnceLock, thread::Thread};
 
 /// Message tags distinguish independent conversations between two processes.
 pub type Tag = u32;
@@ -208,9 +208,11 @@ struct SimState {
 pub struct NetworkCore {
     cfg: ClusterConfig,
     state: Mutex<SimState>,
-    /// One wake-up channel per process; a process sleeps on its own condvar
-    /// while parked or blocked and is woken when granted (or on abort).
-    wake: Vec<Condvar>,
+    /// One wake-up token per process: its OS thread, registered under `state`
+    /// at its first park.  A process sleeps in `std::thread::park` while parked
+    /// or blocked and is unparked when granted (or on abort).  The token is
+    /// sticky and `state` is re-checked before every sleep: no wake is lost.
+    wake: Vec<OnceLock<Thread>>,
     /// The threaded engine, when eligible; every primitive delegates to it.
     windowed: Option<crate::window::WindowedCore>,
 }
@@ -239,7 +241,7 @@ impl NetworkCore {
                 crashed: Vec::new(),
                 trace: if tracing { Some(Vec::new()) } else { None },
             }),
-            wake: (0..n).map(|_| Condvar::new()).collect(),
+            wake: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -259,8 +261,15 @@ impl NetworkCore {
             st.aborted = Some(Abort::Panic(who));
         }
         st.arb.set(who, PState::Finished);
-        for cv in &self.wake {
-            cv.notify_all();
+        drop(st);
+        self.wake_all();
+    }
+
+    /// Wake every process that has ever slept, so each re-checks `aborted`
+    /// (one not yet registered checks it under the lock before it first sleeps).
+    fn wake_all(&self) {
+        for thread in self.wake.iter().filter_map(OnceLock::get) {
+            thread.unpark();
         }
     }
 
@@ -270,11 +279,28 @@ impl NetworkCore {
         if let Some(w) = &self.windowed {
             return w.finish(id);
         }
-        let mut st = self.state.lock();
+        self.retire(self.state.lock(), id);
+    }
+
+    /// Leave the simulation for good: mark `id` finished, let the arbiter
+    /// schedule, and wake the granted process once the lock is dropped.
+    fn retire(&self, mut st: MutexGuard<'_, SimState>, id: usize) {
         st.arb.set(id, PState::Finished);
-        if st.aborted.is_none() {
-            self.dispatch(&mut st);
+        let granted = st.aborted.is_none().then(|| self.dispatch(&mut st));
+        drop(st);
+        if let Some(rank) = granted.flatten() {
+            self.unpark(rank);
         }
+    }
+
+    /// Wake the just-granted process `rank`.  Called without `state` held: a
+    /// woken thread that preempts its waker on a shared CPU must find the
+    /// lock free, or it blocks on it and has to be woken a second time.
+    fn unpark(&self, rank: usize) {
+        self.wake[rank]
+            .get()
+            .expect("a granted process has parked, so it is registered")
+            .unpark();
     }
 
     /// Tear down process `id` because its fault-plan crash point fired at
@@ -303,10 +329,7 @@ impl NetworkCore {
                 },
             });
         }
-        st.arb.set(id, PState::Finished);
-        if st.aborted.is_none() {
-            self.dispatch(&mut st);
-        }
+        self.retire(st, id);
     }
 
     /// `(rank, virtual_time)` of every fault-plan crash that has fired.
@@ -358,10 +381,12 @@ impl NetworkCore {
         self.cfg.fault.is_empty() && self.cfg.sched_seed == 0
     }
 
-    /// Run one scheduling decision and wake the granted process, or tear the
-    /// cluster down if the decision is a deadlock.  Must be called whenever
-    /// a process leaves the `Running` state.
-    fn dispatch(&self, st: &mut SimState) {
+    /// Run one scheduling decision: mark the granted process `Running` and
+    /// return it for the caller to wake once it has dropped the lock (a
+    /// self-grant needs no wake at all), or tear the cluster down if the
+    /// decision is a deadlock.  Must be called whenever a process leaves the
+    /// `Running` state.
+    fn dispatch(&self, st: &mut SimState) -> Option<usize> {
         match st.arb.decide() {
             Decision::Grant(rank) => {
                 if let PState::Parked { key } = st.arb.state(rank) {
@@ -386,15 +411,13 @@ impl NetworkCore {
                         eprintln!("{report}");
                     }
                     st.aborted = Some(Abort::Livelock(report));
-                    for cv in &self.wake {
-                        cv.notify_all();
-                    }
-                    return;
+                    self.wake_all();
+                    return None;
                 }
                 st.arb.set(rank, PState::Running);
-                self.wake[rank].notify_one();
+                Some(rank)
             }
-            Decision::Wait | Decision::AllDone => {}
+            Decision::Wait | Decision::AllDone => None,
             Decision::Deadlock => {
                 let mut graph = wait_graph(st.arb.states(), &st.mailboxes);
                 graph.push_str(&Self::fault_context(st));
@@ -402,9 +425,8 @@ impl NetworkCore {
                     eprintln!("{graph}");
                 }
                 st.aborted = Some(Abort::Deadlock(graph));
-                for cv in &self.wake {
-                    cv.notify_all();
-                }
+                self.wake_all();
+                None
             }
         }
     }
@@ -426,8 +448,9 @@ impl NetworkCore {
         if let Some(abort) = &st.aborted {
             panic_aborted(abort);
         }
+        self.wake[me].get_or_init(std::thread::current);
         st.arb.set(me, state);
-        self.dispatch(&mut st);
+        let mut granted = self.dispatch(&mut st);
         loop {
             if let Some(abort) = &st.aborted {
                 panic_aborted(abort);
@@ -435,7 +458,12 @@ impl NetworkCore {
             if matches!(st.arb.state(me), PState::Running) {
                 return st;
             }
-            self.wake[me].wait(&mut st);
+            drop(st);
+            if let Some(rank) = granted.take() {
+                self.unpark(rank);
+            }
+            std::thread::park();
+            st = self.state.lock();
         }
     }
 
@@ -831,5 +859,173 @@ mod tests {
                 p.recv(Some(0), 3);
             }
         });
+    }
+
+    // ---- The wake path.  A lost wake-up is a hang, so every test below runs
+    // under a watchdog that fails with a message instead.
+
+    /// Run `f` on its own thread and return its result (or its panic), or
+    /// fail naming `what` if neither arrives; the stuck thread is left behind.
+    fn watchdog<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let runner = std::thread::spawn(move || tx.send(f()));
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(result) => result,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{what}: no result after 60 s — a lost wake-up?")
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().expect_err("the sender was dropped"))
+            }
+        }
+    }
+
+    /// A token circling the ranks `laps` times: every event is a cross-rank
+    /// grant to a sleeping thread.
+    fn ring(p: &crate::Proc, laps: u32) {
+        let n = p.nprocs();
+        let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
+        for lap in 0..laps {
+            if p.id() == 0 {
+                p.send(next, lap, Bytes::from_static(b"token"));
+                p.recv(Some(prev), lap);
+            } else {
+                p.recv(Some(prev), lap);
+                p.send(next, lap, Bytes::from_static(b"token"));
+            }
+        }
+    }
+
+    #[test]
+    fn two_thousand_token_rings_lose_no_wake_up() {
+        watchdog("2,000 8-rank token rings", || {
+            for _ in 0..2_000 {
+                let rep = Cluster::run(ClusterConfig::calibrated_fddi(8), |p| ring(p, 4));
+                assert_eq!(rep.total_messages(), 32);
+            }
+        });
+    }
+
+    #[test]
+    fn a_panic_before_the_first_interaction_wakes_seven_sleepers() {
+        // Rank 0 never interacts, so it never registers a wake token: the
+        // teardown must not need it.  The sleepers are driven on the core
+        // directly so the test can see that all seven have blocked.
+        let victims = watchdog("start-up abort with seven sleepers", || {
+            let core = NetworkCore::new(ClusterConfig::calibrated_fddi(8));
+            std::thread::scope(|s| {
+                let sleepers: Vec<_> = (1..8)
+                    .map(|id| {
+                        let core = &core;
+                        s.spawn(move || {
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                core.recv_match(id, Some(0), None, 0.0)
+                            }))
+                        })
+                    })
+                    .collect();
+                while core.state.lock().arb.states()[1..]
+                    .iter()
+                    .any(|s| !matches!(s, PState::RecvBlocked { .. }))
+                {
+                    std::thread::yield_now();
+                }
+                assert!(core.wake[0].get().is_none());
+                core.abort(0);
+                sleepers
+                    .into_iter()
+                    .map(|h| h.join().expect("the unwind was caught"))
+                    .filter(|r| r.as_ref().is_err_and(|p| p.is::<PeerAbort>()))
+                    .count()
+            })
+        });
+        assert_eq!(victims, 7);
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_token_wakes_seven_sleepers() {
+        let text = watchdog("token-holder panic with seven sleepers", || {
+            let run = std::panic::catch_unwind(|| {
+                Cluster::run(ClusterConfig::calibrated_fddi(8), |p| {
+                    if p.id() == 0 {
+                        // The first grant is issued only once every rank has
+                        // parked, so on return the other seven are blocked.
+                        p.send(0, 1, Bytes::new());
+                        panic!("rank 0 dies holding the token");
+                    }
+                    p.recv(Some(0), 2);
+                })
+            });
+            let payload = run.expect_err("the run must propagate the panic");
+            payload.downcast_ref::<&str>().copied()
+        });
+        assert_eq!(text, Some("rank 0 dies holding the token"));
+    }
+
+    #[test]
+    fn a_crash_hands_the_token_to_a_sleeping_rank() {
+        use crate::fault::{Crash, CrashPoint, FaultPlan};
+        let outcome = watchdog("fault-plan crash with a sleeping successor", || {
+            let mut cfg = ClusterConfig::calibrated_fddi(3);
+            cfg.fault = FaultPlan {
+                crashes: vec![Crash {
+                    rank: 0,
+                    at: CrashPoint::Time(0.5),
+                }],
+                ..FaultPlan::default()
+            };
+            Cluster::try_run(cfg, |p| match p.id() {
+                0 => {
+                    // Granted first (t = 0), while 1 and 2 sleep; the crash
+                    // fires at the next interaction and grants rank 1.
+                    p.pending();
+                    p.compute(0.6);
+                    p.try_recv(Some(1), 9);
+                    unreachable!("rank 0 crashed at t = 0.6");
+                }
+                1 => {
+                    p.compute(1.0);
+                    p.send(2, 7, Bytes::from_static(b"survivor"));
+                }
+                _ => assert_eq!(p.recv(Some(1), 7).payload.as_ref(), b"survivor"),
+            })
+            .map(|_| ())
+        });
+        match outcome {
+            Err(RunFailure::Crashed(ranks)) => assert_eq!(ranks, vec![(0, 0.6)]),
+            other => panic!("expected the crash verdict, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fifty_thousand_self_grants_keep_their_bits() {
+        // Pinned at the parent of the direct-handoff change: a self-grant
+        // skips the wake, not a single simulated step.
+        let stats = watchdog("50k self sends on one rank", || {
+            let rep = Cluster::run(ClusterConfig::calibrated_fddi(1), |p| {
+                let payload = Bytes::from(vec![0u8; 64]);
+                for tag in 0..50_000 {
+                    p.send(0, tag, payload.clone());
+                    p.recv(Some(0), tag);
+                }
+            });
+            rep.stats.into_iter().next().expect("one rank")
+        });
+        assert_eq!(stats.finish_time.to_bits(), 0x4041_e702_7027_13cd);
+        assert_eq!(stats.idle_time.to_bits(), 0x403b_ce04_e04e_2822);
+        assert_eq!(stats.compute_time.to_bits(), 0);
+        assert_eq!(
+            (stats.messages_sent, stats.messages_received),
+            (50_000, 50_000)
+        );
+        assert_eq!(
+            (stats.datagrams_sent, stats.datagrams_received),
+            (50_000, 50_000)
+        );
+        assert_eq!(
+            (stats.bytes_sent, stats.bytes_received),
+            (3_200_000, 3_200_000)
+        );
     }
 }
