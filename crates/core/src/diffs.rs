@@ -94,41 +94,15 @@ impl DsmState {
     /// response includes diffs created by other processes that this process
     /// has previously fetched, even when later diffs completely overwrite
     /// them.
-    /// Also returns the number of returned diffs whose creation scan has
-    /// not been charged yet (they are marked charged by this call): the
-    /// serving runtime charges the page+twin scan for exactly those, which
-    /// is the lazy diff creation of the real system.
-    pub fn diffs_for_request(
-        &mut self,
-        page: PageId,
-        requester: usize,
-        applied_vc: &VectorClock,
-        global_vc: &VectorClock,
-    ) -> (Vec<WireDiff>, usize) {
-        let (keys, first_serves) = self.served_diff_keys(page, requester, applied_vc, global_vc);
-        let out = keys
-            .into_iter()
-            .map(|(_, creator, seq, handle)| {
-                let stored = self.diff_slab.get(handle);
-                WireDiff {
-                    creator,
-                    seq,
-                    vc: stored.vc.clone(),
-                    diff: stored.diff.clone(),
-                }
-            })
-            .collect();
-        (out, first_serves)
-    }
-
-    /// Serve a diff request straight into its wire encoding: the same
-    /// selection as [`diffs_for_request`](Self::diffs_for_request), but the
-    /// response payload is built from the stored diffs and their pre-encoded
-    /// clocks by reference — no `Diff` or `VectorClock` clones — into the
-    /// state's reusable, exactly pre-sized wire buffer.  Returns the
-    /// payload, the summed encoded size of the served diffs (the responder's
-    /// copy cost), and the number of first-time serves (whose creation scan
-    /// the caller charges — lazy diff creation).
+    ///
+    /// The response payload is built from the stored diffs and their
+    /// pre-encoded clocks by reference — no `Diff` or `VectorClock` clones —
+    /// into the state's reusable, exactly pre-sized wire buffer.  Returns
+    /// the payload, the summed encoded size of the served diffs (the
+    /// responder's copy cost), and the number of returned diffs whose
+    /// creation scan had not been charged yet (they are marked charged by
+    /// this call): the serving runtime charges the page+twin scan for
+    /// exactly those, which is the lazy diff creation of the real system.
     pub fn encode_diffs_for_request(
         &mut self,
         page: PageId,
@@ -275,6 +249,36 @@ impl DsmState {
         });
         debug_assert_eq!(diff_slab.len(), diffs.len());
         before - diffs.len()
+    }
+}
+
+#[cfg(test)]
+impl DsmState {
+    /// The selection of
+    /// [`encode_diffs_for_request`](Self::encode_diffs_for_request) as
+    /// decoded values (clones of the stored diffs) — what the state-level
+    /// tests hand from one `DsmState` to another without a wire between.
+    pub(crate) fn diffs_for_request(
+        &mut self,
+        page: PageId,
+        requester: usize,
+        applied_vc: &VectorClock,
+        global_vc: &VectorClock,
+    ) -> (Vec<WireDiff>, usize) {
+        let (keys, first_serves) = self.served_diff_keys(page, requester, applied_vc, global_vc);
+        let out = keys
+            .into_iter()
+            .map(|(_, creator, seq, handle)| {
+                let stored = self.diff_slab.get(handle);
+                WireDiff {
+                    creator,
+                    seq,
+                    vc: stored.vc.clone(),
+                    diff: stored.diff.clone(),
+                }
+            })
+            .collect();
+        (out, first_serves)
     }
 }
 

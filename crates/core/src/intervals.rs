@@ -158,52 +158,6 @@ impl DsmState {
         }
     }
 
-    /// All interval records known locally that are not covered by `other`.
-    /// This is what a releaser piggybacks on a lock grant and what the
-    /// barrier manager sends in each release message.
-    pub fn records_not_covered_by(&self, other: &VectorClock) -> Vec<IntervalRecord> {
-        let mut out = Vec::new();
-        for creator in 0..self.nprocs {
-            let known = self.vc.get(creator);
-            let have = other.get(creator);
-            let base = self.interval_base[creator];
-            assert!(
-                have >= base,
-                "peer clock ({creator}:{have}) predates the GC horizon {base}"
-            );
-            for seq in (have + 1)..=known {
-                out.push(
-                    self.intervals[creator][(seq - 1 - base) as usize]
-                        .record
-                        .clone(),
-                );
-            }
-        }
-        out
-    }
-
-    /// The pre-encoded wire buffers of
-    /// [`records_not_covered_by`](Self::records_not_covered_by), in the same
-    /// order (kept as the reference the spliced encoding below is tested
-    /// byte-identical against).
-    #[cfg(test)]
-    pub(crate) fn record_wires_not_covered_by(&self, other: &VectorClock) -> Vec<&Bytes> {
-        let mut out = Vec::new();
-        for creator in 0..self.nprocs {
-            let known = self.vc.get(creator);
-            let have = other.get(creator);
-            let base = self.interval_base[creator];
-            assert!(
-                have >= base,
-                "peer clock ({creator}:{have}) predates the GC horizon {base}"
-            );
-            for seq in (have + 1)..=known {
-                out.push(&self.intervals[creator][(seq - 1 - base) as usize].wire);
-            }
-        }
-        out
-    }
-
     /// Encode a lock grant or barrier message `(head, this clock, records
     /// not covered by other)` into the state's reusable wire buffer: the
     /// hot send path of every grant and barrier message.  The record wires
@@ -212,8 +166,9 @@ impl DsmState {
     /// the encoding neither allocates (in steady state) nor grows.
     /// Byte-identical to
     /// [`encode_barrier`](crate::proto::encode_barrier) /
-    /// [`encode_lock_grant`](crate::proto::encode_lock_grant) over
-    /// [`records_not_covered_by`](Self::records_not_covered_by).
+    /// [`encode_lock_grant`](crate::proto::encode_lock_grant) over the same
+    /// records (what a releaser piggybacks on a lock grant and what the
+    /// barrier manager sends in each release message).
     pub(crate) fn encode_sync_not_covered_by(&mut self, head: u32, other: &VectorClock) -> Bytes {
         let DsmState {
             intervals,
@@ -316,6 +271,53 @@ fn splice_records(
         for seq in (have + 1)..=known {
             buf.put_slice(&log[(seq - 1 - base) as usize].wire);
         }
+    }
+}
+
+#[cfg(test)]
+impl DsmState {
+    /// All interval records known locally that are not covered by `other`,
+    /// as values: the input of the reference encoders the spliced encoding
+    /// is tested byte-identical against.
+    pub(crate) fn records_not_covered_by(&self, other: &VectorClock) -> Vec<IntervalRecord> {
+        let mut out = Vec::new();
+        for creator in 0..self.nprocs {
+            let known = self.vc.get(creator);
+            let have = other.get(creator);
+            let base = self.interval_base[creator];
+            assert!(
+                have >= base,
+                "peer clock ({creator}:{have}) predates the GC horizon {base}"
+            );
+            for seq in (have + 1)..=known {
+                out.push(
+                    self.intervals[creator][(seq - 1 - base) as usize]
+                        .record
+                        .clone(),
+                );
+            }
+        }
+        out
+    }
+
+    /// The pre-encoded wire buffers of
+    /// [`records_not_covered_by`](Self::records_not_covered_by), in the same
+    /// order.
+    pub(crate) fn record_wires_not_covered_by(&self, other: &VectorClock) -> Vec<&Bytes> {
+        let mut out = Vec::new();
+        for creator in 0..self.nprocs {
+            let known = self.vc.get(creator);
+            let have = other.get(creator);
+            let base = self.interval_base[creator];
+            assert!(
+                have >= base,
+                "peer clock ({creator}:{have}) predates the GC horizon {base}"
+            );
+            for seq in (have + 1)..=known {
+                out.push(&self.intervals[creator][(seq - 1 - base) as usize].wire);
+            }
+        }
+        out
     }
 }
 

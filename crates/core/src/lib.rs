@@ -76,7 +76,7 @@ pub mod stats;
 pub mod vc;
 
 pub use heap::SharedAddr;
-pub use page::{Diff, DiffRun, PageId};
+pub use page::{Diff, PageId};
 pub use process::Tmk;
 pub use protocol::{ConsistencyProtocol, ProtocolKind};
 pub use race::RaceReport;

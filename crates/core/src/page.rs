@@ -9,27 +9,76 @@
 //! merged by applying them all, which is what eliminates most of the cost of
 //! false sharing relative to a single-writer protocol.
 
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cluster::config::PAGE_SIZE;
-use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Index of a shared page within the shared address space.
 pub type PageId = u32;
 
-/// One modified run within a page.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiffRun {
-    /// Byte offset of the run within the page.
-    pub offset: u16,
-    /// The new bytes.
-    pub data: Vec<u8>,
-}
+/// The longest run buffer a page can diff into: every other byte modified,
+/// i.e. `PAGE_SIZE / 2` runs of a 4-byte header and one byte.
+const MAX_WIRE: usize = PAGE_SIZE / 2 * 5;
 
 /// A run-length encoding of the modifications made to one page during one
 /// interval, produced by comparing the page to its twin.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The runs live in **one** buffer, in the layout they travel in:
+/// `([offset u16 LE][len u16 LE][len bytes])*`, offsets increasing, runs
+/// non-empty, non-overlapping and inside the page.  The same buffer is what
+/// [`Diff::create`] fills, what the diff store retains, what a diff
+/// response splices and — on the receiving side — a refcounted window of
+/// the message payload itself (`Diff::decode`), so a diff is never held
+/// as one heap object per run (an f32 stencil page diffs into ~1,000 runs
+/// of 3 bytes: per-run vectors cost eight times their payload).
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Diff {
-    /// The modified runs, in increasing offset order, non-overlapping.
-    pub runs: Vec<DiffRun>,
+    runs: u32,
+    wire: Bytes,
+}
+
+thread_local! {
+    /// Where a thread's [`Diff::create`] stages its runs before freezing
+    /// them into one exactly-sized buffer: sized for the worst page at the
+    /// thread's first diff, so staging never allocates or regrows after it
+    /// (a fresh `Vec` per diff costs a 10 KiB `malloc` on the few-run pages
+    /// that are the common case).
+    static STAGING: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The staging side of a [`Diff`]: runs are appended in offset order and
+/// frozen once.
+struct RunBuf {
+    runs: u32,
+    wire: Vec<u8>,
+}
+
+impl RunBuf {
+    /// Borrow the thread's staging buffer (handed back by `freeze`).
+    fn new() -> Self {
+        let mut wire = STAGING.take();
+        wire.clear();
+        wire.reserve(MAX_WIRE);
+        RunBuf { runs: 0, wire }
+    }
+
+    /// Append the run `page[start..end]`.
+    fn push(&mut self, page: &[u8], start: usize, end: usize) {
+        self.runs += 1;
+        self.wire.extend_from_slice(&(start as u16).to_le_bytes());
+        self.wire
+            .extend_from_slice(&((end - start) as u16).to_le_bytes());
+        self.wire.extend_from_slice(&page[start..end]);
+    }
+
+    fn freeze(self) -> Diff {
+        let wire = Bytes::copy_from_slice(&self.wire);
+        STAGING.set(self.wire);
+        Diff {
+            runs: self.runs,
+            wire,
+        }
+    }
 }
 
 impl Diff {
@@ -73,7 +122,7 @@ impl Diff {
                 })
                 .count()
         }
-        let mut runs = Vec::new();
+        let mut runs = RunBuf::new();
         let mut i = 0usize;
         while i < PAGE_SIZE {
             // Find the next differing byte.  Outside a run `i` re-aligns
@@ -109,12 +158,9 @@ impl Diff {
                     break;
                 }
             }
-            runs.push(DiffRun {
-                offset: start as u16,
-                data: current[start..i].to_vec(),
-            });
+            runs.push(current, start, i);
         }
-        let diff = Diff { runs };
+        let diff = runs.freeze();
         // With the `oracle-checks` feature (on in CI), every word-scan diff
         // is checked against the byte-at-a-time reference; off by default
         // because diff creation is on the interval-close hot path.
@@ -133,7 +179,7 @@ impl Diff {
     pub fn create_reference(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        let mut runs = Vec::new();
+        let mut runs = RunBuf::new();
         let mut i = 0usize;
         while i < PAGE_SIZE {
             if twin[i] != current[i] {
@@ -141,40 +187,121 @@ impl Diff {
                 while i < PAGE_SIZE && twin[i] != current[i] {
                     i += 1;
                 }
-                runs.push(DiffRun {
-                    offset: start as u16,
-                    data: current[start..i].to_vec(),
-                });
+                runs.push(current, start, i);
             } else {
                 i += 1;
             }
         }
-        Diff { runs }
+        runs.freeze()
+    }
+
+    /// The modified runs as `(offset within the page, new bytes)`, in
+    /// increasing offset order.
+    pub fn runs(&self) -> impl Iterator<Item = (u16, &[u8])> {
+        let mut rest: &[u8] = &self.wire;
+        std::iter::from_fn(move || {
+            let (head, tail) = rest.split_first_chunk::<4>()?;
+            let len = u16::from_le_bytes([head[2], head[3]]) as usize;
+            let (data, tail) = tail.split_at(len);
+            rest = tail;
+            Some((u16::from_le_bytes([head[0], head[1]]), data))
+        })
     }
 
     /// Apply this diff to `page`.
     pub fn apply(&self, page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "page must be one page");
-        for run in &self.runs {
-            let start = run.offset as usize;
-            page[start..start + run.data.len()].copy_from_slice(&run.data);
+        for (offset, data) in self.runs() {
+            page[offset as usize..][..data.len()].copy_from_slice(data);
         }
     }
 
     /// True if the twin and the page were identical.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.runs == 0
     }
 
     /// Number of modified bytes carried by the diff.
     pub fn modified_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.data.len()).sum()
+        self.wire.len() - 4 * self.runs as usize
     }
 
-    /// Size of the diff on the wire: per-run header (offset + length, 4 bytes)
-    /// plus the modified bytes, plus a small diff header.
+    /// *Modelled* size of the diff on the wire: per-run header (offset +
+    /// length, 4 bytes) plus the modified bytes, plus an 8-byte diff
+    /// header.  This is what the cost model charges and what
+    /// `diff_bytes_created` and every pinned KB count; it is deliberately
+    /// not the length the host encoding writes (`wire_len`: a 4-byte run
+    /// count ahead of the same runs) — unifying the two would move every
+    /// pinned value.
     pub fn encoded_len(&self) -> usize {
-        8 + self.runs.iter().map(|r| 4 + r.data.len()).sum::<usize>()
+        8 + self.wire.len()
+    }
+
+    /// Bytes [`encode`](Self::encode) writes: the run count and the runs.
+    pub(crate) fn wire_len(&self) -> usize {
+        4 + self.wire.len()
+    }
+
+    /// Append the host wire form — the run count, then the run buffer as
+    /// it is held — to `buf`.
+    pub(crate) fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.runs);
+        buf.put_slice(&self.wire);
+    }
+
+    /// Decode one diff off the front of `buf`, consuming exactly the bytes
+    /// [`encode`](Self::encode) wrote.  The runs are walked once, to
+    /// validate them and find the end; the returned diff is a refcounted
+    /// window of `buf`'s allocation, not a copy.
+    ///
+    /// Fails — before anything can index a page with it — if a run header
+    /// or its data lies outside `buf`, a run is empty or ends past the
+    /// page, or the runs are not in increasing, non-overlapping order.
+    pub(crate) fn decode(buf: &mut Bytes) -> Result<Diff, String> {
+        if buf.len() < 4 {
+            return Err(format!(
+                "diff run count truncated ({} bytes left)",
+                buf.len()
+            ));
+        }
+        let runs = buf.get_u32_le();
+        let (mut at, mut floor) = (0usize, 0usize);
+        for run in 0..runs {
+            let left = buf.len() - at;
+            let Some(head) = buf[at..].first_chunk::<4>() else {
+                return Err(format!(
+                    "diff run {run} of {runs}: header truncated ({left} bytes left)"
+                ));
+            };
+            let offset = u16::from_le_bytes([head[0], head[1]]) as usize;
+            let len = u16::from_le_bytes([head[2], head[3]]) as usize;
+            let why = if len == 0 {
+                "is empty".to_string()
+            } else if offset < floor {
+                format!("starts before the previous run's end {floor}")
+            } else if offset + len > PAGE_SIZE {
+                format!("ends past the {PAGE_SIZE}-byte page")
+            } else if 4 + len > left {
+                format!("data truncated ({} bytes left)", left - 4)
+            } else {
+                at += 4 + len;
+                floor = offset + len;
+                continue;
+            };
+            return Err(format!(
+                "diff run {run} of {runs} (offset {offset}, len {len}) {why}"
+            ));
+        }
+        Ok(Diff {
+            runs,
+            wire: buf.split_to(at),
+        })
+    }
+}
+
+impl std::fmt::Debug for Diff {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.runs()).finish()
     }
 }
 
@@ -209,9 +336,7 @@ mod tests {
         let twin = new_page();
         let page = page_with(&[(100, 1), (101, 2), (102, 3)]);
         let d = Diff::create(&twin, &page);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 100);
-        assert_eq!(d.runs[0].data, vec![1, 2, 3]);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(100, &[1u8, 2, 3][..])]);
     }
 
     #[test]
@@ -219,7 +344,8 @@ mod tests {
         let twin = new_page();
         let page = page_with(&[(0, 9), (1, 9), (500, 7), (4095, 5)]);
         let d = Diff::create(&twin, &page);
-        assert_eq!(d.runs.len(), 3);
+        let offsets: Vec<u16> = d.runs().map(|(offset, _)| offset).collect();
+        assert_eq!(offsets, [0, 500, 4095]);
         assert_eq!(d.modified_bytes(), 4);
     }
 
@@ -276,8 +402,157 @@ mod tests {
             *b = (i % 251 + 1) as u8;
         }
         let d = Diff::create(&twin, &page);
-        assert_eq!(d.runs.len(), 1);
+        assert_eq!(d.runs().count(), 1);
         assert!(d.encoded_len() >= PAGE_SIZE);
+    }
+
+    #[test]
+    fn f32_stencil_page_is_a_thousand_three_byte_runs_in_one_buffer() {
+        // A relaxation step changes a float's mantissa bytes while its
+        // exponent byte survives: every 4-byte word differs in its low
+        // three bytes.  This is the shape SOR-Nonzero produces on every
+        // page it writes, and the one per-run heap objects were worst at.
+        let mut twin = new_page();
+        for (i, b) in twin.iter_mut().enumerate() {
+            *b = (i % 251) as u8;
+        }
+        let mut page = twin.clone();
+        for word in page.chunks_exact_mut(4) {
+            for b in &mut word[..3] {
+                *b ^= 0x5a;
+            }
+        }
+        let d = Diff::create(&twin, &page);
+        assert_eq!(d, Diff::create_reference(&twin, &page));
+        assert_eq!(d.runs().count(), 1024);
+        assert!(d
+            .runs()
+            .enumerate()
+            .all(|(i, (offset, data))| offset as usize == 4 * i && data.len() == 3));
+        assert_eq!(d.encoded_len(), 8 + 1024 * 7);
+        assert_eq!(d.modified_bytes(), 3072);
+        let mut rebuilt = twin.clone();
+        d.apply(&mut rebuilt);
+        assert_eq!(rebuilt, page);
+    }
+
+    #[test]
+    fn the_worst_case_page_fits_the_staging_buffer_exactly() {
+        // Every other byte modified: the most runs a page can hold, and
+        // the capacity `RunBuf` reserves so that staging never regrows.
+        let twin = new_page();
+        let mut page = new_page();
+        for b in page.iter_mut().step_by(2) {
+            *b = 1;
+        }
+        let d = Diff::create(&twin, &page);
+        assert_eq!(d.runs().count(), PAGE_SIZE / 2);
+        assert_eq!(d.wire_len(), 4 + MAX_WIRE);
+    }
+
+    #[test]
+    fn a_diff_is_one_buffer_handle_whatever_its_run_count() {
+        // A run count and a `Bytes` handle (shared pointer + window).  If
+        // this grows, a per-run heap object has probably come back.
+        assert_eq!(std::mem::size_of::<Diff>(), 40);
+    }
+
+    fn encoded(d: &Diff) -> Bytes {
+        let mut b = BytesMut::new();
+        d.encode(&mut b);
+        b.freeze()
+    }
+
+    #[test]
+    fn decode_consumes_exactly_the_bytes_encode_wrote() {
+        let twin = new_page();
+        let page = page_with(&[(7, 1), (8, 2), (900, 3)]);
+        let d = Diff::create(&twin, &page);
+        let mut payload = BytesMut::new();
+        d.encode(&mut payload);
+        assert_eq!(payload.len(), d.wire_len());
+        payload.put_u32_le(0xbeef); // whatever follows the diff in its message
+        let mut cursor = payload.freeze();
+        assert_eq!(Diff::decode(&mut cursor), Ok(d));
+        assert_eq!(cursor.get_u32_le(), 0xbeef);
+        assert!(cursor.is_empty());
+    }
+
+    #[test]
+    fn decode_rejects_malformed_runs_naming_the_run() {
+        /// `(runs, raw bytes after the run count)` as a payload.
+        fn payload(runs: u32, body: &[u8]) -> Bytes {
+            let mut b = BytesMut::new();
+            b.put_u32_le(runs);
+            b.put_slice(body);
+            b.freeze()
+        }
+        fn run(offset: u16, len: u16, data: &[u8]) -> Vec<u8> {
+            let mut v = offset.to_le_bytes().to_vec();
+            v.extend_from_slice(&len.to_le_bytes());
+            v.extend_from_slice(data);
+            v
+        }
+        let good = run(10, 2, &[1, 2]);
+        let cases: [(&str, Bytes, &str); 9] = [
+            (
+                "no run count",
+                Bytes::from(vec![1, 0]),
+                "run count truncated (2 bytes left)",
+            ),
+            (
+                "truncated header",
+                payload(2, &[good.clone(), vec![20, 0, 1]].concat()),
+                "run 1 of 2: header truncated (3 bytes left)",
+            ),
+            (
+                "truncated data",
+                payload(1, &run(10, 4, &[1, 2])),
+                "run 0 of 1 (offset 10, len 4) data truncated (2 bytes left)",
+            ),
+            (
+                "run past the page end",
+                payload(1, &run(4090, 7, &[0; 7])),
+                "run 0 of 1 (offset 4090, len 7) ends past the 4096-byte page",
+            ),
+            (
+                "out-of-order runs",
+                payload(2, &[run(100, 1, &[1]), good.clone()].concat()),
+                "run 1 of 2 (offset 10, len 2) starts before the previous run's end 101",
+            ),
+            (
+                "overlapping runs",
+                payload(2, &[good.clone(), run(11, 1, &[9])].concat()),
+                "run 1 of 2 (offset 11, len 1) starts before the previous run's end 12",
+            ),
+            (
+                "empty run",
+                payload(1, &run(10, 0, &[])),
+                "run 0 of 1 (offset 10, len 0) is empty",
+            ),
+            (
+                "more runs than the buffer holds",
+                payload(u32::MAX, &good),
+                "run 1 of 4294967295: header truncated (0 bytes left)",
+            ),
+            (
+                "a u16 length that would wrap a narrower sum",
+                payload(1, &run(u16::MAX, u16::MAX, &[0; 8])),
+                "run 0 of 1 (offset 65535, len 65535) ends past the 4096-byte page",
+            ),
+        ];
+        for (what, mut bytes, expect) in cases {
+            let err = Diff::decode(&mut bytes).expect_err(what);
+            assert!(err.ends_with(expect), "{what}: got {err:?}");
+        }
+        // Adjacent runs and a run ending exactly at the page end are legal.
+        let mut ok = payload(2, &[run(4092, 2, &[1, 2]), run(4094, 2, &[3, 4])].concat());
+        let d = Diff::decode(&mut ok).expect("adjacent runs to the page end");
+        assert_eq!((d.modified_bytes(), ok.len()), (4, 0));
+        assert_eq!(
+            encoded(&d),
+            payload(2, &[run(4092, 2, &[1, 2]), run(4094, 2, &[3, 4])].concat())
+        );
     }
 
     /// Deterministic xorshift generator for the equivalence property tests

@@ -6,7 +6,7 @@
 //! protocol message here is encoded into real bytes whose length is what the
 //! simulated network charges and counts.
 
-use crate::page::{Diff, DiffRun, PageId};
+use crate::page::{Diff, PageId};
 use crate::vc::VectorClock;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -117,24 +117,18 @@ pub fn encode_sync_spliced(
     wire.finish(size)
 }
 
-/// Wire size of one encoded diff (what [`encode_diff_response_preencoded`]
-/// writes per diff after the `(creator, seq, vc)` prefix).
-fn diff_wire_len(diff: &Diff) -> usize {
-    4 + diff.runs.iter().map(|r| 4 + r.data.len()).sum::<usize>()
-}
-
-/// [`encode_diff_response_preencoded`] into a reusable, exactly pre-sized
-/// [`WireBuf`] — the serving path of the diff store.
+/// [`encode_diff_response`] from borrowed parts with pre-encoded vector
+/// clocks, into a reusable, exactly pre-sized [`WireBuf`] — the serving path
+/// of the diff store (no `Diff` clones, no clock re-serialisation).
 pub fn encode_diff_response_into(
     wire: &mut WireBuf,
     page: PageId,
     parts: &[DiffResponsePart<'_>],
 ) -> Bytes {
-    let size = 8
-        + parts
-            .iter()
-            .map(|(_, _, vcw, diff)| 8 + vcw.len() + diff_wire_len(diff))
-            .sum::<usize>();
+    let size = 8 + parts
+        .iter()
+        .map(|(_, _, vcw, diff)| 8 + vcw.len() + diff.wire_len())
+        .sum::<usize>();
     let b = wire.begin(size);
     b.put_u32_le(page);
     b.put_u32_le(parts.len() as u32);
@@ -142,7 +136,7 @@ pub fn encode_diff_response_into(
         b.put_u32_le(*creator as u32);
         b.put_u32_le(*seq);
         b.put_slice(vc_wire);
-        put_diff(b, diff);
+        diff.encode(b);
     }
     wire.finish(size)
 }
@@ -246,16 +240,6 @@ pub fn put_records(buf: &mut BytesMut, records: &[IntervalRecord]) {
     }
 }
 
-/// Encode a list of interval records from their pre-encoded wire buffers
-/// (see [`record_wire`]): the count header followed by a splice per record.
-/// Byte-identical to [`put_records`] over the same records.
-pub fn put_records_preencoded(buf: &mut BytesMut, wires: &[&Bytes]) {
-    buf.put_u32_le(wires.len() as u32);
-    for w in wires {
-        buf.put_slice(w);
-    }
-}
-
 /// Decode a list of interval records.
 pub fn get_records(buf: &mut Bytes, nprocs: usize) -> Vec<IntervalRecord> {
     let n = buf.get_u32_le() as usize;
@@ -279,17 +263,6 @@ pub fn decode_lock_request(mut payload: Bytes, nprocs: usize) -> (u32, usize, Ve
     (lock_id, requester, vc)
 }
 
-/// [`encode_lock_grant`] from pre-encoded record buffers — the hot-path
-/// variant used by the runtime's grant path (no record clones, no
-/// re-serialisation).
-pub fn encode_lock_grant_preencoded(lock_id: u32, vc: &VectorClock, wires: &[&Bytes]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(lock_id);
-    put_vc(&mut b, vc);
-    put_records_preencoded(&mut b, wires);
-    b.freeze()
-}
-
 /// Lock grant: `(lock_id, granter_vc, write notices the requester lacks)`.
 pub fn encode_lock_grant(lock_id: u32, vc: &VectorClock, records: &[IntervalRecord]) -> Bytes {
     let mut b = BytesMut::new();
@@ -308,15 +281,6 @@ pub fn decode_lock_grant(
     let vc = get_vc(&mut payload, nprocs);
     let records = get_records(&mut payload, nprocs);
     (lock_id, vc, records)
-}
-
-/// [`encode_barrier`] from pre-encoded record buffers (hot-path variant).
-pub fn encode_barrier_preencoded(epoch: u32, vc: &VectorClock, wires: &[&Bytes]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(epoch);
-    put_vc(&mut b, vc);
-    put_records_preencoded(&mut b, wires);
-    b.freeze()
 }
 
 /// Barrier arrival / release: `(epoch, vc, records)`.
@@ -385,47 +349,16 @@ pub struct WireDiff {
     pub diff: Diff,
 }
 
-fn put_diff(buf: &mut BytesMut, diff: &Diff) {
-    buf.put_u32_le(diff.runs.len() as u32);
-    for run in &diff.runs {
-        buf.put_u16_le(run.offset);
-        buf.put_u16_le(run.data.len() as u16);
-        buf.put_slice(&run.data);
-    }
-}
-
+/// Decode one diff off the front of `buf` as a window of `buf` itself
+/// ([`Diff::decode`]); a malformed one is a bug in a sender of this
+/// program, so it panics — with the located message, not a slice index.
 fn get_diff(buf: &mut Bytes) -> Diff {
-    let nruns = buf.get_u32_le() as usize;
-    let mut runs = Vec::with_capacity(nruns);
-    for _ in 0..nruns {
-        let offset = buf.get_u16_le();
-        let len = buf.get_u16_le() as usize;
-        let mut data = vec![0u8; len];
-        buf.copy_to_slice(&mut data);
-        runs.push(DiffRun { offset, data });
-    }
-    Diff { runs }
+    Diff::decode(buf).unwrap_or_else(|e| panic!("malformed diff payload: {e}"))
 }
 
 /// One borrowed entry of a diff response: `(creator, seq, pre-encoded
 /// creating-interval clock, diff)`.
 pub type DiffResponsePart<'a> = (usize, u32, &'a Bytes, &'a Diff);
-
-/// [`encode_diff_response`] from borrowed parts with pre-encoded vector
-/// clocks — the hot-path variant used when serving a diff request straight
-/// out of the diff store (no `Diff` clones, no clock re-serialisation).
-pub fn encode_diff_response_preencoded(page: PageId, parts: &[DiffResponsePart<'_>]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(page);
-    b.put_u32_le(parts.len() as u32);
-    for (creator, seq, vc_wire, diff) in parts {
-        b.put_u32_le(*creator as u32);
-        b.put_u32_le(*seq);
-        b.put_slice(vc_wire);
-        put_diff(&mut b, diff);
-    }
-    b.freeze()
-}
 
 /// Diff response: `(page, diffs)`.
 pub fn encode_diff_response(page: PageId, diffs: &[WireDiff]) -> Bytes {
@@ -436,7 +369,7 @@ pub fn encode_diff_response(page: PageId, diffs: &[WireDiff]) -> Bytes {
         b.put_u32_le(wd.creator as u32);
         b.put_u32_le(wd.seq);
         put_vc(&mut b, &wd.vc);
-        put_diff(&mut b, &wd.diff);
+        wd.diff.encode(&mut b);
     }
     b.freeze()
 }
@@ -470,7 +403,7 @@ pub fn encode_diff_flush(creator: usize, seq: u32, entries: &[(PageId, Diff)]) -
     b.put_u32_le(entries.len() as u32);
     for (page, diff) in entries {
         b.put_u32_le(*page);
-        put_diff(&mut b, diff);
+        diff.encode(&mut b);
     }
     b.freeze()
 }
@@ -616,6 +549,42 @@ pub fn encode_sc_ack(page: PageId) -> Bytes {
 /// Decode an SC invalidation acknowledgement.
 pub fn decode_sc_ack(mut payload: Bytes) -> PageId {
     payload.get_u32_le()
+}
+
+/// Encode a list of interval records from their pre-encoded wire buffers
+/// (see [`record_wire`]): the count header followed by a splice per record.
+/// With the two encoders below, the unspliced reference the byte-identity
+/// tests hold [`encode_sync_spliced`] against.
+#[cfg(test)]
+pub(crate) fn put_records_preencoded(buf: &mut BytesMut, wires: &[&Bytes]) {
+    buf.put_u32_le(wires.len() as u32);
+    for w in wires {
+        buf.put_slice(w);
+    }
+}
+
+/// [`encode_lock_grant`] from pre-encoded record buffers.
+#[cfg(test)]
+pub(crate) fn encode_lock_grant_preencoded(
+    lock_id: u32,
+    vc: &VectorClock,
+    wires: &[&Bytes],
+) -> Bytes {
+    let mut b = BytesMut::new();
+    b.put_u32_le(lock_id);
+    put_vc(&mut b, vc);
+    put_records_preencoded(&mut b, wires);
+    b.freeze()
+}
+
+/// [`encode_barrier`] from pre-encoded record buffers.
+#[cfg(test)]
+pub(crate) fn encode_barrier_preencoded(epoch: u32, vc: &VectorClock, wires: &[&Bytes]) -> Bytes {
+    let mut b = BytesMut::new();
+    b.put_u32_le(epoch);
+    put_vc(&mut b, vc);
+    put_records_preencoded(&mut b, wires);
+    b.freeze()
 }
 
 #[cfg(test)]
@@ -820,18 +789,145 @@ mod tests {
         page[100] = 1;
         page[2000] = 2;
         let d = Diff::create(&twin, &page);
+        // A response of several diffs, one of them empty, through a fresh
+        // buffer: the exact size pre-pass must count each diff's own length.
         let dvc = vc(&[0, 3, 1]);
-        let wire = vec![WireDiff {
-            creator: 1,
-            seq: 3,
+        let wire: Vec<WireDiff> = [
+            (1, 3, d.clone()),
+            (2, 1, Diff::default()),
+            (0, 9, d.clone()),
+        ]
+        .into_iter()
+        .map(|(creator, seq, diff)| WireDiff {
+            creator,
+            seq,
             vc: dvc.clone(),
-            diff: d.clone(),
-        }];
+            diff,
+        })
+        .collect();
         let dvcw = vc_wire(&dvc);
+        let parts: Vec<DiffResponsePart<'_>> = wire
+            .iter()
+            .map(|wd| (wd.creator, wd.seq, &dvcw, &wd.diff))
+            .collect();
         assert_eq!(
-            encode_diff_response_preencoded(12, &[(1, 3, &dvcw, &d)]),
+            encode_diff_response_into(&mut WireBuf::new(), 12, &parts),
             encode_diff_response(12, &wire)
         );
+    }
+
+    /// The two-diff response whose bytes [`GOLDEN_DIFF_RESPONSE`] pins.
+    fn golden_input() -> Vec<WireDiff> {
+        let twin = new_page();
+        let mut a = new_page();
+        a[100] = 1;
+        a[101] = 2;
+        a[102] = 3;
+        a[2000] = 9;
+        a[4095] = 5;
+        let mut b = new_page();
+        for x in b[..8].iter_mut() {
+            *x = 0xAA;
+        }
+        vec![
+            WireDiff {
+                creator: 1,
+                seq: 3,
+                vc: vc(&[0, 3, 1]),
+                diff: Diff::create(&twin, &a),
+            },
+            WireDiff {
+                creator: 2,
+                seq: 7,
+                vc: vc(&[4, 3, 7]),
+                diff: Diff::create(&twin, &b),
+            },
+        ]
+    }
+
+    /// `encode_diff_response(12, &golden_input())` as printed by commit
+    /// 9c56f3b — the last one whose diffs were a `Vec` of per-run `Vec`s —
+    /// so the wire format provably did not move with the representation.
+    #[rustfmt::skip]
+    const GOLDEN_DIFF_RESPONSE: [u8; 85] = [
+        0x0c, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // page 12, two diffs
+        0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // creator 1, seq 3
+        0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // vc [0, 3, 1]
+        0x03, 0x00, 0x00, 0x00, // three runs
+        0x64, 0x00, 0x03, 0x00, 0x01, 0x02, 0x03, // 100: 1 2 3
+        0xd0, 0x07, 0x01, 0x00, 0x09, // 2000: 9
+        0xff, 0x0f, 0x01, 0x00, 0x05, // 4095: 5
+        0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, // creator 2, seq 7
+        0x04, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, // vc [4, 3, 7]
+        0x01, 0x00, 0x00, 0x00, // one run
+        0x00, 0x00, 0x08, 0x00, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, // 0: aa × 8
+    ];
+
+    #[test]
+    fn diff_response_wire_bytes_match_the_golden_encoding() {
+        let input = golden_input();
+        assert_eq!(
+            encode_diff_response(12, &input).as_ref(),
+            GOLDEN_DIFF_RESPONSE
+        );
+        let vcws: Vec<Bytes> = input.iter().map(|wd| vc_wire(&wd.vc)).collect();
+        let parts: Vec<DiffResponsePart<'_>> = input
+            .iter()
+            .zip(&vcws)
+            .map(|(wd, vcw)| (wd.creator, wd.seq, vcw, &wd.diff))
+            .collect();
+        assert_eq!(
+            encode_diff_response_into(&mut WireBuf::new(), 12, &parts).as_ref(),
+            GOLDEN_DIFF_RESPONSE
+        );
+        let (page, got) = decode_diff_response(Bytes::from(GOLDEN_DIFF_RESPONSE.to_vec()), 3);
+        assert_eq!((page, got), (12, input));
+    }
+
+    #[test]
+    fn a_fetched_diff_is_the_response_buffer_itself() {
+        // What `apply_wire_diffs` stores for later accumulation is a window
+        // of the message payload: no second copy, and it must stay readable
+        // once the `Message` that carried it is gone.
+        let payload = encode_diff_response(12, &golden_input());
+        let span = payload.as_ptr_range();
+        let (_, got) = decode_diff_response(payload, 3);
+        for wd in &got {
+            for (_, data) in wd.diff.runs() {
+                let r = data.as_ptr_range();
+                assert!(
+                    span.start <= r.start && r.end <= span.end,
+                    "copied, not shared"
+                );
+            }
+        }
+        let mut rebuilt = new_page();
+        got[0].diff.apply(&mut rebuilt);
+        assert_eq!((rebuilt[100], rebuilt[2000], rebuilt[4095]), (1, 9, 5));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "malformed diff payload: diff run 2 of 3: header truncated (3 bytes left)"
+    )]
+    fn a_truncated_diff_response_dies_naming_the_run() {
+        // Cut inside the first diff's last run header: the decoder must say
+        // which run, not die in the shim's generic `buffer underflow`.
+        let cut = 32 + 7 + 5 + 3;
+        decode_diff_response(Bytes::from(GOLDEN_DIFF_RESPONSE[..cut].to_vec()), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "diff run 0 of 1 (offset 4095, len 2) ends past the 4096-byte page")]
+    fn a_flushed_run_past_the_page_end_dies_at_decode_not_at_apply() {
+        let mut b = BytesMut::new();
+        for word in [2u32, 7, 1, 5, 1] {
+            b.put_u32_le(word); // creator, seq, one entry, page 5, one run
+        }
+        b.put_u16_le(4095);
+        b.put_u16_le(2);
+        b.put_slice(&[1, 2]);
+        decode_diff_flush(b.freeze());
     }
 
     #[test]

@@ -50,6 +50,24 @@ impl Bytes {
         &self.data[self.start..self.end]
     }
 
+    /// Split the buffer at `at`: `self` keeps `[at, len)` and the returned
+    /// handle holds `[0, at)`.  Both share the one allocation (a refcount
+    /// increment, no copy), exactly as in the real crate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > len`.
+    pub fn split_to(&mut self, at: usize) -> Bytes {
+        assert!(at <= self.len(), "split_to out of bounds");
+        let head = Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start,
+            end: self.start + at,
+        };
+        self.start += at;
+        head
+    }
+
     /// A buffer holding a copy of `data` (one allocation, one memcpy —
     /// unlike `Bytes::from(vec)`, no intermediate `Vec` is built first).
     pub fn copy_from_slice(data: &[u8]) -> Self {
@@ -312,6 +330,25 @@ mod tests {
         assert_eq!(c.get_u16_le(), u16::from_le_bytes([1, 2]));
         assert_eq!(b.len(), 4);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn split_to_shares_the_allocation_and_outlives_its_source() {
+        let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        b.advance(1);
+        let base = b.as_slice().as_ptr();
+        let head = b.split_to(3);
+        assert_eq!(head.as_slice(), &[2, 3, 4]);
+        assert_eq!(b.as_slice(), &[5]);
+        assert_eq!(head.as_slice().as_ptr(), base, "a window, not a copy");
+        drop(b);
+        assert_eq!(head.as_slice(), &[2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "split_to out of bounds")]
+    fn split_to_past_the_end_panics() {
+        Bytes::from(vec![1, 2]).split_to(3);
     }
 
     #[test]
