@@ -427,7 +427,9 @@ mod tests {
             .all(|p| p.net == sweep.base && p.nprocs == sweep.max_procs));
         let keys = sweep.keys();
         assert_eq!(keys.len(), points.len() * sweep.systems.len());
-        assert!(keys.iter().all(|k| keys[0..sweep.systems.len()].contains(k)));
+        assert!(keys
+            .iter()
+            .all(|k| keys[0..sweep.systems.len()].contains(k)));
         // The rendered figure shows one identical row per width.
         let matrix = run_matrix(Preset::Tiny, &sweep.workloads, &keys, 2);
         let rendered = sweep.render(&matrix);

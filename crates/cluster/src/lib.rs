@@ -3,9 +3,9 @@
 //! The SC'95 study "Message Passing Versus Distributed Shared Memory on
 //! Networks of Workstations" executed its experiments on eight HP-735
 //! workstations connected by a 100 Mbit/s FDDI ring.  This crate provides the
-//! equivalent substrate for the reproduction: a [`Cluster`] spawns one OS
-//! thread per simulated *process* (workstation), and every process owns a
-//! [`Proc`] handle through which it
+//! equivalent substrate for the reproduction: a [`Cluster`] runs every
+//! simulated *process* (workstation) as a coroutine on one OS thread per
+//! run, and every process owns a [`Proc`] handle through which it
 //!
 //! * advances a **virtual clock** for computation via [`Proc::compute`], and
 //! * exchanges tagged byte messages via [`Proc::send`] / [`Proc::recv`],
@@ -51,6 +51,7 @@
 
 pub mod analysis;
 pub mod config;
+mod coro;
 pub mod fault;
 pub mod net;
 pub mod obs;
@@ -71,16 +72,15 @@ pub use scenario::Scenario;
 pub use stats::{ClusterReport, ProcStats};
 pub use time::VirtualClock;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 /// A simulated cluster of workstations.
 ///
 /// `Cluster` is a thin front end: [`Cluster::run`] builds the shared
-/// [`net::NetworkCore`], spawns one thread per process, hands each thread a
-/// [`Proc`] handle, runs the user closure to completion on every process and
-/// returns the per-process results together with the per-process
-/// communication statistics.
+/// [`net::NetworkCore`], starts one coroutine per process on a thread of the
+/// run's own, hands each a [`Proc`] handle, runs the user closure to
+/// completion on every process and returns the per-process results together
+/// with the per-process communication statistics.
 pub struct Cluster;
 
 /// Install (once per host process) a panic hook that silences the engine's
@@ -108,27 +108,29 @@ fn quiet_teardown_hook() {
     });
 }
 
-/// Clusters running in this process right now (see [`Cluster::try_run`]).
-static RUNNING: AtomicUsize = AtomicUsize::new(0);
-
 impl Cluster {
     /// Run `f` on `cfg.nprocs` simulated processes and collect the results.
     ///
     /// The closure receives the [`Proc`] handle of its process.  Each
-    /// process runs on its own OS thread, but the cluster's conservative
-    /// virtual-time arbiter serialises every shared-medium and mailbox
-    /// interaction in virtual-timestamp order (ties broken by rank), so all
-    /// reported times *and counters* are bit-identical across runs — the
-    /// outcome is a pure function of the program and the cost model, never
-    /// of OS scheduling or the physical core count of the host.
+    /// process runs on its own 2 MiB stack — all of them on one OS thread
+    /// spawned for the run, a grant being a stack switch; only the windowed
+    /// engine (`island_threads >= 2`, when eligible) gives each an OS thread
+    /// — and the cluster's conservative virtual-time arbiter serialises
+    /// every shared-medium and mailbox interaction in virtual-timestamp
+    /// order (ties broken by rank), so all reported times *and counters* are
+    /// bit-identical across runs: the outcome is a pure function of the
+    /// program and the cost model, never of OS scheduling or the physical
+    /// core count of the host.  A process that overflows its stack dies on
+    /// the guard page below it with a bare SIGSEGV, not `std`'s message.
     ///
     /// # Panics
     ///
-    /// Panics if any process thread panics (the lowest-rank panic is
-    /// propagated), or on any structured [`RunFailure`] — a virtual-time
-    /// deadlock or livelock (the panic message carries the full wait graph
-    /// and fault context) or a fault-plan crash.  Harnesses that must
-    /// survive failures (the fuzzer) use [`Cluster::try_run`] instead.
+    /// Panics if any process panics (the lowest-rank panic is propagated),
+    /// if a process's stack cannot be mapped (one line naming the rank, the
+    /// size and the OS error), or on any structured [`RunFailure`] — a
+    /// virtual-time deadlock or livelock (the panic message carries the full
+    /// wait graph and fault context) or a fault-plan crash.  Harnesses that
+    /// must survive failures (the fuzzer) use [`Cluster::try_run`] instead.
     pub fn run<F, R>(cfg: ClusterConfig, f: F) -> ClusterReport<R>
     where
         F: Fn(&Proc) -> R + Send + Sync,
@@ -147,8 +149,8 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if a process thread panics with anything other than the
-    /// engine's typed teardown payloads.
+    /// Panics if a process panics with anything other than the engine's
+    /// typed teardown payloads, or if a process's stack cannot be mapped.
     pub fn try_run<F, R>(cfg: ClusterConfig, f: F) -> Result<ClusterReport<R>, RunFailure>
     where
         F: Fn(&Proc) -> R + Send + Sync,
@@ -157,114 +159,100 @@ impl Cluster {
         assert!(cfg.nprocs >= 1, "a cluster needs at least one process");
         quiet_teardown_hook();
         let core = Arc::new(net::NetworkCore::new(cfg.clone()));
-        let f = &f;
-        // Rank 0 — most often a run's largest process: it initialises, it is
-        // the master — starts first (its first allocation binds it to an arena)
-        // and leaves last.  The host allocator hands a new thread the arena the
-        // last exited thread gave back, so rank 0 keeps one arena run after run
-        // and a batch reuses its memory instead of now and then keeping a
-        // second footprint (docs/ARCHITECTURE.md).  Only while no other cluster
-        // runs in the process: beside one, waiting just loses it the arena.
-        let alone = RUNNING.fetch_add(1, Ordering::Relaxed) == 0;
-        let gate = &Barrier::new(2);
-        let results: Result<Vec<(R, ProcStats, Option<obs::ProcObs>)>, RunFailure> =
-            // lint:allow(threads): the cluster's own per-process OS threads —
-            // the arbiter (and, threaded, the window coordinator) serialises
-            // every simulated interaction they perform.
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(cfg.nprocs);
-                for id in 0..cfg.nprocs {
-                    let core = Arc::clone(&core);
-                    let hold = alone && id == 0;
-                    handles.push(s.spawn(move || {
-                        if hold {
-                            drop(std::hint::black_box(Box::new(id)));
-                            gate.wait();
-                        }
-                        let mut proc = Proc::new(id, Arc::clone(&core));
-                        // A panicking process aborts the whole cluster: peers
-                        // blocked on messages it will never send fail fast
-                        // instead of hanging the run.  `into_stats` (which hands
-                        // the scheduling token back) runs inside the guard so a
-                        // deadlock detected at finish aborts the cluster too.
-                        // A fault-plan crash is the one exception: it already
-                        // tore itself down via `core.crash`, and its peers
-                        // must run on — the crash kills one process, not the
-                        // cluster.
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let r = f(&proc);
-                            let po = proc.take_obs();
-                            let stats = proc.into_stats();
-                            (r, stats, po)
-                        }));
-                        if outcome.as_ref().is_err_and(|p| !p.is::<net::CrashPayload>()) {
-                            core.abort(id);
-                        }
-                        if hold {
-                            gate.wait();
-                        }
-                        outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    }));
-                    if hold {
-                        gate.wait();
+        let rank = |id: usize| {
+            let mut proc = Proc::new(id, Arc::clone(&core));
+            // A panicking process aborts the whole cluster: peers
+            // blocked on messages it will never send fail fast
+            // instead of hanging the run.  `into_stats` (which hands
+            // the scheduling token back) runs inside the guard so a
+            // deadlock detected at finish aborts the cluster too.
+            // A fault-plan crash is the one exception: it already
+            // tore itself down via `core.crash`, and its peers
+            // must run on — the crash kills one process, not the
+            // cluster.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let r = f(&proc);
+                let po = proc.take_obs();
+                let stats = proc.into_stats();
+                (r, stats, po)
+            }));
+            if outcome
+                .as_ref()
+                .is_err_and(|p| !p.is::<net::CrashPayload>())
+            {
+                core.abort(id);
+            }
+            outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        };
+        // The serial engine's ranks are coroutines on one OS thread per run
+        // (`coro`): a grant is a stack switch, and the thread's exit gives
+        // the run's allocator arena back for the next run's thread to take
+        // (docs/ARCHITECTURE.md §Handoff).  The windowed engine parks its
+        // ranks on its own condition variables, so they stay OS threads.
+        // lint:allow(threads): the run's hosting thread — or, windowed, the
+        // per-process threads the window coordinator serialises.
+        let joined: Vec<std::thread::Result<_>> = std::thread::scope(|s| {
+            if window::eligible(&cfg) {
+                let handles: Vec<_> = (0..cfg.nprocs)
+                    .map(|id| {
+                        let rank = &rank;
+                        s.spawn(move || rank(id))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            } else {
+                s.spawn(|| coro::run(cfg.nprocs, rank))
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            }
+        });
+        // Every rank has finished before a failure propagates; prefer
+        // the *originating* panic over the typed `PeerAbort` panics of
+        // the peers it took down, so the surfaced message is the root
+        // cause (deterministically the lowest-rank originator).
+        let mut results = Vec::with_capacity(joined.len());
+        let mut originator = None;
+        let mut victim = None;
+        let mut failure: Option<RunFailure> = None;
+        let mut crashed = false;
+        for j in joined {
+            match j {
+                Ok(tuple) => results.push(tuple),
+                Err(payload) => {
+                    if payload.downcast_ref::<net::CrashPayload>().is_some() {
+                        crashed = true;
+                    } else if let Some(d) = payload.downcast_ref::<net::DeadlockAbort>() {
+                        failure.get_or_insert(RunFailure::Deadlock(d.0.clone()));
+                    } else if let Some(l) = payload.downcast_ref::<net::LivelockAbort>() {
+                        failure.get_or_insert(RunFailure::Livelock(l.0.clone()));
+                    } else if payload.downcast_ref::<net::PeerAbort>().is_some() {
+                        victim.get_or_insert(payload);
+                    } else {
+                        originator.get_or_insert(payload);
                     }
                 }
-                // Join every thread before propagating a failure, and prefer
-                // the *originating* panic over the typed `PeerAbort` panics of
-                // the peers it took down, so the surfaced message is the root
-                // cause (deterministically the lowest-rank originator).
-                let mut joined: Vec<_> = handles.drain(1..).map(|h| h.join()).collect();
-                if alone {
-                    gate.wait();
-                }
-                joined.insert(0, handles.remove(0).join());
-                RUNNING.fetch_sub(1, Ordering::Relaxed);
-                let mut out = Vec::with_capacity(joined.len());
-                let mut originator = None;
-                let mut victim = None;
-                let mut failure: Option<RunFailure> = None;
-                let mut crashed = false;
-                for j in joined {
-                    match j {
-                        Ok(tuple) => out.push(tuple),
-                        Err(payload) => {
-                            if payload.downcast_ref::<net::CrashPayload>().is_some() {
-                                crashed = true;
-                            } else if let Some(d) = payload.downcast_ref::<net::DeadlockAbort>() {
-                                failure.get_or_insert(RunFailure::Deadlock(d.0.clone()));
-                            } else if let Some(l) = payload.downcast_ref::<net::LivelockAbort>() {
-                                failure.get_or_insert(RunFailure::Livelock(l.0.clone()));
-                            } else if payload.downcast_ref::<net::PeerAbort>().is_some() {
-                                victim.get_or_insert(payload);
-                            } else {
-                                originator.get_or_insert(payload);
-                            }
-                        }
-                    }
-                }
-                if let Some(payload) = originator {
-                    std::panic::resume_unwind(payload);
-                }
-                if let Some(failure) = failure {
-                    return Err(failure);
-                }
-                if let Some(payload) = victim {
-                    // Every victim should be accompanied by its originator; if
-                    // one ever surfaces alone, rethrow it readably.
-                    let who = payload
-                        .downcast_ref::<net::PeerAbort>()
-                        .expect("checked above")
-                        .0;
-                    panic!("cluster aborted: process {who} panicked");
-                }
-                if crashed {
-                    // Crashed ranks produced no result, so there is nothing
-                    // complete to report — but nothing deadlocked either.
-                    return Err(RunFailure::Crashed(core.crashed()));
-                }
-                Ok(out)
-            });
-        let results = results?;
+            }
+        }
+        if let Some(payload) = originator {
+            std::panic::resume_unwind(payload);
+        }
+        if let Some(failure) = failure {
+            return Err(failure);
+        }
+        if let Some(payload) = victim {
+            // Every victim should be accompanied by its originator; if
+            // one ever surfaces alone, rethrow it readably.
+            let who = payload
+                .downcast_ref::<net::PeerAbort>()
+                .expect("checked above")
+                .0;
+            panic!("cluster aborted: process {who} panicked");
+        }
+        if crashed {
+            // Crashed ranks produced no result, so there is nothing
+            // complete to report — but nothing deadlocked either.
+            return Err(RunFailure::Crashed(core.crashed()));
+        }
         let mut out_results = Vec::with_capacity(results.len());
         let mut out_stats = Vec::with_capacity(results.len());
         let mut out_obs = Vec::with_capacity(results.len());
@@ -353,5 +341,24 @@ mod tests {
         assert_eq!(rep.stats[0].datagrams_sent, (n - 1) as u64);
         assert_eq!(rep.total_datagrams(), (n - 1) as u64);
         assert_eq!(rep.total_bytes(), 100 * (n as u64 - 1));
+    }
+
+    #[test]
+    fn ranks_are_os_threads_only_on_the_windowed_engine() {
+        // lint:allow(threads): reads which OS thread each rank body runs on.
+        let here = || std::thread::current().id();
+        let caller = here();
+        let distinct = |cfg: ClusterConfig| {
+            let mut ids = Cluster::run(cfg, |_| here()).results;
+            assert!(!ids.contains(&caller), "ranks run off the calling thread");
+            ids.dedup();
+            ids.len()
+        };
+        let mut cfg = ClusterConfig::calibrated_fddi(8);
+        assert_eq!(distinct(cfg.clone()), 1, "one hosting thread per run");
+        cfg.islands = 4;
+        cfg.island_threads = 2;
+        assert!(window::eligible(&cfg));
+        assert_eq!(distinct(cfg), 8, "the windowed engine's rank threads");
     }
 }

@@ -17,12 +17,13 @@
 //! byte-identical times and counters.
 
 use crate::config::ClusterConfig;
+use crate::coro;
 use crate::fault::{FaultKind, FaultState, FaultStats};
 use crate::obs::{self, Event, EventKind, ObsLevel};
 use crate::sched::{wait_graph, Decision, IslandSched, PState};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
-use std::{collections::VecDeque, sync::OnceLock, thread::Thread};
+use std::collections::VecDeque;
 
 /// Message tags distinguish independent conversations between two processes.
 pub type Tag = u32;
@@ -62,7 +63,7 @@ pub(crate) struct DeadlockAbort(pub(crate) String);
 #[derive(Debug, Clone)]
 pub(crate) struct LivelockAbort(pub(crate) String);
 
-/// Panic payload a process thread unwinds with when its fault-plan crash
+/// Panic payload a process unwinds with when its fault-plan crash
 /// point fires: not an error in the program under test, but the injected
 /// fault itself.  The fields are never read by the engine (the crash is
 /// recorded in `SimState` before the unwind) — they exist so a panic hook
@@ -130,7 +131,7 @@ impl std::fmt::Display for RunFailure {
 /// engine (`crate::window`), which raises the identical payloads.
 #[derive(Debug, Clone)]
 pub(crate) enum Abort {
-    /// A process thread panicked; peers must fail fast instead of waiting
+    /// A process panicked; peers must fail fast instead of waiting
     /// for messages the dead process will never send.
     Panic(usize),
     /// Every live process was blocked in a receive with no deliverable
@@ -157,7 +158,7 @@ pub(crate) const LIVELOCK_GRANT_LIMIT: u64 = 10_000_000;
 #[cfg(test)]
 pub(crate) const LIVELOCK_GRANT_LIMIT: u64 = 100_000;
 
-/// Unwind the calling process thread with the typed payload matching the
+/// Unwind the calling process with the typed payload matching the
 /// abort cause.  Shared by both engines.
 pub(crate) fn panic_aborted(abort: &Abort) -> ! {
     match abort {
@@ -167,7 +168,7 @@ pub(crate) fn panic_aborted(abort: &Abort) -> ! {
     }
 }
 
-/// Everything the simulation shares between process threads, guarded by a
+/// Everything the simulation shares between processes, guarded by a
 /// single lock: exactly one process interacts with it at a time anyway (the
 /// token discipline), so finer-grained locking would buy nothing.
 struct SimState {
@@ -207,12 +208,9 @@ struct SimState {
 /// record and the `oracle-checks` reference executor.
 pub struct NetworkCore {
     cfg: ClusterConfig,
+    /// Uncontended: the ranks of a serial-engine run are coroutines on one
+    /// thread (`crate::coro`), and a rank drops its guard before it yields.
     state: Mutex<SimState>,
-    /// One wake-up token per process: its OS thread, registered under `state`
-    /// at its first park.  A process sleeps in `std::thread::park` while parked
-    /// or blocked and is unparked when granted (or on abort).  The token is
-    /// sticky and `state` is re-checked before every sleep: no wake is lost.
-    wake: Vec<OnceLock<Thread>>,
     /// The threaded engine, when eligible; every primitive delegates to it.
     windowed: Option<crate::window::WindowedCore>,
 }
@@ -241,7 +239,6 @@ impl NetworkCore {
                 crashed: Vec::new(),
                 trace: if tracing { Some(Vec::new()) } else { None },
             }),
-            wake: (0..n).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -250,8 +247,9 @@ impl NetworkCore {
         &self.cfg
     }
 
-    /// Mark the cluster as aborted because process `who` panicked, and wake
-    /// every parked or blocked process so it can fail fast.
+    /// Mark the cluster as aborted because process `who` panicked.  Every
+    /// other process fails fast at its next interaction; the run loop resumes
+    /// the suspended ones to find out (`crate::coro::run`).
     pub fn abort(&self, who: usize) {
         if let Some(w) = &self.windowed {
             return w.abort(who);
@@ -261,16 +259,6 @@ impl NetworkCore {
             st.aborted = Some(Abort::Panic(who));
         }
         st.arb.set(who, PState::Finished);
-        drop(st);
-        self.wake_all();
-    }
-
-    /// Wake every process that has ever slept, so each re-checks `aborted`
-    /// (one not yet registered checks it under the lock before it first sleeps).
-    fn wake_all(&self) {
-        for thread in self.wake.iter().filter_map(OnceLock::get) {
-            thread.unpark();
-        }
     }
 
     /// Mark process `id` as finished and hand the token to the next
@@ -283,30 +271,19 @@ impl NetworkCore {
     }
 
     /// Leave the simulation for good: mark `id` finished, let the arbiter
-    /// schedule, and wake the granted process once the lock is dropped.
+    /// schedule, and name the granted process to the run loop, which resumes
+    /// it when `id`'s body has returned.
     fn retire(&self, mut st: MutexGuard<'_, SimState>, id: usize) {
         st.arb.set(id, PState::Finished);
         let granted = st.aborted.is_none().then(|| self.dispatch(&mut st));
         drop(st);
-        if let Some(rank) = granted.flatten() {
-            self.unpark(rank);
-        }
-    }
-
-    /// Wake the just-granted process `rank`.  Called without `state` held: a
-    /// woken thread that preempts its waker on a shared CPU must find the
-    /// lock free, or it blocks on it and has to be woken a second time.
-    fn unpark(&self, rank: usize) {
-        self.wake[rank]
-            .get()
-            .expect("a granted process has parked, so it is registered")
-            .unpark();
+        coro::leave_to(granted.flatten());
     }
 
     /// Tear down process `id` because its fault-plan crash point fired at
     /// virtual time `at`: record the crash, stamp it into the trace, mark
     /// the process finished and hand the token on.  The process layer then
-    /// unwinds its thread with a [`CrashPayload`] — the crash kills only the
+    /// unwinds it with a [`CrashPayload`] — the crash kills only the
     /// one process; peers run on (and may then deadlock, which the detector
     /// reports naming this crash as context).
     pub(crate) fn crash(&self, id: usize, at: f64) {
@@ -382,10 +359,10 @@ impl NetworkCore {
     }
 
     /// Run one scheduling decision: mark the granted process `Running` and
-    /// return it for the caller to wake once it has dropped the lock (a
-    /// self-grant needs no wake at all), or tear the cluster down if the
-    /// decision is a deadlock.  Must be called whenever a process leaves the
-    /// `Running` state.
+    /// return it for the caller to name to the run loop once it has dropped
+    /// the lock (a self-grant needs no switch at all), or tear the cluster
+    /// down if the decision is a deadlock.  Must be called whenever a
+    /// process leaves the `Running` state.
     fn dispatch(&self, st: &mut SimState) -> Option<usize> {
         match st.arb.decide() {
             Decision::Grant(rank) => {
@@ -411,7 +388,6 @@ impl NetworkCore {
                         eprintln!("{report}");
                     }
                     st.aborted = Some(Abort::Livelock(report));
-                    self.wake_all();
                     return None;
                 }
                 st.arb.set(rank, PState::Running);
@@ -425,15 +401,14 @@ impl NetworkCore {
                     eprintln!("{graph}");
                 }
                 st.aborted = Some(Abort::Deadlock(graph));
-                self.wake_all();
                 None
             }
         }
     }
 
-    /// Park process `me` in `state`, let the arbiter schedule, and sleep
-    /// until `me` is granted the token again.  On return the caller is the
-    /// sole running process and still holds the lock.
+    /// Park process `me` in `state`, let the arbiter schedule, and yield to
+    /// the run loop until `me` is granted the token again.  On return the
+    /// caller is the sole running process and still holds the lock.
     ///
     /// # Panics
     ///
@@ -448,7 +423,6 @@ impl NetworkCore {
         if let Some(abort) = &st.aborted {
             panic_aborted(abort);
         }
-        self.wake[me].get_or_init(std::thread::current);
         st.arb.set(me, state);
         let mut granted = self.dispatch(&mut st);
         loop {
@@ -458,11 +432,9 @@ impl NetworkCore {
             if matches!(st.arb.state(me), PState::Running) {
                 return st;
             }
+            // No guard is live across the switch (`crate::coro`, rule 2).
             drop(st);
-            if let Some(rank) = granted.take() {
-                self.unpark(rank);
-            }
-            std::thread::park();
+            coro::yield_to(granted.take());
             st = self.state.lock();
         }
     }
@@ -715,6 +687,8 @@ impl NetworkCore {
 mod tests {
     use super::*;
     use crate::{Cluster, ClusterConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn transmit_and_receive_in_fifo_order_per_tag() {
@@ -861,19 +835,20 @@ mod tests {
         });
     }
 
-    // ---- The wake path.  A lost wake-up is a hang, so every test below runs
-    // under a watchdog that fails with a message instead.
+    // ---- The handoff path.  A rank nobody resumes is a hang, so every test
+    // below runs under a watchdog that fails with a message instead.
 
     /// Run `f` on its own thread and return its result (or its panic), or
     /// fail naming `what` if neither arrives; the stuck thread is left behind.
     fn watchdog<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
         use std::sync::mpsc::{channel, RecvTimeoutError};
         let (tx, rx) = channel();
+        // lint:allow(threads): the watchdog must outlive a hung run loop.
         let runner = std::thread::spawn(move || tx.send(f()));
         match rx.recv_timeout(std::time::Duration::from_secs(60)) {
             Ok(result) => result,
             Err(RecvTimeoutError::Timeout) => {
-                panic!("{what}: no result after 60 s — a lost wake-up?")
+                panic!("{what}: no result after 60 s — a rank nobody resumed?")
             }
             Err(RecvTimeoutError::Disconnected) => {
                 std::panic::resume_unwind(runner.join().expect_err("the sender was dropped"))
@@ -882,7 +857,7 @@ mod tests {
     }
 
     /// A token circling the ranks `laps` times: every event is a cross-rank
-    /// grant to a sleeping thread.
+    /// grant to a suspended rank.
     fn ring(p: &crate::Proc, laps: u32) {
         let n = p.nprocs();
         let (next, prev) = ((p.id() + 1) % n, (p.id() + n - 1) % n);
@@ -908,39 +883,230 @@ mod tests {
     }
 
     #[test]
-    fn a_panic_before_the_first_interaction_wakes_seven_sleepers() {
-        // Rank 0 never interacts, so it never registers a wake token: the
-        // teardown must not need it.  The sleepers are driven on the core
-        // directly so the test can see that all seven have blocked.
-        let victims = watchdog("start-up abort with seven sleepers", || {
+    fn a_panic_before_the_first_interaction_aborts_seven_peers_at_theirs() {
+        // Rank 0 dies before the run loop has started anyone else: each of
+        // the other seven starts, finds the abort at its first interaction
+        // and unwinds with the typed peer payload.
+        let (text, victims) = watchdog("start-up abort with seven unstarted peers", || {
+            let victims = AtomicUsize::new(0);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Cluster::run(ClusterConfig::calibrated_fddi(8), |p| {
+                    if p.id() == 0 {
+                        panic!("rank 0 dies before anyone interacts");
+                    }
+                    let abort =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.pending()))
+                            .expect_err("the cluster is already aborted");
+                    if abort.is::<PeerAbort>() {
+                        victims.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::panic::resume_unwind(abort)
+                })
+            }));
+            let payload = run.expect_err("the run must propagate the panic");
+            (
+                payload.downcast_ref::<&str>().copied(),
+                victims.into_inner(),
+            )
+        });
+        assert_eq!(text, Some("rank 0 dies before anyone interacts"));
+        assert_eq!(victims, 7);
+    }
+
+    #[test]
+    fn a_suspended_rank_holds_no_lock() {
+        // Ranks 0..7 suspend inside `park`; rank 7, started last, takes the
+        // one lock (a guard held across a switch would hang it here, on its
+        // own thread) and tears the run down.
+        let victims = watchdog("seven suspended ranks and one lock", || {
             let core = NetworkCore::new(ClusterConfig::calibrated_fddi(8));
-            std::thread::scope(|s| {
-                let sleepers: Vec<_> = (1..8)
-                    .map(|id| {
-                        let core = &core;
-                        s.spawn(move || {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                core.recv_match(id, Some(0), None, 0.0)
-                            }))
-                        })
-                    })
-                    .collect();
-                while core.state.lock().arb.states()[1..]
-                    .iter()
-                    .any(|s| !matches!(s, PState::RecvBlocked { .. }))
-                {
-                    std::thread::yield_now();
+            let ranks = coro::run(8, |id| {
+                if id < 7 {
+                    core.recv_match(id, Some(7), None, 0.0);
+                } else {
+                    let blocked = core.state.lock().arb.states()[..7]
+                        .iter()
+                        .filter(|s| matches!(s, PState::RecvBlocked { .. }))
+                        .count();
+                    assert_eq!(blocked, 7);
+                    core.abort(7);
                 }
-                assert!(core.wake[0].get().is_none());
-                core.abort(0);
-                sleepers
-                    .into_iter()
-                    .map(|h| h.join().expect("the unwind was caught"))
-                    .filter(|r| r.as_ref().is_err_and(|p| p.is::<PeerAbort>()))
-                    .count()
-            })
+            });
+            ranks
+                .iter()
+                .filter(|r| r.as_ref().is_err_and(|p| p.is::<PeerAbort>()))
+                .count()
         });
         assert_eq!(victims, 7);
+    }
+
+    /// Counts its drops: a rank that is torn down must still unwind.
+    struct Held(Arc<AtomicUsize>);
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `try_run` eight ranks that each hold a [`Held`], under the watchdog:
+    /// the verdict (or the panic's text) and how many ranks dropped theirs.
+    fn torn_down(
+        cfg: ClusterConfig,
+        body: fn(&crate::Proc),
+    ) -> (Result<Result<(), RunFailure>, Option<&'static str>>, usize) {
+        watchdog("an 8-rank teardown", move || {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Cluster::try_run(cfg, |p| {
+                    let _held = Held(Arc::clone(&drops));
+                    body(p)
+                })
+                .map(|_| ())
+            }));
+            let run = run.map_err(|payload| payload.downcast_ref::<&str>().copied());
+            (run, drops.load(Ordering::Relaxed))
+        })
+    }
+
+    #[test]
+    fn teardown_after_a_panic_runs_every_ranks_destructors() {
+        let (run, drops) = torn_down(ClusterConfig::calibrated_fddi(8), |p| {
+            if p.id() == 3 {
+                p.send(3, 1, Bytes::new());
+                panic!("rank 3 dies holding the token");
+            }
+            p.recv(Some(3), 2);
+        });
+        assert_eq!(run.unwrap_err(), Some("rank 3 dies holding the token"));
+        assert_eq!(drops, 8);
+    }
+
+    #[test]
+    fn teardown_after_a_deadlock_runs_every_ranks_destructors() {
+        // A fault plan keeps the expected wait graph off the test's stderr.
+        let mut cfg = ClusterConfig::calibrated_fddi(8);
+        cfg.fault.delay = 1e-9;
+        let (run, drops) = torn_down(cfg, |p| {
+            p.recv(Some((p.id() + 1) % 8), 4);
+        });
+        match run {
+            Ok(Err(RunFailure::Deadlock(report))) => {
+                assert!(report.starts_with("virtual-time deadlock"), "{report}")
+            }
+            other => panic!("expected the deadlock verdict, got {other:?}"),
+        }
+        assert_eq!(drops, 8);
+    }
+
+    #[test]
+    fn teardown_after_a_crash_runs_every_ranks_destructors() {
+        use crate::fault::{Crash, CrashPoint};
+        let mut cfg = ClusterConfig::calibrated_fddi(8);
+        cfg.fault.crashes = vec![Crash {
+            rank: 2,
+            at: CrashPoint::Event(2),
+        }];
+        // Rank 2 dies at its second interaction, suspended ranks behind it;
+        // the survivors' ring does not need it.
+        let (run, drops) = torn_down(cfg, |p| {
+            if p.id() == 2 {
+                p.try_recv(Some(0), 9);
+                p.try_recv(Some(0), 9);
+                unreachable!("rank 2 crashed at its second interaction");
+            }
+            let peers = [0, 1, 3, 4, 5, 6, 7];
+            let at = peers.iter().position(|&r| r == p.id()).expect("a survivor");
+            let (next, prev) = (peers[(at + 1) % 7], peers[(at + 6) % 7]);
+            if at == 0 {
+                p.send(next, 1, Bytes::from_static(b"token"));
+                p.recv(Some(prev), 1);
+            } else {
+                p.recv(Some(prev), 1);
+                p.send(next, 1, Bytes::from_static(b"token"));
+            }
+        });
+        match run {
+            Ok(Err(RunFailure::Crashed(ranks))) => assert_eq!(ranks, vec![(2, 0.0)]),
+            other => panic!("expected the crash verdict, got {other:?}"),
+        }
+        assert_eq!(drops, 8);
+    }
+
+    #[test]
+    fn a_rank_body_has_a_megabyte_of_stack_and_yields_from_its_depth() {
+        /// Recurse until a mebibyte of stack lies above, then run `at_depth`.
+        fn descend(top: usize, at_depth: &dyn Fn()) {
+            let frame = std::hint::black_box([0u8; 512]);
+            if top - (frame.as_ptr() as usize) < (1 << 20) {
+                descend(top, at_depth);
+            } else {
+                at_depth();
+            }
+            std::hint::black_box(&frame);
+        }
+        watchdog("a 1 MiB deep rank body", || {
+            let rep = Cluster::run(ClusterConfig::calibrated_fddi(8), |p| {
+                let top = 0u8;
+                descend(std::ptr::from_ref(&top) as usize, &|| ring(p, 4));
+            });
+            assert_eq!(rep.total_messages(), 32);
+        });
+    }
+
+    #[test]
+    fn two_thousand_runs_leave_no_mapping_behind() {
+        // One mapping is one line.  Leaked stacks would add 32,000; the slack
+        // is for the threads of tests running beside this one.
+        let mappings = || {
+            std::fs::read_to_string("/proc/self/maps")
+                .expect("Linux")
+                .lines()
+                .count()
+        };
+        let before = mappings();
+        watchdog("2,000 8-rank runs", || {
+            for _ in 0..2_000 {
+                Cluster::run(ClusterConfig::calibrated_fddi(8), |p| ring(p, 1));
+            }
+        });
+        let after = mappings();
+        assert!(after <= before + 256, "{before} mappings grew to {after}");
+    }
+
+    #[test]
+    fn two_hosts_running_rings_side_by_side_share_nothing() {
+        let totals = watchdog("two threads of 500 token rings each", || {
+            // lint:allow(threads): two run loops side by side is what is tested.
+            std::thread::scope(|s| {
+                let hosts = [(); 2].map(|()| {
+                    s.spawn(|| {
+                        (0..500)
+                            .map(|_| {
+                                Cluster::run(ClusterConfig::calibrated_fddi(8), |p| ring(p, 4))
+                                    .total_messages()
+                            })
+                            .sum::<u64>()
+                    })
+                });
+                hosts.map(|h| h.join().expect("no run panicked"))
+            })
+        });
+        assert_eq!(totals, [500 * 32; 2]);
+    }
+
+    #[test]
+    fn a_cluster_runs_inside_a_rank_body() {
+        let rep = watchdog("a run nested in a rank", || {
+            Cluster::run(ClusterConfig::calibrated_fddi(4), |p| {
+                ring(p, 2);
+                let inner = Cluster::run(ClusterConfig::calibrated_fddi(8), |q| ring(q, 4));
+                ring(p, 2);
+                inner.total_messages()
+            })
+        });
+        assert_eq!(rep.results, vec![32; 4]);
+        assert_eq!(rep.total_messages(), 16);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 /// Handle to one simulated process (workstation).
 ///
-/// A `Proc` is owned by the thread that simulates the process and is not
-/// shared across threads; all communication with other processes goes through
+/// A `Proc` is owned by the coroutine (or, windowed, the thread) that
+/// simulates the process and is not shared; all communication with other processes goes through
 /// the cluster's [`NetworkCore`], whose conservative virtual-time arbiter
 /// makes every interaction deterministic.
 pub struct Proc {
@@ -64,7 +64,7 @@ impl Proc {
     /// (send or receive — the points at which a dead process would be
     /// observable to its peers).  When this rank's crash point has been
     /// reached, the process is torn down through the network core and its
-    /// thread unwinds with a typed [`CrashPayload`]; it never interacts
+    /// body unwinds with a typed [`CrashPayload`]; it never interacts
     /// again.  A `None` crash point costs one branch.
     fn maybe_crash(&self) {
         let Some(at) = self.crash else { return };

@@ -1,12 +1,14 @@
 //! Conservative virtual-time arbitration: the pure decision logic of the
 //! deterministic discrete-event scheduler.
 //!
-//! The simulated cluster runs one OS thread per process, but OS thread
-//! interleaving must never influence the *virtual-time* outcome: every
-//! arrival time, idle time and message counter the paper's tables report has
-//! to be a pure function of the program and the cost model.  The transport
-//! therefore executes all shared-state interactions (seizing the shared
-//! medium, consuming or observing a mailbox) under a token discipline:
+//! The simulated processes of a run are coroutines on one OS thread
+//! (`crate::coro`; OS threads only under the windowed engine), and which of
+//! them the host happens to run must never influence the *virtual-time*
+//! outcome: every arrival time, idle time and message counter the paper's
+//! tables report has to be a pure function of the program and the cost
+//! model.  The transport therefore executes all shared-state interactions
+//! (seizing the shared medium, consuming or observing a mailbox) under a
+//! token discipline:
 //!
 //! * Between interactions a process runs freely — computation only touches
 //!   its own virtual clock.
@@ -609,8 +611,7 @@ impl IslandSched {
                 }
             }
         }
-        let (fav, (key, rank)) =
-            best.expect("an island with parked processes owns the minimum");
+        let (fav, (key, rank)) = best.expect("an island with parked processes owns the minimum");
         self.run_cache = Some((fav, runner_up));
         let granted = if self.tie.seeded() {
             self.tie_grant(key)

@@ -414,7 +414,8 @@ mod tests {
         }
         // The barrier-arrival entry point covers against last_barrier_vc
         // (all zeros here), i.e. every record travels.
-        let all = crate::proto::encode_barrier(1, &s.vc, &s.records_not_covered_by(&VectorClock::new(2)));
+        let all =
+            crate::proto::encode_barrier(1, &s.vc, &s.records_not_covered_by(&VectorClock::new(2)));
         assert_eq!(s.encode_barrier_arrival(1), all);
     }
 }

@@ -1,12 +1,19 @@
-//! Repository automation tasks.  The only task so far is `lint`: a static
-//! source analysis enforcing the determinism discipline the simulation
-//! depends on, run by the CI lint job next to rustfmt and clippy.
+//! Repository automation tasks.  `lint` is a static source analysis
+//! enforcing the determinism discipline the simulation depends on, run by
+//! the CI lint job next to rustfmt and clippy; `loc` is the non-test line
+//! count ROADMAP.md's budgets are written in.
 //!
 //! ```text
 //! cargo run -p xtask -- lint            # lint the workspace
 //! cargo run -p xtask -- lint --root DIR # lint another tree (used by CI's
 //!                                       # seeded-violation check)
+//! cargo run -p xtask -- loc             # non-test lines per crate and the
+//!                                       # five largest files
 //! ```
+//!
+//! A file's non-test lines are the lines above its column-0 `#[cfg(test)]`
+//! `mod tests` pair (the whole file if it has none) — comments and blank
+//! lines included, a `#[cfg(test)]` item further up not mistaken for the end.
 //!
 //! ## Rules
 //!
@@ -37,12 +44,19 @@
 //! **Thread confinement**: OS threads decide nothing in this engine — every
 //! simulated byte is fixed before any interleaving can observe it — and
 //! that only stays true while threading is confined to the executor layer:
-//! `crates/cluster/src/net.rs` (the per-island window workers),
-//! `crates/cluster/src/sched.rs` (the arbiter) and `crates/bench/src/exec.rs`
-//! (the host-side fan).  Spawn tokens (`std::thread`, `thread::spawn`,
-//! `thread::scope`, `rayon`) anywhere else in the linted crates need a
-//! `lint:allow(threads): <reason>` marker, so a future PR cannot quietly
-//! grow a thread that races the determinism discipline.
+//! `crates/bench/src/exec.rs` (the host-side fan of whole runs).  Spawn
+//! tokens (`std::thread`, `thread::spawn`, `thread::scope`, `rayon`)
+//! anywhere else in the linted crates need a `lint:allow(threads): <reason>`
+//! marker, so a future PR cannot quietly grow a thread that races the
+//! determinism discipline.  One engine site carries one:
+//! `crates/cluster/src/lib.rs` spawns a run's hosting thread or, for the
+//! windowed engine (`window.rs`, which parks them on its own condition
+//! variables and spawns nothing itself), its per-rank threads.
+//!
+//! **Unsafe confinement**: `unsafe`, `asm!` and `extern "C"` are findings in
+//! every linted crate outside `crates/cluster/src/coro.rs` — the context
+//! switch and the stack mappings of the serial engine's coroutines, whose
+//! `SAFETY` comments are the whole audit surface.  No marker is honoured.
 //!
 //! **Hook discipline**: `impl ConsistencyProtocol for` is permitted only
 //! under `crates/core/src/protocol/` — backends live behind the trait, and
@@ -102,11 +116,14 @@ const HAZARDS: [(&str, Option<&str>); 6] = [
 /// The executor layer: the only files where spawning OS threads is
 /// legitimate without a marker.  Everywhere else a spawn token needs
 /// `lint:allow(threads): <reason>`.
-const THREAD_FILES: [&str; 3] = [
-    "crates/cluster/src/net.rs",
-    "crates/cluster/src/sched.rs",
-    "crates/bench/src/exec.rs",
-];
+const THREAD_FILES: [&str; 1] = ["crates/bench/src/exec.rs"];
+
+/// The one file that may contain the [`UNSAFE_TOKENS`].
+const UNSAFE_FILE: &str = "crates/cluster/src/coro.rs";
+
+/// Tokens that leave the language's checked subset (`asm!` also matches
+/// `naked_asm!` and `global_asm!`).
+const UNSAFE_TOKENS: [&str; 3] = ["unsafe", "asm!", "extern \"C\""];
 
 /// Tokens that spawn (or name machinery that spawns) OS threads.  Ordered
 /// longest-prefix first so the reported token is the most specific match.
@@ -220,6 +237,17 @@ fn lint_source(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                     }
                 }
             }
+            if rel != Path::new(UNSAFE_FILE) {
+                if let Some(token) = UNSAFE_TOKENS.iter().find(|t| code.contains(*t)) {
+                    push(
+                        i,
+                        format!(
+                            "`{token}` outside {UNSAFE_FILE}: unchecked code is confined to \
+                             that file, and no marker lifts this"
+                        ),
+                    );
+                }
+            }
             if host && code.contains("_unsync(") && !has_marker(&lines, i, "unsync-read") {
                 push(
                     i,
@@ -286,16 +314,57 @@ fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
+/// Lines of `text` above its `#[cfg(test)]` + `mod tests` pair at column 0;
+/// all of them if it has none.
+fn non_test_lines(text: &str) -> usize {
+    let lines: Vec<&str> = text.lines().collect();
+    lines
+        .windows(2)
+        .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod tests"))
+        .unwrap_or(lines.len())
+}
+
+/// The `loc` report for the tree at `root`: one row per linted crate (its
+/// `src/` only — integration tests and benches are not production lines),
+/// then the five largest files.
+fn loc_report(root: &Path) -> std::io::Result<String> {
+    use std::fmt::Write as _;
+    let crates: Vec<&str> = SIM_CRATES.iter().chain(&HOST_CRATES).copied().collect();
+    let mut files = Vec::new();
+    for path in rust_files(root)? {
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+        if crates
+            .iter()
+            .any(|c| rel.starts_with(Path::new(c).join("src")))
+        {
+            files.push((non_test_lines(&std::fs::read_to_string(&path)?), rel));
+        }
+    }
+    let mut out = String::new();
+    for crate_root in crates {
+        let in_crate = files.iter().filter(|(_, rel)| rel.starts_with(crate_root));
+        let total: usize = in_crate.map(|(lines, _)| lines).sum();
+        let _ = writeln!(out, "{total:>6}  {crate_root}");
+    }
+    files.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    let _ = writeln!(out, "five largest files:");
+    for (lines, rel) in files.iter().take(5) {
+        let _ = writeln!(out, "{lines:>6}  {}", rel.display());
+    }
+    Ok(out)
+}
+
 fn usage() -> ! {
-    eprintln!("usage: cargo run -p xtask -- lint [--root DIR]");
+    eprintln!("usage: cargo run -p xtask -- <lint|loc> [--root DIR]");
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) != Some("lint") {
-        usage();
-    }
+    let task = match args.first().map(String::as_str) {
+        Some(task @ ("lint" | "loc")) => task,
+        _ => usage(),
+    };
     let root = match args.get(1).map(String::as_str) {
         None => Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
@@ -307,13 +376,15 @@ fn main() {
         },
         Some(_) => usage(),
     };
-    let findings = match lint_tree(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("xtask lint: cannot read {}: {e}", root.display());
-            std::process::exit(2);
-        }
+    let unreadable = |e: std::io::Error| -> ! {
+        eprintln!("xtask {task}: cannot read {}: {e}", root.display());
+        std::process::exit(2);
     };
+    if task == "loc" {
+        print!("{}", loc_report(&root).unwrap_or_else(|e| unreadable(e)));
+        return;
+    }
+    let findings = lint_tree(&root).unwrap_or_else(|e| unreadable(e));
     if findings.is_empty() {
         println!("xtask lint: clean ({} ok)", root.display());
         return;
@@ -474,14 +545,6 @@ mod tests {
         let t = Tree::new("threads");
         // The executor layer itself: exempt, no marker needed.
         t.write(
-            "crates/cluster/src/net.rs",
-            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
-        );
-        t.write(
-            "crates/cluster/src/sched.rs",
-            "fn f() { let _ = std::thread::available_parallelism(); }\n",
-        );
-        t.write(
             "crates/bench/src/exec.rs",
             "fn f() { std::thread::spawn(|| {}); }\n",
         );
@@ -506,10 +569,16 @@ mod tests {
             "crates/cluster/src/bare.rs",
             "fn f() { std::thread::spawn(|| {}); } // lint:allow(threads):\n",
         );
+        // The engine's files are no longer exempt: its ranks are coroutines.
+        t.write(
+            "crates/cluster/src/net.rs",
+            "fn f() { std::thread::park(); }\n",
+        );
         let f = t.lint();
-        assert_eq!(f.len(), 5, "{f:#?}");
+        assert_eq!(f.len(), 6, "{f:#?}");
         assert!(f.iter().all(|f| f.msg.contains("executor layer")), "{f:#?}");
         assert!(f.iter().any(|f| f.file.ends_with("bare.rs")));
+        assert!(f.iter().any(|f| f.file.ends_with("net.rs")));
         assert_eq!(
             f.iter()
                 .filter(|f| f.file.ends_with("cluster/src/rogue.rs"))
@@ -522,6 +591,97 @@ mod tests {
                 .count(),
             2,
             "`use std::thread` and `thread::scope` are both spawn tokens"
+        );
+    }
+
+    #[test]
+    fn unchecked_code_is_confined_to_the_coroutine_file() {
+        let t = Tree::new("unsafe");
+        // Home of the context switch: exempt.
+        t.write(
+            "crates/cluster/src/coro.rs",
+            "extern \"C\" { fn mmap(); }\n#[unsafe(naked)]\nunsafe extern \"C\" fn switch() \
+             { core::arch::naked_asm!(\"ret\") }\n",
+        );
+        // Anywhere else, simulation and host crates alike, each token is a
+        // finding (one per line), and a marker does not lift it.
+        t.write(
+            "crates/cluster/src/net.rs",
+            "fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
+        );
+        t.write(
+            "crates/core/src/page.rs",
+            "// lint:allow(unsafe): markers are not honoured\n\
+             fn f() { unsafe { core::arch::asm!(\"nop\") } }\n",
+        );
+        t.write(
+            "crates/bench/src/exec.rs",
+            "extern \"C\" { fn sched_setaffinity(); }\n",
+        );
+        t.write(
+            "crates/apps/src/ep.rs",
+            "fn f() { core::arch::asm!(\"nop\"); }\n",
+        );
+        // Prose about it is not code.
+        t.write(
+            "crates/msgpass/src/lib.rs",
+            "//! No unsafe code here.\nfn f() {}\n",
+        );
+        let f = t.lint();
+        assert_eq!(f.len(), 4, "{f:#?}");
+        assert!(f
+            .iter()
+            .all(|f| f.msg.contains("outside crates/cluster/src/coro.rs")));
+        for (file, token) in [
+            ("net.rs", "`unsafe`"),
+            ("page.rs", "`unsafe`"),
+            ("exec.rs", "`extern \"C\"`"),
+            ("ep.rs", "`asm!`"),
+        ] {
+            assert!(
+                f.iter()
+                    .any(|f| f.file.ends_with(file) && f.msg.starts_with(token)),
+                "{file}: {f:#?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_test_lines_stop_at_the_tests_module_not_at_a_test_only_item() {
+        let text = "//! Doc.\n#[cfg(test)]\nconst LIMIT: u64 = 1;\nfn f() {}\n\n\
+                    #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+        assert_eq!(non_test_lines(text), 5);
+        assert_eq!(non_test_lines("fn f() {}\nfn g() {}\n"), 2);
+    }
+
+    #[test]
+    fn loc_reports_every_crate_and_the_largest_files_first() {
+        let t = Tree::new("loc");
+        t.write(
+            "crates/cluster/src/a.rs",
+            "fn a() {}\nfn b() {}\nfn c() {}\n",
+        );
+        t.write(
+            "crates/cluster/src/b.rs",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n}\n",
+        );
+        t.write("crates/cluster/tests/it.rs", "fn not_production() {}\n");
+        t.write("crates/bench/src/lib.rs", "fn f() {}\nfn g() {}\n");
+        let report = loc_report(&t.0).unwrap();
+        let rows: Vec<&str> = report.lines().collect();
+        assert_eq!(
+            rows,
+            [
+                "     0  crates/core",
+                "     4  crates/cluster",
+                "     0  crates/msgpass",
+                "     0  crates/apps",
+                "     2  crates/bench",
+                "five largest files:",
+                "     3  crates/cluster/src/a.rs",
+                "     2  crates/bench/src/lib.rs",
+                "     1  crates/cluster/src/b.rs",
+            ]
         );
     }
 
