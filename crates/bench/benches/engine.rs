@@ -16,7 +16,7 @@
 
 use apps::runner::System;
 use apps::Workload;
-use bench::{exec, run_matrix, run_parallel_on, Exec, Preset, RunKey};
+use bench::{exec, run_matrix, run_parallel_on, Preset, RunKey};
 use cluster::ClusterConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
@@ -60,38 +60,6 @@ fn engine_throughput(c: &mut Criterion) {
         c.bench_function(&label, |b| {
             b.iter(|| run_parallel_on(w, sys, &cfg, Preset::Tiny))
         });
-    }
-}
-
-/// The threaded windowed engine at increasing widths over one run: the
-/// `(islands, island_threads)` knobs are execution-only (bit-identical
-/// output, asserted by the determinism suite), so any spread between these
-/// rows is pure engine throughput.
-fn threaded_windows(c: &mut Criterion) {
-    let (w, sys, n) = (Workload::Water288, System::TreadMarks(ProtocolKind::Lrc), 8);
-    for (islands, threads) in [(1usize, 1usize), (4, 1), (4, 4)] {
-        let mut cfg = ClusterConfig::calibrated_fddi(n);
-        Exec {
-            islands,
-            island_threads: threads,
-            ..Exec::with_jobs(1)
-        }
-        .apply(&mut cfg);
-        let run_once = || run_parallel_on(w, sys, &cfg, Preset::Tiny);
-        let label = format!(
-            "engine/windowed/{}/{sys}/{n}p/islands{islands}_threads{threads}",
-            w.name()
-        );
-        // lint:allow(wall-clock): benchmark measures this machine's throughput
-        let started = Instant::now();
-        let iters = 5;
-        let mut events = 0u64;
-        for _ in 0..iters {
-            events += transport_messages(&run_once());
-        }
-        let wall = started.elapsed().as_secs_f64();
-        println!("{label}: {:.0} events/sec", events as f64 / wall);
-        c.bench_function(&label, |b| b.iter(run_once));
     }
 }
 
@@ -198,7 +166,6 @@ fn executor_fanout(c: &mut Criterion) {
 criterion_group!(
     benches,
     engine_throughput,
-    threaded_windows,
     slab_vs_btreemap,
     executor_fanout
 );

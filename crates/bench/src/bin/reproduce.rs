@@ -19,14 +19,14 @@
 //! threads — and renders from the completed matrix afterwards.  Results are
 //! stored under their matrix keys, never in completion order, so stdout,
 //! `--json`, `--trace` and the `deterministic` section of `--bench-out` are
-//! byte-identical for every value of the execution knobs.
+//! byte-identical for every `--jobs` value.
 
 use apps::runner::System;
 use apps::Workload;
 use bench::cli::{self, Invocation, Mode};
-use bench::fuzz::{self, run_fuzz, FuzzSpec};
+use bench::fuzz::{run_fuzz, FuzzSpec};
 use bench::scenario::ResolvedScenario;
-use bench::sweep::{Sweep, Vary, ISLAND_WIDTHS};
+use bench::sweep::{Sweep, Vary};
 use bench::{
     exec, invariants, obs, proc_series, render_race_reports, run_matrix_exec, run_record_json,
     Exec, Preset, RunKey, RunMatrix, RunTuning,
@@ -204,25 +204,11 @@ fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, exec: &Exec, wall_second
             tuning.fault.hash()
         ));
     }
-    // Like the tuning stamps: the island width and its thread count are
-    // execution details, so they land in the (per-machine) timing section —
-    // and only when not 1 — keeping the deterministic section identical
-    // across every (islands, island_threads) combination.
-    let mut timing_fields = String::new();
-    if exec.islands != 1 {
-        timing_fields.push_str(&format!("    \"islands\": {},\n", exec.islands));
-    }
-    if exec.island_threads != 1 {
-        timing_fields.push_str(&format!(
-            "    \"island_threads\": {},\n",
-            exec.island_threads
-        ));
-    }
     format!(
         "{{\n  \"preset\": \"{:?}\",\n  \"deterministic\": {{\n{tuning_fields}    \"runs\": {},\n    \
          \"total_messages\": {},\n    \"total_virtual_seconds\": {},\n    \
          \"total_virtual_seconds_bits\": \"{:016x}\",\n    \"checksum_bits_xor\": \"{:016x}\"\n  }},\n  \
-         \"timing\": {{\n{timing_fields}    \"jobs\": {},\n    \"wall_seconds\": {:.3},\n    \
+         \"timing\": {{\n    \"jobs\": {},\n    \"wall_seconds\": {:.3},\n    \
          \"events_per_second\": {:.0},\n    \"virtual_seconds_per_wall_second\": {:.2}\n  }}\n}}\n",
         matrix.preset,
         matrix.len(),
@@ -244,7 +230,7 @@ fn list_catalogue(json: bool) {
     let protocols: Vec<ProtocolKind> = ProtocolKind::all().to_vec();
     let systems: Vec<System> = System::all().to_vec();
     let presets = [Preset::Tiny, Preset::Scaled, Preset::Paper].map(|p| p.name());
-    let axes = ["procs", "bandwidth", "latency", "islands"];
+    let axes = ["procs", "bandwidth", "latency"];
     if json {
         println!("{{");
         let protos: Vec<String> = protocols
@@ -412,8 +398,6 @@ fn resolve(inv: &Invocation) -> Setup {
         },
         exec: Exec {
             jobs: inv.jobs.unwrap_or_else(exec::default_jobs),
-            islands: inv.islands.unwrap_or(scenario.islands),
-            island_threads: inv.island_threads.unwrap_or(scenario.island_threads),
             obs,
             analysis: if inv.racecheck {
                 AnalysisLevel::Race
@@ -422,21 +406,6 @@ fn resolve(inv: &Invocation) -> Setup {
             },
         },
         tuning: scenario.tuning,
-    }
-}
-
-/// One stderr line when `cfg` — the invocation's most favourable run —
-/// asks for island threads the engine will not use.  stderr only: no
-/// deterministic output mentions an execution knob.
-fn note_unhonoured_island_threads(cfg: &ClusterConfig) {
-    if cfg.island_threads >= 2 {
-        if let Err(reason) = cluster::window::verdict(cfg) {
-            eprintln!(
-                "note: --island-threads {} is not honoured ({reason}); \
-                 runs use the serial engine",
-                cfg.island_threads
-            );
-        }
     }
 }
 
@@ -475,7 +444,6 @@ fn fuzz_campaign(inv: &Invocation, setup: Setup) {
         until_failure: inv.until_failure,
         exec: setup.exec,
     };
-    note_unhonoured_island_threads(&fuzz::point_config(&spec, &fuzz::tuning_for(&spec.plan, 0)));
     let out = run_fuzz(&spec);
     print!("{}", out.report);
     // Like --racecheck: a campaign that found anything fails the
@@ -495,45 +463,16 @@ fn sweep_figures(inv: &Invocation, setup: Setup) {
         max_procs: setup.max_procs,
     };
     let exec = setup.exec;
-    // `--vary islands` is the execution-invariance figure: the matrix is
-    // computed once per width, asserted bit-identical, and rendered from
-    // the first.  Every other axis runs at the one requested width.
-    let widths: &[usize] = if sweep.vary == Vary::Islands {
-        &ISLAND_WIDTHS
-    } else {
-        std::slice::from_ref(&exec.islands)
-    };
-    let mut top = sweep.base.config(sweep.max_procs);
-    Exec {
-        islands: widths[widths.len() - 1],
-        ..exec
-    }
-    .apply(&mut top);
-    note_unhonoured_island_threads(&top);
     let keys = sweep.keys();
     // lint:allow(wall-clock): times this machine's execution for the --bench-out report
     let started = std::time::Instant::now();
-    let matrix_at = |islands: usize| {
-        run_matrix_exec(
-            sweep.preset,
-            &sweep.workloads,
-            &keys,
-            &Exec { islands, ..exec },
-            &RunTuning::default(),
-        )
-    };
-    let matrix = matrix_at(widths[0]);
-    for &width in &widths[1..] {
-        let other = matrix_at(width);
-        for key in &keys {
-            assert!(
-                format!("{:?}", matrix.run(key)) == format!("{:?}", other.run(key)),
-                "execution-invariance violation: {key:?} differs between \
-                 islands={} and islands={width}",
-                widths[0],
-            );
-        }
-    }
+    let matrix = run_matrix_exec(
+        sweep.preset,
+        &sweep.workloads,
+        &keys,
+        &exec,
+        &RunTuning::default(),
+    );
     let wall_seconds = started.elapsed().as_secs_f64();
     print!("{}", sweep.render(&matrix));
     if inv.metrics {
@@ -594,7 +533,6 @@ fn reproduction(inv: &Invocation, setup: Setup) {
     let mut top = net.config(max_procs);
     exec.apply(&mut top);
     tuning.apply(&mut top);
-    note_unhonoured_island_threads(&top);
     // The scenario's tuning rides on every run of the reproduction.  A plan
     // that crashes processes cannot fill a matrix — the crashed runs have no
     // results to tabulate — so it replays as a verdict table instead; this

@@ -99,8 +99,6 @@ pub const FLAGS: &[Flag] = &[
         ..flag("--workload", Some("NAME"), EVERY_MODE)
     },
     knob("--jobs"),
-    knob("--islands"),
-    knob("--island-threads"),
 ];
 
 impl Flag {
@@ -174,10 +172,6 @@ pub struct Invocation {
     pub workloads: Vec<Workload>,
     /// `--jobs N`.
     pub jobs: Option<usize>,
-    /// `--islands N`.
-    pub islands: Option<usize>,
-    /// `--island-threads N`.
-    pub island_threads: Option<usize>,
 }
 
 /// Parse `reproduce`'s arguments (without the program name).  Every error
@@ -260,12 +254,6 @@ fn parse_flags(mode: Mode, args: &[String]) -> Result<Invocation, String> {
             System::Pvm,
         ]),
     };
-    let vary = value("--vary").map(str::parse::<Vary>).transpose()?;
-    if vary == Some(Vary::Islands) && has("--islands") {
-        return Err("--islands does not compose with `sweep --vary islands`; \
-                    the sweep runs every island width itself"
-            .into());
-    }
     Ok(Invocation {
         mode,
         list: has("--list"),
@@ -277,7 +265,7 @@ fn parse_flags(mode: Mode, args: &[String]) -> Result<Invocation, String> {
         racecheck: has("--racecheck"),
         metrics: has("--metrics"),
         bench_out: value("--bench-out").map(String::from),
-        vary,
+        vary: value("--vary").map(str::parse::<Vary>).transpose()?,
         seeds: positive("--seeds", value("--seeds"))?,
         faults: value("--faults").map(String::from),
         until_failure: has("--until-failure"),
@@ -294,8 +282,6 @@ fn parse_flags(mode: Mode, args: &[String]) -> Result<Invocation, String> {
             .map(|(_, v)| workload_by_name(v))
             .collect::<Result<_, _>>()?,
         jobs: positive("--jobs", value("--jobs"))?,
-        islands: positive("--islands", value("--islands"))?,
-        island_threads: positive("--island-threads", value("--island-threads"))?,
     })
 }
 
@@ -441,7 +427,7 @@ mod tests {
     fn values_are_typed_and_bad_ones_name_the_flag() {
         let inv = parse_str(
             "sweep --vary bw --net atm --procs 16 --protocol sc --jobs 2 \
-             --island-threads 4 --scenario s.toml --metrics",
+             --scenario s.toml --metrics",
         )
         .unwrap();
         assert_eq!(inv.mode, Sweep);
@@ -452,10 +438,7 @@ mod tests {
             inv.systems,
             Some(vec![System::TreadMarks(ProtocolKind::Sc), System::Pvm])
         );
-        assert_eq!(
-            (inv.jobs, inv.islands, inv.island_threads),
-            (Some(2), None, Some(4))
-        );
+        assert_eq!(inv.jobs, Some(2));
         assert_eq!(inv.scenario.as_deref(), Some("s.toml"));
         assert!(inv.metrics && !inv.json);
         assert_eq!(
@@ -471,7 +454,6 @@ mod tests {
             ("--figure nope", "unknown workload 'nope'"),
             ("--workload nope", "unknown workload 'nope'"),
             ("sweep --vary cheese", "cheese"),
-            ("sweep --vary islands --islands 2", "does not compose"),
         ] {
             let e = parse_str(line).expect_err(line);
             assert!(e.contains(needle), "`{line}`: {e}");
@@ -479,9 +461,9 @@ mod tests {
     }
 
     #[test]
-    fn the_knobs_are_the_three_execution_flags() {
+    fn jobs_is_the_one_execution_knob() {
         let names: Vec<&str> = knobs().map(|f| f.name).collect();
-        assert_eq!(names, ["--jobs", "--islands", "--island-threads"]);
+        assert_eq!(names, ["--jobs"]);
     }
 
     /// docs/EXPERIMENTS.md is the flag reference: every row of the table

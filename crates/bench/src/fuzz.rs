@@ -47,13 +47,9 @@ pub struct FuzzSpec {
     pub plan: FaultPlan,
     /// Stop after the first seed whose batch produced a finding.
     pub until_failure: bool,
-    /// Worker threads for the per-seed fan and the island width and thread
-    /// count of every run.  The report is identical for every value: faults
-    /// draw from per-link PRNG streams, so island order never leaks into
-    /// draws, and the staging-buffer merge fixes delivery order before any
-    /// thread interleaving can reach a simulated byte.  The observability
-    /// and analysis levels are the campaign's own: every run is
-    /// race-checked and none records.
+    /// Worker threads for the per-seed fan; the report is identical for
+    /// every value.  The observability and analysis levels are the
+    /// campaign's own: every run is race-checked and none records.
     pub exec: Exec,
 }
 
@@ -117,12 +113,7 @@ fn system_name(sys: System) -> &'static str {
 /// invariants and never perturbs simulated output), and the tuning applied.
 pub fn point_config(spec: &FuzzSpec, tuning: &RunTuning) -> ClusterConfig {
     let mut cfg = spec.net.config(spec.nprocs);
-    Exec {
-        obs: cluster::ObsLevel::Off,
-        analysis: AnalysisLevel::Race,
-        ..spec.exec
-    }
-    .apply(&mut cfg);
+    cfg.analysis = AnalysisLevel::Race;
     tuning.apply(&mut cfg);
     cfg
 }
@@ -152,11 +143,6 @@ fn reproducer(spec: &FuzzSpec, w: Workload, systems: &[System], tuning: &RunTuni
         overrides: spec.net.overrides,
         sched_seed: (tuning.sched_seed != 0).then_some(tuning.sched_seed),
         tie_limit: tuning.tie_limit,
-        // Neither the island width nor its thread count is part of a
-        // finding's identity (every width reproduces it bit for bit), so
-        // reproducers never carry them.
-        islands: None,
-        island_threads: None,
         fault: (!tuning.fault.is_empty() || tuning.fault.seed != 0).then(|| tuning.fault.clone()),
     }
     .to_toml()

@@ -40,10 +40,6 @@ use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, NetModel, NetPreset, ObsL
 pub struct Exec {
     /// Worker threads the independent runs fan out over.
     pub jobs: usize,
-    /// Scheduler island width of every run.
-    pub islands: usize,
-    /// Island worker threads inside each horizon window.
-    pub island_threads: usize,
     /// Observability level of every run.
     pub obs: ObsLevel,
     /// Analysis level of every run.
@@ -51,13 +47,10 @@ pub struct Exec {
 }
 
 impl Exec {
-    /// `jobs` workers, everything else at the engine's defaults: the flat
-    /// serial engine with recording and analysis off.
+    /// `jobs` workers, recording and analysis off.
     pub fn with_jobs(jobs: usize) -> Self {
         Exec {
             jobs,
-            islands: 1,
-            island_threads: 1,
             obs: ObsLevel::Off,
             analysis: AnalysisLevel::Off,
         }
@@ -65,8 +58,6 @@ impl Exec {
 
     /// Stamp the per-run settings onto a cluster configuration.
     pub fn apply(&self, cfg: &mut ClusterConfig) {
-        cfg.islands = self.islands;
-        cfg.island_threads = self.island_threads;
         cfg.obs = self.obs;
         cfg.analysis = self.analysis;
     }
@@ -306,11 +297,9 @@ pub fn run_matrix_obs(
 /// `tuning` are stamped onto each parallel run's configuration.  Neither is
 /// part of the [`RunKey`]: a matrix computed under
 /// [`AnalysisLevel::Race`] carries an [`AppRun::race`] report per DSM run
-/// and is otherwise bit-identical, every island width and thread count
-/// renders byte-identically (asserted against the serial reference executor
-/// under `oracle-checks`), and the default tuning is a no-op.  Crash plans
-/// panic the matrix (a crashed run has no complete result to store); the
-/// fuzzer fans crash plans through [`Workload::run`] instead.
+/// and is otherwise bit-identical, and the default tuning is a no-op.  Crash
+/// plans panic the matrix (a crashed run has no complete result to store);
+/// the fuzzer fans crash plans through [`Workload::run`] instead.
 pub fn run_matrix_exec(
     preset: Preset,
     seq_workloads: &[Workload],
@@ -548,56 +537,6 @@ mod tests {
                 run_record_json(key, b),
                 "{key:?}: JSON record differs"
             );
-        }
-    }
-
-    /// The tentpole guarantee of the island scheduler, at matrix level: a
-    /// matrix computed at any island width renders byte-identically to the
-    /// width-1 (flat-arbiter) matrix — every virtual time, checksum,
-    /// counter and JSON record.
-    #[test]
-    fn island_widths_render_byte_identical_matrices() {
-        let workloads = [Workload::Ep, Workload::SorZero, Workload::Tsp];
-        let keys: Vec<RunKey> = workloads
-            .iter()
-            .flat_map(|&w| {
-                System::all()
-                    .into_iter()
-                    .map(move |sys| RunKey::fddi(w, sys, 4))
-            })
-            .collect();
-        let matrix_at = |islands: usize, island_threads: usize| {
-            let exec = Exec {
-                islands,
-                island_threads,
-                ..Exec::with_jobs(2)
-            };
-            run_matrix_exec(
-                Preset::Tiny,
-                &workloads,
-                &keys,
-                &exec,
-                &RunTuning::default(),
-            )
-        };
-        let flat = matrix_at(1, 1);
-        for (islands, threads) in [(2usize, 1usize), (4, 1), (2, 2), (4, 4)] {
-            let wide = matrix_at(islands, threads);
-            for key in &keys {
-                let (a, b) = (flat.run(key), wide.run(key));
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "{key:?} differs between islands=1 and islands={islands} \
-                     island_threads={threads}"
-                );
-                assert_eq!(
-                    run_record_json(key, a),
-                    run_record_json(key, b),
-                    "{key:?}: JSON record differs at islands={islands} \
-                     island_threads={threads}"
-                );
-            }
         }
     }
 

@@ -34,13 +34,6 @@ pub struct ResolvedScenario {
     /// to every run the scenario drives — this is how a fuzz reproducer
     /// replays its finding.
     pub tuning: RunTuning,
-    /// Scheduler island count (`islands` key, default 1).  An execution
-    /// strategy, not part of the run identity: every width is bit-identical.
-    pub islands: usize,
-    /// Island worker threads inside each horizon window (`island_threads`
-    /// key, default 1).  Like `islands`: execution strategy, bit-identical
-    /// at every thread count.
-    pub island_threads: usize,
 }
 
 /// Look a workload up by its harness name (`EP`, `SOR-Zero`, ...),
@@ -127,8 +120,6 @@ impl ResolvedScenario {
                 tie_limit: s.tie_limit,
                 fault: s.fault.clone().unwrap_or_default(),
             },
-            islands: s.islands.unwrap_or(1),
-            island_threads: s.island_threads.unwrap_or(1),
         })
     }
 }
@@ -147,8 +138,6 @@ mod tests {
         assert_eq!(r.workloads, Workload::all().to_vec());
         assert_eq!(r.systems, System::all().to_vec());
         assert!(r.tuning.is_default());
-        assert_eq!(r.islands, 1);
-        assert_eq!(r.island_threads, 1);
     }
 
     #[test]
@@ -157,19 +146,9 @@ mod tests {
             Scenario::parse_toml("sched_seed = 7\ntie_limit = 3\n[fault]\ndrop = 0.01").unwrap();
         let r = ResolvedScenario::resolve(&s, Preset::Tiny, 8).unwrap();
         assert_eq!(r.tuning.sched_seed, 7);
-        assert_eq!(r.islands, 1);
         assert_eq!(r.tuning.tie_limit, Some(3));
         assert_eq!(r.tuning.fault.drop, 0.01);
         assert!(!r.tuning.is_default());
-    }
-
-    #[test]
-    fn the_islands_key_resolves_onto_the_scenario() {
-        let s = Scenario::parse_toml("islands = 4\nisland_threads = 2").unwrap();
-        let r = ResolvedScenario::resolve(&s, Preset::Tiny, 8).unwrap();
-        assert_eq!(r.islands, 4);
-        assert_eq!(r.island_threads, 2);
-        assert!(r.tuning.is_default());
     }
 
     #[test]

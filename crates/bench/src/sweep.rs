@@ -26,12 +26,6 @@ pub enum Vary {
     Bandwidth,
     /// Interconnect latency, scaled ×0.25 … ×4 around the base model.
     Latency,
-    /// Scheduler island count, over [`ISLAND_WIDTHS`].  Unlike the other
-    /// axes this varies an *execution strategy*, not the model: the driver
-    /// computes the matrix once per width and asserts bit-identity, so the
-    /// figure's rows are identical by construction — the sweep renders the
-    /// engine's execution-invariance guarantee.
-    Islands,
 }
 
 impl Vary {
@@ -41,7 +35,6 @@ impl Vary {
             Vary::Procs => "processes",
             Vary::Bandwidth => "bandwidth",
             Vary::Latency => "latency",
-            Vary::Islands => "islands",
         }
     }
 
@@ -49,7 +42,7 @@ impl Vary {
     pub fn measure(&self) -> &'static str {
         match self {
             Vary::Procs => "speedup",
-            Vary::Bandwidth | Vary::Latency | Vary::Islands => "runtime (s)",
+            Vary::Bandwidth | Vary::Latency => "runtime (s)",
         }
     }
 }
@@ -62,9 +55,8 @@ impl std::str::FromStr for Vary {
             "procs" | "processes" | "nprocs" => Ok(Vary::Procs),
             "bandwidth" | "bw" => Ok(Vary::Bandwidth),
             "latency" | "lat" => Ok(Vary::Latency),
-            "islands" => Ok(Vary::Islands),
             other => Err(format!(
-                "unknown sweep axis '{other}'; known axes: procs, bandwidth, latency, islands"
+                "unknown sweep axis '{other}'; known axes: procs, bandwidth, latency"
             )),
         }
     }
@@ -72,9 +64,6 @@ impl std::str::FromStr for Vary {
 
 /// The multipliers a bandwidth or latency sweep applies to the base model.
 pub const SCALES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
-
-/// The island widths a `--vary islands` sweep runs the matrix at.
-pub const ISLAND_WIDTHS: [usize; 3] = [1, 2, 4];
 
 /// Width of the rendered ASCII bars, in characters.
 const BAR_WIDTH: usize = 50;
@@ -153,18 +142,6 @@ impl Sweep {
                     })
                     .collect()
             }
-            // Every point shares one run key: the island width is an
-            // execution knob outside the run identity.  The driver computes
-            // a matrix per width and asserts they agree bit for bit; the
-            // rendered rows then *are* that guarantee, one per width.
-            Vary::Islands => ISLAND_WIDTHS
-                .iter()
-                .map(|&w| SweepPoint {
-                    label: w.to_string(),
-                    net: self.base,
-                    nprocs: self.max_procs,
-                })
-                .collect(),
         }
     }
 
@@ -243,7 +220,7 @@ impl Sweep {
                     );
                     column.push(match self.vary {
                         Vary::Procs => run.speedup(seq.time),
-                        Vary::Bandwidth | Vary::Latency | Vary::Islands => run.time,
+                        Vary::Bandwidth | Vary::Latency => run.time,
                     });
                     // "-" when the run recorded nothing (observability off,
                     // or a system with no remote lock acquires).
@@ -404,44 +381,8 @@ mod tests {
         assert_eq!("procs".parse(), Ok(Vary::Procs));
         assert_eq!("BW".parse(), Ok(Vary::Bandwidth));
         assert_eq!("latency".parse(), Ok(Vary::Latency));
-        assert_eq!("islands".parse(), Ok(Vary::Islands));
         assert!("cheese".parse::<Vary>().is_err());
         assert_eq!(Vary::Procs.measure(), "speedup");
         assert_eq!(Vary::Bandwidth.axis(), "bandwidth");
-        assert_eq!(Vary::Islands.axis(), "islands");
-        assert_eq!(Vary::Islands.measure(), "runtime (s)");
-    }
-
-    #[test]
-    fn islands_sweep_points_share_one_run_key() {
-        let sweep = tiny_sweep(Vary::Islands);
-        let points = sweep.points();
-        assert_eq!(points.len(), ISLAND_WIDTHS.len());
-        assert_eq!(points[0].label, "1");
-        assert_eq!(points.last().unwrap().label, "4");
-        // Every width runs the *same* simulation — the island count is an
-        // execution knob outside the run identity — so all points carry the
-        // base net at the fixed processor count.
-        assert!(points
-            .iter()
-            .all(|p| p.net == sweep.base && p.nprocs == sweep.max_procs));
-        let keys = sweep.keys();
-        assert_eq!(keys.len(), points.len() * sweep.systems.len());
-        assert!(keys
-            .iter()
-            .all(|k| keys[0..sweep.systems.len()].contains(k)));
-        // The rendered figure shows one identical row per width.
-        let matrix = run_matrix(Preset::Tiny, &sweep.workloads, &keys, 2);
-        let rendered = sweep.render(&matrix);
-        assert!(rendered.contains("runtime (s) vs islands"), "{rendered}");
-        let row_of = |label: &str| {
-            rendered
-                .lines()
-                .find(|l| l.trim_start().starts_with(&format!("{label} ")) && !l.contains('#'))
-                .map(|l| l.trim_start().trim_start_matches(label).to_string())
-                .unwrap_or_else(|| panic!("no row for width {label}:\n{rendered}"))
-        };
-        assert_eq!(row_of("1"), row_of("2"));
-        assert_eq!(row_of("2"), row_of("4"));
     }
 }

@@ -1,8 +1,8 @@
 //! The `reproduce` binary from outside: stdout of six representative
 //! invocations pinned by FNV-1a 64 (recorded at the commit before the
 //! runner family was collapsed into `apps::run`, so any drift in a rendered
-//! byte fails here), and the command-line rejections and notices that must
-//! reach stderr without running anything.
+//! byte fails here), and the command-line rejections that must reach stderr
+//! without running anything.
 
 use std::process::{Command, Output};
 
@@ -39,10 +39,13 @@ fn the_tiny_json_dump_renders_the_pinned_bytes() {
     assert_stdout_hash(&["--tiny", "--json"], 0xce4e_e950_2775_f575);
 }
 
+/// Re-pinned once, in PR 22, which retired a sweep axis and two execution
+/// knobs: the sweep-axes and execution-knobs lines are the only bytes that
+/// moved.
 #[test]
 fn the_catalogue_renders_the_pinned_bytes() {
-    assert_stdout_hash(&["--list"], 0x6772_cbfa_1eed_6759);
-    assert_stdout_hash(&["--list", "--json"], 0x3a06_cf98_b2f6_0cb3);
+    assert_stdout_hash(&["--list"], 0x8271_5822_5c84_4c9c);
+    assert_stdout_hash(&["--list", "--json"], 0xfc17_2e73_3cbb_c8a2);
 }
 
 #[test]
@@ -113,7 +116,7 @@ fn assert_rejected(args: &[&str], needle: &str) {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     assert!(stderr.contains(needle), "{args:?}: {stderr}");
-    assert!(stderr.contains("--island-threads N"), "{args:?}: {stderr}");
+    assert!(stderr.contains("--jobs N"), "{args:?}: {stderr}");
 }
 
 #[test]
@@ -167,27 +170,19 @@ fn the_both_alias_and_the_json_carrier_are_named_errors() {
     );
 }
 
-/// Island threads the engine will not use are reported once, on stderr
-/// only; island threads it does use are not mentioned at all.
+/// The retired execution knobs are unknown arguments like any other: named,
+/// with the surviving list, and nothing run.
 #[test]
-fn unhonoured_island_threads_say_so_on_stderr_only() {
-    let campaign = ["fuzz", "--seeds", "2", "--workload", "EP", "--tiny"];
-    let plain = reproduce(&campaign);
-    let threaded =
-        reproduce(&[&campaign[..], &["--islands", "4", "--island-threads", "4"]].concat());
-    assert!(plain.status.success() && threaded.status.success());
-    assert_eq!(plain.stdout, threaded.stdout);
-    assert!(plain.stderr.is_empty(), "{plain:?}");
-    let stderr = String::from_utf8(threaded.stderr).unwrap();
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+fn the_retired_island_knobs_run_nothing() {
+    assert_rejected(&["--tiny", "--islands", "2"], "'--islands'");
+    assert_rejected(&["--tiny", "--island-threads", "2"], "'--island-threads'");
+    let out = reproduce(&["sweep", "--vary", "islands", "--tiny"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(
-        stderr.contains("--island-threads 4 is not honoured") && stderr.contains("race analysis"),
+        stderr.contains("'islands'") && stderr.contains("known axes: procs, bandwidth, latency;"),
         "{stderr}"
     );
-
-    let slice = ["--tiny", "--table2", "--workload", "EP", "--procs", "4"];
-    let honoured = reproduce(&[&slice[..], &["--islands", "2", "--island-threads", "2"]].concat());
-    assert!(honoured.status.success());
-    assert!(honoured.stderr.is_empty(), "{honoured:?}");
-    assert_eq!(honoured.stdout, reproduce(&slice).stdout);
+    assert!(stderr.contains("--jobs N"), "{stderr}");
 }

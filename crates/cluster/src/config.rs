@@ -100,24 +100,15 @@ pub struct ClusterConfig {
     /// prefix a finding needs.
     #[serde(default)]
     pub tie_limit: Option<u64>,
-    /// Number of scheduler islands the conservative PDES scheduler
-    /// partitions the processes into (contiguous rank blocks, each with its
-    /// own event heap; see `cluster::sched::IslandSched`).  An execution
-    /// strategy, **not** part of the cost model: every width produces
-    /// bit-identical output, asserted against the flat reference arbiter
-    /// under the `oracle-checks` feature.  `0` is normalised to `1`; widths
-    /// above `nprocs` clamp to `nprocs`.
+    /// Retired.  It once chose the width of an island scheduler; every
+    /// value has always produced identical bytes, and since PR 22 every
+    /// value runs the same code — nothing in the workspace reads it.  Kept
+    /// only because `benchmark/layers` writes it in struct literals;
+    /// deleted with its probes (ROADMAP item 0(i)).
     #[serde(default)]
     pub islands: usize,
-    /// Number of OS threads allowed to advance ranks concurrently inside a
-    /// horizon window (see `cluster::window`).  Like
-    /// [`islands`](Self::islands) this is an execution strategy, **not**
-    /// part of the cost model: every width produces bit-identical output,
-    /// asserted against the serial reference executor under the
-    /// `oracle-checks` feature.  `0` and `1` both select the serial engine;
-    /// values `>= 2` enable the windowed engine when the configuration is
-    /// eligible (no seeded tie-breaking, no reordering/crash faults, no
-    /// run-time analysis).
+    /// Retired, like [`islands`](Self::islands): it once chose the thread
+    /// count of a windowed engine, and nothing reads it.
     #[serde(default)]
     pub island_threads: usize,
 }

@@ -1,4 +1,4 @@
-//! Stackful coroutines: the ranks of a serial-engine run share one OS thread.
+//! Stackful coroutines: the ranks of a run share one OS thread.
 //!
 //! [`run`] hosts `n` rank bodies on the calling thread, each on its own
 //! guard-paged 2 MiB stack.  A rank runs until it calls [`yield_to`] (from
@@ -27,8 +27,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
 use std::sync::Mutex;
 
-/// A rank's usable stack: what `std` gives the windowed engine's rank
-/// threads, so how deep an application may recurse does not depend on the engine.
+/// A rank's usable stack: `std`'s default for a spawned thread, so a rank
+/// body may recurse as deep as it could on a thread of its own.
 const STACK_BYTES: usize = 2 << 20;
 /// One `PROT_NONE` page below it: an overflow is a SIGSEGV, not a stray write.
 const GUARD_BYTES: usize = 4096;

@@ -488,20 +488,6 @@ impl FaultStats {
     pub fn injected(&self) -> u64 {
         self.drops + self.duplicates + self.reorders + self.delays + self.partition_hits
     }
-
-    /// Fold another counter set into this one.  The windowed engine keeps
-    /// one fault-state clone per island and sums the counters for the
-    /// report; because each directed link is only ever drawn by its source
-    /// rank's island, the sums equal the serial engine's counters exactly.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.drops += other.drops;
-        self.duplicates += other.duplicates;
-        self.reorders += other.reorders;
-        self.delays += other.delays;
-        self.partition_hits += other.partition_hits;
-        self.crashes += other.crashes;
-        self.tie_breaks += other.tie_breaks;
-    }
 }
 
 /// The arbiter's seeded tie-break stream: when several processes are parked

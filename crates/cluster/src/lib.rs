@@ -60,7 +60,6 @@ pub mod scenario;
 pub(crate) mod sched;
 pub mod stats;
 pub mod time;
-pub mod window;
 
 pub use analysis::AnalysisLevel;
 pub use config::{ClusterConfig, NetModel, NetPreset, Overrides};
@@ -113,9 +112,8 @@ impl Cluster {
     ///
     /// The closure receives the [`Proc`] handle of its process.  Each
     /// process runs on its own 2 MiB stack — all of them on one OS thread
-    /// spawned for the run, a grant being a stack switch; only the windowed
-    /// engine (`island_threads >= 2`, when eligible) gives each an OS thread
-    /// — and the cluster's conservative virtual-time arbiter serialises
+    /// spawned for the run, a grant being a stack switch — and the
+    /// cluster's conservative virtual-time arbiter serialises
     /// every shared-medium and mailbox interaction in virtual-timestamp
     /// order (ties broken by rank), so all reported times *and counters* are
     /// bit-identical across runs: the outcome is a pure function of the
@@ -184,27 +182,15 @@ impl Cluster {
             }
             outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         };
-        // The serial engine's ranks are coroutines on one OS thread per run
-        // (`coro`): a grant is a stack switch, and the thread's exit gives
-        // the run's allocator arena back for the next run's thread to take
-        // (docs/ARCHITECTURE.md §Handoff).  The windowed engine parks its
-        // ranks on its own condition variables, so they stay OS threads.
-        // lint:allow(threads): the run's hosting thread — or, windowed, the
-        // per-process threads the window coordinator serialises.
+        // The ranks are coroutines on one OS thread per run (`coro`): a
+        // grant is a stack switch, and the thread's exit gives the run's
+        // allocator arena back for the next run's thread to take
+        // (docs/ARCHITECTURE.md §Handoff).
+        // lint:allow(threads): the run's hosting thread.
         let joined: Vec<std::thread::Result<_>> = std::thread::scope(|s| {
-            if window::eligible(&cfg) {
-                let handles: Vec<_> = (0..cfg.nprocs)
-                    .map(|id| {
-                        let rank = &rank;
-                        s.spawn(move || rank(id))
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join()).collect()
-            } else {
-                s.spawn(|| coro::run(cfg.nprocs, rank))
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            }
+            s.spawn(|| coro::run(cfg.nprocs, rank))
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         });
         // Every rank has finished before a failure propagates; prefer
         // the *originating* panic over the typed `PeerAbort` panics of
@@ -344,21 +330,33 @@ mod tests {
     }
 
     #[test]
-    fn ranks_are_os_threads_only_on_the_windowed_engine() {
+    fn the_retired_island_fields_are_inert() {
+        // `islands` and `island_threads` once selected a scheduler and a
+        // threaded engine; nothing reads them any more, so any value is the
+        // default run: same report, all eight ranks on one hosting thread.
         // lint:allow(threads): reads which OS thread each rank body runs on.
         let here = || std::thread::current().id();
-        let caller = here();
-        let distinct = |cfg: ClusterConfig| {
-            let mut ids = Cluster::run(cfg, |_| here()).results;
-            assert!(!ids.contains(&caller), "ranks run off the calling thread");
-            ids.dedup();
-            ids.len()
+        let report = |cfg: ClusterConfig| {
+            let rep = Cluster::run(cfg, |p| {
+                let next = (p.id() + 1) % p.nprocs();
+                p.compute(0.001 * (p.id() + 1) as f64);
+                p.send(next, 1, Bytes::from(vec![p.id() as u8; 64]));
+                (p.recv(None, 1).payload, here())
+            });
+            let (payloads, mut hosts): (Vec<_>, Vec<_>) = rep.results.into_iter().unzip();
+            hosts.dedup();
+            assert_eq!(hosts.len(), 1, "one hosting thread per run");
+            assert_ne!(hosts[0], here(), "ranks run off the calling thread");
+            format!(
+                "{payloads:?} {:?} {:?} {:?}",
+                rep.stats, rep.faults, rep.obs
+            )
         };
-        let mut cfg = ClusterConfig::calibrated_fddi(8);
-        assert_eq!(distinct(cfg.clone()), 1, "one hosting thread per run");
-        cfg.islands = 4;
-        cfg.island_threads = 2;
-        assert!(window::eligible(&cfg));
-        assert_eq!(distinct(cfg), 8, "the windowed engine's rank threads");
+        let retired = ClusterConfig {
+            islands: 4,
+            island_threads: 2,
+            ..ClusterConfig::calibrated_fddi(8)
+        };
+        assert_eq!(report(ClusterConfig::calibrated_fddi(8)), report(retired));
     }
 }

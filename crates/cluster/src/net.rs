@@ -20,7 +20,7 @@ use crate::config::ClusterConfig;
 use crate::coro;
 use crate::fault::{FaultKind, FaultState, FaultStats};
 use crate::obs::{self, Event, EventKind, ObsLevel};
-use crate::sched::{wait_graph, Decision, IslandSched, PState};
+use crate::sched::{wait_graph, Arbiter, Decision, PState};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
@@ -127,10 +127,9 @@ impl std::fmt::Display for RunFailure {
     }
 }
 
-/// Why the simulation was torn down early.  Shared with the windowed
-/// engine (`crate::window`), which raises the identical payloads.
+/// Why the simulation was torn down early.
 #[derive(Debug, Clone)]
-pub(crate) enum Abort {
+enum Abort {
     /// A process panicked; peers must fail fast instead of waiting
     /// for messages the dead process will never send.
     Panic(usize),
@@ -154,13 +153,13 @@ pub(crate) enum Abort {
 /// (Unit tests use a small limit so the detector's regression test is
 /// instant.)
 #[cfg(not(test))]
-pub(crate) const LIVELOCK_GRANT_LIMIT: u64 = 10_000_000;
+const LIVELOCK_GRANT_LIMIT: u64 = 10_000_000;
 #[cfg(test)]
-pub(crate) const LIVELOCK_GRANT_LIMIT: u64 = 100_000;
+const LIVELOCK_GRANT_LIMIT: u64 = 100_000;
 
 /// Unwind the calling process with the typed payload matching the
-/// abort cause.  Shared by both engines.
-pub(crate) fn panic_aborted(abort: &Abort) -> ! {
+/// abort cause.
+fn panic_aborted(abort: &Abort) -> ! {
     match abort {
         Abort::Panic(who) => std::panic::panic_any(PeerAbort(*who)),
         Abort::Deadlock(graph) => std::panic::panic_any(DeadlockAbort(graph.clone())),
@@ -175,9 +174,9 @@ struct SimState {
     /// Per-process incoming-message queues.
     mailboxes: Vec<VecDeque<Message>>,
     /// Scheduler state of every process, with the minimum-key parked
-    /// process maintained incrementally per island (no per-interaction O(n)
-    /// scan); see [`IslandSched`].
-    arb: IslandSched,
+    /// process maintained incrementally (no per-interaction O(n) scan); see
+    /// [`Arbiter`].
+    arb: Arbiter,
     /// Virtual time until which the shared medium is busy (FDDI ring model).
     medium_free_at: f64,
     /// Consecutive grants since the last message transmission or
@@ -198,21 +197,13 @@ struct SimState {
     trace: Option<Vec<Event>>,
 }
 
-/// The shared state of the simulated network.
-///
-/// Facade over two engines: the serial reference engine (this module — one
-/// lock, one grant at a time) and the threaded windowed engine
-/// (`crate::window`), selected at construction when the configuration is
-/// [eligible](crate::window::verdict) and `cfg.island_threads >= 2`.  Both
-/// produce bit-identical output; the serial engine remains the semantics of
-/// record and the `oracle-checks` reference executor.
+/// The shared state of the simulated network: one lock, one grant at a
+/// time.
 pub struct NetworkCore {
     cfg: ClusterConfig,
-    /// Uncontended: the ranks of a serial-engine run are coroutines on one
-    /// thread (`crate::coro`), and a rank drops its guard before it yields.
+    /// Uncontended: the ranks of a run are coroutines on one thread
+    /// (`crate::coro`), and a rank drops its guard before it yields.
     state: Mutex<SimState>,
-    /// The threaded engine, when eligible; every primitive delegates to it.
-    windowed: Option<crate::window::WindowedCore>,
 }
 
 impl NetworkCore {
@@ -223,11 +214,8 @@ impl NetworkCore {
         let n = cfg.nprocs;
         let tracing = cfg.obs == ObsLevel::Trace;
         let faults = FaultState::new(&cfg.fault, n);
-        let arb = IslandSched::new(n, cfg.islands, cfg.sched_seed, cfg.tie_limit, cfg.latency);
-        let windowed =
-            crate::window::eligible(&cfg).then(|| crate::window::WindowedCore::new(cfg.clone()));
+        let arb = Arbiter::with_seed(n, cfg.sched_seed, cfg.tie_limit);
         NetworkCore {
-            windowed,
             cfg,
             state: Mutex::new(SimState {
                 mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
@@ -251,9 +239,6 @@ impl NetworkCore {
     /// other process fails fast at its next interaction; the run loop resumes
     /// the suspended ones to find out (`crate::coro::run`).
     pub fn abort(&self, who: usize) {
-        if let Some(w) = &self.windowed {
-            return w.abort(who);
-        }
         let mut st = self.state.lock();
         if st.aborted.is_none() {
             st.aborted = Some(Abort::Panic(who));
@@ -264,9 +249,6 @@ impl NetworkCore {
     /// Mark process `id` as finished and hand the token to the next
     /// runnable process.  Called when the process closure returns.
     pub fn finish(&self, id: usize) {
-        if let Some(w) = &self.windowed {
-            return w.finish(id);
-        }
         self.retire(self.state.lock(), id);
     }
 
@@ -287,9 +269,6 @@ impl NetworkCore {
     /// one process; peers run on (and may then deadlock, which the detector
     /// reports naming this crash as context).
     pub(crate) fn crash(&self, id: usize, at: f64) {
-        if let Some(w) = &self.windowed {
-            return w.crash(id, at);
-        }
         let mut st = self.state.lock();
         st.crashed.push((id, at));
         if let Some(f) = st.faults.as_mut() {
@@ -311,18 +290,12 @@ impl NetworkCore {
 
     /// `(rank, virtual_time)` of every fault-plan crash that has fired.
     pub(crate) fn crashed(&self) -> Vec<(usize, f64)> {
-        if let Some(w) = &self.windowed {
-            return w.crashed();
-        }
         self.state.lock().crashed.clone()
     }
 
     /// Counters of the faults injected so far, with the arbiter's seeded
     /// tie-break draws folded in.  All zero for an empty plan under seed 0.
     pub fn fault_stats(&self) -> FaultStats {
-        if let Some(w) = &self.windowed {
-            return w.fault_stats();
-        }
         let st = self.state.lock();
         let mut stats = st.faults.as_ref().map(|f| f.stats).unwrap_or_default();
         stats.tie_breaks = st.arb.tie_draws();
@@ -440,9 +413,7 @@ impl NetworkCore {
     }
 
     /// Put a message on the wire at virtual time `depart` from `src` to
-    /// `dst`.  `clock` is the sender's current virtual time (`<= depart`
-    /// for scheduled sends); the windowed engine folds it into the horizon
-    /// floor.  Returns the number of wire datagrams charged.
+    /// `dst`.  Returns the number of wire datagrams charged.
     ///
     /// When the shared-medium model is enabled, transmission is serialised:
     /// the message cannot start transmitting before the medium is free, which
@@ -450,18 +421,7 @@ impl NetworkCore {
     /// The sender seizes the medium only once it holds the minimum virtual
     /// time among runnable processes, so the serialisation order — and with
     /// it every arrival time — is deterministic.
-    pub fn transmit(
-        &self,
-        src: usize,
-        dst: usize,
-        tag: Tag,
-        payload: Bytes,
-        depart: f64,
-        clock: f64,
-    ) -> u64 {
-        if let Some(w) = &self.windowed {
-            return w.transmit(src, dst, tag, payload, depart, clock);
-        }
+    pub fn transmit(&self, src: usize, dst: usize, tag: Tag, payload: Bytes, depart: f64) -> u64 {
         assert!(dst < self.cfg.nprocs, "send to nonexistent process {dst}");
         let mut st = self.park(self.state.lock(), src, PState::Parked { key: depart });
         let bytes = payload.len();
@@ -586,9 +546,6 @@ impl NetworkCore {
         tag: Option<Tag>,
         clock: f64,
     ) -> Message {
-        if let Some(w) = &self.windowed {
-            return w.recv_match(dst, src, tag, clock);
-        }
         let st = self.state.lock();
         let state = match Self::find(&st.mailboxes[dst], src, tag) {
             Some(pos) => PState::Parked {
@@ -631,9 +588,6 @@ impl NetworkCore {
         tag: Option<Tag>,
         now: f64,
     ) -> Option<Message> {
-        if let Some(w) = &self.windowed {
-            return w.try_recv_match(dst, src, tag, now);
-        }
         let mut st = self.park(self.state.lock(), dst, PState::Parked { key: now });
         let pos = st.mailboxes[dst].iter().position(|m| {
             m.arrival <= now && src.is_none_or(|s| m.src == s) && tag.is_none_or(|t| m.tag == t)
@@ -657,9 +611,6 @@ impl NetworkCore {
     /// Number of messages queued for `dst` that have arrived by virtual
     /// time `now`.  Like every observation, clock-gated and arbitrated.
     pub fn pending(&self, dst: usize, now: f64) -> usize {
-        if let Some(w) = &self.windowed {
-            return w.pending(dst, now);
-        }
         let st = self.park(self.state.lock(), dst, PState::Parked { key: now });
         st.mailboxes[dst]
             .iter()
@@ -676,9 +627,6 @@ impl NetworkCore {
     /// grants).  Empty below [`ObsLevel::Trace`].  Called once by the
     /// cluster front end after every process has finished.
     pub fn take_central(&self) -> Vec<Event> {
-        if let Some(w) = &self.windowed {
-            return w.take_central();
-        }
         self.state.lock().trace.take().unwrap_or_default()
     }
 }

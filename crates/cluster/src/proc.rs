@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 /// Handle to one simulated process (workstation).
 ///
-/// A `Proc` is owned by the coroutine (or, windowed, the thread) that
-/// simulates the process and is not shared; all communication with other processes goes through
-/// the cluster's [`NetworkCore`], whose conservative virtual-time arbiter
-/// makes every interaction deterministic.
+/// A `Proc` is owned by the coroutine that simulates the process and is not
+/// shared; all communication with other processes goes through the
+/// cluster's [`NetworkCore`], whose conservative virtual-time arbiter makes
+/// every interaction deterministic.
 pub struct Proc {
     id: usize,
     core: Arc<NetworkCore>,
@@ -135,9 +135,7 @@ impl Proc {
 
     fn transmit(&self, dst: usize, tag: Tag, payload: Bytes, depart: f64) {
         let bytes = payload.len() as u64;
-        let datagrams = self
-            .core
-            .transmit(self.id, dst, tag, payload, depart, self.clock.now());
+        let datagrams = self.core.transmit(self.id, dst, tag, payload, depart);
         let mut st = self.stats.borrow_mut();
         st.messages_sent += 1;
         st.datagrams_sent += datagrams;

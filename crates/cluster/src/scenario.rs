@@ -82,15 +82,6 @@ pub struct Scenario {
     pub sched_seed: Option<u64>,
     /// Cap on seeded tie-break draws (`tie_limit` key); rank order after.
     pub tie_limit: Option<u64>,
-    /// Scheduler island count (`islands` key); `None` leaves the caller's
-    /// default (one island) in force.  An execution strategy, not a cost
-    /// model knob: every width produces bit-identical output.
-    pub islands: Option<usize>,
-    /// Worker threads driving the islands inside each horizon window
-    /// (`island_threads` key); `None` leaves the caller's default (serial)
-    /// in force.  Like `islands`, an execution strategy: every thread
-    /// count produces bit-identical output.
-    pub island_threads: Option<usize>,
     /// Fault-injection plan (`[fault]` section); `None` = no faults.
     pub fault: Option<FaultPlan>,
 }
@@ -107,8 +98,6 @@ impl Default for Scenario {
             overrides: Overrides::default(),
             sched_seed: None,
             tie_limit: None,
-            islands: None,
-            island_threads: None,
             fault: None,
         }
     }
@@ -326,13 +315,10 @@ impl Scenario {
                 "systems" => self.systems = value.as_string_list(key)?,
                 "sched_seed" => self.sched_seed = Some(value.as_u64(key)?),
                 "tie_limit" => self.tie_limit = Some(value.as_u64(key)?),
-                "islands" => self.islands = Some(value.as_usize(key)?),
-                "island_threads" => self.island_threads = Some(value.as_usize(key)?),
                 other => {
                     return err(format!(
                         "unknown key '{other}'; known keys: name, net, procs, preset, \
-                         workloads, systems, sched_seed, tie_limit, islands, \
-                         island_threads, [overrides], [fault]"
+                         workloads, systems, sched_seed, tie_limit, [overrides], [fault]"
                     ))
                 }
             },
@@ -413,12 +399,6 @@ impl Scenario {
         if let Some(limit) = self.tie_limit {
             cfg.tie_limit = Some(limit);
         }
-        if let Some(islands) = self.islands {
-            cfg.islands = islands;
-        }
-        if let Some(threads) = self.island_threads {
-            cfg.island_threads = threads;
-        }
         if let Some(plan) = &self.fault {
             cfg.fault = plan.clone();
         }
@@ -454,12 +434,6 @@ impl Scenario {
         }
         if let Some(limit) = self.tie_limit {
             out.push_str(&format!("tie_limit = {limit}\n"));
-        }
-        if let Some(islands) = self.islands {
-            out.push_str(&format!("islands = {islands}\n"));
-        }
-        if let Some(threads) = self.island_threads {
-            out.push_str(&format!("island_threads = {threads}\n"));
         }
         if !self.overrides.is_empty() {
             out.push_str("\n[overrides]\n");
@@ -809,6 +783,14 @@ mod tests {
         assert!(e.to_string().contains("warpdrive"), "{e}");
         let e = Scenario::parse_toml("speed = 3").unwrap_err();
         assert!(e.to_string().contains("unknown key 'speed'"), "{e}");
+        // A retired key is an unknown key: located, with the surviving list.
+        let e = Scenario::parse_toml("procs = 4\nislands = 4").unwrap_err();
+        assert!(e.to_string().contains("line 2"), "{e}");
+        assert!(e.to_string().contains("unknown key 'islands'"), "{e}");
+        assert!(
+            e.to_string().contains("sched_seed, tie_limit, [overrides]"),
+            "{e}"
+        );
         let e = Scenario::parse_toml("[overrides]\nwarp = 9").unwrap_err();
         assert!(e.to_string().contains("unknown override 'warp'"), "{e}");
         let e = Scenario::parse_toml("procs = 2.5").unwrap_err();
@@ -822,8 +804,6 @@ mod tests {
             procs = 4
             sched_seed = 18446744073709551615   # u64::MAX survives exactly
             tie_limit = 12
-            islands = 4
-            island_threads = 4
 
             [fault]
             seed = 9874321098765432109
@@ -835,8 +815,6 @@ mod tests {
         let s = Scenario::parse_toml(text).unwrap();
         assert_eq!(s.sched_seed, Some(u64::MAX));
         assert_eq!(s.tie_limit, Some(12));
-        assert_eq!(s.islands, Some(4));
-        assert_eq!(s.island_threads, Some(4));
         let plan = s.fault.as_ref().unwrap();
         assert_eq!(plan.seed, 9874321098765432109);
         assert_eq!(plan.drop, 0.02);
@@ -852,8 +830,6 @@ mod tests {
         assert_eq!(cfg.nprocs, 4);
         assert_eq!(cfg.sched_seed, u64::MAX);
         assert_eq!(cfg.tie_limit, Some(12));
-        assert_eq!(cfg.islands, 4);
-        assert_eq!(cfg.island_threads, 4);
         assert_eq!(&cfg.fault, plan);
         // Canonical serialisation round-trips exactly, twice.
         let reparsed = Scenario::parse_toml(&s.to_toml()).unwrap();

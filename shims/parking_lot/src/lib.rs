@@ -1,6 +1,5 @@
 //! Offline stand-in for the subset of `parking_lot` this workspace uses:
-//! a [`Mutex`] whose `lock` returns the guard directly (no poison `Result`)
-//! and a [`Condvar`] whose `wait` takes the guard by `&mut`.
+//! a [`Mutex`] whose `lock` returns the guard directly (no poison `Result`).
 //!
 //! Implemented over `std::sync`; a poisoned lock (a panicked holder) is
 //! recovered rather than propagated, matching parking_lot's behaviour of
@@ -8,20 +7,13 @@
 
 #![warn(missing_docs)]
 
-use std::ops::{Deref, DerefMut};
+/// Guard returned by [`Mutex::lock`]; unlocks on drop.
+pub use std::sync::MutexGuard;
 
 /// A mutual-exclusion lock with parking_lot's panic-free API.
 #[derive(Debug, Default)]
 pub struct Mutex<T> {
     inner: std::sync::Mutex<T>,
-}
-
-/// Guard returned by [`Mutex::lock`]; unlocks on drop.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T> {
-    // `Option` so Condvar::wait can move the std guard out and back while
-    // the caller still holds `&mut MutexGuard`.
-    inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
@@ -34,100 +26,20 @@ impl<T> Mutex<T> {
 
     /// Acquire the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self
-            .inner
+        self.inner
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        MutexGuard { inner: Some(guard) }
-    }
-}
-
-impl<T> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside wait")
-    }
-}
-
-impl<T> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside wait")
-    }
-}
-
-/// A condition variable paired with [`Mutex`].
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// A new condition variable.
-    pub fn new() -> Self {
-        Condvar::default()
-    }
-
-    /// Atomically release the guarded lock and wait for a notification,
-    /// reacquiring the lock before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let std_guard = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-    }
-
-    /// Wait with a timeout; returns `true` if the wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let (std_guard, result) = self
-            .inner
-            .wait_timeout(std_guard, timeout)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-        result.timed_out()
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn lock_guards_mutation() {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (lock, cvar) = &*pair2;
-            let mut started = lock.lock();
-            while !*started {
-                cvar.wait(&mut started);
-            }
-            *started
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        let (lock, cvar) = &*pair;
-        *lock.lock() = true;
-        cvar.notify_all();
-        assert!(t.join().unwrap());
     }
 }

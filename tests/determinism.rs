@@ -140,140 +140,31 @@ fn parallel_executor_matches_serial_bit_for_bit() {
     }
 }
 
-/// The conservative PDES island scheduler cannot change results: every
-/// workload in the battery, under every system (all DSM protocol backends
-/// and PVM), produces a bit-identical run — every virtual time and counter,
-/// on every process — at `islands` widths 1, 2 and 4.  Width 1 is the flat
-/// arbiter, so this pins the island refactor to the pre-island engine.
-#[test]
-fn island_scheduling_is_bit_identical_at_every_width() {
-    use bench::{run_parallel_on, Exec};
-    let workloads = [Workload::Ep, Workload::SorZero, Workload::Tsp];
-    for w in workloads {
-        for sys in System::all() {
-            let at_width = |islands: usize| {
-                let mut cfg = ClusterConfig::calibrated_fddi(4);
-                Exec {
-                    islands,
-                    ..Exec::with_jobs(1)
-                }
-                .apply(&mut cfg);
-                run_parallel_on(w, sys, &cfg, Preset::Tiny)
-            };
-            let flat = at_width(1);
-            for islands in [2usize, 4] {
-                let wide = at_width(islands);
-                let ctx = format!(
-                    "{} under {sys} at 4 processes (islands 1 vs {islands})",
-                    w.name()
-                );
-                assert_runs_identical(&flat, &wide, &ctx);
-            }
-        }
-    }
-}
-
-/// The threaded-window battery: 3 workloads × every system × `islands`
-/// {1, 2, 4} × `island_threads` {1, 2, 4}, asserting the full report —
-/// every virtual time and counter, on every process — bit-identical to the
-/// flat serial engine at `(1, 1)`.  `plan` injects faults under the same
-/// grid; `ctx_plan` names it in failure messages.
-fn threaded_width_battery(plan: &netws::cluster::FaultPlan, ctx_plan: &str) {
-    use bench::{run_parallel_on, Exec};
-    let workloads = [Workload::Ep, Workload::SorZero, Workload::Tsp];
-    for w in workloads {
-        for sys in System::all() {
-            let at = |islands: usize, island_threads: usize| {
-                let mut cfg = ClusterConfig::calibrated_fddi(4);
-                Exec {
-                    islands,
-                    island_threads,
-                    ..Exec::with_jobs(1)
-                }
-                .apply(&mut cfg);
-                cfg.fault = plan.clone();
-                run_parallel_on(w, sys, &cfg, Preset::Tiny)
-            };
-            let flat = at(1, 1);
-            for islands in [1usize, 2, 4] {
-                for threads in [1usize, 2, 4] {
-                    if (islands, threads) == (1, 1) {
-                        continue;
-                    }
-                    let wide = at(islands, threads);
-                    let ctx = format!(
-                        "{} under {sys} at 4 processes ({ctx_plan}; islands 1 vs {islands}, \
-                         island-threads 1 vs {threads})",
-                        w.name()
-                    );
-                    assert_runs_identical(&flat, &wide, &ctx);
-                }
-            }
-        }
-    }
-}
-
-/// Fault-free: the threaded windowed engine engages wherever it is
-/// eligible, and every `(islands, island_threads)` width reproduces the
-/// serial engine bit for bit.
-#[test]
-fn threaded_windows_are_bit_identical_at_every_width() {
-    threaded_width_battery(&netws::cluster::FaultPlan::default(), "no faults");
-}
-
-/// A lossy plan (drops, duplicates, reorders, delays): reorder slip is
-/// incompatible with staged window delivery, so the engine falls back to
-/// the serial island path — which must still be bit-identical at every
-/// requested width.
-#[test]
-fn threaded_windows_are_bit_identical_under_a_lossy_plan() {
-    threaded_width_battery(&netws::cluster::FaultPlan::lossy(1), "lossy plan");
-}
-
-/// A timed partition has no probabilistic reordering, so the threaded
-/// window path stays eligible and runs *with* fault injection: partition
-/// draws come from per-link PRNG streams, so thread interleaving cannot
-/// reach them.
-#[test]
-fn threaded_windows_are_bit_identical_under_a_timed_partition() {
-    threaded_width_battery(
-        &netws::cluster::FaultPlan::partitioned(1, 4),
-        "timed partition",
-    );
-}
-
 /// The full structured obs trace — every event token of every run, as the
-/// exported Chrome-trace bytes — is byte-identical across island-thread
-/// widths: virtual-time stamping means recording order never leaks.
+/// exported Chrome-trace bytes — is byte-identical across worker-thread
+/// widths at four contending processes: virtual-time stamping means which
+/// thread hosted a run, and when, never leaks.
 #[test]
 fn obs_traces_are_byte_identical_across_thread_widths() {
-    use bench::{obs, run_matrix_exec, Exec, RunKey, RunTuning};
+    use bench::{obs, run_matrix_obs, RunKey};
     use netws::cluster::ObsLevel;
-    let workloads = [Workload::Tsp];
     let keys: Vec<RunKey> = System::all()
         .into_iter()
         .map(|sys| RunKey::fddi(Workload::Tsp, sys, 4))
         .collect();
-    let traced = |island_threads: usize| {
-        let exec = Exec {
-            islands: 4,
-            island_threads,
-            obs: ObsLevel::Trace,
-            ..Exec::with_jobs(2)
-        };
-        run_matrix_exec(
+    let traced = |jobs: usize| {
+        obs::chrome_trace_json(&run_matrix_obs(
             Preset::Tiny,
-            &workloads,
+            &[Workload::Tsp],
             &keys,
-            &exec,
-            &RunTuning::default(),
-        )
+            jobs,
+            ObsLevel::Trace,
+        ))
     };
-    let a = obs::chrome_trace_json(&traced(1));
-    let b = obs::chrome_trace_json(&traced(4));
     assert_eq!(
-        a, b,
-        "trace bytes differ between island-thread widths 1 and 4"
+        traced(1),
+        traced(4),
+        "trace bytes differ between 1 and 4 worker threads"
     );
 }
 

@@ -81,39 +81,6 @@ fn every_workload_and_system_survives_a_timed_partition() {
 }
 
 #[test]
-fn a_fault_campaign_is_bit_identical_at_every_island_width() {
-    // Fault injection and the conservative PDES island scheduler must not
-    // interact: a known-seed campaign mixing a lossy plan (drops,
-    // duplicates, reorders, delays) with a timed partition produces a
-    // byte-identical report whether the scheduler runs flat or split into
-    // four islands.  Fault draws come from per-link PRNG streams keyed on
-    // the run seed, so island scan order can never leak into them.
-    let mut plan = FaultPlan::lossy(9);
-    plan.partitions = FaultPlan::partitioned(1, 2).partitions;
-    let base = spec(
-        vec![System::TreadMarks(ProtocolKind::Lrc), System::Pvm],
-        3,
-        plan,
-    );
-    let narrow = run_fuzz(&base);
-    for (islands, threads) in [(4usize, 1usize), (2, 2), (4, 4)] {
-        let wide = run_fuzz(&FuzzSpec {
-            exec: Exec {
-                islands,
-                island_threads: threads,
-                ..base.exec
-            },
-            ..base.clone()
-        });
-        assert_eq!(
-            narrow.report, wide.report,
-            "campaign report differs at islands={islands} island_threads={threads}"
-        );
-        assert_eq!(narrow.findings.len(), wide.findings.len());
-    }
-}
-
-#[test]
 fn shrinking_is_a_fixpoint_against_the_real_cluster_oracle() {
     // Provoke a genuine failure (rank 1 crashes almost immediately), let
     // the campaign shrink it, then shrink the shrunk tuning again with the

@@ -174,59 +174,6 @@ fn every_backend_is_bit_deterministic_across_runs() {
     }
 }
 
-/// The conservative PDES island scheduler is invisible to every backend:
-/// the mixed lock/barrier workload produces a bit-identical full report —
-/// results, every virtual time, every traffic counter, on every process —
-/// at `islands` widths 1, 2 and 4.  Width 1 is the flat reference arbiter.
-#[test]
-fn every_backend_is_bit_identical_at_every_island_width() {
-    for protocol in ProtocolKind::all() {
-        let n = 4;
-        let at_width = |islands: usize| {
-            let mut cfg = ClusterConfig::calibrated_fddi(n);
-            cfg.islands = islands;
-            Cluster::run(cfg, move |p| {
-                let tmk = Tmk::with_protocol(p, protocol);
-                let r = mixed_workload(&tmk);
-                tmk.exit();
-                r
-            })
-        };
-        let flat = at_width(1);
-        for islands in [2usize, 4] {
-            let wide = at_width(islands);
-            assert_eq!(
-                flat.results, wide.results,
-                "{protocol}: results differ at islands={islands}"
-            );
-            for (sa, sb) in flat.stats.iter().zip(&wide.stats) {
-                assert_eq!(
-                    sa.finish_time.to_bits(),
-                    sb.finish_time.to_bits(),
-                    "{protocol}: process {} finish time differs at islands={islands}",
-                    sa.id
-                );
-                assert_eq!(
-                    sa.idle_time.to_bits(),
-                    sb.idle_time.to_bits(),
-                    "{protocol}: process {} idle time differs at islands={islands}",
-                    sa.id
-                );
-                assert_eq!(
-                    sa.messages_sent, sb.messages_sent,
-                    "{protocol}: process {} message count differs at islands={islands}",
-                    sa.id
-                );
-                assert_eq!(
-                    sa.bytes_sent, sb.bytes_sent,
-                    "{protocol}: process {} byte count differs at islands={islands}",
-                    sa.id
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn all_backends_agree_on_application_results() {
     let n = 4;

@@ -49,13 +49,11 @@
 //! anywhere else in the linted crates need a `lint:allow(threads): <reason>`
 //! marker, so a future PR cannot quietly grow a thread that races the
 //! determinism discipline.  One engine site carries one:
-//! `crates/cluster/src/lib.rs` spawns a run's hosting thread or, for the
-//! windowed engine (`window.rs`, which parks them on its own condition
-//! variables and spawns nothing itself), its per-rank threads.
+//! `crates/cluster/src/lib.rs` spawns a run's hosting thread.
 //!
 //! **Unsafe confinement**: `unsafe`, `asm!` and `extern "C"` are findings in
 //! every linted crate outside `crates/cluster/src/coro.rs` — the context
-//! switch and the stack mappings of the serial engine's coroutines, whose
+//! switch and the stack mappings of the engine's coroutines, whose
 //! `SAFETY` comments are the whole audit surface.  No marker is honoured.
 //!
 //! **Hook discipline**: `impl ConsistencyProtocol for` is permitted only
