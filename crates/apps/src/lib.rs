@@ -23,7 +23,8 @@
 //! set) pair of the study and holds the one table from workload and
 //! [`Preset`] to parameters.  Computation is charged through a calibrated
 //! work model (see README.md §Design notes) so that speedups are deterministic
-//! and independent of the host machine.
+//! and independent of the host machine.  Only [`memo`] holds state between
+//! runs: the answers of the pure kernels a matrix repeats.
 
 #![deny(missing_docs)]
 
@@ -32,6 +33,7 @@ pub mod ep;
 pub mod fft3d;
 pub mod ilink;
 pub mod is;
+pub mod memo;
 pub mod qsort;
 pub mod runner;
 pub mod sor;

@@ -17,6 +17,7 @@
 //!   behalf of the slaves, and tracks the best tour; slaves only exchange
 //!   solvable tours and best-tour updates with the master.
 
+use crate::memo::Memo;
 use crate::runner::{App, SeqRun};
 use msgpass::Pvm;
 use treadmarks::Tmk;
@@ -156,15 +157,49 @@ fn greedy_cost(dist: &[Vec<f64>], nc: usize) -> f64 {
     cost + dist[cur][0]
 }
 
+/// Everything [`solve_raw`] reads, floats by bit pattern; `dist` through
+/// `(seed, cities)`, of which it is a function (callers pass `p.distances()`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct SolveKey {
+    seed: u64,
+    cities: usize,
+    len: usize,
+    prefix: [u8; MAX_CITIES],
+    cost: u64,
+    best: u64,
+}
+
+/// Solved subtrees: `(best found as bits, nodes visited)` by [`SolveKey`].
+pub(crate) static SOLVED: Memo<SolveKey, (u64, u64)> = Memo::new();
+
 /// Exhaustively complete a partial tour, pruning against `best`.
 /// Returns `(best found, nodes visited)`.
-fn recursive_solve(dist: &[Vec<f64>], tour: &Tour, nc: usize, mut best: f64) -> (f64, u64) {
+fn recursive_solve(p: &TspParams, dist: &[Vec<f64>], tour: &Tour, best: f64) -> (f64, u64) {
+    let mut prefix = [0u8; MAX_CITIES];
+    prefix[..tour.cities.len()].copy_from_slice(&tour.cities);
+    let key = SolveKey {
+        seed: p.seed,
+        cities: p.cities,
+        len: tour.cities.len(),
+        prefix,
+        cost: tour.cost.to_bits(),
+        best: best.to_bits(),
+    };
+    let (found, nodes) = SOLVED.get_or(key, || {
+        let (found, nodes) = solve_raw(dist, tour, best);
+        (found.to_bits(), nodes)
+    });
+    (f64::from_bits(found), nodes)
+}
+
+fn solve_raw(dist: &[Vec<f64>], tour: &Tour, mut best: f64) -> (f64, u64) {
+    /// Visit the node whose path ends at `last` and holds `depth` cities.
     fn dfs(
         dist: &[Vec<f64>],
-        path: &mut Vec<u8>,
+        last: usize,
+        depth: usize,
         visited: u32,
         cost: f64,
-        nc: usize,
         best: &mut f64,
         nodes: &mut u64,
     ) {
@@ -172,36 +207,25 @@ fn recursive_solve(dist: &[Vec<f64>], tour: &Tour, nc: usize, mut best: f64) -> 
         if cost >= *best {
             return;
         }
-        if path.len() == nc {
-            let total = cost + dist[*path.last().unwrap() as usize][0];
+        if depth == dist.len() {
+            let total = cost + dist[last][0];
             if total < *best {
                 *best = total;
             }
             return;
         }
-        let last = *path.last().unwrap() as usize;
-        for c in 0..nc {
+        for c in 0..dist.len() {
             if visited & (1 << c) == 0 {
-                path.push(c as u8);
-                dfs(
-                    dist,
-                    path,
-                    visited | (1 << c),
-                    cost + dist[last][c],
-                    nc,
-                    best,
-                    nodes,
-                );
-                path.pop();
+                let via = cost + dist[last][c];
+                dfs(dist, c, depth + 1, visited | (1 << c), via, best, nodes);
             }
         }
     }
-    let mut path = tour.cities.clone();
-    let visited = path.iter().fold(0u32, |m, &c| m | (1 << c));
+    let visited = tour.cities.iter().fold(0u32, |m, &c| m | (1 << c));
+    let last = *tour.cities.last().expect("a tour starts at city 0") as usize;
     let mut nodes = 0u64;
-    dfs(
-        dist, &mut path, visited, tour.cost, nc, &mut best, &mut nodes,
-    );
+    let depth = tour.cities.len();
+    dfs(dist, last, depth, visited, tour.cost, &mut best, &mut nodes);
     (best, nodes)
 }
 
@@ -379,7 +403,7 @@ impl App for TspParams {
         let mut eng = Engine::new(self);
         let mut nodes = 0u64;
         while let Some(tour) = eng.get_tour() {
-            let (best, n) = recursive_solve(&eng.dist, &tour, eng.nc, eng.best);
+            let (best, n) = recursive_solve(self, &eng.dist, &tour, eng.best);
             eng.best = eng.best.min(best);
             nodes += n;
         }
@@ -482,7 +506,7 @@ impl App for TspParams {
                             if child_bound >= cur {
                                 continue;
                             }
-                            let (found_best, nodes) = recursive_solve(&dist, &child, nc, cur);
+                            let (found_best, nodes) = recursive_solve(self, &dist, &child, cur);
                             tmk.proc().compute(nodes as f64 * COST_NODE);
                             if found_best < cur {
                                 tmk.lock_acquire(LOCK_BEST);
@@ -515,7 +539,7 @@ impl App for TspParams {
             // lock; stale values only weaken pruning, and the update below
             // re-reads under LOCK_BEST before writing.
             let best_now = tmk.read_f64_unsync(sh.best);
-            let (found_best, nodes) = recursive_solve(&dist, &tour, nc, best_now);
+            let (found_best, nodes) = recursive_solve(self, &dist, &tour, best_now);
             tmk.proc().compute(nodes as f64 * COST_NODE);
             if found_best < best_now {
                 tmk.lock_acquire(LOCK_BEST);
@@ -538,7 +562,6 @@ impl App for TspParams {
     /// PVM version: master/slave; the master (process 0) also runs a slave.
     fn pvm_body(&self, pvm: &Pvm) -> f64 {
         let dist = self.distances();
-        let nc = self.cities;
         let n = pvm.nprocs();
 
         if pvm.id() == 0 {
@@ -577,7 +600,7 @@ impl App for TspParams {
                     Some(t) => {
                         pvm.proc()
                             .compute((eng.expansions - before) as f64 * COST_EXPAND);
-                        let (best, nodes) = recursive_solve(&dist, &t, nc, eng.best);
+                        let (best, nodes) = recursive_solve(self, &dist, &t, eng.best);
                         pvm.proc().compute(nodes as f64 * COST_NODE);
                         eng.best = eng.best.min(best);
                     }
@@ -619,7 +642,7 @@ impl App for TspParams {
                 let cities = m.unpack_bytes(len);
                 let tour = Tour { cities, cost };
                 let bound = master_best.min(my_best);
-                let (best, nodes) = recursive_solve(&dist, &tour, nc, bound);
+                let (best, nodes) = recursive_solve(self, &dist, &tour, bound);
                 pvm.proc().compute(nodes as f64 * COST_NODE);
                 if best < bound {
                     my_best = best;
@@ -671,6 +694,67 @@ mod tests {
             "{} vs {best}",
             seq.checksum
         );
+    }
+
+    fn root() -> Tour {
+        Tour {
+            cities: vec![0],
+            cost: 0.0,
+        }
+    }
+
+    /// Memoised twice (cold or filled by another test, then certainly warm)
+    /// against the raw kernel, floats by bit pattern.
+    fn assert_memo_is_raw(p: &TspParams, dist: &[Vec<f64>], tour: &Tour, best: f64) {
+        let (raw_best, raw_nodes) = solve_raw(dist, tour, best);
+        for _ in 0..2 {
+            let (found, nodes) = recursive_solve(p, dist, tour, best);
+            let ctx = format!("{:?} against {best}", tour.cities);
+            assert_eq!(found.to_bits(), raw_best.to_bits(), "{ctx}");
+            assert_eq!(nodes, raw_nodes, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn the_memoised_solve_is_the_raw_kernel_bit_for_bit() {
+        let p = TspParams::tiny();
+        let dist = p.distances();
+        let optimum = solve_raw(&dist, &root(), f64::INFINITY).0;
+        let bounds = [greedy_cost(&dist, p.cities), optimum, f64::INFINITY];
+        for a in 1..p.cities {
+            for b in (1..p.cities).filter(|&b| b != a) {
+                let tour = Tour {
+                    cities: vec![0, a as u8, b as u8],
+                    cost: dist[0][a] + dist[a][b],
+                };
+                for best in bounds {
+                    assert_memo_is_raw(&p, &dist, &tour, best);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn params_differing_only_in_seed_or_cities_never_share_an_entry() {
+        // The root tour against no bound: cost and prefix are equal for
+        // every instance, so only `seed` and `cities` tell the keys apart.
+        let base = TspParams::tiny();
+        let reseeded = TspParams {
+            seed: base.seed + 1,
+            ..base.clone()
+        };
+        let grown = TspParams {
+            cities: base.cities + 1,
+            ..base.clone()
+        };
+        let mut optima = Vec::new();
+        for p in [&base, &reseeded, &grown] {
+            let dist = p.distances();
+            assert_memo_is_raw(p, &dist, &root(), f64::INFINITY);
+            optima.push(recursive_solve(p, &dist, &root(), f64::INFINITY).0);
+        }
+        assert_ne!(optima[0], optima[1], "a shared entry would go unnoticed");
+        assert_ne!(optima[0], optima[2], "a shared entry would go unnoticed");
     }
 
     #[test]

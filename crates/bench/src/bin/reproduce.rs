@@ -182,7 +182,9 @@ fn json_dump(
 
 /// The engine-throughput report written by `--bench-out`: deterministic
 /// matrix totals first (byte-stable across runs and job counts — CI diffs
-/// them), wall-clock timing of this execution second.
+/// them), wall-clock timing of this execution second — with the kernel
+/// memo's host counters (`apps::memo`), which depend on which worker raced
+/// which and so appear nowhere else.
 fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, exec: &Exec, wall_seconds: f64) -> String {
     let mut events = 0u64; // transport messages processed (sent == consumed)
     let mut virtual_seconds = 0.0f64;
@@ -204,12 +206,14 @@ fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, exec: &Exec, wall_second
             tuning.fault.hash()
         ));
     }
+    let memo = apps::memo::kernel_stats();
     format!(
         "{{\n  \"preset\": \"{:?}\",\n  \"deterministic\": {{\n{tuning_fields}    \"runs\": {},\n    \
          \"total_messages\": {},\n    \"total_virtual_seconds\": {},\n    \
          \"total_virtual_seconds_bits\": \"{:016x}\",\n    \"checksum_bits_xor\": \"{:016x}\"\n  }},\n  \
          \"timing\": {{\n    \"jobs\": {},\n    \"wall_seconds\": {:.3},\n    \
-         \"events_per_second\": {:.0},\n    \"virtual_seconds_per_wall_second\": {:.2}\n  }}\n}}\n",
+         \"events_per_second\": {:.0},\n    \"virtual_seconds_per_wall_second\": {:.2},\n    \
+         \"kernel_memo\": {{\"lookups\": {}, \"hits\": {}, \"entries\": {}}}\n  }}\n}}\n",
         matrix.preset,
         matrix.len(),
         events,
@@ -220,6 +224,9 @@ fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, exec: &Exec, wall_second
         wall_seconds,
         events as f64 / wall_seconds,
         virtual_seconds / wall_seconds,
+        memo.lookups,
+        memo.hits,
+        memo.entries,
     )
 }
 

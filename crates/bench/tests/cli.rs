@@ -84,19 +84,29 @@ fn the_trace_and_the_deterministic_report_section_are_the_pinned_bytes() {
         "--table2",
         "--workload",
         "EP",
+        "--jobs",
+        "1",
         "--trace",
         trace.to_str().unwrap(),
         "--bench-out",
         report.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{out:?}");
+    let trace = std::fs::read(&trace).unwrap();
     assert_eq!(fnv1a64(&out.stdout), 0x884b_32e1_b85a_ccd2);
-    assert_eq!(
-        fnv1a64(&std::fs::read(&trace).unwrap()),
-        0x2f1c_aedd_560b_0486
-    );
+    assert_eq!(fnv1a64(&trace), 0x2f1c_aedd_560b_0486);
     let report = std::fs::read_to_string(&report).unwrap();
-    let deterministic = &report[..report.find("  \"timing\"").unwrap()];
+    let (deterministic, timing) = report.split_at(report.find("  \"timing\"").unwrap());
+    // The kernel memo's host counters — four systems tabulate EP's 64 chunks
+    // once each, exactly countable on one worker — live under `timing` only.
+    assert!(
+        timing.contains("\"kernel_memo\": {\"lookups\": 256, \"hits\": 192, \"entries\": 64}"),
+        "{timing}"
+    );
+    for (name, bytes) in [("stdout", out.stdout), ("trace", trace)] {
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(!text.contains("memo"), "{name} names the memo");
+    }
     assert_eq!(
         deterministic,
         "{\n  \"preset\": \"Tiny\",\n  \"deterministic\": {\n    \"runs\": 4,\n    \

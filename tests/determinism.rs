@@ -140,6 +140,38 @@ fn parallel_executor_matches_serial_bit_for_bit() {
     }
 }
 
+/// The kernel memo (`apps::memo`) cannot change results: the whole tiny
+/// matrix computed twice in one process — the second pass answered from a
+/// warm memo — renders byte-identical JSON records, and both passes sum to
+/// the pinned virtual seconds of `reproduce --tiny`.
+#[test]
+fn a_warm_kernel_memo_leaves_the_tiny_matrix_bit_identical() {
+    use bench::{proc_series, run_matrix, run_record_json, Preset, RunKey};
+    use netws::apps::memo::kernel_stats;
+    let workloads = Workload::all();
+    let mut keys = Vec::new();
+    for &w in &workloads {
+        for n in proc_series(8) {
+            keys.extend(System::all().map(|sys| RunKey::fddi(w, sys, n)));
+        }
+    }
+    let pass = || {
+        let m = run_matrix(Preset::Tiny, &workloads, &keys, 2);
+        let json: Vec<String> = m.runs().map(|(k, r)| run_record_json(k, r)).collect();
+        let virtual_seconds: f64 = m.runs().map(|(_, r)| r.time).sum();
+        (json.join("\n"), virtual_seconds.to_bits())
+    };
+    let cold = pass();
+    let hits_before = kernel_stats().hits;
+    let warm = pass();
+    // One tiny matrix makes 8,877 kernel calls; every one of the second
+    // pass's is a hit (other tests of this process can only add more).
+    assert!(kernel_stats().hits - hits_before >= 8_877);
+    assert_eq!(cold.1, 0x4056_3a00_d13a_d853);
+    assert_eq!(warm.1, 0x4056_3a00_d13a_d853);
+    assert!(cold.0 == warm.0, "a warm memo moved a rendered byte");
+}
+
 /// The full structured obs trace — every event token of every run, as the
 /// exported Chrome-trace bytes — is byte-identical across worker-thread
 /// widths at four contending processes: virtual-time stamping means which

@@ -54,6 +54,9 @@ fn traces_and_metrics_are_byte_identical_across_reruns_and_job_widths() {
     );
     assert_eq!(m1, m2, "metrics report differs between job widths");
     assert_eq!(m2, m3, "metrics report differs between two identical runs");
+    // The kernel memo's host counters race across workers: `--bench-out`'s
+    // `timing` section is the only place they may appear.
+    assert!(!t1.contains("memo") && !m1.contains("memo"));
     // Every run of the matrix appears in the trace as a named process.
     for (key, _) in serial.runs() {
         let label = format!(

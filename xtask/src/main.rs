@@ -56,6 +56,13 @@
 //! switch and the stack mappings of the engine's coroutines, whose
 //! `SAFETY` comments are the whole audit surface.  No marker is honoured.
 //!
+//! **Memo confinement**: in `crates/apps` the tokens for process state that
+//! outlives a run (`Mutex`, `RwLock`, `OnceLock`, `LazyLock`, `Atomic`,
+//! `static mut`, `thread_local!`) are findings outside
+//! `crates/apps/src/memo.rs`, and no marker is honoured.  That file's
+//! contract is what makes such state harmless: a memoised value is a pure
+//! function of its key, and the key carries every input the kernel reads.
+//!
 //! **Hook discipline**: `impl ConsistencyProtocol for` is permitted only
 //! under `crates/core/src/protocol/` — backends live behind the trait, and
 //! nothing outside the protocol layer may reimplement the hook surface.
@@ -122,6 +129,20 @@ const UNSAFE_FILE: &str = "crates/cluster/src/coro.rs";
 /// Tokens that leave the language's checked subset (`asm!` also matches
 /// `naked_asm!` and `global_asm!`).
 const UNSAFE_TOKENS: [&str; 3] = ["unsafe", "asm!", "extern \"C\""];
+
+/// The one file in `crates/apps` that may contain the [`PROCESS_STATE_TOKENS`].
+const MEMO_FILE: &str = "crates/apps/src/memo.rs";
+
+/// Tokens that name state shared between, or outliving, the runs of a process.
+const PROCESS_STATE_TOKENS: [&str; 7] = [
+    "Mutex",
+    "RwLock",
+    "OnceLock",
+    "LazyLock",
+    "Atomic",
+    "static mut",
+    "thread_local!",
+];
 
 /// Tokens that spawn (or name machinery that spawns) OS threads.  Ordered
 /// longest-prefix first so the reported token is the most specific match.
@@ -242,6 +263,17 @@ fn lint_source(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                         format!(
                             "`{token}` outside {UNSAFE_FILE}: unchecked code is confined to \
                              that file, and no marker lifts this"
+                        ),
+                    );
+                }
+            }
+            if rel.starts_with("crates/apps") && rel != Path::new(MEMO_FILE) {
+                if let Some(token) = PROCESS_STATE_TOKENS.iter().find(|t| code.contains(*t)) {
+                    push(
+                        i,
+                        format!(
+                            "`{token}` outside {MEMO_FILE}: state that outlives a run is \
+                             confined to the kernel memo, and no marker lifts this"
                         ),
                     );
                 }
@@ -640,6 +672,52 @@ mod tests {
                 f.iter()
                     .any(|f| f.file.ends_with(file) && f.msg.starts_with(token)),
                 "{file}: {f:#?}"
+            );
+        }
+    }
+
+    #[test]
+    fn process_state_in_apps_is_confined_to_the_memo_file() {
+        let t = Tree::new("memo");
+        // Home of the memo: exempt.
+        t.write(
+            "crates/apps/src/memo.rs",
+            "use std::sync::Mutex;\npub struct Memo<K, V>(Mutex<(K, V)>);\n",
+        );
+        // A memo declared beside its kernel names none of the tokens.
+        t.write(
+            "crates/apps/src/ep.rs",
+            "static TABULATED: Memo<u64, u64> = Memo::new();\n",
+        );
+        // Anywhere else in apps each token is a finding, marker or not.
+        t.write(
+            "crates/apps/src/tsp.rs",
+            "// lint:allow(memo): markers are not honoured\n\
+             static CACHE: std::sync::Mutex<Vec<u8>> = std::sync::Mutex::new(Vec::new());\n\
+             static HITS: AtomicU64 = AtomicU64::new(0);\nstatic mut BEST: f64 = 0.0;\n\
+             thread_local! { static T: u8 = 0; }\nstatic L: OnceLock<u8> = OnceLock::new();\n",
+        );
+        // The rule is about apps: the executor keeps its locks.
+        t.write(
+            "crates/bench/src/exec.rs",
+            "use std::sync::Mutex;\nuse std::sync::atomic::AtomicUsize;\n",
+        );
+        let f = t.lint();
+        assert_eq!(f.len(), 5, "{f:#?}");
+        assert!(f.iter().all(|f| f.file.ends_with("tsp.rs")), "{f:#?}");
+        assert!(f
+            .iter()
+            .all(|f| f.msg.contains("outside crates/apps/src/memo.rs")));
+        for (line, token) in [
+            (2, "`Mutex`"),
+            (3, "`Atomic`"),
+            (4, "`static mut`"),
+            (5, "`thread_local!`"),
+            (6, "`OnceLock`"),
+        ] {
+            assert!(
+                f.iter().any(|f| f.line == line && f.msg.starts_with(token)),
+                "line {line}: {f:#?}"
             );
         }
     }
