@@ -23,7 +23,7 @@ use treadmarks::Tmk;
 pub const COST_INTERACTION: f64 = 1.0e-6;
 /// Cost per body inserted while building the tree.
 pub const COST_INSERT: f64 = 1.3e-6;
-/// Opening criterion (theta) of the Barnes-Hut approximation.
+/// Opening angle (theta) of the Barnes-Hut approximation.
 const THETA: f64 = 0.6;
 
 /// Problem parameters.

@@ -440,6 +440,8 @@ fn fuzz_campaign(inv: &Invocation, setup: Setup) {
             })
         }
     };
+    plan.check_ranks(setup.max_procs)
+        .unwrap_or_else(|e| fail(e));
     let spec = FuzzSpec {
         preset: setup.preset,
         net: setup.net,
@@ -540,6 +542,7 @@ fn reproduction(inv: &Invocation, setup: Setup) {
     let mut top = net.config(max_procs);
     exec.apply(&mut top);
     tuning.apply(&mut top);
+    top.fault.check_ranks(max_procs).unwrap_or_else(|e| fail(e));
     // The scenario's tuning rides on every run of the reproduction.  A plan
     // that crashes processes cannot fill a matrix — the crashed runs have no
     // results to tabulate — so it replays as a verdict table instead; this

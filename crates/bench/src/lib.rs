@@ -10,9 +10,7 @@
 //! `--procs` lifts the processor count past the paper's 8, `--scenario FILE`
 //! loads a declarative testbed description ([`scenario`]), and
 //! `reproduce sweep` fans a sensitivity matrix — speedup versus processors,
-//! runtime versus bandwidth or latency — across cores ([`sweep`]).  The
-//! criterion benches in `benches/` measure the runtime primitives and the
-//! protocol and runtime ablations described in README.md.
+//! runtime versus bandwidth or latency — across cores ([`sweep`]).
 
 #![deny(missing_docs)]
 

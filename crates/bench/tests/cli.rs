@@ -196,3 +196,58 @@ fn the_retired_island_knobs_run_nothing() {
     );
     assert!(stderr.contains("--jobs N"), "{stderr}");
 }
+
+/// Run `mode --scenario FILE extra` on a scenario file for three EP
+/// processes whose `[fault]` section is `fault`: it must exit 1 with nothing
+/// on stdout and one stderr line holding every one of `needles`.
+fn assert_plan_refused(fault: &str, mode: &[&str], extra: &[&str], needles: &[&str]) {
+    let path = std::env::temp_dir().join(format!(
+        "reproduce-cli-plan-{}-{:016x}.toml",
+        std::process::id(),
+        fnv1a64(fault.as_bytes())
+    ));
+    std::fs::write(
+        &path,
+        format!(
+            "procs = 3\npreset = \"tiny\"\nworkloads = [\"EP\"]\nsystems = [\"lrc\"]\n\n\
+             [fault]\n{fault}\n"
+        ),
+    )
+    .unwrap();
+    let file = ["--scenario", path.to_str().unwrap()];
+    let args = [mode, &file, extra].concat();
+    let out = reproduce(&args);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    assert!(out.stdout.is_empty(), "{args:?} still ran");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    for needle in needles {
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_fault_plan_the_run_cannot_honour_runs_nothing() {
+    let crash7 = "crashes = [\"7@0.00001\"]";
+    let needles = ["crashes", "rank 7", "3 processes"];
+    assert_plan_refused(crash7, &[], &[], &needles);
+    assert_plan_refused(crash7, &["fuzz"], &["--seeds", "1"], &needles);
+    let partition9 = "partitions = [\"0|9@0..1\"]";
+    assert_plan_refused(
+        partition9,
+        &[],
+        &[],
+        &["partitions", "rank 9", "3 processes"],
+    );
+    let twice = "crashes = [\"1@0.00001\", \"1#3\"]";
+    assert_plan_refused(
+        twice,
+        &[],
+        &[],
+        &["crashes", "rank 1 crashes twice", "3 processes"],
+    );
+    // `--procs` below the file's count is the count the plan must fit.
+    let crash2 = "crashes = [\"2@0.00001\"]";
+    assert_plan_refused(crash2, &[], &["--procs", "2"], &["rank 2", "2 processes"]);
+}

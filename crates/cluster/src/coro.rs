@@ -10,10 +10,10 @@
 //!
 //! 1. A rank body never unwinds out of [`entry`]: the `catch_unwind` is
 //!    inside it, and a finished rank is never resumed.
-//! 2. Nothing another rank can reach (a lock guard, a `RefCell` or
-//!    thread-local borrow) is live across a switch: `park` drops the
-//!    `SimState` guard before it yields, and `treadmarks`' `STAGING` buffer
-//!    is taken and handed back inside `Diff::create`, which never yields.
+//! 2. Nothing another rank can reach (a `RefCell` or thread-local borrow)
+//!    is live across a switch: `park` releases its `SimState` borrow before
+//!    it yields, and `treadmarks`' `STAGING` buffer is taken and handed back
+//!    inside `Diff::create`, which never yields.
 //! 3. A coroutine is created, resumed and finished on its hosting thread:
 //!    [`Host`] is `!Send` and reachable only through a thread-local pointer.
 //! 4. The entry frame is 16-byte aligned at the `call` ([`Rank::forge`]).

@@ -30,8 +30,8 @@
 //!   structured deadlock naming the crashed rank (see `Cluster::try_run`).
 //!
 //! Every seeded decision draws from [`SplitMix64`] streams split per link
-//! from [`FaultPlan::seed`], and all draws happen under the simulation lock
-//! at deterministic points of the token discipline — so `(scenario, seed)`
+//! from [`FaultPlan::seed`], and all draws are made by the token holder at
+//! deterministic points of the token discipline — so `(scenario, seed)`
 //! determines the run bit-for-bit, independent of `--jobs` width or host
 //! scheduling.  This module is the **only** place in the workspace allowed
 //! to construct the PRNG (enforced by `xtask lint`).
@@ -180,7 +180,7 @@ pub enum CrashPoint {
     Event(u64),
 }
 
-/// A process-crash fault: the process dies (its thread unwinds, its state
+/// A process-crash fault: the process dies (its body unwinds, its state
 /// vanishes) at the given point; it never sends again and never answers.
 ///
 /// The canonical text form is `"2@0.0015"` (rank 2 at t = 1.5 ms) or
@@ -346,6 +346,30 @@ impl FaultPlan {
     /// The crash point configured for `rank`, if any (first matching spec).
     pub fn crash_for(&self, rank: usize) -> Option<CrashPoint> {
         self.crashes.iter().find(|c| c.rank == rank).map(|c| c.at)
+    }
+
+    /// Refuse a plan that a run of `nprocs` processes would partly ignore: a
+    /// partition or crash naming a rank the run lacks, or a second crash for
+    /// one rank.  One line naming the `[fault]` key, the rank and the count.
+    pub fn check_ranks(&self, nprocs: usize) -> Result<(), String> {
+        let refuse = |key, spec: &dyn std::fmt::Display, rank, why| {
+            Err(format!(
+                "[fault] {key} = \"{spec}\": rank {rank} {why} a run of {nprocs} processes"
+            ))
+        };
+        for p in &self.partitions {
+            if let Some(&rank) = p.a.iter().chain(&p.b).find(|&&r| r >= nprocs) {
+                return refuse("partitions", p, rank, "does not exist in");
+            }
+        }
+        for (i, c) in self.crashes.iter().enumerate() {
+            if c.rank >= nprocs {
+                return refuse("crashes", c, c.rank, "does not exist in");
+            } else if self.crashes[..i].iter().any(|d| d.rank == c.rank) {
+                return refuse("crashes", c, c.rank, "crashes twice in");
+            }
+        }
+        Ok(())
     }
 
     /// A stable 64-bit identity of the plan (FNV-1a over the canonical
@@ -566,9 +590,9 @@ impl Injection {
     }
 }
 
-/// Runtime fault state, owned by the transport under the simulation lock:
-/// the plan, one PRNG stream and message counter per directed link, and the
-/// injection counters.
+/// Runtime fault state, owned by the transport's simulation state and
+/// touched only by the token holder: the plan, one PRNG stream and message
+/// counter per directed link, and the injection counters.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
@@ -728,6 +752,20 @@ mod tests {
         }
         assert!("x@1".parse::<Crash>().is_err());
         assert!("2".parse::<Crash>().is_err());
+    }
+
+    #[test]
+    fn a_plan_fits_a_run_only_if_it_names_its_ranks_once() {
+        let plan = FaultPlan {
+            partitions: vec!["0|2@0..1".parse().unwrap()],
+            crashes: vec!["2@0.5".parse().unwrap(), "1#3".parse().unwrap()],
+            ..FaultPlan::default()
+        };
+        assert_eq!(plan.check_ranks(3), Ok(()));
+        assert!(plan
+            .check_ranks(2)
+            .unwrap_err()
+            .contains("rank 2 does not exist"));
     }
 
     #[test]

@@ -71,13 +71,13 @@ pub use scenario::Scenario;
 pub use stats::{ClusterReport, ProcStats};
 pub use time::VirtualClock;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A simulated cluster of workstations.
 ///
-/// `Cluster` is a thin front end: [`Cluster::run`] builds the shared
-/// [`net::NetworkCore`], starts one coroutine per process on a thread of the
-/// run's own, hands each a [`Proc`] handle, runs the user closure to
+/// `Cluster` is a thin front end: [`Cluster::run`] starts a thread of the
+/// run's own, builds the network core there, starts one coroutine per
+/// process on it, hands each a [`Proc`] handle, runs the user closure to
 /// completion on every process and returns the per-process results together
 /// with the per-process communication statistics.
 pub struct Cluster;
@@ -156,12 +156,11 @@ impl Cluster {
     {
         assert!(cfg.nprocs >= 1, "a cluster needs at least one process");
         quiet_teardown_hook();
-        let core = Arc::new(net::NetworkCore::new(cfg.clone()));
-        let rank = |id: usize| {
-            let mut proc = Proc::new(id, Arc::clone(&core));
+        let rank = |core: &Rc<net::NetworkCore>, id: usize| {
+            let proc = Proc::new(id, Rc::clone(core));
             // A panicking process aborts the whole cluster: peers
             // blocked on messages it will never send fail fast
-            // instead of hanging the run.  `into_stats` (which hands
+            // instead of hanging the run.  `finish` (which hands
             // the scheduling token back) runs inside the guard so a
             // deadlock detected at finish aborts the cluster too.
             // A fault-plan crash is the one exception: it already
@@ -170,8 +169,7 @@ impl Cluster {
             // cluster.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let r = f(&proc);
-                let po = proc.take_obs();
-                let stats = proc.into_stats();
+                let (stats, po) = proc.finish();
                 (r, stats, po)
             }));
             if outcome
@@ -182,15 +180,20 @@ impl Cluster {
             }
             outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         };
-        // The ranks are coroutines on one OS thread per run (`coro`): a
-        // grant is a stack switch, and the thread's exit gives the run's
-        // allocator arena back for the next run's thread to take
-        // (docs/ARCHITECTURE.md §Handoff).
+        // The ranks are coroutines on one OS thread per run (`coro`), which
+        // owns the network core: a grant is a stack switch, and the thread's
+        // exit gives the run's allocator arena back for the next run's
+        // thread to take (docs/ARCHITECTURE.md §Handoff).
         // lint:allow(threads): the run's hosting thread.
-        let joined: Vec<std::thread::Result<_>> = std::thread::scope(|s| {
-            s.spawn(|| coro::run(cfg.nprocs, rank))
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        let (joined, (crashed, central, faults)) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let core = Rc::new(net::NetworkCore::new(cfg.clone()));
+                let joined = coro::run(cfg.nprocs, |id| rank(&core, id));
+                let core = Rc::into_inner(core).expect("every rank has dropped its handle");
+                (joined, core.into_remains())
+            })
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         });
         // Every rank has finished before a failure propagates; prefer
         // the *originating* panic over the typed `PeerAbort` panics of
@@ -200,14 +203,13 @@ impl Cluster {
         let mut originator = None;
         let mut victim = None;
         let mut failure: Option<RunFailure> = None;
-        let mut crashed = false;
         for j in joined {
             match j {
                 Ok(tuple) => results.push(tuple),
+                // The core recorded the crash; `crashed` reports it below.
+                Err(payload) if payload.is::<net::CrashPayload>() => {}
                 Err(payload) => {
-                    if payload.downcast_ref::<net::CrashPayload>().is_some() {
-                        crashed = true;
-                    } else if let Some(d) = payload.downcast_ref::<net::DeadlockAbort>() {
+                    if let Some(d) = payload.downcast_ref::<net::DeadlockAbort>() {
                         failure.get_or_insert(RunFailure::Deadlock(d.0.clone()));
                     } else if let Some(l) = payload.downcast_ref::<net::LivelockAbort>() {
                         failure.get_or_insert(RunFailure::Livelock(l.0.clone()));
@@ -234,10 +236,10 @@ impl Cluster {
                 .0;
             panic!("cluster aborted: process {who} panicked");
         }
-        if crashed {
+        if !crashed.is_empty() {
             // Crashed ranks produced no result, so there is nothing
             // complete to report — but nothing deadlocked either.
-            return Err(RunFailure::Crashed(core.crashed()));
+            return Err(RunFailure::Crashed(crashed));
         }
         let mut out_results = Vec::with_capacity(results.len());
         let mut out_stats = Vec::with_capacity(results.len());
@@ -257,7 +259,7 @@ impl Cluster {
             );
             Some(obs::ClusterObs {
                 procs: out_obs,
-                central: core.take_central(),
+                central,
             })
         } else {
             None
@@ -266,7 +268,7 @@ impl Cluster {
             results: out_results,
             stats: out_stats,
             obs,
-            faults: core.fault_stats(),
+            faults,
         })
     }
 }

@@ -8,7 +8,7 @@
 //! stream carrying one PVM message.
 //!
 //! All shared state — mailboxes, the shared-medium reservation, and the
-//! per-process scheduler states — lives behind one lock, and every
+//! per-process scheduler states — lives in one `RefCell`, and every
 //! interaction goes through the conservative arbiter in `crate::sched`:
 //! a process may transmit, consume, or observe messages only while it holds
 //! the minimum virtual time among runnable processes.  Medium-acquisition
@@ -22,7 +22,7 @@ use crate::fault::{FaultKind, FaultState, FaultStats};
 use crate::obs::{self, Event, EventKind, ObsLevel};
 use crate::sched::{wait_graph, Arbiter, Decision, PState};
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard};
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 
 /// Message tags distinguish independent conversations between two processes.
@@ -167,9 +167,9 @@ fn panic_aborted(abort: &Abort) -> ! {
     }
 }
 
-/// Everything the simulation shares between processes, guarded by a
-/// single lock: exactly one process interacts with it at a time anyway (the
-/// token discipline), so finer-grained locking would buy nothing.
+/// Everything the simulation shares between processes, borrowed by
+/// exactly one process at a time: the token discipline, and the coroutines
+/// of one thread, allow no other.
 struct SimState {
     /// Per-process incoming-message queues.
     mailboxes: Vec<VecDeque<Message>>,
@@ -192,18 +192,18 @@ struct SimState {
     /// `(rank, virtual_time)` of every fault-plan crash that fired.
     crashed: Vec<(usize, f64)>,
     /// Central observability event stream (message sends, consumes, arbiter
-    /// grants), recorded under this lock — so in deterministic token order —
+    /// grants), recorded by the token holder — so in deterministic order —
     /// when the config asks for [`ObsLevel::Trace`]; `None` otherwise.
     trace: Option<Vec<Event>>,
 }
 
-/// The shared state of the simulated network: one lock, one grant at a
-/// time.
-pub struct NetworkCore {
+/// The shared state of the simulated network: one grant at a time, on the
+/// thread that hosts the run (`!Sync`, so no lock).
+pub(crate) struct NetworkCore {
     cfg: ClusterConfig,
-    /// Uncontended: the ranks of a run are coroutines on one thread
-    /// (`crate::coro`), and a rank drops its guard before it yields.
-    state: Mutex<SimState>,
+    /// Borrowed only by the running rank, which releases the borrow before
+    /// it yields (`crate::coro`, rule 2).
+    state: RefCell<SimState>,
 }
 
 impl NetworkCore {
@@ -217,7 +217,7 @@ impl NetworkCore {
         let arb = Arbiter::with_seed(n, cfg.sched_seed, cfg.tie_limit);
         NetworkCore {
             cfg,
-            state: Mutex::new(SimState {
+            state: RefCell::new(SimState {
                 mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
                 arb,
                 medium_free_at: 0.0,
@@ -239,23 +239,21 @@ impl NetworkCore {
     /// other process fails fast at its next interaction; the run loop resumes
     /// the suspended ones to find out (`crate::coro::run`).
     pub fn abort(&self, who: usize) {
-        let mut st = self.state.lock();
-        if st.aborted.is_none() {
-            st.aborted = Some(Abort::Panic(who));
-        }
+        let mut st = self.state.borrow_mut();
+        st.aborted.get_or_insert(Abort::Panic(who));
         st.arb.set(who, PState::Finished);
     }
 
     /// Mark process `id` as finished and hand the token to the next
     /// runnable process.  Called when the process closure returns.
     pub fn finish(&self, id: usize) {
-        self.retire(self.state.lock(), id);
+        self.retire(self.state.borrow_mut(), id);
     }
 
     /// Leave the simulation for good: mark `id` finished, let the arbiter
     /// schedule, and name the granted process to the run loop, which resumes
     /// it when `id`'s body has returned.
-    fn retire(&self, mut st: MutexGuard<'_, SimState>, id: usize) {
+    fn retire(&self, mut st: RefMut<'_, SimState>, id: usize) {
         st.arb.set(id, PState::Finished);
         let granted = st.aborted.is_none().then(|| self.dispatch(&mut st));
         drop(st);
@@ -269,7 +267,7 @@ impl NetworkCore {
     /// one process; peers run on (and may then deadlock, which the detector
     /// reports naming this crash as context).
     pub(crate) fn crash(&self, id: usize, at: f64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.crashed.push((id, at));
         if let Some(f) = st.faults.as_mut() {
             f.stats.crashes += 1;
@@ -288,18 +286,17 @@ impl NetworkCore {
         self.retire(st, id);
     }
 
-    /// `(rank, virtual_time)` of every fault-plan crash that has fired.
-    pub(crate) fn crashed(&self) -> Vec<(usize, f64)> {
-        self.state.lock().crashed.clone()
-    }
-
-    /// Counters of the faults injected so far, with the arbiter's seeded
-    /// tie-break draws folded in.  All zero for an empty plan under seed 0.
-    pub fn fault_stats(&self) -> FaultStats {
-        let st = self.state.lock();
-        let mut stats = st.faults.as_ref().map(|f| f.stats).unwrap_or_default();
-        stats.tie_breaks = st.arb.tie_draws();
-        stats
+    /// What the network holds once every process has left: `(rank,
+    /// virtual_time)` of every fault-plan crash that fired, the central
+    /// event stream (sends, consumes, grants; empty below
+    /// [`ObsLevel::Trace`]), and the counters of the faults injected, with
+    /// the arbiter's seeded tie-break draws folded in (all zero for an empty
+    /// plan under seed 0).
+    pub(crate) fn into_remains(self) -> (Vec<(usize, f64)>, Vec<Event>, FaultStats) {
+        let st = self.state.into_inner();
+        let mut faults = st.faults.map(|f| f.stats).unwrap_or_default();
+        faults.tie_breaks = st.arb.tie_draws();
+        (st.crashed, st.trace.unwrap_or_default(), faults)
     }
 
     /// Lines appended to a deadlock/livelock report naming the fault context:
@@ -332,8 +329,8 @@ impl NetworkCore {
     }
 
     /// Run one scheduling decision: mark the granted process `Running` and
-    /// return it for the caller to name to the run loop once it has dropped
-    /// the lock (a self-grant needs no switch at all), or tear the cluster
+    /// return it for the caller to name to the run loop once it has released
+    /// the borrow (a self-grant needs no switch at all), or tear the cluster
     /// down if the decision is a deadlock.  Must be called whenever a
     /// process leaves the `Running` state.
     fn dispatch(&self, st: &mut SimState) -> Option<usize> {
@@ -381,7 +378,7 @@ impl NetworkCore {
 
     /// Park process `me` in `state`, let the arbiter schedule, and yield to
     /// the run loop until `me` is granted the token again.  On return the
-    /// caller is the sole running process and still holds the lock.
+    /// caller is the sole running process and holds the borrow again.
     ///
     /// # Panics
     ///
@@ -389,10 +386,10 @@ impl NetworkCore {
     /// when the park itself completes the deadlock.
     fn park<'a>(
         &'a self,
-        mut st: MutexGuard<'a, SimState>,
+        mut st: RefMut<'a, SimState>,
         me: usize,
         state: PState,
-    ) -> MutexGuard<'a, SimState> {
+    ) -> RefMut<'a, SimState> {
         if let Some(abort) = &st.aborted {
             panic_aborted(abort);
         }
@@ -405,10 +402,10 @@ impl NetworkCore {
             if matches!(st.arb.state(me), PState::Running) {
                 return st;
             }
-            // No guard is live across the switch (`crate::coro`, rule 2).
+            // No borrow is live across the switch (`crate::coro`, rule 2).
             drop(st);
             coro::yield_to(granted.take());
-            st = self.state.lock();
+            st = self.state.borrow_mut();
         }
     }
 
@@ -423,7 +420,7 @@ impl NetworkCore {
     /// it every arrival time — is deterministic.
     pub fn transmit(&self, src: usize, dst: usize, tag: Tag, payload: Bytes, depart: f64) -> u64 {
         assert!(dst < self.cfg.nprocs, "send to nonexistent process {dst}");
-        let mut st = self.park(self.state.lock(), src, PState::Parked { key: depart });
+        let mut st = self.park(self.state.borrow_mut(), src, PState::Parked { key: depart });
         let bytes = payload.len();
         let mut datagrams = self.cfg.datagrams_for(bytes);
         let occupancy = self.cfg.occupancy(bytes);
@@ -546,7 +543,7 @@ impl NetworkCore {
         tag: Option<Tag>,
         clock: f64,
     ) -> Message {
-        let st = self.state.lock();
+        let st = self.state.borrow_mut();
         let state = match Self::find(&st.mailboxes[dst], src, tag) {
             Some(pos) => PState::Parked {
                 key: clock.max(st.mailboxes[dst][pos].arrival),
@@ -588,7 +585,7 @@ impl NetworkCore {
         tag: Option<Tag>,
         now: f64,
     ) -> Option<Message> {
-        let mut st = self.park(self.state.lock(), dst, PState::Parked { key: now });
+        let mut st = self.park(self.state.borrow_mut(), dst, PState::Parked { key: now });
         let pos = st.mailboxes[dst].iter().position(|m| {
             m.arrival <= now && src.is_none_or(|s| m.src == s) && tag.is_none_or(|t| m.tag == t)
         })?;
@@ -611,7 +608,7 @@ impl NetworkCore {
     /// Number of messages queued for `dst` that have arrived by virtual
     /// time `now`.  Like every observation, clock-gated and arbitrated.
     pub fn pending(&self, dst: usize, now: f64) -> usize {
-        let st = self.park(self.state.lock(), dst, PState::Parked { key: now });
+        let st = self.park(self.state.borrow_mut(), dst, PState::Parked { key: now });
         st.mailboxes[dst]
             .iter()
             .filter(|m| m.arrival <= now)
@@ -621,13 +618,6 @@ impl NetworkCore {
     fn find(q: &VecDeque<Message>, src: Option<usize>, tag: Option<Tag>) -> Option<usize> {
         q.iter()
             .position(|m| src.is_none_or(|s| m.src == s) && tag.is_none_or(|t| m.tag == t))
-    }
-
-    /// Drain the central observability event stream (sends, consumes,
-    /// grants).  Empty below [`ObsLevel::Trace`].  Called once by the
-    /// cluster front end after every process has finished.
-    pub fn take_central(&self) -> Vec<Event> {
-        self.state.lock().trace.take().unwrap_or_default()
     }
 }
 
@@ -862,17 +852,17 @@ mod tests {
     }
 
     #[test]
-    fn a_suspended_rank_holds_no_lock() {
-        // Ranks 0..7 suspend inside `park`; rank 7, started last, takes the
-        // one lock (a guard held across a switch would hang it here, on its
-        // own thread) and tears the run down.
-        let victims = watchdog("seven suspended ranks and one lock", || {
+    fn a_suspended_rank_holds_no_borrow() {
+        // Ranks 0..7 suspend inside `park`; rank 7, started last, borrows the
+        // state (a borrow held across a switch would panic here with
+        // `already borrowed`) and tears the run down.
+        let victims = watchdog("seven suspended ranks and one borrow", || {
             let core = NetworkCore::new(ClusterConfig::calibrated_fddi(8));
             let ranks = coro::run(8, |id| {
                 if id < 7 {
                     core.recv_match(id, Some(7), None, 0.0);
                 } else {
-                    let blocked = core.state.lock().arb.states()[..7]
+                    let blocked = core.state.borrow().arb.states()[..7]
                         .iter()
                         .filter(|s| matches!(s, PState::RecvBlocked { .. }))
                         .count();
@@ -886,6 +876,18 @@ mod tests {
                 .count()
         });
         assert_eq!(victims, 7);
+    }
+
+    #[test]
+    fn the_core_cannot_be_shared_between_threads() {
+        // `probe` resolves only while `NetworkCore` is not `Sync`: a lock
+        // that made it shareable again would fail to compile here.
+        trait AmbiguousIfSync<A> {
+            fn probe() {}
+        }
+        impl<T: ?Sized> AmbiguousIfSync<()> for T {}
+        impl<T: ?Sized + Sync> AmbiguousIfSync<u8> for T {}
+        <NetworkCore as AmbiguousIfSync<_>>::probe();
     }
 
     /// Counts its drops: a rank that is torn down must still unwind.

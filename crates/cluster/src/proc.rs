@@ -3,22 +3,22 @@
 use crate::config::ClusterConfig;
 use crate::fault::CrashPoint;
 use crate::net::{CrashPayload, Message, NetworkCore, Tag};
-use crate::obs::{self, EventSink, NullSink, ObsLevel, ProcObs, Recorder, SpanCat};
+use crate::obs::{self, EventSink, NullSink, ProcObs, Recorder, SpanCat};
 use crate::stats::ProcStats;
 use crate::time::VirtualClock;
 use bytes::Bytes;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Handle to one simulated process (workstation).
 ///
 /// A `Proc` is owned by the coroutine that simulates the process and is not
 /// shared; all communication with other processes goes through the
-/// cluster's [`NetworkCore`], whose conservative virtual-time arbiter makes
+/// cluster's network core, whose conservative virtual-time arbiter makes
 /// every interaction deterministic.
 pub struct Proc {
     id: usize,
-    core: Arc<NetworkCore>,
+    core: Rc<NetworkCore>,
     clock: VirtualClock,
     stats: RefCell<ProcStats>,
     /// Observability sink; a [`NullSink`] when the config says `Off`, so
@@ -34,7 +34,7 @@ pub struct Proc {
 
 impl Proc {
     /// Create the handle for process `id` on the given network.
-    pub fn new(id: usize, core: Arc<NetworkCore>) -> Self {
+    pub(crate) fn new(id: usize, core: Rc<NetworkCore>) -> Self {
         let latency = core.config().latency;
         let level = core.config().obs;
         let stats = ProcStats {
@@ -206,11 +206,6 @@ impl Proc {
         self.core.pending(self.id, self.clock.now())
     }
 
-    /// The observability level this process records at.
-    pub fn obs_level(&self) -> ObsLevel {
-        self.sink.level()
-    }
-
     /// Open an observability span of `cat` at this process's current virtual
     /// time.  `arg` is a category-specific operand (page id, lock id, epoch).
     /// A no-op when observability is off.  Spans nest; every `span_begin`
@@ -230,28 +225,14 @@ impl Proc {
         }
     }
 
-    /// Take this process's recorded observability output (None when the
-    /// level is `Off`).  Called once, after the process closure returns and
-    /// before [`into_stats`](Self::into_stats); the sink is replaced by a
-    /// [`NullSink`].
-    pub fn take_obs(&mut self) -> Option<ProcObs> {
-        std::mem::replace(&mut self.sink, Box::new(NullSink)).finish()
-    }
-
-    /// Finalise and return the statistics of this process, handing the
-    /// scheduling token back to the cluster.
-    pub fn into_stats(self) -> ProcStats {
+    /// Leave the simulation once the process closure has returned, handing
+    /// the scheduling token back: the final statistics and the recorded
+    /// observability output (`None` when the level is `Off`).
+    pub(crate) fn finish(self) -> (ProcStats, Option<ProcObs>) {
         self.core.finish(self.id);
         let mut st = self.stats.into_inner();
         st.finish_time = self.clock.now();
-        st
-    }
-
-    /// A snapshot of the statistics so far (finish time not yet set).
-    pub fn stats_snapshot(&self) -> ProcStats {
-        let mut st = self.stats.borrow().clone();
-        st.finish_time = self.clock.now();
-        st
+        (st, self.sink.finish())
     }
 
     fn consume(&self, m: &Message) {

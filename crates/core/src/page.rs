@@ -175,7 +175,7 @@ impl Diff {
 
     /// The byte-at-a-time reference implementation of [`Diff::create`]:
     /// obviously correct, measurably slower.  Kept as the oracle for the
-    /// word-scan equivalence tests and the `diff` bench.
+    /// word-scan equivalence tests and the `oracle-checks` feature.
     pub fn create_reference(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
@@ -392,6 +392,11 @@ mod tests {
         let d = Diff::create(&twin, &page);
         assert!(d.encoded_len() < 32);
         assert!(d.encoded_len() < PAGE_SIZE / 100);
+        // Sixty-four scattered bytes: still under a quarter of a page.
+        for i in (0..64).map(|k| k * 61) {
+            page[i] = 1;
+        }
+        assert!(Diff::create(&twin, &page).encoded_len() < PAGE_SIZE / 4);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use netws::apps::runner::System;
 use netws::apps::{Preset, Workload};
-use netws::cluster::ClusterConfig;
-use netws::treadmarks::ProtocolKind;
+use netws::cluster::{Cluster, ClusterConfig};
+use netws::treadmarks::{ProtocolKind, Tmk};
 
 fn seq(w: Workload) -> netws::apps::SeqRun {
     w.sequential(Preset::Tiny)
@@ -115,5 +115,100 @@ fn parallel_time_never_beats_the_work_bound() {
                 );
             }
         }
+    }
+}
+
+// ---- The paper's explanations of the TreadMarks–PVM gaps, as assertions
+// over the simulated counters.
+
+/// Bytes on the wire when each of `n` processes in turn overwrites a whole
+/// 16 KiB block under one lock: the migratory pattern of IS, QSORT and TSP.
+fn migratory_block_bytes(protocol: ProtocolKind, n: usize) -> u64 {
+    const BLOCK: usize = 16 * 1024;
+    let rep = Cluster::run(ClusterConfig::calibrated_fddi(n), move |p| {
+        let tmk = Tmk::with_protocol(p, protocol);
+        let addr = tmk.malloc(BLOCK);
+        tmk.barrier(0);
+        for round in 0..n {
+            if tmk.id() == round {
+                tmk.lock_acquire(0);
+                tmk.write_i32_slice(addr, &vec![round as i32 + 1; BLOCK / 4]);
+                tmk.lock_release(0);
+            }
+            tmk.barrier(1 + round as u32);
+        }
+        let mut out = vec![0i32; BLOCK / 4];
+        tmk.read_i32_slice(addr, &mut out);
+        tmk.exit();
+        assert_eq!(out[0], n as i32);
+    });
+    rep.total_bytes()
+}
+
+#[test]
+fn migratory_data_moves_super_linearly_more_bytes() {
+    // A later writer receives every earlier overwrite of the block, so the
+    // bytes grow faster than the process count; a home never accumulates
+    // diffs, so HLRC grows less than LRC.  Tiny-scale ratios at 8 vs 2
+    // processes: LRC 28.2x, HLRC 9.6x, SC 6.0x.
+    let mut ratios = Vec::new();
+    for protocol in ProtocolKind::all() {
+        let (two, eight) = (
+            migratory_block_bytes(protocol, 2),
+            migratory_block_bytes(protocol, 8),
+        );
+        let ratio = eight as f64 / two as f64;
+        assert!(
+            ratio > 2.5,
+            "{protocol}: {two} bytes at 2 procs, {eight} at 8 ({ratio:.1}x)"
+        );
+        ratios.push((protocol, ratio));
+    }
+    let ratio = |kind| ratios.iter().find(|(p, _)| *p == kind).unwrap().1;
+    assert!(
+        ratio(ProtocolKind::Lrc) > ratio(ProtocolKind::Hlrc),
+        "{ratios:?}"
+    );
+}
+
+/// Messages when `n` processes write 64-byte slots of a shared region —
+/// interleaved, so every page has `n` writers, or one page-aligned run per
+/// process — and then everyone reads all of it (Water's force read-back).
+fn shared_write_messages(protocol: ProtocolKind, n: usize, interleaved: bool) -> u64 {
+    const SLOTS: usize = 64; // 64 slots of 64 bytes: one page per process
+    let rep = Cluster::run(ClusterConfig::calibrated_fddi(n), move |p| {
+        let tmk = Tmk::with_protocol(p, protocol);
+        let total = SLOTS * 64 * n;
+        let addr = tmk.malloc(total);
+        tmk.barrier(0);
+        for s in 0..SLOTS {
+            let slot = if interleaved {
+                s * n + tmk.id()
+            } else {
+                tmk.id() * SLOTS + s
+            };
+            tmk.write_bytes(addr + slot * 64, &[tmk.id() as u8 + 1; 64]);
+        }
+        tmk.barrier(1);
+        let mut all = vec![0u8; total];
+        tmk.read_bytes(addr, &mut all);
+        tmk.barrier(2);
+        tmk.exit();
+    });
+    rep.total_messages()
+}
+
+#[test]
+fn false_sharing_costs_messages() {
+    // Water-288's molecules share pages between processes; Water-1728's
+    // chunks span whole pages.  Interleaved vs page-aligned writers at 8
+    // processes, tiny scale: LRC 952 vs 168, HLRC 280 vs 168, SC 724 vs 280.
+    for protocol in ProtocolKind::all() {
+        let interleaved = shared_write_messages(protocol, 8, true);
+        let aligned = shared_write_messages(protocol, 8, false);
+        assert!(
+            interleaved > aligned,
+            "{protocol}: interleaved {interleaved} msgs vs page-aligned {aligned}"
+        );
     }
 }

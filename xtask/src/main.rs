@@ -56,6 +56,13 @@
 //! switch and the stack mappings of the engine's coroutines, whose
 //! `SAFETY` comments are the whole audit surface.  No marker is honoured.
 //!
+//! **A run holds no lock**: a run's ranks are coroutines on one thread, so
+//! nothing inside a run is concurrent and the engine's state is a `RefCell`.
+//! In `crates/cluster` the lock tokens (`Mutex`, `RwLock`, `Condvar`,
+//! `parking_lot`) are findings outside `crates/cluster/src/coro.rs`, whose
+//! idle-stack pool is process-wide and shared by the runs of every `--jobs`
+//! worker.  No marker is honoured.
+//!
 //! **Memo confinement**: in `crates/apps` the tokens for process state that
 //! outlives a run (`Mutex`, `RwLock`, `OnceLock`, `LazyLock`, `Atomic`,
 //! `static mut`, `thread_local!`) are findings outside
@@ -123,12 +130,16 @@ const HAZARDS: [(&str, Option<&str>); 6] = [
 /// `lint:allow(threads): <reason>`.
 const THREAD_FILES: [&str; 1] = ["crates/bench/src/exec.rs"];
 
-/// The one file that may contain the [`UNSAFE_TOKENS`].
-const UNSAFE_FILE: &str = "crates/cluster/src/coro.rs";
+/// The coroutine file: the one file that may contain the [`UNSAFE_TOKENS`],
+/// and the one file in `crates/cluster` that may contain the [`LOCK_TOKENS`].
+const CORO_FILE: &str = "crates/cluster/src/coro.rs";
 
 /// Tokens that leave the language's checked subset (`asm!` also matches
 /// `naked_asm!` and `global_asm!`).
 const UNSAFE_TOKENS: [&str; 3] = ["unsafe", "asm!", "extern \"C\""];
+
+/// Tokens that name a lock, or the crate that provides one.
+const LOCK_TOKENS: [&str; 4] = ["Mutex", "RwLock", "Condvar", "parking_lot"];
 
 /// The one file in `crates/apps` that may contain the [`PROCESS_STATE_TOKENS`].
 const MEMO_FILE: &str = "crates/apps/src/memo.rs";
@@ -256,13 +267,25 @@ fn lint_source(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                     }
                 }
             }
-            if rel != Path::new(UNSAFE_FILE) {
+            if rel != Path::new(CORO_FILE) {
                 if let Some(token) = UNSAFE_TOKENS.iter().find(|t| code.contains(*t)) {
                     push(
                         i,
                         format!(
-                            "`{token}` outside {UNSAFE_FILE}: unchecked code is confined to \
+                            "`{token}` outside {CORO_FILE}: unchecked code is confined to \
                              that file, and no marker lifts this"
+                        ),
+                    );
+                }
+            }
+            if rel.starts_with("crates/cluster") && rel != Path::new(CORO_FILE) {
+                if let Some(token) = LOCK_TOKENS.iter().find(|t| code.contains(*t)) {
+                    push(
+                        i,
+                        format!(
+                            "`{token}` outside {CORO_FILE}: a run is one thread and holds no \
+                             lock (only the process-wide stack pool does), and no marker \
+                             lifts this"
                         ),
                     );
                 }
@@ -715,6 +738,41 @@ mod tests {
             (5, "`thread_local!`"),
             (6, "`OnceLock`"),
         ] {
+            assert!(
+                f.iter().any(|f| f.line == line && f.msg.starts_with(token)),
+                "line {line}: {f:#?}"
+            );
+        }
+    }
+
+    #[test]
+    fn locks_in_the_engine_are_confined_to_the_coroutine_file() {
+        let t = Tree::new("lock");
+        // Home of the process-wide stack pool: exempt.
+        t.write(
+            "crates/cluster/src/coro.rs",
+            "use std::sync::Mutex;\nstatic POOL: Mutex<Vec<usize>> = Mutex::new(Vec::new());\n",
+        );
+        // Anywhere else in the engine each token is a finding, marker or not.
+        t.write(
+            "crates/cluster/src/net.rs",
+            "// lint:allow(lock): markers are not honoured\n\
+             struct Core { state: std::sync::Mutex<u8> }\nuse parking_lot::RwLock;\n\
+             static WAKE: std::sync::Condvar = std::sync::Condvar::new();\n",
+        );
+        // The rule is about the engine: the executor and the memo keep theirs.
+        t.write(
+            "crates/bench/src/exec.rs",
+            "use std::sync::{Condvar, Mutex};\n",
+        );
+        t.write("crates/apps/src/memo.rs", "use std::sync::Mutex;\n");
+        let f = t.lint();
+        assert_eq!(f.len(), 3, "{f:#?}");
+        assert!(f.iter().all(|f| f.file.ends_with("cluster/src/net.rs")));
+        assert!(f
+            .iter()
+            .all(|f| f.msg.contains("outside crates/cluster/src/coro.rs")));
+        for (line, token) in [(2, "`Mutex`"), (3, "`RwLock`"), (4, "`Condvar`")] {
             assert!(
                 f.iter().any(|f| f.line == line && f.msg.starts_with(token)),
                 "line {line}: {f:#?}"
