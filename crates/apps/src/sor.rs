@@ -101,6 +101,13 @@ impl SorParams {
 
 /// Update one band of the `dst` colour from the `src` colour.  Returns the
 /// modeled cost of the updates (zero-input updates are more expensive).
+///
+/// Two passes over the band's interior rows.  The stencil pass walks each
+/// row as five equal-length slices (the output, the rows above and below,
+/// the row shifted left and right), so it has no bounds checks and
+/// vectorises; every element is still `0.25 * (up + down + left + right)`
+/// in that order.  The cost pass then adds each element's cost in element
+/// order, so the f64 sum is bit-for-bit the single-pass one.
 fn relax_band(
     dst: &mut [f32],
     src: &[f32],
@@ -108,23 +115,27 @@ fn relax_band(
     rows_total: usize,
     row_range: std::ops::Range<usize>,
 ) -> f64 {
-    let mut cost = 0.0;
-    for r in row_range {
-        if r == 0 || r == rows_total - 1 {
-            continue; // fixed boundary rows
+    // Rows 0 and `rows_total - 1` are fixed boundary rows.
+    let rows = row_range.start.max(1)..row_range.end.min(rows_total - 1);
+    let n = cols.saturating_sub(2);
+    // Row `r`'s interior elements' up, down, left and right neighbours.
+    let around = |r: usize| {
+        let at = |row: usize, skip: usize| &src[row * cols + skip..][..n];
+        [at(r - 1, 1), at(r + 1, 1), at(r, 0), at(r, 2)]
+    };
+    for r in rows.clone() {
+        let [up, down, left, right] = around(r);
+        let out = &mut dst[r * cols + 1..][..n];
+        for ((((o, u), d), l), rt) in out.iter_mut().zip(up).zip(down).zip(left).zip(right) {
+            *o = 0.25 * (u + d + l + rt);
         }
-        for c in 1..cols - 1 {
-            let up = src[(r - 1) * cols + c];
-            let down = src[(r + 1) * cols + c];
-            let left = src[r * cols + c - 1];
-            let right = src[r * cols + c + 1];
-            let v = 0.25 * (up + down + left + right);
-            dst[r * cols + c] = v;
-            cost += if up == 0.0 && down == 0.0 && left == 0.0 && right == 0.0 {
-                COST_ZERO
-            } else {
-                COST_NONZERO
-            };
+    }
+    let mut cost = 0.0;
+    for r in rows {
+        let [up, down, left, right] = around(r);
+        for (((u, d), l), rt) in up.iter().zip(down).zip(left).zip(right) {
+            let zero = *u == 0.0 && *d == 0.0 && *l == 0.0 && *rt == 0.0;
+            cost += if zero { COST_ZERO } else { COST_NONZERO };
         }
     }
     cost
@@ -189,62 +200,26 @@ impl App for SorParams {
         let lo = my_rows.start.saturating_sub(1);
         let hi = (my_rows.end + 1).min(self.rows);
         let span_rows = hi - lo;
-        let mut red = vec![0.0f32; span_rows * self.cols];
-        let mut black = vec![0.0f32; span_rows * self.cols];
+        let (cols, band) = (self.cols, (my_rows.start - lo)..(my_rows.end - lo));
+        let (first, mine) = (band.start * cols, my_rows.len() * cols);
+        let mut other = vec![0.0f32; span_rows * cols];
+        let mut own = vec![0.0f32; mine];
 
         let mut barrier = 1u32;
         for _ in 0..self.iters {
-            // Red phase: read black (with halo), update my red rows, write back.
-            tmk.read_f32_slice(black_addr + lo * self.cols * 4, &mut black);
-            tmk.read_f32_slice(
-                red_addr + my_rows.start * self.cols * 4,
-                &mut red[..my_rows.len() * self.cols],
-            );
-            let mut local_red = vec![0.0f32; span_rows * self.cols];
-            local_red[(my_rows.start - lo) * self.cols
-                ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols]
-                .copy_from_slice(&red[..my_rows.len() * self.cols]);
-            let cost = relax_band(
-                &mut local_red,
-                &black,
-                self.cols,
-                span_rows,
-                (my_rows.start - lo)..(my_rows.end - lo),
-            );
-            tmk.proc().compute(cost);
-            tmk.write_f32_slice(
-                red_addr + my_rows.start * self.cols * 4,
-                &local_red[(my_rows.start - lo) * self.cols
-                    ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols],
-            );
-            tmk.barrier(barrier);
-            barrier += 1;
-
-            // Black phase.
-            tmk.read_f32_slice(red_addr + lo * self.cols * 4, &mut red);
-            tmk.read_f32_slice(
-                black_addr + my_rows.start * self.cols * 4,
-                &mut black[..my_rows.len() * self.cols],
-            );
-            let mut local_black = vec![0.0f32; span_rows * self.cols];
-            local_black[(my_rows.start - lo) * self.cols
-                ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols]
-                .copy_from_slice(&black[..my_rows.len() * self.cols]);
-            let cost = relax_band(
-                &mut local_black,
-                &red,
-                self.cols,
-                span_rows,
-                (my_rows.start - lo)..(my_rows.end - lo),
-            );
-            tmk.proc().compute(cost);
-            tmk.write_f32_slice(
-                black_addr + my_rows.start * self.cols * 4,
-                &local_black[(my_rows.start - lo) * self.cols
-                    ..(my_rows.start - lo) * self.cols + my_rows.len() * self.cols],
-            );
-            tmk.barrier(barrier);
-            barrier += 1;
+            // Red phase, then black: read the other colour (with halo) and
+            // my rows of this one, update them, write them back.
+            for (dst, src) in [(red_addr, black_addr), (black_addr, red_addr)] {
+                tmk.read_f32_slice(src + lo * cols * 4, &mut other);
+                tmk.read_f32_slice(dst + my_rows.start * cols * 4, &mut own);
+                let mut local = vec![0.0f32; span_rows * cols];
+                local[first..first + mine].copy_from_slice(&own);
+                let cost = relax_band(&mut local, &other, cols, span_rows, band.clone());
+                tmk.proc().compute(cost);
+                tmk.write_f32_slice(dst + my_rows.start * cols * 4, &local[first..][..mine]);
+                tmk.barrier(barrier);
+                barrier += 1;
+            }
         }
 
         // Each process contributes the checksum of its own band; the runner sums
@@ -370,6 +345,72 @@ mod tests {
     use super::*;
     use crate::runner::testing::{fddi, LRC};
     use crate::runner::{run, System};
+
+    /// The stencil and its cost in one pass, element by element: the
+    /// reference `relax_band`'s output and cost must equal bit for bit.
+    fn relax_band_reference(
+        dst: &mut [f32],
+        src: &[f32],
+        cols: usize,
+        rows_total: usize,
+        row_range: std::ops::Range<usize>,
+    ) -> f64 {
+        let mut cost = 0.0;
+        for r in row_range {
+            if r == 0 || r == rows_total - 1 {
+                continue; // fixed boundary rows
+            }
+            for c in 1..cols - 1 {
+                let up = src[(r - 1) * cols + c];
+                let down = src[(r + 1) * cols + c];
+                let left = src[r * cols + c - 1];
+                let right = src[r * cols + c + 1];
+                let v = 0.25 * (up + down + left + right);
+                dst[r * cols + c] = v;
+                cost += if up == 0.0 && down == 0.0 && left == 0.0 && right == 0.0 {
+                    COST_ZERO
+                } else {
+                    COST_NONZERO
+                };
+            }
+        }
+        cost
+    }
+
+    #[test]
+    fn two_pass_relax_band_is_bit_equal_to_the_single_pass_reference() {
+        let rows = 12;
+        for cols in [3, 64, 1536] {
+            for zero in [true, false] {
+                let p = SorParams {
+                    rows,
+                    cols,
+                    iters: 1,
+                    zero_interior: zero,
+                };
+                // A zero interior keeps its exact zeros; a non-zero one
+                // gets a few exact zeros and a negative zero mixed in.
+                let src: Vec<f32> = (0..rows * cols)
+                    .map(|i| match (zero, i % 17) {
+                        (false, 3) => 0.0,
+                        (false, 5) => -0.0,
+                        _ => p.initial(i / cols, i % cols) * (1.0 + (i % 7) as f32 / 9.0),
+                    })
+                    .collect();
+                // First, middle and last rank's bands, and the whole grid.
+                for range in [0..4, 4..8, 8..rows, 0..rows] {
+                    let mut fast: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+                    let mut slow = fast.clone();
+                    let a = relax_band(&mut fast, &src, cols, rows, range.clone());
+                    let b = relax_band_reference(&mut slow, &src, cols, rows, range.clone());
+                    let what = format!("cols {cols} zero {zero} rows {range:?}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: cost");
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fast), bits(&slow), "{what}: dst");
+                }
+            }
+        }
+    }
 
     #[test]
     fn versions_agree_on_small_grids() {

@@ -15,6 +15,7 @@
 
 use crate::page::PageId;
 use crate::process::Tmk;
+use crate::state::DsmState;
 use crate::MEM_BANDWIDTH;
 use cluster::config::PAGE_SIZE;
 
@@ -181,19 +182,19 @@ impl<'a> Tmk<'a> {
 
     /// Read `out.len()` bytes of shared memory starting at `addr`.
     pub fn read_bytes(&self, addr: SharedAddr, out: &mut [u8]) {
-        if out.is_empty() {
-            return;
-        }
-        self.read_bytes_unrecorded(addr, out);
-        self.race_record(crate::race::AccessKind::Read, addr, out.len());
+        self.read_with(addr, out.len(), |st| st.read_bytes(addr, out));
     }
 
-    /// The read itself — fault path and all — without a race-detector
-    /// record; the recorded accessors and the annotated `_unsync` readers
-    /// share it so both cost exactly the same simulated time.
-    fn read_bytes_unrecorded(&self, addr: SharedAddr, out: &mut [u8]) {
-        self.ensure_valid(addr, out.len());
-        self.st.borrow_mut().read_bytes(addr, out);
+    /// The read trap around `read`, which copies the `len` bytes at `addr`
+    /// out of the pages: the fault path before it, the race-detector record
+    /// after.
+    fn read_with(&self, addr: SharedAddr, len: usize, read: impl FnOnce(&DsmState)) {
+        if len == 0 {
+            return;
+        }
+        self.ensure_valid(addr, len);
+        read(&self.st.borrow());
+        self.race_record(crate::race::AccessKind::Read, addr, len);
     }
 
     /// Read one `f64` as an *annotated unsynchronized read*: identical to
@@ -208,27 +209,36 @@ impl<'a> Tmk<'a> {
     /// caught.  `xtask lint` requires every call site to carry a
     /// `lint:allow(unsync-read)` justification marker.
     pub fn read_f64_unsync(&self, addr: SharedAddr) -> f64 {
+        // `read_f64`'s fault path and copy, so both cost exactly the same
+        // simulated time, without the record.
         let mut b = [0u8; 8];
-        self.read_bytes_unrecorded(addr, &mut b);
+        self.ensure_valid(addr, b.len());
+        self.st.borrow().read_bytes(addr, &mut b);
         f64::from_le_bytes(b)
     }
 
     /// Write `src` to shared memory starting at `addr`.
+    pub fn write_bytes(&self, addr: SharedAddr, src: &[u8]) {
+        self.write_with(addr, src.len(), |st| st.write_bytes(addr, src));
+    }
+
+    /// The write trap around `write`, which stores the `len` bytes at
+    /// `addr` into the pages.
     ///
-    /// The write trap is the protocol's decision
+    /// The trap is the protocol's decision
     /// ([`crate::protocol::ConsistencyProtocol::prepare_write`]): the
     /// twinning backends validate the span and twin + dirty each page; SC
     /// acquires exclusive ownership.  `access_done` then lets the protocol
     /// serve whatever it deferred while acquiring (SC's ownership
     /// hand-offs).
-    pub fn write_bytes(&self, addr: SharedAddr, src: &[u8]) {
-        if src.is_empty() {
+    fn write_with(&self, addr: SharedAddr, len: usize, write: impl FnOnce(&mut DsmState)) {
+        if len == 0 {
             return;
         }
-        self.backend.prepare_write(self, addr, src.len());
-        self.st.borrow_mut().write_bytes(addr, src);
+        self.backend.prepare_write(self, addr, len);
+        write(&mut self.st.borrow_mut());
         self.backend.access_done(self);
-        self.race_record(crate::race::AccessKind::Write, addr, src.len());
+        self.race_record(crate::race::AccessKind::Write, addr, len);
     }
 
     // --------------------------------------------------------- typed access
@@ -293,100 +303,57 @@ impl<'a> Tmk<'a> {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
-    /// Run `f` over this endpoint's reusable raw-byte scratch buffer, sized
-    /// and zeroed to `len` bytes.
-    ///
-    /// The typed slice accessors convert through a byte staging buffer;
-    /// allocating it per call made every `read_f64_slice` of a hot loop an
-    /// allocator round trip.  The buffer is *taken* out of its cell for the
-    /// duration of `f`, so a re-entrant access (a fault serviced mid-read
-    /// ending in another typed access) falls back to a fresh allocation
-    /// instead of aliasing the outer call's bytes.
-    fn with_scratch<R>(&self, len: usize, f: impl FnOnce(&Self, &mut Vec<u8>) -> R) -> R {
-        let mut raw = std::mem::take(&mut *self.scratch.borrow_mut());
-        raw.clear();
-        raw.resize(len, 0);
-        let out = f(self, &mut raw);
-        *self.scratch.borrow_mut() = raw;
-        out
+    /// Read `out.len()` `N`-byte elements starting at `addr`, decoded
+    /// straight from the pages into `out` under the same trap as
+    /// [`Tmk::read_bytes`] over the elements' bytes.
+    fn read_elems<T, const N: usize>(
+        &self,
+        addr: SharedAddr,
+        out: &mut [T],
+        decode: impl Fn([u8; N]) -> T,
+    ) {
+        self.read_with(addr, out.len() * N, |st| st.read_elems(addr, out, decode));
+    }
+
+    /// Write `src`'s `N`-byte elements starting at `addr`, encoded straight
+    /// into the pages under the same trap as [`Tmk::write_bytes`].
+    fn write_elems<T, const N: usize>(
+        &self,
+        addr: SharedAddr,
+        src: &[T],
+        encode: impl Fn(&T) -> [u8; N],
+    ) {
+        self.write_with(addr, src.len() * N, |st| st.write_elems(addr, src, encode));
     }
 
     /// Read a contiguous run of `out.len()` `f64` values starting at `addr`.
     pub fn read_f64_slice(&self, addr: SharedAddr, out: &mut [f64]) {
-        if out.is_empty() {
-            return;
-        }
-        self.with_scratch(out.len() * 8, |tmk, raw| {
-            tmk.read_bytes(addr, raw);
-            for (i, chunk) in raw.chunks_exact(8).enumerate() {
-                out[i] = f64::from_le_bytes(chunk.try_into().unwrap());
-            }
-        });
+        self.read_elems(addr, out, f64::from_le_bytes);
     }
 
     /// Write a contiguous run of `f64` values starting at `addr`.
     pub fn write_f64_slice(&self, addr: SharedAddr, src: &[f64]) {
-        if src.is_empty() {
-            return;
-        }
-        self.with_scratch(0, |tmk, raw| {
-            for v in src {
-                raw.extend_from_slice(&v.to_le_bytes());
-            }
-            tmk.write_bytes(addr, raw);
-        });
+        self.write_elems(addr, src, |v| v.to_le_bytes());
     }
 
     /// Read a contiguous run of `f32` values starting at `addr`.
     pub fn read_f32_slice(&self, addr: SharedAddr, out: &mut [f32]) {
-        if out.is_empty() {
-            return;
-        }
-        self.with_scratch(out.len() * 4, |tmk, raw| {
-            tmk.read_bytes(addr, raw);
-            for (i, chunk) in raw.chunks_exact(4).enumerate() {
-                out[i] = f32::from_le_bytes(chunk.try_into().unwrap());
-            }
-        });
+        self.read_elems(addr, out, f32::from_le_bytes);
     }
 
     /// Write a contiguous run of `f32` values starting at `addr`.
     pub fn write_f32_slice(&self, addr: SharedAddr, src: &[f32]) {
-        if src.is_empty() {
-            return;
-        }
-        self.with_scratch(0, |tmk, raw| {
-            for v in src {
-                raw.extend_from_slice(&v.to_le_bytes());
-            }
-            tmk.write_bytes(addr, raw);
-        });
+        self.write_elems(addr, src, |v| v.to_le_bytes());
     }
 
     /// Read a contiguous run of `i32` values starting at `addr`.
     pub fn read_i32_slice(&self, addr: SharedAddr, out: &mut [i32]) {
-        if out.is_empty() {
-            return;
-        }
-        self.with_scratch(out.len() * 4, |tmk, raw| {
-            tmk.read_bytes(addr, raw);
-            for (i, chunk) in raw.chunks_exact(4).enumerate() {
-                out[i] = i32::from_le_bytes(chunk.try_into().unwrap());
-            }
-        });
+        self.read_elems(addr, out, i32::from_le_bytes);
     }
 
     /// Write a contiguous run of `i32` values starting at `addr`.
     pub fn write_i32_slice(&self, addr: SharedAddr, src: &[i32]) {
-        if src.is_empty() {
-            return;
-        }
-        self.with_scratch(0, |tmk, raw| {
-            for v in src {
-                raw.extend_from_slice(&v.to_le_bytes());
-            }
-            tmk.write_bytes(addr, raw);
-        });
+        self.write_elems(addr, src, |v| v.to_le_bytes());
     }
 
     // --------------------------------------------------------------- faults

@@ -147,6 +147,46 @@ mod tests {
     }
 
     #[test]
+    fn typed_slices_round_trip_across_page_boundaries_under_every_protocol() {
+        // Elements straddling a page boundary are assembled through a
+        // stack buffer: an f64 at `PAGE_SIZE - 4`, f32s at an odd address,
+        // i32s spanning three pages from an unaligned start.  Rank 0
+        // writes, rank 1 faults the pages in and reads back, both compare
+        // the decoded values and the raw little-endian bytes.
+        use cluster::config::PAGE_SIZE;
+        let f64s: Vec<f64> = (0..3).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+        let f32s: Vec<f32> = (0..700).map(|i| i as f32 * 0.37 - 9.0).collect();
+        let i32s: Vec<i32> = (0..1100).map(|i| i * -7919 + 13).collect();
+        let at = [PAGE_SIZE - 4, 4 * PAGE_SIZE + 1, 7 * PAGE_SIZE - 2];
+        for protocol in ProtocolKind::all() {
+            let rep = run_under(protocol, 2, |tmk| {
+                tmk.malloc(10 * PAGE_SIZE);
+                if tmk.id() == 0 {
+                    tmk.write_f64_slice(at[0], &f64s);
+                    tmk.write_f32_slice(at[1], &f32s);
+                    tmk.write_i32_slice(at[2], &i32s);
+                }
+                tmk.barrier(0);
+                let (mut a, mut b, mut c) = (vec![0.0; 3], vec![0.0; 700], vec![0; 1100]);
+                tmk.read_f64_slice(at[0], &mut a);
+                tmk.read_f32_slice(at[1], &mut b);
+                tmk.read_i32_slice(at[2], &mut c);
+                let mut raw = vec![0u8; 1100 * 4];
+                tmk.read_bytes(at[2], &mut raw);
+                let bytes_ok = raw
+                    .chunks_exact(4)
+                    .zip(&i32s)
+                    .all(|(r, v)| r == v.to_le_bytes());
+                tmk.barrier(1);
+                (a == f64s, b == f32s, c == i32s, bytes_ok)
+            });
+            for (rank, r) in rep.results.iter().enumerate() {
+                assert_eq!(*r, (true, true, true, true), "{protocol} rank {rank}");
+            }
+        }
+    }
+
+    #[test]
     fn initialisation_by_proc0_is_visible_after_barrier() {
         let rep = run(4, |tmk| {
             let a = tmk.malloc(4096);

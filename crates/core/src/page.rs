@@ -8,6 +8,11 @@
 //! concurrent writers touch disjoint bytes (for correct programs) and are
 //! merged by applying them all, which is what eliminates most of the cost of
 //! false sharing relative to a single-writer protocol.
+//!
+//! [`Diff::create`] never compares bytes one at a time: it turns each
+//! 64-byte block of twin and page into a `u64` mask, one bit per differing
+//! byte, and walks the mask's *edges* — the bits where a run starts or
+//! ends — so a page costs O(words + runs), not O(bytes).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cluster::config::PAGE_SIZE;
@@ -16,9 +21,11 @@ use std::cell::RefCell;
 /// Index of a shared page within the shared address space.
 pub type PageId = u32;
 
-/// The longest run buffer a page can diff into: every other byte modified,
-/// i.e. `PAGE_SIZE / 2` runs of a 4-byte header and one byte.
-const MAX_WIRE: usize = PAGE_SIZE / 2 * 5;
+/// The longest run buffer a page can diff into: 2,048 runs (runs are
+/// separated by at least one unchanged byte), all of one byte but the last,
+/// which is two (`x.x.x…x.xx`) — `2048 × 4` header bytes and 2,049 data
+/// bytes.
+const MAX_WIRE: usize = PAGE_SIZE / 2 * 5 + 1;
 
 /// A run-length encoding of the modifications made to one page during one
 /// interval, produced by comparing the page to its twin.
@@ -39,45 +46,37 @@ pub struct Diff {
 
 thread_local! {
     /// Where a thread's [`Diff::create`] stages its runs before freezing
-    /// them into one exactly-sized buffer: sized for the worst page at the
-    /// thread's first diff, so staging never allocates or regrows after it
-    /// (a fresh `Vec` per diff costs a 10 KiB `malloc` on the few-run pages
-    /// that are the common case).
-    static STAGING: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// them into one exactly-sized buffer: fixed-size, so staging never
+    /// allocates.  A run of up to eight bytes is copied as one whole word;
+    /// that never writes past [`MAX_WIRE`] (a run near the page end is
+    /// copied exactly), and the 8 bytes of slack are a margin.
+    static STAGING: RefCell<[u8; MAX_WIRE + 8]> = const { RefCell::new([0; MAX_WIRE + 8]) };
 }
 
-/// The staging side of a [`Diff`]: runs are appended in offset order and
-/// frozen once.
-struct RunBuf {
-    runs: u32,
-    wire: Vec<u8>,
-}
-
-impl RunBuf {
-    /// Borrow the thread's staging buffer (handed back by `freeze`).
-    fn new() -> Self {
-        let mut wire = STAGING.take();
-        wire.clear();
-        wire.reserve(MAX_WIRE);
-        RunBuf { runs: 0, wire }
+/// One bit per byte of a 64-byte block, bit `i` set iff byte `i` of `t`
+/// and `c` differs.  Each word's xor has every non-zero byte folded onto
+/// its high bit (no carry crosses a byte); an equal block and a block in
+/// which every byte differs are read off those words whole, and only a
+/// mixed block gathers each word's eight high bits into a byte with a
+/// multiply.
+#[inline(always)]
+fn block_mask(t: &[u8; 64], c: &[u8; 64]) -> u64 {
+    const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let mut high = [0u64; 8];
+    let words = t.as_chunks::<8>().0.iter().zip(c.as_chunks::<8>().0);
+    for (h, (x, y)) in high.iter_mut().zip(words) {
+        let d = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        *h = ((d & LO7).wrapping_add(LO7) | d) & !LO7;
     }
-
-    /// Append the run `page[start..end]`.
-    fn push(&mut self, page: &[u8], start: usize, end: usize) {
-        self.runs += 1;
-        self.wire.extend_from_slice(&(start as u16).to_le_bytes());
-        self.wire
-            .extend_from_slice(&((end - start) as u16).to_le_bytes());
-        self.wire.extend_from_slice(&page[start..end]);
-    }
-
-    fn freeze(self) -> Diff {
-        let wire = Bytes::copy_from_slice(&self.wire);
-        STAGING.set(self.wire);
-        Diff {
-            runs: self.runs,
-            wire,
-        }
+    match (
+        high.iter().fold(0, |a, &h| a | h),
+        high.iter().fold(!0, |a, &h| a & h),
+    ) {
+        (0, _) => 0,
+        (_, all) if all == !LO7 => !0,
+        _ => high.iter().enumerate().fold(0, |m, (k, &h)| {
+            m | ((h >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
+        }),
     }
 }
 
@@ -85,13 +84,19 @@ impl Diff {
     /// Compute the diff between `twin` (the pre-modification copy) and
     /// `current` (the page as modified during the interval).
     ///
-    /// The scan compares the pages a 64-bit word at a time: identical
-    /// stretches (the common case — most of a page is usually untouched)
-    /// are skipped eight bytes per comparison, and inside a run a word all
-    /// of whose bytes differ extends the run eight bytes at a time (the
-    /// SWAR zero-byte test).  Run *boundaries* are still byte-precise, so
-    /// the result is identical to [`Diff::create_reference`] — the
-    /// equivalence is property-tested over random twin/page pairs.
+    /// Outside a run, equal 512-byte chunks are skipped a compare each (an
+    /// equal page is eight compares).  Otherwise each 64-byte block
+    /// becomes a difference mask `m` (`block_mask`) whose edges
+    /// `m ^ (m << 1 | carry)` — `carry` set if the previous block ended
+    /// inside a run — alternate run start, run end, start, …; each is found
+    /// with `trailing_zeros` and cleared with `edges &= edges - 1`.  An f32
+    /// stencil page's 1,024 three-byte runs are 2,048 edges; a fully
+    /// rewritten page's all-ones blocks have none.  Runs are staged in a
+    /// fixed thread-local buffer — a header is one `u32` store, a run of up
+    /// to eight bytes one 8-byte copy — and frozen into one exactly-sized
+    /// buffer.  Boundaries are byte-precise: the result is identical to
+    /// [`Diff::create_reference`], property-tested and, under
+    /// `oracle-checks`, asserted on every diff.
     ///
     /// # Panics
     ///
@@ -99,87 +104,70 @@ impl Diff {
     pub fn create(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        const W: usize = 8;
-        /// Leading 8-byte words of `a` and `b` that are bytewise equal.
-        #[inline(always)]
-        fn equal_words(a: &[u8], b: &[u8]) -> usize {
-            a.chunks_exact(W)
-                .zip(b.chunks_exact(W))
-                .take_while(|(x, y)| x == y)
-                .count()
-        }
-        /// Leading 8-byte words in which *every* byte position differs
-        /// (the SWAR no-zero-byte test on the xor).
-        #[inline(always)]
-        fn all_differ_words(a: &[u8], b: &[u8]) -> usize {
-            a.chunks_exact(W)
-                .zip(b.chunks_exact(W))
-                .take_while(|(x, y)| {
-                    let x = u64::from_ne_bytes((*x).try_into().unwrap());
-                    let y = u64::from_ne_bytes((*y).try_into().unwrap());
-                    let d = x ^ y;
-                    d.wrapping_sub(0x0101_0101_0101_0101) & !d & 0x8080_8080_8080_8080 == 0
-                })
-                .count()
-        }
-        let mut runs = RunBuf::new();
-        let mut i = 0usize;
-        while i < PAGE_SIZE {
-            // Find the next differing byte.  Outside a run `i` re-aligns
-            // within at most 7 byte-compares, then identical words are
-            // skipped eight bytes per compare.
-            if !i.is_multiple_of(W) {
-                if twin[i] == current[i] {
-                    i += 1;
+        const CHUNK: usize = 512;
+        let diff = STAGING.with_borrow_mut(|buf| {
+            let (mut runs, mut at) = (0u32, 0usize);
+            let mut push = |start: usize, end: usize| {
+                let len = end - start;
+                let head = start as u32 | (len as u32) << 16;
+                buf[at..at + 4].copy_from_slice(&head.to_le_bytes());
+                if len <= 8 && start + 8 <= PAGE_SIZE {
+                    buf[at + 4..at + 12].copy_from_slice(&current[start..start + 8]);
+                } else {
+                    buf[at + 4..at + 4 + len].copy_from_slice(&current[start..end]);
+                }
+                at += 4 + len;
+                runs += 1;
+            };
+            let (mut in_run, mut start) = (false, 0usize);
+            let (twins, pages) = (twin.as_chunks::<CHUNK>().0, current.as_chunks().0);
+            for (chunk, (t, c)) in (0..).step_by(CHUNK).zip(twins.iter().zip(pages)) {
+                if !in_run && t == c {
                     continue;
                 }
-            } else {
-                i += W * equal_words(&twin[i..], &current[i..]);
-                if i >= PAGE_SIZE {
-                    break;
-                }
-                while twin[i] == current[i] {
-                    i += 1;
-                }
-            }
-            let start = i;
-            // Extend the run: whole words while every byte differs, then
-            // byte-at-a-time to the exact boundary.
-            while i < PAGE_SIZE {
-                if i.is_multiple_of(W) {
-                    i += W * all_differ_words(&twin[i..], &current[i..]);
-                    if i >= PAGE_SIZE {
-                        break;
+                let blocks = t.as_chunks::<64>().0.iter().zip(c.as_chunks().0);
+                for (base, (t, c)) in (chunk..).step_by(64).zip(blocks) {
+                    let m = block_mask(t, c);
+                    let mut edges = m ^ (m << 1 | in_run as u64);
+                    while edges != 0 {
+                        let edge = base + edges.trailing_zeros() as usize;
+                        if in_run {
+                            push(start, edge);
+                        } else {
+                            start = edge;
+                        }
+                        in_run = !in_run;
+                        edges &= edges - 1;
                     }
                 }
-                if twin[i] != current[i] {
-                    i += 1;
-                } else {
-                    break;
-                }
             }
-            runs.push(current, start, i);
-        }
-        let diff = runs.freeze();
-        // With the `oracle-checks` feature (on in CI), every word-scan diff
+            if in_run {
+                push(start, PAGE_SIZE);
+            }
+            Diff {
+                runs,
+                wire: Bytes::copy_from_slice(&buf[..at]),
+            }
+        });
+        // With the `oracle-checks` feature (on in CI), every mask-walk diff
         // is checked against the byte-at-a-time reference; off by default
         // because diff creation is on the interval-close hot path.
         #[cfg(feature = "oracle-checks")]
         assert_eq!(
             diff,
             Diff::create_reference(twin, current),
-            "word-scan diff diverged from the reference implementation"
+            "mask-walk diff diverged from the reference implementation"
         );
         diff
     }
 
     /// The byte-at-a-time reference implementation of [`Diff::create`]:
     /// obviously correct, measurably slower.  Kept as the oracle for the
-    /// word-scan equivalence tests and the `oracle-checks` feature.
+    /// mask-walk equivalence tests and the `oracle-checks` feature.
     pub fn create_reference(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        let mut runs = RunBuf::new();
+        let (mut runs, mut wire) = (0u32, Vec::new());
         let mut i = 0usize;
         while i < PAGE_SIZE {
             if twin[i] != current[i] {
@@ -187,12 +175,18 @@ impl Diff {
                 while i < PAGE_SIZE && twin[i] != current[i] {
                     i += 1;
                 }
-                runs.push(current, start, i);
+                runs += 1;
+                wire.extend_from_slice(&(start as u16).to_le_bytes());
+                wire.extend_from_slice(&((i - start) as u16).to_le_bytes());
+                wire.extend_from_slice(&current[start..i]);
             } else {
                 i += 1;
             }
         }
-        runs.freeze()
+        Diff {
+            runs,
+            wire: Bytes::from(wire),
+        }
     }
 
     /// The modified runs as `(offset within the page, new bytes)`, in
@@ -443,16 +437,106 @@ mod tests {
 
     #[test]
     fn the_worst_case_page_fits_the_staging_buffer_exactly() {
-        // Every other byte modified: the most runs a page can hold, and
-        // the capacity `RunBuf` reserves so that staging never regrows.
+        // Every other byte modified: the most runs a page can hold, one
+        // byte short of the longest wire (and of the staging bound).
         let twin = new_page();
         let mut page = new_page();
         for b in page.iter_mut().step_by(2) {
             *b = 1;
         }
+        assert_equivalent(&twin, &page, "every other byte");
         let d = Diff::create(&twin, &page);
         assert_eq!(d.runs().count(), PAGE_SIZE / 2);
-        assert_eq!(d.wire_len(), 4 + MAX_WIRE);
+        assert_eq!(d.wire_len(), 4 + MAX_WIRE - 1);
+        // The same 2,048 runs with the last one two bytes long fill
+        // `MAX_WIRE` exactly, and stay within the staging buffer.
+        page[PAGE_SIZE - 1] = 1;
+        assert_equivalent(&twin, &page, "every other byte, last run of two");
+        assert_eq!(Diff::create(&twin, &page).wire_len(), 4 + MAX_WIRE);
+    }
+
+    #[test]
+    fn every_single_run_matches_the_reference() {
+        // One run at every start offset and every length up to one past a
+        // whole-word copy, clipped at the page end — the short-run copy
+        // and the page-end fallback.  Interpreted (miri), a stride of
+        // starts still crosses every word and block position class.
+        let stride = if cfg!(miri) { 61 } else { 1 };
+        let mut twin = new_page();
+        for (i, b) in twin.iter_mut().enumerate() {
+            *b = (i * 7 % 253) as u8;
+        }
+        let mut page = twin.clone();
+        for start in (0..PAGE_SIZE).step_by(stride) {
+            for len in 1..=9 {
+                let end = (start + len).min(PAGE_SIZE);
+                for b in &mut page[start..end] {
+                    *b ^= 0xa5;
+                }
+                assert_equivalent(&twin, &page, &format!("run {start}+{len}"));
+                page[start..end].copy_from_slice(&twin[start..end]);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_on_either_side_of_word_and_block_boundaries_match_the_reference() {
+        // A run starting or ending one byte before, at, or one byte after
+        // each 8- and 64-byte boundary (the mask's carry between blocks),
+        // plus runs ending at the last byte of the page.  Interpreted
+        // (miri), every seventh word boundary, some of them block ones.
+        let twin = new_page();
+        let mut edges: Vec<usize> = (8..PAGE_SIZE)
+            .step_by(if cfg!(miri) { 56 } else { 8 })
+            .flat_map(|b| [b - 1, b, b + 1])
+            .collect();
+        edges.push(PAGE_SIZE);
+        for &edge in &edges {
+            for (start, end) in [
+                (edge.saturating_sub(3), edge),
+                (edge - 1, (edge + 2).min(PAGE_SIZE)),
+            ] {
+                let mut page = new_page();
+                page[start..end].fill(0xff);
+                assert_equivalent(&twin, &page, &format!("run {start}..{end}"));
+            }
+        }
+        let mut page = new_page();
+        page[4000..PAGE_SIZE].fill(1);
+        assert_equivalent(&twin, &page, "run ending at byte 4095");
+        // Two runs in one block, one across a block into the next, and one
+        // spanning several whole all-ones blocks.
+        page.fill(0);
+        for (start, end) in [(1, 3), (60, 70), (128, 400), (401, 402)] {
+            page[start..end].fill(9);
+        }
+        assert_equivalent(&twin, &page, "mixed blocks");
+    }
+
+    #[test]
+    fn a_noisy_f32_stencil_page_matches_the_reference() {
+        // SOR's shape with seeded noise: each float's low bytes change by a
+        // random amount (sometimes not at all), its exponent byte mostly
+        // survives, and now and then it flips too.
+        let mut rng = Rng(0x5eed_f00d_0123_4567);
+        for case in 0..20 {
+            let mut twin = new_page();
+            for w in twin.chunks_exact_mut(4) {
+                w.copy_from_slice(&(0.5 + rng.below(1000) as f32 / 2000.0).to_le_bytes());
+            }
+            let mut page = twin.clone();
+            for w in page.chunks_exact_mut(4) {
+                let v = f32::from_le_bytes((&*w).try_into().unwrap());
+                let noise = (rng.below(64) as f32 - 16.0) * 1e-6;
+                let v = if rng.below(50) == 0 {
+                    v * 3.0
+                } else {
+                    v + noise
+                };
+                w.copy_from_slice(&v.to_le_bytes());
+            }
+            assert_equivalent(&twin, &page, &format!("noisy stencil {case}"));
+        }
     }
 
     #[test]
@@ -580,7 +664,7 @@ mod tests {
     fn assert_equivalent(twin: &[u8], page: &[u8], ctx: &str) {
         let fast = Diff::create(twin, page);
         let reference = Diff::create_reference(twin, page);
-        assert_eq!(fast, reference, "word-scan diverges from reference: {ctx}");
+        assert_eq!(fast, reference, "mask walk diverges from reference: {ctx}");
         // And applying the fast diff to the twin reconstructs the page.
         let mut rebuilt = twin.to_vec();
         fast.apply(&mut rebuilt);
@@ -588,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn word_scan_matches_reference_on_random_sparse_mutations() {
+    fn mask_walk_matches_reference_on_random_sparse_mutations() {
         let mut rng = Rng(0xdead_beef_0bad_cafe);
         for case in 0..200 {
             let mut twin = new_page();
@@ -604,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn word_scan_matches_reference_on_unaligned_run_boundaries() {
+    fn mask_walk_matches_reference_on_unaligned_run_boundaries() {
         // Runs starting and ending at every offset within a word, including
         // runs that straddle word boundaries and touch the page edges.
         let mut rng = Rng(0x1234_5678_9abc_def1);
@@ -627,10 +711,10 @@ mod tests {
     }
 
     #[test]
-    fn word_scan_matches_reference_on_adversarial_word_patterns() {
-        // Words in which only some bytes differ — the SWAR all-bytes-differ
-        // test must not overrun the run boundary — plus interior bytes that
-        // revert to the twin value mid-run.
+    fn mask_walk_matches_reference_on_adversarial_word_patterns() {
+        // Words in which only some bytes differ — a block is all-differ
+        // only if every byte is — plus interior bytes that revert to the
+        // twin value mid-run.
         let mut twin = new_page();
         for (i, b) in twin.iter_mut().enumerate() {
             *b = (i % 256) as u8;

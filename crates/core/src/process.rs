@@ -83,10 +83,6 @@ pub struct Tmk<'a> {
     gc_threshold: Cell<u64>,
     /// `vc.sum()` at the last garbage collection.
     last_gc_sum: Cell<u64>,
-    /// Reusable raw-byte staging buffer for the typed slice accessors
-    /// (see `heap.rs`), so a hot loop of `read_f64_slice` calls does not
-    /// allocate per call.
-    pub(crate) scratch: RefCell<Vec<u8>>,
     /// Happens-before race recorder (see [`crate::race`]); attached by
     /// [`Tmk::enable_racecheck`], absent in ordinary runs.
     race: RefCell<Option<race::Recorder>>,
@@ -136,7 +132,6 @@ impl<'a> Tmk<'a> {
             done_count: Cell::new(0),
             gc_threshold: Cell::new(DEFAULT_GC_INTERVAL_THRESHOLD),
             last_gc_sum: Cell::new(0),
-            scratch: RefCell::new(Vec::new()),
             race: RefCell::new(None),
             race_on: Cell::new(false),
         }

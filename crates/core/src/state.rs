@@ -259,23 +259,13 @@ impl DsmState {
 
     /// Read `out.len()` bytes starting at `addr`.  All spanned pages must be
     /// valid (the caller resolves faults first).
-    pub fn read_bytes(&mut self, addr: usize, out: &mut [u8]) {
-        let len = out.len();
-        let pages = self.pages_spanning(addr, len);
-        debug_assert!(pages.clone().all(|p| self.pages[p as usize].valid));
-        let mut done = 0usize;
-        let mut cur = addr;
-        while done < len {
-            let page = self.page_of(cur);
-            let off = cur % PAGE_SIZE;
-            let take = (PAGE_SIZE - off).min(len - done);
-            let slot = &self.pages[page as usize];
-            match &slot.data {
-                Some(data) => out[done..done + take].copy_from_slice(&data[off..off + take]),
-                None => out[done..done + take].fill(0),
-            }
+    pub fn read_bytes(&self, addr: usize, out: &mut [u8]) {
+        let mut done = 0;
+        for page in self.pages_spanning(addr, out.len()) {
+            let off = (addr + done) % PAGE_SIZE;
+            let take = (PAGE_SIZE - off).min(out.len() - done);
+            out[done..][..take].copy_from_slice(&self.page(page)[off..][..take]);
             done += take;
-            cur += take;
         }
     }
 
@@ -283,21 +273,82 @@ impl DsmState {
     /// already trapped by the protocol's write path (twinned and dirtied
     /// under a twinning backend, held exclusively under SC).
     pub fn write_bytes(&mut self, addr: usize, src: &[u8]) {
-        let len = src.len();
-        let _ = self.pages_spanning(addr, len);
-        let mut done = 0usize;
-        let mut cur = addr;
-        while done < len {
-            let page = self.page_of(cur);
-            let off = cur % PAGE_SIZE;
-            let take = (PAGE_SIZE - off).min(len - done);
-            let slot = &mut self.pages[page as usize];
-            debug_assert!(slot.valid && (slot.dirty || !self.twinning));
-            let data = slot.data.get_or_insert_with(new_page);
-            data[off..off + take].copy_from_slice(&src[done..done + take]);
+        let mut done = 0;
+        for page in self.pages_spanning(addr, src.len()) {
+            let off = (addr + done) % PAGE_SIZE;
+            let take = (PAGE_SIZE - off).min(src.len() - done);
+            self.page_mut(page)[off..][..take].copy_from_slice(&src[done..][..take]);
             done += take;
-            cur += take;
         }
+    }
+
+    /// Decode `out.len()` consecutive `N`-byte elements starting at `addr`
+    /// straight from the pages into `out`: each page's whole elements in
+    /// place, an element straddling a page boundary through a stack
+    /// `[u8; N]`.  All spanned pages must be valid.
+    pub(crate) fn read_elems<T, const N: usize>(
+        &self,
+        mut addr: usize,
+        mut out: &mut [T],
+        decode: impl Fn([u8; N]) -> T,
+    ) {
+        while !out.is_empty() {
+            let off = addr % PAGE_SIZE;
+            let fit = ((PAGE_SIZE - off) / N).min(out.len());
+            let n = if fit == 0 {
+                let mut bytes = [0; N];
+                self.read_bytes(addr, &mut bytes);
+                out[0] = decode(bytes);
+                1
+            } else {
+                let page = &self.page(self.page_of(addr))[off..][..fit * N];
+                for (o, bytes) in out.iter_mut().zip(page.as_chunks().0) {
+                    *o = decode(*bytes);
+                }
+                fit
+            };
+            (addr, out) = (addr + n * N, &mut std::mem::take(&mut out)[n..]);
+        }
+    }
+
+    /// Encode `src`'s `N`-byte elements straight into the pages starting at
+    /// `addr` — the mirror of [`DsmState::read_elems`].  All spanned pages
+    /// must be trapped as for [`DsmState::write_bytes`].
+    pub(crate) fn write_elems<T, const N: usize>(
+        &mut self,
+        mut addr: usize,
+        mut src: &[T],
+        encode: impl Fn(&T) -> [u8; N],
+    ) {
+        while !src.is_empty() {
+            let off = addr % PAGE_SIZE;
+            let fit = ((PAGE_SIZE - off) / N).min(src.len());
+            let n = if fit == 0 {
+                self.write_bytes(addr, &encode(&src[0]));
+                1
+            } else {
+                let page = &mut self.page_mut(self.page_of(addr))[off..][..fit * N];
+                for (bytes, v) in page.as_chunks_mut::<N>().0.iter_mut().zip(src) {
+                    bytes.copy_from_slice(&encode(v));
+                }
+                fit
+            };
+            (addr, src) = (addr + n * N, &src[n..]);
+        }
+    }
+
+    /// A valid page's contents; a never-written page reads as zeros.
+    fn page(&self, page: PageId) -> &[u8] {
+        static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        debug_assert!(self.pages[page as usize].valid);
+        self.pages[page as usize].data.as_deref().unwrap_or(&ZEROS)
+    }
+
+    /// A trapped page's contents, allocated zero-filled on first write.
+    fn page_mut(&mut self, page: PageId) -> &mut [u8] {
+        let slot = &mut self.pages[page as usize];
+        debug_assert!(slot.valid && (slot.dirty || !self.twinning));
+        slot.data.get_or_insert_with(new_page)
     }
 
     /// Mark `page` as written in the current interval, creating its twin on
@@ -454,6 +505,43 @@ mod tests {
         let mut out = [0u8; 20];
         s.read_bytes(addr, &mut out);
         assert_eq!(&out[..], &src[..]);
+    }
+
+    #[test]
+    fn typed_elements_straddling_pages_round_trip_byte_exactly() {
+        // An f64 at `PAGE_SIZE - 4`, f32s at an odd address and i32s over
+        // three pages: the straddling element goes through a stack buffer,
+        // and the pages hold exactly the elements' little-endian bytes.
+        let mut s = state(0, 1);
+        for p in s.pages_spanning(0, 8 * PAGE_SIZE) {
+            s.mark_dirty(p);
+        }
+        let f64s = [0.1f64, -2.5e300, 7.0];
+        let f32s: Vec<f32> = (0..300).map(|i| i as f32 * 1.5 - 3.0).collect();
+        let i32s: Vec<i32> = (0..1100).map(|i| i * -7919 + 13).collect();
+        let at = [PAGE_SIZE - 4, 3 * PAGE_SIZE - 601, 5 * PAGE_SIZE - 2];
+        s.write_elems(at[0], &f64s, |v| v.to_le_bytes());
+        s.write_elems(at[1], &f32s, |v| v.to_le_bytes());
+        s.write_elems(at[2], &i32s, |v| v.to_le_bytes());
+        let mut a = [0f64; 3];
+        let mut b = vec![0f32; 300];
+        let mut c = vec![0i32; 1100];
+        s.read_elems(at[0], &mut a, f64::from_le_bytes);
+        s.read_elems(at[1], &mut b, f32::from_le_bytes);
+        s.read_elems(at[2], &mut c, i32::from_le_bytes);
+        assert_eq!((a, b), (f64s, f32s.clone()));
+        assert_eq!(c, i32s);
+        let mut raw = vec![0u8; 8 * 3];
+        s.read_bytes(at[0], &mut raw);
+        let expect: Vec<u8> = f64s.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(raw, expect);
+        let page = |p: usize| s.pages[p].data.as_deref().unwrap();
+        assert_eq!(page(0)[PAGE_SIZE - 4..], f64s[0].to_le_bytes()[..4]);
+        assert_eq!(page(1)[..4], f64s[0].to_le_bytes()[4..]);
+        // Reads of never-written pages decode zeros, whatever the offset.
+        let mut z = [1f32; 5];
+        s.read_elems(9 * PAGE_SIZE - 9, &mut z, f32::from_le_bytes);
+        assert_eq!(z, [0.0; 5]);
     }
 
     #[test]
