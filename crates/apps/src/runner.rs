@@ -14,13 +14,12 @@
 
 use cluster::{Cluster, ClusterConfig, ClusterObs, Proc, ProcStats, RunFailure};
 use msgpass::Pvm;
-use serde::Serialize;
 use std::sync::Arc;
 use treadmarks::race::{self, RaceReport, SyncClocks};
 use treadmarks::{ProtocolKind, Tmk, TmkStats};
 
 /// Which runtime system an application run used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum System {
     /// TreadMarks-style distributed shared memory, under the given
     /// coherence-protocol backend.
@@ -56,7 +55,7 @@ impl std::fmt::Display for System {
 
 /// Result of a sequential (uninstrumented) run: the baseline of the speedup
 /// curves and of Table 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeqRun {
     /// Application checksum, used to validate the parallel versions.
     pub checksum: f64,
@@ -65,7 +64,7 @@ pub struct SeqRun {
 }
 
 /// Result of one parallel run of one application under one system.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AppRun {
     /// Which system executed the run.
     pub system: System,
@@ -87,25 +86,20 @@ pub struct AppRun {
     pub fault_hash: u64,
     /// Counters of the faults the plan actually injected (all zero for the
     /// empty plan under schedule seed 0).
-    #[serde(skip)]
     pub faults: cluster::FaultStats,
     /// Aggregated DSM runtime statistics (TreadMarks runs only).
-    #[serde(skip)]
     pub tmk_stats: Option<TmkStats>,
     /// Per-process transport statistics of the run (the full
     /// [`cluster::ClusterReport`] view), for determinism checks and
     /// per-process analyses.
-    #[serde(skip)]
     pub proc_stats: Vec<ProcStats>,
     /// Observability output of the run (histograms, time-breakdown profile,
     /// and — at trace level — the structured event stream); `None` unless
     /// the cluster config's `obs` level asked for recording.
-    #[serde(skip)]
     pub obs: Option<ClusterObs>,
     /// Happens-before race report of the run; `None` unless the cluster
     /// config's `analysis` level asked for race detection (message-passing
     /// runs have no shared memory to check, so PVM runs never carry one).
-    #[serde(skip)]
     pub race: Option<RaceReport>,
 }
 

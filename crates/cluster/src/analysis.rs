@@ -8,8 +8,6 @@
 //! defines the switch that [`crate::ClusterConfig`] carries so every layer
 //! between the CLI and the runtime can plumb it without new parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// How much run-time analysis a run performs.
 ///
 /// Carried on [`crate::ClusterConfig`] next to [`crate::ObsLevel`] and, like
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// simulated virtual times, message counts and checksums are bit-identical
 /// to [`AnalysisLevel::Off`].  Analyses only *observe* the run and append
 /// their findings to the report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AnalysisLevel {
     /// No analysis (the default): zero overhead, nothing recorded.
     #[default]

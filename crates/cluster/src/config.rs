@@ -15,7 +15,6 @@
 use crate::analysis::AnalysisLevel;
 use crate::fault::FaultPlan;
 use crate::obs::ObsLevel;
-use serde::{Deserialize, Serialize};
 
 /// Virtual-memory page size of the simulated workstations (HP-735: 4 KB).
 pub const PAGE_SIZE: usize = 4096;
@@ -50,7 +49,7 @@ pub const PAGE_SIZE: usize = 4096;
 /// // ...and, being switched, does not serialise senders over one medium.
 /// assert!(fddi.shared_medium && !atm.shared_medium);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of simulated processes (workstations).
     pub nprocs: usize,
@@ -73,50 +72,45 @@ pub struct ClusterConfig {
     /// every preset).  Not part of the network cost model: recording only
     /// reads the virtual clock, so no level can change reported times or
     /// counters.
-    #[serde(default)]
     pub obs: ObsLevel,
     /// Run-time analysis level (defaults to [`AnalysisLevel::Off`] in every
     /// preset).  Like [`obs`](Self::obs) it is not part of the cost model:
     /// an analysis only observes the run, so no level can change reported
     /// times, counters or checksums.
-    #[serde(default)]
     pub analysis: AnalysisLevel,
     /// Deterministic fault-injection plan (defaults to the inert empty plan
     /// in every preset).  A non-empty plan *is* part of the cost model: its
     /// injected delays and retransmitted datagrams change reported times
     /// and counters — bit-reproducibly, as a pure function of
     /// `(plan, seed)`.  See [`crate::fault`].
-    #[serde(default)]
     pub fault: FaultPlan,
     /// Seed of the arbiter's tie-break stream.  `0` (the default in every
     /// preset) breaks virtual-time ties by rank, bit-identical to the
     /// pre-fault engine; any other value breaks ties by a seeded draw, so
     /// one scenario explores many legal schedules.
-    #[serde(default)]
     pub sched_seed: u64,
     /// Optional cap on the number of seeded tie-break decisions: after this
     /// many draws the arbiter falls back to rank order.  `None` means
     /// unlimited.  The shrinker bisects this to find the minimal seeded
     /// prefix a finding needs.
-    #[serde(default)]
     pub tie_limit: Option<u64>,
     /// Retired.  It once chose the width of an island scheduler; every
     /// value has always produced identical bytes, and since PR 22 every
     /// value runs the same code — nothing in the workspace reads it.  Kept
     /// only because `benchmark/layers` writes it in struct literals;
     /// deleted with its probes (ROADMAP item 0(i)).
-    #[serde(default)]
     pub islands: usize,
     /// Retired, like [`islands`](Self::islands): it once chose the thread
     /// count of a windowed engine, and nothing reads it.
-    #[serde(default)]
     pub island_threads: usize,
 }
 
 impl ClusterConfig {
     /// The calibrated model of the paper's testbed (see README.md §Design notes):
     /// 100 Mbit/s FDDI, ~400 µs small-message latency, 8 KB MTU,
-    /// ~10.5 MB/s effective bandwidth.
+    /// ~10.5 MB/s effective bandwidth.  The other presets state only where
+    /// they differ from it; every preset leaves the run settings (`obs`
+    /// through `island_threads`) at their inert defaults.
     pub fn calibrated_fddi(nprocs: usize) -> Self {
         ClusterConfig {
             nprocs,
@@ -146,21 +140,10 @@ impl ClusterConfig {
     /// ring — only nine times slower per byte.
     pub fn ethernet_10mbit(nprocs: usize) -> Self {
         ClusterConfig {
-            nprocs,
             latency: 500e-6,
-            fragment_overhead: 150e-6,
             bandwidth: 1.1e6,
             mtu: 1500,
-            send_overhead: 80e-6,
-            recv_overhead: 80e-6,
-            shared_medium: true,
-            obs: ObsLevel::Off,
-            analysis: AnalysisLevel::Off,
-            fault: FaultPlan::default(),
-            sched_seed: 0,
-            tie_limit: None,
-            islands: 1,
-            island_threads: 1,
+            ..Self::calibrated_fddi(nprocs)
         }
     }
 
@@ -174,21 +157,12 @@ impl ClusterConfig {
     /// serialise.
     pub fn atm_155mbit(nprocs: usize) -> Self {
         ClusterConfig {
-            nprocs,
             latency: 250e-6,
             fragment_overhead: 100e-6,
             bandwidth: 16.0e6,
             mtu: 9180,
-            send_overhead: 80e-6,
-            recv_overhead: 80e-6,
             shared_medium: false,
-            obs: ObsLevel::Off,
-            analysis: AnalysisLevel::Off,
-            fault: FaultPlan::default(),
-            sched_seed: 0,
-            tie_limit: None,
-            islands: 1,
-            island_threads: 1,
+            ..Self::calibrated_fddi(nprocs)
         }
     }
 
@@ -196,7 +170,6 @@ impl ClusterConfig {
     /// that only care about answers, not about performance modelling.
     pub fn ideal(nprocs: usize) -> Self {
         ClusterConfig {
-            nprocs,
             latency: 1e-9,
             fragment_overhead: 0.0,
             bandwidth: 1e12,
@@ -204,13 +177,7 @@ impl ClusterConfig {
             send_overhead: 0.0,
             recv_overhead: 0.0,
             shared_medium: false,
-            obs: ObsLevel::Off,
-            analysis: AnalysisLevel::Off,
-            fault: FaultPlan::default(),
-            sched_seed: 0,
-            tie_limit: None,
-            islands: 1,
-            island_threads: 1,
+            ..Self::calibrated_fddi(nprocs)
         }
     }
 
@@ -240,10 +207,11 @@ impl ClusterConfig {
 /// Each preset is a calibrated [`ClusterConfig`] constructor; the names are
 /// what `reproduce --net <name>` and the `net = "<name>"` key of a scenario
 /// file accept (see [`crate::scenario`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum NetPreset {
     /// The paper's testbed: 100 Mbit/s FDDI ring
-    /// ([`ClusterConfig::calibrated_fddi`]).
+    /// ([`ClusterConfig::calibrated_fddi`]); the default.
+    #[default]
     Fddi,
     /// 10 Mbit/s shared-bus Ethernet
     /// ([`ClusterConfig::ethernet_10mbit`]).
@@ -315,7 +283,7 @@ impl std::str::FromStr for NetPreset {
 /// replaces the preset's value, every `None` keeps it.  This is the
 /// `[overrides]` table of a scenario file and the lever the sensitivity
 /// sweeps turn (`sweep --vary bandwidth|latency` scales exactly one field).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Overrides {
     /// Replace [`ClusterConfig::latency`].
     pub latency: Option<f64>,
@@ -334,28 +302,10 @@ pub struct Overrides {
 }
 
 impl Overrides {
-    /// True if no field is overridden.
-    ///
-    /// (This and the other `Overrides` walkers destructure the struct
-    /// exhaustively, so adding a field is a compile error here rather than
-    /// a silently-ignored override.)
+    /// True if no field is overridden: no `[overrides]` row of the scenario
+    /// schema has a value to write.
     pub fn is_empty(&self) -> bool {
-        let Overrides {
-            latency,
-            fragment_overhead,
-            bandwidth,
-            mtu,
-            send_overhead,
-            recv_overhead,
-            shared_medium,
-        } = self;
-        latency.is_none()
-            && fragment_overhead.is_none()
-            && bandwidth.is_none()
-            && mtu.is_none()
-            && send_overhead.is_none()
-            && recv_overhead.is_none()
-            && shared_medium.is_none()
+        crate::scenario::override_fields(self).next().is_none()
     }
 
     /// Apply every `Some` field to `cfg`.
@@ -423,7 +373,7 @@ impl Eq for Overrides {}
 /// The comparable identity of an interconnect model: a preset plus the
 /// overrides applied to it.  [`NetModel`]s key run matrices and sweep
 /// points, so equality is exact (floats by bit pattern, via [`Overrides`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetModel {
     /// The base preset.
     pub preset: NetPreset,
@@ -448,41 +398,13 @@ impl NetModel {
     }
 
     /// Compact human-readable label: the preset name, plus any overridden
-    /// fields as `key=value` pairs (`fddi`, `atm{bandwidth=8e6}`).  Values
-    /// print in Rust's shortest-round-trip float form, so equal models
-    /// always label identically.
+    /// fields as `key=value` pairs (`fddi`, `atm{bandwidth=8000000}`), each
+    /// value as a scenario file writes it.  Floats print in Rust's
+    /// shortest-round-trip form, so equal models always label identically.
     pub fn label(&self) -> String {
-        let Overrides {
-            latency,
-            fragment_overhead,
-            bandwidth,
-            mtu,
-            send_overhead,
-            recv_overhead,
-            shared_medium,
-        } = self.overrides;
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(v) = latency {
-            parts.push(format!("latency={v}"));
-        }
-        if let Some(v) = fragment_overhead {
-            parts.push(format!("fragment_overhead={v}"));
-        }
-        if let Some(v) = bandwidth {
-            parts.push(format!("bandwidth={v}"));
-        }
-        if let Some(v) = mtu {
-            parts.push(format!("mtu={v}"));
-        }
-        if let Some(v) = send_overhead {
-            parts.push(format!("send_overhead={v}"));
-        }
-        if let Some(v) = recv_overhead {
-            parts.push(format!("recv_overhead={v}"));
-        }
-        if let Some(v) = shared_medium {
-            parts.push(format!("shared_medium={v}"));
-        }
+        let parts: Vec<String> = crate::scenario::override_fields(&self.overrides)
+            .map(|(key, value)| format!("{key}={value}"))
+            .collect();
         if parts.is_empty() {
             self.preset.name().to_string()
         } else {

@@ -36,8 +36,6 @@
 //! scheduling.  This module is the **only** place in the workspace allowed
 //! to construct the PRNG (enforced by `xtask lint`).
 
-use serde::{Deserialize, Serialize};
-
 /// The workspace's one and only pseudo-random number generator: the
 /// SplitMix64 sequence of Steele, Lea & Flood, chosen because it is tiny,
 /// splittable (independent streams from `split`), and has a closed-form
@@ -98,7 +96,7 @@ impl SplitMix64 {
 /// The canonical text form is `"0,1|2,3@0.005..0.02"`: the two groups,
 /// separated by `|`, then `@from..until` in seconds (shortest round-trip
 /// float form, so formatting then parsing is the identity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Partition {
     /// Ranks on one side of the cut.
     pub a: Vec<usize>,
@@ -161,9 +159,10 @@ impl std::str::FromStr for Partition {
             from: from.trim().parse().map_err(|_| err())?,
             until: until.trim().parse().map_err(|_| err())?,
         };
-        // `Less` required, not `>=` refused: a NaN endpoint must also fail.
-        let ordered = parsed.from.partial_cmp(&parsed.until) == Some(std::cmp::Ordering::Less);
-        if parsed.a.is_empty() || parsed.b.is_empty() || !ordered {
+        // Both ends finite: a partition healing at `inf` would carry the
+        // run's virtual time (and its JSON) to `inf`.
+        let window = parsed.from.is_finite() && parsed.until.is_finite();
+        if parsed.a.is_empty() || parsed.b.is_empty() || !window || parsed.from >= parsed.until {
             return Err(err());
         }
         Ok(parsed)
@@ -171,7 +170,7 @@ impl std::str::FromStr for Partition {
 }
 
 /// When a [`Crash`] fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CrashPoint {
     /// At the first interaction at or after this virtual time, seconds.
     Time(f64),
@@ -185,7 +184,7 @@ pub enum CrashPoint {
 ///
 /// The canonical text form is `"2@0.0015"` (rank 2 at t = 1.5 ms) or
 /// `"2#120"` (rank 2 at its 120th transport event).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Crash {
     /// Rank of the process to crash.
     pub rank: usize,
@@ -208,9 +207,11 @@ impl std::str::FromStr for Crash {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || format!("bad crash spec '{s}'; expected 'rank@time' or 'rank#event'");
         if let Some((rank, t)) = s.split_once('@') {
+            // A NaN or infinite crash time would never fire.
+            let t: f64 = t.trim().parse().map_err(|_| err())?;
             Ok(Crash {
                 rank: rank.trim().parse().map_err(|_| err())?,
-                at: CrashPoint::Time(t.trim().parse().map_err(|_| err())?),
+                at: CrashPoint::Time(t.is_finite().then_some(t).ok_or_else(err)?),
             })
         } else if let Some((rank, n)) = s.split_once('#') {
             Ok(Crash {
@@ -231,7 +232,7 @@ impl std::str::FromStr for Crash {
 /// logical message, evaluated on an independent seeded stream per directed
 /// link, so the outcome of one link's draws never depends on another link's
 /// traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Master seed for the per-link fault streams.
     pub seed: u64,
@@ -488,7 +489,7 @@ impl FaultKind {
 
 /// Counters of the faults a run actually injected, reported on the cluster
 /// report (all zero when the plan is empty).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages whose datagrams were dropped and retransmitted.
     pub drops: u64,

@@ -24,7 +24,6 @@
 //! virtual clock, so enabling tracing cannot change any reported time or
 //! counter (a property the test suite asserts).
 
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -38,7 +37,7 @@ pub fn ns(seconds: f64) -> u64 {
 }
 
 /// How much the engine records about a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ObsLevel {
     /// No recording; emission sites reduce to one branch ([`NullSink`]).
     #[default]

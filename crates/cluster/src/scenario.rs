@@ -8,27 +8,19 @@
 //! `examples/scenarios/` in the repository root holds commented examples
 //! and docs/EXPERIMENTS.md documents every key.
 //!
-//! The canonical shape:
+//! The schema is one table, `KEYS`: a row per key names the table it lives
+//! in (the top level, `[overrides]` or `[fault]`) and carries the function
+//! that reads and checks its value and the one that writes it back.  The
+//! reader, the canonical writer [`Scenario::to_toml`], the unknown-key
+//! messages, [`Overrides::is_empty`] and [`NetModel::label`] all walk it,
+//! and a test holds docs/EXPERIMENTS.md's three key tables to it row by row.
 //!
-//! ```toml
-//! name = "atm-16"
-//! net = "atm"              # fddi | ethernet | atm | ideal
-//! procs = 16
-//! preset = "scaled"        # tiny | scaled | paper (harness-interpreted)
-//! workloads = ["EP", "Water-288"]
-//! systems = ["lrc", "hlrc", "pvm"]
-//!
-//! [overrides]              # every key optional; replaces the preset value
-//! bandwidth = 8.0e6        # bytes/second
-//! latency = 250.0e-6       # seconds
-//! shared_medium = false
-//! ```
-//!
-//! The build environment has no crates.io access and the `serde` shim is
-//! declare-only, so this module carries its own small reader (a
-//! line-oriented TOML subset: comments, one `[section]` level, scalar and
-//! single-line-array values).  [`Scenario::to_toml`] re-serialises canonically; parse → serialise →
-//! parse is the identity, which the round-trip tests assert.
+//! The reader is line-oriented and takes only what the rows need: `#`
+//! comments, `[overrides]` and `[fault]` headers, and `key = value` lines
+//! whose value is a quoted string (escapes `\\ \" \n \t \r`), `true` or
+//! `false`, a number (underscores allowed; a bare integer is read exactly,
+//! so 64-bit seeds survive), or a single-line array of strings.  Parse →
+//! serialise → parse is the identity, which the round-trip tests assert.
 //!
 //! # Example
 //!
@@ -43,16 +35,18 @@
 //!     bandwidth = 5.25e6
 //! "#).unwrap();
 //! assert_eq!(s.procs, Some(16));
-//! let cfg = s.cluster_config(8); // 8 is the fallback when procs is absent
+//! let cfg = s.net_model().config(s.procs.unwrap_or(8));
 //! assert_eq!(cfg.nprocs, 16);
 //! assert_eq!(cfg.bandwidth, 5.25e6);
 //! // Canonical re-serialisation round-trips.
 //! assert_eq!(Scenario::parse_toml(&s.to_toml()).unwrap(), s);
 //! ```
 
-use crate::config::{ClusterConfig, NetModel, NetPreset, Overrides};
-use crate::fault::{Crash, FaultPlan, Partition};
+use crate::config::{NetModel, NetPreset, Overrides};
+use crate::fault::FaultPlan;
+use std::fmt::Display;
 use std::path::Path;
+use std::str::FromStr;
 
 /// A parsed scenario file.
 ///
@@ -61,7 +55,7 @@ use std::path::Path;
 /// ([`preset`](Self::preset), [`workloads`](Self::workloads),
 /// [`systems`](Self::systems)) is carried as opaque strings for the
 /// reproduction harness to resolve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
     /// Display name of the scenario (defaults to empty).
     pub name: String,
@@ -74,7 +68,7 @@ pub struct Scenario {
     pub preset: Option<String>,
     /// Workload subset by harness name; empty means "all".
     pub workloads: Vec<String>,
-    /// System subset (`lrc` / `hlrc` / `pvm`); empty means "all".
+    /// System subset (`lrc` / `hlrc` / `sc` / `pvm`); empty means "all".
     pub systems: Vec<String>,
     /// Field overrides applied on top of [`net`](Self::net).
     pub overrides: Overrides,
@@ -84,23 +78,6 @@ pub struct Scenario {
     pub tie_limit: Option<u64>,
     /// Fault-injection plan (`[fault]` section); `None` = no faults.
     pub fault: Option<FaultPlan>,
-}
-
-impl Default for Scenario {
-    fn default() -> Self {
-        Scenario {
-            name: String::new(),
-            net: NetPreset::Fddi,
-            procs: None,
-            preset: None,
-            workloads: Vec::new(),
-            systems: Vec::new(),
-            overrides: Overrides::default(),
-            sched_seed: None,
-            tie_limit: None,
-            fault: None,
-        }
-    }
 }
 
 /// Why a scenario file failed to parse.
@@ -115,268 +92,286 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
-fn err<T>(msg: impl Into<String>) -> Result<T, ScenarioError> {
-    Err(ScenarioError(msg.into()))
+/// The tables of a scenario file in file order: the top level (no header),
+/// then `[overrides]` and `[fault]`.
+const TABLES: [&str; 3] = ["", "overrides", "fault"];
+
+/// One key of the scenario schema.
+struct Key {
+    /// The entry of [`TABLES`] the key lives in.
+    table: &'static str,
+    /// The key as written in the file.
+    name: &'static str,
+    /// Read and check a right-hand side into the scenario.
+    read: fn(&mut Scenario, &Rhs<'_>) -> Result<(), String>,
+    /// The canonical right-hand side, or `None` to leave the key out.
+    write: fn(&Scenario) -> Option<String>,
 }
 
-/// A parsed right-hand-side value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    /// A non-negative integer kept exact: 64-bit seeds do not survive a
-    /// round trip through f64, so the readers preserve bare integers.
-    Int(u64),
-    Bool(bool),
-    List(Vec<Value>),
+/// The scenario schema, in file order.  Time costs may be zero (the ideal
+/// preset's are) but never negative; a zero bandwidth or retransmission
+/// timeout would surface as a baffling virtual-time deadlock, so both must
+/// be strictly positive.  Partitions and crashes arrive as the spec strings
+/// their `FromStr` impls check.
+static KEYS: [Key; 24] = [
+    Key {
+        table: "",
+        name: "name",
+        read: |s, v| v.string().map(|x| s.name = x),
+        write: |s| (!s.name.is_empty()).then(|| quote(&s.name)),
+    },
+    Key {
+        table: "",
+        name: "net",
+        read: |s, v| v.string()?.parse().map(|x| s.net = x),
+        write: |s| Some(quote(s.net.name())),
+    },
+    Key {
+        table: "",
+        name: "procs",
+        read: |s, v| v.count().map(|x| s.procs = Some(x)),
+        write: |s| s.procs.map(|x| x.to_string()),
+    },
+    Key {
+        table: "",
+        name: "preset",
+        read: |s, v| v.string().map(|x| s.preset = Some(x)),
+        write: |s| s.preset.as_deref().map(quote),
+    },
+    Key {
+        table: "",
+        name: "workloads",
+        read: |s, v| v.strings().map(|x| s.workloads = x),
+        write: |s| list(&s.workloads),
+    },
+    Key {
+        table: "",
+        name: "systems",
+        read: |s, v| v.strings().map(|x| s.systems = x),
+        write: |s| list(&s.systems),
+    },
+    Key {
+        table: "",
+        name: "sched_seed",
+        read: |s, v| v.uint().map(|x| s.sched_seed = Some(x)),
+        write: |s| s.sched_seed.map(|x| x.to_string()),
+    },
+    Key {
+        table: "",
+        name: "tie_limit",
+        read: |s, v| v.uint().map(|x| s.tie_limit = Some(x)),
+        write: |s| s.tie_limit.map(|x| x.to_string()),
+    },
+    Key {
+        table: "overrides",
+        name: "latency",
+        read: |s, v| v.nonneg().map(|x| s.overrides.latency = Some(x)),
+        write: |s| s.overrides.latency.map(|x| x.to_string()),
+    },
+    Key {
+        table: "overrides",
+        name: "fragment_overhead",
+        read: |s, v| v.nonneg().map(|x| s.overrides.fragment_overhead = Some(x)),
+        write: |s| s.overrides.fragment_overhead.map(|x| x.to_string()),
+    },
+    Key {
+        table: "overrides",
+        name: "bandwidth",
+        read: |s, v| v.positive().map(|x| s.overrides.bandwidth = Some(x)),
+        write: |s| s.overrides.bandwidth.map(|x| x.to_string()),
+    },
+    Key {
+        table: "overrides",
+        name: "mtu",
+        read: |s, v| v.count().map(|x| s.overrides.mtu = Some(x)),
+        write: |s| s.overrides.mtu.map(|x| x.to_string()),
+    },
+    Key {
+        table: "overrides",
+        name: "send_overhead",
+        read: |s, v| v.nonneg().map(|x| s.overrides.send_overhead = Some(x)),
+        write: |s| s.overrides.send_overhead.map(|x| x.to_string()),
+    },
+    Key {
+        table: "overrides",
+        name: "recv_overhead",
+        read: |s, v| v.nonneg().map(|x| s.overrides.recv_overhead = Some(x)),
+        write: |s| s.overrides.recv_overhead.map(|x| x.to_string()),
+    },
+    Key {
+        table: "overrides",
+        name: "shared_medium",
+        read: |s, v| v.boolean().map(|x| s.overrides.shared_medium = Some(x)),
+        write: |s| s.overrides.shared_medium.map(|x| x.to_string()),
+    },
+    Key {
+        table: "fault",
+        name: "seed",
+        read: |s, v| v.uint().map(|x| plan(s).seed = x),
+        write: |s| changed(s, |p| p.seed),
+    },
+    Key {
+        table: "fault",
+        name: "drop",
+        read: |s, v| v.probability().map(|x| plan(s).drop = x),
+        write: |s| changed(s, |p| p.drop),
+    },
+    Key {
+        table: "fault",
+        name: "duplicate",
+        read: |s, v| v.probability().map(|x| plan(s).duplicate = x),
+        write: |s| changed(s, |p| p.duplicate),
+    },
+    Key {
+        table: "fault",
+        name: "reorder",
+        read: |s, v| v.probability().map(|x| plan(s).reorder = x),
+        write: |s| changed(s, |p| p.reorder),
+    },
+    Key {
+        table: "fault",
+        name: "delay",
+        read: |s, v| v.probability().map(|x| plan(s).delay = x),
+        write: |s| changed(s, |p| p.delay),
+    },
+    Key {
+        table: "fault",
+        name: "delay_factor",
+        read: |s, v| v.nonneg().map(|x| plan(s).delay_factor = x),
+        write: |s| changed(s, |p| p.delay_factor),
+    },
+    Key {
+        table: "fault",
+        name: "retransmit",
+        read: |s, v| v.positive().map(|x| plan(s).retransmit = x),
+        write: |s| changed(s, |p| p.retransmit),
+    },
+    Key {
+        table: "fault",
+        name: "partitions",
+        read: |s, v| v.specs().map(|x| plan(s).partitions = x),
+        write: |s| list(&s.fault.as_ref()?.partitions),
+    },
+    Key {
+        table: "fault",
+        name: "crashes",
+        read: |s, v| v.specs().map(|x| plan(s).crashes = x),
+        write: |s| list(&s.fault.as_ref()?.crashes),
+    },
+];
+
+/// The scenario's fault plan, created empty on first use.
+fn plan(s: &mut Scenario) -> &mut FaultPlan {
+    s.fault.get_or_insert_with(FaultPlan::default)
 }
 
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Str(_) => "string",
-            Value::Num(_) | Value::Int(_) => "number",
-            Value::Bool(_) => "boolean",
-            Value::List(_) => "array",
-        }
-    }
+/// A `[fault]` field's value, if the scenario has a plan and the field
+/// differs from its default there (the default re-applies on parse).
+fn changed<T: PartialEq + Display>(s: &Scenario, field: fn(&FaultPlan) -> T) -> Option<String> {
+    let value = field(s.fault.as_ref()?);
+    (value != field(&FaultPlan::default())).then(|| value.to_string())
+}
 
-    fn as_str(&self, key: &str) -> Result<&str, ScenarioError> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => err(format!(
-                "'{key}' must be a string, got {}",
-                other.type_name()
-            )),
-        }
-    }
+/// A non-empty list as a single-line array of quoted strings.
+fn list<T: Display>(items: &[T]) -> Option<String> {
+    let quoted: Vec<String> = items.iter().map(|x| quote(&x.to_string())).collect();
+    (!quoted.is_empty()).then(|| format!("[{}]", quoted.join(", ")))
+}
 
-    fn as_f64(&self, key: &str) -> Result<f64, ScenarioError> {
-        match self {
-            Value::Num(n) => Ok(*n),
-            Value::Int(n) => Ok(*n as f64),
-            other => err(format!(
-                "'{key}' must be a number, got {}",
-                other.type_name()
-            )),
-        }
-    }
+/// The unknown-key message for `key` in `table`, listing what the schema
+/// knows there.
+fn unknown_key(table: &str, key: &str) -> String {
+    let known: Vec<&str> = KEYS
+        .iter()
+        .filter(|k| k.table == table)
+        .map(|k| k.name)
+        .collect();
+    let place = match table {
+        "" => String::new(),
+        _ => format!(" in [{table}]"),
+    };
+    format!(
+        "unknown key '{key}'{place}; known keys: {}, [overrides], [fault]",
+        known.join(", ")
+    )
+}
 
-    fn as_u64(&self, key: &str) -> Result<u64, ScenarioError> {
-        match self {
-            Value::Int(n) => Ok(*n),
-            Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                Ok(*n as u64)
-            }
-            other => err(format!(
-                "'{key}' must be a non-negative integer, got {other:?}"
-            )),
-        }
-    }
-
-    fn as_nonneg_f64(&self, key: &str) -> Result<f64, ScenarioError> {
-        let n = self.as_f64(key)?;
-        if n >= 0.0 {
-            Ok(n)
-        } else {
-            err(format!("'{key}' must not be negative, got {n}"))
-        }
-    }
-
-    fn as_positive_f64(&self, key: &str) -> Result<f64, ScenarioError> {
-        let n = self.as_f64(key)?;
-        if n > 0.0 {
-            Ok(n)
-        } else {
-            err(format!("'{key}' must be positive, got {n}"))
-        }
-    }
-
-    fn as_usize(&self, key: &str) -> Result<usize, ScenarioError> {
-        let n = self.as_f64(key)?;
-        if n.fract() == 0.0 && n >= 1.0 && n <= u32::MAX as f64 {
-            Ok(n as usize)
-        } else {
-            err(format!("'{key}' must be a positive integer, got {n}"))
-        }
-    }
-
-    /// Parse a list of `T: FromStr` strings (partition and crash specs).
-    fn as_spec_list<T: std::str::FromStr<Err = String>>(
-        &self,
-        key: &str,
-    ) -> Result<Vec<T>, ScenarioError> {
-        self.as_string_list(key)?
-            .iter()
-            .map(|s| s.parse().map_err(ScenarioError))
-            .collect()
-    }
-
-    fn as_bool(&self, key: &str) -> Result<bool, ScenarioError> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => err(format!(
-                "'{key}' must be a boolean, got {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn as_string_list(&self, key: &str) -> Result<Vec<String>, ScenarioError> {
-        match self {
-            Value::List(items) => items
-                .iter()
-                .map(|v| v.as_str(key).map(String::from))
-                .collect(),
-            other => err(format!(
-                "'{key}' must be an array of strings, got {}",
-                other.type_name()
-            )),
-        }
-    }
+/// The `[overrides]` fields `overrides` sets, as `(key, canonical value)`
+/// pairs in schema order.  The rows write from a whole scenario, so
+/// `overrides` rides in an otherwise default one.
+pub(crate) fn override_fields(
+    overrides: &Overrides,
+) -> impl Iterator<Item = (&'static str, String)> {
+    let s = Scenario {
+        overrides: *overrides,
+        ..Scenario::default()
+    };
+    KEYS.iter()
+        .filter(|k| k.table == "overrides")
+        .filter_map(move |k| Some((k.name, (k.write)(&s)?)))
 }
 
 impl Scenario {
     /// Load a scenario from a TOML file.  A `.json` path is rejected by
     /// name rather than misread as TOML.
     pub fn from_path(path: &Path) -> Result<Self, ScenarioError> {
+        let at = |msg: &str| ScenarioError(format!("{}: {msg}", path.display()));
         if path
             .extension()
             .is_some_and(|e| e.eq_ignore_ascii_case("json"))
         {
-            return err(format!(
-                "{}: scenario files are TOML (see docs/EXPERIMENTS.md and \
-                 examples/scenarios/*.toml); there is no JSON carrier",
-                path.display()
-            ));
+            return Err(at("scenario files are TOML (see docs/EXPERIMENTS.md and \
+                           examples/scenarios/*.toml); there is no JSON carrier"));
         }
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return err(format!("cannot read {}: {e}", path.display())),
-        };
-        Self::parse_toml(&text).map_err(|e| ScenarioError(format!("{}: {}", path.display(), e.0)))
+        let text = std::fs::read_to_string(path).map_err(|e| at(&format!("cannot read: {e}")))?;
+        Self::parse_toml(&text).map_err(|e| at(&e.0))
     }
 
     /// Parse the TOML carrier (see the module docs for the accepted subset).
     pub fn parse_toml(text: &str) -> Result<Self, ScenarioError> {
         let mut scenario = Scenario::default();
-        let mut section: Option<String> = None;
+        let mut table = "";
         for (lineno, raw) in text.lines().enumerate() {
             let line = strip_comment(raw).trim();
+            let at = |msg: String| ScenarioError(format!("line {}: {msg}", lineno + 1));
             if line.is_empty() {
                 continue;
             }
-            let at = |msg: String| ScenarioError(format!("line {}: {msg}", lineno + 1));
-            if let Some(rest) = line.strip_prefix('[') {
-                let Some(name) = rest.strip_suffix(']') else {
-                    return Err(at(format!("malformed section header '{line}'")));
-                };
-                let name = name.trim();
-                if name != "overrides" && name != "fault" {
-                    return Err(at(format!(
-                        "unknown section '[{name}]'; only [overrides] and [fault] exist"
-                    )));
-                }
-                if name == "fault" {
+            if let Some(header) = line.strip_prefix('[') {
+                let name = header
+                    .strip_suffix(']')
+                    .ok_or_else(|| at(format!("malformed section header '{line}'")))?
+                    .trim();
+                table = TABLES[1..]
+                    .iter()
+                    .copied()
+                    .find(|&t| t == name)
+                    .ok_or_else(|| {
+                        at(format!(
+                            "unknown section '[{name}]'; only [overrides] and [fault] exist"
+                        ))
+                    })?;
+                if table == "fault" {
                     // A bare [fault] header is a valid (empty) plan.
-                    scenario.fault.get_or_insert_with(FaultPlan::default);
+                    plan(&mut scenario);
                 }
-                section = Some(name.to_string());
                 continue;
             }
-            let Some((key, rhs)) = line.split_once('=') else {
-                return Err(at(format!("expected 'key = value', got '{line}'")));
-            };
+            let (key, rhs) = line
+                .split_once('=')
+                .ok_or_else(|| at(format!("expected 'key = value', got '{line}'")))?;
             let key = key.trim();
-            let value = parse_toml_value(rhs.trim()).map_err(|e| at(e.0))?;
-            scenario
-                .set(section.as_deref(), key, &value)
-                .map_err(|e| at(e.0))?;
+            let row = KEYS
+                .iter()
+                .find(|k| k.table == table && k.name == key)
+                .ok_or_else(|| at(unknown_key(table, key)))?;
+            let rhs = Rhs {
+                key,
+                text: rhs.trim(),
+            };
+            (row.read)(&mut scenario, &rhs).map_err(at)?;
         }
         Ok(scenario)
-    }
-
-    /// Assign one parsed key; `section` is `None` at top level.
-    fn set(
-        &mut self,
-        section: Option<&str>,
-        key: &str,
-        value: &Value,
-    ) -> Result<(), ScenarioError> {
-        match section {
-            None => match key {
-                "name" => self.name = value.as_str(key)?.to_string(),
-                "net" => {
-                    self.net = value.as_str(key)?.parse().map_err(ScenarioError)?;
-                }
-                "procs" | "nprocs" => self.procs = Some(value.as_usize(key)?),
-                "preset" => self.preset = Some(value.as_str(key)?.to_string()),
-                "workloads" => self.workloads = value.as_string_list(key)?,
-                "systems" => self.systems = value.as_string_list(key)?,
-                "sched_seed" => self.sched_seed = Some(value.as_u64(key)?),
-                "tie_limit" => self.tie_limit = Some(value.as_u64(key)?),
-                other => {
-                    return err(format!(
-                        "unknown key '{other}'; known keys: name, net, procs, preset, \
-                         workloads, systems, sched_seed, tie_limit, [overrides], [fault]"
-                    ))
-                }
-            },
-            // Time costs may be zero (the ideal preset's are), but never
-            // negative; a zero bandwidth would make occupancy infinite and
-            // surface as a baffling virtual-time deadlock, so it must be
-            // strictly positive.
-            Some("overrides") => match key {
-                "latency" => self.overrides.latency = Some(value.as_nonneg_f64(key)?),
-                "fragment_overhead" => {
-                    self.overrides.fragment_overhead = Some(value.as_nonneg_f64(key)?)
-                }
-                "bandwidth" => self.overrides.bandwidth = Some(value.as_positive_f64(key)?),
-                "mtu" => self.overrides.mtu = Some(value.as_usize(key)?),
-                "send_overhead" => self.overrides.send_overhead = Some(value.as_nonneg_f64(key)?),
-                "recv_overhead" => self.overrides.recv_overhead = Some(value.as_nonneg_f64(key)?),
-                "shared_medium" => self.overrides.shared_medium = Some(value.as_bool(key)?),
-                other => {
-                    return err(format!(
-                        "unknown override '{other}'; known overrides: latency, \
-                         fragment_overhead, bandwidth, mtu, send_overhead, recv_overhead, \
-                         shared_medium"
-                    ))
-                }
-            },
-            // Probabilities must be valid; partitions and crashes arrive as
-            // the canonical spec strings their `FromStr` impls validate.
-            Some("fault") => {
-                let plan = self.fault.get_or_insert_with(FaultPlan::default);
-                let as_prob = |v: &Value| -> Result<f64, ScenarioError> {
-                    let p = v.as_nonneg_f64(key)?;
-                    if p <= 1.0 {
-                        Ok(p)
-                    } else {
-                        err(format!("'{key}' is a probability; got {p} > 1"))
-                    }
-                };
-                match key {
-                    "seed" => plan.seed = value.as_u64(key)?,
-                    "drop" => plan.drop = as_prob(value)?,
-                    "duplicate" => plan.duplicate = as_prob(value)?,
-                    "reorder" => plan.reorder = as_prob(value)?,
-                    "delay" => plan.delay = as_prob(value)?,
-                    "delay_factor" => plan.delay_factor = value.as_nonneg_f64(key)?,
-                    "retransmit" => plan.retransmit = value.as_positive_f64(key)?,
-                    "partitions" => plan.partitions = value.as_spec_list::<Partition>(key)?,
-                    "crashes" => plan.crashes = value.as_spec_list::<Crash>(key)?,
-                    other => {
-                        return err(format!(
-                            "unknown fault key '{other}'; known keys: seed, drop, duplicate, \
-                             reorder, delay, delay_factor, retransmit, partitions, crashes"
-                        ))
-                    }
-                }
-            }
-            Some(s) => return err(format!("unknown section '{s}'")),
-        }
-        Ok(())
     }
 
     /// The interconnect identity this scenario describes.
@@ -387,156 +382,180 @@ impl Scenario {
         }
     }
 
-    /// Materialise the cluster configuration, using `default_procs` when the
-    /// file does not pin a processor count.  Carries the fault plan and
-    /// schedule seed onto the config, so a reproducer scenario replays its
-    /// finding exactly.
-    pub fn cluster_config(&self, default_procs: usize) -> ClusterConfig {
-        let mut cfg = self.net_model().config(self.procs.unwrap_or(default_procs));
-        if let Some(seed) = self.sched_seed {
-            cfg.sched_seed = seed;
-        }
-        if let Some(limit) = self.tie_limit {
-            cfg.tie_limit = Some(limit);
-        }
-        if let Some(plan) = &self.fault {
-            cfg.fault = plan.clone();
-        }
-        cfg
-    }
-
-    /// Serialise canonically as TOML.  Floats print in Rust's
-    /// shortest-round-trip form, so `parse_toml(to_toml(s)) == s` exactly.
+    /// Serialise canonically as TOML: every table's set keys in schema
+    /// order, a `[fault]` key only where it differs from the default.
+    /// Floats print in Rust's shortest-round-trip form, so
+    /// `parse_toml(to_toml(s)) == s` exactly.
     pub fn to_toml(&self) -> String {
         let mut out = String::new();
-        if !self.name.is_empty() {
-            out.push_str(&format!("name = {}\n", toml_escape(&self.name)));
-        }
-        out.push_str(&format!("net = \"{}\"\n", self.net.name()));
-        if let Some(p) = self.procs {
-            out.push_str(&format!("procs = {p}\n"));
-        }
-        if let Some(p) = &self.preset {
-            out.push_str(&format!("preset = {}\n", toml_escape(p)));
-        }
-        let list = |items: &[String]| {
-            let quoted: Vec<String> = items.iter().map(|s| toml_escape(s)).collect();
-            format!("[{}]", quoted.join(", "))
-        };
-        if !self.workloads.is_empty() {
-            out.push_str(&format!("workloads = {}\n", list(&self.workloads)));
-        }
-        if !self.systems.is_empty() {
-            out.push_str(&format!("systems = {}\n", list(&self.systems)));
-        }
-        if let Some(seed) = self.sched_seed {
-            out.push_str(&format!("sched_seed = {seed}\n"));
-        }
-        if let Some(limit) = self.tie_limit {
-            out.push_str(&format!("tie_limit = {limit}\n"));
-        }
-        if !self.overrides.is_empty() {
-            out.push_str("\n[overrides]\n");
-            // Exhaustive destructuring: a new override field fails to
-            // compile here instead of silently vanishing from the
-            // canonical serialisation.
-            let Overrides {
-                latency,
-                fragment_overhead,
-                bandwidth,
-                mtu,
-                send_overhead,
-                recv_overhead,
-                shared_medium,
-            } = self.overrides;
-            if let Some(v) = latency {
-                out.push_str(&format!("latency = {v}\n"));
+        for table in TABLES {
+            let lines: String = KEYS
+                .iter()
+                .filter(|k| k.table == table)
+                .filter_map(|k| Some(format!("{} = {}\n", k.name, (k.write)(self)?)))
+                .collect();
+            // A bare [fault] header is an empty plan, not no plan.
+            if table == "overrides" && !lines.is_empty() || table == "fault" && self.fault.is_some()
+            {
+                out.push_str(&format!("\n[{table}]\n"));
             }
-            if let Some(v) = fragment_overhead {
-                out.push_str(&format!("fragment_overhead = {v}\n"));
-            }
-            if let Some(v) = bandwidth {
-                out.push_str(&format!("bandwidth = {v}\n"));
-            }
-            if let Some(v) = mtu {
-                out.push_str(&format!("mtu = {v}\n"));
-            }
-            if let Some(v) = send_overhead {
-                out.push_str(&format!("send_overhead = {v}\n"));
-            }
-            if let Some(v) = recv_overhead {
-                out.push_str(&format!("recv_overhead = {v}\n"));
-            }
-            if let Some(v) = shared_medium {
-                out.push_str(&format!("shared_medium = {v}\n"));
-            }
-        }
-        if let Some(plan) = &self.fault {
-            out.push_str("\n[fault]\n");
-            // Exhaustive destructuring, as for [overrides]: a new fault
-            // field fails to compile here instead of silently vanishing.
-            // Only non-default fields are emitted; the defaults re-apply on
-            // parse, so the round trip is exact.
-            let d = FaultPlan::default();
-            let FaultPlan {
-                seed,
-                drop,
-                duplicate,
-                reorder,
-                delay,
-                delay_factor,
-                retransmit,
-                partitions,
-                crashes,
-            } = plan;
-            if *seed != d.seed {
-                out.push_str(&format!("seed = {seed}\n"));
-            }
-            for (name, v, dv) in [
-                ("drop", drop, d.drop),
-                ("duplicate", duplicate, d.duplicate),
-                ("reorder", reorder, d.reorder),
-                ("delay", delay, d.delay),
-                ("delay_factor", delay_factor, d.delay_factor),
-                ("retransmit", retransmit, d.retransmit),
-            ] {
-                if *v != dv {
-                    out.push_str(&format!("{name} = {v}\n"));
-                }
-            }
-            if !partitions.is_empty() {
-                let specs: Vec<String> = partitions
-                    .iter()
-                    .map(|p| toml_escape(&p.to_string()))
-                    .collect();
-                out.push_str(&format!("partitions = [{}]\n", specs.join(", ")));
-            }
-            if !crashes.is_empty() {
-                let specs: Vec<String> = crashes
-                    .iter()
-                    .map(|c| toml_escape(&c.to_string()))
-                    .collect();
-                out.push_str(&format!("crashes = [{}]\n", specs.join(", ")));
-            }
+            out.push_str(&lines);
         }
         out
     }
 }
 
-/// Quote a string for [`Scenario::to_toml`], escaping exactly the
-/// sequences the parser accepts (`\\`, `\"`, `\n`, `\t`, `\r`), so
-/// serialise → parse is the identity for any content.
-fn toml_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// A key's right-hand side, as its row's typed reader sees it.
+struct Rhs<'a> {
+    key: &'a str,
+    text: &'a str,
+}
+
+impl Rhs<'_> {
+    fn expected(&self, what: &str) -> String {
+        format!("'{}' must be {what}, got {}", self.key, self.text)
+    }
+
+    /// `value`, if only whitespace follows it.
+    fn end<T>(&self, value: T, rest: &str) -> Result<T, String> {
+        if rest.trim().is_empty() {
+            Ok(value)
+        } else {
+            Err(format!("trailing content after value in '{}'", self.text))
+        }
+    }
+
+    /// A quoted string.
+    fn string(&self) -> Result<String, String> {
+        let (s, rest) = self.quoted(self.text, "a string")?;
+        self.end(s, rest)
+    }
+
+    /// A single-line array of quoted strings (a trailing comma allowed).
+    fn strings(&self) -> Result<Vec<String>, String> {
+        let what = "a single-line array of strings";
+        let mut rest = self
+            .text
+            .strip_prefix('[')
+            .ok_or_else(|| self.expected(what))?;
+        let mut items = Vec::new();
+        loop {
+            rest = rest.trim_start();
+            if let Some(after) = rest.strip_prefix(']') {
+                return self.end(items, after);
+            }
+            let (item, after) = self.quoted(rest, what)?;
+            items.push(item);
+            rest = after.trim_start();
+            match rest.strip_prefix(',') {
+                Some(after) => rest = after,
+                None if rest.starts_with(']') => {}
+                None => return Err(self.expected(what)),
+            }
+        }
+    }
+
+    /// Strings of [`Self::strings`], each parsed as a fault spec.
+    fn specs<T: FromStr<Err = String>>(&self) -> Result<Vec<T>, String> {
+        self.strings()?.iter().map(|s| s.parse()).collect()
+    }
+
+    /// The quoted string `text` starts with, unescaped, and what follows
+    /// its closing quote.
+    fn quoted<'t>(&self, text: &'t str, what: &str) -> Result<(String, &'t str), String> {
+        let body = text.strip_prefix('"').ok_or_else(|| self.expected(what))?;
+        let mut out = String::new();
+        let mut chars = body.char_indices();
+        while let Some((i, c)) = chars.next() {
+            match c {
+                '"' => return Ok((out, &body[i + 1..])),
+                '\\' => {
+                    let letter = chars.next().map(|(_, e)| e);
+                    match ESCAPES.iter().find(|&&(_, e)| Some(e) == letter) {
+                        Some(&(raw, _)) => out.push(raw),
+                        None => {
+                            let e = letter.map(String::from).unwrap_or_default();
+                            return Err(format!("unsupported escape '\\{e}' in '{}'", self.text));
+                        }
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        Err(format!("unterminated string in '{}'", self.text))
+    }
+
+    /// The value as one bare word.
+    fn word(&self) -> Result<&str, String> {
+        let (word, rest) = self
+            .text
+            .split_once(char::is_whitespace)
+            .unwrap_or((self.text, ""));
+        self.end(word, rest)
+    }
+
+    fn boolean(&self) -> Result<bool, String> {
+        self.word()?
+            .parse()
+            .map_err(|_| self.expected("true or false"))
+    }
+
+    /// A bare non-negative integer, read exactly: 64-bit seeds do not
+    /// survive a round trip through f64.
+    fn uint(&self) -> Result<u64, String> {
+        self.word()?
+            .replace('_', "")
+            .parse()
+            .map_err(|_| self.expected("a non-negative integer"))
+    }
+
+    /// A finite number passing `ok`; `'key' {why}` otherwise.
+    fn number(&self, ok: impl Fn(f64) -> bool, why: &str) -> Result<f64, String> {
+        match self.word()?.replace('_', "").parse::<f64>() {
+            Ok(n) if !n.is_finite() => Err(self.expected("a finite number")),
+            Ok(n) if ok(n) => Ok(n),
+            Ok(n) => Err(format!("'{}' {why}, got {n}", self.key)),
+            Err(_) => Err(self.expected("a number")),
+        }
+    }
+
+    fn nonneg(&self) -> Result<f64, String> {
+        self.number(|n| n >= 0.0, "must not be negative")
+    }
+
+    fn positive(&self) -> Result<f64, String> {
+        self.number(|n| n > 0.0, "must be positive")
+    }
+
+    fn probability(&self) -> Result<f64, String> {
+        self.number(|p| (0.0..=1.0).contains(&p), "is a probability in [0, 1]")
+    }
+
+    fn count(&self) -> Result<usize, String> {
+        let whole = |n: f64| n.fract() == 0.0 && (1.0..=u32::MAX as f64).contains(&n);
+        self.number(whole, "must be a positive integer")
+            .map(|n| n as usize)
+    }
+}
+
+/// The string escapes, `(character, letter after the backslash)`: what
+/// [`quote`] writes is exactly what [`Rhs::quoted`] reads, so serialise →
+/// parse is the identity for any content.
+const ESCAPES: [(char, char); 5] = [
+    ('\\', '\\'),
+    ('"', '"'),
+    ('\n', 'n'),
+    ('\t', 't'),
+    ('\r', 'r'),
+];
+
+/// Quote a string for [`Scenario::to_toml`].
+fn quote(s: &str) -> String {
+    let mut out = String::from('"');
     for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
+        match ESCAPES.iter().find(|&&(raw, _)| raw == c) {
+            Some(&(_, letter)) => out.extend(['\\', letter]),
+            None => out.push(c),
         }
     }
     out.push('"');
@@ -560,121 +579,6 @@ fn strip_comment(line: &str) -> &str {
         }
     }
     line
-}
-
-/// Parse one TOML right-hand side: a quoted string (with `\\ \" \n \t \r`
-/// escapes), `true`/`false`, a single-line array, or a number (integer,
-/// float, scientific notation).
-fn parse_toml_value(rhs: &str) -> Result<Value, ScenarioError> {
-    let chars: Vec<char> = rhs.chars().collect();
-    let mut pos = 0usize;
-    let value = parse_value_at(&chars, &mut pos, rhs)?;
-    while pos < chars.len() && chars[pos].is_whitespace() {
-        pos += 1;
-    }
-    if pos != chars.len() {
-        return err(format!("trailing content after value in '{rhs}'"));
-    }
-    Ok(value)
-}
-
-/// Recursive-descent worker behind [`parse_toml_value`]: parses one value
-/// starting at `pos`, leaving `pos` just past it.
-fn parse_value_at(chars: &[char], pos: &mut usize, rhs: &str) -> Result<Value, ScenarioError> {
-    while *pos < chars.len() && chars[*pos].is_whitespace() {
-        *pos += 1;
-    }
-    match chars.get(*pos) {
-        None => err("missing value"),
-        Some('"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match chars.get(*pos) {
-                    None => return err(format!("unterminated string in '{rhs}'")),
-                    Some('"') => {
-                        *pos += 1;
-                        return Ok(Value::Str(s));
-                    }
-                    Some('\\') => {
-                        *pos += 1;
-                        match chars.get(*pos) {
-                            Some('\\') => s.push('\\'),
-                            Some('"') => s.push('"'),
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some('r') => s.push('\r'),
-                            other => {
-                                return err(format!(
-                                    "unsupported escape '\\{}' in '{rhs}'",
-                                    other.copied().map(String::from).unwrap_or_default()
-                                ))
-                            }
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        s.push(c);
-                        *pos += 1;
-                    }
-                }
-            }
-        }
-        Some('[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            loop {
-                while *pos < chars.len() && chars[*pos].is_whitespace() {
-                    *pos += 1;
-                }
-                match chars.get(*pos) {
-                    None => {
-                        return err(format!(
-                            "unterminated array in '{rhs}' (arrays are single-line)"
-                        ))
-                    }
-                    Some(']') => {
-                        *pos += 1;
-                        return Ok(Value::List(items));
-                    }
-                    Some(',') => {
-                        // Separator (also tolerates a trailing comma).
-                        *pos += 1;
-                    }
-                    Some(_) => items.push(parse_value_at(chars, pos, rhs)?),
-                }
-            }
-        }
-        Some(_) => {
-            // A bare word: a boolean or a number, ending at whitespace,
-            // a comma or a closing bracket.
-            let start = *pos;
-            while *pos < chars.len()
-                && !chars[*pos].is_whitespace()
-                && chars[*pos] != ','
-                && chars[*pos] != ']'
-            {
-                *pos += 1;
-            }
-            let word: String = chars[start..*pos].iter().collect();
-            match word.as_str() {
-                "true" => Ok(Value::Bool(true)),
-                "false" => Ok(Value::Bool(false)),
-                _ => {
-                    // TOML permits underscores in numbers.  Bare integers
-                    // stay exact (u64) — 64-bit seeds don't survive f64.
-                    let cleaned: String = word.chars().filter(|&c| c != '_').collect();
-                    if let Ok(n) = cleaned.parse::<u64>() {
-                        return Ok(Value::Int(n));
-                    }
-                    match cleaned.parse::<f64>() {
-                        Ok(n) if n.is_finite() => Ok(Value::Num(n)),
-                        _ => err(format!("cannot parse value '{word}'")),
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -723,8 +627,7 @@ mod tests {
                 shared_medium: Some(false),
             }
         );
-        let cfg = s.cluster_config(8);
-        assert_eq!(cfg.nprocs, 16);
+        let cfg = s.net_model().config(16);
         assert_eq!(cfg.mtu, 9180);
         assert_eq!(cfg.send_overhead, 75e-6);
     }
@@ -746,6 +649,8 @@ mod tests {
             e.to_string().contains("'latency' must not be negative"),
             "{e}"
         );
+        let e = Scenario::parse_toml("[overrides]\nlatency = inf").unwrap_err();
+        assert!(e.to_string().contains("finite number"), "{e}");
         // Zero time costs are legitimate (the ideal preset uses them).
         let s = Scenario::parse_toml("[overrides]\nlatency = 0.0").unwrap();
         assert_eq!(s.overrides.latency, Some(0.0));
@@ -768,12 +673,37 @@ mod tests {
     }
 
     #[test]
+    fn to_toml_writes_each_table_in_schema_order() {
+        let e = Scenario::parse_toml(
+            "[fault]\ncrashes = [\"1#4\"]\ndrop = 0.5\n[overrides]\nmtu = 1500\nlatency = 1e-4\n\
+             systems = []\nnet = \"ideal\"",
+        )
+        .unwrap_err();
+        // `systems` after a header belongs to [overrides]: located, listed.
+        assert!(
+            e.to_string()
+                .contains("line 7: unknown key 'systems' in [overrides]"),
+            "{e}"
+        );
+        let s = Scenario::parse_toml(
+            "net = \"ideal\"\nsystems = []\n[fault]\ncrashes = [\"1#4\"]\ndrop = 0.5\n\
+             [overrides]\nmtu = 1500\nlatency = 1e-4",
+        )
+        .unwrap();
+        assert_eq!(
+            s.to_toml(),
+            "net = \"ideal\"\n\n[overrides]\nlatency = 0.0001\nmtu = 1500\n\n\
+             [fault]\ndrop = 0.5\ncrashes = [\"1#4\"]\n"
+        );
+    }
+
+    #[test]
     fn defaults_are_fddi_with_nothing_pinned() {
         let s = Scenario::parse_toml("").unwrap();
         assert_eq!(s, Scenario::default());
         assert_eq!(s.net, NetPreset::Fddi);
-        assert_eq!(s.cluster_config(4).nprocs, 4);
         assert!(s.net_model().overrides.is_empty());
+        assert_eq!(s.to_toml(), "net = \"fddi\"\n");
     }
 
     #[test]
@@ -783,18 +713,31 @@ mod tests {
         assert!(e.to_string().contains("warpdrive"), "{e}");
         let e = Scenario::parse_toml("speed = 3").unwrap_err();
         assert!(e.to_string().contains("unknown key 'speed'"), "{e}");
-        // A retired key is an unknown key: located, with the surviving list.
-        let e = Scenario::parse_toml("procs = 4\nislands = 4").unwrap_err();
-        assert!(e.to_string().contains("line 2"), "{e}");
-        assert!(e.to_string().contains("unknown key 'islands'"), "{e}");
+        // A retired or alias key is an unknown key: located, with the
+        // schema's list.
+        for retired in ["islands", "nprocs"] {
+            let e = Scenario::parse_toml(&format!("procs = 4\n{retired} = 4")).unwrap_err();
+            assert!(e.to_string().contains("line 2"), "{e}");
+            assert!(
+                e.to_string().contains(&format!("unknown key '{retired}'")),
+                "{e}"
+            );
+            assert!(
+                e.to_string()
+                    .contains("sched_seed, tie_limit, [overrides], [fault]"),
+                "{e}"
+            );
+        }
+        let e = Scenario::parse_toml("[overrides]\nwarp = 9").unwrap_err();
         assert!(
-            e.to_string().contains("sched_seed, tie_limit, [overrides]"),
+            e.to_string()
+                .contains("unknown key 'warp' in [overrides]; known keys: latency,"),
             "{e}"
         );
-        let e = Scenario::parse_toml("[overrides]\nwarp = 9").unwrap_err();
-        assert!(e.to_string().contains("unknown override 'warp'"), "{e}");
         let e = Scenario::parse_toml("procs = 2.5").unwrap_err();
         assert!(e.to_string().contains("positive integer"), "{e}");
+        let e = Scenario::parse_toml("[islands]").unwrap_err();
+        assert!(e.to_string().contains("unknown section '[islands]'"), "{e}");
     }
 
     #[test]
@@ -825,12 +768,6 @@ mod tests {
             plan.crash_for(3),
             Some(crate::fault::CrashPoint::Event(120))
         );
-        // The plan lands on the cluster config.
-        let cfg = s.cluster_config(8);
-        assert_eq!(cfg.nprocs, 4);
-        assert_eq!(cfg.sched_seed, u64::MAX);
-        assert_eq!(cfg.tie_limit, Some(12));
-        assert_eq!(&cfg.fault, plan);
         // Canonical serialisation round-trips exactly, twice.
         let reparsed = Scenario::parse_toml(&s.to_toml()).unwrap();
         assert_eq!(reparsed, s);
@@ -845,13 +782,31 @@ mod tests {
         assert!(e.to_string().contains("bad partition spec"), "{e}");
         let e = Scenario::parse_toml("[fault]\ncrashes = [\"nope\"]").unwrap_err();
         assert!(e.to_string().contains("bad crash spec"), "{e}");
+        // Non-finite times would never fire (a crash) or carry the run's
+        // virtual time to `inf` (a partition's heal).
+        for (key, spec, kind) in [
+            ("crashes", "1@NaN", "crash"),
+            ("crashes", "1@inf", "crash"),
+            ("partitions", "0|1@0..inf", "partition"),
+        ] {
+            let e = Scenario::parse_toml(&format!("[fault]\n{key} = [\"{spec}\"]")).unwrap_err();
+            assert!(
+                e.to_string()
+                    .contains(&format!("line 2: bad {kind} spec '{spec}'")),
+                "{e}"
+            );
+        }
         let e = Scenario::parse_toml("[fault]\nretransmit = 0.0").unwrap_err();
         assert!(e.to_string().contains("must be positive"), "{e}");
         let e = Scenario::parse_toml("[fault]\nwarp = 1").unwrap_err();
-        assert!(e.to_string().contains("unknown fault key"), "{e}");
-        // A bare [fault] header is a valid empty plan.
+        assert!(
+            e.to_string().contains("unknown key 'warp' in [fault]"),
+            "{e}"
+        );
+        // A bare [fault] header is a valid empty plan, and writes back.
         let s = Scenario::parse_toml("[fault]").unwrap();
         assert!(s.fault.as_ref().unwrap().is_empty());
+        assert_eq!(s.to_toml(), "net = \"fddi\"\n\n[fault]\n");
     }
 
     #[test]
@@ -877,12 +832,61 @@ mod tests {
     }
 
     #[test]
-    fn trailing_garbage_after_a_value_is_rejected() {
-        let e = Scenario::parse_toml("name = \"x\" \"y\"").unwrap_err();
-        assert!(e.to_string().contains("trailing content"), "{e}");
-        let e = Scenario::parse_toml("procs = 4 5").unwrap_err();
-        assert!(e.to_string().contains("trailing content"), "{e}");
-        let e = Scenario::parse_toml("name = \"bad \\q escape\"").unwrap_err();
-        assert!(e.to_string().contains("unsupported escape"), "{e}");
+    fn values_outside_the_grammar_are_rejected() {
+        for (text, msg) in [
+            ("name = \"x\" \"y\"", "trailing content"),
+            ("procs = 4 5", "trailing content"),
+            ("name = \"bad \\q escape\"", "unsupported escape"),
+            ("name = \"open", "unterminated string"),
+            ("name = 4", "'name' must be a string"),
+            ("procs = \"4\"", "'procs' must be a number"),
+            ("sched_seed = 1.5", "non-negative integer"),
+            ("workloads = [[\"EP\"]]", "array of strings"),
+            ("workloads = [\"EP\" \"IS\"]", "array of strings"),
+            ("workloads = [\"EP\"", "array of strings"),
+            ("systems = \"lrc\"", "array of strings"),
+            ("[overrides]\nshared_medium = 1", "true or false"),
+        ] {
+            let e = Scenario::parse_toml(text).unwrap_err();
+            assert!(e.to_string().contains(msg), "{text}: {e}");
+        }
+        let s =
+            Scenario::parse_toml("workloads = [ \"EP\" ,\"IS-Small\", ]\nsystems = []").unwrap();
+        assert_eq!(s.workloads, ["EP", "IS-Small"]);
+        assert!(s.systems.is_empty());
+    }
+
+    /// docs/EXPERIMENTS.md's three scenario tables list exactly the schema's
+    /// keys, table by table and in schema order: a new key cannot ship
+    /// undocumented, and a removed one cannot stay documented.
+    #[test]
+    fn the_scenario_reference_documents_every_key() {
+        let doc = include_str!("../../../docs/EXPERIMENTS.md");
+        let schema = doc
+            .split("### Scenario file schema")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("docs/EXPERIMENTS.md has a scenario schema section");
+        let mut documented: Vec<Vec<&str>> = Vec::new();
+        let mut in_table = false;
+        for line in schema.lines() {
+            if line.starts_with('|') && !in_table {
+                documented.push(Vec::new());
+            }
+            in_table = line.starts_with('|');
+            if let Some((key, _)) = line.strip_prefix("| `").and_then(|r| r.split_once('`')) {
+                documented.last_mut().unwrap().push(key);
+            }
+        }
+        let schema: Vec<Vec<&str>> = TABLES
+            .iter()
+            .map(|&t| {
+                KEYS.iter()
+                    .filter(|k| k.table == t)
+                    .map(|k| k.name)
+                    .collect()
+            })
+            .collect();
+        assert_eq!(documented, schema);
     }
 }

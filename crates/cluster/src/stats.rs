@@ -10,10 +10,9 @@
 
 use crate::fault::FaultStats;
 use crate::obs::ClusterObs;
-use serde::{Deserialize, Serialize};
 
 /// Communication and timing statistics of a single simulated process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProcStats {
     /// Process rank.
     pub id: usize,

@@ -159,11 +159,6 @@ impl PagePool {
             self.free.push(buf);
         }
     }
-
-    /// Number of buffers currently on the free list.
-    pub fn free_buffers(&self) -> usize {
-        self.free.len()
-    }
 }
 
 impl<'a> Tmk<'a> {
@@ -276,30 +271,6 @@ impl<'a> Tmk<'a> {
 
     /// Write one `i32`.
     pub fn write_i32(&self, addr: SharedAddr, v: i32) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read one `u32`.
-    pub fn read_u32(&self, addr: SharedAddr) -> u32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Write one `u32`.
-    pub fn write_u32(&self, addr: SharedAddr, v: u32) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read one `f32`.
-    pub fn read_f32(&self, addr: SharedAddr) -> f32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        f32::from_le_bytes(b)
-    }
-
-    /// Write one `f32`.
-    pub fn write_f32(&self, addr: SharedAddr, v: f32) {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 

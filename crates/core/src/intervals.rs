@@ -299,26 +299,6 @@ impl DsmState {
         }
         out
     }
-
-    /// The pre-encoded wire buffers of
-    /// [`records_not_covered_by`](Self::records_not_covered_by), in the same
-    /// order.
-    pub(crate) fn record_wires_not_covered_by(&self, other: &VectorClock) -> Vec<&Bytes> {
-        let mut out = Vec::new();
-        for creator in 0..self.nprocs {
-            let known = self.vc.get(creator);
-            let have = other.get(creator);
-            let base = self.interval_base[creator];
-            assert!(
-                have >= base,
-                "peer clock ({creator}:{have}) predates the GC horizon {base}"
-            );
-            for seq in (have + 1)..=known {
-                out.push(&self.intervals[creator][(seq - 1 - base) as usize].wire);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -400,14 +380,6 @@ mod tests {
         other.set(0, 1);
         let reference =
             crate::proto::encode_lock_grant(7, &s.vc, &s.records_not_covered_by(&other));
-        assert_eq!(
-            crate::proto::encode_lock_grant_preencoded(
-                7,
-                &s.vc,
-                &s.record_wires_not_covered_by(&other)
-            ),
-            reference
-        );
         // Repeated encodes reuse the buffer and stay byte-identical.
         for _ in 0..3 {
             assert_eq!(s.encode_sync_not_covered_by(7, &other), reference);

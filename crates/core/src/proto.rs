@@ -551,42 +551,6 @@ pub fn decode_sc_ack(mut payload: Bytes) -> PageId {
     payload.get_u32_le()
 }
 
-/// Encode a list of interval records from their pre-encoded wire buffers
-/// (see [`record_wire`]): the count header followed by a splice per record.
-/// With the two encoders below, the unspliced reference the byte-identity
-/// tests hold [`encode_sync_spliced`] against.
-#[cfg(test)]
-pub(crate) fn put_records_preencoded(buf: &mut BytesMut, wires: &[&Bytes]) {
-    buf.put_u32_le(wires.len() as u32);
-    for w in wires {
-        buf.put_slice(w);
-    }
-}
-
-/// [`encode_lock_grant`] from pre-encoded record buffers.
-#[cfg(test)]
-pub(crate) fn encode_lock_grant_preencoded(
-    lock_id: u32,
-    vc: &VectorClock,
-    wires: &[&Bytes],
-) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(lock_id);
-    put_vc(&mut b, vc);
-    put_records_preencoded(&mut b, wires);
-    b.freeze()
-}
-
-/// [`encode_barrier`] from pre-encoded record buffers.
-#[cfg(test)]
-pub(crate) fn encode_barrier_preencoded(epoch: u32, vc: &VectorClock, wires: &[&Bytes]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(epoch);
-    put_vc(&mut b, vc);
-    put_records_preencoded(&mut b, wires);
-    b.freeze()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,33 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn preencoded_paths_are_byte_identical_to_the_reference_encoders() {
-        let records = vec![
-            IntervalRecord {
-                creator: 1,
-                seq: 5,
-                vc: vc(&[0, 5, 2]),
-                pages: vec![10, 11, 12],
-            },
-            IntervalRecord {
-                creator: 0,
-                seq: 2,
-                vc: vc(&[2, 0, 0]),
-                pages: vec![],
-            },
-        ];
-        let wires: Vec<Bytes> = records.iter().map(record_wire).collect();
-        let wire_refs: Vec<&Bytes> = wires.iter().collect();
-        let clock = vc(&[2, 5, 0]);
-        assert_eq!(
-            encode_lock_grant_preencoded(3, &clock, &wire_refs),
-            encode_lock_grant(3, &clock, &records)
-        );
-        assert_eq!(
-            encode_barrier_preencoded(9, &clock, &wire_refs),
-            encode_barrier(9, &clock, &records)
-        );
-
+    fn a_multi_diff_response_is_byte_identical_to_the_reference_encoder() {
         let twin = new_page();
         let mut page = new_page();
         page[100] = 1;

@@ -250,13 +250,6 @@ impl DsmState {
         self.page_of(addr)..=self.page_of(addr + len - 1)
     }
 
-    /// Pages in the given range that are currently invalid and need diffs.
-    pub fn invalid_pages(&self, addr: usize, len: usize) -> Vec<PageId> {
-        self.pages_spanning(addr, len)
-            .filter(|&p| !self.pages[p as usize].valid)
-            .collect()
-    }
-
     /// Read `out.len()` bytes starting at `addr`.  All spanned pages must be
     /// valid (the caller resolves faults first).
     pub fn read_bytes(&self, addr: usize, out: &mut [u8]) {
@@ -381,11 +374,6 @@ impl DsmState {
     /// Whether `page` is currently valid.
     pub fn is_valid(&self, page: PageId) -> bool {
         self.pages[page as usize].valid
-    }
-
-    /// Whether `page` is dirty in the current interval.
-    pub fn is_dirty(&self, page: PageId) -> bool {
-        self.pages[page as usize].dirty
     }
 
     /// The pending write notices of `page`.

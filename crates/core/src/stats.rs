@@ -1,14 +1,12 @@
 //! Runtime statistics of a DSM process.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing what the TreadMarks runtime did on one process.
 ///
 /// These are the quantities the paper's analysis sections reason about:
 /// synchronization operations, page faults, diff requests, and the amount of
 /// diff data moved.  (Message and byte totals are tracked by the `cluster`
 /// transport; these counters explain *why* those messages were sent.)
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TmkStats {
     /// Lock acquires satisfied locally because the token was already here.
     pub local_lock_acquires: u64,

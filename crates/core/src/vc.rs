@@ -7,10 +7,8 @@
 //! this partial order: entry `p` of a process's clock is the number of
 //! intervals of process `p` whose write notices the process has seen.
 
-use serde::{Deserialize, Serialize};
-
 /// A vector timestamp over `nprocs` processes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VectorClock {
     entries: Vec<u32>,
 }

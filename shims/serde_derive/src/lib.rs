@@ -1,10 +1,10 @@
 //! No-op `#[derive(Serialize)]` / `#[derive(Deserialize)]` macros.
 //!
-//! The workspace derives serde traits on its statistics and configuration
-//! types so they stay serialization-ready, but nothing in the build actually
-//! serializes them and the build environment cannot fetch the real `serde`.
-//! These derives accept the same syntax (including `#[serde(...)]` field
-//! attributes) and expand to nothing.
+//! No workspace source derives these any more: nothing serializes at
+//! runtime, and the derives were deleted from every crate.  The shim stays
+//! only because `apps`, `cluster` and `core` still list `serde` in their
+//! manifests; it goes with those three lines.  The derives accept serde's
+//! syntax (including `#[serde(...)]` field attributes) and expand to nothing.
 
 use proc_macro::TokenStream;
 
