@@ -13,6 +13,11 @@
 //!   that everyone can build a complete private tree; no other communication
 //!   is needed.  At 8 processes these simultaneous broadcasts saturate the
 //!   network, which is why PVM's own speedup is poor here.
+//!
+//! The octree is built in an arena (cells in a `Vec`, `u32` child slots) and
+//! laid out as one *walk array* in depth-first order, octant 7 first, each
+//! node holding the index past its subtree: the force walk steps forward to
+//! open a cell and jumps past the subtree to accept one, with no stack.
 
 use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
@@ -92,23 +97,111 @@ pub struct Body {
     pub mass: f64,
 }
 
-/// Octree node: either an internal cell with aggregated mass or a leaf body.
-enum Node {
-    Cell {
-        center: [f64; 3],
-        half: f64,
-        mass: f64,
-        com: [f64; 3],
-        children: [Option<Box<Node>>; 8],
-    },
-    Leaf {
-        pos: [f64; 3],
-        mass: f64,
-    },
+/// One node of the walk array.
+struct Flat {
+    /// A leaf's position; a cell's centre of mass.
+    pos: [f64; 3],
+    mass: f64,
+    /// A cell's side length, `2·half`; negative for a leaf.
+    size: f64,
+    /// Index just past this node's subtree.
+    skip: usize,
 }
 
-/// Build the octree over all bodies; returns the tree and the insert count.
-fn build_tree(bodies: &[Body]) -> (Node, u64) {
+/// A node of the tree under construction: a cell, or a leaf (`half < 0`,
+/// its position in `com`).  Child slot 0 is empty: node 0 is the root.
+struct Node {
+    center: [f64; 3],
+    half: f64,
+    mass: f64,
+    /// A cell's Σ mass·pos, which `Tree::emit` divides by `mass`.
+    com: [f64; 3],
+    children: [u32; 8],
+}
+
+impl Node {
+    fn new(center: [f64; 3], half: f64, mass: f64, com: [f64; 3]) -> Node {
+        Node {
+            center,
+            half,
+            mass,
+            com,
+            children: [0; 8],
+        }
+    }
+}
+
+/// The tree under construction, in one `Vec`, and its insert count.
+struct Tree {
+    nodes: Vec<Node>,
+    inserts: u64,
+}
+
+impl Tree {
+    /// Insert a body below cell `at`, adding its mass and mass·pos to each
+    /// cell on the way down (one insert each).  A leaf met in its octant
+    /// becomes a cell holding both, unless co-located (L1 distance < 1e-12):
+    /// then the masses merge.
+    fn insert(&mut self, mut at: usize, pos: [f64; 3], mass: f64) {
+        loop {
+            self.inserts += 1;
+            let next = self.nodes.len() as u32;
+            let cell = &mut self.nodes[at];
+            cell.mass += mass;
+            for (s, p) in cell.com.iter_mut().zip(pos) {
+                *s += mass * p;
+            }
+            let o = octant(&cell.center, &pos);
+            let quarter = cell.half / 2.0;
+            let center: [f64; 3] = std::array::from_fn(|c| {
+                cell.center[c] + if o >> c & 1 != 0 { quarter } else { -quarter }
+            });
+            let child = cell.children[o] as usize;
+            if child == 0 {
+                cell.children[o] = next;
+                self.nodes.push(Node::new([0.0; 3], -1.0, mass, pos));
+                return;
+            }
+            let node = &mut self.nodes[child];
+            if node.half >= 0.0 {
+                at = child;
+                continue;
+            }
+            let (lp, lm) = (node.com, node.mass);
+            if (lp[0] - pos[0]).abs() + (lp[1] - pos[1]).abs() + (lp[2] - pos[2]).abs() < 1e-12 {
+                node.mass += mass;
+                return;
+            }
+            *node = Node::new(center, quarter, 0.0, [0.0; 3]);
+            self.insert(child, lp, lm);
+            at = child;
+        }
+    }
+
+    /// Append the subtree at node `at` to `out` in walk order.
+    fn emit(&self, at: usize, out: &mut Vec<Flat>) {
+        let node = &self.nodes[at];
+        let first = out.len();
+        let pos = if node.half >= 0.0 && node.mass > 0.0 {
+            node.com.map(|c| c / node.mass)
+        } else {
+            node.com
+        };
+        out.push(Flat {
+            pos,
+            mass: node.mass,
+            size: 2.0 * node.half,
+            skip: 0,
+        });
+        for &child in node.children.iter().rev().filter(|&&c| c != 0) {
+            self.emit(child as usize, out);
+        }
+        out[first].skip = out.len();
+    }
+}
+
+/// Build the octree over all bodies; returns (walk array, inserts).
+fn build_tree(bodies: &[Body]) -> (Vec<Flat>, u64) {
     let mut lo = [f64::INFINITY; 3];
     let mut hi = [f64::NEG_INFINITY; 3];
     for b in bodies {
@@ -118,24 +211,17 @@ fn build_tree(bodies: &[Body]) -> (Node, u64) {
         }
     }
     let half = (0..3).map(|c| hi[c] - lo[c]).fold(0.0f64, f64::max) / 2.0 + 1e-9;
-    let center = [
-        (lo[0] + hi[0]) / 2.0,
-        (lo[1] + hi[1]) / 2.0,
-        (lo[2] + hi[2]) / 2.0,
-    ];
-    let mut root = Node::Cell {
-        center,
-        half,
-        mass: 0.0,
-        com: [0.0; 3],
-        children: Default::default(),
+    let center = [0, 1, 2].map(|c| (lo[c] + hi[c]) / 2.0);
+    let mut tree = Tree {
+        nodes: vec![Node::new(center, half, 0.0, [0.0; 3])],
+        inserts: 0,
     };
-    let mut inserts = 0u64;
     for b in bodies {
-        insert(&mut root, b.pos, b.mass, &mut inserts);
+        tree.insert(0, b.pos, b.mass);
     }
-    finalize(&mut root);
-    (root, inserts)
+    let mut walk = Vec::with_capacity(tree.nodes.len());
+    tree.emit(0, &mut walk);
+    (walk, tree.inserts)
 }
 
 fn octant(center: &[f64; 3], pos: &[f64; 3]) -> usize {
@@ -144,126 +230,39 @@ fn octant(center: &[f64; 3], pos: &[f64; 3]) -> usize {
         | (usize::from(pos[2] >= center[2]) << 2)
 }
 
-fn insert(node: &mut Node, pos: [f64; 3], mass: f64, inserts: &mut u64) {
-    *inserts += 1;
-    match node {
-        Node::Cell {
-            center,
-            half,
-            mass: m,
-            com,
-            children,
-        } => {
-            *m += mass;
-            for c in 0..3 {
-                com[c] += mass * pos[c];
-            }
-            let o = octant(center, &pos);
-            let quarter = *half / 2.0;
-            let child_center = [
-                center[0] + if o & 1 != 0 { quarter } else { -quarter },
-                center[1] + if o & 2 != 0 { quarter } else { -quarter },
-                center[2] + if o & 4 != 0 { quarter } else { -quarter },
-            ];
-            match &mut children[o] {
-                slot @ None => {
-                    *slot = Some(Box::new(Node::Leaf { pos, mass }));
-                }
-                Some(child) => {
-                    if let Node::Leaf {
-                        pos: lp, mass: lm, ..
-                    } = **child
-                    {
-                        // Split the leaf into a cell (unless degenerate).
-                        if (lp[0] - pos[0]).abs() + (lp[1] - pos[1]).abs() + (lp[2] - pos[2]).abs()
-                            < 1e-12
-                        {
-                            // Co-located bodies: merge masses.
-                            if let Node::Leaf { mass: m2, .. } = &mut **child {
-                                *m2 += mass;
-                            }
-                            return;
-                        }
-                        let mut cell = Node::Cell {
-                            center: child_center,
-                            half: quarter,
-                            mass: 0.0,
-                            com: [0.0; 3],
-                            children: Default::default(),
-                        };
-                        insert(&mut cell, lp, lm, inserts);
-                        insert(&mut cell, pos, mass, inserts);
-                        **child = cell;
-                    } else {
-                        insert(child, pos, mass, inserts);
-                    }
-                }
-            }
-        }
-        Node::Leaf { .. } => unreachable!("insert called on a leaf"),
+/// Pull of a point mass at `from` on a body at `to`, added into `acc`.
+fn add_grav(acc: &mut [f64; 3], from: &[f64; 3], to: &[f64; 3], mass: f64) {
+    let d = [from[0] - to[0], from[1] - to[1], from[2] - to[2]];
+    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + 0.5;
+    let inv = mass / (r2 * r2.sqrt());
+    for c in 0..3 {
+        acc[c] += d[c] * inv;
     }
 }
 
-fn finalize(node: &mut Node) {
-    if let Node::Cell {
-        mass,
-        com,
-        children,
-        ..
-    } = node
-    {
-        if *mass > 0.0 {
-            #[allow(clippy::needless_range_loop)]
-            // indexing is clearer for the coordinate/matrix access
-            for c in 0..3 {
-                com[c] /= *mass;
-            }
-        }
-        for child in children.iter_mut().flatten() {
-            finalize(child);
-        }
-    }
-}
-
-/// Compute the acceleration on a body; returns (acc, interactions).
-fn force_on(node: &Node, pos: &[f64; 3]) -> ([f64; 3], u64) {
-    fn add_grav(acc: &mut [f64; 3], from: &[f64; 3], to: &[f64; 3], mass: f64) {
-        let d = [from[0] - to[0], from[1] - to[1], from[2] - to[2]];
-        let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + 0.5;
-        let inv = mass / (r2 * r2.sqrt());
-        for c in 0..3 {
-            acc[c] += d[c] * inv;
-        }
-    }
+/// Compute the acceleration on a body; returns (acc, interactions).  A cell
+/// that passes the opening test acts as one mass and its subtree is skipped.
+fn force_on(tree: &[Flat], pos: &[f64; 3]) -> ([f64; 3], u64) {
     let mut acc = [0.0; 3];
     let mut count = 0u64;
-    let mut stack = vec![node];
-    while let Some(n) = stack.pop() {
-        match n {
-            Node::Leaf { pos: p, mass } => {
+    let mut i = 0;
+    while i < tree.len() {
+        let n = &tree[i];
+        if n.size < 0.0 {
+            count += 1;
+            add_grav(&mut acc, &n.pos, pos, n.mass);
+            i += 1;
+        } else if n.mass == 0.0 {
+            i = n.skip;
+        } else {
+            let d = [n.pos[0] - pos[0], n.pos[1] - pos[1], n.pos[2] - pos[2]];
+            let dist = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            if n.size / (dist + 1e-12) < THETA {
                 count += 1;
-                add_grav(&mut acc, p, pos, *mass);
-            }
-            Node::Cell {
-                half,
-                mass,
-                com,
-                children,
-                ..
-            } => {
-                if *mass == 0.0 {
-                    continue;
-                }
-                let d = [com[0] - pos[0], com[1] - pos[1], com[2] - pos[2]];
-                let dist = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-                if 2.0 * *half / (dist + 1e-12) < THETA {
-                    count += 1;
-                    add_grav(&mut acc, com, pos, *mass);
-                } else {
-                    for child in children.iter().flatten() {
-                        stack.push(child);
-                    }
-                }
+                add_grav(&mut acc, &n.pos, pos, n.mass);
+                i = n.skip;
+            } else {
+                i += 1;
             }
         }
     }
@@ -272,7 +271,7 @@ fn force_on(node: &Node, pos: &[f64; 3]) -> ([f64; 3], u64) {
 
 /// Advance the bodies in `range` by one step against the tree built over all
 /// bodies.  Returns (interactions, inserts are charged by the caller).
-fn step_bodies(bodies: &mut [Body], range: std::ops::Range<usize>, tree: &Node) -> u64 {
+fn step_bodies(bodies: &mut [Body], range: std::ops::Range<usize>, tree: &[Flat]) -> u64 {
     const DT: f64 = 0.025;
     let mut interactions = 0u64;
     for i in range {
@@ -416,17 +415,223 @@ mod tests {
     use crate::runner::testing::{fddi, LRC};
     use crate::runner::{run, System};
 
+    /// The boxed octree and stack walk the walk array replaced: the
+    /// reference `build_tree` and `force_on` must equal bit for bit.
+    enum Boxed {
+        Cell {
+            center: [f64; 3],
+            half: f64,
+            mass: f64,
+            com: [f64; 3],
+            children: [Option<Box<Boxed>>; 8],
+        },
+        Leaf {
+            pos: [f64; 3],
+            mass: f64,
+        },
+    }
+
+    fn build_tree_reference(bodies: &[Body]) -> (Boxed, u64) {
+        let mut lo = [f64::INFINITY; 3];
+        let mut hi = [f64::NEG_INFINITY; 3];
+        for b in bodies {
+            for c in 0..3 {
+                lo[c] = lo[c].min(b.pos[c]);
+                hi[c] = hi[c].max(b.pos[c]);
+            }
+        }
+        let half = (0..3).map(|c| hi[c] - lo[c]).fold(0.0f64, f64::max) / 2.0 + 1e-9;
+        let center = [
+            (lo[0] + hi[0]) / 2.0,
+            (lo[1] + hi[1]) / 2.0,
+            (lo[2] + hi[2]) / 2.0,
+        ];
+        let mut root = Boxed::Cell {
+            center,
+            half,
+            mass: 0.0,
+            com: [0.0; 3],
+            children: Default::default(),
+        };
+        let mut inserts = 0u64;
+        for b in bodies {
+            insert_reference(&mut root, b.pos, b.mass, &mut inserts);
+        }
+        finalize(&mut root);
+        (root, inserts)
+    }
+
+    fn insert_reference(node: &mut Boxed, pos: [f64; 3], mass: f64, inserts: &mut u64) {
+        *inserts += 1;
+        let Boxed::Cell {
+            center,
+            half,
+            mass: m,
+            com,
+            children,
+        } = node
+        else {
+            unreachable!("insert called on a leaf")
+        };
+        *m += mass;
+        for c in 0..3 {
+            com[c] += mass * pos[c];
+        }
+        let o = octant(center, &pos);
+        let quarter = *half / 2.0;
+        let child_center = [
+            center[0] + if o & 1 != 0 { quarter } else { -quarter },
+            center[1] + if o & 2 != 0 { quarter } else { -quarter },
+            center[2] + if o & 4 != 0 { quarter } else { -quarter },
+        ];
+        let Some(child) = &mut children[o] else {
+            children[o] = Some(Box::new(Boxed::Leaf { pos, mass }));
+            return;
+        };
+        let Boxed::Leaf { pos: lp, mass: lm } = **child else {
+            return insert_reference(child, pos, mass, inserts);
+        };
+        if (lp[0] - pos[0]).abs() + (lp[1] - pos[1]).abs() + (lp[2] - pos[2]).abs() < 1e-12 {
+            **child = Boxed::Leaf {
+                pos: lp,
+                mass: lm + mass,
+            };
+            return;
+        }
+        let mut cell = Boxed::Cell {
+            center: child_center,
+            half: quarter,
+            mass: 0.0,
+            com: [0.0; 3],
+            children: Default::default(),
+        };
+        insert_reference(&mut cell, lp, lm, inserts);
+        insert_reference(&mut cell, pos, mass, inserts);
+        **child = cell;
+    }
+
+    fn finalize(node: &mut Boxed) {
+        if let Boxed::Cell {
+            mass,
+            com,
+            children,
+            ..
+        } = node
+        {
+            if *mass > 0.0 {
+                for c in com.iter_mut() {
+                    *c /= *mass;
+                }
+            }
+            for child in children.iter_mut().flatten() {
+                finalize(child);
+            }
+        }
+    }
+
+    fn force_on_reference(node: &Boxed, pos: &[f64; 3]) -> ([f64; 3], u64) {
+        let mut acc = [0.0; 3];
+        let mut count = 0u64;
+        let mut stack = vec![node];
+        while let Some(n) = stack.pop() {
+            match n {
+                Boxed::Leaf { pos: p, mass } => {
+                    count += 1;
+                    add_grav(&mut acc, p, pos, *mass);
+                }
+                Boxed::Cell {
+                    half,
+                    mass,
+                    com,
+                    children,
+                    ..
+                } => {
+                    if *mass == 0.0 {
+                        continue;
+                    }
+                    let d = [com[0] - pos[0], com[1] - pos[1], com[2] - pos[2]];
+                    let dist = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+                    if 2.0 * *half / (dist + 1e-12) < THETA {
+                        count += 1;
+                        add_grav(&mut acc, com, pos, *mass);
+                    } else {
+                        for child in children.iter().flatten() {
+                            stack.push(child);
+                        }
+                    }
+                }
+            }
+        }
+        (acc, count)
+    }
+
+    /// Run `steps` sequential steps over `bodies`, holding every step's walk
+    /// array to the reference tree: equal inserts, and for every body
+    /// bit-equal acceleration and an equal interaction count.  Returns the
+    /// number of leaves in the last walk array.
+    fn assert_walk_matches_reference(mut bodies: Vec<Body>, steps: usize) -> usize {
+        let n = bodies.len();
+        let mut leaves = 0;
+        for step in 0..steps {
+            let (walk, inserts) = build_tree(&bodies);
+            let (root, ref_inserts) = build_tree_reference(&bodies);
+            assert_eq!(inserts, ref_inserts, "n {n} step {step}: inserts");
+            for (i, b) in bodies.iter().enumerate() {
+                let (acc, count) = force_on(&walk, &b.pos);
+                let (ref_acc, ref_count) = force_on_reference(&root, &b.pos);
+                assert_eq!(count, ref_count, "n {n} step {step} body {i}: interactions");
+                assert_eq!(
+                    acc.map(f64::to_bits),
+                    ref_acc.map(f64::to_bits),
+                    "n {n} step {step} body {i}: acc"
+                );
+            }
+            leaves = walk.iter().filter(|f| f.size < 0.0).count();
+            step_bodies(&mut bodies, 0..n, &walk);
+        }
+        leaves
+    }
+
+    #[test]
+    fn walk_array_is_bit_equal_to_the_boxed_tree_and_stack_walk() {
+        for p in [BarnesParams::tiny(), BarnesParams::scaled()] {
+            let leaves = assert_walk_matches_reference(p.initial(), p.steps);
+            assert_eq!(leaves, p.bodies, "no two bodies of {} coincide", p.bodies);
+        }
+    }
+
+    #[test]
+    fn walk_array_merges_co_located_bodies_like_the_boxed_tree() {
+        // Every third body sits on its predecessor, and every seventh is
+        // 1e-13 off it (under the merge distance): the merge branch runs at
+        // every step, since co-located bodies feel the same force.
+        let mut bodies = BarnesParams::tiny().initial();
+        for i in (1..bodies.len()).step_by(3) {
+            bodies[i].pos = bodies[i - 1].pos;
+        }
+        for i in (2..bodies.len()).step_by(7) {
+            bodies[i].pos = bodies[i - 1].pos;
+            bodies[i].pos[0] += 1e-13;
+        }
+        let n = bodies.len();
+        let leaves = assert_walk_matches_reference(bodies, 3);
+        assert!(leaves < n, "{leaves} leaves for {n} bodies: nothing merged");
+    }
+
     #[test]
     fn tree_mass_equals_total_mass() {
         let p = BarnesParams::tiny();
         let bodies = p.initial();
         let (tree, _) = build_tree(&bodies);
-        if let Node::Cell { mass, .. } = tree {
-            let total: f64 = bodies.iter().map(|b| b.mass).sum();
-            assert!((mass - total).abs() < 1e-9);
-        } else {
-            panic!("root must be a cell");
-        }
+        let root = &tree[0];
+        assert!(root.size > 0.0, "root must be a cell");
+        assert_eq!(
+            root.skip,
+            tree.len(),
+            "the root's subtree is the whole walk"
+        );
+        let total: f64 = bodies.iter().map(|b| b.mass).sum();
+        assert!((root.mass - total).abs() < 1e-9);
     }
 
     #[test]

@@ -112,8 +112,8 @@ fn compute_forces(pos: &[[f64; 3]], owned: std::ops::Range<usize>, forces: &mut 
     let half = n / 2;
     let mut pairs = 0u64;
     for i in owned {
-        for k in 1..=half {
-            let j = (i + k) % n;
+        let end = i + half + 1;
+        for j in (i + 1..end.min(n)).chain(0..end.saturating_sub(n)) {
             pairs += 1;
             if let Some(f) = pair_force(&pos[i], &pos[j]) {
                 for c in 0..3 {
@@ -325,6 +325,62 @@ mod tests {
     use super::*;
     use crate::runner::testing::{fddi, LRC};
     use crate::runner::{run, System};
+
+    /// The half-shell as `(i + k) % n`: the reference `compute_forces` must
+    /// equal bit for bit.
+    fn compute_forces_reference(
+        pos: &[[f64; 3]],
+        owned: std::ops::Range<usize>,
+        forces: &mut [[f64; 3]],
+    ) -> u64 {
+        let n = pos.len();
+        let half = n / 2;
+        let mut pairs = 0u64;
+        for i in owned {
+            for k in 1..=half {
+                let j = (i + k) % n;
+                pairs += 1;
+                if let Some(f) = pair_force(&pos[i], &pos[j]) {
+                    for c in 0..3 {
+                        forces[i][c] += f[c];
+                        forces[j][c] -= f[c];
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn half_shell_without_modulo_is_bit_equal_to_the_reference() {
+        for n in [7, 48, 288, 864] {
+            let pos = WaterParams {
+                molecules: n,
+                steps: 1,
+            }
+            .initial_positions();
+            // The whole array, each end, and blocks straddling the point
+            // where `i + n/2` wraps past the end.
+            let owned = [
+                0..n,
+                0..1,
+                n - 1..n,
+                n / 3..n / 2 + 2,
+                n / 2..n,
+                n / 4..3 * n / 4,
+            ];
+            for range in owned {
+                let mut fast = vec![[0.0; 3]; n];
+                let mut slow = vec![[0.0; 3]; n];
+                let a = compute_forces(&pos, range.clone(), &mut fast);
+                let b = compute_forces_reference(&pos, range.clone(), &mut slow);
+                assert_eq!(a, b, "n {n} owned {range:?}: pairs");
+                let bits =
+                    |f: &[[f64; 3]]| f.iter().map(|v| v.map(f64::to_bits)).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "n {n} owned {range:?}: forces");
+            }
+        }
+    }
 
     #[test]
     fn versions_agree_on_final_positions() {
