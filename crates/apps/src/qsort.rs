@@ -4,6 +4,11 @@
 //! are sorted with bubblesort, larger ones are partitioned again and the two
 //! halves are put back on the work queue.
 //!
+//! The bubblesort leaves are *modelled*, not run: a bubblesort of `n`
+//! elements makes exactly `n·(n−1)/2` comparisons whatever the data, and
+//! the sorted slice of `i32`s is unique, so `leaf_sort` sorts the host's
+//! way (`sort_unstable`) and charges bubblesort's count.
+//!
 //! * **TreadMarks**: the list and the work queue are shared; workers pop
 //!   tasks under a lock, release the queue while they partition or sort, and
 //!   re-acquire it to push newly generated sublists.  Intermediate sublists
@@ -93,19 +98,13 @@ fn checksum(sorted: &[i32]) -> f64 {
     ok * (sum % 1e12)
 }
 
-/// Bubblesort a slice, returning the number of comparisons.
-fn bubblesort(v: &mut [i32]) -> u64 {
-    let mut cmps = 0u64;
-    let n = v.len();
-    for i in 0..n {
-        for j in 0..n - 1 - i {
-            cmps += 1;
-            if v[j] > v[j + 1] {
-                v.swap(j, j + 1);
-            }
-        }
-    }
-    cmps
+/// Sort a leaf sublist, returning the comparisons a bubblesort of it makes
+/// (the modelled cost): the same slice as `bubblesort_reference` (tests) in
+/// O(n log n) host time.
+fn leaf_sort(v: &mut [i32]) -> u64 {
+    v.sort_unstable();
+    let n = v.len() as u64;
+    n * n.saturating_sub(1) / 2
 }
 
 /// Partition a slice around its last element; returns the pivot index.
@@ -153,7 +152,7 @@ impl App for QsortParams {
                 continue;
             }
             if len <= self.threshold {
-                let cmps = bubblesort(&mut data[start..start + len]);
+                let cmps = leaf_sort(&mut data[start..start + len]);
                 time += cmps as f64 * COST_CMP;
             } else {
                 let pivot = partition(&mut data[start..start + len]);
@@ -211,7 +210,7 @@ impl App for QsortParams {
             let mut sub = vec![0i32; len];
             tmk.read_i32_slice(data_addr + start * 4, &mut sub);
             if len <= self.threshold {
-                let cmps = bubblesort(&mut sub);
+                let cmps = leaf_sort(&mut sub);
                 tmk.proc().compute(cmps as f64 * COST_CMP);
                 tmk.write_i32_slice(data_addr + start * 4, &sub);
                 tmk.lock_acquire(LOCK_QUEUE);
@@ -329,7 +328,7 @@ impl App for QsortParams {
                 match queue.pop() {
                     Some((start, len)) if len > 0 => {
                         if len <= self.threshold {
-                            let cmps = bubblesort(&mut data[start..start + len]);
+                            let cmps = leaf_sort(&mut data[start..start + len]);
                             pvm.proc().compute(cmps as f64 * COST_CMP);
                         } else {
                             let pivot = partition(&mut data[start..start + len]);
@@ -381,7 +380,7 @@ impl App for QsortParams {
                 let mut sub = m.unpack_i32(len);
                 let mut b = pvm.new_buffer();
                 if kind == 1 {
-                    let cmps = bubblesort(&mut sub);
+                    let cmps = leaf_sort(&mut sub);
                     pvm.proc().compute(cmps as f64 * COST_CMP);
                     b.pack_u64(&[start as u64, len as u64, 0]);
                     b.pack_i32(&sub);
@@ -404,6 +403,56 @@ mod tests {
     use super::*;
     use crate::runner::testing::{fddi, LRC};
     use crate::runner::{run, System};
+
+    /// The bubblesort the leaves model, as the kernel ran it before
+    /// `leaf_sort`: the oracle for its slice and its count.
+    fn bubblesort_reference(v: &mut [i32]) -> u64 {
+        let mut cmps = 0u64;
+        let n = v.len();
+        for i in 0..n {
+            for j in 0..n - 1 - i {
+                cmps += 1;
+                if v[j] > v[j + 1] {
+                    v.swap(j, j + 1);
+                }
+            }
+        }
+        cmps
+    }
+
+    #[test]
+    fn leaf_sort_is_bubblesort_slice_and_count() {
+        // Every length to 130, a spread to 1,100 and each side of the leaf
+        // thresholds (tiny 64, scaled 512, paper 1,024), on four input
+        // shapes: every length to 1,100 is ≈ 30 s of debug-build bubblesort.
+        let lengths = (0..=130)
+            .chain((131..=1_100).step_by(61))
+            .chain([511, 512, 513, 1_023, 1_024, 1_025, 1_100]);
+        for n in lengths {
+            let random = QsortParams {
+                elems: n,
+                threshold: 0,
+                seed: n as u64,
+            }
+            .input();
+            let duplicates: Vec<i32> = random.iter().map(|x| x % 8).collect();
+            let mut sorted = random.clone();
+            sorted.sort_unstable();
+            let reversed: Vec<i32> = sorted.iter().rev().copied().collect();
+            for (shape, input) in [
+                ("random", random),
+                ("duplicate-heavy", duplicates),
+                ("sorted", sorted),
+                ("reversed", reversed),
+            ] {
+                let mut fast = input.clone();
+                let mut slow = input;
+                let cmps = leaf_sort(&mut fast);
+                assert_eq!(cmps, bubblesort_reference(&mut slow), "{shape}, n = {n}");
+                assert_eq!(fast, slow, "{shape}, n = {n}");
+            }
+        }
+    }
 
     #[test]
     fn sequential_sorts_correctly() {

@@ -77,7 +77,7 @@ impl TspParams {
     }
 
     /// Deterministic distance matrix for the configured city count.
-    pub fn distances(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn distances(&self) -> Distances {
         let nc = self.cities;
         let mut coords = Vec::with_capacity(nc);
         let mut state = self.seed | 1;
@@ -90,15 +90,38 @@ impl TspParams {
         for _ in 0..nc {
             coords.push((next() * 1000.0, next() * 1000.0));
         }
-        let mut d = vec![vec![0.0; nc]; nc];
-        for i in 0..nc {
-            for j in 0..nc {
-                let dx = coords[i].0 - coords[j].0;
-                let dy = coords[i].1 - coords[j].1;
-                d[i][j] = (dx * dx + dy * dy).sqrt();
+        let mut d = Vec::with_capacity(nc * nc);
+        for &(xi, yi) in &coords {
+            for &(xj, yj) in &coords {
+                let (dx, dy) = (xi - xj, yi - yj);
+                d.push((dx * dx + dy * dy).sqrt());
             }
         }
-        d
+        Distances { n: nc, d }
+    }
+}
+
+/// A distance matrix, row-major in one `Vec`: row `i` holds city `i`'s
+/// distance to every city, so a search node reads one contiguous row.
+pub(crate) struct Distances {
+    n: usize,
+    d: Vec<f64>,
+}
+
+impl Distances {
+    /// Number of cities.
+    fn cities(&self) -> usize {
+        self.n
+    }
+
+    /// Distance from city `from` to city `to`.
+    fn get(&self, from: usize, to: usize) -> f64 {
+        self.row(from)[to]
+    }
+
+    /// City `from`'s distance to every city.
+    fn row(&self, from: usize) -> &[f64] {
+        &self.d[from * self.n..][..self.n]
     }
 }
 
@@ -111,21 +134,18 @@ struct Tour {
 
 /// Lower bound: partial cost plus, for the endpoint and every unvisited
 /// city, its cheapest edge to a city that can still follow it.
-fn lower_bound(dist: &[Vec<f64>], tour: &Tour, nc: usize) -> f64 {
+fn lower_bound(dist: &Distances, tour: &Tour) -> f64 {
     let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
     let mut bound = tour.cost;
     let last = *tour.cities.last().unwrap() as usize;
-    #[allow(clippy::needless_range_loop)] // indexing is clearer for the coordinate/matrix access
-    for c in 0..nc {
+    for c in 0..dist.cities() {
         if c != last && visited & (1 << c) != 0 {
             continue;
         }
         let mut best = f64::INFINITY;
-        #[allow(clippy::needless_range_loop)]
-        // indexing is clearer for the coordinate/matrix access
-        for o in 0..nc {
+        for (o, &d) in dist.row(c).iter().enumerate() {
             if o != c && (visited & (1 << o) == 0 || o == 0) {
-                best = best.min(dist[c][o]);
+                best = best.min(d);
             }
         }
         if best.is_finite() {
@@ -136,7 +156,8 @@ fn lower_bound(dist: &[Vec<f64>], tour: &Tour, nc: usize) -> f64 {
 }
 
 /// Greedy nearest-neighbour tour used to seed the best cost.
-fn greedy_cost(dist: &[Vec<f64>], nc: usize) -> f64 {
+fn greedy_cost(dist: &Distances) -> f64 {
+    let nc = dist.cities();
     let mut visited = vec![false; nc];
     visited[0] = true;
     let mut cur = 0usize;
@@ -144,9 +165,9 @@ fn greedy_cost(dist: &[Vec<f64>], nc: usize) -> f64 {
     for _ in 1..nc {
         let mut best = f64::INFINITY;
         let mut pick = 0;
-        for c in 0..nc {
-            if !visited[c] && dist[cur][c] < best {
-                best = dist[cur][c];
+        for (c, &d) in dist.row(cur).iter().enumerate() {
+            if !visited[c] && d < best {
+                best = d;
                 pick = c;
             }
         }
@@ -154,7 +175,7 @@ fn greedy_cost(dist: &[Vec<f64>], nc: usize) -> f64 {
         cost += best;
         cur = pick;
     }
-    cost + dist[cur][0]
+    cost + dist.get(cur, 0)
 }
 
 /// Everything [`solve_raw`] reads, floats by bit pattern; `dist` through
@@ -174,7 +195,7 @@ pub(crate) static SOLVED: Memo<SolveKey, (u64, u64)> = Memo::new();
 
 /// Exhaustively complete a partial tour, pruning against `best`.
 /// Returns `(best found, nodes visited)`.
-fn recursive_solve(p: &TspParams, dist: &[Vec<f64>], tour: &Tour, best: f64) -> (f64, u64) {
+fn recursive_solve(p: &TspParams, dist: &Distances, tour: &Tour, best: f64) -> (f64, u64) {
     let mut prefix = [0u8; MAX_CITIES];
     prefix[..tour.cities.len()].copy_from_slice(&tour.cities);
     let key = SolveKey {
@@ -192,13 +213,14 @@ fn recursive_solve(p: &TspParams, dist: &[Vec<f64>], tour: &Tour, best: f64) -> 
     (f64::from_bits(found), nodes)
 }
 
-fn solve_raw(dist: &[Vec<f64>], tour: &Tour, mut best: f64) -> (f64, u64) {
-    /// Visit the node whose path ends at `last` and holds `depth` cities.
+/// The search under [`recursive_solve`]'s memo: a depth-first walk that
+/// tries the unvisited cities in ascending order (lowest set bit first).
+fn solve_raw(dist: &Distances, tour: &Tour, mut best: f64) -> (f64, u64) {
+    /// Visit the node whose path ends at `last`, `unvisited` still to go.
     fn dfs(
-        dist: &[Vec<f64>],
+        dist: &Distances,
         last: usize,
-        depth: usize,
-        visited: u32,
+        unvisited: u32,
         cost: f64,
         best: &mut f64,
         nodes: &mut u64,
@@ -207,25 +229,26 @@ fn solve_raw(dist: &[Vec<f64>], tour: &Tour, mut best: f64) -> (f64, u64) {
         if cost >= *best {
             return;
         }
-        if depth == dist.len() {
-            let total = cost + dist[last][0];
+        let row = dist.row(last);
+        if unvisited == 0 {
+            let total = cost + row[0];
             if total < *best {
                 *best = total;
             }
             return;
         }
-        for c in 0..dist.len() {
-            if visited & (1 << c) == 0 {
-                let via = cost + dist[last][c];
-                dfs(dist, c, depth + 1, visited | (1 << c), via, best, nodes);
-            }
+        let mut rest = unvisited;
+        while rest != 0 {
+            let c = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            dfs(dist, c, unvisited & !(1 << c), cost + row[c], best, nodes);
         }
     }
     let visited = tour.cities.iter().fold(0u32, |m, &c| m | (1 << c));
     let last = *tour.cities.last().expect("a tour starts at city 0") as usize;
+    let all = (1u32 << dist.cities()) - 1;
     let mut nodes = 0u64;
-    let depth = tour.cities.len();
-    dfs(dist, last, depth, visited, tour.cost, &mut best, &mut nodes);
+    dfs(dist, last, all & !visited, tour.cost, &mut best, &mut nodes);
     (best, nodes)
 }
 
@@ -263,8 +286,7 @@ impl Ord for QueueEntry {
 /// and by the PVM master; the TreadMarks version keeps the same structures
 /// in shared memory instead.
 struct Engine {
-    dist: Vec<Vec<f64>>,
-    nc: usize,
+    dist: Distances,
     threshold: usize,
     queue: std::collections::BinaryHeap<QueueEntry>,
     best: f64,
@@ -274,18 +296,17 @@ struct Engine {
 impl Engine {
     fn new(p: &TspParams) -> Self {
         let dist = p.distances();
-        let best = greedy_cost(&dist, p.cities);
+        let best = greedy_cost(&dist);
         let root = Tour {
             cities: vec![0],
             cost: 0.0,
         };
         let mut queue = std::collections::BinaryHeap::new();
         queue.push(QueueEntry {
-            bound: lower_bound(&dist, &root, p.cities),
+            bound: lower_bound(&dist, &root),
             tour: root,
         });
         Engine {
-            nc: p.cities,
             threshold: p.threshold,
             queue,
             best,
@@ -306,16 +327,16 @@ impl Engine {
             }
             let last = *tour.cities.last().unwrap() as usize;
             let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
-            for c in 0..self.nc {
+            for c in 0..self.dist.cities() {
                 if visited & (1 << c) == 0 {
-                    let cost = tour.cost + self.dist[last][c];
+                    let cost = tour.cost + self.dist.get(last, c);
                     if cost >= self.best {
                         continue;
                     }
                     let mut cities = tour.cities.clone();
                     cities.push(c as u8);
                     let child = Tour { cities, cost };
-                    let bound = lower_bound(&self.dist, &child, self.nc);
+                    let bound = lower_bound(&self.dist, &child);
                     // A child whose bound cannot beat the incumbent is
                     // dominated: every completion costs at least `bound`.
                     if bound < self.best {
@@ -417,17 +438,16 @@ impl App for TspParams {
     /// `get_tour`, private `recursive_solve`.
     fn dsm_body(&self, tmk: &Tmk) -> f64 {
         let dist = self.distances();
-        let nc = self.cities;
         let sh = SharedTsp::alloc(tmk);
 
         if tmk.id() == 0 {
-            tmk.write_f64(sh.best, greedy_cost(&dist, nc));
+            tmk.write_f64(sh.best, greedy_cost(&dist));
             let root = Tour {
                 cities: vec![0],
                 cost: 0.0,
             };
             sh.write_tour(tmk, 0, &root);
-            tmk.write_f64(sh.bounds, lower_bound(&dist, &root, nc));
+            tmk.write_f64(sh.bounds, lower_bound(&dist, &root));
             tmk.write_i32(sh.qlen, 1);
             tmk.write_i32(sh.queue, 0);
             let free: Vec<i32> = (1..POOL_SLOTS as i32).rev().collect();
@@ -480,16 +500,16 @@ impl App for TspParams {
                 }
                 let last = *tour.cities.last().unwrap() as usize;
                 let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
-                for c in 0..nc {
+                for c in 0..dist.cities() {
                     if visited & (1 << c) == 0 {
-                        let cost = tour.cost + dist[last][c];
+                        let cost = tour.cost + dist.get(last, c);
                         if cost >= best {
                             continue;
                         }
                         let mut cities = tour.cities.clone();
                         cities.push(c as u8);
                         let child = Tour { cities, cost };
-                        let child_bound = lower_bound(&dist, &child, nc);
+                        let child_bound = lower_bound(&dist, &child);
                         // A child whose bound cannot beat the incumbent is
                         // dominated: every completion costs at least the bound.
                         if child_bound >= best {
@@ -669,13 +689,13 @@ mod tests {
         let nc = p.cities;
         let mut perm: Vec<u8> = (1..nc as u8).collect();
         let mut best = f64::INFINITY;
-        fn permute(perm: &mut Vec<u8>, k: usize, dist: &[Vec<f64>], best: &mut f64) {
+        fn permute(perm: &mut Vec<u8>, k: usize, dist: &Distances, best: &mut f64) {
             if k == perm.len() {
-                let mut cost = dist[0][perm[0] as usize];
+                let mut cost = dist.get(0, perm[0] as usize);
                 for w in perm.windows(2) {
-                    cost += dist[w[0] as usize][w[1] as usize];
+                    cost += dist.get(w[0] as usize, w[1] as usize);
                 }
-                cost += dist[*perm.last().unwrap() as usize][0];
+                cost += dist.get(*perm.last().unwrap() as usize, 0);
                 if cost < *best {
                     *best = cost;
                 }
@@ -705,7 +725,7 @@ mod tests {
 
     /// Memoised twice (cold or filled by another test, then certainly warm)
     /// against the raw kernel, floats by bit pattern.
-    fn assert_memo_is_raw(p: &TspParams, dist: &[Vec<f64>], tour: &Tour, best: f64) {
+    fn assert_memo_is_raw(p: &TspParams, dist: &Distances, tour: &Tour, best: f64) {
         let (raw_best, raw_nodes) = solve_raw(dist, tour, best);
         for _ in 0..2 {
             let (found, nodes) = recursive_solve(p, dist, tour, best);
@@ -715,17 +735,116 @@ mod tests {
         }
     }
 
+    /// The distance matrix as `distances` built it before it was flat.
+    fn distances_reference(p: &TspParams) -> Vec<Vec<f64>> {
+        let nc = p.cities;
+        let mut coords = Vec::with_capacity(nc);
+        let mut state = p.seed | 1;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..nc {
+            coords.push((next() * 1000.0, next() * 1000.0));
+        }
+        let mut d = vec![vec![0.0; nc]; nc];
+        for i in 0..nc {
+            for j in 0..nc {
+                let dx = coords[i].0 - coords[j].0;
+                let dy = coords[i].1 - coords[j].1;
+                d[i][j] = (dx * dx + dy * dy).sqrt();
+            }
+        }
+        d
+    }
+
+    /// `solve_raw` as it was before the flat matrix and the bit walk: a
+    /// nested matrix, a `0..n` scan for unvisited cities and a depth count.
+    fn solve_raw_reference(dist: &[Vec<f64>], tour: &Tour, mut best: f64) -> (f64, u64) {
+        fn dfs(
+            dist: &[Vec<f64>],
+            last: usize,
+            depth: usize,
+            visited: u32,
+            cost: f64,
+            best: &mut f64,
+            nodes: &mut u64,
+        ) {
+            *nodes += 1;
+            if cost >= *best {
+                return;
+            }
+            if depth == dist.len() {
+                let total = cost + dist[last][0];
+                if total < *best {
+                    *best = total;
+                }
+                return;
+            }
+            for c in 0..dist.len() {
+                if visited & (1 << c) == 0 {
+                    let via = cost + dist[last][c];
+                    dfs(dist, c, depth + 1, visited | (1 << c), via, best, nodes);
+                }
+            }
+        }
+        let visited = tour.cities.iter().fold(0u32, |m, &c| m | (1 << c));
+        let last = *tour.cities.last().expect("a tour starts at city 0") as usize;
+        let mut nodes = 0u64;
+        let depth = tour.cities.len();
+        dfs(dist, last, depth, visited, tour.cost, &mut best, &mut nodes);
+        (best, nodes)
+    }
+
+    /// Every tour the sequential engine hands to `recursive_solve`, and the
+    /// optimum it ends with.
+    fn handed_out_tours(p: &TspParams) -> (Vec<Tour>, f64) {
+        let mut eng = Engine::new(p);
+        let mut tours = Vec::new();
+        while let Some(tour) = eng.get_tour() {
+            eng.best = eng.best.min(solve_raw(&eng.dist, &tour, eng.best).0);
+            tours.push(tour);
+        }
+        (tours, eng.best)
+    }
+
+    #[test]
+    fn the_solve_is_the_reference_search_bit_for_bit() {
+        for p in [TspParams::tiny(), TspParams::scaled()] {
+            let (dist, nested) = (p.distances(), distances_reference(&p));
+            assert_eq!(dist.cities(), nested.len());
+            for (i, row) in nested.iter().enumerate() {
+                for (j, d) in row.iter().enumerate() {
+                    assert_eq!(dist.get(i, j).to_bits(), d.to_bits(), "{i} -> {j}");
+                }
+            }
+            let (tours, optimum) = handed_out_tours(&p);
+            assert!(tours.len() > 10, "{} tours", tours.len());
+            for tour in &tours {
+                for best in [f64::INFINITY, greedy_cost(&dist), optimum] {
+                    let (found, nodes) = solve_raw(&dist, tour, best);
+                    let (ref_found, ref_nodes) = solve_raw_reference(&nested, tour, best);
+                    let ctx = format!("{} cities, {:?} against {best}", p.cities, tour.cities);
+                    assert_eq!(found.to_bits(), ref_found.to_bits(), "{ctx}");
+                    assert_eq!(nodes, ref_nodes, "{ctx}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn the_memoised_solve_is_the_raw_kernel_bit_for_bit() {
         let p = TspParams::tiny();
         let dist = p.distances();
         let optimum = solve_raw(&dist, &root(), f64::INFINITY).0;
-        let bounds = [greedy_cost(&dist, p.cities), optimum, f64::INFINITY];
+        let bounds = [greedy_cost(&dist), optimum, f64::INFINITY];
         for a in 1..p.cities {
             for b in (1..p.cities).filter(|&b| b != a) {
                 let tour = Tour {
                     cities: vec![0, a as u8, b as u8],
-                    cost: dist[0][a] + dist[a][b],
+                    cost: dist.get(0, a) + dist.get(a, b),
                 };
                 for best in bounds {
                     assert_memo_is_raw(&p, &dist, &tour, best);

@@ -129,8 +129,10 @@ impl DsmState {
 
     /// The diffs this process would serve for `page`, as `(hb1 sort key,
     /// creator, seq, slab handle)` in response order, marking first-time
-    /// serves as scan-charged.  A range scan over the page's keys in the
-    /// ordered diff index — not a sweep over every diff held.
+    /// serves as scan-charged.  One range of the ordered diff index per
+    /// creator, `(page, creator, applied + 1) ..= (page, creator, global)`:
+    /// the diffs the requester has already applied are never visited, and
+    /// neither are its own or those of a creator it has nothing new from.
     fn served_diff_keys(
         &mut self,
         page: PageId,
@@ -138,13 +140,64 @@ impl DsmState {
         applied_vc: &VectorClock,
         global_vc: &VectorClock,
     ) -> (Vec<(u64, usize, u32, u32)>, usize) {
+        // With the `oracle-checks` feature (on in CI), every selection is
+        // checked against the full-page scan; taken before the ranged walk
+        // marks anything, since both count the not-yet-charged diffs.
+        #[cfg(feature = "oracle-checks")]
+        let reference = self.served_diff_keys_reference(page, requester, applied_vc, global_vc);
         let DsmState {
-            diffs, diff_slab, ..
+            diffs,
+            diff_slab,
+            nprocs,
+            ..
         } = self;
         let mut first_serves = 0usize;
         let mut keys: Vec<(u64, usize, u32, u32)> = Vec::new();
-        for (&(_, creator, seq), &handle) in
-            diffs.range((page, 0, 0)..=(page, usize::MAX, u32::MAX))
+        for creator in (0..*nprocs).filter(|&c| c != requester) {
+            let (applied, global) = (applied_vc.get(creator), global_vc.get(creator));
+            if applied >= global {
+                continue;
+            }
+            for (&(_, _, seq), &handle) in
+                diffs.range((page, creator, applied + 1)..=(page, creator, global))
+            {
+                let stored = diff_slab.get_mut(handle);
+                if !stored.scan_charged {
+                    stored.scan_charged = true;
+                    first_serves += 1;
+                }
+                keys.push((stored.vc.sum(), creator, seq, handle));
+            }
+        }
+        keys.sort_unstable();
+        #[cfg(feature = "oracle-checks")]
+        assert_eq!(
+            (&keys, first_serves),
+            (&reference.0, reference.1),
+            "ranged diff selection diverged from the full-page scan"
+        );
+        (keys, first_serves)
+    }
+
+    /// The selection of [`served_diff_keys`](Self::served_diff_keys) by a
+    /// scan over every diff held for `page`, testing each against the
+    /// requester and both clocks: obviously correct, visits what the ranged
+    /// walk skips.  Marks nothing — `first_serves` counts the selected
+    /// diffs not yet charged.  The oracle for the equivalence tests and the
+    /// `oracle-checks` feature.
+    #[cfg(any(test, feature = "oracle-checks"))]
+    fn served_diff_keys_reference(
+        &self,
+        page: PageId,
+        requester: usize,
+        applied_vc: &VectorClock,
+        global_vc: &VectorClock,
+    ) -> (Vec<(u64, usize, u32, u32)>, usize) {
+        let mut first_serves = 0usize;
+        let mut keys = Vec::new();
+        for (&(_, creator, seq), &handle) in self
+            .diffs
+            .range((page, 0, 0)..=(page, usize::MAX, u32::MAX))
         {
             if creator == requester
                 || seq <= applied_vc.get(creator)
@@ -152,11 +205,8 @@ impl DsmState {
             {
                 continue;
             }
-            let stored = diff_slab.get_mut(handle);
-            if !stored.scan_charged {
-                stored.scan_charged = true;
-                first_serves += 1;
-            }
+            let stored = self.diff_slab.get(handle);
+            first_serves += usize::from(!stored.scan_charged);
             keys.push((stored.vc.sum(), creator, seq, handle));
         }
         keys.sort_unstable();
@@ -424,6 +474,73 @@ mod tests {
         assert!(out.iter().all(|&b| b == 1));
         p2.read_bytes(2000, &mut out);
         assert!(out.iter().all(|&b| b == 2));
+    }
+
+    /// xorshift64: seeded test inputs, the same every run.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn clock(&mut self, n: usize, max: usize) -> VectorClock {
+            let mut vc = VectorClock::new(n);
+            for p in 0..n {
+                vc.set(p, self.below(max + 1) as u32);
+            }
+            vc
+        }
+    }
+
+    #[test]
+    fn ranged_selection_is_the_full_page_scan() {
+        // Random stores on pages 0 and 2 (page 1 stays empty), holding
+        // diffs by every creator — the requester's own among them — some
+        // already charged; random requesters and clocks, so that creators
+        // with `applied >= global`, and seqs at both range ends, all occur.
+        let n = 5;
+        let mut rng = Rng(0x5eed_d1ff_0123_4567);
+        let mut touched = new_page();
+        touched[0] = 1;
+        let diff = Diff::create(&new_page(), &touched);
+        let (mut selected, mut charged) = (0usize, 0usize);
+        for _ in 0..if cfg!(miri) { 4 } else { 300 } {
+            let mut s = state(rng.below(n), n);
+            for _ in 0..rng.below(40) {
+                let page = 2 * rng.below(2) as PageId;
+                let (creator, seq) = (rng.below(n), 1 + rng.below(12) as u32);
+                let mut vc = rng.clock(n, 12);
+                vc.set(creator, seq);
+                let handle = s.diff_slab.insert(StoredDiff {
+                    vc_wire: vc_wire(&vc),
+                    vc,
+                    diff: diff.clone(),
+                    scan_charged: rng.below(2) == 0,
+                });
+                if let Some(old) = s.diffs.insert((page, creator, seq), handle) {
+                    s.diff_slab.remove(old);
+                }
+            }
+            for page in 0..3 {
+                for _ in 0..4 {
+                    let requester = rng.below(n);
+                    let (applied, global) = (rng.clock(n, 13), rng.clock(n, 13));
+                    let want = s.served_diff_keys_reference(page, requester, &applied, &global);
+                    let got = s.served_diff_keys(page, requester, &applied, &global);
+                    assert_eq!(got, want, "page {page}, requester {requester}");
+                    // Served once, charged: a repeat selects the same, charges none.
+                    let again = s.served_diff_keys(page, requester, &applied, &global);
+                    assert_eq!(again, (want.0, 0));
+                    selected += got.0.len();
+                    charged += got.1;
+                }
+            }
+        }
+        assert!(selected > charged && charged > 0, "{selected} / {charged}");
     }
 
     #[test]
