@@ -31,7 +31,9 @@ use bench::{
     exec, invariants, obs, proc_series, render_race_reports, run_matrix_exec, run_record_json,
     Exec, Preset, RunKey, RunMatrix, RunTuning,
 };
-use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, NetModel, NetPreset, ObsLevel, Scenario};
+use cluster::{
+    AnalysisLevel, ClusterConfig, FaultKind, FaultPlan, NetModel, NetPreset, ObsLevel, Scenario,
+};
 use std::path::Path;
 use treadmarks::ProtocolKind;
 
@@ -121,7 +123,7 @@ fn table2(
                     "{:<12} {:<5} {}",
                     w.name(),
                     protocol.name(),
-                    protocol.backend().counter_summary(stats),
+                    protocol.counter_summary(stats),
                 ));
             }
         }
@@ -290,12 +292,12 @@ fn list_catalogue(json: bool) {
             .map(|f| f.name.trim_start_matches("--").replace('-', "_"))
             .collect();
         println!("  \"execution_knobs\": [{}],", quoted(&knobs));
-        let kinds: Vec<String> = FaultPlan::kinds()
-            .iter()
+        let kinds: Vec<String> = FaultKind::ALL
+            .map(|k| (k.name(), k.describe()))
             .map(|(name, desc)| {
                 format!("    {{\"name\": \"{name}\", \"description\": \"{desc}\"}}")
             })
-            .collect();
+            .into();
         println!("  \"fault_kinds\": [\n{}\n  ]", kinds.join(",\n"));
         println!("}}");
         return;
@@ -340,8 +342,8 @@ fn list_catalogue(json: bool) {
         knobs.join(", ")
     );
     println!("\nFault kinds (scenario [fault] section; fuzz --faults {{lossy,partitioned,FILE}}):");
-    for (name, desc) in FaultPlan::kinds() {
-        println!("  {name:<12} {desc}");
+    for k in FaultKind::ALL {
+        println!("  {:<12} {}", k.name(), k.describe());
     }
 }
 

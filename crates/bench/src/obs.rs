@@ -98,7 +98,7 @@ pub fn chrome_trace_json(matrix: &RunMatrix) -> String {
                         ev.rank
                     )),
                     // Send/Consume/Grant live on the central stream, not here.
-                    _ => unreachable!("per-process sink records span events only"),
+                    _ => unreachable!("per-process recorder records span events only"),
                 }
             }
         }

@@ -91,7 +91,8 @@ impl SplitMix64 {
 
 /// A timed link partition: while `from <= t < until`, no message can cross
 /// between group `a` and group `b` (in either direction); the partition
-/// heals at virtual time `until`.
+/// heals at virtual time `until`.  The groups are disjoint: a rank on both
+/// sides would be cut off from everyone, which is refused, not a cut.
 ///
 /// The canonical text form is `"0,1|2,3@0.005..0.02"`: the two groups,
 /// separated by `|`, then `@from..until` in seconds (shortest round-trip
@@ -162,7 +163,13 @@ impl std::str::FromStr for Partition {
         // Both ends finite: a partition healing at `inf` would carry the
         // run's virtual time (and its JSON) to `inf`.
         let window = parsed.from.is_finite() && parsed.until.is_finite();
-        if parsed.a.is_empty() || parsed.b.is_empty() || !window || parsed.from >= parsed.until {
+        let overlap = parsed.a.iter().any(|r| parsed.b.contains(r));
+        if parsed.a.is_empty()
+            || parsed.b.is_empty()
+            || overlap
+            || !window
+            || parsed.from >= parsed.until
+        {
             return Err(err());
         }
         Ok(parsed)
@@ -214,9 +221,11 @@ impl std::str::FromStr for Crash {
                 at: CrashPoint::Time(t.is_finite().then_some(t).ok_or_else(err)?),
             })
         } else if let Some((rank, n)) = s.split_once('#') {
+            // Events count from 1: `#0` would fire exactly like `#1`.
+            let n: u64 = n.trim().parse().map_err(|_| err())?;
             Ok(Crash {
                 rank: rank.trim().parse().map_err(|_| err())?,
-                at: CrashPoint::Event(n.trim().parse().map_err(|_| err())?),
+                at: CrashPoint::Event((n > 0).then_some(n).ok_or_else(err)?),
             })
         } else {
             Err(err())
@@ -422,37 +431,6 @@ impl FaultPlan {
         }
         h
     }
-
-    /// The catalogue of fault kinds this plan schema supports, with one-line
-    /// descriptions (rendered by `reproduce --list`).
-    pub fn kinds() -> &'static [(&'static str, &'static str)] {
-        &[
-            (
-                "drop",
-                "datagrams lost once on the wire; retransmitted after the timeout, delay and extra datagrams charged",
-            ),
-            (
-                "duplicate",
-                "wire carries a second copy; suppressed on delivery, occupancy and datagrams charged",
-            ),
-            (
-                "reorder",
-                "delivery slips behind the previously queued message from another source (per-link FIFO preserved)",
-            ),
-            (
-                "delay",
-                "extra queueing delay of delay_factor x latency x u seconds",
-            ),
-            (
-                "partition",
-                "timed link partition 'a|b@from..until'; crossing messages retransmit until the heal instant",
-            ),
-            (
-                "crash",
-                "process death at 'rank@time' or 'rank#event'; peers report a structured deadlock naming it",
-            ),
-        ]
-    }
 }
 
 /// What kind of fault an injection event records (trace stream and
@@ -474,6 +452,17 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every fault kind the plan schema supports, in catalogue order
+    /// (rendered by `reproduce --list`).
+    pub const ALL: [FaultKind; 6] = [
+        FaultKind::Drop,
+        FaultKind::Duplicate,
+        FaultKind::Reorder,
+        FaultKind::Delay,
+        FaultKind::Partition,
+        FaultKind::Crash,
+    ];
+
     /// Stable lowercase name used in traces and reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -483,6 +472,28 @@ impl FaultKind {
             FaultKind::Delay => "delay",
             FaultKind::Partition => "partition",
             FaultKind::Crash => "crash",
+        }
+    }
+
+    /// One-line description for `reproduce --list`.
+    pub fn describe(self) -> &'static str {
+        match self {
+            FaultKind::Drop => {
+                "datagrams lost once on the wire; retransmitted after the timeout, delay and extra datagrams charged"
+            }
+            FaultKind::Duplicate => {
+                "wire carries a second copy; suppressed on delivery, occupancy and datagrams charged"
+            }
+            FaultKind::Reorder => {
+                "delivery slips behind the previously queued message from another source (per-link FIFO preserved)"
+            }
+            FaultKind::Delay => "extra queueing delay of delay_factor x latency x u seconds",
+            FaultKind::Partition => {
+                "timed link partition 'a|b@from..until'; crossing messages retransmit until the heal instant"
+            }
+            FaultKind::Crash => {
+                "process death at 'rank@time' or 'rank#event'; peers report a structured deadlock naming it"
+            }
         }
     }
 }
@@ -753,6 +764,23 @@ mod tests {
         }
         assert!("x@1".parse::<Crash>().is_err());
         assert!("2".parse::<Crash>().is_err());
+    }
+
+    #[test]
+    fn specs_that_would_be_silently_reinterpreted_are_refused() {
+        // A rank on both sides of a cut would be cut off from everyone.
+        let e = "0,1|1,2@0.001..0.004".parse::<Partition>().unwrap_err();
+        assert_eq!(
+            e,
+            "bad partition spec '0,1|1,2@0.001..0.004'; expected 'a,b|c,d@from..until'"
+        );
+        // Events count from 1, so `#0` would fire exactly like `#1`.
+        let e = "2#0".parse::<Crash>().unwrap_err();
+        assert_eq!(
+            e,
+            "bad crash spec '2#0'; expected 'rank@time' or 'rank#event'"
+        );
+        assert!("2#1".parse::<Crash>().is_ok());
     }
 
     #[test]

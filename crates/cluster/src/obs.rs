@@ -1,4 +1,4 @@
-//! Deterministic virtual-time observability: structured event sinks, span
+//! Deterministic virtual-time observability: per-process recorders, span
 //! recording, log-scale latency histograms, and per-process time attribution.
 //!
 //! Everything in this module is stamped in **virtual** time (integer
@@ -11,8 +11,8 @@
 //!
 //! The layer has three levels ([`ObsLevel`]):
 //!
-//! * `Off` — the per-process sink is a [`NullSink`] and every emission site
-//!   is a single predictable branch; the simulation byte-stream is unchanged.
+//! * `Off` — a process holds no [`Recorder`] and every emission site is a
+//!   single predictable branch; the simulation byte-stream is unchanged.
 //! * `Metrics` — per-process span durations are recorded into fixed-bucket
 //!   log-scale [`Histogram`]s and attributed to a [`SpanCat`] time-breakdown
 //!   profile, but no event list is kept.
@@ -20,7 +20,7 @@
 //!   send/deliver/consume plus arbiter grant is recorded as an [`Event`] for
 //!   export as a Chrome-trace / Perfetto JSON file.
 //!
-//! Span recording never perturbs the simulation: sinks only *read* the
+//! Span recording never perturbs the simulation: recorders only *read* the
 //! virtual clock, so enabling tracing cannot change any reported time or
 //! counter (a property the test suite asserts).
 
@@ -39,7 +39,7 @@ pub fn ns(seconds: f64) -> u64 {
 /// How much the engine records about a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ObsLevel {
-    /// No recording; emission sites reduce to one branch ([`NullSink`]).
+    /// No recording; emission sites reduce to one branch (no [`Recorder`]).
     #[default]
     Off,
     /// Histograms and the per-process time-breakdown profile only.
@@ -318,36 +318,6 @@ impl Histogram {
     }
 }
 
-/// Where a process reports its observability output.
-///
-/// The engine holds one boxed sink per process; at [`ObsLevel::Off`] that is
-/// the [`NullSink`], whose calls are empty inlineable bodies — the "zero
-/// cost when disabled" contract.
-pub trait EventSink {
-    /// The level this sink records at.
-    fn level(&self) -> ObsLevel;
-    /// A span of `cat` opened at virtual time `t_ns` with operand `arg`.
-    fn span_begin(&self, t_ns: u64, cat: SpanCat, arg: u64);
-    /// The innermost open span of `cat` closed at virtual time `t_ns`.
-    fn span_end(&self, t_ns: u64, cat: SpanCat);
-    /// Consume the sink and return what it recorded (None for [`NullSink`]).
-    fn finish(self: Box<Self>) -> Option<ProcObs>;
-}
-
-/// The disabled sink: records nothing, returns nothing.
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn level(&self) -> ObsLevel {
-        ObsLevel::Off
-    }
-    fn span_begin(&self, _t_ns: u64, _cat: SpanCat, _arg: u64) {}
-    fn span_end(&self, _t_ns: u64, _cat: SpanCat) {}
-    fn finish(self: Box<Self>) -> Option<ProcObs> {
-        None
-    }
-}
-
 /// One open span on the recorder stack.
 struct OpenSpan {
     cat: SpanCat,
@@ -364,7 +334,9 @@ struct RecorderState {
     events: Vec<Event>,
 }
 
-/// The recording sink used at [`ObsLevel::Metrics`] and [`ObsLevel::Trace`].
+/// The per-process recorder used at [`ObsLevel::Metrics`] and
+/// [`ObsLevel::Trace`].  A process at [`ObsLevel::Off`] holds none, so
+/// disabled recording costs one `Option` branch per emission site.
 ///
 /// Span durations are recorded **in full** (begin to end, including nested
 /// spans) into the per-category histograms — a lock-acquire latency is the
@@ -393,14 +365,9 @@ impl Recorder {
             }),
         }
     }
-}
 
-impl EventSink for Recorder {
-    fn level(&self) -> ObsLevel {
-        self.level
-    }
-
-    fn span_begin(&self, t_ns: u64, cat: SpanCat, arg: u64) {
+    /// A span of `cat` opened at virtual time `t_ns` with operand `arg`.
+    pub fn span_begin(&self, t_ns: u64, cat: SpanCat, arg: u64) {
         let mut st = self.inner.borrow_mut();
         if self.level == ObsLevel::Trace {
             st.events.push(Event {
@@ -416,7 +383,8 @@ impl EventSink for Recorder {
         });
     }
 
-    fn span_end(&self, t_ns: u64, cat: SpanCat) {
+    /// The innermost open span of `cat` closed at virtual time `t_ns`.
+    pub fn span_end(&self, t_ns: u64, cat: SpanCat) {
         let mut st = self.inner.borrow_mut();
         let open = st.stack.pop().expect("span_end without a matching begin");
         assert_eq!(open.cat, cat, "span_end category mismatch");
@@ -436,14 +404,15 @@ impl EventSink for Recorder {
         }
     }
 
-    fn finish(self: Box<Self>) -> Option<ProcObs> {
+    /// Consume the recorder and return what it recorded.
+    pub fn finish(self) -> ProcObs {
         let st = self.inner.into_inner();
         debug_assert!(st.stack.is_empty(), "spans still open at finish");
-        Some(ProcObs {
+        ProcObs {
             self_ns: st.self_ns,
             hists: st.hists,
             events: st.events,
-        })
+        }
     }
 }
 
@@ -626,7 +595,7 @@ mod tests {
         rec.span_begin(30, SpanCat::Fault, 7);
         rec.span_end(80, SpanCat::Fault);
         rec.span_end(110, SpanCat::LockWait);
-        let obs = Box::new(rec).finish().unwrap();
+        let obs = rec.finish();
         assert_eq!(obs.self_ns[SpanCat::Fault.index()], 50);
         assert_eq!(obs.self_ns[SpanCat::LockWait.index()], 50);
         // Histograms record full durations.
@@ -642,17 +611,8 @@ mod tests {
         let rec = Recorder::new(3, ObsLevel::Metrics);
         rec.span_begin(0, SpanCat::BarrierWait, 0);
         rec.span_end(40, SpanCat::BarrierWait);
-        let obs = Box::new(rec).finish().unwrap();
+        let obs = rec.finish();
         assert!(obs.events.is_empty());
         assert_eq!(obs.span_count(SpanCat::BarrierWait), 1);
-    }
-
-    #[test]
-    fn null_sink_returns_nothing() {
-        let sink = NullSink;
-        sink.span_begin(0, SpanCat::Fault, 0);
-        sink.span_end(1, SpanCat::Fault);
-        assert_eq!(sink.level(), ObsLevel::Off);
-        assert!(Box::new(sink).finish().is_none());
     }
 }

@@ -3,7 +3,7 @@
 use crate::config::ClusterConfig;
 use crate::fault::CrashPoint;
 use crate::net::{CrashPayload, Message, NetworkCore, Tag};
-use crate::obs::{self, EventSink, NullSink, ProcObs, Recorder, SpanCat};
+use crate::obs::{self, ProcObs, Recorder, SpanCat};
 use crate::stats::ProcStats;
 use crate::time::VirtualClock;
 use bytes::Bytes;
@@ -21,10 +21,9 @@ pub struct Proc {
     core: Rc<NetworkCore>,
     clock: VirtualClock,
     stats: RefCell<ProcStats>,
-    /// Observability sink; a [`NullSink`] when the config says `Off`, so
-    /// every emission site costs one predictable branch.
-    sink: Box<dyn EventSink>,
-    obs_on: bool,
+    /// Observability recorder; `None` when the config says `Off`, so every
+    /// emission site costs one predictable branch.
+    obs: Option<Recorder>,
     /// Fault-plan crash point for this rank, if any.
     crash: Option<CrashPoint>,
     /// Transport interactions entered so far (sends and receives), counted
@@ -42,19 +41,13 @@ impl Proc {
             config_latency: latency,
             ..Default::default()
         };
-        let sink: Box<dyn EventSink> = if level.enabled() {
-            Box::new(Recorder::new(id as u32, level))
-        } else {
-            Box::new(NullSink)
-        };
         let crash = core.config().fault.crash_for(id);
         Proc {
             id,
             core,
             clock: VirtualClock::new(),
             stats: RefCell::new(stats),
-            sink,
-            obs_on: level.enabled(),
+            obs: level.enabled().then(|| Recorder::new(id as u32, level)),
             crash,
             events: Cell::new(0),
         }
@@ -212,16 +205,16 @@ impl Proc {
     /// must be matched by a [`span_end`](Self::span_end) of the same
     /// category before the process finishes.
     pub fn span_begin(&self, cat: SpanCat, arg: u64) {
-        if self.obs_on {
-            self.sink.span_begin(obs::ns(self.clock.now()), cat, arg);
+        if let Some(r) = &self.obs {
+            r.span_begin(obs::ns(self.clock.now()), cat, arg);
         }
     }
 
     /// Close the innermost open span of `cat` at the current virtual time.
     /// A no-op when observability is off.
     pub fn span_end(&self, cat: SpanCat) {
-        if self.obs_on {
-            self.sink.span_end(obs::ns(self.clock.now()), cat);
+        if let Some(r) = &self.obs {
+            r.span_end(obs::ns(self.clock.now()), cat);
         }
     }
 
@@ -232,7 +225,7 @@ impl Proc {
         self.core.finish(self.id);
         let mut st = self.stats.into_inner();
         st.finish_time = self.clock.now();
-        (st, self.sink.finish())
+        (st, self.obs.map(Recorder::finish))
     }
 
     fn consume(&self, m: &Message) {
@@ -250,6 +243,27 @@ impl Proc {
 mod tests {
     use super::*;
     use crate::{Cluster, ClusterConfig};
+
+    #[test]
+    fn a_rank_records_only_when_observability_is_on() {
+        let run = |level| {
+            let mut cfg = ClusterConfig::calibrated_fddi(3);
+            cfg.obs = level;
+            Cluster::run(cfg, |p| {
+                p.span_begin(SpanCat::Fault, 0);
+                p.compute(1e-3);
+                p.span_end(SpanCat::Fault);
+            })
+        };
+        assert!(run(crate::ObsLevel::Off).obs.is_none());
+        let obs = run(crate::ObsLevel::Metrics).obs.expect("metrics recorded");
+        assert_eq!(obs.procs.len(), 3, "one recording per rank");
+        for po in &obs.procs {
+            assert_eq!(po.span_count(SpanCat::Fault), 1);
+            assert_eq!(po.self_ns[SpanCat::Fault.index()], 1_000_000);
+            assert!(po.events.is_empty());
+        }
+    }
 
     #[test]
     fn compute_is_accounted() {

@@ -220,19 +220,18 @@ impl<'a> Tmk<'a> {
     /// The write trap around `write`, which stores the `len` bytes at
     /// `addr` into the pages.
     ///
-    /// The trap is the protocol's decision
-    /// ([`crate::protocol::ConsistencyProtocol::prepare_write`]): the
-    /// twinning backends validate the span and twin + dirty each page; SC
-    /// acquires exclusive ownership.  `access_done` then lets the protocol
-    /// serve whatever it deferred while acquiring (SC's ownership
-    /// hand-offs).
+    /// The trap is the protocol's decision (`Tmk::prepare_write` in
+    /// [`crate::protocol`]): the twinning backends validate the span and
+    /// twin + dirty each page; SC acquires exclusive ownership.
+    /// `access_done` then lets the protocol serve whatever it deferred while
+    /// acquiring (SC's ownership hand-offs).
     fn write_with(&self, addr: SharedAddr, len: usize, write: impl FnOnce(&mut DsmState)) {
         if len == 0 {
             return;
         }
-        self.backend.prepare_write(self, addr, len);
+        self.prepare_write(addr, len);
         write(&mut self.st.borrow_mut());
-        self.backend.access_done(self);
+        self.access_done();
         self.race_record(crate::race::AccessKind::Write, addr, len);
     }
 

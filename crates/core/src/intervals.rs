@@ -9,7 +9,7 @@
 //! into every grant or barrier message that carries the record — and the
 //! receiver side that turns records into page invalidations.  What becomes
 //! of each created diff, and which notices actually invalidate, are
-//! [`ConsistencyProtocol`](crate::protocol::ConsistencyProtocol) policy hooks.
+//! protocol policy ([`crate::protocol`]).
 
 use crate::page::Diff;
 use crate::proto::{encode_sync_spliced, record_wire, vc_wire, IntervalRecord};
@@ -39,18 +39,15 @@ impl DsmState {
     /// Diffs are created *eagerly* here (real TreadMarks creates them lazily
     /// when first requested); this keeps uncommitted writes of a later
     /// interval out of earlier diffs while producing identical message and
-    /// data counts.  What happens to each created diff is the protocol
-    /// decision ([`retain_or_flush`](crate::protocol::ConsistencyProtocol::retain_or_flush)): LRC stores it
-    /// for later diff requests (and eventual accumulation), HLRC hands it
-    /// back for flushing to remote homes — and pages whose diff the policy
-    /// suppresses entirely ([`diff_at_close`](crate::protocol::ConsistencyProtocol::diff_at_close), the
-    /// home's own pages) produce none.  Returns `None` if nothing was
-    /// written.
+    /// data counts.  What happens to each created diff is the protocol's
+    /// close-time disposal: LRC stores it for later diff requests (and
+    /// eventual accumulation), HLRC hands it back for flushing to remote
+    /// homes — and a page whose master copy is local (the HLRC home's own
+    /// pages) produces none.  Returns `None` if nothing was written.
     pub fn close_interval(&mut self) -> Option<ClosedInterval> {
         if self.dirty_pages.is_empty() {
             return None;
         }
-        let backend = self.backend;
         let seq = self.vc.increment(self.me);
         let vc = self.vc.clone();
         let interval_vc_wire = vc_wire(&vc);
@@ -59,7 +56,7 @@ impl DsmState {
         pages.dedup();
         let mut flushes = Vec::new();
         for &page in &pages {
-            let make_diff = backend.diff_at_close(self, page);
+            let make_diff = !self.holds_master_copy(page);
             let slot = &mut self.pages[page as usize];
             let twin = slot.twin.take().expect("dirty page must have a twin");
             slot.dirty = false;
@@ -72,9 +69,7 @@ impl DsmState {
             self.pool.recycle(twin);
             self.stats.diffs_created += 1;
             self.stats.diff_bytes_created += diff.encoded_len() as u64;
-            if let Some(flush) =
-                backend.retain_or_flush(self, page, seq, &vc, &interval_vc_wire, diff)
-            {
+            if let Some(flush) = self.dispose_closed_diff(page, seq, &vc, &interval_vc_wire, diff) {
                 flushes.push(flush);
             }
         }
@@ -118,9 +113,8 @@ impl DsmState {
     }
 
     /// Incorporate a write-notice record received from another process:
-    /// record the interval and invalidate the pages it modified (unless the
-    /// protocol keeps the local copy authoritative, per
-    /// [`invalidate_on_notice`](crate::protocol::ConsistencyProtocol::invalidate_on_notice)).
+    /// record the interval and invalidate the pages it modified (except a
+    /// master copy held here, which HLRC's flushes keep current).
     /// Records already covered by the local clock are ignored.
     pub fn apply_interval_record(&mut self, rec: &IntervalRecord) {
         if rec.creator == self.me || self.vc.covers(rec.creator, rec.seq) {
@@ -131,12 +125,11 @@ impl DsmState {
             rec.seq - 1,
             "interval records of one creator must arrive contiguously"
         );
-        let backend = self.backend;
         self.vc.set(rec.creator, rec.seq);
         self.intervals[rec.creator].push(LoggedInterval::new(rec.clone()));
         self.stats.write_notices_received += rec.pages.len() as u64;
         for &page in &rec.pages {
-            if !backend.invalidate_on_notice(self, page) {
+            if self.holds_master_copy(page) {
                 continue;
             }
             let slot = &mut self.pages[page as usize];

@@ -18,9 +18,9 @@
 //!   last-requester forwarding (a release sends no message), and a
 //!   centralised barrier costing `2 * (nprocs - 1)` messages ([`process`]).
 //!
-//! Beyond the paper, the coherence policy is a first-class *layer*: the
-//! [`protocol::ConsistencyProtocol`] trait separates protocol policy from
-//! the protocol-neutral core, and three backends plug into it —
+//! Beyond the paper, the coherence policy is a first-class *layer*:
+//! [`protocol`] separates protocol policy from the protocol-neutral core,
+//! one `match` on [`ProtocolKind`] per policy point, over three backends —
 //! [`ProtocolKind::Lrc`] (the TreadMarks protocol above),
 //! [`ProtocolKind::Hlrc`] (home-based LRC, [`protocol::hlrc`]: eager diff
 //! flushes to a per-page home at release/barrier and full-page fetches at
@@ -78,7 +78,7 @@ pub mod vc;
 pub use heap::SharedAddr;
 pub use page::{Diff, PageId};
 pub use process::Tmk;
-pub use protocol::{ConsistencyProtocol, ProtocolKind};
+pub use protocol::ProtocolKind;
 pub use race::RaceReport;
 pub use stats::TmkStats;
 pub use vc::VectorClock;
@@ -308,6 +308,26 @@ mod tests {
             assert_eq!(sa.finish_time.to_bits(), sb.finish_time.to_bits());
             assert_eq!(sa.messages_sent, sb.messages_sent);
         }
+    }
+
+    #[test]
+    fn lrc_validates_every_page_before_it_collects() {
+        // Rank 1's one interval trips a threshold of 1 at barrier 1.  LRC's
+        // GC preparation faults every invalidated page in before the
+        // collection, so no rank leaves that barrier with a stale page whose
+        // diffs are gone.
+        let rep = run(3, |tmk| {
+            let a = tmk.malloc(8);
+            tmk.set_gc_threshold(1);
+            tmk.barrier(0);
+            if tmk.id() == 1 {
+                tmk.write_f64(a, 2.5);
+            }
+            tmk.barrier(1);
+            let st = tmk.st.borrow();
+            (st.stats.gc_collections, st.is_valid(st.page_of(a)))
+        });
+        assert_eq!(rep.results, [(1, true); 3]);
     }
 
     #[test]

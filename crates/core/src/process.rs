@@ -19,7 +19,7 @@
 //! (SIGIO) request handling of the real system.
 
 use crate::proto::*;
-use crate::protocol::{ConsistencyProtocol, ProtocolKind};
+use crate::protocol::{hlrc, ProtocolKind};
 use crate::race;
 use crate::state::DsmState;
 use crate::stats::TmkStats;
@@ -64,8 +64,6 @@ use std::sync::Arc;
 pub struct Tmk<'a> {
     proc: &'a Proc,
     pub(crate) st: RefCell<DsmState>,
-    /// The coherence-protocol backend driving this endpoint's policy.
-    pub(crate) backend: &'static dyn ConsistencyProtocol,
     /// Next barrier episode number on this process.
     barrier_epoch: Cell<u32>,
     /// Barrier-manager state: arrivals per episode (source, source clock).
@@ -124,7 +122,6 @@ impl<'a> Tmk<'a> {
                 heap_bytes,
                 protocol,
             )),
-            backend: protocol.backend(),
             barrier_epoch: Cell::new(0),
             arrivals: RefCell::new(BTreeMap::new()),
             lock_release_time: RefCell::new(BTreeMap::new()),
@@ -289,7 +286,6 @@ impl<'a> Tmk<'a> {
             ls.have_token = true;
             ls.in_cs = true;
         }
-        self.backend.at_acquire(self);
         // Analysis acquire edge: join the clock published by the releaser
         // whose token we now hold (the grant message was received above, so
         // the publication is visible).
@@ -311,7 +307,7 @@ impl<'a> Tmk<'a> {
         // accesses made after this release.
         self.race_hook(|r| r.on_lock_release(id));
         if self.nprocs() > 1 {
-            self.backend.at_release(self);
+            self.close_and_publish();
         }
         let pending = {
             let mut st = self.st.borrow_mut();
@@ -361,7 +357,7 @@ impl<'a> Tmk<'a> {
             self.proc.span_end(SpanCat::BarrierWait);
             return;
         }
-        self.backend.at_barrier(self);
+        self.close_and_publish();
         {
             self.st.borrow_mut().stats.barriers += 1;
         }
@@ -465,10 +461,11 @@ impl<'a> Tmk<'a> {
 
     // ------------------------------------------------------------- internals
 
-    /// Close the current interval (if any page is dirty) and hand it to the
-    /// protocol backend's [`ConsistencyProtocol::publish_interval`] — under
-    /// the home-based protocol, that flushes the diffs to their remote
-    /// homes before returning.
+    /// Close the current interval (if any page is dirty) and flush whatever
+    /// the close-time disposal handed back to its remote homes before
+    /// returning ([`hlrc::flush`]) — nothing under LRC, whose diffs stay
+    /// here, or SC, which never dirties a page.  Every release edge and
+    /// barrier arrival calls this.
     ///
     /// No diff-creation cost is charged here: the real system creates diffs
     /// lazily, so under LRC the page+twin scan is charged when a diff is
@@ -476,7 +473,7 @@ impl<'a> Tmk<'a> {
     pub(crate) fn close_and_publish(&self) {
         let closed = self.st.borrow_mut().close_interval();
         if let Some(closed) = closed {
-            self.backend.publish_interval(self, closed);
+            hlrc::flush(self, closed);
         }
     }
 
@@ -593,7 +590,7 @@ impl<'a> Tmk<'a> {
             // (diff requests under LRC, flushes and page fetches under
             // HLRC, the ownership protocol under SC).
             other => {
-                if !self.backend.serve_request(self, m) {
+                if !self.serve_protocol_request(m) {
                     panic!("not a request tag: {other}");
                 }
             }
@@ -630,7 +627,7 @@ impl<'a> Tmk<'a> {
     fn grant_lock(&self, lock: u32, requester: usize, req_vc: &VectorClock, depart: f64) {
         // Handing the token over is a release edge: the open interval must
         // be published before the grant departs.
-        self.backend.at_release(self);
+        self.close_and_publish();
         let payload = {
             let mut st = self.st.borrow_mut();
             let ls = st.lock_state_mut(lock);
@@ -647,8 +644,8 @@ impl<'a> Tmk<'a> {
     /// Triggered — identically on every process, because the clocks merge at
     /// the barrier that just completed — when the cluster-wide interval
     /// count has grown past the configured threshold since the last
-    /// collection.  The protocol backend's
-    /// [`ConsistencyProtocol::prepare_gc`] first makes the collection safe:
+    /// collection.  The protocol's GC preparation (`Tmk::prepare_gc` in
+    /// [`crate::protocol`]) first makes the collection safe:
     /// LRC validates every invalid page and runs an internal sync barrier
     /// ([`Tmk::gc_sync_barrier`]) so no peer's in-flight diff request can
     /// name a collected diff; HLRC retains no diffs and page homes stay
@@ -665,7 +662,7 @@ impl<'a> Tmk<'a> {
         // the internal sync barrier — those nest as their own spans) plus
         // the collection itself.
         self.proc.span_begin(SpanCat::Gc, sum);
-        self.backend.prepare_gc(self);
+        self.prepare_gc();
         let horizon = self.st.borrow().vc.clone();
         debug_assert_eq!(horizon.sum(), sum, "GC must not create intervals");
         self.st.borrow_mut().gc(&horizon);

@@ -31,12 +31,9 @@ use crate::proto::{
     encode_diff_flush, encode_flush_ack, encode_page_request, encode_page_response, TAG_DIFF_FLUSH,
     TAG_FLUSH_ACK, TAG_PAGE_REQ, TAG_PAGE_RESP,
 };
-use crate::protocol::{diff_counter_summary, ConsistencyProtocol, ProtocolKind};
 use crate::state::{ClosedInterval, DsmState};
-use crate::stats::TmkStats;
 use crate::vc::VectorClock;
 use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
-use bytes::Bytes;
 use cluster::config::PAGE_SIZE;
 use cluster::Message;
 use std::collections::BTreeMap;
@@ -48,121 +45,80 @@ pub fn home_of(page: PageId, nprocs: usize) -> usize {
     page as usize % nprocs
 }
 
-/// The home-based-LRC backend singleton.
-pub struct Hlrc;
+/// HLRC fault service: fetch the full page from its home in one round
+/// trip.
+pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
+    let home = rt.st.borrow().home_of(page);
+    debug_assert_ne!(home, rt.id(), "the home never faults on its own pages");
+    rt.proc()
+        .send(home, TAG_PAGE_REQ, encode_page_request(page, rt.id()));
+    rt.st.borrow_mut().stats.page_requests_sent += 1;
+    let m = rt.wait_reply(TAG_PAGE_RESP);
+    let (pid, home_applied, data) = decode_page_response(m.payload, rt.nprocs());
+    assert_eq!(pid, page, "page response for an unexpected page");
+    // Installing the incoming page is a page-sized copy.
+    rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
+    rt.st.borrow_mut().apply_page(page, &data, &home_applied);
+}
 
-impl ConsistencyProtocol for Hlrc {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Hlrc
+/// Writer side of the eager flush: group the closed interval's diffs by
+/// home, send one flush message per home, and wait for every
+/// acknowledgement (serving incoming protocol requests meanwhile).
+///
+/// Called from the interval-close path (`Tmk::close_and_publish`), i.e.
+/// before the release or barrier arrival that publishes the interval's
+/// write notices — which is the ordering that guarantees the home is
+/// current before anyone can fault on the page.  Under LRC and SC the
+/// closed interval carries no flushes, so this returns at once.
+pub(crate) fn flush(rt: &Tmk, closed: ClosedInterval) {
+    if closed.flushes.is_empty() {
+        return;
     }
-
-    fn describe(&self) -> &'static str {
-        "home-based lazy release consistency: diffs flushed eagerly to a per-page home \
-         at release/barrier, faults fetch the full page from the home"
-    }
-
-    /// Under HLRC the home's copy is the master copy: flushes keep it
-    /// current before the notice can arrive, so it is never invalidated.
-    fn invalidate_on_notice(&self, st: &DsmState, page: PageId) -> bool {
-        home_of(page, st.nprocs) != st.me
-    }
-
-    /// The home's own writes are already in its master copy: no diff is
-    /// needed for a page homed here, ever.
-    fn diff_at_close(&self, st: &DsmState, page: PageId) -> bool {
-        home_of(page, st.nprocs) != st.me
-    }
-
-    /// Every created diff is destined for a remote home; nothing is
-    /// retained locally.
-    fn retain_or_flush(
-        &self,
-        _st: &mut DsmState,
-        page: PageId,
-        _seq: u32,
-        _vc: &VectorClock,
-        _vc_wire: &Bytes,
-        diff: Diff,
-    ) -> Option<(PageId, Diff)> {
-        Some((page, diff))
-    }
-
-    /// HLRC fault service: fetch the full page from its home in one round
-    /// trip.
-    fn serve_fault(&self, rt: &Tmk, page: PageId) {
+    rt.proc()
+        .span_begin(cluster::SpanCat::Flush, closed.flushes.len() as u64);
+    let seq = closed.seq;
+    let mut by_home: BTreeMap<usize, Vec<(PageId, Diff)>> = BTreeMap::new();
+    for (page, diff) in closed.flushes {
         let home = rt.st.borrow().home_of(page);
-        debug_assert_ne!(home, rt.id(), "the home never faults on its own pages");
-        rt.proc()
-            .send(home, TAG_PAGE_REQ, encode_page_request(page, rt.id()));
-        rt.st.borrow_mut().stats.page_requests_sent += 1;
-        let m = rt.wait_reply(TAG_PAGE_RESP);
-        let (pid, home_applied, data) = decode_page_response(m.payload, rt.nprocs());
-        assert_eq!(pid, page, "page response for an unexpected page");
-        // Installing the incoming page is a page-sized copy.
-        rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
-        rt.st.borrow_mut().apply_page(page, &data, &home_applied);
+        debug_assert_ne!(home, rt.id(), "own-homed pages are applied in place");
+        by_home.entry(home).or_default().push((page, diff));
     }
-
-    /// Writer side of the eager flush: group the closed interval's diffs by
-    /// home, send one flush message per home, and wait for every
-    /// acknowledgement (serving incoming protocol requests meanwhile).
-    ///
-    /// Called from the interval-close path, i.e. before the release or
-    /// barrier arrival that publishes the interval's write notices — which
-    /// is the ordering that guarantees the home is current before anyone
-    /// can fault on the page.
-    fn publish_interval(&self, rt: &Tmk, closed: ClosedInterval) {
-        if closed.flushes.is_empty() {
-            return;
-        }
-        rt.proc()
-            .span_begin(cluster::SpanCat::Flush, closed.flushes.len() as u64);
-        let seq = closed.seq;
-        let mut by_home: BTreeMap<usize, Vec<(PageId, Diff)>> = BTreeMap::new();
-        for (page, diff) in closed.flushes {
-            let home = rt.st.borrow().home_of(page);
-            debug_assert_ne!(home, rt.id(), "own-homed pages are applied in place");
-            by_home.entry(home).or_default().push((page, diff));
-        }
-        let homes = by_home.len();
-        for (home, entries) in by_home {
-            let bytes: usize = entries.iter().map(|(_, d)| d.encoded_len()).sum();
-            let payload = encode_diff_flush(rt.id(), seq, &entries);
-            // Creating each flushed diff scans the page and its twin (HLRC
-            // pays diff creation eagerly, at flush time), and copying the
-            // diffs into the flush message costs memory bandwidth too.
-            let scan = entries.len() as f64 * 2.0 * PAGE_SIZE as f64;
-            rt.proc().compute((scan + bytes as f64) / MEM_BANDWIDTH);
-            rt.proc().send(home, TAG_DIFF_FLUSH, payload);
-            let mut st = rt.st.borrow_mut();
-            st.stats.diff_flushes_sent += 1;
-            st.stats.flush_bytes_sent += bytes as u64;
-        }
-        for _ in 0..homes {
-            let m = rt.wait_reply(TAG_FLUSH_ACK);
-            let (creator, acked_seq) = decode_flush_ack(m.payload);
-            assert_eq!(creator, rt.id(), "flush ack for another process");
-            assert_eq!(acked_seq, seq, "flush ack for another interval");
-        }
-        rt.proc().span_end(cluster::SpanCat::Flush);
+    let homes = by_home.len();
+    for (home, entries) in by_home {
+        let bytes: usize = entries.iter().map(|(_, d)| d.encoded_len()).sum();
+        let payload = encode_diff_flush(rt.id(), seq, &entries);
+        // Creating each flushed diff scans the page and its twin (HLRC
+        // pays diff creation eagerly, at flush time), and copying the
+        // diffs into the flush message costs memory bandwidth too.
+        let scan = entries.len() as f64 * 2.0 * PAGE_SIZE as f64;
+        rt.proc().compute((scan + bytes as f64) / MEM_BANDWIDTH);
+        rt.proc().send(home, TAG_DIFF_FLUSH, payload);
+        let mut st = rt.st.borrow_mut();
+        st.stats.diff_flushes_sent += 1;
+        st.stats.flush_bytes_sent += bytes as u64;
     }
-
-    fn serve_request(&self, rt: &Tmk, m: Message) -> bool {
-        match m.tag {
-            TAG_DIFF_FLUSH => {
-                serve_flush(rt, m);
-                true
-            }
-            TAG_PAGE_REQ => {
-                serve_page_request(rt, m);
-                true
-            }
-            _ => false,
-        }
+    for _ in 0..homes {
+        let m = rt.wait_reply(TAG_FLUSH_ACK);
+        let (creator, acked_seq) = decode_flush_ack(m.payload);
+        assert_eq!(creator, rt.id(), "flush ack for another process");
+        assert_eq!(acked_seq, seq, "flush ack for another interval");
     }
+    rt.proc().span_end(cluster::SpanCat::Flush);
+}
 
-    fn counter_summary(&self, stats: &TmkStats) -> String {
-        diff_counter_summary(stats)
+/// Serve one HLRC request (home side): a diff flush or a page fetch.
+/// Returns `false` for any other tag.
+pub(crate) fn serve_request(rt: &Tmk, m: Message) -> bool {
+    match m.tag {
+        TAG_DIFF_FLUSH => {
+            serve_flush(rt, m);
+            true
+        }
+        TAG_PAGE_REQ => {
+            serve_page_request(rt, m);
+            true
+        }
+        _ => false,
     }
 }
 
@@ -299,6 +255,7 @@ impl DsmState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ProtocolKind;
 
     fn state(me: usize, n: usize) -> DsmState {
         DsmState::new_with(me, n, 1 << 20, ProtocolKind::Hlrc)

@@ -16,104 +16,84 @@ use crate::process::Tmk;
 use crate::proto::{
     decode_diff_request, decode_diff_response, encode_diff_request, TAG_DIFF_REQ, TAG_DIFF_RESP,
 };
-use crate::protocol::{diff_counter_summary, ConsistencyProtocol, ProtocolKind};
-use crate::stats::TmkStats;
 use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
 use cluster::config::PAGE_SIZE;
 use cluster::Message;
 
-/// The lazy-release-consistency backend singleton.
-pub struct Lrc;
-
-impl ConsistencyProtocol for Lrc {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Lrc
+/// LRC fault service: request diffs for `page` from the minimal
+/// dominating set of writers, apply them in `hb1` order, and mark the
+/// page valid.
+pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
+    let (targets, applied_vc, my_vc) = {
+        let st = rt.st.borrow();
+        (
+            st.diff_request_targets(page),
+            st.page_applied_vc(page),
+            st.vc.clone(),
+        )
+    };
+    if targets.is_empty() {
+        // All pending notices were for intervals whose diffs we already
+        // hold (can happen after locally fetching for a neighbouring
+        // access); just apply nothing and revalidate.
+        rt.st.borrow_mut().apply_wire_diffs(page, Vec::new());
+        return;
     }
-
-    fn describe(&self) -> &'static str {
-        "multiple-writer lazy release consistency (the paper's TreadMarks protocol): \
-         diffs stay with their writers, faults fetch from the dominating writer set"
+    for &t in &targets {
+        let payload = encode_diff_request(page, rt.id(), &applied_vc, &my_vc);
+        rt.proc().send(t, TAG_DIFF_REQ, payload);
+        rt.st.borrow_mut().stats.diff_requests_sent += 1;
     }
+    let mut all = Vec::new();
+    for _ in 0..targets.len() {
+        let m = rt.wait_reply(TAG_DIFF_RESP);
+        let (pid, diffs) = decode_diff_response(m.payload, rt.nprocs());
+        assert_eq!(pid, page, "diff response for an unexpected page");
+        all.extend(diffs);
+    }
+    let bytes: usize = all.iter().map(|d| d.diff.encoded_len()).sum();
+    rt.proc().compute(bytes as f64 / MEM_BANDWIDTH);
+    rt.st.borrow_mut().apply_wire_diffs(page, all);
+}
 
-    /// LRC fault service: request diffs for `page` from the minimal
-    /// dominating set of writers, apply them in `hb1` order, and mark the
-    /// page valid.
-    fn serve_fault(&self, rt: &Tmk, page: PageId) {
-        let (targets, applied_vc, my_vc) = {
-            let st = rt.st.borrow();
-            (
-                st.diff_request_targets(page),
-                st.page_applied_vc(page),
-                st.vc.clone(),
-            )
-        };
-        if targets.is_empty() {
-            // All pending notices were for intervals whose diffs we already
-            // hold (can happen after locally fetching for a neighbouring
-            // access); just apply nothing and revalidate.
-            rt.st.borrow_mut().apply_wire_diffs(page, Vec::new());
-            return;
+/// Serve a diff request straight out of the diff store, charging the
+/// lazily deferred creation scan for first-time serves.
+pub(crate) fn serve_request(rt: &Tmk, m: Message) -> bool {
+    if m.tag != TAG_DIFF_REQ {
+        return false;
+    }
+    rt.proc().compute(REQUEST_SERVICE_COST);
+    let (page, requester, applied_vc, global_vc) = decode_diff_request(m.payload, rt.nprocs());
+    let (payload, bytes, first_serves) = {
+        let mut st = rt.st.borrow_mut();
+        st.stats.diff_requests_served += 1;
+        st.encode_diffs_for_request(page, requester, &applied_vc, &global_vc)
+    };
+    // Diffs served for the first time are created now (the lazy diff
+    // creation of the real system): scan the page and twin.
+    let scan = first_serves as f64 * 2.0 * PAGE_SIZE as f64 / MEM_BANDWIDTH;
+    // Copying the diffs into the response steals cycles here.
+    rt.proc().compute(scan + bytes as f64 / MEM_BANDWIDTH);
+    rt.proc().send_at(
+        requester,
+        TAG_DIFF_RESP,
+        payload,
+        m.arrival + REQUEST_SERVICE_COST,
+    );
+    true
+}
+
+/// Validate every invalid page (applying every outstanding diff at or
+/// below the merged clock), then run an internal sync barrier so no
+/// peer is still validating when metadata at or below the clock is
+/// dropped; without this, a peer's in-flight diff request could name a
+/// diff already collected.
+pub(crate) fn prepare_gc(rt: &Tmk) {
+    let npages = (rt.st.borrow().heap_size() / PAGE_SIZE) as u32;
+    for page in 0..npages {
+        if !rt.st.borrow().is_valid(page) {
+            rt.fault_in(page);
         }
-        for &t in &targets {
-            let payload = encode_diff_request(page, rt.id(), &applied_vc, &my_vc);
-            rt.proc().send(t, TAG_DIFF_REQ, payload);
-            rt.st.borrow_mut().stats.diff_requests_sent += 1;
-        }
-        let mut all = Vec::new();
-        for _ in 0..targets.len() {
-            let m = rt.wait_reply(TAG_DIFF_RESP);
-            let (pid, diffs) = decode_diff_response(m.payload, rt.nprocs());
-            assert_eq!(pid, page, "diff response for an unexpected page");
-            all.extend(diffs);
-        }
-        let bytes: usize = all.iter().map(|d| d.diff.encoded_len()).sum();
-        rt.proc().compute(bytes as f64 / MEM_BANDWIDTH);
-        rt.st.borrow_mut().apply_wire_diffs(page, all);
     }
-
-    /// Serve a diff request straight out of the diff store, charging the
-    /// lazily deferred creation scan for first-time serves.
-    fn serve_request(&self, rt: &Tmk, m: Message) -> bool {
-        if m.tag != TAG_DIFF_REQ {
-            return false;
-        }
-        rt.proc().compute(REQUEST_SERVICE_COST);
-        let (page, requester, applied_vc, global_vc) = decode_diff_request(m.payload, rt.nprocs());
-        let (payload, bytes, first_serves) = {
-            let mut st = rt.st.borrow_mut();
-            st.stats.diff_requests_served += 1;
-            st.encode_diffs_for_request(page, requester, &applied_vc, &global_vc)
-        };
-        // Diffs served for the first time are created now (the lazy diff
-        // creation of the real system): scan the page and twin.
-        let scan = first_serves as f64 * 2.0 * PAGE_SIZE as f64 / MEM_BANDWIDTH;
-        // Copying the diffs into the response steals cycles here.
-        rt.proc().compute(scan + bytes as f64 / MEM_BANDWIDTH);
-        rt.proc().send_at(
-            requester,
-            TAG_DIFF_RESP,
-            payload,
-            m.arrival + REQUEST_SERVICE_COST,
-        );
-        true
-    }
-
-    /// Validate every invalid page (applying every outstanding diff at or
-    /// below the merged clock), then run an internal sync barrier so no
-    /// peer is still validating when metadata at or below the clock is
-    /// dropped; without this, a peer's in-flight diff request could name a
-    /// diff already collected.
-    fn prepare_gc(&self, rt: &Tmk) {
-        let npages = (rt.st.borrow().heap_size() / PAGE_SIZE) as u32;
-        for page in 0..npages {
-            if !rt.st.borrow().is_valid(page) {
-                rt.fault_in(page);
-            }
-        }
-        rt.gc_sync_barrier();
-    }
-
-    fn counter_summary(&self, stats: &TmkStats) -> String {
-        diff_counter_summary(stats)
-    }
+    rt.gc_sync_barrier();
 }

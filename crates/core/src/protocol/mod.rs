@@ -1,4 +1,4 @@
-//! The pluggable coherence-protocol layer.
+//! The coherence-protocol layer.
 //!
 //! The DSM runtime separates *mechanism* from *policy*.  The mechanism — the
 //! page table, twins and diffs, vector clocks, the interval log, the wire
@@ -6,9 +6,8 @@
 //! [`crate::state`], [`crate::diffs`], [`crate::page`], [`crate::proto`] and
 //! [`crate::process`].  The policy — what happens at an access fault, what
 //! becomes of the diffs created when an interval closes, which pages a write
-//! notice invalidates, and which wire messages exist at all — is a
-//! [`ConsistencyProtocol`] implementation, selected per endpoint by
-//! [`ProtocolKind`] when a [`Tmk`] is created:
+//! notice invalidates, and which wire messages exist at all — is chosen per
+//! endpoint by [`ProtocolKind`] when a [`Tmk`] is created:
 //!
 //! * [`ProtocolKind::Lrc`] ([`lrc`]) — the paper's TreadMarks protocol:
 //!   multiple-writer lazy release consistency with an invalidate protocol.
@@ -23,12 +22,15 @@
 //!   diffs or intervals — the naive DSM the paper's design arguments are
 //!   measured against.
 //!
-//! Every backend is a stateless singleton ([`ProtocolKind::backend`])
-//! implementing the trait's hooks over the shared core; protocol-private
-//! per-process state (e.g. SC's ownership tables) lives in an opaque slot of
-//! [`DsmState`] created by [`ConsistencyProtocol::make_state`].  Adding a
-//! protocol means adding one module here — see
-//! `docs/ARCHITECTURE.md` §"Writing a new protocol backend".
+//! The set is closed, so the layer is one `match` on the kind per policy
+//! point, all in this file: fault and request service, the write trap and
+//! its completion, GC preparation, close-time diff disposal, HLRC's
+//! master-copy predicate, and the `--list`/Table-2 renderings.  Each backend
+//! module holds free functions over the shared core; SC's per-process
+//! ownership tables are the typed `DsmState::sc` field.  Adding a protocol
+//! means a variant, a module, and one arm per `match` here (the compiler
+//! lists them) — see `docs/ARCHITECTURE.md` §"Writing a new protocol
+//! backend".
 
 pub mod hlrc;
 pub mod lrc;
@@ -36,7 +38,7 @@ pub mod sc;
 
 use crate::page::PageId;
 use crate::process::Tmk;
-use crate::state::{ClosedInterval, DsmState};
+use crate::state::DsmState;
 use crate::stats::TmkStats;
 use crate::vc::VectorClock;
 use crate::{Diff, PAGE_FAULT_COST};
@@ -97,18 +99,47 @@ impl ProtocolKind {
         }
     }
 
-    /// The backend singleton implementing this protocol's policy.
-    pub fn backend(&self) -> &'static dyn ConsistencyProtocol {
+    /// One-line description used by `reproduce --list`.
+    pub fn describe(&self) -> &'static str {
         match self {
-            ProtocolKind::Lrc => &lrc::Lrc,
-            ProtocolKind::Hlrc => &hlrc::Hlrc,
-            ProtocolKind::Sc => &sc::Sc,
+            ProtocolKind::Lrc => {
+                "multiple-writer lazy release consistency (the paper's TreadMarks protocol): \
+                 diffs stay with their writers, faults fetch from the dominating writer set"
+            }
+            ProtocolKind::Hlrc => {
+                "home-based lazy release consistency: diffs flushed eagerly to a per-page home \
+                 at release/barrier, faults fetch the full page from the home"
+            }
+            ProtocolKind::Sc => {
+                "sequential consistency (single-writer baseline): page ownership transfer with \
+                 invalidate-on-write — no twins, diffs or intervals"
+            }
         }
     }
 
-    /// One-line description used by `reproduce --list`.
-    pub fn describe(&self) -> &'static str {
-        self.backend().describe()
+    /// The protocol's per-run Table-2 counter summary (the stats
+    /// contribution rendered under the message/byte table).
+    pub fn counter_summary(&self, stats: &TmkStats) -> String {
+        match self {
+            ProtocolKind::Lrc | ProtocolKind::Hlrc => format!(
+                "{:>8} faults {:>8} diff-req {:>8} page-req {:>8} flushes \
+                 {:>10} diff-KB {:>10} page-KB",
+                stats.page_faults,
+                stats.diff_requests_sent,
+                stats.page_requests_sent,
+                stats.diff_flushes_sent,
+                (stats.diff_bytes_received / 1024),
+                (stats.page_bytes_fetched / 1024),
+            ),
+            ProtocolKind::Sc => format!(
+                "{:>8} faults {:>8} page-req {:>8} transfers {:>8} invals {:>10} page-KB",
+                stats.page_faults,
+                stats.page_requests_sent,
+                stats.ownership_transfers,
+                stats.invalidations_sent,
+                (stats.page_bytes_fetched / 1024),
+            ),
+        }
     }
 }
 
@@ -133,177 +164,45 @@ impl std::str::FromStr for ProtocolKind {
     }
 }
 
-/// The policy seam of the DSM: everything one coherence protocol decides,
-/// expressed as hooks over the protocol-neutral core.
-///
-/// Hooks come in two layers.  *State-level* hooks take a [`DsmState`] and
-/// make pure policy decisions for the state machine (no networking):
-/// [`invalidate_on_notice`](Self::invalidate_on_notice),
-/// [`diff_at_close`](Self::diff_at_close),
-/// [`retain_or_flush`](Self::retain_or_flush).  *Runtime-level* hooks take
-/// the full [`Tmk`] endpoint and may exchange messages:
-/// [`serve_fault`](Self::serve_fault) (the access-fault path),
-/// [`at_release`](Self::at_release) / [`at_barrier`](Self::at_barrier)
-/// (the synchronization edges), [`publish_interval`](Self::publish_interval)
-/// (what becomes of a closed interval),
-/// [`serve_request`](Self::serve_request) (incoming wire messages),
-/// [`prepare_gc`](Self::prepare_gc) (making barrier-time collection safe)
-/// and [`counter_summary`](Self::counter_summary) (the protocol's Table-2
-/// stats contribution).
-///
-/// Backends are stateless singletons; per-process protocol-private state
-/// lives in the opaque slot created by [`make_state`](Self::make_state).
-/// Every default implements the multiple-writer (twin/diff/interval)
-/// behaviour shared by LRC and HLRC, so a twinning backend overrides only
-/// what it changes, and a non-twinning backend (SC) opts out wholesale via
-/// [`uses_twins`](Self::uses_twins).
-pub trait ConsistencyProtocol: Sync {
-    /// The kind this backend implements.
-    fn kind(&self) -> ProtocolKind;
-
-    /// One-line description of the backend for `reproduce --list`.
-    fn describe(&self) -> &'static str;
-
-    /// Create the protocol-private per-process state, stored opaquely in
-    /// [`DsmState`] (retrieve it by downcasting, as the SC backend does).
-    fn make_state(&self, me: usize, nprocs: usize, npages: usize) -> Box<dyn std::any::Any> {
-        let _ = (me, nprocs, npages);
-        Box::new(())
+impl DsmState {
+    /// Whether this process holds the master copy of `page`: under HLRC the
+    /// home's copy is kept current by flushes before any notice can arrive,
+    /// so a write notice never invalidates it and closing an interval needs
+    /// no diff for it.  Never true under LRC or SC.
+    pub(crate) fn holds_master_copy(&self, page: PageId) -> bool {
+        self.protocol == ProtocolKind::Hlrc && self.home_of(page) == self.me
     }
 
-    /// Whether writes are trapped through twins and published as diffs at
-    /// interval close (the multiple-writer mechanism).  `false` opts the
-    /// backend out of twin creation and the dirty-page machinery entirely.
-    fn uses_twins(&self) -> bool {
-        true
-    }
-
-    /// State-level: whether a write notice for `page` invalidates the local
-    /// copy.  HLRC keeps the home's master copy valid.
-    fn invalidate_on_notice(&self, st: &DsmState, page: PageId) -> bool {
-        let _ = (st, page);
-        true
-    }
-
-    /// State-level: whether closing an interval creates a diff for dirty
-    /// `page` at all.  HLRC skips pages homed locally (the master copy
-    /// already carries the writes); everything skipped is also invisible to
-    /// the diff-creation counters.
-    fn diff_at_close(&self, st: &DsmState, page: PageId) -> bool {
-        let _ = (st, page);
-        true
-    }
-
-    /// State-level: dispose of one diff created at interval close — retain
-    /// it in the local diff store for later diff requests (LRC, the
-    /// default) or hand it back for flushing to a remote home (HLRC).
-    fn retain_or_flush(
-        &self,
-        st: &mut DsmState,
+    /// Close-time disposal of one diff created by interval `seq`: retain it
+    /// in the local diff store for later diff requests (LRC), or hand it
+    /// back for flushing to its remote home (HLRC).  SC never closes an
+    /// interval with a dirty page, so it never gets here.
+    pub(crate) fn dispose_closed_diff(
+        &mut self,
         page: PageId,
         seq: u32,
         vc: &VectorClock,
         vc_wire: &Bytes,
         diff: Diff,
     ) -> Option<(PageId, Diff)> {
-        st.retain_own_diff(page, seq, vc, vc_wire, diff);
-        None
-    }
-
-    /// Runtime: one round of fault service for invalid `page`.  The generic
-    /// fault entry (`Tmk::fault_in`) charges the fault cost, counts the
-    /// fault, and repeats this hook until the page is valid (a write notice
-    /// arriving *during* the round can re-invalidate it).
-    fn serve_fault(&self, rt: &Tmk, page: PageId);
-
-    /// Runtime: the release edge of a lock (and the hand-over edge of a
-    /// grant).  The default closes the open interval and publishes it.
-    fn at_release(&self, rt: &Tmk) {
-        rt.close_and_publish();
-    }
-
-    /// Runtime: a barrier arrival.  The default closes the open interval
-    /// and publishes it, exactly like a release.
-    fn at_barrier(&self, rt: &Tmk) {
-        rt.close_and_publish();
-    }
-
-    /// Runtime: an acquire completed (the grant's write notices are already
-    /// applied).  No protocol currently acts here; the hook exists so an
-    /// acquire-side policy (e.g. update-based protocols) is a backend detail
-    /// rather than a runtime change.
-    fn at_acquire(&self, rt: &Tmk) {
-        let _ = rt;
-    }
-
-    /// Runtime: dispose of a freshly closed interval.  The default does
-    /// nothing (LRC already retained its diffs); HLRC flushes the returned
-    /// diffs to their homes and waits for acknowledgements.
-    fn publish_interval(&self, rt: &Tmk, closed: ClosedInterval) {
-        let _ = (rt, closed);
-    }
-
-    /// Runtime: make every page spanned by a write access writable.  The
-    /// default validates the span (fault loop) and then twins + dirties
-    /// each page; SC acquires exclusive ownership instead.
-    fn prepare_write(&self, rt: &Tmk, addr: usize, len: usize) {
-        rt.ensure_valid(addr, len);
-        let pages = rt.st.borrow().pages_spanning(addr, len);
-        for page in pages {
-            rt.mark_dirty_charged(page);
+        match self.protocol {
+            ProtocolKind::Hlrc => Some((page, diff)),
+            ProtocolKind::Lrc | ProtocolKind::Sc => {
+                self.retain_own_diff(page, seq, vc, vc_wire, diff);
+                None
+            }
         }
     }
-
-    /// Runtime: a shared write access completed.  SC uses this to hand
-    /// deferred ownership transfers over; the twinning protocols need
-    /// nothing here.
-    fn access_done(&self, rt: &Tmk) {
-        let _ = rt;
-    }
-
-    /// Runtime: serve one protocol-specific wire request (a tag outside the
-    /// generic lock/barrier/termination set).  Returns `false` if the tag
-    /// does not belong to this protocol.
-    fn serve_request(&self, rt: &Tmk, m: Message) -> bool {
-        let _ = (rt, m);
-        false
-    }
-
-    /// Runtime: make the upcoming metadata collection safe.  LRC validates
-    /// every invalid page and runs an internal sync barrier so no peer's
-    /// in-flight diff request can name a collected diff; the other backends
-    /// retain nothing a peer could request.
-    fn prepare_gc(&self, rt: &Tmk) {
-        let _ = rt;
-    }
-
-    /// The protocol's per-run Table-2 counter summary (the stats
-    /// contribution rendered under the message/byte table).
-    fn counter_summary(&self, stats: &TmkStats) -> String;
-}
-
-/// The shared counter line of the twinning (diff-based) backends.
-pub(crate) fn diff_counter_summary(stats: &TmkStats) -> String {
-    format!(
-        "{:>8} faults {:>8} diff-req {:>8} page-req {:>8} flushes \
-         {:>10} diff-KB {:>10} page-KB",
-        stats.page_faults,
-        stats.diff_requests_sent,
-        stats.page_requests_sent,
-        stats.diff_flushes_sent,
-        (stats.diff_bytes_received / 1024),
-        (stats.page_bytes_fetched / 1024),
-    )
 }
 
 impl Tmk<'_> {
     /// The access-fault path: the generic entry charging the fixed
-    /// fault-entry cost and counting the fault, with the actual service
-    /// dispatched to the configured [`ConsistencyProtocol`] backend.  One
-    /// service round can leave the page invalid if a *new* write notice for
-    /// it arrived while the fault was waiting for responses (a barrier
-    /// arrival served in the meantime applies fresh interval records), so
-    /// the fault repeats until the page is clean.
+    /// fault-entry cost and counting the fault, with one round of the
+    /// protocol's fault service per pass.  One service round can leave the
+    /// page invalid if a *new* write notice for it arrived while the fault
+    /// was waiting for responses (a barrier arrival served in the meantime
+    /// applies fresh interval records), so the fault repeats until the page
+    /// is clean.
     pub(crate) fn fault_in(&self, page: PageId) {
         // One fault span per counted fault (entry to validated page), so the
         // metrics layer's fault-service histogram count cross-checks against
@@ -311,16 +210,67 @@ impl Tmk<'_> {
         self.proc().span_begin(cluster::SpanCat::Fault, page as u64);
         self.proc().compute(PAGE_FAULT_COST);
         self.st.borrow_mut().stats.page_faults += 1;
+        let protocol = self.protocol();
         loop {
-            self.backend.serve_fault(self, page);
+            match protocol {
+                ProtocolKind::Lrc => lrc::serve_fault(self, page),
+                ProtocolKind::Hlrc => hlrc::serve_fault(self, page),
+                ProtocolKind::Sc => sc::serve_fault(self, page),
+            }
             if self.st.borrow().is_valid(page) {
                 break;
             }
         }
         self.proc().span_end(cluster::SpanCat::Fault);
     }
-}
 
+    /// Serve one protocol-specific wire request (a tag outside the generic
+    /// lock/barrier/termination set).  Returns `false` if the tag does not
+    /// belong to this endpoint's protocol.
+    pub(crate) fn serve_protocol_request(&self, m: Message) -> bool {
+        match self.protocol() {
+            ProtocolKind::Lrc => lrc::serve_request(self, m),
+            ProtocolKind::Hlrc => hlrc::serve_request(self, m),
+            ProtocolKind::Sc => sc::serve_request(self, m),
+        }
+    }
+
+    /// Make every page spanned by a write access writable.  The twinning
+    /// protocols validate the span (fault loop) and then twin + dirty each
+    /// page; SC acquires exclusive ownership instead.
+    pub(crate) fn prepare_write(&self, addr: usize, len: usize) {
+        match self.protocol() {
+            ProtocolKind::Lrc | ProtocolKind::Hlrc => {
+                self.ensure_valid(addr, len);
+                let pages = self.st.borrow().pages_spanning(addr, len);
+                for page in pages {
+                    self.mark_dirty_charged(page);
+                }
+            }
+            ProtocolKind::Sc => sc::prepare_write(self, addr, len),
+        }
+    }
+
+    /// A shared write access completed.  SC hands over the ownership
+    /// transfers it deferred meanwhile; the twinning protocols need nothing.
+    pub(crate) fn access_done(&self) {
+        match self.protocol() {
+            ProtocolKind::Lrc | ProtocolKind::Hlrc => {}
+            ProtocolKind::Sc => sc::access_done(self),
+        }
+    }
+
+    /// Make the upcoming barrier-time metadata collection safe.  LRC
+    /// validates every invalid page and runs an internal sync barrier so no
+    /// peer's in-flight diff request can name a collected diff; HLRC and SC
+    /// retain nothing a peer could request.
+    pub(crate) fn prepare_gc(&self) {
+        match self.protocol() {
+            ProtocolKind::Lrc => lrc::prepare_gc(self),
+            ProtocolKind::Hlrc | ProtocolKind::Sc => {}
+        }
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,12 +301,28 @@ mod tests {
     #[test]
     fn every_kind_resolves_to_its_own_backend() {
         for kind in ProtocolKind::all() {
-            assert_eq!(kind.backend().kind(), kind);
             assert!(!kind.describe().is_empty());
             assert!(!kind.system_label().is_empty());
+            assert!(!kind.counter_summary(&TmkStats::default()).is_empty());
+            // A write through the kind's trap twins the page exactly when
+            // the protocol is diff-based; SC holds pages exclusively instead.
+            let rep = cluster::Cluster::run(cluster::ClusterConfig::calibrated_fddi(2), |p| {
+                let tmk = Tmk::with_protocol(p, kind);
+                let a = tmk.malloc(8);
+                tmk.barrier(0);
+                if tmk.id() == 1 {
+                    tmk.write_i64(a, 1);
+                }
+                tmk.barrier(1);
+                let twins = tmk.stats().twins_created;
+                tmk.exit();
+                twins
+            });
+            let twins = rep.results[1];
+            assert_eq!(twins > 0, kind != ProtocolKind::Sc, "{kind}: {twins} twins");
         }
-        assert!(ProtocolKind::Lrc.backend().uses_twins());
-        assert!(ProtocolKind::Hlrc.backend().uses_twins());
-        assert!(!ProtocolKind::Sc.backend().uses_twins());
+        assert!(ProtocolKind::Lrc.describe().contains("TreadMarks"));
+        assert!(ProtocolKind::Hlrc.describe().starts_with("home-based"));
+        assert!(ProtocolKind::Sc.describe().contains("no twins"));
     }
 }

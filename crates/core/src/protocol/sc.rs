@@ -28,10 +28,9 @@
 //!
 //! Liveness is the lock-token argument: a forwarded request reaching a
 //! process that does not hold the page yet is *queued* there and served
-//! when that process's own access completes
-//! ([`ConsistencyProtocol::access_done`]); since each request waits on its
-//! serialization predecessor and the earliest requester waits on the actual
-//! holder, every chain bottoms out.  A reader whose copy is invalidated
+//! when that process's own access completes (`access_done`); since each
+//! request waits on its serialization predecessor and the earliest
+//! requester waits on the actual holder, every chain bottoms out.  A reader whose copy is invalidated
 //! while its fetch is in flight discards the stale copy and refaults, so a
 //! stale page can never be installed over a newer invalidation.
 
@@ -43,16 +42,12 @@ use crate::proto::{
     TAG_SC_INVAL_ACK, TAG_SC_PAGE_COPY, TAG_SC_PAGE_XFER, TAG_SC_READ_FWD, TAG_SC_READ_REQ,
     TAG_SC_WRITE_FWD, TAG_SC_WRITE_REQ,
 };
-use crate::protocol::{ConsistencyProtocol, ProtocolKind};
 use crate::state::{DsmState, PageSlot};
 use crate::stats::TmkStats;
 use crate::{MEM_BANDWIDTH, PAGE_FAULT_COST, REQUEST_SERVICE_COST};
 use cluster::config::PAGE_SIZE;
 use cluster::Message;
 use std::collections::{BTreeMap, VecDeque};
-
-/// The sequential-consistency backend singleton.
-pub struct Sc;
 
 /// Local coherence state of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +86,8 @@ impl Deferred {
     }
 }
 
-/// Per-process protocol-private state, created by [`Sc`]'s
-/// [`ConsistencyProtocol::make_state`] and stored opaquely in [`DsmState`].
+/// Per-process protocol-private state: the `sc` field of an SC endpoint's
+/// [`DsmState`].
 pub(crate) struct ScState {
     me: usize,
     nprocs: usize,
@@ -128,6 +123,22 @@ pub(crate) struct ScState {
 }
 
 impl ScState {
+    /// The initial tables of process `me` of `nprocs` over `npages` pages.
+    pub(crate) fn new(me: usize, nprocs: usize, npages: usize) -> Self {
+        ScState {
+            me,
+            nprocs,
+            mode: vec![Mode::Shared; npages],
+            owner: (0..npages).map(|page| page % nprocs == me).collect(),
+            copyset: BTreeMap::new(),
+            last_requester: BTreeMap::new(),
+            deferred: VecDeque::new(),
+            pinned: Vec::new(),
+            acquiring: None,
+            retry_read: false,
+        }
+    }
+
     /// The static manager of `page` (round-robin over the heap).
     fn manager_of(&self, page: PageId) -> usize {
         page as usize % self.nprocs
@@ -191,185 +202,128 @@ fn initial_copyset(me: usize, nprocs: usize) -> Vec<usize> {
     (0..nprocs).filter(|&p| p != me).collect()
 }
 
-/// Split one `DsmState` borrow into the pieces the SC paths touch together.
-fn parts(st: &mut DsmState) -> (&mut Vec<PageSlot>, &mut ScState, &mut TmkStats) {
-    let (pages, protocol_state, stats) = st.pages_protocol_state_stats();
-    (
-        pages,
-        protocol_state
-            .downcast_mut::<ScState>()
-            .expect("SC endpoint without SC state"),
-        stats,
-    )
-}
-
 /// Run `f` over the SC state under a fresh borrow of the endpoint's state.
 fn with_state<R>(
     rt: &Tmk,
     f: impl FnOnce(&mut Vec<PageSlot>, &mut ScState, &mut TmkStats) -> R,
 ) -> R {
     let mut st = rt.st.borrow_mut();
-    let (pages, s, stats) = parts(&mut st);
-    f(pages, s, stats)
+    let DsmState {
+        pages, sc, stats, ..
+    } = &mut *st;
+    f(
+        pages,
+        sc.as_mut().expect("SC endpoint without SC state"),
+        stats,
+    )
 }
 
-impl ConsistencyProtocol for Sc {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Sc
+/// Read-fault service: fetch a shared copy from the owner through the
+/// manager's chain.  If an invalidation hits while the copy is in
+/// flight, the stale copy is discarded and the generic fault loop
+/// re-requests.
+pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
+    let me = rt.id();
+    let mgr = with_state(rt, |_, s, stats| {
+        stats.page_requests_sent += 1;
+        debug_assert!(s.acquiring.is_none(), "nested page acquisition");
+        s.acquiring = Some((page, Acquire::Read));
+        s.retry_read = false;
+        s.manager_of(page)
+    });
+    if mgr == me {
+        let prev = with_state(rt, |_, s, _| s.last_requester(page));
+        assert_ne!(prev, me, "an owner-to-be cannot be read-faulting");
+        rt.proc()
+            .send(prev, TAG_SC_READ_FWD, encode_sc_request(page, me));
+    } else {
+        rt.proc()
+            .send(mgr, TAG_SC_READ_REQ, encode_sc_request(page, me));
     }
-
-    fn describe(&self) -> &'static str {
-        "sequential consistency (single-writer baseline): page ownership transfer with \
-         invalidate-on-write — no twins, diffs or intervals"
-    }
-
-    fn make_state(&self, me: usize, nprocs: usize, npages: usize) -> Box<dyn std::any::Any> {
-        Box::new(ScState {
-            me,
-            nprocs,
-            mode: vec![Mode::Shared; npages],
-            owner: (0..npages).map(|page| page % nprocs == me).collect(),
-            copyset: BTreeMap::new(),
-            last_requester: BTreeMap::new(),
-            deferred: VecDeque::new(),
-            pinned: Vec::new(),
-            acquiring: None,
-            retry_read: false,
-        })
-    }
-
-    /// SC never twins: writes are trapped through exclusive ownership, and
-    /// no interval ever closes.
-    fn uses_twins(&self) -> bool {
-        false
-    }
-
-    /// Read-fault service: fetch a shared copy from the owner through the
-    /// manager's chain.  If an invalidation hits while the copy is in
-    /// flight, the stale copy is discarded and the generic fault loop
-    /// re-requests.
-    fn serve_fault(&self, rt: &Tmk, page: PageId) {
-        let me = rt.id();
-        let mgr = with_state(rt, |_, s, stats| {
-            stats.page_requests_sent += 1;
-            debug_assert!(s.acquiring.is_none(), "nested page acquisition");
-            s.acquiring = Some((page, Acquire::Read));
+    let m = rt.wait_reply(TAG_SC_PAGE_COPY);
+    let (pid, data) = decode_sc_page_copy(m.payload);
+    assert_eq!(pid, page, "read copy for an unexpected page");
+    // Installing the incoming page is a page-sized copy.
+    rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
+    with_state(rt, |pages, s, stats| {
+        stats.page_bytes_fetched += PAGE_SIZE as u64;
+        s.acquiring = None;
+        if s.retry_read {
             s.retry_read = false;
-            s.manager_of(page)
-        });
-        if mgr == me {
-            let prev = with_state(rt, |_, s, _| s.last_requester(page));
-            assert_ne!(prev, me, "an owner-to-be cannot be read-faulting");
-            rt.proc()
-                .send(prev, TAG_SC_READ_FWD, encode_sc_request(page, me));
-        } else {
-            rt.proc()
-                .send(mgr, TAG_SC_READ_REQ, encode_sc_request(page, me));
+            return; // page stays invalid; the fault loop re-requests
         }
-        let m = rt.wait_reply(TAG_SC_PAGE_COPY);
-        let (pid, data) = decode_sc_page_copy(m.payload);
-        assert_eq!(pid, page, "read copy for an unexpected page");
-        // Installing the incoming page is a page-sized copy.
-        rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
-        with_state(rt, |pages, s, stats| {
-            stats.page_bytes_fetched += PAGE_SIZE as u64;
-            s.acquiring = None;
-            if s.retry_read {
-                s.retry_read = false;
-                return; // page stays invalid; the fault loop re-requests
-            }
-            let slot = &mut pages[page as usize];
-            slot.data
-                .get_or_insert_with(new_page)
-                .copy_from_slice(&data);
-            slot.valid = true;
-            s.mode[page as usize] = Mode::Shared;
-        });
-    }
+        let slot = &mut pages[page as usize];
+        slot.data
+            .get_or_insert_with(new_page)
+            .copy_from_slice(&data);
+        slot.valid = true;
+        s.mode[page as usize] = Mode::Shared;
+    });
+}
 
-    /// The SC write trap: every page of the span must be held exclusively,
-    /// and the span is taken atomically — each page is pinned as soon as
-    /// the ascending scan confirms it, so a request for an earlier page of
-    /// the span defers instead of stealing it while this process blocks
-    /// acquiring a later one (without the pin, two writers of overlapping
-    /// spans swap pages forever; with it, the ascending order rules out
-    /// circular waits: a pinned-page holder only ever waits for a
-    /// higher-numbered page).  The scan still repeats until a clean pass
-    /// (a pinned page cannot be lost, so the second pass is a pure
-    /// check).
-    fn prepare_write(&self, rt: &Tmk, addr: usize, len: usize) {
-        loop {
-            let pages = rt.st.borrow().pages_spanning(addr, len);
-            let mut acted = false;
-            for page in pages {
-                let exclusive = with_state(rt, |_, s, _| s.mode[page as usize] == Mode::Exclusive);
-                if !exclusive {
-                    acquire_exclusive(rt, page);
-                    acted = true;
+/// The SC write trap: every page of the span must be held exclusively,
+/// and the span is taken atomically — each page is pinned as soon as
+/// the ascending scan confirms it, so a request for an earlier page of
+/// the span defers instead of stealing it while this process blocks
+/// acquiring a later one (without the pin, two writers of overlapping
+/// spans swap pages forever; with it, the ascending order rules out
+/// circular waits: a pinned-page holder only ever waits for a
+/// higher-numbered page).  The scan still repeats until a clean pass
+/// (a pinned page cannot be lost, so the second pass is a pure
+/// check).
+pub(crate) fn prepare_write(rt: &Tmk, addr: usize, len: usize) {
+    loop {
+        let pages = rt.st.borrow().pages_spanning(addr, len);
+        let mut acted = false;
+        for page in pages {
+            let exclusive = with_state(rt, |_, s, _| s.mode[page as usize] == Mode::Exclusive);
+            if !exclusive {
+                acquire_exclusive(rt, page);
+                acted = true;
+            }
+            // Pin the page for the rest of the span: requests for it
+            // now defer to `access_done` instead of stealing it while a
+            // later page of the span is still being acquired.
+            with_state(rt, |_, s, _| {
+                if !s.pinned.contains(&page) {
+                    s.pinned.push(page);
                 }
-                // Pin the page for the rest of the span: requests for it
-                // now defer to `access_done` instead of stealing it while a
-                // later page of the span is still being acquired.
-                with_state(rt, |_, s, _| {
-                    if !s.pinned.contains(&page) {
-                        s.pinned.push(page);
-                    }
-                });
-            }
-            if !acted {
-                return;
-            }
+            });
+        }
+        if !acted {
+            return;
         }
     }
+}
 
-    /// The access completed: release the span pins, then serve the
-    /// transfers and copies that were queued while this process was
-    /// acquiring or using the pages.
-    fn access_done(&self, rt: &Tmk) {
-        with_state(rt, |_, s, _| s.pinned.clear());
-        loop {
-            let next = with_state(rt, |_, s, _| s.deferred.pop_front());
-            let Some(d) = next else { return };
-            match d {
-                Deferred::Transfer { page, requester } => transfer_page(rt, page, requester, None),
-                Deferred::Copy { page, requester } => send_copy(rt, page, requester, None),
-            }
+/// The access completed: release the span pins, then serve the
+/// transfers and copies that were queued while this process was
+/// acquiring or using the pages.
+pub(crate) fn access_done(rt: &Tmk) {
+    with_state(rt, |_, s, _| s.pinned.clear());
+    loop {
+        let next = with_state(rt, |_, s, _| s.deferred.pop_front());
+        let Some(d) = next else { return };
+        match d {
+            Deferred::Transfer { page, requester } => transfer_page(rt, page, requester, None),
+            Deferred::Copy { page, requester } => send_copy(rt, page, requester, None),
         }
     }
+}
 
-    /// SC has no intervals: a release is pure synchronization (the data
-    /// already moved, eagerly, at access time).
-    fn at_release(&self, rt: &Tmk) {
-        let _ = rt;
+/// Serve one SC request: an ownership or read-copy request (at the
+/// manager or chained on), or an invalidation.  Returns `false` for any
+/// other tag.
+pub(crate) fn serve_request(rt: &Tmk, m: Message) -> bool {
+    match m.tag {
+        TAG_SC_WRITE_REQ => serve_write_req(rt, m),
+        TAG_SC_WRITE_FWD => serve_write_fwd(rt, m),
+        TAG_SC_READ_REQ => serve_read_req(rt, m),
+        TAG_SC_READ_FWD => serve_read_fwd(rt, m),
+        TAG_SC_INVAL => serve_inval(rt, m),
+        _ => return false,
     }
-
-    /// SC has no intervals: a barrier arrival publishes nothing.
-    fn at_barrier(&self, rt: &Tmk) {
-        let _ = rt;
-    }
-
-    fn serve_request(&self, rt: &Tmk, m: Message) -> bool {
-        match m.tag {
-            TAG_SC_WRITE_REQ => serve_write_req(rt, m),
-            TAG_SC_WRITE_FWD => serve_write_fwd(rt, m),
-            TAG_SC_READ_REQ => serve_read_req(rt, m),
-            TAG_SC_READ_FWD => serve_read_fwd(rt, m),
-            TAG_SC_INVAL => serve_inval(rt, m),
-            _ => return false,
-        }
-        true
-    }
-
-    fn counter_summary(&self, stats: &TmkStats) -> String {
-        format!(
-            "{:>8} faults {:>8} page-req {:>8} transfers {:>8} invals {:>10} page-KB",
-            stats.page_faults,
-            stats.page_requests_sent,
-            stats.ownership_transfers,
-            stats.invalidations_sent,
-            (stats.page_bytes_fetched / 1024),
-        )
-    }
+    true
 }
 
 /// Acquire exclusive ownership of `page` (the write fault).  An owner whose
@@ -623,6 +577,7 @@ fn serve_inval(rt: &Tmk, m: Message) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ProtocolKind;
     use cluster::{Cluster, ClusterConfig};
 
     fn run<R: Send>(n: usize, f: impl Fn(&Tmk) -> R + Send + Sync) -> cluster::ClusterReport<R> {

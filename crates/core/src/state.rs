@@ -7,10 +7,9 @@
 //! [`crate::Tmk`] wrapper in `process.rs` drives this state machine and
 //! performs the actual message exchanges; protocol *policy* — what a fault
 //! fetches, what becomes of a closed interval's diffs, which notices
-//! invalidate — enters only through the
-//! [`ConsistencyProtocol`] hooks.  Keeping the state machine free of both
-//! networking and policy makes the consistency logic unit-testable in
-//! isolation and makes a new protocol a module, not a surgery.
+//! invalidate — enters only through the `match`es of [`crate::protocol`].
+//! Keeping the state machine free of networking makes the consistency logic
+//! unit-testable in isolation.
 //! (The diff store half of the state lives in [`crate::diffs`].)
 
 use crate::diffs::StoredDiff;
@@ -18,7 +17,8 @@ use crate::heap::{PagePool, Slab};
 use crate::intervals::LoggedInterval;
 use crate::page::{new_page, Diff, PageId};
 use crate::proto::WireBuf;
-use crate::protocol::{ConsistencyProtocol, ProtocolKind};
+use crate::protocol::sc::ScState;
+use crate::protocol::ProtocolKind;
 use crate::stats::TmkStats;
 use crate::vc::VectorClock;
 use cluster::config::PAGE_SIZE;
@@ -34,8 +34,8 @@ pub struct ClosedInterval {
     /// itself is stored once, in the creator's interval log — retrieve it
     /// with [`DsmState::interval_record`] when needed.
     pub seq: u32,
-    /// Diffs destined for remote homes, as returned by the protocol's
-    /// [`ConsistencyProtocol::retain_or_flush`] disposition.
+    /// Diffs destined for remote homes by the close-time disposal (HLRC
+    /// only).
     pub flushes: Vec<(PageId, Diff)>,
 }
 
@@ -96,14 +96,8 @@ pub struct DsmState {
     pub nprocs: usize,
     /// Which coherence protocol this process runs.
     pub protocol: ProtocolKind,
-    /// The protocol's policy backend (the singleton for `protocol`).
-    pub(crate) backend: &'static dyn ConsistencyProtocol,
-    /// Whether the backend traps writes through twins (cached from
-    /// [`ConsistencyProtocol::uses_twins`]).
-    twinning: bool,
-    /// Protocol-private per-process state, created by the backend's
-    /// [`ConsistencyProtocol::make_state`] (e.g. SC's ownership tables).
-    pub(crate) protocol_state: Box<dyn std::any::Any>,
+    /// SC's per-process ownership tables (`None` under LRC and HLRC).
+    pub(crate) sc: Option<ScState>,
     /// This process's vector clock (entry `me` = number of closed intervals).
     pub vc: VectorClock,
     /// The merged clock distributed at the last barrier release.
@@ -168,14 +162,11 @@ impl DsmState {
                 ..Default::default()
             });
         }
-        let backend = protocol.backend();
         DsmState {
             me,
             nprocs,
             protocol,
-            backend,
-            twinning: backend.uses_twins(),
-            protocol_state: backend.make_state(me, nprocs, npages),
+            sc: (protocol == ProtocolKind::Sc).then(|| ScState::new(me, nprocs, npages)),
             vc: VectorClock::new(nprocs),
             last_barrier_vc: VectorClock::new(nprocs),
             intervals: (0..nprocs).map(|_| Vec::new()).collect(),
@@ -192,20 +183,6 @@ impl DsmState {
             pool: PagePool::default(),
             stats: TmkStats::default(),
         }
-    }
-
-    /// Split one borrow of the state into the pieces a protocol backend
-    /// touches together: the page table, its own opaque per-process state
-    /// (downcast it to the concrete type on the backend side), and the
-    /// runtime statistics.
-    pub(crate) fn pages_protocol_state_stats(
-        &mut self,
-    ) -> (&mut Vec<PageSlot>, &mut dyn std::any::Any, &mut TmkStats) {
-        (
-            &mut self.pages,
-            self.protocol_state.as_mut(),
-            &mut self.stats,
-        )
     }
 
     // ---------------------------------------------------------------- heap
@@ -340,7 +317,7 @@ impl DsmState {
     /// A trapped page's contents, allocated zero-filled on first write.
     fn page_mut(&mut self, page: PageId) -> &mut [u8] {
         let slot = &mut self.pages[page as usize];
-        debug_assert!(slot.valid && (slot.dirty || !self.twinning));
+        debug_assert!(slot.valid && (slot.dirty || self.sc.is_some()));
         slot.data.get_or_insert_with(new_page)
     }
 

@@ -1,4 +1,4 @@
-//! The protocol-conformance suite: every [`ConsistencyProtocol`] backend —
+//! The protocol-conformance suite: every `ProtocolKind` backend —
 //! present and future — must pass the same battery, run here over
 //! `ProtocolKind::all()`.  A new backend added to the protocol layer
 //! inherits this harness for free: add the variant, and these tests run it.

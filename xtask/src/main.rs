@@ -70,10 +70,6 @@
 //! contract is what makes such state harmless: a memoised value is a pure
 //! function of its key, and the key carries every input the kernel reads.
 //!
-//! **Hook discipline**: `impl ConsistencyProtocol for` is permitted only
-//! under `crates/core/src/protocol/` — backends live behind the trait, and
-//! nothing outside the protocol layer may reimplement the hook surface.
-//!
 //! **PRNG confinement**: the deterministic generator `SplitMix64` lives in
 //! `crates/cluster/src/fault.rs`, where every stream is split from the
 //! fault plan's root seed so that (scenario, seed) pins every draw.  Any
@@ -201,7 +197,6 @@ fn has_marker(lines: &[&str], idx: usize, rule: &str) -> bool {
 fn lint_source(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
     let sim = is_under(rel, &SIM_CRATES);
     let host = is_under(rel, &HOST_CRATES);
-    let in_protocol_layer = rel.starts_with("crates/core/src/protocol");
     let lines: Vec<&str> = text.lines().collect();
     let mut push = |line: usize, msg: String| {
         findings.push(Finding {
@@ -309,17 +304,6 @@ fn lint_source(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                         .to_string(),
                 );
             }
-        }
-        if code.contains("ConsistencyProtocol for")
-            && code.trim_start().starts_with("impl")
-            && !in_protocol_layer
-        {
-            push(
-                i,
-                "`impl ConsistencyProtocol` outside crates/core/src/protocol/: protocol \
-                 backends live behind the trait in the protocol layer only"
-                    .to_string(),
-            );
         }
     }
 }
@@ -817,22 +801,6 @@ mod tests {
                 "     1  crates/cluster/src/b.rs",
             ]
         );
-    }
-
-    #[test]
-    fn protocol_impls_outside_the_protocol_layer_are_flagged() {
-        let t = Tree::new("hooks");
-        t.write(
-            "crates/core/src/protocol/mine.rs",
-            "impl ConsistencyProtocol for Mine {}\n",
-        );
-        t.write(
-            "crates/apps/src/rogue.rs",
-            "impl ConsistencyProtocol for Rogue {}\n",
-        );
-        let f = t.lint();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].file.ends_with("rogue.rs"));
     }
 
     #[test]
