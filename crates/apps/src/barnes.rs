@@ -18,9 +18,18 @@
 //! laid out as one *walk array* in depth-first order, octant 7 first, each
 //! node holding the index past its subtree: the force walk steps forward to
 //! open a cell and jumps past the subtree to accept one, with no stack.
+//!
+//! A step's tree and walk read nothing but every body's position and mass,
+//! so the whole step — insert count, and every body's acceleration and
+//! interaction count — is one `Field`, memoised by those bits in the
+//! process-wide [`crate::memo`].  Every rank of every run still reads the
+//! bodies through its system first; a matrix then builds and walks each
+//! distinct array once.
 
+use crate::memo::Memo;
 use crate::runner::{block_range, App, SeqRun};
 use msgpass::Pvm;
+use std::sync::Arc;
 use treadmarks::Tmk;
 
 /// Cost per body-cell or body-body interaction evaluated during the force
@@ -269,13 +278,60 @@ fn force_on(tree: &[Flat], pos: &[f64; 3]) -> ([f64; 3], u64) {
     (acc, count)
 }
 
-/// Advance the bodies in `range` by one step against the tree built over all
-/// bodies.  Returns (interactions, inserts are charged by the caller).
-fn step_bodies(bodies: &mut [Body], range: std::ops::Range<usize>, tree: &[Flat]) -> u64 {
+/// One step's force field over a body array: what `build_tree` and a
+/// `force_on` per body give.
+#[derive(Debug)]
+pub(crate) struct Field {
+    inserts: u64,
+    /// Per body: (acceleration, interactions).
+    forces: Vec<([f64; 3], u64)>,
+}
+
+/// Equal bit for bit, so an oracle-checked hit tells `-0.0` from `0.0`.
+impl PartialEq for Field {
+    fn eq(&self, other: &Field) -> bool {
+        let bits = |&(acc, count): &([f64; 3], u64)| (acc.map(f64::to_bits), count);
+        self.inserts == other.inserts
+            && self
+                .forces
+                .iter()
+                .map(bits)
+                .eq(other.forces.iter().map(bits))
+    }
+}
+
+impl Eq for Field {}
+
+/// Fields by the bits of every body's `pos` and `mass` — all `step_field_raw`
+/// reads.  A scaled matrix asks for three (one per step) 435 times.
+pub(crate) static FIELDS: Memo<Box<[u64]>, Arc<Field>> = Memo::with_heap(|key, field| {
+    size_of_val(&**key) + size_of_val(&**field) + size_of_val(&*field.forces)
+});
+
+fn step_field_raw(bodies: &[Body]) -> Field {
+    let (tree, inserts) = build_tree(bodies);
+    let forces = bodies.iter().map(|b| force_on(&tree, &b.pos)).collect();
+    Field { inserts, forces }
+}
+
+/// The step's field over all `bodies`, from the memo when this array was
+/// seen before.
+fn step_field(bodies: &[Body]) -> Arc<Field> {
+    let key = bodies
+        .iter()
+        .flat_map(|b| [b.pos[0], b.pos[1], b.pos[2], b.mass].map(f64::to_bits))
+        .collect();
+    FIELDS.get_or(key, || Arc::new(step_field_raw(bodies)))
+}
+
+/// Advance the bodies in `range` by one step in `field`, the field of all
+/// bodies.  Returns the range's interactions (inserts are charged by the
+/// caller).
+fn step_bodies(bodies: &mut [Body], range: std::ops::Range<usize>, field: &Field) -> u64 {
     const DT: f64 = 0.025;
     let mut interactions = 0u64;
     for i in range {
-        let (acc, c) = force_on(tree, &bodies[i].pos);
+        let (acc, c) = field.forces[i];
         interactions += c;
         #[allow(clippy::needless_range_loop)]
         // indexing is clearer for the coordinate/matrix access
@@ -324,9 +380,9 @@ impl App for BarnesParams {
         let mut bodies = self.initial();
         let mut time = 0.0;
         for _ in 0..self.steps {
-            let (tree, inserts) = build_tree(&bodies);
-            let interactions = step_bodies(&mut bodies, 0..self.bodies, &tree);
-            time += inserts as f64 * COST_INSERT + interactions as f64 * COST_INTERACTION;
+            let field = step_field(&bodies);
+            let interactions = step_bodies(&mut bodies, 0..self.bodies, &field);
+            time += field.inserts as f64 * COST_INSERT + interactions as f64 * COST_INTERACTION;
         }
         SeqRun {
             checksum: checksum(&bodies),
@@ -353,13 +409,13 @@ impl App for BarnesParams {
             let mut flat = vec![0.0f64; n * BODY_F64];
             tmk.read_f64_slice(bodies_addr, &mut flat);
             let mut bodies: Vec<Body> = flat.chunks_exact(BODY_F64).map(unpack_body).collect();
-            let (tree, inserts) = build_tree(&bodies);
-            tmk.proc().compute(inserts as f64 * COST_INSERT);
+            let field = step_field(&bodies);
+            tmk.proc().compute(field.inserts as f64 * COST_INSERT);
             tmk.barrier(barrier);
             barrier += 1;
 
             // Force computation + update of my own bodies.
-            let interactions = step_bodies(&mut bodies, mine.clone(), &tree);
+            let interactions = step_bodies(&mut bodies, mine.clone(), &field);
             tmk.proc().compute(interactions as f64 * COST_INTERACTION);
             let flat_mine: Vec<f64> = bodies[mine.clone()].iter().flat_map(pack_body).collect();
             tmk.write_f64_slice(bodies_addr + mine.start * BODY_F64 * 8, &flat_mine);
@@ -382,9 +438,9 @@ impl App for BarnesParams {
         let mut bodies = self.initial();
 
         for step in 0..self.steps {
-            let (tree, inserts) = build_tree(&bodies);
-            pvm.proc().compute(inserts as f64 * COST_INSERT);
-            let interactions = step_bodies(&mut bodies, mine.clone(), &tree);
+            let field = step_field(&bodies);
+            pvm.proc().compute(field.inserts as f64 * COST_INSERT);
+            let interactions = step_bodies(&mut bodies, mine.clone(), &field);
             pvm.proc().compute(interactions as f64 * COST_INTERACTION);
 
             // Broadcast my updated bodies; receive everyone else's.
@@ -566,28 +622,46 @@ mod tests {
     }
 
     /// Run `steps` sequential steps over `bodies`, holding every step's walk
-    /// array to the reference tree: equal inserts, and for every body
-    /// bit-equal acceleration and an equal interaction count.  Returns the
-    /// number of leaves in the last walk array.
+    /// array to the reference tree and the memoised field to both: equal
+    /// inserts, and for every body bit-equal acceleration and an equal
+    /// interaction count.  The step is taken in two ranges, whose
+    /// interactions must sum to the reference's.  Returns the number of
+    /// leaves in the last walk array.
     fn assert_walk_matches_reference(mut bodies: Vec<Body>, steps: usize) -> usize {
         let n = bodies.len();
         let mut leaves = 0;
         for step in 0..steps {
             let (walk, inserts) = build_tree(&bodies);
             let (root, ref_inserts) = build_tree_reference(&bodies);
+            let memo = step_field(&bodies);
             assert_eq!(inserts, ref_inserts, "n {n} step {step}: inserts");
+            assert_eq!(memo.inserts, ref_inserts, "n {n} step {step}: memo inserts");
+            let mut ref_total = 0;
             for (i, b) in bodies.iter().enumerate() {
-                let (acc, count) = force_on(&walk, &b.pos);
                 let (ref_acc, ref_count) = force_on_reference(&root, &b.pos);
-                assert_eq!(count, ref_count, "n {n} step {step} body {i}: interactions");
-                assert_eq!(
-                    acc.map(f64::to_bits),
-                    ref_acc.map(f64::to_bits),
-                    "n {n} step {step} body {i}: acc"
-                );
+                ref_total += ref_count;
+                for (what, (acc, count)) in
+                    [("walk", force_on(&walk, &b.pos)), ("memo", memo.forces[i])]
+                {
+                    assert_eq!(
+                        count, ref_count,
+                        "n {n} step {step} body {i}: {what} interactions"
+                    );
+                    assert_eq!(
+                        acc.map(f64::to_bits),
+                        ref_acc.map(f64::to_bits),
+                        "n {n} step {step} body {i}: {what} acc"
+                    );
+                }
             }
             leaves = walk.iter().filter(|f| f.size < 0.0).count();
-            step_bodies(&mut bodies, 0..n, &walk);
+            let split = n / 3;
+            let total = step_bodies(&mut bodies, 0..split, &memo)
+                + step_bodies(&mut bodies, split..n, &memo);
+            assert_eq!(
+                total, ref_total,
+                "n {n} step {step}: interactions of the two ranges"
+            );
         }
         leaves
     }
@@ -597,6 +671,25 @@ mod tests {
         for p in [BarnesParams::tiny(), BarnesParams::scaled()] {
             let leaves = assert_walk_matches_reference(p.initial(), p.steps);
             assert_eq!(leaves, p.bodies, "no two bodies of {} coincide", p.bodies);
+        }
+    }
+
+    #[test]
+    fn the_field_is_keyed_on_every_body_s_position_and_mass() {
+        let base = BarnesParams::tiny().initial();
+        let n = base.len();
+        let seen = step_field(&base);
+        let mut heavier = base.clone();
+        heavier[n / 2].mass *= 2.0;
+        let mut moved = base.clone();
+        moved[n - 1].pos[2] += 1e-6;
+        for (what, bodies) in [("heavier", heavier), ("moved", moved)] {
+            let (memo, raw) = (step_field(&bodies), step_field_raw(&bodies));
+            assert_eq!(
+                *memo, raw,
+                "{what}: the memo answered another array's field"
+            );
+            assert_ne!(*memo, *seen, "{what}: the change moved no force");
         }
     }
 

@@ -24,7 +24,11 @@
 //! [`Preset`] to parameters.  Computation is charged through a calibrated
 //! work model (see README.md §Design notes) so that speedups are deterministic
 //! and independent of the host machine.  Only [`memo`] holds state between
-//! runs: the answers of the pure kernels a matrix repeats.
+//! runs: the answers of the pure kernels a matrix repeats — EP's
+//! tabulation, TSP's subtree search and Barnes-Hut's force field, the last
+//! looked up only after a rank has read the bodies through its system.
+//! SOR's and Water's kernels are not memoised: their keys would cost as
+//! much as the kernel, or more memory than a matrix's peak can spare.
 
 #![deny(missing_docs)]
 

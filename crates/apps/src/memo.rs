@@ -1,22 +1,26 @@
 //! A process-wide memo for the pure host kernels a matrix repeats: one
 //! `reproduce` matrix runs every program 33 times on the same input, so EP's
-//! `tabulate` and TSP's `recursive_solve` are asked the same question again
-//! and again.  A [`Memo`] answers it once per process.
+//! `tabulate`, TSP's `recursive_solve` and Barnes-Hut's force field are asked
+//! the same question again and again.  A [`Memo`] answers it once per process.
 //!
 //! The contract, which `xtask lint` ("memo confinement") keeps local to
 //! this file: **a value is a pure function of its key, and the key carries
 //! every input the kernel reads.**  Then which run — or which `--jobs`
 //! worker — fills an entry is a race no simulated byte can observe; the
 //! `oracle-checks` feature (on in CI) recomputes every hit and asserts it.
-//! Kernels whose inputs arrive through the simulated memory (SOR, Barnes-Hut,
-//! Water) are not memoised: that traffic is the thing being measured.
+//! A kernel whose inputs arrive through the simulated memory is memoised
+//! only *after* the read: Barnes-Hut still reads every body through its
+//! system, and only the field computed from bytes already read is shared.
+//! SOR's and Water's kernels are not memoised (docs/ARCHITECTURE.md §Where a
+//! matrix's host time goes says why).
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Mutex, MutexGuard};
 
-/// Entries a memo holds before it stops inserting (hits still answer).  Not a
-/// knob: 128 bytes an entry ([`Memo::new`]), B-tree nodes half full, ≤ 2 MiB.
-const CAP: usize = 8192;
+/// Bytes of keys and values a memo holds before it stops inserting (hits
+/// still answer).  Not a knob: the paper preset's four Barnes-Hut steps at
+/// 8,192 bodies are ≈ 2 MiB; the B-tree's own nodes are not counted.
+const BUDGET: usize = 4 << 20;
 
 /// Host-side counters of one memo, or from [`kernel_stats`] of all of them.
 /// Which worker raced which shows in them: `--bench-out`'s `timing` only.
@@ -32,37 +36,60 @@ pub struct MemoStats {
 
 struct Inner<K, V> {
     map: BTreeMap<K, V>,
+    /// Bytes charged against [`BUDGET`].
+    held: usize,
     stats: MemoStats,
 }
 
-/// A capped, never-evicting map from a kernel's arguments to its result.
-pub struct Memo<K, V>(Mutex<Inner<K, V>>);
+/// A byte-capped, never-evicting map from a kernel's arguments to its
+/// result.  A value is cloned out under the lock, so a large one is an `Arc`.
+pub struct Memo<K, V> {
+    inner: Mutex<Inner<K, V>>,
+    /// Heap bytes an entry holds beyond `size_of::<K>() + size_of::<V>()`.
+    heap: fn(&K, &V) -> usize,
+}
 
-impl<K: Ord, V: Copy + Eq + std::fmt::Debug> Memo<K, V> {
-    /// An empty memo; `const`, so it can be a `static` beside its kernel.
+fn inline_only<K, V>(_: &K, _: &V) -> usize {
+    0
+}
+
+impl<K: Ord, V: Clone + Eq + std::fmt::Debug> Memo<K, V> {
+    /// An empty memo of inline keys and values; `const`, so it can be a
+    /// `static` beside its kernel.
     pub(crate) const fn new() -> Self {
-        const { assert!(size_of::<K>() + size_of::<V>() <= 128) };
+        Self::with_heap(inline_only::<K, V>)
+    }
+
+    /// An empty memo whose entries also hold `heap(key, value)` bytes.
+    pub(crate) const fn with_heap(heap: fn(&K, &V) -> usize) -> Self {
         let stats = MemoStats {
             lookups: 0,
             hits: 0,
             entries: 0,
         };
-        Memo(Mutex::new(Inner {
-            map: BTreeMap::new(),
-            stats,
-        }))
+        Memo {
+            inner: Mutex::new(Inner {
+                map: BTreeMap::new(),
+                held: 0,
+                stats,
+            }),
+            heap,
+        }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner<K, V>> {
-        self.0.lock().expect("kernels run outside the memo lock")
+        self.inner
+            .lock()
+            .expect("kernels run outside the memo lock")
     }
 
     /// The value stored under `key`, or `raw()` — computed outside the lock
-    /// (two workers missing one key compute one value) and stored if room.
+    /// (two workers missing one key compute one value) and stored if the
+    /// budget has room.
     pub fn get_or(&self, key: K, raw: impl FnOnce() -> V) -> V {
         let hit = {
             let mut inner = self.lock();
-            let hit = inner.map.get(&key).copied();
+            let hit = inner.map.get(&key).cloned();
             inner.stats.lookups += 1;
             inner.stats.hits += u64::from(hit.is_some());
             hit
@@ -73,10 +100,15 @@ impl<K: Ord, V: Copy + Eq + std::fmt::Debug> Memo<K, V> {
             return v;
         }
         let v = raw();
-        let mut inner = self.lock();
-        if inner.map.len() < CAP {
-            inner.map.insert(key, v);
-            inner.stats.entries = inner.map.len() as u64;
+        let bytes = size_of::<K>() + size_of::<V>() + (self.heap)(&key, &v);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if let Entry::Vacant(slot) = inner.map.entry(key) {
+            if inner.held + bytes <= BUDGET {
+                slot.insert(v.clone());
+                inner.held += bytes;
+                inner.stats.entries += 1;
+            }
         }
         v
     }
@@ -89,11 +121,15 @@ impl<K: Ord, V: Copy + Eq + std::fmt::Debug> Memo<K, V> {
 
 /// Counters summed over every kernel memo of the process.
 pub fn kernel_stats() -> MemoStats {
-    let (ep, tsp) = (crate::ep::TABULATED.stats(), crate::tsp::SOLVED.stats());
+    let all = [
+        crate::ep::TABULATED.stats(),
+        crate::tsp::SOLVED.stats(),
+        crate::barnes::FIELDS.stats(),
+    ];
     MemoStats {
-        lookups: ep.lookups + tsp.lookups,
-        hits: ep.hits + tsp.hits,
-        entries: ep.entries + tsp.entries,
+        lookups: all.iter().map(|m| m.lookups).sum(),
+        hits: all.iter().map(|m| m.hits).sum(),
+        entries: all.iter().map(|m| m.entries).sum(),
     }
 }
 
@@ -133,17 +169,19 @@ mod tests {
 
     #[test]
     fn a_full_memo_answers_hits_and_stops_inserting() {
-        let memo: Memo<usize, usize> = Memo::new();
-        for k in 0..CAP + 100 {
+        // Each entry holds a MiB on the heap beside its 16 inline bytes, so
+        // three fit in the budget and the fourth does not.
+        let memo: Memo<usize, usize> = Memo::with_heap(|_, _| 1 << 20);
+        for k in 0..10 {
             assert_eq!(memo.get_or(k, || k * 2), k * 2);
         }
-        assert_eq!(memo.stats().entries, CAP as u64);
+        assert_eq!(memo.stats().entries, 3);
         let before = memo.stats().hits;
-        assert_eq!(memo.get_or(3, || 6), 6);
+        assert_eq!(memo.get_or(2, || 4), 4);
         assert_eq!(memo.stats().hits, before + 1, "an early key still hits");
-        assert_eq!(memo.get_or(CAP + 5, || 2 * CAP + 10), 2 * CAP + 10);
+        assert_eq!(memo.get_or(3, || 6), 6);
         assert_eq!(memo.stats().hits, before + 1, "a late key was never stored");
-        assert_eq!(memo.stats().entries, CAP as u64);
+        assert_eq!(memo.stats().entries, 3);
     }
 
     #[test]

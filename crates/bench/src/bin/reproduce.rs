@@ -37,18 +37,45 @@ use cluster::{
 use std::path::Path;
 use treadmarks::ProtocolKind;
 
+/// `print!` for every byte this binary puts on stdout: see [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` for every line this binary puts on stdout.
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Write to stdout.  A reader that went away (`reproduce … | head`) chose to
+/// stop reading: that ends the process quietly, with status 0.  Any other
+/// write failure is an error.
+#[inline(never)]
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(err) = std::io::stdout().write_fmt(args) {
+        if err.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(format!("cannot write to stdout: {err}"));
+    }
+}
+
 fn table1(matrix: &RunMatrix, workloads: &[Workload]) {
-    println!(
+    outln!(
         "\nTable 1: Sequential Time of Applications ({:?} preset)",
         matrix.preset
     );
-    println!(
+    outln!(
         "{:<12} {:<34} {:>12}",
-        "Program", "Problem Size", "Time (s)"
+        "Program",
+        "Problem Size",
+        "Time (s)"
     );
     for &w in workloads {
         let seq = matrix.sequential(w);
-        println!(
+        outln!(
             "{:<12} {:<34} {:>12.2}",
             w.name(),
             w.problem_size(matrix.preset),
@@ -59,18 +86,18 @@ fn table1(matrix: &RunMatrix, workloads: &[Workload]) {
 
 fn figure(matrix: &RunMatrix, w: Workload, net: NetModel, max_procs: usize, systems: &[System]) {
     let seq = matrix.sequential(w);
-    println!(
+    outln!(
         "\nFigure {}: {} speedups (net {}, sequential time {:.2}s)",
         w.figure(),
         w.name(),
         net.label(),
         seq.time
     );
-    print!("{:>6}", "procs");
+    out!("{:>6}", "procs");
     for sys in systems {
-        print!(" {sys:>12}");
+        out!(" {sys:>12}");
     }
-    println!();
+    outln!();
     for n in proc_series(max_procs) {
         for &sys in systems {
             let run = matrix.run(&RunKey::new(w, sys, net, n));
@@ -81,14 +108,14 @@ fn figure(matrix: &RunMatrix, w: Workload, net: NetModel, max_procs: usize, syst
                 run.system
             );
         }
-        print!("{n:>6}");
+        out!("{n:>6}");
         for &sys in systems {
-            print!(
+            out!(
                 " {:>12.2}",
                 matrix.run(&RunKey::new(w, sys, net, n)).speedup(seq.time)
             );
         }
-        println!();
+        outln!();
     }
 }
 
@@ -99,22 +126,22 @@ fn table2(
     systems: &[System],
     workloads: &[Workload],
 ) {
-    println!(
+    outln!(
         "\nTable 2: Messages and Data at {procs} Processors (net {}, {:?} preset)",
         net.label(),
         matrix.preset
     );
-    print!("{:<12}", "Program");
+    out!("{:<12}", "Program");
     for sys in systems {
-        print!(" {:>14} {:>14}", format!("{sys} msgs"), format!("{sys} KB"));
+        out!(" {:>14} {:>14}", format!("{sys} msgs"), format!("{sys} KB"));
     }
-    println!();
+    outln!();
     let mut protocol_lines: Vec<String> = Vec::new();
     for &w in workloads {
-        print!("{:<12}", w.name());
+        out!("{:<12}", w.name());
         for &sys in systems {
             let run = matrix.run(&RunKey::new(w, sys, net, procs));
-            print!(" {:>14} {:>14.0}", run.messages, run.kilobytes);
+            out!(" {:>14} {:>14.0}", run.messages, run.kilobytes);
             if let (System::TreadMarks(protocol), Some(stats)) = (sys, &run.tmk_stats) {
                 // Each backend renders its own counter set (its Table-2
                 // stats contribution), so a new protocol never edits the
@@ -127,12 +154,12 @@ fn table2(
                 ));
             }
         }
-        println!();
+        outln!();
     }
     if !protocol_lines.is_empty() {
-        println!("\nPer-protocol DSM runtime counters at {procs} processors:");
+        outln!("\nPer-protocol DSM runtime counters at {procs} processors:");
         for line in protocol_lines {
-            println!("  {line}");
+            outln!("  {line}");
         }
     }
 }
@@ -147,10 +174,10 @@ fn json_dump(
     systems: &[System],
     workloads: &[Workload],
 ) {
-    println!("{{");
-    println!("  \"preset\": \"{:?}\",", matrix.preset);
-    println!("  \"net\": \"{}\",", net.label());
-    println!("  \"sequential\": [");
+    outln!("{{");
+    outln!("  \"preset\": \"{:?}\",", matrix.preset);
+    outln!("  \"net\": \"{}\",", net.label());
+    outln!("  \"sequential\": [");
     let seqs: Vec<String> = workloads
         .iter()
         .map(|&w| {
@@ -165,9 +192,9 @@ fn json_dump(
             )
         })
         .collect();
-    println!("{}", seqs.join(",\n"));
-    println!("  ],");
-    println!("  \"runs\": [");
+    outln!("{}", seqs.join(",\n"));
+    outln!("  ],");
+    outln!("  \"runs\": [");
     let mut recs = Vec::new();
     for &w in workloads {
         for &n in proc_counts {
@@ -177,9 +204,9 @@ fn json_dump(
             }
         }
     }
-    println!("{}", recs.join(",\n"));
-    println!("  ]");
-    println!("}}");
+    outln!("{}", recs.join(",\n"));
+    outln!("  ]");
+    outln!("}}");
 }
 
 /// The engine-throughput report written by `--bench-out`: deterministic
@@ -241,7 +268,7 @@ fn list_catalogue(json: bool) {
     let presets = [Preset::Tiny, Preset::Scaled, Preset::Paper].map(|p| p.name());
     let axes = ["procs", "bandwidth", "latency"];
     if json {
-        println!("{{");
+        outln!("{{");
         let protos: Vec<String> = protocols
             .iter()
             .map(|p| {
@@ -253,9 +280,9 @@ fn list_catalogue(json: bool) {
                 )
             })
             .collect();
-        println!("  \"protocols\": [\n{}\n  ],", protos.join(",\n"));
+        outln!("  \"protocols\": [\n{}\n  ],", protos.join(",\n"));
         let sys: Vec<String> = systems.iter().map(|s| format!("\"{s}\"")).collect();
-        println!("  \"systems\": [{}],", sys.join(", "));
+        outln!("  \"systems\": [{}],", sys.join(", "));
         let nets: Vec<String> = NetPreset::all()
             .iter()
             .map(|n| {
@@ -270,7 +297,7 @@ fn list_catalogue(json: bool) {
                 )
             })
             .collect();
-        println!("  \"nets\": [\n{}\n  ],", nets.join(",\n"));
+        outln!("  \"nets\": [\n{}\n  ],", nets.join(",\n"));
         let loads: Vec<String> = Workload::all()
             .iter()
             .map(|w| {
@@ -281,44 +308,44 @@ fn list_catalogue(json: bool) {
                 )
             })
             .collect();
-        println!("  \"workloads\": [\n{}\n  ],", loads.join(",\n"));
+        outln!("  \"workloads\": [\n{}\n  ],", loads.join(",\n"));
         fn quoted<S: std::fmt::Display>(xs: &[S]) -> String {
             let quoted: Vec<String> = xs.iter().map(|x| format!("\"{x}\"")).collect();
             quoted.join(", ")
         }
-        println!("  \"presets\": [{}],", quoted(&presets));
-        println!("  \"sweep_axes\": [{}],", quoted(&axes));
+        outln!("  \"presets\": [{}],", quoted(&presets));
+        outln!("  \"sweep_axes\": [{}],", quoted(&axes));
         let knobs: Vec<String> = cli::knobs()
             .map(|f| f.name.trim_start_matches("--").replace('-', "_"))
             .collect();
-        println!("  \"execution_knobs\": [{}],", quoted(&knobs));
+        outln!("  \"execution_knobs\": [{}],", quoted(&knobs));
         let kinds: Vec<String> = FaultKind::ALL
             .map(|k| (k.name(), k.describe()))
             .map(|(name, desc)| {
                 format!("    {{\"name\": \"{name}\", \"description\": \"{desc}\"}}")
             })
             .into();
-        println!("  \"fault_kinds\": [\n{}\n  ]", kinds.join(",\n"));
-        println!("}}");
+        outln!("  \"fault_kinds\": [\n{}\n  ]", kinds.join(",\n"));
+        outln!("}}");
         return;
     }
-    println!("Protocols (--protocol NAME, or `all`):");
+    outln!("Protocols (--protocol NAME, or `all`):");
     for p in &protocols {
-        println!(
+        outln!(
             "  {:<6} {:<12} {}",
             p.name(),
             p.system_label(),
             p.describe()
         );
     }
-    println!("\nSystems (scenario `systems = [...]`):");
+    outln!("\nSystems (scenario `systems = [...]`):");
     for s in &systems {
-        println!("  {s}");
+        outln!("  {s}");
     }
-    println!("\nNet presets (--net NAME, scenario `net = \"NAME\"`):");
+    outln!("\nNet presets (--net NAME, scenario `net = \"NAME\"`):");
     for n in NetPreset::all() {
         let cfg = n.config(8);
-        println!(
+        outln!(
             "  {:<9} {:>12.0} B/s bandwidth, {:>9.1} us latency, {}",
             n.name(),
             cfg.bandwidth,
@@ -330,20 +357,20 @@ fn list_catalogue(json: bool) {
             }
         );
     }
-    println!("\nWorkloads (--workload NAME, repeatable):");
+    outln!("\nWorkloads (--workload NAME, repeatable):");
     for w in Workload::all() {
-        println!("  {:<12} (Figure {})", w.name(), w.figure());
+        outln!("  {:<12} (Figure {})", w.name(), w.figure());
     }
-    println!("\nProblem-size presets: {}", presets.join(", "));
-    println!("Sweep axes (sweep --vary AXIS): {}", axes.join(", "));
+    outln!("\nProblem-size presets: {}", presets.join(", "));
+    outln!("Sweep axes (sweep --vary AXIS): {}", axes.join(", "));
     let knobs: Vec<String> = cli::knobs().map(cli::Flag::usage).collect();
-    println!(
+    outln!(
         "Execution knobs (byte-identical output at every value): {}",
         knobs.join(", ")
     );
-    println!("\nFault kinds (scenario [fault] section; fuzz --faults {{lossy,partitioned,FILE}}):");
+    outln!("\nFault kinds (scenario [fault] section; fuzz --faults {{lossy,partitioned,FILE}}):");
     for k in FaultKind::ALL {
-        println!("  {:<12} {}", k.name(), k.describe());
+        outln!("  {:<12} {}", k.name(), k.describe());
     }
 }
 
@@ -456,7 +483,7 @@ fn fuzz_campaign(inv: &Invocation, setup: Setup) {
         exec: setup.exec,
     };
     let out = run_fuzz(&spec);
-    print!("{}", out.report);
+    out!("{}", out.report);
     // Like --racecheck: a campaign that found anything fails the
     // invocation, after the report (and every reproducer) is printed.
     if !out.findings.is_empty() {
@@ -485,9 +512,9 @@ fn sweep_figures(inv: &Invocation, setup: Setup) {
         &RunTuning::default(),
     );
     let wall_seconds = started.elapsed().as_secs_f64();
-    print!("{}", sweep.render(&matrix));
+    out!("{}", sweep.render(&matrix));
     if inv.metrics {
-        print!("\n{}", obs::metrics_report(&matrix));
+        out!("\n{}", obs::metrics_report(&matrix));
     }
     if let Some(path) = &inv.bench_out {
         let report = bench_report(&matrix, &RunTuning::default(), &exec, wall_seconds);
@@ -502,7 +529,7 @@ fn sweep_figures(inv: &Invocation, setup: Setup) {
 /// fan uses the ordered executor, so the table is byte-identical across
 /// `--jobs` widths.
 fn replay_verdicts(setup: &Setup, top: &ClusterConfig) {
-    println!(
+    outln!(
         "Crash-plan scenario: verdict replay at {} processes (net {}, {:?} preset)",
         setup.max_procs,
         setup.net.label(),
@@ -522,7 +549,7 @@ fn replay_verdicts(setup: &Setup, top: &ClusterConfig) {
         .map(|&(w, sys, seq)| move || invariants::verdict(w.run(setup.preset, sys, top), seq))
         .collect();
     for (&(w, sys, _), verdict) in points.iter().zip(exec::run_ordered(setup.exec.jobs, tasks)) {
-        println!(
+        outln!(
             "  {:<12} {:<10} {}",
             w.name(),
             sys.to_string(),
@@ -624,7 +651,7 @@ fn reproduction(inv: &Invocation, setup: Setup) {
             table2(&matrix, net, max_procs, systems, workloads);
         }
         if inv.metrics {
-            print!("\n{}", obs::metrics_report(&matrix));
+            out!("\n{}", obs::metrics_report(&matrix));
         }
     }
 
@@ -635,7 +662,7 @@ fn reproduction(inv: &Invocation, setup: Setup) {
             // already in it), so the readable report goes to stderr.
             eprint!("{report}");
         } else {
-            print!("\nRace check (happens-before, byte-range granularity):\n{report}");
+            out!("\nRace check (happens-before, byte-range granularity):\n{report}");
         }
     }
 

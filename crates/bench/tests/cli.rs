@@ -1,7 +1,8 @@
 //! The `reproduce` binary from outside: stdout of six representative
 //! invocations pinned by FNV-1a 64 (recorded at the commit before the
 //! runner family was collapsed into `apps::run`, so any drift in a rendered
-//! byte fails here), and the command-line rejections that must reach stderr
+//! byte fails here), the kernel memo's exact counters, a reader that closes
+//! the pipe early, and the command-line rejections that must reach stderr
 //! without running anything.
 
 use std::process::{Command, Output};
@@ -115,6 +116,61 @@ fn the_trace_and_the_deterministic_report_section_are_the_pinned_bytes() {
          \"checksum_bits_xor\": \"0000000000000000\"\n  },\n"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Barnes-Hut's step memo: 2 steps × (the sequential run + four systems ×
+/// 1..=8 ranks) = 290 lookups of two distinct body arrays, on one worker.
+#[test]
+fn barnes_hut_builds_each_distinct_body_array_once() {
+    let report = std::env::temp_dir().join(format!("reproduce-bh-{}.json", std::process::id()));
+    let out = reproduce(&[
+        "--tiny",
+        "--workload",
+        "Barnes-Hut",
+        "--jobs",
+        "1",
+        "--bench-out",
+        report.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let report_text = std::fs::read_to_string(&report).unwrap();
+    std::fs::remove_file(&report).unwrap();
+    assert!(
+        report_text.contains("\"kernel_memo\": {\"lookups\": 290, \"hits\": 288, \"entries\": 2}"),
+        "{report_text}"
+    );
+}
+
+/// A reader that stops early (`reproduce … | head -1`) ends the process
+/// quietly: status 0 and no panic.  The output (≈ 98 KB) is larger than a
+/// pipe's buffer, so the writer is still writing when the pipe closes.
+#[test]
+fn a_reader_that_goes_away_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args([
+            "--tiny",
+            "--metrics",
+            "--workload",
+            "EP",
+            "--workload",
+            "TSP",
+            "--workload",
+            "IS-Small",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the reproduce binary runs");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 /// A rejected command line: exit 1, nothing on stdout, one stderr line that
