@@ -268,7 +268,7 @@ mod tests {
                     w.name()
                 );
                 assert!(
-                    (run.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
+                    seq.agrees(run.checksum),
                     "{} under {sys}: checksum {} vs sequential {}",
                     w.name(),
                     run.checksum,

@@ -63,6 +63,15 @@ pub struct SeqRun {
     pub time: f64,
 }
 
+impl SeqRun {
+    /// Whether a parallel run's `checksum` agrees with this baseline.
+    /// Floating-point summation order legitimately differs across process
+    /// counts and schedules, so agreement is relative, not bitwise.
+    pub fn agrees(&self, checksum: f64) -> bool {
+        (checksum - self.checksum).abs() <= self.checksum.abs() * 1e-6 + 1e-6
+    }
+}
+
 /// Result of one parallel run of one application under one system.
 #[derive(Debug, Clone)]
 pub struct AppRun {

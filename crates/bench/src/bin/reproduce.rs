@@ -24,12 +24,12 @@
 use apps::runner::System;
 use apps::Workload;
 use bench::cli::{self, Invocation, Mode};
-use bench::fuzz::{run_fuzz, FuzzSpec};
+use bench::fuzz::{self, run_fuzz, FuzzSpec};
 use bench::scenario::ResolvedScenario;
 use bench::sweep::{Sweep, Vary};
 use bench::{
-    exec, invariants, obs, proc_series, render_race_reports, run_matrix_exec, run_record_json,
-    Exec, Preset, RunKey, RunMatrix, RunTuning,
+    exec, obs, proc_series, render_race_reports, run_matrix_exec, run_record_json, Exec, Preset,
+    RunKey, RunMatrix, RunTuning,
 };
 use cluster::{
     AnalysisLevel, ClusterConfig, FaultKind, FaultPlan, NetModel, NetPreset, ObsLevel, Scenario,
@@ -102,7 +102,7 @@ fn figure(matrix: &RunMatrix, w: Workload, net: NetModel, max_procs: usize, syst
         for &sys in systems {
             let run = matrix.run(&RunKey::new(w, sys, net, n));
             assert!(
-                (run.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
+                seq.agrees(run.checksum),
                 "{}: {} checksum mismatch at {n} processes",
                 w.name(),
                 run.system
@@ -458,6 +458,11 @@ fn fuzz_campaign(inv: &Invocation, setup: Setup) {
         // otherwise pure schedule exploration on a fault-free cluster.
         None => setup.tuning.fault,
         Some("lossy") => FaultPlan::lossy(1),
+        Some(name @ ("partition" | "partitioned")) if setup.max_procs < 2 => fail(format!(
+            "--faults {name} cuts even ranks off from odd ones and needs at least 2 processes, \
+             got {}",
+            setup.max_procs
+        )),
         Some("partition") | Some("partitioned") => FaultPlan::partitioned(1, setup.max_procs),
         Some(path) => {
             let parsed = Scenario::from_path(Path::new(path)).unwrap_or_else(|e| fail(e));
@@ -540,15 +545,13 @@ fn replay_verdicts(setup: &Setup, top: &ClusterConfig) {
         .iter()
         .map(|&w| (w, w.sequential(setup.preset)))
         .collect();
-    let points: Vec<_> = seqs
+    let points: Vec<_> = setup
+        .workloads
         .iter()
-        .flat_map(|(w, seq)| setup.systems.iter().map(move |&sys| (*w, sys, seq)))
+        .flat_map(|&w| setup.systems.iter().map(move |&sys| (w, sys)))
         .collect();
-    let tasks: Vec<_> = points
-        .iter()
-        .map(|&(w, sys, seq)| move || invariants::verdict(w.run(setup.preset, sys, top), seq))
-        .collect();
-    for (&(w, sys, _), verdict) in points.iter().zip(exec::run_ordered(setup.exec.jobs, tasks)) {
+    let verdicts = fuzz::verdicts(setup.preset, &points, &seqs, top, setup.exec.jobs);
+    for (&(w, sys), (verdict, _)) in points.iter().zip(verdicts) {
         outln!(
             "  {:<12} {:<10} {}",
             w.name(),
@@ -583,7 +586,8 @@ fn reproduction(inv: &Invocation, setup: Setup) {
     let run_all = !inv.json && !inv.table1 && !inv.table2 && inv.figure.is_none();
     let want_table1 = inv.table1 || run_all;
     let want_table2 = inv.table2 || run_all;
-    // `--json` dumps the full matrix and ignores `--figure`/`--table*`.
+    // `--json` dumps the full matrix (`cli::parse` refuses `--figure` and
+    // `--table*` beside it).
     let figure_workloads: Vec<Workload> = if inv.json || run_all {
         workloads.clone()
     } else {

@@ -220,6 +220,17 @@ fn parse_flags(mode: Mode, args: &[String]) -> Result<Invocation, String> {
 
     let has = |name: &str| given.iter().any(|(n, _)| *n == name);
     let value = |name: &str| given.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+    // `--list` prints the catalogue (in JSON with `--json`) and exits, and
+    // `--json` dumps the whole matrix: a flag either would drop is refused.
+    let dropped = given.iter().find_map(|&(name, _)| match name {
+        "--list" | "--json" => None,
+        _ if has("--list") => Some(("--list", name)),
+        "--table1" | "--table2" | "--figure" if has("--json") => Some(("--json", name)),
+        _ => None,
+    });
+    if let Some((by, name)) = dropped {
+        return Err(format!("{by} ignores {name}; give one or the other"));
+    }
     fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
         name: &str,
         v: Option<&str>,
@@ -401,6 +412,30 @@ mod tests {
         assert_eq!(parse_str("--tiny").unwrap().preset, Some(Preset::Tiny));
         assert_eq!(parse_str("--full").unwrap().preset, Some(Preset::Paper));
         assert_eq!(parse_str("").unwrap().preset, None);
+    }
+
+    #[test]
+    fn a_flag_the_mode_would_drop_is_refused() {
+        // The bugs at the parent commit: the catalogue printed with `--procs`
+        // ignored, and the JSON dump printed with `--table2` ignored.
+        for (line, needle) in [
+            ("--tiny --list --procs 3", "--list ignores --tiny"),
+            ("--list --json --figure EP", "--list ignores --figure"),
+            ("--table2 --json", "--json ignores --table2"),
+            ("--json --table1", "--json ignores --table1"),
+            ("--figure EP --json --tiny", "--json ignores --figure"),
+        ] {
+            let e = parse_str(line).expect_err(line);
+            assert!(e.contains(needle), "`{line}`: {e}");
+            assert!(
+                e.contains("the reproduction takes: --list"),
+                "`{line}`: {e}"
+            );
+            assert!(!e.contains('\n'), "`{line}`: {e}");
+        }
+        // What either mode does read still combines with it.
+        assert!(parse_str("--list --json").is_ok());
+        assert!(parse_str("--json --tiny --procs 4 --workload EP --metrics --racecheck").is_ok());
     }
 
     #[test]

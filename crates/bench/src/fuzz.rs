@@ -118,6 +118,32 @@ pub fn point_config(spec: &FuzzSpec, tuning: &RunTuning) -> ClusterConfig {
     cfg
 }
 
+/// Run every `(workload, system)` point under `cfg` on the ordered executor
+/// and classify each through the invariant battery: one verdict per point,
+/// in point order, with the checksum of each run that completed.  A fuzz
+/// seed's batch and the crash-plan replay of `reproduce --scenario` are this
+/// fan; `seqs` holds the sequential baseline of every workload named.
+pub fn verdicts(
+    preset: Preset,
+    points: &[(Workload, System)],
+    seqs: &[(Workload, SeqRun)],
+    cfg: &ClusterConfig,
+    jobs: usize,
+) -> Vec<(RunVerdict, Option<f64>)> {
+    let tasks: Vec<_> = points
+        .iter()
+        .map(|&(w, sys)| {
+            let seq = &seqs.iter().find(|(k, _)| *k == w).expect("a baseline").1;
+            move || {
+                let result = w.run(preset, sys, cfg);
+                let checksum = result.as_ref().ok().map(|r| r.checksum);
+                (invariants::verdict(result, seq), checksum)
+            }
+        })
+        .collect();
+    exec::run_ordered(jobs, tasks)
+}
+
 /// Render the shrunk failure as a scenario file that `reproduce --scenario`
 /// replays: one workload, the named systems, the spec's testbed, and the
 /// shrunk schedule seed / tie cap / fault plan.
@@ -195,20 +221,8 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
     let mut findings: Vec<Finding> = Vec::new();
     for seed in 0..spec.seeds {
         let tuning = tuning_for(&spec.plan, seed);
-        let tasks: Vec<_> = points
-            .iter()
-            .map(|&(w, sys)| {
-                let tuning = tuning.clone();
-                let seq = seq_of(w);
-                move || {
-                    let cfg = point_config(spec, &tuning);
-                    let result = w.run(spec.preset, sys, &cfg);
-                    let checksum = result.as_ref().ok().map(|r| r.checksum);
-                    (invariants::verdict(result, seq), checksum)
-                }
-            })
-            .collect();
-        let outcomes = exec::run_ordered(spec.exec.jobs, tasks);
+        let cfg = point_config(spec, &tuning);
+        let outcomes = verdicts(spec.preset, &points, &seqs, &cfg, spec.exec.jobs);
 
         // Per-point verdicts, then the per-workload cross-backend check
         // over whichever DSM backends completed this seed.
@@ -397,8 +411,12 @@ mod tests {
         let out = run_fuzz(&spec);
         assert_eq!(out.findings.len(), 1, "{}", out.report);
         let f = &out.findings[0];
+        // The survivor waits for the crashed rank: the deadlock names it.
+        assert_eq!(f.verdict.kind(), "deadlock", "{}", f.verdict.summary());
         assert!(
-            f.verdict.kind() == "crash" || f.verdict.kind() == "deadlock",
+            f.verdict
+                .summary()
+                .contains("fault context: process 1 crashed by fault plan at t=0.000010"),
             "{}",
             f.verdict.summary()
         );

@@ -9,7 +9,7 @@
 //! * **Run-level** — [`check_run`] / [`verdict`] classify a completed (or
 //!   failed) application run: the checksum must agree with the sequential
 //!   baseline, the race detector (when enabled) must be clean, and a
-//!   structured [`RunFailure`] maps to the matching [`RunVerdict`] —
+//!   structured [`RunFailure`] is wrapped as [`RunVerdict::Failed`] —
 //!   deadlock verdicts carry the wait graph *and the fault context* (which
 //!   peer crashed, which partition was active), so a hang caused by an
 //!   injected fault names its cause.  [`cross_backend_equality`] adds the
@@ -32,17 +32,12 @@ use treadmarks::{ProtocolKind, Tmk};
 pub enum RunVerdict {
     /// The run completed and every invariant held.
     Pass,
-    /// Every live process was blocked with no deliverable message.  The
-    /// report carries the wait graph plus the fault context (crashed peers,
-    /// active fault-plan partitions), so an injected fault that wedges the
-    /// protocol is named as the cause.
-    Deadlock(String),
-    /// The futile-grant livelock detector fired; the report carries the
-    /// wait graph and fault context.
-    Livelock(String),
-    /// Fault-plan crashes killed these `(rank, virtual_time)` processes;
-    /// the survivors completed.
-    Crashed(Vec<(usize, f64)>),
+    /// The run did not complete: a deadlock or livelock (whose report
+    /// carries the wait graph plus the fault context — crashed peers, active
+    /// fault-plan partitions — so an injected fault that wedges the protocol
+    /// is named as the cause), or fault-plan crashes whose survivors
+    /// completed.
+    Failed(RunFailure),
     /// The run completed but an invariant did not hold (wrong checksum,
     /// data race, cross-backend disagreement, missed visibility edge).
     Violation(String),
@@ -53,9 +48,7 @@ impl RunVerdict {
     pub fn kind(&self) -> &'static str {
         match self {
             RunVerdict::Pass => "pass",
-            RunVerdict::Deadlock(_) => "deadlock",
-            RunVerdict::Livelock(_) => "livelock",
-            RunVerdict::Crashed(_) => "crash",
+            RunVerdict::Failed(failure) => failure.kind(),
             RunVerdict::Violation(_) => "violation",
         }
     }
@@ -65,15 +58,6 @@ impl RunVerdict {
         !matches!(self, RunVerdict::Pass)
     }
 
-    /// The structured failure of a run, verbatim.
-    pub fn from_failure(failure: RunFailure) -> Self {
-        match failure {
-            RunFailure::Deadlock(report) => RunVerdict::Deadlock(report),
-            RunFailure::Livelock(report) => RunVerdict::Livelock(report),
-            RunFailure::Crashed(ranks) => RunVerdict::Crashed(ranks),
-        }
-    }
-
     /// One deterministic summary line: the kind plus the head of the
     /// report (for deadlock/livelock, the first line and any `fault
     /// context:` lines of the wait graph; crash and violation render in
@@ -81,7 +65,7 @@ impl RunVerdict {
     pub fn summary(&self) -> String {
         match self {
             RunVerdict::Pass => "pass".to_string(),
-            RunVerdict::Deadlock(report) | RunVerdict::Livelock(report) => {
+            RunVerdict::Failed(RunFailure::Deadlock(report) | RunFailure::Livelock(report)) => {
                 let parts: Vec<&str> = report
                     .lines()
                     .take(1)
@@ -95,7 +79,7 @@ impl RunVerdict {
                     .collect();
                 parts.join("; ")
             }
-            RunVerdict::Crashed(ranks) => {
+            RunVerdict::Failed(RunFailure::Crashed(ranks)) => {
                 let mut s = "crash:".to_string();
                 for (rank, at) in ranks {
                     s.push_str(&format!(" rank {rank} at t={at:.6}"));
@@ -107,17 +91,10 @@ impl RunVerdict {
     }
 }
 
-/// The checksum tolerance the harness has always used: floating-point
-/// summation order legitimately differs across process counts and
-/// schedules, so agreement is relative, not bitwise.
-fn checksum_agrees(run: f64, seq: f64) -> bool {
-    (run - seq).abs() <= seq.abs() * 1e-6 + 1e-6
-}
-
 /// Check a completed run against the sequential baseline: checksum
 /// agreement, plus racecheck cleanliness when the run carried a report.
 pub fn check_run(run: &AppRun, seq: &SeqRun) -> RunVerdict {
-    if !checksum_agrees(run.checksum, seq.checksum) {
+    if !seq.agrees(run.checksum) {
         return RunVerdict::Violation(format!(
             "checksum {} disagrees with sequential {}",
             run.checksum, seq.checksum
@@ -139,7 +116,7 @@ pub fn check_run(run: &AppRun, seq: &SeqRun) -> RunVerdict {
 pub fn verdict(result: Result<AppRun, RunFailure>, seq: &SeqRun) -> RunVerdict {
     match result {
         Ok(run) => check_run(&run, seq),
-        Err(failure) => RunVerdict::from_failure(failure),
+        Err(failure) => RunVerdict::Failed(failure),
     }
 }
 
@@ -186,7 +163,7 @@ where
             Ok(()) => RunVerdict::Pass,
             Err(msg) => RunVerdict::Violation(format!("{protocol}: {msg}")),
         },
-        Err(failure) => RunVerdict::from_failure(failure),
+        Err(failure) => RunVerdict::Failed(failure),
     }
 }
 
@@ -280,6 +257,8 @@ pub fn check_barrier_visibility(cfg: &ClusterConfig, protocol: ProtocolKind) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Preset;
+    use apps::Workload;
     use cluster::FaultPlan;
 
     #[test]
@@ -318,33 +297,37 @@ mod tests {
         cfg.fault.crashes = vec!["1@0.0001".parse().unwrap()];
         let v = check_release_acquire(&cfg, ProtocolKind::Lrc);
         // The crashed rank leaves its peers waiting at a barrier: the
-        // deadlock detector names the crash in the fault context (or, if
-        // the survivors happened to finish, the crash verdict itself).
+        // deadlock detector names the crash in the fault context.
         match &v {
-            RunVerdict::Deadlock(report) => {
-                assert!(
-                    report.contains("fault context: process 1 crashed"),
-                    "deadlock report does not name the crashed peer:\n{report}"
-                );
-                assert!(v.summary().contains("fault context"), "{}", v.summary());
-            }
-            RunVerdict::Crashed(ranks) => assert_eq!(ranks[0].0, 1),
-            other => panic!("expected a structured failure, got {other:?}"),
+            RunVerdict::Failed(RunFailure::Deadlock(report)) => assert!(
+                report.contains("fault context: process 1 crashed"),
+                "deadlock report does not name the crashed peer:\n{report}"
+            ),
+            other => panic!("expected the deadlock verdict, got {other:?}"),
         }
-        assert!(
-            v.kind() == "deadlock" || v.kind() == "crash",
-            "{}",
-            v.kind()
-        );
+        assert!(v.summary().contains("fault context"), "{}", v.summary());
+        assert_eq!(v.kind(), "deadlock");
         assert!(v.is_failure());
+        // Under PVM, EP's survivors finish without a rank that dies at its
+        // second interaction: no result set, but no deadlock either.
+        let mut cfg = ClusterConfig::calibrated_fddi(4);
+        cfg.fault.crashes = vec!["3#2".parse().unwrap()];
+        let seq = Workload::Ep.sequential(Preset::Tiny);
+        let v = verdict(Workload::Ep.run(Preset::Tiny, System::Pvm, &cfg), &seq);
+        match &v {
+            RunVerdict::Failed(RunFailure::Crashed(ranks)) => assert_eq!(ranks.len(), 1),
+            other => panic!("expected the crash verdict, got {other:?}"),
+        }
+        assert_eq!(v.summary(), "crash: rank 3 at t=0.000563");
     }
 
     #[test]
     fn verdict_kinds_are_stable_words() {
+        let failed = |f| RunVerdict::Failed(f).kind();
         assert_eq!(RunVerdict::Pass.kind(), "pass");
-        assert_eq!(RunVerdict::Deadlock(String::new()).kind(), "deadlock");
-        assert_eq!(RunVerdict::Livelock(String::new()).kind(), "livelock");
-        assert_eq!(RunVerdict::Crashed(vec![]).kind(), "crash");
+        assert_eq!(failed(RunFailure::Deadlock(String::new())), "deadlock");
+        assert_eq!(failed(RunFailure::Livelock(String::new())), "livelock");
+        assert_eq!(failed(RunFailure::Crashed(vec![])), "crash");
         assert_eq!(RunVerdict::Violation(String::new()).kind(), "violation");
     }
 

@@ -212,7 +212,7 @@ impl Sweep {
                     let key = RunKey::new(w, sys, point.net, point.nprocs);
                     let run = matrix.run(&key);
                     assert!(
-                        (run.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
+                        seq.agrees(run.checksum),
                         "{}: {sys} checksum mismatch at {} ({})",
                         w.name(),
                         point.label,

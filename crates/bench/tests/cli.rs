@@ -204,6 +204,38 @@ fn contradictory_presets_run_nothing() {
 }
 
 #[test]
+fn a_flag_the_mode_would_drop_runs_nothing() {
+    assert_rejected(&["--list", "--procs", "3"], "--list ignores --procs");
+    assert_rejected(&["--tiny", "--json", "--table2"], "--json ignores --table2");
+}
+
+/// The built-in partition plan cuts even ranks off from odd ones: at one
+/// process it would cut nothing, yet the campaign would run under its hash.
+#[test]
+fn a_partition_campaign_below_two_processes_runs_nothing() {
+    let out = reproduce(&[
+        "fuzz",
+        "--tiny",
+        "--faults",
+        "partition",
+        "--procs",
+        "1",
+        "--seeds",
+        "1",
+        "--workload",
+        "EP",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "the campaign still ran");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("--faults partition") && stderr.contains("at least 2 processes, got 1"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn a_flag_in_value_position_runs_nothing_and_writes_nothing() {
     let dir = std::env::temp_dir().join(format!("reproduce-cli-value-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

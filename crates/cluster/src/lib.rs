@@ -82,31 +82,6 @@ use std::rc::Rc;
 /// with the per-process communication statistics.
 pub struct Cluster;
 
-/// Install (once per host process) a panic hook that silences the engine's
-/// typed teardown payloads — the crash, deadlock, livelock and peer-abort
-/// panics [`Cluster::try_run`] raises internally and always catches.  They
-/// are control flow, not errors, and a fuzz campaign provokes thousands;
-/// without this the default hook prints a `Box<dyn Any>` line (and under
-/// `RUST_BACKTRACE`, a backtrace) per simulated failure.  Every other
-/// payload chains to the previously installed hook, so genuine panics
-/// still print exactly as before.
-fn quiet_teardown_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let p = info.payload();
-            let typed = p.is::<net::PeerAbort>()
-                || p.is::<net::DeadlockAbort>()
-                || p.is::<net::LivelockAbort>()
-                || p.is::<net::CrashPayload>();
-            if !typed {
-                previous(info);
-            }
-        }));
-    });
-}
-
 impl Cluster {
     /// Run `f` on `cfg.nprocs` simulated processes and collect the results.
     ///
@@ -147,15 +122,14 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if a process panics with anything other than the engine's
-    /// typed teardown payloads, or if a process's stack cannot be mapped.
+    /// Panics if a process panics (the lowest-rank panic is propagated), or
+    /// if a process's stack cannot be mapped.
     pub fn try_run<F, R>(cfg: ClusterConfig, f: F) -> Result<ClusterReport<R>, RunFailure>
     where
         F: Fn(&Proc) -> R + Send + Sync,
         R: Send,
     {
         assert!(cfg.nprocs >= 1, "a cluster needs at least one process");
-        quiet_teardown_hook();
         let rank = |core: &Rc<net::NetworkCore>, id: usize| {
             let proc = Proc::new(id, Rc::clone(core));
             // A panicking process aborts the whole cluster: peers
@@ -163,19 +137,15 @@ impl Cluster {
             // instead of hanging the run.  `finish` (which hands
             // the scheduling token back) runs inside the guard so a
             // deadlock detected at finish aborts the cluster too.
-            // A fault-plan crash is the one exception: it already
-            // tore itself down via `core.crash`, and its peers
-            // must run on — the crash kills one process, not the
-            // cluster.
+            // The teardown marker is not a panic: the core has already
+            // recorded why it ended the rank, and a crashed rank's peers
+            // must run on — the crash kills one process, not the cluster.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let r = f(&proc);
                 let (stats, po) = proc.finish();
                 (r, stats, po)
             }));
-            if outcome
-                .as_ref()
-                .is_err_and(|p| !p.is::<net::CrashPayload>())
-            {
+            if outcome.as_ref().is_err_and(|p| !p.is::<net::Teardown>()) {
                 core.abort(id);
             }
             outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
@@ -185,7 +155,7 @@ impl Cluster {
         // exit gives the run's allocator arena back for the next run's
         // thread to take (docs/ARCHITECTURE.md §Handoff).
         // lint:allow(threads): the run's hosting thread.
-        let (joined, (crashed, central, faults)) = std::thread::scope(|s| {
+        let (joined, (ended, central, faults)) = std::thread::scope(|s| {
             s.spawn(|| {
                 let core = Rc::new(net::NetworkCore::new(cfg.clone()));
                 let joined = coro::run(cfg.nprocs, |id| rank(&core, id));
@@ -195,51 +165,24 @@ impl Cluster {
             .join()
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         });
-        // Every rank has finished before a failure propagates; prefer
-        // the *originating* panic over the typed `PeerAbort` panics of
-        // the peers it took down, so the surfaced message is the root
-        // cause (deterministically the lowest-rank originator).
+        // Every rank has finished before a failure propagates.  The first
+        // payload that is not the teardown marker is the root cause,
+        // deterministically the lowest-rank originator; every other outcome
+        // is the core's record.
         let mut results = Vec::with_capacity(joined.len());
-        let mut originator = None;
-        let mut victim = None;
-        let mut failure: Option<RunFailure> = None;
         for j in joined {
             match j {
                 Ok(tuple) => results.push(tuple),
-                // The core recorded the crash; `crashed` reports it below.
-                Err(payload) if payload.is::<net::CrashPayload>() => {}
-                Err(payload) => {
-                    if let Some(d) = payload.downcast_ref::<net::DeadlockAbort>() {
-                        failure.get_or_insert(RunFailure::Deadlock(d.0.clone()));
-                    } else if let Some(l) = payload.downcast_ref::<net::LivelockAbort>() {
-                        failure.get_or_insert(RunFailure::Livelock(l.0.clone()));
-                    } else if payload.downcast_ref::<net::PeerAbort>().is_some() {
-                        victim.get_or_insert(payload);
-                    } else {
-                        originator.get_or_insert(payload);
-                    }
-                }
+                Err(payload) if payload.is::<net::Teardown>() => {}
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        if let Some(payload) = originator {
-            std::panic::resume_unwind(payload);
-        }
-        if let Some(failure) = failure {
-            return Err(failure);
-        }
-        if let Some(payload) = victim {
-            // Every victim should be accompanied by its originator; if
-            // one ever surfaces alone, rethrow it readably.
-            let who = payload
-                .downcast_ref::<net::PeerAbort>()
-                .expect("checked above")
-                .0;
-            panic!("cluster aborted: process {who} panicked");
-        }
-        if !crashed.is_empty() {
-            // Crashed ranks produced no result, so there is nothing
-            // complete to report — but nothing deadlocked either.
-            return Err(RunFailure::Crashed(crashed));
+        match ended {
+            Some(net::Abort::Failed(failure)) => return Err(failure),
+            // A panic is recorded with its payload, which was rethrown
+            // above; if one ever surfaces alone, rethrow it readably.
+            Some(net::Abort::Panic(who)) => panic!("cluster aborted: process {who} panicked"),
+            None => {}
         }
         let mut out_results = Vec::with_capacity(results.len());
         let mut out_stats = Vec::with_capacity(results.len());

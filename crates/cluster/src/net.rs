@@ -45,36 +45,19 @@ pub struct Message {
     pub datagrams: u64,
 }
 
-/// Panic payload thrown in *peer* processes when the cluster aborts because
-/// another process panicked.  `Cluster::run` downcasts on this to tell such
-/// secondary panics apart from the originating one, so the root cause is
-/// what propagates — a typed marker, not a fragile message-prefix match.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PeerAbort(pub(crate) usize);
+/// The one payload every engine teardown unwinds a rank with: a peer's
+/// panic, a deadlock, a livelock or the rank's own fault-plan crash.  It says
+/// only that the engine ended the rank; how the run ended is the core's
+/// record ([`NetworkCore::into_remains`]), which `Cluster::try_run` reads.
+/// Thrown by [`Teardown::unwind`] without the panic hook: a fuzz campaign
+/// provokes thousands, and they are control flow, not errors.
+pub(crate) struct Teardown;
 
-/// Panic payload of the virtual-time deadlock detector: the full report
-/// (wait graph plus fault context).  `Cluster::try_run` downcasts on this to
-/// return a structured [`RunFailure::Deadlock`] instead of crashing the
-/// harness.
-#[derive(Debug, Clone)]
-pub(crate) struct DeadlockAbort(pub(crate) String);
-
-/// Panic payload of the livelock detector; see [`DeadlockAbort`].
-#[derive(Debug, Clone)]
-pub(crate) struct LivelockAbort(pub(crate) String);
-
-/// Panic payload a process unwinds with when its fault-plan crash
-/// point fires: not an error in the program under test, but the injected
-/// fault itself.  The fields are never read by the engine (the crash is
-/// recorded in `SimState` before the unwind) — they exist so a panic hook
-/// that `Debug`-prints an escaped payload names the crash.
-#[derive(Debug, Clone, Copy)]
-#[allow(dead_code)]
-pub(crate) struct CrashPayload {
-    /// Rank of the crashed process.
-    pub(crate) rank: usize,
-    /// Virtual time at which the crash fired, seconds.
-    pub(crate) at: f64,
+impl Teardown {
+    /// Unwind the calling rank through its destructors to its `catch_unwind`.
+    pub(crate) fn unwind() -> ! {
+        std::panic::resume_unwind(Box::new(Teardown))
+    }
 }
 
 /// Structured failure of a cluster run, returned by `Cluster::try_run`
@@ -84,7 +67,7 @@ pub(crate) struct CrashPayload {
 /// `Display` renders the full human report; for deadlock and livelock it
 /// begins with the same `virtual-time deadlock`/`virtual-time livelock`
 /// line the panicking `Cluster::run` path has always produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RunFailure {
     /// Every live process was blocked in a receive with no deliverable
     /// message.  The report carries the full wait graph plus the fault
@@ -128,19 +111,13 @@ impl std::fmt::Display for RunFailure {
 }
 
 /// Why the simulation was torn down early.
-#[derive(Debug, Clone)]
-enum Abort {
+pub(crate) enum Abort {
     /// A process panicked; peers must fail fast instead of waiting
     /// for messages the dead process will never send.
     Panic(usize),
-    /// Every live process was blocked in a receive with no deliverable
-    /// message; the string is the rendered wait graph.
-    Deadlock(String),
-    /// The token was granted this many consecutive times without a single
-    /// message being transmitted or consumed anywhere in the cluster: some
-    /// poll loop is spinning without ever making progress.  The string is
-    /// the rendered wait graph.
-    Livelock(String),
+    /// The engine ended the run: a deadlock or a livelock with its report,
+    /// or (from [`NetworkCore::into_remains`]) crashes survivors outlived.
+    Failed(RunFailure),
 }
 
 /// Consecutive zero-progress grants after which the arbiter declares a
@@ -156,16 +133,6 @@ enum Abort {
 const LIVELOCK_GRANT_LIMIT: u64 = 10_000_000;
 #[cfg(test)]
 const LIVELOCK_GRANT_LIMIT: u64 = 100_000;
-
-/// Unwind the calling process with the typed payload matching the
-/// abort cause.
-fn panic_aborted(abort: &Abort) -> ! {
-    match abort {
-        Abort::Panic(who) => std::panic::panic_any(PeerAbort(*who)),
-        Abort::Deadlock(graph) => std::panic::panic_any(DeadlockAbort(graph.clone())),
-        Abort::Livelock(graph) => std::panic::panic_any(LivelockAbort(graph.clone())),
-    }
-}
 
 /// Everything the simulation shares between processes, borrowed by
 /// exactly one process at a time: the token discipline, and the coroutines
@@ -184,7 +151,8 @@ struct SimState {
     /// it reaches [`LIVELOCK_GRANT_LIMIT`] the cluster is spinning without
     /// progress and is torn down with a diagnostic.
     futile_grants: u64,
-    /// Set when the cluster is torn down early.
+    /// Set when the cluster is torn down early: with the crashes below, the
+    /// one record of how the run ended.
     aborted: Option<Abort>,
     /// Runtime fault-injection state; `None` when the plan is empty, so the
     /// pre-fault transmit path is preserved byte for byte.
@@ -262,11 +230,11 @@ impl NetworkCore {
 
     /// Tear down process `id` because its fault-plan crash point fired at
     /// virtual time `at`: record the crash, stamp it into the trace, mark
-    /// the process finished and hand the token on.  The process layer then
-    /// unwinds it with a [`CrashPayload`] — the crash kills only the
-    /// one process; peers run on (and may then deadlock, which the detector
-    /// reports naming this crash as context).
-    pub(crate) fn crash(&self, id: usize, at: f64) {
+    /// the process finished, hand the token on and unwind it with the
+    /// [`Teardown`] marker — the crash kills only the one process; peers run
+    /// on (and may then deadlock, which the detector reports naming this
+    /// crash as context).
+    pub(crate) fn crash(&self, id: usize, at: f64) -> ! {
         let mut st = self.state.borrow_mut();
         st.crashed.push((id, at));
         if let Some(f) = st.faults.as_mut() {
@@ -284,19 +252,25 @@ impl NetworkCore {
             });
         }
         self.retire(st, id);
+        Teardown::unwind()
     }
 
-    /// What the network holds once every process has left: `(rank,
-    /// virtual_time)` of every fault-plan crash that fired, the central
-    /// event stream (sends, consumes, grants; empty below
+    /// What the network holds once every process has left: how the run
+    /// ended, unless every rank returned — its abort, else the fault-plan
+    /// crashes whose survivors completed, as [`RunFailure::Crashed`] — the
+    /// central event stream (sends, consumes, grants; empty below
     /// [`ObsLevel::Trace`]), and the counters of the faults injected, with
     /// the arbiter's seeded tie-break draws folded in (all zero for an empty
     /// plan under seed 0).
-    pub(crate) fn into_remains(self) -> (Vec<(usize, f64)>, Vec<Event>, FaultStats) {
+    pub(crate) fn into_remains(self) -> (Option<Abort>, Vec<Event>, FaultStats) {
         let st = self.state.into_inner();
         let mut faults = st.faults.map(|f| f.stats).unwrap_or_default();
         faults.tie_breaks = st.arb.tie_draws();
-        (st.crashed, st.trace.unwrap_or_default(), faults)
+        let crashed = (!st.crashed.is_empty()).then_some(st.crashed);
+        let ended = st
+            .aborted
+            .or(crashed.map(|c| Abort::Failed(RunFailure::Crashed(c))));
+        (ended, st.trace.unwrap_or_default(), faults)
     }
 
     /// Lines appended to a deadlock/livelock report naming the fault context:
@@ -357,7 +331,7 @@ impl NetworkCore {
                     if self.report_to_stderr() {
                         eprintln!("{report}");
                     }
-                    st.aborted = Some(Abort::Livelock(report));
+                    st.aborted = Some(Abort::Failed(RunFailure::Livelock(report)));
                     return None;
                 }
                 st.arb.set(rank, PState::Running);
@@ -370,7 +344,7 @@ impl NetworkCore {
                 if self.report_to_stderr() {
                     eprintln!("{graph}");
                 }
-                st.aborted = Some(Abort::Deadlock(graph));
+                st.aborted = Some(Abort::Failed(RunFailure::Deadlock(graph)));
                 None
             }
         }
@@ -382,22 +356,23 @@ impl NetworkCore {
     ///
     /// # Panics
     ///
-    /// Panics if the cluster aborted (peer panic or deadlock) — including
-    /// when the park itself completes the deadlock.
+    /// Unwinds with the [`Teardown`] marker if the cluster aborted (peer
+    /// panic, deadlock or livelock) — including when the park itself
+    /// completes the deadlock.
     fn park<'a>(
         &'a self,
         mut st: RefMut<'a, SimState>,
         me: usize,
         state: PState,
     ) -> RefMut<'a, SimState> {
-        if let Some(abort) = &st.aborted {
-            panic_aborted(abort);
+        if st.aborted.is_some() {
+            Teardown::unwind();
         }
         st.arb.set(me, state);
         let mut granted = self.dispatch(&mut st);
         loop {
-            if let Some(abort) = &st.aborted {
-                panic_aborted(abort);
+            if st.aborted.is_some() {
+                Teardown::unwind();
             }
             if matches!(st.arb.state(me), PState::Running) {
                 return st;
@@ -750,7 +725,7 @@ mod tests {
         // comes.  Neither process is deadlocked in the arbiter's sense
         // (process 0 stays runnable), so this is the silent-spin case the
         // futile-grant counter exists for.
-        Cluster::run(ClusterConfig::calibrated_fddi(2), |p| {
+        let body = |p: &crate::Proc| {
             if p.id() == 0 {
                 loop {
                     if p.try_recv(Some(1), 1).is_some() {
@@ -760,7 +735,15 @@ mod tests {
             } else {
                 p.recv(Some(0), 9);
             }
-        });
+        };
+        // `try_run` returns it as the structured verdict, `run` panics with it.
+        match Cluster::try_run(ClusterConfig::calibrated_fddi(2), body).map(|_| ()) {
+            Err(RunFailure::Livelock(report)) => {
+                assert!(report.starts_with("virtual-time livelock"), "{report}")
+            }
+            other => panic!("expected the livelock verdict, got {other:?}"),
+        }
+        Cluster::run(ClusterConfig::calibrated_fddi(2), body);
     }
 
     #[test]
@@ -824,7 +807,7 @@ mod tests {
     fn a_panic_before_the_first_interaction_aborts_seven_peers_at_theirs() {
         // Rank 0 dies before the run loop has started anyone else: each of
         // the other seven starts, finds the abort at its first interaction
-        // and unwinds with the typed peer payload.
+        // and unwinds with the teardown marker.
         let (text, victims) = watchdog("start-up abort with seven unstarted peers", || {
             let victims = AtomicUsize::new(0);
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -835,7 +818,7 @@ mod tests {
                     let abort =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.pending()))
                             .expect_err("the cluster is already aborted");
-                    if abort.is::<PeerAbort>() {
+                    if abort.is::<Teardown>() {
                         victims.fetch_add(1, Ordering::Relaxed);
                     }
                     std::panic::resume_unwind(abort)
@@ -872,7 +855,7 @@ mod tests {
             });
             ranks
                 .iter()
-                .filter(|r| r.as_ref().is_err_and(|p| p.is::<PeerAbort>()))
+                .filter(|r| r.as_ref().is_err_and(|p| p.is::<Teardown>()))
                 .count()
         });
         assert_eq!(victims, 7);

@@ -2,7 +2,7 @@
 
 use crate::config::ClusterConfig;
 use crate::fault::CrashPoint;
-use crate::net::{CrashPayload, Message, NetworkCore, Tag};
+use crate::net::{Message, NetworkCore, Tag};
 use crate::obs::{self, ProcObs, Recorder, SpanCat};
 use crate::stats::ProcStats;
 use crate::time::VirtualClock;
@@ -57,7 +57,7 @@ impl Proc {
     /// (send or receive — the points at which a dead process would be
     /// observable to its peers).  When this rank's crash point has been
     /// reached, the process is torn down through the network core and its
-    /// body unwinds with a typed [`CrashPayload`]; it never interacts
+    /// body unwinds with the engine's teardown marker; it never interacts
     /// again.  A `None` crash point costs one branch.
     fn maybe_crash(&self) {
         let Some(at) = self.crash else { return };
@@ -67,12 +67,7 @@ impl Proc {
             CrashPoint::Event(n) => self.events.get() >= n,
         };
         if fired {
-            let now = self.clock.now();
-            self.core.crash(self.id, now);
-            std::panic::panic_any(CrashPayload {
-                rank: self.id,
-                at: now,
-            });
+            self.core.crash(self.id, self.clock.now());
         }
     }
 

@@ -52,7 +52,7 @@ fn every_net_preset_preserves_application_answers() {
             let seq = run_sequential(w, Preset::Tiny);
             let run = run_once(w, System::TreadMarks(ProtocolKind::Lrc), net, 4);
             assert!(
-                (run.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
+                seq.agrees(run.checksum),
                 "{} on {}: checksum {} vs sequential {}",
                 w.name(),
                 net.label(),
@@ -158,7 +158,7 @@ fn sixteen_processes_smoke_every_workload_and_system() {
             let run = run_once(w, sys, net, 16);
             assert_eq!(run.nprocs, 16, "{} under {sys}", w.name());
             assert!(
-                (run.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
+                seq.agrees(run.checksum),
                 "{} under {sys} at 16 processes: checksum {} vs sequential {}",
                 w.name(),
                 run.checksum,
@@ -185,7 +185,7 @@ fn more_processes_than_rows_is_handled() {
         let a = run_once(Workload::SorZero, sys, net, 32);
         let b = run_once(Workload::SorZero, sys, net, 32);
         assert!(
-            (a.checksum - seq.checksum).abs() <= seq.checksum.abs() * 1e-6 + 1e-6,
+            seq.agrees(a.checksum),
             "SOR-Zero under {sys} at 32 processes: checksum {} vs {}",
             a.checksum,
             seq.checksum
