@@ -172,6 +172,25 @@ impl Workload {
     }
 }
 
+impl std::str::FromStr for Workload {
+    type Err = String;
+
+    /// A workload by its harness name ([`Workload::name`]), in any letter
+    /// case.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Workload::all()
+            .into_iter()
+            .find(|w| w.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let known: Vec<&str> = Workload::all().iter().map(|w| w.name()).collect();
+                format!(
+                    "unknown workload '{name}'; known workloads: {}",
+                    known.join(", ")
+                )
+            })
+    }
+}
+
 /// The one table from (workload, preset) to the application's parameters:
 /// evaluates `$body` with `$app` bound to them, monomorphised per row.  A
 /// new workload is one module implementing [`App`] plus one row here.
@@ -276,6 +295,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_workload_name_parses_back_in_any_case() {
+        for w in Workload::all() {
+            for name in [
+                w.name().to_string(),
+                w.name().to_ascii_lowercase(),
+                w.name().to_ascii_uppercase(),
+            ] {
+                assert_eq!(name.parse::<Workload>(), Ok(w), "{name}");
+            }
+        }
+        let e = "nope".parse::<Workload>().unwrap_err();
+        assert!(e.starts_with("unknown workload 'nope'; known workloads: EP, SOR-Zero,"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * for the **PVM** versions, messages are the user-level sends and data is
 //!   the user data packed into them, as PVM itself counts.
 
-use cluster::{Cluster, ClusterConfig, ClusterObs, Proc, ProcStats, RunFailure};
+use cluster::{Cluster, ClusterConfig, ClusterObs, ClusterReport, Proc, ProcStats, RunFailure};
 use msgpass::Pvm;
 use std::sync::Arc;
 use treadmarks::race::{self, RaceReport, SyncClocks};
@@ -38,6 +38,33 @@ impl System {
             System::TreadMarks(ProtocolKind::Sc),
             System::Pvm,
         ]
+    }
+
+    /// The name scenario files and fuzz reproducers use: the protocol's
+    /// name (`lrc` / `hlrc` / `sc`) or `pvm`.
+    pub fn name(self) -> &'static str {
+        match self {
+            System::TreadMarks(protocol) => protocol.name(),
+            System::Pvm => "pvm",
+        }
+    }
+}
+
+impl std::str::FromStr for System {
+    type Err = String;
+
+    /// A system by name, in any letter case: a protocol backend by any name
+    /// [`ProtocolKind`] parses (`treadmarks` is the paper's LRC),
+    /// `tmk-hlrc`, `tmk-sc` or `pvm`.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        match name.to_ascii_lowercase().as_str() {
+            "pvm" => Ok(System::Pvm),
+            "tmk-hlrc" => Ok(System::TreadMarks(ProtocolKind::Hlrc)),
+            "tmk-sc" => Ok(System::TreadMarks(ProtocolKind::Sc)),
+            other => other.parse().map(System::TreadMarks).map_err(|_| {
+                format!("unknown system '{other}'; known systems: lrc, hlrc, sc, pvm")
+            }),
+        }
     }
 }
 
@@ -164,12 +191,11 @@ pub fn try_run_treadmarks_on<F>(
 where
     F: Fn(&Tmk) -> f64 + Send + Sync,
 {
-    let nprocs = cfg.nprocs;
     // The analysis layer lives outside the simulated machine: the recorder
     // rides the runtime and the clock table is plain shared process memory,
     // so enabling it cannot change any virtual time or counter.
     let table = cfg.analysis.enabled().then(|| Arc::new(SyncClocks::new()));
-    let mut rep = Cluster::try_run(cfg.clone(), {
+    let rep = Cluster::try_run(cfg.clone(), {
         let table = table.clone();
         move |p| {
             let tmk = Tmk::with_heap_and_protocol(p, heap_bytes, protocol);
@@ -178,77 +204,77 @@ where
             }
             let checksum = body(&tmk);
             tmk.exit();
-            (checksum, tmk.stats(), tmk.take_race_log())
+            (checksum, (tmk.stats(), tmk.take_race_log()))
         }
     })?;
+    let (run, ranks) = finish(cfg, System::TreadMarks(protocol), rep, |(st, _)| Some(st));
     let race = table.map(|_| {
-        let logs: Vec<race::RaceLog> = rep
-            .results
-            .iter_mut()
-            .map(|(_, _, log)| log.take().expect("racecheck was enabled on every rank"))
-            .collect();
-        race::analyze(nprocs, logs)
+        let logs = ranks
+            .into_iter()
+            .map(|(_, log)| log.expect("racecheck was enabled on every rank"));
+        race::analyze(cfg.nprocs, logs.collect())
     });
-    let obs = rep.obs.take();
-    #[cfg(feature = "oracle-checks")]
-    if let Some(obs) = &obs {
-        let per_proc: Vec<&TmkStats> = rep.results.iter().map(|(_, s, _)| s).collect();
-        cross_check_obs(cfg.obs, obs, &rep.stats, Some(&per_proc));
-    }
-    let mut agg = TmkStats::default();
-    for (_, st, _) in &rep.results {
-        agg.merge(st);
-    }
+    Ok(AppRun { race, ..run })
+}
+
+/// Run `body` on PVM processes over `cfg`'s cluster model.  Messages and
+/// data are PVM's own user-level counts.
+pub fn try_run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> Result<AppRun, RunFailure>
+where
+    F: Fn(&Pvm) -> f64 + Send + Sync,
+{
+    let rep = Cluster::try_run(cfg.clone(), move |p| {
+        let pvm = Pvm::new(p);
+        let checksum = body(&pvm);
+        (checksum, pvm.user_stats())
+    })?;
+    let (run, ranks) = finish(cfg, System::Pvm, rep, |_| None);
     Ok(AppRun {
-        system: System::TreadMarks(protocol),
-        nprocs,
-        checksum: rep.results.iter().map(|(c, _, _)| *c).sum(),
+        messages: ranks.iter().map(|s| s.messages).sum(),
+        kilobytes: ranks.iter().map(|s| s.bytes).sum::<u64>() as f64 / 1024.0,
+        ..run
+    })
+}
+
+/// The [`AppRun`] of a finished run whose ranks each returned
+/// `(checksum, R)`, plus the ranks' `R`s.  Messages and data are the
+/// transport's datagrams and payload (TreadMarks' convention); `tmk_of`
+/// finds a rank's DSM statistics, aggregated into `tmk_stats` (and, under
+/// `oracle-checks`, cross-checked against the observability output).
+fn finish<R>(
+    cfg: &ClusterConfig,
+    system: System,
+    rep: ClusterReport<(f64, R)>,
+    tmk_of: fn(&R) -> Option<&TmkStats>,
+) -> (AppRun, Vec<R>) {
+    let per_rank: Option<Vec<&TmkStats>> = rep.results.iter().map(|(_, r)| tmk_of(r)).collect();
+    #[cfg(feature = "oracle-checks")]
+    if let Some(obs) = &rep.obs {
+        cross_check_obs(cfg.obs, obs, &rep.stats, per_rank.as_deref());
+    }
+    let tmk_stats = per_rank.map(|ranks| {
+        let mut agg = TmkStats::default();
+        for st in ranks {
+            agg.merge(st);
+        }
+        agg
+    });
+    let run = AppRun {
+        system,
+        nprocs: cfg.nprocs,
+        checksum: rep.results.iter().map(|(c, _)| *c).sum(),
         time: rep.parallel_time(),
         messages: rep.total_datagrams(),
         kilobytes: rep.total_kilobytes(),
         sched_seed: cfg.sched_seed,
         fault_hash: cfg.fault.hash(),
         faults: rep.faults,
-        tmk_stats: Some(agg),
+        tmk_stats,
         proc_stats: rep.stats,
-        obs,
-        race,
-    })
-}
-
-/// Run `body` on PVM processes over `cfg`'s cluster model.
-pub fn try_run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> Result<AppRun, RunFailure>
-where
-    F: Fn(&Pvm) -> f64 + Send + Sync,
-{
-    let nprocs = cfg.nprocs;
-    let mut rep = Cluster::try_run(cfg.clone(), move |p| {
-        let pvm = Pvm::new(p);
-        let checksum = body(&pvm);
-        (checksum, pvm.user_stats())
-    })?;
-    let obs = rep.obs.take();
-    #[cfg(feature = "oracle-checks")]
-    if let Some(obs) = &obs {
-        cross_check_obs(cfg.obs, obs, &rep.stats, None);
-    }
-    let user_messages: u64 = rep.results.iter().map(|(_, s)| s.messages).sum();
-    let user_bytes: u64 = rep.results.iter().map(|(_, s)| s.bytes).sum();
-    Ok(AppRun {
-        system: System::Pvm,
-        nprocs,
-        checksum: rep.results.iter().map(|(c, _)| *c).sum(),
-        time: rep.parallel_time(),
-        messages: user_messages,
-        kilobytes: user_bytes as f64 / 1024.0,
-        sched_seed: cfg.sched_seed,
-        fault_hash: cfg.fault.hash(),
-        faults: rep.faults,
-        tmk_stats: None,
-        proc_stats: rep.stats,
-        obs,
+        obs: rep.obs,
         race: None,
-    })
+    };
+    (run, rep.results.into_iter().map(|(_, r)| r).collect())
 }
 
 /// Cross-check the observability output against the independently maintained
@@ -367,6 +393,26 @@ mod tests {
                 "{count}/{nprocs} not covered"
             );
         }
+    }
+
+    #[test]
+    fn every_system_name_and_alias_parses_back_in_any_case() {
+        for sys in System::all() {
+            for name in [sys.name().to_string(), sys.name().to_ascii_uppercase()] {
+                assert_eq!(name.parse::<System>(), Ok(sys), "{name}");
+            }
+        }
+        for (alias, protocol) in [
+            ("treadmarks", ProtocolKind::Lrc),
+            ("TMK-HLRC", ProtocolKind::Hlrc),
+            ("tmk-sc", ProtocolKind::Sc),
+        ] {
+            assert_eq!(alias.parse(), Ok(System::TreadMarks(protocol)), "{alias}");
+        }
+        assert_eq!(
+            "MPI".parse::<System>(),
+            Err("unknown system 'mpi'; known systems: lrc, hlrc, sc, pvm".to_string())
+        );
     }
 
     #[test]

@@ -21,20 +21,16 @@
 //! `--json`, `--trace` and the `deterministic` section of `--bench-out` are
 //! byte-identical for every `--jobs` value.
 
-use apps::runner::System;
-use apps::Workload;
+use apps::{System, Workload};
 use bench::cli::{self, Invocation, Mode};
 use bench::fuzz::{self, run_fuzz, FuzzSpec};
-use bench::scenario::ResolvedScenario;
+use bench::scenario::Request;
 use bench::sweep::{Sweep, Vary};
 use bench::{
-    exec, obs, proc_series, render_race_reports, run_matrix_exec, run_record_json, Exec, Preset,
-    RunKey, RunMatrix, RunTuning,
+    obs, proc_series, render_race_reports, run_config, run_matrix_exec, run_record_json, Preset,
+    RunKey, RunMatrix,
 };
-use cluster::{
-    AnalysisLevel, ClusterConfig, FaultKind, FaultPlan, NetModel, NetPreset, ObsLevel, Scenario,
-};
-use std::path::Path;
+use cluster::{FaultKind, NetModel, NetPreset};
 use treadmarks::ProtocolKind;
 
 /// `print!` for every byte this binary puts on stdout: see [`write_stdout`].
@@ -214,7 +210,8 @@ fn json_dump(
 /// them), wall-clock timing of this execution second — with the kernel
 /// memo's host counters (`apps::memo`), which depend on which worker raced
 /// which and so appear nowhere else.
-fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, exec: &Exec, wall_seconds: f64) -> String {
+fn bench_report(matrix: &RunMatrix, req: &Request, wall_seconds: f64) -> String {
+    let tuning = &req.tuning;
     let mut events = 0u64; // transport messages processed (sent == consumed)
     let mut virtual_seconds = 0.0f64;
     let mut checksum_xor = 0u64;
@@ -249,7 +246,7 @@ fn bench_report(matrix: &RunMatrix, tuning: &RunTuning, exec: &Exec, wall_second
         virtual_seconds,
         virtual_seconds.to_bits(),
         checksum_xor,
-        exec.jobs,
+        req.exec.jobs,
         wall_seconds,
         events as f64 / wall_seconds,
         virtual_seconds / wall_seconds,
@@ -379,115 +376,28 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Everything the three modes share once the flags and the scenario file
-/// are resolved against each other.
-struct Setup {
-    preset: Preset,
-    net: NetModel,
-    max_procs: usize,
-    systems: Vec<System>,
-    workloads: Vec<Workload>,
-    exec: Exec,
-    /// The scenario file's schedule seed, tie-break cap and fault plan.
-    tuning: RunTuning,
+/// Compute a matrix of the request, timing this machine's execution for
+/// the `--bench-out` report.
+fn timed_matrix(req: &Request, seq_workloads: &[Workload], keys: &[RunKey]) -> (RunMatrix, f64) {
+    // lint:allow(wall-clock): times this machine's execution for the --bench-out report
+    let started = std::time::Instant::now();
+    let matrix = run_matrix_exec(req.preset, seq_workloads, keys, &req.exec, &req.tuning);
+    (matrix, started.elapsed().as_secs_f64())
 }
 
-/// Resolve an invocation: the scenario file (if any) supplies defaults and
-/// explicit flags override its individual fields.
-fn resolve(inv: &Invocation) -> Setup {
-    // Sweeps default to a top of 16 processes so `--vary procs` goes past
-    // the paper's 8 even when a scenario file leaves `procs` unset; fuzz
-    // campaigns default to 4 so a many-seed campaign stays fast.
-    let default_procs = match inv.mode {
-        Mode::Reproduction => 8,
-        Mode::Sweep => 16,
-        Mode::Fuzz => 4,
-    };
-    let file = match &inv.scenario {
-        Some(path) => Scenario::from_path(Path::new(path)).unwrap_or_else(|e| fail(e)),
-        None => Scenario::default(),
-    };
-    let scenario =
-        ResolvedScenario::resolve(&file, Preset::Scaled, default_procs).unwrap_or_else(|e| fail(e));
-    // Sweeps always record at metrics level (their tables carry a p99
-    // lock-acquire column); the reproduction records only when asked, so
-    // the default path stays on the zero-cost null sink.
-    let obs = if inv.trace.is_some() {
-        ObsLevel::Trace
-    } else if inv.metrics || inv.mode == Mode::Sweep {
-        ObsLevel::Metrics
-    } else {
-        ObsLevel::Off
-    };
-    Setup {
-        preset: inv.preset.unwrap_or(scenario.preset),
-        net: inv.net.unwrap_or(scenario.net),
-        max_procs: inv.procs.unwrap_or(scenario.max_procs),
-        systems: inv.systems.clone().unwrap_or(scenario.systems),
-        workloads: if inv.workloads.is_empty() {
-            scenario.workloads
-        } else {
-            Workload::all()
-                .into_iter()
-                .filter(|w| inv.workloads.contains(w))
-                .collect()
-        },
-        exec: Exec {
-            jobs: inv.jobs.unwrap_or_else(exec::default_jobs),
-            obs,
-            analysis: if inv.racecheck {
-                AnalysisLevel::Race
-            } else {
-                AnalysisLevel::Off
-            },
-        },
-        tuning: scenario.tuning,
-    }
-}
-
-fn write_bench_report(path: &str, report: &str) {
-    if let Err(err) = std::fs::write(path, report) {
+fn write_bench_report(path: &str, matrix: &RunMatrix, req: &Request, wall_seconds: f64) {
+    if let Err(err) = std::fs::write(path, bench_report(matrix, req, wall_seconds)) {
         fail(format!("cannot write {path}: {err}"));
     }
     eprintln!("bench report written to {path}");
 }
 
-fn fuzz_campaign(inv: &Invocation, setup: Setup) {
-    let plan: FaultPlan = match inv.faults.as_deref() {
-        // No --faults: fuzz the scenario's plan if one was loaded,
-        // otherwise pure schedule exploration on a fault-free cluster.
-        None => setup.tuning.fault,
-        Some("lossy") => FaultPlan::lossy(1),
-        Some(name @ ("partition" | "partitioned")) if setup.max_procs < 2 => fail(format!(
-            "--faults {name} cuts even ranks off from odd ones and needs at least 2 processes, \
-             got {}",
-            setup.max_procs
-        )),
-        Some("partition") | Some("partitioned") => FaultPlan::partitioned(1, setup.max_procs),
-        Some(path) => {
-            let parsed = Scenario::from_path(Path::new(path)).unwrap_or_else(|e| fail(e));
-            parsed.fault.unwrap_or_else(|| {
-                fail(format!(
-                    "{path} carries no [fault] section; \
-                     --faults takes `lossy`, `partitioned` or a scenario file with [fault]"
-                ))
-            })
-        }
-    };
-    plan.check_ranks(setup.max_procs)
-        .unwrap_or_else(|e| fail(e));
-    let spec = FuzzSpec {
-        preset: setup.preset,
-        net: setup.net,
-        nprocs: setup.max_procs,
-        workloads: setup.workloads,
-        systems: setup.systems,
+fn fuzz_campaign(inv: &Invocation, request: Request) {
+    let out = run_fuzz(&FuzzSpec {
+        request,
         seeds: inv.seeds.unwrap_or(10),
-        plan,
         until_failure: inv.until_failure,
-        exec: setup.exec,
-    };
-    let out = run_fuzz(&spec);
+    });
     out!("{}", out.report);
     // Like --racecheck: a campaign that found anything fails the
     // invocation, after the report (and every reproducer) is printed.
@@ -496,34 +406,19 @@ fn fuzz_campaign(inv: &Invocation, setup: Setup) {
     }
 }
 
-fn sweep_figures(inv: &Invocation, setup: Setup) {
+fn sweep_figures(inv: &Invocation, request: Request) {
     let sweep = Sweep {
         vary: inv.vary.unwrap_or(Vary::Procs),
-        preset: setup.preset,
-        base: setup.net,
-        workloads: setup.workloads,
-        systems: setup.systems,
-        max_procs: setup.max_procs,
+        request,
     };
-    let exec = setup.exec;
-    let keys = sweep.keys();
-    // lint:allow(wall-clock): times this machine's execution for the --bench-out report
-    let started = std::time::Instant::now();
-    let matrix = run_matrix_exec(
-        sweep.preset,
-        &sweep.workloads,
-        &keys,
-        &exec,
-        &RunTuning::default(),
-    );
-    let wall_seconds = started.elapsed().as_secs_f64();
+    let req = &sweep.request;
+    let (matrix, wall_seconds) = timed_matrix(req, &req.workloads, &sweep.keys());
     out!("{}", sweep.render(&matrix));
     if inv.metrics {
         out!("\n{}", obs::metrics_report(&matrix));
     }
     if let Some(path) = &inv.bench_out {
-        let report = bench_report(&matrix, &RunTuning::default(), &exec, wall_seconds);
-        write_bench_report(path, &report);
+        write_bench_report(path, &matrix, req, wall_seconds);
     }
 }
 
@@ -533,24 +428,25 @@ fn sweep_figures(inv: &Invocation, setup: Setup) {
 /// battery and print one verdict line each, naming the fault context.  The
 /// fan uses the ordered executor, so the table is byte-identical across
 /// `--jobs` widths.
-fn replay_verdicts(setup: &Setup, top: &ClusterConfig) {
+fn replay_verdicts(req: &Request) {
     outln!(
         "Crash-plan scenario: verdict replay at {} processes (net {}, {:?} preset)",
-        setup.max_procs,
-        setup.net.label(),
-        setup.preset
+        req.procs,
+        req.net.label(),
+        req.preset
     );
-    let seqs: Vec<_> = setup
+    let seqs: Vec<_> = req
         .workloads
         .iter()
-        .map(|&w| (w, w.sequential(setup.preset)))
+        .map(|&w| (w, w.sequential(req.preset)))
         .collect();
-    let points: Vec<_> = setup
+    let points: Vec<_> = req
         .workloads
         .iter()
-        .flat_map(|&w| setup.systems.iter().map(move |&sys| (w, sys)))
+        .flat_map(|&w| req.systems.iter().map(move |&sys| (w, sys)))
         .collect();
-    let verdicts = fuzz::verdicts(setup.preset, &points, &seqs, top, setup.exec.jobs);
+    let top = run_config(req.net, req.procs, &req.exec, &req.tuning);
+    let verdicts = fuzz::verdicts(req.preset, &points, &seqs, &top, req.exec.jobs);
     for (&(w, sys), (verdict, _)) in points.iter().zip(verdicts) {
         outln!(
             "  {:<12} {:<10} {}",
@@ -561,28 +457,22 @@ fn replay_verdicts(setup: &Setup, top: &ClusterConfig) {
     }
 }
 
-fn reproduction(inv: &Invocation, setup: Setup) {
-    let Setup {
-        preset,
-        net,
-        max_procs,
-        ref systems,
-        ref workloads,
-        ref exec,
-        ref tuning,
-    } = setup;
-    let mut top = net.config(max_procs);
-    exec.apply(&mut top);
-    tuning.apply(&mut top);
-    top.fault.check_ranks(max_procs).unwrap_or_else(|e| fail(e));
+fn reproduction(inv: &Invocation, req: Request) {
     // The scenario's tuning rides on every run of the reproduction.  A plan
     // that crashes processes cannot fill a matrix — the crashed runs have no
     // results to tabulate — so it replays as a verdict table instead; this
     // is how a shrunk fuzz reproducer with a crash is replayed.
-    if !tuning.fault.crashes.is_empty() {
-        replay_verdicts(&setup, &top);
+    if !req.tuning.fault.crashes.is_empty() {
+        replay_verdicts(&req);
         return;
     }
+    let Request {
+        net,
+        procs: max_procs,
+        ref systems,
+        ref workloads,
+        ..
+    } = req;
     let run_all = !inv.json && !inv.table1 && !inv.table2 && inv.figure.is_none();
     let want_table1 = inv.table1 || run_all;
     let want_table2 = inv.table2 || run_all;
@@ -605,18 +495,13 @@ fn reproduction(inv: &Invocation, setup: Setup) {
     // The JSON dump reports powers of two (the paper's 1/2/4/8, extended
     // by --procs) plus the requested top count itself; the figures report
     // the full paper series plus the extension.
-    let json_procs: Vec<usize> = {
-        let mut counts = Vec::new();
-        let mut p = 1usize;
-        while p <= max_procs {
-            counts.push(p);
-            p *= 2;
-        }
-        if counts.last() != Some(&max_procs) {
-            counts.push(max_procs);
-        }
-        counts
-    };
+    let mut json_procs: Vec<usize> = (0..usize::BITS)
+        .map(|k| 1 << k)
+        .take_while(|&p| p <= max_procs)
+        .collect();
+    if json_procs.last() != Some(&max_procs) {
+        json_procs.push(max_procs);
+    }
     for &w in &figure_workloads {
         let counts = if inv.json {
             json_procs.clone()
@@ -637,10 +522,7 @@ fn reproduction(inv: &Invocation, setup: Setup) {
         }
     }
 
-    // lint:allow(wall-clock): times this machine's execution for the --bench-out report
-    let started = std::time::Instant::now();
-    let matrix = run_matrix_exec(preset, &seq_workloads, &keys, exec, tuning);
-    let wall_seconds = started.elapsed().as_secs_f64();
+    let (matrix, wall_seconds) = timed_matrix(&req, &seq_workloads, &keys);
 
     if inv.json {
         json_dump(&matrix, net, &json_procs, systems, workloads);
@@ -659,7 +541,7 @@ fn reproduction(inv: &Invocation, setup: Setup) {
         }
     }
 
-    if exec.analysis.enabled() {
+    if req.exec.analysis.enabled() {
         let report = render_race_reports(&matrix);
         if inv.json {
             // stdout is a pure JSON document (the per-run `races` fields are
@@ -682,7 +564,7 @@ fn reproduction(inv: &Invocation, setup: Setup) {
     }
 
     if let Some(path) = &inv.bench_out {
-        write_bench_report(path, &bench_report(&matrix, tuning, exec, wall_seconds));
+        write_bench_report(path, &matrix, &req, wall_seconds);
     }
 
     // A racecheck run that found races fails the invocation — after every
@@ -702,10 +584,10 @@ fn main() {
         list_catalogue(inv.json);
         return;
     }
-    let setup = resolve(&inv);
+    let req = Request::resolve(&inv).unwrap_or_else(|e| fail(e));
     match inv.mode {
-        Mode::Reproduction => reproduction(&inv, setup),
-        Mode::Sweep => sweep_figures(&inv, setup),
-        Mode::Fuzz => fuzz_campaign(&inv, setup),
+        Mode::Reproduction => reproduction(&inv, req),
+        Mode::Sweep => sweep_figures(&inv, req),
+        Mode::Fuzz => fuzz_campaign(&inv, req),
     }
 }

@@ -7,11 +7,9 @@
 //! unknown flag, flag outside its mode, missing value, repeat — happens
 //! before the first simulation starts.
 
-use crate::scenario::workload_by_name;
 use crate::sweep::Vary;
 use crate::Preset;
-use apps::runner::System;
-use apps::Workload;
+use apps::{System, Workload};
 use cluster::{NetModel, NetPreset};
 use treadmarks::ProtocolKind;
 
@@ -271,7 +269,7 @@ fn parse_flags(mode: Mode, args: &[String]) -> Result<Invocation, String> {
         json: has("--json"),
         table1: has("--table1"),
         table2: has("--table2"),
-        figure: value("--figure").map(workload_by_name).transpose()?,
+        figure: value("--figure").map(str::parse).transpose()?,
         trace: value("--trace").map(String::from),
         racecheck: has("--racecheck"),
         metrics: has("--metrics"),
@@ -290,7 +288,7 @@ fn parse_flags(mode: Mode, args: &[String]) -> Result<Invocation, String> {
         workloads: given
             .iter()
             .filter(|(name, _)| *name == "--workload")
-            .map(|(_, v)| workload_by_name(v))
+            .map(|(_, v)| v.parse())
             .collect::<Result<_, _>>()?,
         jobs: positive("--jobs", value("--jobs"))?,
     })

@@ -21,36 +21,25 @@
 //! asserts.
 
 use crate::invariants::{self, RunVerdict};
-use crate::{exec, shrink, Exec, Preset, RunTuning};
-use apps::runner::{SeqRun, System};
-use apps::Workload;
-use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, NetModel, Scenario};
+use crate::scenario::Request;
+use crate::{exec, run_config, shrink, Exec, Preset, RunTuning};
+use apps::{SeqRun, System, Workload};
+use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, Scenario};
 
-/// What to fuzz: the cross product of workloads and systems, explored over
-/// `seeds` fuzz seeds under a base fault plan.
+/// What to fuzz: the request's cross product of workloads and systems at
+/// its preset, network and process count, explored over `seeds` fuzz seeds.
 #[derive(Debug, Clone)]
 pub struct FuzzSpec {
-    /// Problem-size preset (Tiny keeps a campaign in seconds).
-    pub preset: Preset,
-    /// The interconnect model every run uses.
-    pub net: NetModel,
-    /// Processor count of every run.
-    pub nprocs: usize,
-    /// Workloads to fan over.
-    pub workloads: Vec<Workload>,
-    /// Systems to fan over.
-    pub systems: Vec<System>,
+    /// The points and their testbed.  Its tuning's fault plan is the base
+    /// plan, which seed `s > 0` runs re-keyed via [`FaultPlan::for_seed`].
+    /// Of its execution settings only the worker count is read (the report
+    /// is identical for every value): every run is race-checked and none
+    /// records.
+    pub request: Request,
     /// Number of fuzz seeds; seed 0 is always the pristine run.
     pub seeds: u64,
-    /// Base fault plan; seed `s > 0` runs it re-keyed via
-    /// [`FaultPlan::for_seed`].
-    pub plan: FaultPlan,
     /// Stop after the first seed whose batch produced a finding.
     pub until_failure: bool,
-    /// Worker threads for the per-seed fan; the report is identical for
-    /// every value.  The observability and analysis levels are the
-    /// campaign's own: every run is race-checked and none records.
-    pub exec: Exec,
 }
 
 /// One invariant failure the fuzzer found, shrunk and ready to replay.
@@ -99,23 +88,16 @@ pub fn tuning_for(plan: &FaultPlan, seed: u64) -> RunTuning {
     }
 }
 
-/// The scenario-file name of a system (`lrc` / `hlrc` / `sc` / `pvm`),
-/// accepted back by `reproduce --scenario` and `--systems`.
-fn system_name(sys: System) -> &'static str {
-    match sys {
-        System::TreadMarks(protocol) => protocol.name(),
-        System::Pvm => "pvm",
-    }
-}
-
 /// The cluster configuration of one fuzz point: the spec's interconnect at
 /// its processor count, racecheck enabled (the race detector is one of the
 /// invariants and never perturbs simulated output), and the tuning applied.
 pub fn point_config(spec: &FuzzSpec, tuning: &RunTuning) -> ClusterConfig {
-    let mut cfg = spec.net.config(spec.nprocs);
-    cfg.analysis = AnalysisLevel::Race;
-    tuning.apply(&mut cfg);
-    cfg
+    let req = &spec.request;
+    let exec = Exec {
+        analysis: AnalysisLevel::Race,
+        ..Exec::with_jobs(req.exec.jobs)
+    };
+    run_config(req.net, req.procs, &exec, tuning)
 }
 
 /// Run every `(workload, system)` point under `cfg` on the ordered executor
@@ -147,26 +129,16 @@ pub fn verdicts(
 /// Render the shrunk failure as a scenario file that `reproduce --scenario`
 /// replays: one workload, the named systems, the spec's testbed, and the
 /// shrunk schedule seed / tie cap / fault plan.
-fn reproducer(spec: &FuzzSpec, w: Workload, systems: &[System], tuning: &RunTuning) -> String {
+fn reproducer(req: &Request, w: Workload, systems: &[System], tuning: &RunTuning) -> String {
+    let names: Vec<&str> = systems.iter().map(|s| s.name()).collect();
     Scenario {
-        name: format!(
-            "fuzz-{}-{}",
-            w.name().to_ascii_lowercase(),
-            systems
-                .iter()
-                .map(|&s| system_name(s))
-                .collect::<Vec<_>>()
-                .join("-")
-        ),
-        net: spec.net.preset,
-        procs: Some(spec.nprocs),
-        preset: Some(spec.preset.name().to_string()),
+        name: format!("fuzz-{}-{}", w.name().to_ascii_lowercase(), names.join("-")),
+        net: req.net.preset,
+        procs: Some(req.procs),
+        preset: Some(req.preset.name().to_string()),
         workloads: vec![w.name().to_string()],
-        systems: systems
-            .iter()
-            .map(|&s| system_name(s).to_string())
-            .collect(),
-        overrides: spec.net.overrides,
+        systems: names.iter().map(|s| s.to_string()).collect(),
+        overrides: req.net.overrides,
         sched_seed: (tuning.sched_seed != 0).then_some(tuning.sched_seed),
         tie_limit: tuning.tie_limit,
         fault: (!tuning.fault.is_empty() || tuning.fault.seed != 0).then(|| tuning.fault.clone()),
@@ -186,16 +158,18 @@ fn reproducer(spec: &FuzzSpec, w: Workload, systems: &[System], tuning: &RunTuni
 /// batch has produced a finding.
 pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
     use std::fmt::Write as _;
-    let seqs: Vec<(Workload, SeqRun)> = spec
+    let req = &spec.request;
+    let plan = &req.tuning.fault;
+    let seqs: Vec<(Workload, SeqRun)> = req
         .workloads
         .iter()
-        .map(|&w| (w, w.sequential(spec.preset)))
+        .map(|&w| (w, w.sequential(req.preset)))
         .collect();
     let seq_of = |w: Workload| &seqs.iter().find(|(k, _)| *k == w).unwrap().1;
-    let points: Vec<(Workload, System)> = spec
+    let points: Vec<(Workload, System)> = req
         .workloads
         .iter()
-        .flat_map(|&w| spec.systems.iter().map(move |&s| (w, s)))
+        .flat_map(|&w| req.systems.iter().map(move |&s| (w, s)))
         .collect();
 
     let mut report = String::new();
@@ -205,24 +179,24 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
          net {}, {} procs, plan {}",
         spec.seeds,
         points.len(),
-        spec.workloads.len(),
-        spec.systems.len(),
-        spec.preset.name(),
-        spec.net.label(),
-        spec.nprocs,
-        if spec.plan.is_empty() && spec.plan.seed == 0 {
+        req.workloads.len(),
+        req.systems.len(),
+        req.preset.name(),
+        req.net.label(),
+        req.procs,
+        if plan.is_empty() && plan.seed == 0 {
             "empty".to_string()
         } else {
-            format!("{:016x}", spec.plan.hash())
+            format!("{:016x}", plan.hash())
         },
     )
     .unwrap();
 
     let mut findings: Vec<Finding> = Vec::new();
     for seed in 0..spec.seeds {
-        let tuning = tuning_for(&spec.plan, seed);
+        let tuning = tuning_for(plan, seed);
         let cfg = point_config(spec, &tuning);
-        let outcomes = verdicts(spec.preset, &points, &seqs, &cfg, spec.exec.jobs);
+        let outcomes = verdicts(req.preset, &points, &seqs, &cfg, req.exec.jobs);
 
         // Per-point verdicts, then the per-workload cross-backend check
         // over whichever DSM backends completed this seed.
@@ -232,7 +206,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
                 seed_failures.push((w, sys, v.clone()));
             }
         }
-        for &w in &spec.workloads {
+        for &w in &req.workloads {
             let completed: Vec<(System, f64)> = points
                 .iter()
                 .zip(&outcomes)
@@ -254,7 +228,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
                     report,
                     "seed {seed}: FAIL {}/{}: {}",
                     w.name(),
-                    system_name(*sys),
+                    sys.name(),
                     v.summary()
                 )
                 .unwrap();
@@ -265,7 +239,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
                     report,
                     "  shrunk reproducer for {}/{}:",
                     w.name(),
-                    system_name(sys)
+                    sys.name()
                 )
                 .unwrap();
                 for line in finding.reproducer.lines() {
@@ -301,31 +275,32 @@ fn shrink_finding(
     tuning: &RunTuning,
     seq: &SeqRun,
 ) -> Finding {
+    let req = &spec.request;
     let kind = verdict.kind();
     let cross_backend =
         matches!(&verdict, RunVerdict::Violation(msg) if msg.contains("backends disagree"));
     let shrunk = if cross_backend {
         shrink::shrink(tuning, |t| {
             let cfg = point_config(spec, t);
-            let completed: Vec<(System, f64)> = spec
+            let completed: Vec<(System, f64)> = req
                 .systems
                 .iter()
-                .filter_map(|&s| w.run(spec.preset, s, &cfg).ok().map(|r| (s, r.checksum)))
+                .filter_map(|&s| w.run(req.preset, s, &cfg).ok().map(|r| (s, r.checksum)))
                 .collect();
             invariants::cross_backend_equality(&completed).is_failure()
         })
     } else {
         shrink::shrink(tuning, |t| {
             let cfg = point_config(spec, t);
-            invariants::verdict(w.run(spec.preset, sys, &cfg), seq).kind() == kind
+            invariants::verdict(w.run(req.preset, sys, &cfg), seq).kind() == kind
         })
     };
     let systems: Vec<System> = if cross_backend {
-        spec.systems.clone()
+        req.systems.clone()
     } else {
         vec![sys]
     };
-    let reproducer = reproducer(spec, w, &systems, &shrunk);
+    let reproducer = reproducer(req, w, &systems, &shrunk);
     Finding {
         workload: w,
         system: sys,
@@ -339,20 +314,25 @@ fn shrink_finding(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::NetPreset;
+    use cluster::{NetModel, NetPreset};
     use treadmarks::ProtocolKind;
 
     fn tiny_spec(systems: Vec<System>, seeds: u64, plan: FaultPlan) -> FuzzSpec {
         FuzzSpec {
-            preset: Preset::Tiny,
-            net: NetModel::preset(NetPreset::Fddi),
-            nprocs: 2,
-            workloads: vec![Workload::Ep],
-            systems,
+            request: Request {
+                preset: Preset::Tiny,
+                net: NetModel::preset(NetPreset::Fddi),
+                procs: 2,
+                workloads: vec![Workload::Ep],
+                systems,
+                exec: Exec::with_jobs(2),
+                tuning: RunTuning {
+                    fault: plan,
+                    ..RunTuning::default()
+                },
+            },
             seeds,
-            plan,
             until_failure: false,
-            exec: Exec::with_jobs(2),
         }
     }
 
@@ -396,8 +376,8 @@ mod tests {
             FaultPlan::lossy(5),
         );
         let mut wide = narrow.clone();
-        narrow.exec.jobs = 1;
-        wide.exec.jobs = 4;
+        narrow.request.exec.jobs = 1;
+        wide.request.exec.jobs = 4;
         assert_eq!(run_fuzz(&narrow).report, run_fuzz(&wide).report);
     }
 

@@ -53,12 +53,6 @@ impl Exec {
             analysis: AnalysisLevel::Off,
         }
     }
-
-    /// Stamp the per-run settings onto a cluster configuration.
-    pub fn apply(&self, cfg: &mut ClusterConfig) {
-        cfg.obs = self.obs;
-        cfg.analysis = self.analysis;
-    }
 }
 
 /// The schedule-exploration and fault-injection knobs of a run, all riding
@@ -82,12 +76,20 @@ impl RunTuning {
     pub fn is_default(&self) -> bool {
         self.sched_seed == 0 && self.tie_limit.is_none() && self.fault.is_empty()
     }
+}
 
-    /// Stamp the tuning onto a cluster configuration.
-    pub fn apply(&self, cfg: &mut ClusterConfig) {
-        cfg.sched_seed = self.sched_seed;
-        cfg.tie_limit = self.tie_limit;
-        cfg.fault = self.fault.clone();
+/// The cluster configuration of one run: `net` at `nprocs` processes, with
+/// the execution settings of `exec` and the tuning stamped on.  Every run
+/// the harness starts — matrix, sweep, fuzz point, crash replay — is
+/// configured here and nowhere else.
+pub fn run_config(net: NetModel, nprocs: usize, exec: &Exec, tuning: &RunTuning) -> ClusterConfig {
+    ClusterConfig {
+        obs: exec.obs,
+        analysis: exec.analysis,
+        sched_seed: tuning.sched_seed,
+        tie_limit: tuning.tie_limit,
+        fault: tuning.fault.clone(),
+        ..net.config(nprocs)
     }
 }
 
@@ -143,11 +145,6 @@ impl RunKey {
     /// A run on the paper's testbed (the calibrated FDDI preset).
     pub fn fddi(workload: Workload, system: System, nprocs: usize) -> Self {
         RunKey::new(workload, system, NetModel::preset(NetPreset::Fddi), nprocs)
-    }
-
-    /// The cluster configuration this key describes.
-    pub fn config(&self) -> ClusterConfig {
-        self.net.config(self.nprocs)
     }
 }
 
@@ -337,9 +334,7 @@ pub fn run_matrix_exec(
             move || match t {
                 Task::Seq(w) => Done::Seq(w, w.sequential(preset)),
                 Task::Run(key) => {
-                    let mut cfg = key.config();
-                    exec.apply(&mut cfg);
-                    tuning.apply(&mut cfg);
+                    let cfg = run_config(key.net, key.nprocs, exec, tuning);
                     Done::Run(
                         key,
                         Box::new(run_parallel_on(key.workload, key.system, &cfg, preset)),

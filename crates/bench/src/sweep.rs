@@ -12,9 +12,8 @@
 //! matrix across cores exactly as it fans the reproduction, and the
 //! rendered figures are byte-identical for every `--jobs` value.
 
-use crate::{proc_series, Preset, RunKey, RunMatrix};
-use apps::runner::System;
-use apps::Workload;
+use crate::scenario::Request;
+use crate::{proc_series, RunKey, RunMatrix};
 use cluster::{NetModel, SpanCat};
 
 /// Which axis a sweep varies.
@@ -73,18 +72,12 @@ const BAR_WIDTH: usize = 50;
 pub struct Sweep {
     /// The varied axis.
     pub vary: Vary,
-    /// Problem-size preset of every run.
-    pub preset: Preset,
-    /// The base interconnect model the sweep perturbs (or, for
-    /// [`Vary::Procs`], simply runs on).
-    pub base: NetModel,
-    /// Workloads swept, in figure order.
-    pub workloads: Vec<Workload>,
-    /// Systems compared at every point.
-    pub systems: Vec<System>,
-    /// For [`Vary::Procs`]: the top of the processor series.  For the
-    /// network axes: the fixed processor count of every point.
-    pub max_procs: usize,
+    /// The workloads swept and the systems compared at every point, at the
+    /// request's preset.  Its network is the base model the sweep perturbs
+    /// (or, for [`Vary::Procs`], simply runs on).  Its process count is the
+    /// top of the processor series for [`Vary::Procs`], and every point's
+    /// fixed count for the network axes.
+    pub request: Request,
 }
 
 /// One x-axis position of a sweep: a label plus the cluster model behind it.
@@ -101,43 +94,44 @@ pub struct SweepPoint {
 impl Sweep {
     /// The x-axis positions of this sweep, in plotting order.
     pub fn points(&self) -> Vec<SweepPoint> {
+        let (base_net, procs) = (self.request.net, self.request.procs);
         match self.vary {
-            Vary::Procs => proc_series(self.max_procs)
+            Vary::Procs => proc_series(procs)
                 .into_iter()
                 .map(|n| SweepPoint {
                     label: n.to_string(),
-                    net: self.base,
+                    net: base_net,
                     nprocs: n,
                 })
                 .collect(),
             Vary::Bandwidth => {
-                let base = self.base.config(self.max_procs).bandwidth;
+                let base = base_net.config(procs).bandwidth;
                 SCALES
                     .iter()
                     .map(|&scale| {
                         let value = base * scale;
-                        let mut net = self.base;
+                        let mut net = base_net;
                         net.overrides.bandwidth = Some(value);
                         SweepPoint {
                             label: format!("{scale}x ({value} B/s)"),
                             net,
-                            nprocs: self.max_procs,
+                            nprocs: procs,
                         }
                     })
                     .collect()
             }
             Vary::Latency => {
-                let base = self.base.config(self.max_procs).latency;
+                let base = base_net.config(procs).latency;
                 SCALES
                     .iter()
                     .map(|&scale| {
                         let value = base * scale;
-                        let mut net = self.base;
+                        let mut net = base_net;
                         net.overrides.latency = Some(value);
                         SweepPoint {
                             label: format!("{scale}x ({value} s)"),
                             net,
-                            nprocs: self.max_procs,
+                            nprocs: procs,
                         }
                     })
                     .collect()
@@ -149,9 +143,9 @@ impl Sweep {
     pub fn keys(&self) -> Vec<RunKey> {
         let points = self.points();
         let mut keys = Vec::new();
-        for &w in &self.workloads {
+        for &w in &self.request.workloads {
             for point in &points {
-                for &sys in &self.systems {
+                for &sys in &self.request.systems {
                     keys.push(RunKey::new(w, sys, point.net, point.nprocs));
                 }
             }
@@ -172,6 +166,13 @@ impl Sweep {
     /// Panics if a run is missing from the matrix or a parallel checksum
     /// disagrees with its sequential baseline.
     pub fn render(&self, matrix: &RunMatrix) -> String {
+        let Request {
+            ref workloads,
+            ref systems,
+            net,
+            procs,
+            ..
+        } = self.request;
         let points = self.points();
         let label_width = points
             .iter()
@@ -184,14 +185,14 @@ impl Sweep {
             "Sweep: {} vs {} — net {}, {:?} preset{}\n",
             self.vary.measure(),
             self.vary.axis(),
-            self.base.label(),
+            net.label(),
             matrix.preset,
             match self.vary {
                 Vary::Procs => String::new(),
-                _ => format!(", {} processes", self.max_procs),
+                _ => format!(", {procs} processes"),
             },
         ));
-        for &w in &self.workloads {
+        for &w in workloads {
             let seq = matrix.sequential(w);
             out.push_str(&format!(
                 "\n{} — {} vs {} (sequential {:.2}s)\n",
@@ -203,9 +204,9 @@ impl Sweep {
             // The measured value per (point, system) — and, when the matrix
             // was computed at an observability level, the cell's p99
             // lock-acquire latency — in plotting order.
-            let mut columns: Vec<Vec<f64>> = Vec::with_capacity(self.systems.len());
-            let mut p99_lock: Vec<Vec<String>> = Vec::with_capacity(self.systems.len());
-            for &sys in &self.systems {
+            let mut columns: Vec<Vec<f64>> = Vec::with_capacity(systems.len());
+            let mut p99_lock: Vec<Vec<String>> = Vec::with_capacity(systems.len());
+            for &sys in systems {
                 let mut column = Vec::with_capacity(points.len());
                 let mut p99s = Vec::with_capacity(points.len());
                 for point in &points {
@@ -242,7 +243,7 @@ impl Sweep {
             // The table: per system, the measure plus the cell's p99
             // lock-acquire latency (virtual µs, from the merged histogram).
             out.push_str(&format!("  {:>label_width$}", self.vary.axis()));
-            for sys in &self.systems {
+            for sys in systems {
                 out.push_str(&format!(" {:>12} {:>12}", sys.to_string(), "p99-lock-us"));
             }
             out.push('\n');
@@ -260,7 +261,7 @@ impl Sweep {
                 .copied()
                 .fold(0.0f64, f64::max)
                 .max(f64::MIN_POSITIVE);
-            for (si, sys) in self.systems.iter().enumerate() {
+            for (si, sys) in systems.iter().enumerate() {
                 out.push_str(&format!("  {} {}\n", sys, self.vary.measure()));
                 for (pi, point) in points.iter().enumerate() {
                     let value = columns[si][pi];
@@ -281,22 +282,35 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_matrix;
+    use crate::{run_matrix, Exec, Preset, RunTuning};
+    use apps::{System, Workload};
     use cluster::NetPreset;
     use treadmarks::ProtocolKind;
 
-    fn tiny_sweep(vary: Vary) -> Sweep {
+    const LRC: System = System::TreadMarks(ProtocolKind::Lrc);
+
+    /// A Tiny sweep of `workload` over FDDI.
+    fn tiny(vary: Vary, workload: Workload, systems: Vec<System>, procs: usize) -> Sweep {
         Sweep {
             vary,
-            preset: Preset::Tiny,
-            base: NetModel::preset(NetPreset::Fddi),
-            workloads: vec![Workload::Ep],
-            systems: vec![System::TreadMarks(ProtocolKind::Lrc), System::Pvm],
-            max_procs: match vary {
-                Vary::Procs => 16,
-                _ => 4,
+            request: Request {
+                preset: Preset::Tiny,
+                net: NetModel::preset(NetPreset::Fddi),
+                procs,
+                workloads: vec![workload],
+                systems,
+                exec: Exec::with_jobs(2),
+                tuning: RunTuning::default(),
             },
         }
+    }
+
+    fn tiny_sweep(vary: Vary) -> Sweep {
+        let procs = match vary {
+            Vary::Procs => 16,
+            _ => 4,
+        };
+        tiny(vary, Workload::Ep, vec![LRC, System::Pvm], procs)
     }
 
     #[test]
@@ -305,7 +319,7 @@ mod tests {
         let points = sweep.points();
         assert_eq!(points.last().unwrap().nprocs, 16);
         assert_eq!(points.last().unwrap().label, "16");
-        assert!(points.iter().all(|p| p.net == sweep.base));
+        assert!(points.iter().all(|p| p.net == sweep.request.net));
         assert_eq!(sweep.keys().len(), points.len() * 2);
     }
 
@@ -314,7 +328,7 @@ mod tests {
         let sweep = tiny_sweep(Vary::Bandwidth);
         let points = sweep.points();
         assert_eq!(points.len(), SCALES.len());
-        let base = sweep.base.config(4);
+        let base = sweep.request.net.config(4);
         for (point, scale) in points.iter().zip(SCALES) {
             let cfg = point.net.config(point.nprocs);
             assert_eq!(cfg.bandwidth, base.bandwidth * scale);
@@ -323,15 +337,16 @@ mod tests {
         }
         // The x1.0 point is still a *distinct* key from the bare preset
         // (explicit override), so a sweep never collides with a plain run.
-        assert_ne!(points[2].net, sweep.base);
+        assert_ne!(points[2].net, sweep.request.net);
     }
 
     #[test]
     fn rendered_sweep_is_deterministic_and_shows_bars() {
         let sweep = tiny_sweep(Vary::Latency);
         let keys = sweep.keys();
-        let a = sweep.render(&run_matrix(Preset::Tiny, &sweep.workloads, &keys, 1));
-        let b = sweep.render(&run_matrix(Preset::Tiny, &sweep.workloads, &keys, 4));
+        let workloads = &sweep.request.workloads;
+        let a = sweep.render(&run_matrix(Preset::Tiny, workloads, &keys, 1));
+        let b = sweep.render(&run_matrix(Preset::Tiny, workloads, &keys, 4));
         assert_eq!(a, b, "sweep rendering must not depend on the job count");
         assert!(a.contains("EP — runtime (s) vs latency"), "{a}");
         assert!(a.contains('#'), "no bars rendered:\n{a}");
@@ -340,19 +355,14 @@ mod tests {
 
     #[test]
     fn metrics_matrix_fills_the_p99_lock_column() {
-        let sweep = Sweep {
-            vary: Vary::Procs,
-            preset: Preset::Tiny,
-            base: NetModel::preset(NetPreset::Fddi),
-            workloads: vec![Workload::Tsp], // lock-heavy: the column has data
-            systems: vec![System::TreadMarks(ProtocolKind::Lrc)],
-            max_procs: 4,
-        };
+        // TSP is lock-heavy: the column has data.
+        let sweep = tiny(Vary::Procs, Workload::Tsp, vec![LRC], 4);
         let keys = sweep.keys();
-        let off = sweep.render(&run_matrix(Preset::Tiny, &sweep.workloads, &keys, 2));
+        let workloads = &sweep.request.workloads;
+        let off = sweep.render(&run_matrix(Preset::Tiny, workloads, &keys, 2));
         let metrics = sweep.render(&crate::run_matrix_obs(
             Preset::Tiny,
-            &sweep.workloads,
+            workloads,
             &keys,
             2,
             cluster::ObsLevel::Metrics,

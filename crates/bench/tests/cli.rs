@@ -1,7 +1,7 @@
-//! The `reproduce` binary from outside: stdout of six representative
-//! invocations pinned by FNV-1a 64 (recorded at the commit before the
-//! runner family was collapsed into `apps::run`, so any drift in a rendered
-//! byte fails here), the kernel memo's exact counters, a reader that closes
+//! The `reproduce` binary from outside: stdout of representative
+//! invocations pinned by FNV-1a 64 (each recorded with the binary before a
+//! refactor touched its path, so any drift in a rendered byte fails here),
+//! the kernel memo's exact counters, a reader that closes
 //! the pipe early, and the command-line rejections that must reach stderr
 //! without running anything.
 
@@ -70,6 +70,22 @@ fn a_lossy_fuzz_campaign_renders_the_pinned_bytes() {
             "EP",
         ],
         0x9495_c53f_58e1_f534,
+    );
+}
+
+/// The checked-in scenario with a `[fault]` section (a lossy plan plus a
+/// timed partition): the one reproduction pinned under a tuning that is
+/// not the default.
+const LOSSY_SCENARIO: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../examples/scenarios/lossy_fddi_tiny.toml"
+);
+
+#[test]
+fn the_tuned_reproduction_renders_the_pinned_bytes() {
+    assert_stdout_hash(
+        &["--scenario", LOSSY_SCENARIO, "--jobs", "2"],
+        0x3b8f_5815_6351_a69d,
     );
 }
 
@@ -207,6 +223,30 @@ fn contradictory_presets_run_nothing() {
 fn a_flag_the_mode_would_drop_runs_nothing() {
     assert_rejected(&["--list", "--procs", "3"], "--list ignores --procs");
     assert_rejected(&["--tiny", "--json", "--table2"], "--json ignores --table2");
+}
+
+/// A sweep runs every point untuned: a scenario's `[fault]` (or schedule
+/// seed, or tie cap) is refused by name, not swept clean.
+#[test]
+fn a_sweep_over_a_tuned_scenario_runs_nothing() {
+    let out = reproduce(&[
+        "sweep",
+        "--scenario",
+        LOSSY_SCENARIO,
+        "--workload",
+        "EP",
+        "--procs",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "the sweep still ran");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("sweep mode does not apply sched_seed, tie_limit or [fault]")
+            && stderr.contains("lossy_fddi_tiny.toml: "),
+        "{stderr}"
+    );
 }
 
 /// The built-in partition plan cuts even ranks off from odd ones: at one

@@ -21,23 +21,36 @@ use apps::runner::System;
 use apps::Workload;
 use bench::fuzz::{run_fuzz, FuzzSpec};
 use bench::invariants::{self, RunVerdict};
+use bench::scenario::Request;
 use bench::shrink::shrink;
-use bench::{run_parallel_on, run_sequential, Exec, Preset, RunTuning};
+use bench::{run_config, run_parallel_on, run_sequential, Exec, Preset, RunTuning};
 use cluster::{AnalysisLevel, FaultPlan, NetModel, NetPreset};
 use treadmarks::ProtocolKind;
 
 fn spec(systems: Vec<System>, seeds: u64, plan: FaultPlan) -> FuzzSpec {
     FuzzSpec {
-        preset: Preset::Tiny,
-        net: NetModel::preset(NetPreset::Fddi),
-        nprocs: 2,
-        workloads: vec![Workload::Ep],
-        systems,
+        request: Request {
+            preset: Preset::Tiny,
+            net: NetModel::preset(NetPreset::Fddi),
+            procs: 2,
+            workloads: vec![Workload::Ep],
+            systems,
+            exec: Exec::with_jobs(2),
+            tuning: RunTuning {
+                fault: plan,
+                ..RunTuning::default()
+            },
+        },
         seeds,
-        plan,
         until_failure: false,
-        exec: Exec::with_jobs(2),
     }
+}
+
+/// [`spec`] over every workload and every system, for one seed.
+fn every_point(plan: FaultPlan) -> FuzzSpec {
+    let mut s = spec(System::all().to_vec(), 1, plan);
+    s.request.workloads = Workload::all().to_vec();
+    s
 }
 
 #[test]
@@ -58,25 +71,13 @@ fn every_workload_and_system_survives_a_lossy_network() {
     // Seed 0 applies the plan exactly as given; one seed over the full
     // (workload × system) grid.  The retransmit machinery must absorb the
     // faults on every one of the 48 points.
-    let s = FuzzSpec {
-        workloads: Workload::all().to_vec(),
-        systems: System::all().to_vec(),
-        seeds: 1,
-        ..spec(vec![], 1, FaultPlan::lossy(1))
-    };
-    let out = run_fuzz(&s);
+    let out = run_fuzz(&every_point(FaultPlan::lossy(1)));
     assert!(out.findings.is_empty(), "{}", out.report);
 }
 
 #[test]
 fn every_workload_and_system_survives_a_timed_partition() {
-    let s = FuzzSpec {
-        workloads: Workload::all().to_vec(),
-        systems: System::all().to_vec(),
-        seeds: 1,
-        ..spec(vec![], 1, FaultPlan::partitioned(1, 2))
-    };
-    let out = run_fuzz(&s);
+    let out = run_fuzz(&every_point(FaultPlan::partitioned(1, 2)));
     assert!(out.findings.is_empty(), "{}", out.report);
 }
 
@@ -97,9 +98,11 @@ fn shrinking_is_a_fixpoint_against_the_real_cluster_oracle() {
 
     let seq = run_sequential(Workload::Ep, Preset::Tiny);
     let mut oracle = |t: &RunTuning| {
-        let mut cfg = NetModel::preset(NetPreset::Fddi).config(2);
-        cfg.analysis = AnalysisLevel::Race;
-        t.apply(&mut cfg);
+        let race = Exec {
+            analysis: AnalysisLevel::Race,
+            ..Exec::with_jobs(1)
+        };
+        let cfg = run_config(NetModel::preset(NetPreset::Fddi), 2, &race, t);
         let v = invariants::verdict(
             Workload::Ep.run(Preset::Tiny, System::TreadMarks(ProtocolKind::Lrc), &cfg),
             &seq,
@@ -113,7 +116,7 @@ fn shrinking_is_a_fixpoint_against_the_real_cluster_oracle() {
 
 #[test]
 fn the_default_tuning_is_byte_identical_to_the_pristine_engine() {
-    // Stamping RunTuning::default() onto a config must be a no-op: same
+    // Configuring a run with RunTuning::default() must be a no-op: same
     // checksum bits, same stats, same everything, for DSM and PVM alike.
     for sys in [System::TreadMarks(ProtocolKind::Lrc), System::Pvm] {
         let pristine = run_parallel_on(
@@ -122,8 +125,8 @@ fn the_default_tuning_is_byte_identical_to_the_pristine_engine() {
             &NetModel::preset(NetPreset::Fddi).config(2),
             Preset::Tiny,
         );
-        let mut cfg = NetModel::preset(NetPreset::Fddi).config(2);
-        RunTuning::default().apply(&mut cfg);
+        let net = NetModel::preset(NetPreset::Fddi);
+        let cfg = run_config(net, 2, &Exec::with_jobs(1), &RunTuning::default());
         let tuned = run_parallel_on(Workload::Ep, sys, &cfg, Preset::Tiny);
         assert_eq!(pristine.checksum.to_bits(), tuned.checksum.to_bits());
         assert_eq!(format!("{pristine:?}"), format!("{tuned:?}"));

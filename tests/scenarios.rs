@@ -3,7 +3,8 @@
 //! through parse → run → re-serialise, and nothing in the stack silently
 //! assumes the paper's 8 ranks.
 
-use bench::scenario::ResolvedScenario;
+use bench::cli;
+use bench::scenario::Request;
 use bench::{run_matrix, run_parallel_on, run_sequential, Preset, RunKey};
 use netws::apps::runner::{AppRun, System};
 use netws::apps::Workload;
@@ -13,6 +14,11 @@ use treadmarks::ProtocolKind;
 
 fn run_once(w: Workload, sys: System, net: NetModel, nprocs: usize) -> AppRun {
     run_parallel_on(w, sys, &net.config(nprocs), Preset::Tiny)
+}
+
+/// `reproduce --scenario` of an already parsed scenario file.
+fn resolve(file: &Scenario) -> Result<Request, String> {
+    Request::resolve_with(&cli::parse(&[]).unwrap(), file)
 }
 
 /// Every *new* net preset (Ethernet, ATM, ideal — FDDI is covered by
@@ -75,7 +81,7 @@ fn scenario_files_round_trip_through_parse_run_reserialize() {
     assert_eq!(reparsed, original, "to_toml() changed the scenario");
 
     let run_scenario = |s: &Scenario| {
-        let r = ResolvedScenario::resolve(s, Preset::Scaled, 8).expect("resolvable");
+        let r = resolve(s).expect("resolvable");
         assert_eq!(r.preset, Preset::Tiny, "the CI scenario pins tiny inputs");
         let keys: Vec<RunKey> = r
             .workloads
@@ -83,7 +89,7 @@ fn scenario_files_round_trip_through_parse_run_reserialize() {
             .flat_map(|&w| {
                 r.systems
                     .iter()
-                    .map(move |&sys| RunKey::new(w, sys, r.net, r.max_procs))
+                    .map(move |&sys| RunKey::new(w, sys, r.net, r.procs))
             })
             .collect();
         let matrix = run_matrix(r.preset, &r.workloads, &keys, 2);
@@ -115,7 +121,7 @@ fn checked_in_example_scenarios_parse_and_resolve() {
     for path in entries {
         let scenario = Scenario::from_path(&path)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        let resolved = ResolvedScenario::resolve(&scenario, Preset::Scaled, 8)
+        let resolved = resolve(&scenario)
             .unwrap_or_else(|e| panic!("{} does not resolve: {e}", path.display()));
         assert!(
             !resolved.workloads.is_empty() && !resolved.systems.is_empty(),
