@@ -120,9 +120,8 @@ pub struct AppRun {
     /// Hash of the run's fault plan ([`cluster::FaultPlan::hash`]); 0 for
     /// the empty (fault-free) plan.
     pub fault_hash: u64,
-    /// Counters of the faults the plan actually injected (all zero for the
-    /// empty plan under schedule seed 0).
-    pub faults: cluster::FaultStats,
+    /// Faults the plan injected ([`cluster::ClusterReport::faults_injected`]).
+    pub faults_injected: u64,
     /// Aggregated DSM runtime statistics (TreadMarks runs only).
     pub tmk_stats: Option<TmkStats>,
     /// Per-process transport statistics of the run (the full
@@ -268,7 +267,7 @@ fn finish<R>(
         kilobytes: rep.total_kilobytes(),
         sched_seed: cfg.sched_seed,
         fault_hash: cfg.fault.hash(),
-        faults: rep.faults,
+        faults_injected: rep.faults_injected,
         tmk_stats,
         proc_stats: rep.stats,
         obs: rep.obs,

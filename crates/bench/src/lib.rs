@@ -430,8 +430,7 @@ pub fn run_record_json(key: &RunKey, run: &AppRun) -> String {
     if run.fault_hash != 0 {
         rec.push_str(&format!(
             ", \"fault_hash\": \"{:016x}\", \"faults_injected\": {}",
-            run.fault_hash,
-            run.faults.injected()
+            run.fault_hash, run.faults_injected
         ));
     }
     if let Some(t) = &run.tmk_stats {

@@ -56,7 +56,8 @@ impl Request {
     /// overrides its field of the file, though the file's names must still
     /// resolve.  An empty workload or system list means "all"; subsets come
     /// out deduplicated in figure and [`System::all`] order.  Every mode
-    /// refuses a fault plan naming a rank the run lacks.
+    /// refuses a fault plan naming a rank the run lacks, and a tuning or
+    /// output flag the mode would drop.
     pub fn resolve_with(inv: &Invocation, file: &Scenario) -> Result<Request, String> {
         let preset = match &file.preset {
             None => Preset::Scaled,
@@ -80,16 +81,43 @@ impl Request {
         if let Some(plan) = &inv.faults {
             tuning.fault = named_plan(plan, procs)?;
         }
-        // A sweep runs every point untuned: a file that tunes its runs is
-        // refused rather than silently swept clean.
-        if inv.mode == Mode::Sweep && tuning != RunTuning::default() {
+        // A sweep runs every point untuned, and a fuzz campaign draws each
+        // run's schedule seed itself: a file tuning what the mode would
+        // replace is refused rather than silently run without it.
+        let file_name = inv.scenario.as_deref().unwrap_or_default();
+        let ignored = match inv.mode {
+            Mode::Reproduction => None,
+            Mode::Sweep => (tuning != RunTuning::default())
+                .then_some(("sweep", "sched_seed, tie_limit or [fault]")),
+            Mode::Fuzz => (tuning.sched_seed != 0 || tuning.tie_limit.is_some())
+                .then_some(("fuzz", "sched_seed or tie_limit")),
+        };
+        if let Some((mode, keys)) = ignored {
             return Err(format!(
-                "{}: sweep mode does not apply sched_seed, tie_limit or [fault]; \
-                 replay the scenario without `sweep`, or drop those keys",
-                inv.scenario.as_deref().unwrap_or_default()
+                "{file_name}: {mode} mode does not apply {keys}; \
+                 replay the scenario without `{mode}`, or drop those keys"
             ));
         }
         tuning.fault.check_ranks(procs)?;
+        // A crash plan replays as a verdict table, not a matrix: a flag that
+        // renders or writes the matrix is refused rather than dropped.
+        if inv.mode == Mode::Reproduction && !tuning.fault.crashes.is_empty() {
+            let matrix_flags = [
+                ("--trace", inv.trace.is_some()),
+                ("--json", inv.json),
+                ("--metrics", inv.metrics),
+                ("--bench-out", inv.bench_out.is_some()),
+                ("--table1", inv.table1),
+                ("--table2", inv.table2),
+                ("--figure", inv.figure.is_some()),
+            ];
+            if let Some((flag, _)) = matrix_flags.iter().find(|(_, given)| *given) {
+                return Err(format!(
+                    "{file_name}: a [fault] crashes plan replays as a verdict table, \
+                     which {flag} does not apply to; drop {flag} or the crashes"
+                ));
+            }
+        }
         // Sweeps always record at metrics level (their tables carry a p99
         // lock-acquire column); the reproduction records only when asked, so
         // the default path records nothing.
@@ -262,10 +290,9 @@ mod tests {
 
     #[test]
     fn faults_replaces_the_files_plan() {
-        let file = "procs = 4\nsched_seed = 2\n[fault]\ndrop = 0.5";
+        let file = "procs = 4\n[fault]\ndrop = 0.5";
         let lossy = request("fuzz --faults lossy", file).unwrap();
         assert_eq!(lossy.tuning.fault, FaultPlan::lossy(1));
-        assert_eq!(lossy.tuning.sched_seed, 2);
         let cut = request("fuzz --faults partitioned", file).unwrap();
         assert_eq!(cut.tuning.fault, FaultPlan::partitioned(1, 4));
         let e = request("fuzz --faults partition --procs 1", file).unwrap_err();
@@ -290,6 +317,46 @@ mod tests {
             // The reproduction applies the same file.
             assert!(request("", toml).is_ok(), "{toml}");
         }
+    }
+
+    #[test]
+    fn a_fuzz_campaign_refuses_a_schedule_it_would_redraw() {
+        for toml in [
+            "sched_seed = 7",
+            "tie_limit = 3",
+            "sched_seed = 7\ntie_limit = 3",
+        ] {
+            let e = request("fuzz", toml).unwrap_err();
+            assert!(
+                e.contains("fuzz mode does not apply sched_seed or tie_limit"),
+                "{toml}: {e}"
+            );
+        }
+        // The campaign's base plan is the file's `[fault]`.
+        let r = request("fuzz", "sched_seed = 0\n[fault]\ndrop = 0.5").unwrap();
+        assert_eq!(r.tuning.fault.drop, 0.5);
+    }
+
+    #[test]
+    fn a_crash_replay_refuses_every_matrix_output_flag() {
+        let file = "procs = 3\n[fault]\ncrashes = [\"1@0.1\"]";
+        for flag in [
+            "--trace t.json",
+            "--json",
+            "--metrics",
+            "--bench-out b.json",
+            "--table1",
+            "--table2",
+            "--figure EP",
+        ] {
+            let e = request(flag, file).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(
+                e.contains(&format!("which {name} does not apply to; drop {name}")),
+                "{flag}: {e}"
+            );
+        }
+        assert!(request("--racecheck --workload EP --protocol lrc", file).is_ok());
     }
 
     #[test]

@@ -89,6 +89,50 @@ fn the_tuned_reproduction_renders_the_pinned_bytes() {
     );
 }
 
+/// The lossy scenario's `--json` dump: every run record carries the number
+/// of faults its plan injected (`faults_injected`).
+#[test]
+fn the_tuned_json_dump_renders_the_pinned_bytes() {
+    assert_stdout_hash(
+        &["--scenario", LOSSY_SCENARIO, "--jobs", "2", "--json"],
+        0xeaeb_8a1c_489f_a9af,
+    );
+}
+
+/// The lossy scenario's TSP trace holds 549 fault events: 223 drops, 119
+/// duplicates, 197 delays, 4 partition hits and 6 applied reorder slips.
+#[test]
+fn the_tuned_trace_records_the_pinned_fault_events() {
+    let trace = std::env::temp_dir().join(format!("reproduce-lossy-{}.json", std::process::id()));
+    let out = reproduce(&[
+        "--scenario",
+        LOSSY_SCENARIO,
+        "--jobs",
+        "2",
+        "--table2",
+        "--workload",
+        "TSP",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let bytes = std::fs::read(&trace).unwrap();
+    std::fs::remove_file(&trace).unwrap();
+    let text = String::from_utf8_lossy(&bytes);
+    let counts = [
+        "drop",
+        "duplicate",
+        "delay",
+        "partition",
+        "reorder",
+        "crash",
+    ]
+    .map(|kind| text.matches(&format!("\"fault:{kind}\"")).count());
+    assert_eq!(counts, [223, 119, 197, 4, 6, 0]);
+    assert_eq!(fnv1a64(&out.stdout), 0x88d6_52d9_f6f9_74d1);
+    assert_eq!(fnv1a64(&bytes), 0x3565_06b1_ac90_aca9);
+}
+
 /// `--trace` and the `deterministic` section of `--bench-out` on a slice
 /// small enough to export in a debug build.
 #[test]
@@ -378,4 +422,67 @@ fn a_fault_plan_the_run_cannot_honour_runs_nothing() {
     // `--procs` below the file's count is the count the plan must fit.
     let crash2 = "crashes = [\"2@0.00001\"]";
     assert_plan_refused(crash2, &[], &["--procs", "2"], &["rank 2", "2 processes"]);
+}
+
+/// A crash plan replays as a verdict table: every flag that renders or
+/// writes a matrix is refused by name, and no file is written.
+#[test]
+fn a_crash_replay_refuses_every_matrix_output_flag() {
+    let crash = "crashes = [\"1@0.00001\"]";
+    let dir = std::env::temp_dir().join(format!("reproduce-cli-crash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, report) = (dir.join("trace.json"), dir.join("bench.json"));
+    let (trace, report) = (trace.to_str().unwrap(), report.to_str().unwrap());
+    for flag in [
+        &["--trace", trace][..],
+        &["--json"],
+        &["--metrics"],
+        &["--bench-out", report],
+        &["--table1"],
+        &["--table2"],
+        &["--figure", "EP"],
+    ] {
+        assert_plan_refused(crash, &[], flag, &[flag[0], "verdict table"]);
+    }
+    assert_plan_refused(
+        crash,
+        &[],
+        &[
+            "--trace",
+            trace,
+            "--json",
+            "--metrics",
+            "--bench-out",
+            report,
+        ],
+        &["--trace"],
+    );
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "a refused replay wrote a file"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A fuzz campaign draws every run's schedule seed itself: a scenario's
+/// `sched_seed`/`tie_limit` is refused by name, not silently replaced.
+#[test]
+fn a_fuzz_campaign_over_a_seeded_scenario_runs_nothing() {
+    let path =
+        std::env::temp_dir().join(format!("reproduce-cli-seeded-{}.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        "procs = 3\npreset = \"tiny\"\nworkloads = [\"EP\"]\nsched_seed = 7\ntie_limit = 3\n",
+    )
+    .unwrap();
+    let out = reproduce(&["fuzz", "--scenario", path.to_str().unwrap(), "--seeds", "1"]);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "the campaign still ran");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("fuzz mode does not apply sched_seed or tie_limit"),
+        "{stderr}"
+    );
 }

@@ -35,6 +35,13 @@
 //! determines the run bit-for-bit, independent of `--jobs` width or host
 //! scheduling.  This module is the **only** place in the workspace allowed
 //! to construct the PRNG (enforced by `xtask lint`).
+//!
+//! It is also the one place a fault's effect is decided, counted and traced:
+//! the transport hands `FaultState` each message and gets back only the
+//! extra delay, datagrams and occupancy, and whether the message slips.
+
+use crate::config::ClusterConfig;
+use crate::obs::{self, EventKind, Trace};
 
 /// The workspace's one and only pseudo-random number generator: the
 /// SplitMix64 sequence of Steele, Lea & Flood, chosen because it is tiny,
@@ -498,34 +505,6 @@ impl FaultKind {
     }
 }
 
-/// Counters of the faults a run actually injected, reported on the cluster
-/// report (all zero when the plan is empty).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages whose datagrams were dropped and retransmitted.
-    pub drops: u64,
-    /// Messages duplicated on the wire.
-    pub duplicates: u64,
-    /// Messages delivered behind another source's message.
-    pub reorders: u64,
-    /// Messages given extra seeded delay.
-    pub delays: u64,
-    /// Messages deferred by an active partition.
-    pub partition_hits: u64,
-    /// Processes that crashed.
-    pub crashes: u64,
-    /// Arbiter ties broken by the seeded stream (0 under seed 0).
-    pub tie_breaks: u64,
-}
-
-impl FaultStats {
-    /// Total injected message-level faults (crashes and tie-breaks not
-    /// included).
-    pub fn injected(&self) -> u64 {
-        self.drops + self.duplicates + self.reorders + self.delays + self.partition_hits
-    }
-}
-
 /// The arbiter's seeded tie-break stream: when several processes are parked
 /// at exactly the same minimum virtual time, a seeded draw picks the grant
 /// instead of the lowest rank, so one scenario explores many legal
@@ -560,7 +539,8 @@ impl TieBreak {
         self.seeded
     }
 
-    /// Draws consumed so far (reported as [`FaultStats::tie_breaks`]).
+    /// Draws consumed so far.
+    #[cfg(test)]
     pub(crate) fn draws(&self) -> u64 {
         self.draws
     }
@@ -578,7 +558,7 @@ impl TieBreak {
     }
 }
 
-/// What the transport should do to one message, as decided by
+/// What the transport does to one message, as decided by
 /// [`FaultState::on_transmit`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Injection {
@@ -588,125 +568,156 @@ pub(crate) struct Injection {
     pub extra_datagrams: u64,
     /// Extra wire occupancy to charge the shared medium, seconds.
     pub extra_occupancy: f64,
-    /// Insert the message one slot before the queue tail (behind-slip).
-    pub reorder: bool,
-    /// Which kinds fired, for the trace stream (at most 5).
-    pub kinds: [Option<FaultKind>; 5],
-}
-
-impl Injection {
-    fn record(&mut self, kind: FaultKind) {
-        if let Some(slot) = self.kinds.iter_mut().find(|k| k.is_none()) {
-            *slot = Some(kind);
-        }
-    }
+    /// Queue the message one slot before the destination's tail.
+    pub slip: bool,
 }
 
 /// Runtime fault state, owned by the transport's simulation state and
-/// touched only by the token holder: the plan, one PRNG stream and message
-/// counter per directed link, and the injection counters.
+/// touched only by the token holder: the plan, one PRNG stream per directed
+/// link, the count of injected faults and the crashes that fired.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     nprocs: usize,
+    /// The network's one-way latency, the scale of an extra delay.
+    latency: f64,
     /// Per-directed-link streams, indexed `src * nprocs + dst`.
     links: Vec<SplitMix64>,
-    pub(crate) stats: FaultStats,
+    /// Drops, duplicates, delays, partition hits and applied reorder slips.
+    injected: u64,
+    /// `(rank, virtual_time)` of every crash that fired.
+    crashed: Vec<(usize, f64)>,
 }
 
 impl FaultState {
-    /// Build the runtime state for `nprocs` processes, or `None` for an
-    /// empty plan (the transport then skips the fault path entirely).
-    pub(crate) fn new(plan: &FaultPlan, nprocs: usize) -> Option<Self> {
-        if plan.is_empty() {
+    /// Build the runtime state of a run of `cfg`, or `None` for an empty
+    /// plan (the transport then skips the fault path entirely).
+    pub(crate) fn new(cfg: &ClusterConfig) -> Option<Self> {
+        if cfg.fault.is_empty() {
             return None;
         }
-        let root = SplitMix64::seeded(plan.seed);
+        let root = SplitMix64::seeded(cfg.fault.seed);
         Some(FaultState {
-            plan: plan.clone(),
-            nprocs,
-            links: (0..nprocs * nprocs)
+            plan: cfg.fault.clone(),
+            nprocs: cfg.nprocs,
+            latency: cfg.latency,
+            links: (0..cfg.nprocs * cfg.nprocs)
                 .map(|link| root.split(link as u64))
                 .collect(),
-            stats: FaultStats::default(),
+            injected: 0,
+            crashed: Vec::new(),
         })
     }
 
-    /// Decide the faults for one message on link `src → dst` departing at
-    /// `depart` with `datagrams` datagrams of `occupancy` seconds wire time.
+    /// Decide, count and trace the faults of one message on link `src →
+    /// dst` departing at `depart`, `datagrams` datagrams of `occupancy`
+    /// seconds wire time, bound for a queue whose tail came from `tail_src`.
     /// Exactly four draws are consumed per message (one per probabilistic
     /// kind), so the stream position is a pure function of the link's
     /// message count.
     pub(crate) fn on_transmit(
         &mut self,
-        src: usize,
-        dst: usize,
+        (src, dst): (usize, usize),
         depart: f64,
-        datagrams: u64,
-        occupancy: f64,
-        latency: f64,
+        (datagrams, occupancy): (u64, f64),
+        tail_src: Option<usize>,
+        trace: &mut Trace,
     ) -> Injection {
         let rng = &mut self.links[src * self.nprocs + dst];
-        let mut inj = Injection::default();
-        let (u_drop, u_dup, u_delay, u_reorder) = (
-            rng.next_f64(),
-            rng.next_f64(),
-            rng.next_f64(),
-            rng.next_f64(),
-        );
+        let [u_drop, u_dup, u_delay, u_reorder] = [(); 4].map(|()| rng.next_f64());
+        let plan = &self.plan;
         // Partition first: it dominates (the message cannot cross until the
         // heal), and is a pure function of the departure time.
-        if let Some(p) = self
-            .plan
-            .partitions
-            .iter()
-            .find(|p| p.blocks(src, dst, depart))
-        {
+        let cut = plan.partitions.iter().find(|p| p.blocks(src, dst, depart));
+        let drop = u_drop < plan.drop;
+        let duplicate = u_dup < plan.duplicate;
+        let delay = u_delay < plan.delay;
+        let mut inj = Injection::default();
+        if let Some(p) = cut {
             let wait = p.until - depart;
-            let retries = (wait / self.plan.retransmit).ceil().max(1.0);
+            let retries = (wait / plan.retransmit).ceil().max(1.0);
             inj.extra_delay += wait;
             inj.extra_datagrams += retries as u64 * datagrams;
             inj.extra_occupancy += retries * occupancy;
-            inj.record(FaultKind::Partition);
-            self.stats.partition_hits += 1;
         }
-        if u_drop < self.plan.drop {
-            inj.extra_delay += self.plan.retransmit;
+        if drop {
+            inj.extra_delay += plan.retransmit;
             inj.extra_datagrams += datagrams;
             inj.extra_occupancy += occupancy;
-            inj.record(FaultKind::Drop);
-            self.stats.drops += 1;
         }
-        if u_dup < self.plan.duplicate {
+        if duplicate {
             inj.extra_datagrams += datagrams;
             inj.extra_occupancy += occupancy;
-            inj.record(FaultKind::Duplicate);
-            self.stats.duplicates += 1;
         }
-        if u_delay < self.plan.delay {
+        if delay {
             // `1 - u` maps the draw to (0, 1] so the delay is never zero.
-            inj.extra_delay += self.plan.delay_factor * latency * (1.0 - u_delay / self.plan.delay);
-            inj.record(FaultKind::Delay);
-            self.stats.delays += 1;
+            inj.extra_delay += plan.delay_factor * self.latency * (1.0 - u_delay / plan.delay);
         }
-        if u_reorder < self.plan.reorder {
-            // The transport applies (and counts) the slip only when the
-            // queue tail is from another source, so per-link FIFO — the
-            // reliability layer's resequencing guarantee — is never broken.
-            inj.reorder = true;
+        // A slip applies only behind another source's message: per-link
+        // FIFO, the reliability layer's resequencing guarantee, holds.
+        inj.slip = u_reorder < plan.reorder && tail_src.is_some_and(|s| s != src);
+        let delay_ns = obs::ns(inj.extra_delay);
+        for (kind, hit, delay_ns) in [
+            (FaultKind::Partition, cut.is_some(), delay_ns),
+            (FaultKind::Drop, drop, delay_ns),
+            (FaultKind::Duplicate, duplicate, delay_ns),
+            (FaultKind::Delay, delay, delay_ns),
+            (FaultKind::Reorder, inj.slip, 0),
+        ] {
+            if hit {
+                self.injected += 1;
+                let fault = EventKind::Fault {
+                    kind,
+                    dst: dst as u32,
+                    delay_ns,
+                };
+                trace.record(depart, src, fault);
+            }
         }
         inj
     }
 
-    /// The plan driving this state.
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
+    /// Record that `rank` crashed at virtual time `at`.
+    pub(crate) fn crash(&mut self, rank: usize, at: f64, trace: &mut Trace) {
+        self.crashed.push((rank, at));
+        let crash = EventKind::Fault {
+            kind: FaultKind::Crash,
+            dst: rank as u32,
+            delay_ns: 0,
+        };
+        trace.record(at, rank, crash);
+    }
+
+    /// Lines appended to a deadlock/livelock report naming the fault context:
+    /// which peers the plan crashed, and which plan partitions could have
+    /// blocked delivery — so an injected-fault deadlock names its cause
+    /// instead of presenting as a protocol bug.
+    pub(crate) fn context(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for &(rank, at) in &self.crashed {
+            let _ = writeln!(
+                out,
+                "  fault context: process {rank} crashed by fault plan at t={at:.6}"
+            );
+        }
+        for p in &self.plan.partitions {
+            let _ = writeln!(out, "  fault context: fault-plan partition {p}");
+        }
+        out
+    }
+
+    /// Once the run is over: the number of faults injected, and the crashes
+    /// that fired.
+    pub(crate) fn into_outcome(self) -> (u64, Vec<(usize, f64)>) {
+        (self.injected, self.crashed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ObsLevel;
 
     #[test]
     fn splitmix_is_stable() {
@@ -819,32 +830,65 @@ mod tests {
         );
     }
 
+    /// A run of `fault` on four processes of the calibrated FDDI model.
+    fn four(fault: FaultPlan) -> ClusterConfig {
+        ClusterConfig {
+            fault,
+            ..ClusterConfig::calibrated_fddi(4)
+        }
+    }
+
     #[test]
     fn fault_state_is_deterministic_per_link() {
-        let plan = FaultPlan::lossy(11);
-        let mut s1 = FaultState::new(&plan, 4).unwrap();
-        let mut s2 = FaultState::new(&plan, 4).unwrap();
+        let cfg = four(FaultPlan::lossy(11));
+        let mut s1 = FaultState::new(&cfg).unwrap();
+        let mut s2 = FaultState::new(&cfg).unwrap();
+        let (mut t1, mut t2) = (Trace::new(ObsLevel::Trace), Trace::new(ObsLevel::Off));
         for i in 0..64 {
-            let a = s1.on_transmit(0, 1, i as f64 * 1e-4, 2, 1e-4, 4e-4);
-            let b = s2.on_transmit(0, 1, i as f64 * 1e-4, 2, 1e-4, 4e-4);
+            let depart = i as f64 * 1e-4;
+            // Every third message queues behind one from its own link, where
+            // a drawn slip must not apply.
+            let tail = Some(i % 3);
+            let a = s1.on_transmit((0, 1), depart, (2, 1e-4), tail, &mut t1);
+            let b = s2.on_transmit((0, 1), depart, (2, 1e-4), tail, &mut t2);
             assert_eq!(a.extra_delay.to_bits(), b.extra_delay.to_bits());
             assert_eq!(a.extra_datagrams, b.extra_datagrams);
-            assert_eq!(a.reorder, b.reorder);
+            assert_eq!(a.slip, b.slip);
+            assert!(!(a.slip && tail == Some(0)), "a slip broke per-link FIFO");
         }
-        assert_eq!(s1.stats, s2.stats);
-        assert!(
-            s1.stats.injected() > 0,
-            "lossy plan never fired in 64 sends"
+        assert_eq!(s1.injected, s2.injected);
+        assert!(s1.injected > 0, "lossy plan never fired in 64 sends");
+        // One trace event per injected fault; not tracing changes nothing.
+        assert_eq!(t1.into_events().len() as u64, s1.injected);
+        assert!(t2.into_events().is_empty());
+    }
+
+    #[test]
+    fn a_crash_is_recorded_traced_and_named_in_the_context() {
+        let cut = "0|1@0..1".parse().unwrap();
+        let mut f = FaultState::new(&four(FaultPlan {
+            partitions: vec![cut],
+            ..FaultPlan::default()
+        }))
+        .unwrap();
+        let mut trace = Trace::new(ObsLevel::Trace);
+        f.crash(2, 0.5, &mut trace);
+        assert_eq!(
+            f.context(),
+            "  fault context: process 2 crashed by fault plan at t=0.500000\n  \
+             fault context: fault-plan partition 0|1@0..1\n"
         );
+        assert_eq!(trace.into_events().len(), 1);
+        assert_eq!(f.into_outcome(), (0, vec![(2, 0.5)]));
     }
 
     #[test]
     fn empty_plan_builds_no_state() {
-        assert!(FaultState::new(&FaultPlan::default(), 4).is_none());
+        assert!(FaultState::new(&four(FaultPlan::default())).is_none());
         let seeded_only = FaultPlan {
             seed: 99,
             ..FaultPlan::default()
         };
-        assert!(FaultState::new(&seeded_only, 4).is_none());
+        assert!(FaultState::new(&four(seeded_only)).is_none());
     }
 }

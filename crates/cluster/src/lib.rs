@@ -63,7 +63,7 @@ pub mod time;
 
 pub use analysis::AnalysisLevel;
 pub use config::{ClusterConfig, NetModel, NetPreset, Overrides};
-pub use fault::{Crash, CrashPoint, FaultKind, FaultPlan, FaultStats, Partition};
+pub use fault::{Crash, CrashPoint, FaultKind, FaultPlan, Partition};
 pub use net::{Message, RunFailure, Tag};
 pub use obs::{ClusterObs, Histogram, ObsLevel, ProcObs, SpanCat};
 pub use proc::Proc;
@@ -155,7 +155,7 @@ impl Cluster {
         // exit gives the run's allocator arena back for the next run's
         // thread to take (docs/ARCHITECTURE.md §Handoff).
         // lint:allow(threads): the run's hosting thread.
-        let (joined, (ended, central, faults)) = std::thread::scope(|s| {
+        let (joined, (ended, central, faults_injected)) = std::thread::scope(|s| {
             s.spawn(|| {
                 let core = Rc::new(net::NetworkCore::new(cfg.clone()));
                 let joined = coro::run(cfg.nprocs, |id| rank(&core, id));
@@ -170,9 +170,15 @@ impl Cluster {
         // deterministically the lowest-rank originator; every other outcome
         // is the core's record.
         let mut results = Vec::with_capacity(joined.len());
+        let mut stats = Vec::with_capacity(joined.len());
+        let mut procs = Vec::new();
         for j in joined {
             match j {
-                Ok(tuple) => results.push(tuple),
+                Ok((r, st, po)) => {
+                    results.push(r);
+                    stats.push(st);
+                    procs.extend(po);
+                }
                 Err(payload) if payload.is::<net::Teardown>() => {}
                 Err(payload) => std::panic::resume_unwind(payload),
             }
@@ -184,34 +190,15 @@ impl Cluster {
             Some(net::Abort::Panic(who)) => panic!("cluster aborted: process {who} panicked"),
             None => {}
         }
-        let mut out_results = Vec::with_capacity(results.len());
-        let mut out_stats = Vec::with_capacity(results.len());
-        let mut out_obs = Vec::with_capacity(results.len());
-        for (r, st, po) in results {
-            out_results.push(r);
-            out_stats.push(st);
-            if let Some(po) = po {
-                out_obs.push(po);
-            }
-        }
-        let obs = if cfg.obs.enabled() {
-            assert_eq!(
-                out_obs.len(),
-                out_results.len(),
-                "a process lost its recorder"
-            );
-            Some(obs::ClusterObs {
-                procs: out_obs,
-                central,
-            })
-        } else {
-            None
-        };
+        let obs = cfg.obs.enabled().then(|| {
+            assert_eq!(procs.len(), results.len(), "a process lost its recorder");
+            obs::ClusterObs { procs, central }
+        });
         Ok(ClusterReport {
-            results: out_results,
-            stats: out_stats,
+            results,
+            stats,
             obs,
-            faults,
+            faults_injected,
         })
     }
 }
@@ -294,7 +281,7 @@ mod tests {
             assert_ne!(hosts[0], here(), "ranks run off the calling thread");
             format!(
                 "{payloads:?} {:?} {:?} {:?}",
-                rep.stats, rep.faults, rep.obs
+                rep.stats, rep.faults_injected, rep.obs
             )
         };
         let retired = ClusterConfig {

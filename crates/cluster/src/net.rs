@@ -18,8 +18,8 @@
 
 use crate::config::ClusterConfig;
 use crate::coro;
-use crate::fault::{FaultKind, FaultState, FaultStats};
-use crate::obs::{self, Event, EventKind, ObsLevel};
+use crate::fault::{FaultState, Injection};
+use crate::obs::{self, Event, EventKind, Trace};
 use crate::sched::{wait_graph, Arbiter, Decision, PState};
 use bytes::Bytes;
 use std::cell::{RefCell, RefMut};
@@ -151,18 +151,15 @@ struct SimState {
     /// it reaches [`LIVELOCK_GRANT_LIMIT`] the cluster is spinning without
     /// progress and is torn down with a diagnostic.
     futile_grants: u64,
-    /// Set when the cluster is torn down early: with the crashes below, the
-    /// one record of how the run ended.
+    /// Set when the cluster is torn down early: with the fault state's
+    /// crashes, the one record of how the run ended.
     aborted: Option<Abort>,
-    /// Runtime fault-injection state; `None` when the plan is empty, so the
-    /// pre-fault transmit path is preserved byte for byte.
+    /// Runtime fault-injection state, with the crashes that fired; `None`
+    /// when the plan is empty, so the pre-fault transmit path is preserved
+    /// byte for byte.
     faults: Option<FaultState>,
-    /// `(rank, virtual_time)` of every fault-plan crash that fired.
-    crashed: Vec<(usize, f64)>,
-    /// Central observability event stream (message sends, consumes, arbiter
-    /// grants), recorded by the token holder — so in deterministic order —
-    /// when the config asks for [`ObsLevel::Trace`]; `None` otherwise.
-    trace: Option<Vec<Event>>,
+    /// Central observability event stream.
+    trace: Trace,
 }
 
 /// The shared state of the simulated network: one grant at a time, on the
@@ -180,8 +177,8 @@ impl NetworkCore {
     /// the arbiter issues the first grant once all have arrived.
     pub fn new(cfg: ClusterConfig) -> Self {
         let n = cfg.nprocs;
-        let tracing = cfg.obs == ObsLevel::Trace;
-        let faults = FaultState::new(&cfg.fault, n);
+        let faults = FaultState::new(&cfg);
+        let trace = Trace::new(cfg.obs);
         let arb = Arbiter::with_seed(n, cfg.sched_seed, cfg.tie_limit);
         NetworkCore {
             cfg,
@@ -192,8 +189,7 @@ impl NetworkCore {
                 futile_grants: 0,
                 aborted: None,
                 faults,
-                crashed: Vec::new(),
-                trace: if tracing { Some(Vec::new()) } else { None },
+                trace,
             }),
         }
     }
@@ -229,28 +225,17 @@ impl NetworkCore {
     }
 
     /// Tear down process `id` because its fault-plan crash point fired at
-    /// virtual time `at`: record the crash, stamp it into the trace, mark
-    /// the process finished, hand the token on and unwind it with the
-    /// [`Teardown`] marker — the crash kills only the one process; peers run
-    /// on (and may then deadlock, which the detector reports naming this
-    /// crash as context).
+    /// virtual time `at`: record the crash, mark the process finished, hand
+    /// the token on and unwind it with the [`Teardown`] marker — the crash
+    /// kills only the one process; peers run on (and may then deadlock,
+    /// which the detector reports naming this crash as context).
     pub(crate) fn crash(&self, id: usize, at: f64) -> ! {
         let mut st = self.state.borrow_mut();
-        st.crashed.push((id, at));
-        if let Some(f) = st.faults.as_mut() {
-            f.stats.crashes += 1;
-        }
-        if let Some(tr) = st.trace.as_mut() {
-            tr.push(Event {
-                t_ns: obs::ns(at),
-                rank: id as u32,
-                kind: EventKind::Fault {
-                    kind: FaultKind::Crash,
-                    dst: id as u32,
-                    delay_ns: 0,
-                },
-            });
-        }
+        let SimState { faults, trace, .. } = &mut *st;
+        faults
+            .as_mut()
+            .expect("only a fault plan crashes a rank")
+            .crash(id, at, trace);
         self.retire(st, id);
         Teardown::unwind()
     }
@@ -258,40 +243,24 @@ impl NetworkCore {
     /// What the network holds once every process has left: how the run
     /// ended, unless every rank returned — its abort, else the fault-plan
     /// crashes whose survivors completed, as [`RunFailure::Crashed`] — the
-    /// central event stream (sends, consumes, grants; empty below
-    /// [`ObsLevel::Trace`]), and the counters of the faults injected, with
-    /// the arbiter's seeded tie-break draws folded in (all zero for an empty
-    /// plan under seed 0).
-    pub(crate) fn into_remains(self) -> (Option<Abort>, Vec<Event>, FaultStats) {
+    /// central event stream (sends, consumes, grants, faults; empty below
+    /// [`ObsLevel::Trace`](crate::ObsLevel::Trace)), and the number of faults
+    /// injected (0 for an empty plan).
+    pub(crate) fn into_remains(self) -> (Option<Abort>, Vec<Event>, u64) {
         let st = self.state.into_inner();
-        let mut faults = st.faults.map(|f| f.stats).unwrap_or_default();
-        faults.tie_breaks = st.arb.tie_draws();
-        let crashed = (!st.crashed.is_empty()).then_some(st.crashed);
-        let ended = st
-            .aborted
-            .or(crashed.map(|c| Abort::Failed(RunFailure::Crashed(c))));
-        (ended, st.trace.unwrap_or_default(), faults)
+        let (injected, crashed) = st.faults.map(FaultState::into_outcome).unwrap_or_default();
+        let crashed = (!crashed.is_empty()).then_some(Abort::Failed(RunFailure::Crashed(crashed)));
+        (st.aborted.or(crashed), st.trace.into_events(), injected)
     }
 
-    /// Lines appended to a deadlock/livelock report naming the fault context:
-    /// which peers were crashed by the plan, and which plan partitions could
-    /// have blocked delivery — so an injected-fault deadlock names its cause
-    /// instead of presenting as a protocol bug.
-    fn fault_context(st: &SimState) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for &(rank, at) in &st.crashed {
-            let _ = writeln!(
-                out,
-                "  fault context: process {rank} crashed by fault plan at t={at:.6}"
-            );
-        }
+    /// What a deadlock or livelock report ends with: the wait graph, then
+    /// the fault context (none for an empty plan).
+    fn diagnosis(st: &SimState) -> String {
+        let mut graph = wait_graph(st.arb.states(), &st.mailboxes);
         if let Some(f) = &st.faults {
-            for p in &f.plan().partitions {
-                let _ = writeln!(out, "  fault context: fault-plan partition {p}");
-            }
+            graph.push_str(&f.context());
         }
-        out
+        graph
     }
 
     /// True when the wait-graph diagnostic should also go to stderr: under an
@@ -311,22 +280,15 @@ impl NetworkCore {
         match st.arb.decide() {
             Decision::Grant(rank) => {
                 if let PState::Parked { key } = st.arb.state(rank) {
-                    if let Some(trace) = &mut st.trace {
-                        trace.push(Event {
-                            t_ns: obs::ns(key),
-                            rank: rank as u32,
-                            kind: EventKind::Grant,
-                        });
-                    }
+                    st.trace.record(key, rank, EventKind::Grant);
                 }
                 st.futile_grants += 1;
                 if st.futile_grants >= LIVELOCK_GRANT_LIMIT {
-                    let graph = wait_graph(st.arb.states(), &st.mailboxes);
-                    let context = Self::fault_context(st);
+                    let graph = Self::diagnosis(st);
                     let report = format!(
                         "virtual-time livelock: {LIVELOCK_GRANT_LIMIT} consecutive turns granted \
                          (next: process {rank}) without any message transmitted or consumed; \
-                         a poll loop is spinning without making progress\n{graph}{context}"
+                         a poll loop is spinning without making progress\n{graph}"
                     );
                     if self.report_to_stderr() {
                         eprintln!("{report}");
@@ -339,8 +301,7 @@ impl NetworkCore {
             }
             Decision::Wait | Decision::AllDone => None,
             Decision::Deadlock => {
-                let mut graph = wait_graph(st.arb.states(), &st.mailboxes);
-                graph.push_str(&Self::fault_context(st));
+                let graph = Self::diagnosis(st);
                 if self.report_to_stderr() {
                     eprintln!("{graph}");
                 }
@@ -399,74 +360,32 @@ impl NetworkCore {
         let bytes = payload.len();
         let mut datagrams = self.cfg.datagrams_for(bytes);
         let occupancy = self.cfg.occupancy(bytes);
-        // Fault injection: the reliability layer's retransmissions and
-        // duplicates cost extra wire time and datagrams; drops, delays and
-        // partitions defer the arrival.  All decisions are seeded per link,
-        // so they are a pure function of the link's message count.
-        let (mut extra_delay, mut extra_occupancy, mut want_reorder) = (0.0, 0.0, false);
-        let mut fired: [Option<FaultKind>; 5] = [None; 5];
-        if let Some(f) = st.faults.as_mut() {
-            let inj = f.on_transmit(src, dst, depart, datagrams, occupancy, self.cfg.latency);
-            datagrams += inj.extra_datagrams;
-            extra_delay = inj.extra_delay;
-            extra_occupancy = inj.extra_occupancy;
-            want_reorder = inj.reorder;
-            fired = inj.kinds;
-        }
+        // The fault layer decides, counts and traces every fault; the
+        // transport charges what it returns (all zero for an empty plan).
+        let st = &mut *st;
+        let wire = (datagrams, occupancy);
+        let tail_src = st.mailboxes[dst].back().map(|m| m.src);
+        let inj = st.faults.as_mut().map_or_else(Injection::default, |f| {
+            f.on_transmit((src, dst), depart, wire, tail_src, &mut st.trace)
+        });
+        datagrams += inj.extra_datagrams;
         let start = if self.cfg.shared_medium {
             let start = depart.max(st.medium_free_at);
-            st.medium_free_at = start + occupancy + extra_occupancy;
+            st.medium_free_at = start + occupancy + inj.extra_occupancy;
             start
         } else {
             depart
         };
-        let arrival = start + occupancy + self.cfg.latency + extra_delay;
+        let arrival = start + occupancy + self.cfg.latency + inj.extra_delay;
         st.futile_grants = 0;
-        // A reorder slip applies only when the queue tail is from another
-        // source: per-link FIFO (the reliability layer's resequencing
-        // guarantee) is never broken, so the slip is counted here, not in
-        // the draw.
-        let slip = want_reorder && st.mailboxes[dst].back().is_some_and(|m| m.src != src);
-        if slip {
-            if let Some(f) = st.faults.as_mut() {
-                f.stats.reorders += 1;
-            }
-        }
-        if let Some(tr) = st.trace.as_mut() {
-            for &kind in fired.iter().flatten() {
-                tr.push(Event {
-                    t_ns: obs::ns(depart),
-                    rank: src as u32,
-                    kind: EventKind::Fault {
-                        kind,
-                        dst: dst as u32,
-                        delay_ns: obs::ns(extra_delay),
-                    },
-                });
-            }
-            if slip {
-                tr.push(Event {
-                    t_ns: obs::ns(depart),
-                    rank: src as u32,
-                    kind: EventKind::Fault {
-                        kind: FaultKind::Reorder,
-                        dst: dst as u32,
-                        delay_ns: 0,
-                    },
-                });
-            }
-            tr.push(Event {
-                t_ns: obs::ns(depart),
-                rank: src as u32,
-                kind: EventKind::Send {
-                    dst: dst as u32,
-                    tag,
-                    bytes: bytes as u64,
-                    datagrams,
-                    arrival_ns: obs::ns(arrival),
-                },
-            });
-        }
+        let sent = EventKind::Send {
+            dst: dst as u32,
+            tag,
+            bytes: bytes as u64,
+            datagrams,
+            arrival_ns: obs::ns(arrival),
+        };
+        st.trace.record(depart, src, sent);
         let message = Message {
             src,
             dst,
@@ -475,7 +394,7 @@ impl NetworkCore {
             arrival,
             datagrams,
         };
-        if slip {
+        if inj.slip {
             let tail = st.mailboxes[dst].len() - 1;
             st.mailboxes[dst].insert(tail, message);
         } else {
@@ -528,20 +447,7 @@ impl NetworkCore {
         let mut st = self.park(st, dst, state);
         let pos = Self::find(&st.mailboxes[dst], src, tag)
             .expect("granted receiver must have a matching message");
-        st.futile_grants = 0;
-        let m = st.mailboxes[dst].remove(pos).expect("position just found");
-        if let Some(tr) = st.trace.as_mut() {
-            tr.push(Event {
-                t_ns: obs::ns(clock.max(m.arrival)),
-                rank: dst as u32,
-                kind: EventKind::Consume {
-                    src: m.src as u32,
-                    tag: m.tag,
-                    arrival_ns: obs::ns(m.arrival),
-                },
-            });
-        }
-        m
+        Self::consume(&mut st, dst, pos, clock)
     }
 
     /// Non-blocking variant of [`recv_match`](Self::recv_match): consumes
@@ -564,30 +470,21 @@ impl NetworkCore {
         let pos = st.mailboxes[dst].iter().position(|m| {
             m.arrival <= now && src.is_none_or(|s| m.src == s) && tag.is_none_or(|t| m.tag == t)
         })?;
-        st.futile_grants = 0;
-        let m = st.mailboxes[dst].remove(pos)?;
-        if let Some(tr) = st.trace.as_mut() {
-            tr.push(Event {
-                t_ns: obs::ns(now),
-                rank: dst as u32,
-                kind: EventKind::Consume {
-                    src: m.src as u32,
-                    tag: m.tag,
-                    arrival_ns: obs::ns(m.arrival),
-                },
-            });
-        }
-        Some(m)
+        Some(Self::consume(&mut st, dst, pos, now))
     }
 
-    /// Number of messages queued for `dst` that have arrived by virtual
-    /// time `now`.  Like every observation, clock-gated and arbitrated.
-    pub fn pending(&self, dst: usize, now: f64) -> usize {
-        let st = self.park(self.state.borrow_mut(), dst, PState::Parked { key: now });
-        st.mailboxes[dst]
-            .iter()
-            .filter(|m| m.arrival <= now)
-            .count()
+    /// Take the message at `pos` of `dst`'s queue for a receiver whose clock
+    /// reads `clock`, and record the consume at `max(clock, arrival)`.
+    fn consume(st: &mut SimState, dst: usize, pos: usize, clock: f64) -> Message {
+        st.futile_grants = 0;
+        let m = st.mailboxes[dst].remove(pos).expect("a queued position");
+        let consumed = EventKind::Consume {
+            src: m.src as u32,
+            tag: m.tag,
+            arrival_ns: obs::ns(m.arrival),
+        };
+        st.trace.record(clock.max(m.arrival), dst, consumed);
+        m
     }
 
     fn find(q: &VecDeque<Message>, src: Option<usize>, tag: Option<Tag>) -> Option<usize> {
@@ -628,7 +525,8 @@ mod tests {
             } else {
                 let m = p.recv(None, 2);
                 // The tag-1 message is still queued (and has arrived).
-                (m.payload, p.pending())
+                let queued = std::iter::from_fn(|| p.try_recv_interrupt()).count();
+                (m.payload, queued)
             }
         });
         assert_eq!(rep.results[1].0.as_ref(), b"two");
@@ -815,9 +713,10 @@ mod tests {
                     if p.id() == 0 {
                         panic!("rank 0 dies before anyone interacts");
                     }
-                    let abort =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.pending()))
-                            .expect_err("the cluster is already aborted");
+                    let abort = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        p.try_recv(None, 0)
+                    }))
+                    .expect_err("the cluster is already aborted");
                     if abort.is::<Teardown>() {
                         victims.fetch_add(1, Ordering::Relaxed);
                     }
@@ -1078,7 +977,7 @@ mod tests {
                 0 => {
                     // Granted first (t = 0), while 1 and 2 sleep; the crash
                     // fires at the next interaction and grants rank 1.
-                    p.pending();
+                    p.try_recv(Some(1), 9);
                     p.compute(0.6);
                     p.try_recv(Some(1), 9);
                     unreachable!("rank 0 crashed at t = 0.6");

@@ -179,6 +179,34 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// A run's central event stream (sends, consumes, grants, faults), recorded
+/// by the token holder, so in deterministic order; empty below
+/// [`ObsLevel::Trace`].
+#[derive(Debug)]
+pub(crate) struct Trace(Option<Vec<Event>>);
+
+impl Trace {
+    /// The stream of a run recording at `level`.
+    pub(crate) fn new(level: ObsLevel) -> Self {
+        Trace((level == ObsLevel::Trace).then(Vec::new))
+    }
+
+    /// Record that `kind` happened to `rank` at virtual time `t`: the one
+    /// push site of the central stream.
+    #[inline]
+    pub(crate) fn record(&mut self, t: f64, rank: usize, kind: EventKind) {
+        if let Some(events) = &mut self.0 {
+            let (t_ns, rank) = (ns(t), rank as u32);
+            events.push(Event { t_ns, rank, kind });
+        }
+    }
+
+    /// The events recorded.
+    pub(crate) fn into_events(self) -> Vec<Event> {
+        self.0.unwrap_or_default()
+    }
+}
+
 /// Sub-bucket resolution bits: 32 buckets per octave, ≤ 3.2 % relative error.
 const SUB_BITS: u32 = 5;
 const SUB_COUNT: u64 = 1 << SUB_BITS; // 32

@@ -191,6 +191,7 @@ impl Arbiter {
     }
 
     /// Seeded tie-break draws consumed so far.
+    #[cfg(test)]
     pub(crate) fn tie_draws(&self) -> u64 {
         self.tie.draws()
     }

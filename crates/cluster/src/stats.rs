@@ -8,7 +8,6 @@
 //! TreadMarks reports); the `msgpass` crate additionally counts user-level
 //! sends (what PVM reports).
 
-use crate::fault::FaultStats;
 use crate::obs::ClusterObs;
 
 /// Communication and timing statistics of a single simulated process.
@@ -51,10 +50,10 @@ pub struct ClusterReport<R> {
     /// Observability output of the run; `None` when the configuration's
     /// [`obs`](crate::ClusterConfig::obs) level is `Off`.
     pub obs: Option<ClusterObs>,
-    /// Counters of the faults the run's [`crate::fault::FaultPlan`] actually
-    /// injected, plus seeded arbiter tie-breaks.  All zero for an empty plan
-    /// under schedule seed 0.
-    pub faults: FaultStats,
+    /// Faults the run's [`crate::fault::FaultPlan`] injected: drops,
+    /// duplicates, delays, partition hits and applied reorder slips (not
+    /// crashes, not seeded tie-breaks).  0 for an empty plan.
+    pub faults_injected: u64,
 }
 
 impl<R> ClusterReport<R> {
@@ -104,7 +103,7 @@ mod tests {
             results: vec![(), (), ()],
             stats: vec![mk(1.0, 2, 100), mk(3.5, 4, 50), mk(2.0, 0, 0)],
             obs: None,
-            faults: FaultStats::default(),
+            faults_injected: 0,
         };
         assert_eq!(rep.parallel_time(), 3.5);
         assert_eq!(rep.total_messages(), 6);
@@ -118,7 +117,7 @@ mod tests {
             results: vec![],
             stats: vec![],
             obs: None,
-            faults: FaultStats::default(),
+            faults_injected: 0,
         };
         assert_eq!(rep.parallel_time(), 0.0);
         assert_eq!(rep.total_messages(), 0);
