@@ -282,13 +282,11 @@ impl DsmState {
     }
 
     /// Drop every stored diff covered by `up_to` (the GC's diff half; see
-    /// [`DsmState::gc`]), recycling their slab slots.  Returns how many
-    /// were collected.
-    pub(crate) fn gc_diffs(&mut self, up_to: &VectorClock) -> usize {
+    /// [`DsmState::gc`]), recycling their slab slots.
+    pub(crate) fn gc_diffs(&mut self, up_to: &VectorClock) {
         let DsmState {
             diffs, diff_slab, ..
         } = self;
-        let before = diffs.len();
         diffs.retain(|&(_, creator, seq), &mut handle| {
             if seq > up_to.get(creator) {
                 true
@@ -298,7 +296,6 @@ impl DsmState {
             }
         });
         debug_assert_eq!(diff_slab.len(), diffs.len());
-        before - diffs.len()
     }
 }
 

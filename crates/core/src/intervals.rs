@@ -68,7 +68,6 @@ impl DsmState {
             let diff = Diff::create(&twin, data);
             self.pool.recycle(twin);
             self.stats.diffs_created += 1;
-            self.stats.diff_bytes_created += diff.encoded_len() as u64;
             if let Some(flush) = self.dispose_closed_diff(page, seq, &vc, &interval_vc_wire, diff) {
                 flushes.push(flush);
             }
@@ -127,7 +126,6 @@ impl DsmState {
         );
         self.vc.set(rec.creator, rec.seq);
         self.intervals[rec.creator].push(LoggedInterval::new(rec.clone()));
-        self.stats.write_notices_received += rec.pages.len() as u64;
         for &page in &rec.pages {
             if self.holds_master_copy(page) {
                 continue;
@@ -215,10 +213,9 @@ impl DsmState {
             if drop_n > 0 {
                 self.intervals[creator].drain(..drop_n);
                 self.interval_base[creator] = base + drop_n as u32;
-                self.stats.intervals_collected += drop_n as u64;
             }
         }
-        self.stats.diffs_collected += self.gc_diffs(up_to) as u64;
+        self.gc_diffs(up_to);
         self.stats.gc_collections += 1;
     }
 }

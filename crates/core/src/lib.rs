@@ -647,27 +647,54 @@ mod tests {
         // A reply can arrive while a nested wait is looking for a different
         // tag (HLRC flush acks nest inside fault waits); it must be stashed
         // and handed to the wait that expects it, not rejected or lost.
-        use crate::proto::{
-            decode_diff_response, decode_flush_ack, encode_diff_response, encode_flush_ack,
-            TAG_DIFF_RESP, TAG_FLUSH_ACK,
-        };
-        let rep = Cluster::run(ClusterConfig::calibrated_fddi(2), |p| {
-            let tmk = Tmk::new(p);
-            if p.id() == 1 {
-                // The ack arrives first, ahead of the wait that expects it.
-                p.send(0, TAG_FLUSH_ACK, encode_flush_ack(0, 7));
-                p.send(0, TAG_DIFF_RESP, encode_diff_response(3, &[]));
-                0
-            } else {
-                // Waiting for the diff response stashes the early ack...
-                let m = tmk.wait_reply(TAG_DIFF_RESP);
-                assert_eq!(decode_diff_response(m.payload, 2).0, 3);
-                // ...and the next wait recovers it from the stash.
-                let m = tmk.wait_reply(TAG_FLUSH_ACK);
-                decode_flush_ack(m.payload).1
-            }
-        });
-        assert_eq!(rep.results[0], 7);
+        // Every reply tag arrives ahead of its wait, under every protocol:
+        // one that `Tmk::serve` took for a request would be decoded as one
+        // (and panic) or never reach the stash (and the wait deadlock).
+        use crate::proto::*;
+        let vc = VectorClock::new(2);
+        let page = vec![5u8; cluster::config::PAGE_SIZE];
+        let replies = [
+            (TAG_LOCK_GRANT, encode_lock_grant(3, &vc, &[])),
+            (TAG_BARRIER_RELEASE, encode_barrier(3, &vc, &[])),
+            (TAG_DIFF_RESP, encode_diff_response(3, &[])),
+            (TAG_FLUSH_ACK, encode_flush_ack(0, 3)),
+            (TAG_PAGE_RESP, encode_page_response(3, &vc, &page)),
+            (TAG_SC_PAGE_XFER, encode_sc_page_transfer(3, &[1], &page)),
+            (TAG_SC_PAGE_COPY, encode_sc_page_copy(3, &page)),
+            (TAG_SC_INVAL_ACK, encode_sc_ack(3)),
+        ];
+        for protocol in ProtocolKind::all() {
+            let rep = Cluster::run(ClusterConfig::calibrated_fddi(2), |p| {
+                let tmk = Tmk::with_protocol(p, protocol);
+                if p.id() == 1 {
+                    for (tag, payload) in &replies {
+                        p.send(0, *tag, payload.clone());
+                    }
+                    // The marker stands in for the reply of an outer wait.
+                    p.send(0, TAG_TERMINATE, bytes::Bytes::new());
+                    return vec![];
+                }
+                // Waiting for the marker stashes every reply ahead of it...
+                tmk.wait_reply(TAG_TERMINATE);
+                // ...and each later wait recovers its own, last sent first.
+                let mut heads = Vec::new();
+                for &(tag, _) in replies.iter().rev() {
+                    let m = tmk.wait_reply(tag);
+                    heads.push(match tag {
+                        TAG_LOCK_GRANT => decode_lock_grant(m.payload, 2).0,
+                        TAG_BARRIER_RELEASE => decode_barrier(m.payload, 2).0,
+                        TAG_DIFF_RESP => decode_diff_response(m.payload, 2).0,
+                        TAG_FLUSH_ACK => decode_flush_ack(m.payload).1,
+                        TAG_PAGE_RESP => decode_page_response(m.payload, 2).0,
+                        TAG_SC_PAGE_XFER => decode_sc_page_transfer(m.payload).0,
+                        TAG_SC_PAGE_COPY => decode_sc_page_copy(m.payload).0,
+                        _ => decode_sc_ack(m.payload),
+                    });
+                }
+                heads
+            });
+            assert_eq!(rep.results[0], [3; 8], "{protocol}");
+        }
     }
 
     /// Run `f` racechecked on `n` processes under `protocol` and return the

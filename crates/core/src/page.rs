@@ -223,7 +223,7 @@ impl Diff {
     /// *Modelled* size of the diff on the wire: per-run header (offset +
     /// length, 4 bytes) plus the modified bytes, plus an 8-byte diff
     /// header.  This is what the cost model charges and what
-    /// `diff_bytes_created` and every pinned KB count; it is deliberately
+    /// `diff_bytes_received` and every pinned KB count; it is deliberately
     /// not the length the host encoding writes (`wire_len`: a 4-byte run
     /// count ahead of the same runs) — unifying the two would move every
     /// pinned value.

@@ -68,9 +68,6 @@ pub struct Tmk<'a> {
     barrier_epoch: Cell<u32>,
     /// Barrier-manager state: arrivals per episode (source, source clock).
     arrivals: RefCell<BTreeMap<u32, Vec<(usize, VectorClock)>>>,
-    /// Virtual time at which each lock was last released here (prevents a
-    /// grant from appearing to depart while the lock was still held).
-    lock_release_time: RefCell<BTreeMap<u32, f64>>,
     /// Replies that arrived while a nested wait was looking for a different
     /// tag (e.g. a diff response arriving while a flush triggered by serving
     /// a lock request awaits its acknowledgement).
@@ -124,7 +121,6 @@ impl<'a> Tmk<'a> {
             )),
             barrier_epoch: Cell::new(0),
             arrivals: RefCell::new(BTreeMap::new()),
-            lock_release_time: RefCell::new(BTreeMap::new()),
             stashed: RefCell::new(Vec::new()),
             done_count: Cell::new(0),
             gc_threshold: Cell::new(DEFAULT_GC_INTERVAL_THRESHOLD),
@@ -263,13 +259,7 @@ impl<'a> Tmk<'a> {
         if manager == self.id() {
             // We are the manager but do not hold the token: forward straight
             // to the last requester without a message to ourselves.
-            let prev = {
-                let mut st = self.st.borrow_mut();
-                let ms = st.lock_manager_state_mut(id);
-                let prev = ms.last_requester;
-                ms.last_requester = self.id();
-                prev
-            };
+            let prev = self.st.borrow_mut().chain_lock(id, self.id());
             assert_ne!(prev, self.id(), "manager without token must know a holder");
             self.proc.send(prev, TAG_LOCK_FWD, payload);
         } else {
@@ -311,15 +301,12 @@ impl<'a> Tmk<'a> {
         }
         let pending = {
             let mut st = self.st.borrow_mut();
-            st.stats.lock_releases += 1;
             let ls = st.lock_state_mut(id);
             assert!(ls.in_cs, "releasing lock {id} that is not held");
             ls.in_cs = false;
+            ls.released_at = self.proc.clock();
             ls.pending.pop_front()
         };
-        self.lock_release_time
-            .borrow_mut()
-            .insert(id, self.proc.clock());
         if let Some((requester, req_vc)) = pending {
             self.grant_lock(id, requester, &req_vc, self.proc.clock());
         }
@@ -364,14 +351,7 @@ impl<'a> Tmk<'a> {
         if self.id() == 0 {
             // Manager: collect the other processes' arrivals (serving any
             // other requests that show up while waiting), then release.
-            loop {
-                let got = self.arrivals.borrow().get(&epoch).map_or(0, |v| v.len());
-                if got == n - 1 {
-                    break;
-                }
-                let m = self.proc.recv_any();
-                self.dispatch(m);
-            }
+            self.serve_until(|| self.arrivals.borrow().get(&epoch).map_or(0, |v| v.len()) == n - 1);
             let arrived = self.arrivals.borrow_mut().remove(&epoch).unwrap();
             // Analysis barrier edge: every worker published its clock
             // before sending the arrival just collected, so all n-1
@@ -439,10 +419,7 @@ impl<'a> Tmk<'a> {
         }
         self.proc.span_begin(SpanCat::Exit, 0);
         if self.id() == 0 {
-            while self.done_count.get() < n - 1 {
-                let m = self.proc.recv_any();
-                self.dispatch(m);
-            }
+            self.serve_until(|| self.done_count.get() >= n - 1);
             for dst in 1..n {
                 self.proc.send(dst, TAG_TERMINATE, bytes::Bytes::new());
             }
@@ -453,7 +430,13 @@ impl<'a> Tmk<'a> {
                 if m.tag == TAG_TERMINATE {
                     break;
                 }
-                self.dispatch(m);
+                if let Some(m) = self.serve(m) {
+                    panic!(
+                        "process {} got unexpected non-request tag {}",
+                        self.id(),
+                        m.tag
+                    );
+                }
             }
         }
         self.proc.span_end(SpanCat::Exit);
@@ -489,9 +472,7 @@ impl<'a> Tmk<'a> {
     /// wait) is stashed for the wait that expects it.
     fn drain_requests(&self) {
         while let Some(m) = self.proc.try_recv_interrupt() {
-            if is_request_tag(m.tag) {
-                self.handle_request(m);
-            } else {
+            if let Some(m) = self.serve(m) {
                 self.stashed.borrow_mut().push(m);
             }
         }
@@ -517,43 +498,40 @@ impl<'a> Tmk<'a> {
             if m.tag == want_tag {
                 return m;
             }
-            if is_request_tag(m.tag) {
-                self.handle_request(m);
-            } else {
+            if let Some(m) = self.serve(m) {
                 self.stashed.borrow_mut().push(m);
             }
         }
     }
 
-    /// Handle a message that may be either a request or a stray reply.
-    fn dispatch(&self, m: Message) {
-        if is_request_tag(m.tag) {
-            self.handle_request(m);
-        } else {
-            panic!(
-                "process {} got unexpected non-request tag {}",
-                self.id(),
-                m.tag
-            );
+    /// Serve requests until `done` holds.  No reply is awaited here, so a
+    /// message that comes back unserved is a protocol bug.
+    fn serve_until(&self, done: impl Fn() -> bool) {
+        while !done() {
+            if let Some(m) = self.serve(self.proc.recv_any()) {
+                panic!(
+                    "process {} got unexpected non-request tag {}",
+                    self.id(),
+                    m.tag
+                );
+            }
         }
     }
 
-    /// Serve one protocol request.  Replies depart at the request's arrival
+    /// Serve `m` if it is a request and return `None`; hand it back unserved
+    /// if it is a reply (or the exit protocol's `TAG_TERMINATE`).  This is
+    /// the one place that tells a request from a reply: the runtime serves
+    /// its lock, barrier and exit tags here and the configured protocol
+    /// backend serves its own.  Replies to a request depart at its arrival
     /// time plus the service cost (interrupt-style service); the CPU cost is
     /// charged to this process as stolen cycles.
-    pub(crate) fn handle_request(&self, m: Message) {
+    fn serve(&self, m: Message) -> Option<Message> {
         let n = self.nprocs();
         match m.tag {
             TAG_LOCK_ACQ => {
                 self.proc.compute(REQUEST_SERVICE_COST);
                 let (lock, requester, req_vc) = decode_lock_request(m.payload.clone(), n);
-                let prev = {
-                    let mut st = self.st.borrow_mut();
-                    let ms = st.lock_manager_state_mut(lock);
-                    let prev = ms.last_requester;
-                    ms.last_requester = requester;
-                    prev
-                };
+                let prev = self.st.borrow_mut().chain_lock(lock, requester);
                 if prev == self.id() {
                     self.handle_forwarded(lock, requester, req_vc, m.arrival);
                 } else {
@@ -588,38 +566,27 @@ impl<'a> Tmk<'a> {
             }
             // Everything else belongs to the configured protocol backend
             // (diff requests under LRC, flushes and page fetches under
-            // HLRC, the ownership protocol under SC).
-            other => {
-                if !self.serve_protocol_request(m) {
-                    panic!("not a request tag: {other}");
-                }
-            }
+            // HLRC, the ownership protocol under SC), which hands back
+            // whatever is not its own request.
+            _ => return self.serve_protocol_request(m),
         }
+        None
     }
 
     /// Handle a (possibly forwarded) lock acquire directed at this process.
     fn handle_forwarded(&self, lock: u32, requester: usize, req_vc: VectorClock, arrival: f64) {
         assert_ne!(requester, self.id(), "a process never forwards to itself");
-        let can_grant = {
+        let depart = {
             let mut st = self.st.borrow_mut();
             let ls = st.lock_state_mut(lock);
-            if ls.have_token && !ls.in_cs {
-                true
-            } else {
-                ls.pending.push_back((requester, req_vc.clone()));
-                false
+            if !ls.have_token || ls.in_cs {
+                ls.pending.push_back((requester, req_vc));
+                return;
             }
+            // A grant never departs before the release it follows.
+            (arrival + REQUEST_SERVICE_COST).max(ls.released_at)
         };
-        if can_grant {
-            let released_at = self
-                .lock_release_time
-                .borrow()
-                .get(&lock)
-                .copied()
-                .unwrap_or(0.0);
-            let depart = (arrival + REQUEST_SERVICE_COST).max(released_at);
-            self.grant_lock(lock, requester, &req_vc, depart);
-        }
+        self.grant_lock(lock, requester, &req_vc, depart);
     }
 
     /// Hand the lock token to `requester`, piggybacking the write notices of

@@ -141,26 +141,6 @@ pub fn encode_diff_response_into(
     wire.finish(size)
 }
 
-/// True if `tag` is a request that must be served by the runtime's service
-/// loop even while the process is blocked waiting for something else.
-pub fn is_request_tag(tag: u32) -> bool {
-    matches!(
-        tag,
-        TAG_LOCK_ACQ
-            | TAG_LOCK_FWD
-            | TAG_BARRIER_ARRIVE
-            | TAG_DIFF_REQ
-            | TAG_DONE
-            | TAG_DIFF_FLUSH
-            | TAG_PAGE_REQ
-            | TAG_SC_WRITE_REQ
-            | TAG_SC_WRITE_FWD
-            | TAG_SC_READ_REQ
-            | TAG_SC_READ_FWD
-            | TAG_SC_INVAL
-    )
-}
-
 /// A write-notice record: one closed interval of one process, listing the
 /// pages that process modified during the interval, together with the
 /// interval's vector timestamp.
@@ -638,29 +618,6 @@ mod tests {
         assert_eq!(diffs.len(), 1);
         assert_eq!(diffs[0].diff, d);
         assert_eq!(diffs[0].creator, 4);
-    }
-
-    #[test]
-    fn request_tags_are_classified() {
-        assert!(is_request_tag(TAG_LOCK_ACQ));
-        assert!(is_request_tag(TAG_DIFF_REQ));
-        assert!(is_request_tag(TAG_BARRIER_ARRIVE));
-        assert!(is_request_tag(TAG_DIFF_FLUSH));
-        assert!(is_request_tag(TAG_PAGE_REQ));
-        assert!(is_request_tag(TAG_SC_WRITE_REQ));
-        assert!(is_request_tag(TAG_SC_WRITE_FWD));
-        assert!(is_request_tag(TAG_SC_READ_REQ));
-        assert!(is_request_tag(TAG_SC_READ_FWD));
-        assert!(is_request_tag(TAG_SC_INVAL));
-        assert!(!is_request_tag(TAG_LOCK_GRANT));
-        assert!(!is_request_tag(TAG_BARRIER_RELEASE));
-        assert!(!is_request_tag(TAG_DIFF_RESP));
-        assert!(!is_request_tag(TAG_FLUSH_ACK));
-        assert!(!is_request_tag(TAG_PAGE_RESP));
-        assert!(!is_request_tag(TAG_SC_PAGE_XFER));
-        assert!(!is_request_tag(TAG_SC_PAGE_COPY));
-        assert!(!is_request_tag(TAG_SC_INVAL_ACK));
-        assert!(!is_request_tag(TAG_TERMINATE));
     }
 
     #[test]

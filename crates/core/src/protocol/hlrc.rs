@@ -93,9 +93,7 @@ pub(crate) fn flush(rt: &Tmk, closed: ClosedInterval) {
         let scan = entries.len() as f64 * 2.0 * PAGE_SIZE as f64;
         rt.proc().compute((scan + bytes as f64) / MEM_BANDWIDTH);
         rt.proc().send(home, TAG_DIFF_FLUSH, payload);
-        let mut st = rt.st.borrow_mut();
-        st.stats.diff_flushes_sent += 1;
-        st.stats.flush_bytes_sent += bytes as u64;
+        rt.st.borrow_mut().stats.diff_flushes_sent += 1;
     }
     for _ in 0..homes {
         let m = rt.wait_reply(TAG_FLUSH_ACK);
@@ -107,19 +105,14 @@ pub(crate) fn flush(rt: &Tmk, closed: ClosedInterval) {
 }
 
 /// Serve one HLRC request (home side): a diff flush or a page fetch.
-/// Returns `false` for any other tag.
-pub(crate) fn serve_request(rt: &Tmk, m: Message) -> bool {
+/// Hands any other message back unserved.
+pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
     match m.tag {
-        TAG_DIFF_FLUSH => {
-            serve_flush(rt, m);
-            true
-        }
-        TAG_PAGE_REQ => {
-            serve_page_request(rt, m);
-            true
-        }
-        _ => false,
+        TAG_DIFF_FLUSH => serve_flush(rt, m),
+        TAG_PAGE_REQ => serve_page_request(rt, m),
+        _ => return Some(m),
     }
+    None
 }
 
 /// Serve an incoming diff flush (home side): apply each diff to the master

@@ -57,10 +57,11 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
 }
 
 /// Serve a diff request straight out of the diff store, charging the
-/// lazily deferred creation scan for first-time serves.
-pub(crate) fn serve_request(rt: &Tmk, m: Message) -> bool {
+/// lazily deferred creation scan for first-time serves.  Hands any other
+/// message back unserved.
+pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
     if m.tag != TAG_DIFF_REQ {
-        return false;
+        return Some(m);
     }
     rt.proc().compute(REQUEST_SERVICE_COST);
     let (page, requester, applied_vc, global_vc) = decode_diff_request(m.payload, rt.nprocs());
@@ -80,7 +81,7 @@ pub(crate) fn serve_request(rt: &Tmk, m: Message) -> bool {
         payload,
         m.arrival + REQUEST_SERVICE_COST,
     );
-    true
+    None
 }
 
 /// Validate every invalid page (applying every outstanding diff at or

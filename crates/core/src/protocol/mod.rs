@@ -225,9 +225,9 @@ impl Tmk<'_> {
     }
 
     /// Serve one protocol-specific wire request (a tag outside the generic
-    /// lock/barrier/termination set).  Returns `false` if the tag does not
-    /// belong to this endpoint's protocol.
-    pub(crate) fn serve_protocol_request(&self, m: Message) -> bool {
+    /// lock/barrier/termination set) and return `None`, or hand `m` back
+    /// unserved if it is not a request of this endpoint's protocol.
+    pub(crate) fn serve_protocol_request(&self, m: Message) -> Option<Message> {
         match self.protocol() {
             ProtocolKind::Lrc => lrc::serve_request(self, m),
             ProtocolKind::Hlrc => hlrc::serve_request(self, m),

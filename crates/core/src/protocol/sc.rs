@@ -8,7 +8,13 @@
 //! runtime's lock managers serialize lock tokens: the manager records only
 //! the *last requester*, forwards each incoming request to the requester
 //! before it, and the page itself — its contents **and its copyset** (who
-//! holds a readable copy) — travels along that chain:
+//! holds a readable copy) — travels along that chain.  The manager's chain
+//! step is written once per token kind, in the same shape: `ScState::chain`
+//! here and `DsmState::chain_lock` for locks each return the previous tail
+//! and make the (write) requester the new one.  Reads and writes share one
+//! request path, keyed by `Acquire`: a request goes out through
+//! `request`, the manager chains it on, and the holder serves it (or queues
+//! it) through `route`:
 //!
 //! * a **write** to a page not held exclusively asks the manager; the
 //!   request chains to the current owner, which transfers the full page,
@@ -60,28 +66,21 @@ enum Mode {
     Exclusive,
 }
 
-/// What a process is blocked acquiring (one access at a time).
+/// The access a request is for — a read copy, or the page, its ownership
+/// token and its copyset — and what a process is blocked acquiring (one
+/// access at a time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Acquire {
     Read,
     Write,
 }
 
-/// A forwarded request that reached this process before its turn with the
-/// page ended (or before the page even arrived); served when the current
-/// access completes.
-#[derive(Debug)]
-enum Deferred {
-    /// Hand the page, the ownership token and the copyset to `requester`.
-    Transfer { page: PageId, requester: usize },
-    /// Send `requester` a read copy and record it in the copyset.
-    Copy { page: PageId, requester: usize },
-}
-
-impl Deferred {
-    fn page(&self) -> PageId {
+impl Acquire {
+    /// The request's wire tags: to the manager, and chained on from it.
+    fn tags(self) -> (u32, u32) {
         match self {
-            Deferred::Transfer { page, .. } | Deferred::Copy { page, .. } => *page,
+            Acquire::Read => (TAG_SC_READ_REQ, TAG_SC_READ_FWD),
+            Acquire::Write => (TAG_SC_WRITE_REQ, TAG_SC_WRITE_FWD),
         }
     }
 }
@@ -104,10 +103,12 @@ pub(crate) struct ScState {
     /// Manager-side: the most recent write requester — where the token is
     /// headed, and therefore where the next request must chain to.
     last_requester: BTreeMap<PageId, usize>,
-    /// Requests queued here until the current access completes (FIFO, which
+    /// Forwarded requests `(page, access, requester)` that reached this
+    /// process before its turn with the page ended (or before the page even
+    /// arrived), queued until the current access completes (FIFO, which
     /// together with in-order delivery keeps reads ahead of the write that
     /// follows them in the manager's serialization).
-    deferred: VecDeque<Deferred>,
+    deferred: VecDeque<(PageId, Acquire, usize)>,
     /// Pages already acquired for the write span in progress: pinned until
     /// the access completes, so a span is taken atomically.  Without this,
     /// two writers of overlapping multi-page spans steal each other's
@@ -144,12 +145,17 @@ impl ScState {
         page as usize % self.nprocs
     }
 
-    /// Manager-side: the process the token is currently headed to.
-    fn last_requester(&self, page: PageId) -> usize {
-        self.last_requester
-            .get(&page)
-            .copied()
-            .unwrap_or_else(|| self.manager_of(page))
+    /// Manager-side chain step: the process a request for `page` goes to —
+    /// the last write requester, where the token is headed (initially the
+    /// manager).  A write requester becomes the new tail; a read does not
+    /// move the token.
+    fn chain(&mut self, page: PageId, kind: Acquire, requester: usize) -> usize {
+        let manager = self.manager_of(page);
+        let tail = self.last_requester.entry(page).or_insert(manager);
+        match kind {
+            Acquire::Write => std::mem::replace(tail, requester),
+            Acquire::Read => *tail,
+        }
     }
 
     /// Owner-side: take the copyset (leaving it empty).
@@ -191,7 +197,7 @@ impl ScState {
         self.owner[page as usize]
             && !self.acquiring_page(page)
             && !self.pinned.contains(&page)
-            && !self.deferred.iter().any(|d| d.page() == page)
+            && !self.deferred.iter().any(|&(p, ..)| p == page)
     }
 }
 
@@ -223,23 +229,12 @@ fn with_state<R>(
 /// flight, the stale copy is discarded and the generic fault loop
 /// re-requests.
 pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
-    let me = rt.id();
-    let mgr = with_state(rt, |_, s, stats| {
-        stats.page_requests_sent += 1;
+    with_state(rt, |_, s, _| {
         debug_assert!(s.acquiring.is_none(), "nested page acquisition");
         s.acquiring = Some((page, Acquire::Read));
         s.retry_read = false;
-        s.manager_of(page)
     });
-    if mgr == me {
-        let prev = with_state(rt, |_, s, _| s.last_requester(page));
-        assert_ne!(prev, me, "an owner-to-be cannot be read-faulting");
-        rt.proc()
-            .send(prev, TAG_SC_READ_FWD, encode_sc_request(page, me));
-    } else {
-        rt.proc()
-            .send(mgr, TAG_SC_READ_REQ, encode_sc_request(page, me));
-    }
+    request(rt, page, Acquire::Read);
     let m = rt.wait_reply(TAG_SC_PAGE_COPY);
     let (pid, data) = decode_sc_page_copy(m.payload);
     assert_eq!(pid, page, "read copy for an unexpected page");
@@ -303,27 +298,45 @@ pub(crate) fn access_done(rt: &Tmk) {
     with_state(rt, |_, s, _| s.pinned.clear());
     loop {
         let next = with_state(rt, |_, s, _| s.deferred.pop_front());
-        let Some(d) = next else { return };
-        match d {
-            Deferred::Transfer { page, requester } => transfer_page(rt, page, requester, None),
-            Deferred::Copy { page, requester } => send_copy(rt, page, requester, None),
-        }
+        let Some((page, kind, requester)) = next else {
+            return;
+        };
+        hand_over(rt, page, kind, requester, None);
     }
 }
 
 /// Serve one SC request: an ownership or read-copy request (at the
-/// manager or chained on), or an invalidation.  Returns `false` for any
-/// other tag.
-pub(crate) fn serve_request(rt: &Tmk, m: Message) -> bool {
+/// manager or chained on), or an invalidation.  Hands any other message
+/// back unserved.
+pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
     match m.tag {
-        TAG_SC_WRITE_REQ => serve_write_req(rt, m),
-        TAG_SC_WRITE_FWD => serve_write_fwd(rt, m),
-        TAG_SC_READ_REQ => serve_read_req(rt, m),
-        TAG_SC_READ_FWD => serve_read_fwd(rt, m),
+        TAG_SC_WRITE_REQ => serve_at_manager(rt, m, Acquire::Write),
+        TAG_SC_READ_REQ => serve_at_manager(rt, m, Acquire::Read),
+        TAG_SC_WRITE_FWD => serve_forwarded(rt, m, Acquire::Write),
+        TAG_SC_READ_FWD => serve_forwarded(rt, m, Acquire::Read),
         TAG_SC_INVAL => serve_inval(rt, m),
-        _ => return false,
+        _ => return Some(m),
     }
-    true
+    None
+}
+
+/// Send this process's own request for `page` into the manager's chain.
+/// The manager itself takes the chain step locally and forwards straight to
+/// the requester before it, without a message to itself.
+fn request(rt: &Tmk, page: PageId, kind: Acquire) {
+    let me = rt.id();
+    let mgr = with_state(rt, |_, s, stats| {
+        stats.page_requests_sent += 1;
+        s.manager_of(page)
+    });
+    let (to_manager, chained) = kind.tags();
+    if mgr == me {
+        let prev = with_state(rt, |_, s, _| s.chain(page, kind, me));
+        assert_ne!(prev, me, "a faulting process cannot be its own predecessor");
+        rt.proc().send(prev, chained, encode_sc_request(page, me));
+    } else {
+        rt.proc().send(mgr, to_manager, encode_sc_request(page, me));
+    }
 }
 
 /// Acquire exclusive ownership of `page` (the write fault).  An owner whose
@@ -338,11 +351,11 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
     rt.proc().span_begin(cluster::SpanCat::Fault, page as u64);
     rt.proc().compute(PAGE_FAULT_COST);
     let me = rt.id();
-    let (is_owner, mgr) = with_state(rt, |_, s, stats| {
+    let is_owner = with_state(rt, |_, s, stats| {
         stats.page_faults += 1;
         debug_assert!(s.acquiring.is_none(), "nested page acquisition");
         s.acquiring = Some((page, Acquire::Write));
-        (s.owner[page as usize], s.manager_of(page))
+        s.owner[page as usize]
     });
     let targets: Vec<usize> = if is_owner {
         // Shared-owner upgrade: readers took copies since the last write;
@@ -350,20 +363,7 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
         // it without a manager round trip.
         with_state(rt, |_, s, _| s.take_copyset(page))
     } else {
-        rt.st.borrow_mut().stats.page_requests_sent += 1;
-        if mgr == me {
-            let prev = with_state(rt, |_, s, _| {
-                let prev = s.last_requester(page);
-                s.last_requester.insert(page, me);
-                prev
-            });
-            assert_ne!(prev, me, "a faulting writer cannot be its own predecessor");
-            rt.proc()
-                .send(prev, TAG_SC_WRITE_FWD, encode_sc_request(page, me));
-        } else {
-            rt.proc()
-                .send(mgr, TAG_SC_WRITE_REQ, encode_sc_request(page, me));
-        }
+        request(rt, page, Acquire::Write);
         let m = rt.wait_reply(TAG_SC_PAGE_XFER);
         let (pid, cs, data) = decode_sc_page_transfer(m.payload);
         assert_eq!(pid, page, "ownership transfer for an unexpected page");
@@ -403,152 +403,97 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
     rt.proc().span_end(cluster::SpanCat::Fault);
 }
 
-/// Hand `page`, its ownership token and its copyset to `requester`,
-/// invalidating the local copy.  `depart` is the interrupt-style departure
-/// time when the transfer answers an incoming request directly; `None`
-/// sends now (a queued transfer drained after an access).
-fn transfer_page(rt: &Tmk, page: PageId, requester: usize, depart: Option<f64>) {
-    let payload = with_state(rt, |pages, s, stats| {
-        debug_assert!(s.owner[page as usize], "transferring a page not owned here");
+/// Hand `requester` what `kind` asks for: for a write, `page`, its
+/// ownership token and its copyset (invalidating the local copy); for a
+/// read, a copy of `page` (recording the reader in the copyset and
+/// downgrading an exclusive owner to shared).  `depart` is the
+/// interrupt-style departure time when this answers an incoming request
+/// directly; `None` sends now (a queued request drained after an access).
+fn hand_over(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Option<f64>) {
+    let (tag, payload) = with_state(rt, |pages, s, stats| {
+        debug_assert!(s.owner[page as usize], "serving a page not owned here");
         stats.page_requests_served += 1;
-        let mut cs = s.take_copyset(page);
-        cs.retain(|&p| p != requester); // the new owner is no copy-holder
         let slot = &mut pages[page as usize];
-        let payload = match &slot.data {
-            Some(data) => encode_sc_page_transfer(page, &cs, data),
-            None => encode_sc_page_transfer(page, &cs, &new_page()),
+        let zero;
+        let data = match &slot.data {
+            Some(data) => &**data,
+            None => {
+                zero = new_page();
+                &*zero
+            }
         };
-        // The transfer invalidates this copy itself, so this process never
-        // appears in the copyset it sends.
-        slot.valid = false;
-        s.owner[page as usize] = false;
-        s.mode[page as usize] = Mode::Invalid;
-        payload
+        match kind {
+            Acquire::Write => {
+                let mut cs = s.take_copyset(page);
+                cs.retain(|&p| p != requester); // the new owner is no copy-holder
+                let payload = encode_sc_page_transfer(page, &cs, data);
+                // The transfer invalidates this copy itself, so this process
+                // never appears in the copyset it sends.
+                slot.valid = false;
+                s.owner[page as usize] = false;
+                s.mode[page as usize] = Mode::Invalid;
+                (TAG_SC_PAGE_XFER, payload)
+            }
+            Acquire::Read => {
+                s.copyset_add(page, requester);
+                if s.mode[page as usize] == Mode::Exclusive {
+                    s.mode[page as usize] = Mode::Shared;
+                }
+                (TAG_SC_PAGE_COPY, encode_sc_page_copy(page, data))
+            }
+        }
     });
-    // Copying the page into the transfer steals cycles here.
+    // Copying the page into the reply steals cycles here.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
     match depart {
-        Some(t) => rt.proc().send_at(requester, TAG_SC_PAGE_XFER, payload, t),
-        None => rt.proc().send(requester, TAG_SC_PAGE_XFER, payload),
+        Some(t) => rt.proc().send_at(requester, tag, payload, t),
+        None => rt.proc().send(requester, tag, payload),
     }
 }
 
-/// Send `requester` a read copy of `page`, recording it in the copyset and
-/// downgrading an exclusive owner to shared.
-fn send_copy(rt: &Tmk, page: PageId, requester: usize, depart: Option<f64>) {
-    let payload = with_state(rt, |pages, s, stats| {
-        debug_assert!(
-            s.owner[page as usize],
-            "serving a copy of a page not owned here"
-        );
-        stats.page_requests_served += 1;
-        s.copyset_add(page, requester);
-        if s.mode[page as usize] == Mode::Exclusive {
-            s.mode[page as usize] = Mode::Shared;
-        }
-        match &pages[page as usize].data {
-            Some(data) => encode_sc_page_copy(page, data),
-            None => encode_sc_page_copy(page, &new_page()),
-        }
-    });
-    // Copying the page into the response steals cycles here.
-    rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
-    match depart {
-        Some(t) => rt.proc().send_at(requester, TAG_SC_PAGE_COPY, payload, t),
-        None => rt.proc().send(requester, TAG_SC_PAGE_COPY, payload),
-    }
-}
-
-/// Serve (or queue) a chained ownership transfer: the requester's turn
-/// comes right after this process's.
-fn route_transfer(rt: &Tmk, page: PageId, requester: usize, depart: Option<f64>) {
+/// Serve `requester` now, or queue the request behind the access in
+/// progress: its turn comes right after this process's.
+fn route(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Option<f64>) {
     let serve_now = with_state(rt, |_, s, _| {
-        if s.can_serve(page) {
-            true
-        } else {
-            s.deferred.push_back(Deferred::Transfer { page, requester });
-            false
+        let now = s.can_serve(page);
+        if !now {
+            s.deferred.push_back((page, kind, requester));
         }
+        now
     });
     if serve_now {
-        transfer_page(rt, page, requester, depart);
+        hand_over(rt, page, kind, requester, depart);
     }
 }
 
-/// Serve (or queue) a chained read-copy request.
-fn route_copy(rt: &Tmk, page: PageId, requester: usize, depart: Option<f64>) {
-    let serve_now = with_state(rt, |_, s, _| {
-        if s.can_serve(page) {
-            true
-        } else {
-            s.deferred.push_back(Deferred::Copy { page, requester });
-            false
-        }
-    });
-    if serve_now {
-        send_copy(rt, page, requester, depart);
-    }
-}
-
-/// Manager side of a write fault: chain the request to the previous
-/// requester (lock-token style) and record the new one.
-fn serve_write_req(rt: &Tmk, m: Message) {
+/// Manager side of a fault: take the chain step, then serve the request
+/// here or forward it to the previous requester (lock-token style).
+fn serve_at_manager(rt: &Tmk, m: Message, kind: Acquire) {
     rt.proc().compute(REQUEST_SERVICE_COST);
     let (page, requester) = decode_sc_request(m.payload.clone());
     let me = rt.id();
     let depart = m.arrival + REQUEST_SERVICE_COST;
     let prev = with_state(rt, |_, s, _| {
-        debug_assert_eq!(
-            s.manager_of(page),
-            me,
-            "write request sent to a non-manager"
-        );
-        let prev = s.last_requester(page);
-        s.last_requester.insert(page, requester);
-        prev
+        debug_assert_eq!(s.manager_of(page), me, "request sent to a non-manager");
+        s.chain(page, kind, requester)
     });
     assert_ne!(
         prev, requester,
-        "a faulting writer cannot be its own predecessor"
+        "a faulting process cannot be its own predecessor"
     );
     if prev == me {
-        route_transfer(rt, page, requester, Some(depart));
+        route(rt, page, kind, requester, Some(depart));
     } else {
-        rt.proc().send_at(prev, TAG_SC_WRITE_FWD, m.payload, depart);
+        rt.proc().send_at(prev, kind.tags().1, m.payload, depart);
     }
 }
 
-/// Chained-owner side of a forwarded write fault.
-fn serve_write_fwd(rt: &Tmk, m: Message) {
+/// Chained-holder side of a forwarded fault.
+fn serve_forwarded(rt: &Tmk, m: Message, kind: Acquire) {
     rt.proc().compute(REQUEST_SERVICE_COST);
     let (page, requester) = decode_sc_request(m.payload);
-    route_transfer(rt, page, requester, Some(m.arrival + REQUEST_SERVICE_COST));
-}
-
-/// Manager side of a read fault: chain the request to where the token is
-/// headed (reads do not move the token).
-fn serve_read_req(rt: &Tmk, m: Message) {
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_sc_request(m.payload.clone());
-    let me = rt.id();
     let depart = m.arrival + REQUEST_SERVICE_COST;
-    let prev = with_state(rt, |_, s, _| {
-        debug_assert_eq!(s.manager_of(page), me, "read request sent to a non-manager");
-        s.last_requester(page)
-    });
-    assert_ne!(prev, requester, "a faulting reader cannot hold the token");
-    if prev == me {
-        route_copy(rt, page, requester, Some(depart));
-    } else {
-        rt.proc().send_at(prev, TAG_SC_READ_FWD, m.payload, depart);
-    }
-}
-
-/// Chained-owner side of a forwarded read fault.
-fn serve_read_fwd(rt: &Tmk, m: Message) {
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_sc_request(m.payload);
-    route_copy(rt, page, requester, Some(m.arrival + REQUEST_SERVICE_COST));
+    route(rt, page, kind, requester, Some(depart));
 }
 
 /// Copyset-member side of an invalidation: discard the local copy and
@@ -557,8 +502,7 @@ fn serve_read_fwd(rt: &Tmk, m: Message) {
 fn serve_inval(rt: &Tmk, m: Message) {
     rt.proc().compute(REQUEST_SERVICE_COST);
     let (page, new_owner) = decode_sc_request(m.payload);
-    with_state(rt, |pages, s, stats| {
-        stats.invalidations_received += 1;
+    with_state(rt, |pages, s, _| {
         debug_assert!(!s.owner[page as usize], "an owner can never be invalidated");
         if matches!(s.acquiring, Some((p, Acquire::Read)) if p == page) {
             s.retry_read = true;

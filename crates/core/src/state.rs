@@ -79,13 +79,9 @@ pub struct LockState {
     pub in_cs: bool,
     /// Forwarded acquire requests waiting for this process to release.
     pub pending: VecDeque<(usize, VectorClock)>,
-}
-
-/// State kept by a lock's statically assigned manager.
-#[derive(Debug)]
-pub struct LockManagerState {
-    /// The process that most recently requested the lock.
-    pub last_requester: usize,
+    /// Virtual time of the last release here (a grant never appears to
+    /// depart while the lock was still held).
+    pub released_at: f64,
 }
 
 /// The complete protocol-neutral state of one DSM process.
@@ -136,8 +132,9 @@ pub struct DsmState {
     /// Per-lock token state (ordered: determinism must never silently
     /// depend on hash-iteration order).
     locks: BTreeMap<u32, LockState>,
-    /// Manager-side lock state for locks this process manages (ordered).
-    lock_managers: BTreeMap<u32, LockManagerState>,
+    /// Manager-side: the last requester of each lock this process manages
+    /// (ordered), where the next request is chained to.
+    lock_tails: BTreeMap<u32, usize>,
     /// Recycled page-sized buffers for twin churn.
     pub(crate) pool: PagePool,
     /// Runtime statistics.
@@ -179,7 +176,7 @@ impl DsmState {
             heap_next: 0,
             heap_bytes: npages * PAGE_SIZE,
             locks: BTreeMap::new(),
-            lock_managers: BTreeMap::new(),
+            lock_tails: BTreeMap::new(),
             pool: PagePool::default(),
             stats: TmkStats::default(),
         }
@@ -401,16 +398,17 @@ impl DsmState {
             have_token: manager == me,
             in_cs: false,
             pending: VecDeque::new(),
+            released_at: 0.0,
         })
     }
 
-    /// Manager-side record of the last requester of lock `id`.
-    pub fn lock_manager_state_mut(&mut self, id: u32) -> &mut LockManagerState {
+    /// The manager's chain step for lock `id`: `requester` becomes the last
+    /// requester, and the previous one — the process the request must be
+    /// forwarded to — is returned.  The token starts at the manager.
+    pub(crate) fn chain_lock(&mut self, id: u32, requester: usize) -> usize {
         let manager = self.lock_manager(id);
         assert_eq!(manager, self.me, "not the manager of lock {id}");
-        self.lock_managers.entry(id).or_insert(LockManagerState {
-            last_requester: manager,
-        })
+        std::mem::replace(self.lock_tails.entry(id).or_insert(manager), requester)
     }
 }
 

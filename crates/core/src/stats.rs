@@ -12,8 +12,6 @@ pub struct TmkStats {
     pub local_lock_acquires: u64,
     /// Lock acquires that required messages to the manager / last holder.
     pub remote_lock_acquires: u64,
-    /// Lock releases.
-    pub lock_releases: u64,
     /// Barrier episodes.
     pub barriers: u64,
     /// Access faults on invalid pages.
@@ -26,18 +24,12 @@ pub struct TmkStats {
     pub twins_created: u64,
     /// Diffs created at interval close.
     pub diffs_created: u64,
-    /// Encoded bytes of the diffs created locally.
-    pub diff_bytes_created: u64,
     /// Diffs received and applied.
     pub diffs_applied: u64,
     /// Encoded bytes of the diffs received.
     pub diff_bytes_received: u64,
-    /// Write notices received from other processes.
-    pub write_notices_received: u64,
     /// HLRC: flush messages sent to remote homes at interval close.
     pub diff_flushes_sent: u64,
-    /// HLRC: encoded diff bytes flushed to remote homes.
-    pub flush_bytes_sent: u64,
     /// HLRC: flushed diffs applied to master copies homed here.
     pub diff_flushes_served: u64,
     /// HLRC: full-page fetch requests sent while handling faults.
@@ -51,14 +43,8 @@ pub struct TmkStats {
     pub ownership_transfers: u64,
     /// SC: invalidation messages sent while acquiring exclusive ownership.
     pub invalidations_sent: u64,
-    /// SC: invalidations received (local copies discarded on a remote write).
-    pub invalidations_received: u64,
     /// Barrier-time garbage collections performed.
     pub gc_collections: u64,
-    /// Interval records dropped by garbage collection.
-    pub intervals_collected: u64,
-    /// Stored diffs dropped by garbage collection.
-    pub diffs_collected: u64,
 }
 
 impl TmkStats {
@@ -67,29 +53,22 @@ impl TmkStats {
     pub fn merge(&mut self, other: &TmkStats) {
         self.local_lock_acquires += other.local_lock_acquires;
         self.remote_lock_acquires += other.remote_lock_acquires;
-        self.lock_releases += other.lock_releases;
         self.barriers += other.barriers;
         self.page_faults += other.page_faults;
         self.diff_requests_sent += other.diff_requests_sent;
         self.diff_requests_served += other.diff_requests_served;
         self.twins_created += other.twins_created;
         self.diffs_created += other.diffs_created;
-        self.diff_bytes_created += other.diff_bytes_created;
         self.diffs_applied += other.diffs_applied;
         self.diff_bytes_received += other.diff_bytes_received;
-        self.write_notices_received += other.write_notices_received;
         self.diff_flushes_sent += other.diff_flushes_sent;
-        self.flush_bytes_sent += other.flush_bytes_sent;
         self.diff_flushes_served += other.diff_flushes_served;
         self.page_requests_sent += other.page_requests_sent;
         self.page_requests_served += other.page_requests_served;
         self.page_bytes_fetched += other.page_bytes_fetched;
         self.ownership_transfers += other.ownership_transfers;
         self.invalidations_sent += other.invalidations_sent;
-        self.invalidations_received += other.invalidations_received;
         self.gc_collections += other.gc_collections;
-        self.intervals_collected += other.intervals_collected;
-        self.diffs_collected += other.diffs_collected;
     }
 
     /// Fault-service request round-trips: diff requests under LRC plus

@@ -7,8 +7,9 @@
 //! cargo run -p xtask -- lint            # lint the workspace
 //! cargo run -p xtask -- lint --root DIR # lint another tree (used by CI's
 //!                                       # seeded-violation check)
-//! cargo run -p xtask -- loc             # non-test lines per crate and the
-//!                                       # five largest files
+//! cargo run -p xtask -- loc             # non-test lines per crate, the
+//!                                       # apps + bench + cluster sum and
+//!                                       # the five largest files
 //! ```
 //!
 //! A file's non-test lines are the lines above its column-0 `#[cfg(test)]`
@@ -363,7 +364,8 @@ fn non_test_lines(text: &str) -> usize {
 
 /// The `loc` report for the tree at `root`: one row per linted crate (its
 /// `src/` only — integration tests and benches are not production lines),
-/// then the five largest files.
+/// the tracked sum of the apps, bench and cluster rows, then the five
+/// largest files.
 fn loc_report(root: &Path) -> std::io::Result<String> {
     use std::fmt::Write as _;
     let crates: Vec<&str> = SIM_CRATES.iter().chain(&HOST_CRATES).copied().collect();
@@ -378,11 +380,16 @@ fn loc_report(root: &Path) -> std::io::Result<String> {
         }
     }
     let mut out = String::new();
+    let mut tracked = 0;
     for crate_root in crates {
         let in_crate = files.iter().filter(|(_, rel)| rel.starts_with(crate_root));
         let total: usize = in_crate.map(|(lines, _)| lines).sum();
         let _ = writeln!(out, "{total:>6}  {crate_root}");
+        if ["crates/apps", "crates/bench", "crates/cluster"].contains(&crate_root) {
+            tracked += total;
+        }
     }
+    let _ = writeln!(out, "{tracked:>6}  apps + bench + cluster");
     files.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     let _ = writeln!(out, "five largest files:");
     for (lines, rel) in files.iter().take(5) {
@@ -795,6 +802,7 @@ mod tests {
                 "     0  crates/msgpass",
                 "     0  crates/apps",
                 "     2  crates/bench",
+                "     6  apps + bench + cluster",
                 "five largest files:",
                 "     3  crates/cluster/src/a.rs",
                 "     2  crates/bench/src/lib.rs",
