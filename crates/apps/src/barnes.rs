@@ -28,6 +28,7 @@
 
 use crate::memo::Memo;
 use crate::runner::{block_range, App, SeqRun};
+use crate::Lcg;
 use msgpass::Pvm;
 use std::sync::Arc;
 use treadmarks::Tmk;
@@ -77,13 +78,8 @@ impl BarnesParams {
     /// Deterministic initial bodies (Plummer-ish ball of unit masses).
     pub fn initial(&self) -> Vec<Body> {
         let mut out = Vec::with_capacity(self.bodies);
-        let mut state = 0x1234_5678_9abc_def1u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Lcg::from_state(0x1234_5678_9abc_def1);
+        let mut next = || rng.next_f64();
         for _ in 0..self.bodies {
             out.push(Body {
                 pos: [next() * 100.0, next() * 100.0, next() * 100.0],

@@ -13,6 +13,7 @@
 
 use crate::memo::Memo;
 use crate::runner::{block_range, App, SeqRun};
+use crate::Lcg;
 use msgpass::Pvm;
 use treadmarks::Tmk;
 
@@ -59,37 +60,6 @@ impl EpParams {
     }
 }
 
-/// A simple 64-bit linear congruential generator; splittable by jumping to a
-/// per-process offset, which is how every process generates its own
-/// independent chunk of the pair stream deterministically.
-#[derive(Debug, Clone)]
-struct Lcg {
-    state: u64,
-}
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg {
-            state: seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407),
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.state
-    }
-
-    fn next_unit(&mut self) -> f64 {
-        // Uniform in (-1, 1).
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-    }
-}
-
 /// Tabulations by `(seed, chunk, count)` — every input `tabulate_raw` reads.
 pub(crate) static TABULATED: Memo<(u64, u64, u64), [i64; BINS]> = Memo::new();
 
@@ -99,11 +69,15 @@ fn tabulate(seed: u64, chunk: u64, count: u64) -> [i64; BINS] {
 }
 
 fn tabulate_raw(seed: u64, chunk: u64, count: u64) -> [i64; BINS] {
+    // Every chunk is its own stream, so each process generates its chunk
+    // of the pair stream deterministically.
     let mut rng = Lcg::new(seed ^ (chunk.wrapping_mul(0x9E3779B97F4A7C15)));
+    // Uniform in (-1, 1).
+    let mut unit = || rng.next_f64() * 2.0 - 1.0;
     let mut bins = [0i64; BINS];
     for _ in 0..count {
-        let x = rng.next_unit();
-        let y = rng.next_unit();
+        let x = unit();
+        let y = unit();
         let t = x * x + y * y;
         if t <= 1.0 && t > 0.0 {
             let f = (-2.0 * t.ln() / t).sqrt();

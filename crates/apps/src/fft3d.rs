@@ -17,6 +17,7 @@
 //!   index arithmetic made the PVM version considerably harder to write.
 
 use crate::runner::{block_range, App, SeqRun};
+use crate::Lcg;
 use msgpass::Pvm;
 use treadmarks::Tmk;
 
@@ -75,16 +76,10 @@ impl FftParams {
     /// Deterministic initial array (interleaved re/im pairs).
     pub fn initial(&self) -> Vec<f64> {
         let mut v = Vec::with_capacity(self.elems() * 2);
-        let mut state = 0xDEADBEEFu64 | 1;
+        let mut rng = Lcg::from_state(0xDEADBEEFu64 | 1);
         for _ in 0..self.elems() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let re = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let im = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            let re = rng.next_f64() - 0.5;
+            let im = rng.next_f64() - 0.5;
             v.push(re);
             v.push(im);
         }

@@ -23,6 +23,7 @@
 //! see README.md §Design notes.
 
 use crate::runner::{App, SeqRun};
+use crate::Lcg;
 use msgpass::Pvm;
 use treadmarks::Tmk;
 
@@ -81,15 +82,13 @@ impl IlinkParams {
     /// genarray (deterministic, same for every version).
     fn family_genarray(&self, f: usize) -> Vec<(usize, f64)> {
         let mut out = Vec::new();
-        let mut state = self
-            .seed
-            .wrapping_add((f as u64).wrapping_mul(0x9E3779B97F4A7C15))
-            | 1;
+        let mut rng = Lcg::from_state(
+            self.seed
+                .wrapping_add((f as u64).wrapping_mul(0x9E3779B97F4A7C15))
+                | 1,
+        );
         for i in 0..self.genarray {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let u = rng.next_f64();
             if u < self.density {
                 out.push((i, 0.1 + u));
             }

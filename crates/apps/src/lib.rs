@@ -48,6 +48,41 @@ pub use runner::{run, App, AppRun, SeqRun, System};
 
 use cluster::{ClusterConfig, RunFailure};
 
+/// The apps' one seeded generator: the MMIX 64-bit linear congruential
+/// step.  Each app keeps its own output mapping of the raw state.
+#[derive(Debug, Clone)]
+pub(crate) struct Lcg {
+    state: u64,
+}
+
+impl Lcg {
+    /// A stream one step past `seed` — EP's per-chunk streams.
+    pub(crate) fn new(seed: u64) -> Self {
+        let mut lcg = Lcg::from_state(seed);
+        lcg.next_u64();
+        lcg
+    }
+
+    /// A stream whose first output is one step past `state`.
+    pub(crate) fn from_state(state: u64) -> Self {
+        Lcg { state }
+    }
+
+    /// Advance one step and return the new state.
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.state = self
+            .state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.state
+    }
+
+    /// The top 53 bits of the next state, uniform in `[0, 1)`.
+    pub(crate) fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
 /// Problem-size preset of a [`Workload`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preset {

@@ -19,6 +19,7 @@
 //!   task.
 
 use crate::runner::{App, SeqRun};
+use crate::Lcg;
 use msgpass::Pvm;
 use treadmarks::Tmk;
 
@@ -73,12 +74,9 @@ impl QsortParams {
     /// The deterministic unsorted input.
     pub fn input(&self) -> Vec<i32> {
         let mut v = Vec::with_capacity(self.elems);
-        let mut state = self.seed | 1;
+        let mut rng = Lcg::from_state(self.seed | 1);
         for _ in 0..self.elems {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            v.push((state >> 33) as i32);
+            v.push((rng.next_u64() >> 33) as i32);
         }
         v
     }

@@ -19,6 +19,7 @@
 
 use crate::memo::Memo;
 use crate::runner::{App, SeqRun};
+use crate::Lcg;
 use msgpass::Pvm;
 use treadmarks::Tmk;
 
@@ -80,15 +81,9 @@ impl TspParams {
     pub(crate) fn distances(&self) -> Distances {
         let nc = self.cities;
         let mut coords = Vec::with_capacity(nc);
-        let mut state = self.seed | 1;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Lcg::from_state(self.seed | 1);
         for _ in 0..nc {
-            coords.push((next() * 1000.0, next() * 1000.0));
+            coords.push((rng.next_f64() * 1000.0, rng.next_f64() * 1000.0));
         }
         let mut d = Vec::with_capacity(nc * nc);
         for &(xi, yi) in &coords {
@@ -132,10 +127,45 @@ struct Tour {
     cost: f64,
 }
 
+/// The visited cities as a bit mask (bit `c` set for city `c`).
+fn visited_mask(cities: &[u8]) -> u32 {
+    cities.iter().fold(0, |m, &c| m | (1 << c))
+}
+
+/// `tour` extended by each unvisited city in ascending order, with each
+/// child's lower bound, minus the children whose cost or bound reaches the
+/// incumbent `best`.  Lazy: a caller sees one child at a time, in order.
+fn children<'a>(
+    dist: &'a Distances,
+    tour: &'a Tour,
+    best: f64,
+) -> impl Iterator<Item = (Tour, f64)> + 'a {
+    let last = *tour.cities.last().expect("a tour starts at city 0") as usize;
+    let visited = visited_mask(&tour.cities);
+    (0..dist.cities())
+        .filter(move |&c| visited & (1 << c) == 0)
+        .filter_map(move |c| {
+            let cost = tour.cost + dist.get(last, c);
+            if cost >= best {
+                return None;
+            }
+            let mut cities = tour.cities.clone();
+            cities.push(c as u8);
+            let child = Tour { cities, cost };
+            let bound = lower_bound(dist, &child);
+            (bound < best).then_some((child, bound))
+        })
+}
+
+/// The checksum every version reports: the optimum rounded to 1/1000.
+fn checksum(best: f64) -> f64 {
+    (best * 1000.0).round() / 1000.0
+}
+
 /// Lower bound: partial cost plus, for the endpoint and every unvisited
 /// city, its cheapest edge to a city that can still follow it.
 fn lower_bound(dist: &Distances, tour: &Tour) -> f64 {
-    let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
+    let visited = visited_mask(&tour.cities);
     let mut bound = tour.cost;
     let last = *tour.cities.last().unwrap() as usize;
     for c in 0..dist.cities() {
@@ -244,11 +274,11 @@ fn solve_raw(dist: &Distances, tour: &Tour, mut best: f64) -> (f64, u64) {
             dfs(dist, c, unvisited & !(1 << c), cost + row[c], best, nodes);
         }
     }
-    let visited = tour.cities.iter().fold(0u32, |m, &c| m | (1 << c));
     let last = *tour.cities.last().expect("a tour starts at city 0") as usize;
     let all = (1u32 << dist.cities()) - 1;
     let mut nodes = 0u64;
-    dfs(dist, last, all & !visited, tour.cost, &mut best, &mut nodes);
+    let unvisited = all & !visited_mask(&tour.cities);
+    dfs(dist, last, unvisited, tour.cost, &mut best, &mut nodes);
     (best, nodes)
 }
 
@@ -325,25 +355,9 @@ impl Engine {
             if tour.cities.len() >= self.threshold {
                 return Some(tour);
             }
-            let last = *tour.cities.last().unwrap() as usize;
-            let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
-            for c in 0..self.dist.cities() {
-                if visited & (1 << c) == 0 {
-                    let cost = tour.cost + self.dist.get(last, c);
-                    if cost >= self.best {
-                        continue;
-                    }
-                    let mut cities = tour.cities.clone();
-                    cities.push(c as u8);
-                    let child = Tour { cities, cost };
-                    let bound = lower_bound(&self.dist, &child);
-                    // A child whose bound cannot beat the incumbent is
-                    // dominated: every completion costs at least `bound`.
-                    if bound < self.best {
-                        self.queue.push(QueueEntry { bound, tour: child });
-                        self.expansions += 1;
-                    }
-                }
+            for (child, bound) in children(&self.dist, &tour, self.best) {
+                self.queue.push(QueueEntry { bound, tour: child });
+                self.expansions += 1;
             }
         }
     }
@@ -392,6 +406,20 @@ impl SharedTsp {
         tmk.write_bytes(base + 12, &cities);
     }
 
+    /// Publish `found` as the incumbent if it beats `seen`, the incumbent
+    /// the search ran against, and still beats the incumbent re-read under
+    /// `LOCK_BEST`.
+    fn offer_best(&self, tmk: &Tmk, found: f64, seen: f64) {
+        if found >= seen {
+            return;
+        }
+        tmk.lock_acquire(LOCK_BEST);
+        if found < tmk.read_f64(self.best) {
+            tmk.write_f64(self.best, found);
+        }
+        tmk.lock_release(LOCK_BEST);
+    }
+
     fn read_tour(&self, tmk: &Tmk, slot: usize) -> Tour {
         let base = self.pool + slot * SLOT_BYTES;
         let cost = tmk.read_f64(base);
@@ -429,7 +457,7 @@ impl App for TspParams {
             nodes += n;
         }
         SeqRun {
-            checksum: (eng.best * 1000.0).round() / 1000.0,
+            checksum: checksum(eng.best),
             time: nodes as f64 * COST_NODE + eng.expansions as f64 * COST_EXPAND,
         }
     }
@@ -498,55 +526,31 @@ impl App for TspParams {
                     found = Some(tour);
                     break;
                 }
-                let last = *tour.cities.last().unwrap() as usize;
-                let visited: u32 = tour.cities.iter().fold(0, |m, &c| m | (1 << c));
-                for c in 0..dist.cities() {
-                    if visited & (1 << c) == 0 {
-                        let cost = tour.cost + dist.get(last, c);
-                        if cost >= best {
+                for (child, child_bound) in children(&dist, &tour, best) {
+                    let sp = tmk.read_i32(sh.free_sp);
+                    if sp == 0 {
+                        // Pool exhausted: solve the child in place rather
+                        // than queueing it (bounds the shared pool), unless
+                        // a freshly-read incumbent already dominates it.
+                        // lint:allow(unsync-read): optimistic incumbent
+                        // read; stale values only weaken pruning.
+                        let cur = tmk.read_f64_unsync(sh.best);
+                        if child_bound >= cur {
                             continue;
                         }
-                        let mut cities = tour.cities.clone();
-                        cities.push(c as u8);
-                        let child = Tour { cities, cost };
-                        let child_bound = lower_bound(&dist, &child);
-                        // A child whose bound cannot beat the incumbent is
-                        // dominated: every completion costs at least the bound.
-                        if child_bound >= best {
-                            continue;
-                        }
-                        let sp = tmk.read_i32(sh.free_sp);
-                        if sp == 0 {
-                            // Pool exhausted: solve the child in place rather
-                            // than queueing it (bounds the shared pool), unless
-                            // a freshly-read incumbent already dominates it.
-                            // lint:allow(unsync-read): optimistic incumbent
-                            // read; stale values only weaken pruning.
-                            let cur = tmk.read_f64_unsync(sh.best);
-                            if child_bound >= cur {
-                                continue;
-                            }
-                            let (found_best, nodes) = recursive_solve(self, &dist, &child, cur);
-                            tmk.proc().compute(nodes as f64 * COST_NODE);
-                            if found_best < cur {
-                                tmk.lock_acquire(LOCK_BEST);
-                                let now = tmk.read_f64(sh.best);
-                                if found_best < now {
-                                    tmk.write_f64(sh.best, found_best);
-                                }
-                                tmk.lock_release(LOCK_BEST);
-                            }
-                            continue;
-                        }
-                        let child_slot = tmk.read_i32(sh.free + (sp - 1) as usize * 4) as usize;
-                        tmk.write_i32(sh.free_sp, sp - 1);
-                        sh.write_tour(tmk, child_slot, &child);
-                        tmk.write_f64(sh.bounds + child_slot * 8, child_bound);
-                        let ql = tmk.read_i32(sh.qlen);
-                        tmk.write_i32(sh.queue + ql as usize * 4, child_slot as i32);
-                        tmk.write_i32(sh.qlen, ql + 1);
-                        expansions += 1;
+                        let (found_best, nodes) = recursive_solve(self, &dist, &child, cur);
+                        tmk.proc().compute(nodes as f64 * COST_NODE);
+                        sh.offer_best(tmk, found_best, cur);
+                        continue;
                     }
+                    let child_slot = tmk.read_i32(sh.free + (sp - 1) as usize * 4) as usize;
+                    tmk.write_i32(sh.free_sp, sp - 1);
+                    sh.write_tour(tmk, child_slot, &child);
+                    tmk.write_f64(sh.bounds + child_slot * 8, child_bound);
+                    let ql = tmk.read_i32(sh.qlen);
+                    tmk.write_i32(sh.queue + ql as usize * 4, child_slot as i32);
+                    tmk.write_i32(sh.qlen, ql + 1);
+                    expansions += 1;
                 }
             }
             tmk.proc().compute(expansions as f64 * COST_EXPAND);
@@ -561,19 +565,12 @@ impl App for TspParams {
             let best_now = tmk.read_f64_unsync(sh.best);
             let (found_best, nodes) = recursive_solve(self, &dist, &tour, best_now);
             tmk.proc().compute(nodes as f64 * COST_NODE);
-            if found_best < best_now {
-                tmk.lock_acquire(LOCK_BEST);
-                let cur = tmk.read_f64(sh.best);
-                if found_best < cur {
-                    tmk.write_f64(sh.best, found_best);
-                }
-                tmk.lock_release(LOCK_BEST);
-            }
+            sh.offer_best(tmk, found_best, best_now);
         }
 
         tmk.barrier(1);
         if tmk.id() == 0 {
-            (tmk.read_f64(sh.best) * 1000.0).round() / 1000.0
+            checksum(tmk.read_f64(sh.best))
         } else {
             0.0
         }
@@ -588,11 +585,14 @@ impl App for TspParams {
             let mut eng = Engine::new(self);
             let mut slaves_done = 0usize;
             let total_slaves = n - 1;
-            loop {
+            // Fold every slave's best-tour update that has arrived so far.
+            let drain_best = |eng: &mut Engine| {
                 while let Some(mut m) = pvm.nrecv(None, TAG_BEST) {
-                    let b = m.unpack_f64(1)[0];
-                    eng.best = eng.best.min(b);
+                    eng.best = eng.best.min(m.unpack_f64(1)[0]);
                 }
+            };
+            loop {
+                drain_best(&mut eng);
                 if let Some(m) = pvm.nrecv(None, TAG_WORK_REQ) {
                     let slave = m.src();
                     let before = eng.expansions;
@@ -636,11 +636,8 @@ impl App for TspParams {
                     }
                 }
             }
-            while let Some(mut m) = pvm.nrecv(None, TAG_BEST) {
-                let b = m.unpack_f64(1)[0];
-                eng.best = eng.best.min(b);
-            }
-            (eng.best * 1000.0).round() / 1000.0
+            drain_best(&mut eng);
+            checksum(eng.best)
         } else {
             let mut my_best = f64::INFINITY;
             loop {

@@ -33,27 +33,6 @@ impl AnalysisLevel {
     }
 }
 
-impl std::fmt::Display for AnalysisLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnalysisLevel::Off => write!(f, "off"),
-            AnalysisLevel::Race => write!(f, "race"),
-        }
-    }
-}
-
-impl std::str::FromStr for AnalysisLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(AnalysisLevel::Off),
-            "race" => Ok(AnalysisLevel::Race),
-            other => Err(format!("unknown analysis level `{other}` (off|race)")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,14 +42,5 @@ mod tests {
         assert_eq!(AnalysisLevel::default(), AnalysisLevel::Off);
         assert!(!AnalysisLevel::Off.enabled());
         assert!(AnalysisLevel::Race.enabled());
-    }
-
-    #[test]
-    fn round_trips_through_str() {
-        for lvl in [AnalysisLevel::Off, AnalysisLevel::Race] {
-            let s = lvl.to_string();
-            assert_eq!(s.parse::<AnalysisLevel>().unwrap(), lvl);
-        }
-        assert!("racy".parse::<AnalysisLevel>().is_err());
     }
 }

@@ -505,7 +505,7 @@ mod tests {
         touched[0] = 1;
         let diff = Diff::create(&new_page(), &touched);
         let (mut selected, mut charged) = (0usize, 0usize);
-        for _ in 0..if cfg!(miri) { 4 } else { 300 } {
+        for _ in 0..300 {
             let mut s = state(rng.below(n), n);
             for _ in 0..rng.below(40) {
                 let page = 2 * rng.below(2) as PageId;

@@ -780,6 +780,35 @@ mod tests {
     }
 
     #[test]
+    fn racecheck_orders_accesses_across_gc_barriers() {
+        // A threshold of 1 collects at every barrier after a write, so LRC's
+        // GC preparation runs its internal sync barrier between application
+        // barriers: its episodes are analysis edges like any other, and each
+        // rank reading the slot its neighbour wrote one barrier earlier is
+        // ordered by them.
+        for protocol in ProtocolKind::all() {
+            let n = 3;
+            let (rep, races) = run_racechecked(protocol, n, move |tmk| {
+                let a = tmk.malloc(8 * n);
+                tmk.set_gc_threshold(1);
+                tmk.barrier(0);
+                for round in 0..4u32 {
+                    let mine = a + 8 * tmk.id();
+                    tmk.write_f64(mine, f64::from(round));
+                    tmk.barrier(1 + 2 * round);
+                    let _ = tmk.read_f64(a + 8 * ((tmk.id() + 1) % n));
+                    tmk.barrier(2 + 2 * round);
+                }
+                tmk.st.borrow().stats.gc_collections
+            });
+            assert!(races.is_race_free(), "{protocol}:\n{}", races.render());
+            if protocol == ProtocolKind::Lrc {
+                assert!(rep.results.iter().all(|&(gcs, _)| gcs > 0), "no GC ran");
+            }
+        }
+    }
+
+    #[test]
     fn racecheck_does_not_change_simulation_output() {
         let body = |tmk: &Tmk| {
             let a = tmk.malloc(8 * 1024);

@@ -459,15 +459,13 @@ mod tests {
     fn every_single_run_matches_the_reference() {
         // One run at every start offset and every length up to one past a
         // whole-word copy, clipped at the page end — the short-run copy
-        // and the page-end fallback.  Interpreted (miri), a stride of
-        // starts still crosses every word and block position class.
-        let stride = if cfg!(miri) { 61 } else { 1 };
+        // and the page-end fallback.
         let mut twin = new_page();
         for (i, b) in twin.iter_mut().enumerate() {
             *b = (i * 7 % 253) as u8;
         }
         let mut page = twin.clone();
-        for start in (0..PAGE_SIZE).step_by(stride) {
+        for start in 0..PAGE_SIZE {
             for len in 1..=9 {
                 let end = (start + len).min(PAGE_SIZE);
                 for b in &mut page[start..end] {
@@ -483,11 +481,10 @@ mod tests {
     fn runs_on_either_side_of_word_and_block_boundaries_match_the_reference() {
         // A run starting or ending one byte before, at, or one byte after
         // each 8- and 64-byte boundary (the mask's carry between blocks),
-        // plus runs ending at the last byte of the page.  Interpreted
-        // (miri), every seventh word boundary, some of them block ones.
+        // plus runs ending at the last byte of the page.
         let twin = new_page();
         let mut edges: Vec<usize> = (8..PAGE_SIZE)
-            .step_by(if cfg!(miri) { 56 } else { 8 })
+            .step_by(8)
             .flat_map(|b| [b - 1, b, b + 1])
             .collect();
         edges.push(PAGE_SIZE);

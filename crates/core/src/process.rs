@@ -20,7 +20,7 @@
 
 use crate::proto::*;
 use crate::protocol::{hlrc, ProtocolKind};
-use crate::race;
+use crate::race::{self, Edge, SyncCtx};
 use crate::state::DsmState;
 use crate::stats::TmkStats;
 use crate::vc::VectorClock;
@@ -161,7 +161,7 @@ impl<'a> Tmk<'a> {
         }
     }
 
-    /// Run a synchronization-edge hook on the race recorder, if attached.
+    /// Take a synchronization edge on the race recorder, if attached.
     #[inline]
     fn race_hook(&self, f: impl FnOnce(&mut race::Recorder)) {
         if !self.race_on.get() {
@@ -242,10 +242,10 @@ impl<'a> Tmk<'a> {
             }
         };
         let Some(manager) = manager else {
-            // Local reacquire: the published clock (if any) was last written
-            // by this process's own release, so the join is a no-op, but the
+            // Local reacquire: the lock's slot (if any) was last joined by
+            // this process's own release, so the join is a no-op, but the
             // segment boundary and context still apply.
-            self.race_hook(|r| r.on_lock_acquired(id));
+            self.race_hook(|r| r.acquire(Edge::Lock(id), SyncCtx::AfterAcquire(id)));
             return;
         };
         // The remote path from request to applied grant is the lock-acquire
@@ -276,10 +276,9 @@ impl<'a> Tmk<'a> {
             ls.have_token = true;
             ls.in_cs = true;
         }
-        // Analysis acquire edge: join the clock published by the releaser
-        // whose token we now hold (the grant message was received above, so
-        // the publication is visible).
-        self.race_hook(|r| r.on_lock_acquired(id));
+        // Analysis acquire edge: join the lock's slot, which the releaser
+        // whose token we now hold joined before its grant was sent.
+        self.race_hook(|r| r.acquire(Edge::Lock(id), SyncCtx::AfterAcquire(id)));
         self.proc.span_end(SpanCat::LockWait);
     }
 
@@ -291,11 +290,12 @@ impl<'a> Tmk<'a> {
     pub fn lock_release(&self, id: u32) {
         self.proc.compute(SYNC_OP_COST);
         // Analysis release edge, *before* any grant can be sent (here or
-        // later from `handle_forwarded`): publish the clock covering the
-        // critical section, then advance past it.  Taking the edge at grant
-        // time instead would let the anachronistically-served grant cover
-        // accesses made after this release.
-        self.race_hook(|r| r.on_lock_release(id));
+        // later from `handle_forwarded`): join the clock covering the
+        // critical section into the lock's slot, then advance past it.
+        // Taking the edge at grant time instead would let the
+        // anachronistically-served grant cover accesses made after this
+        // release.
+        self.race_hook(|r| r.release(Edge::Lock(id)));
         if self.nprocs() > 1 {
             self.close_and_publish();
         }
@@ -333,6 +333,9 @@ impl<'a> Tmk<'a> {
         self.proc.compute(SYNC_OP_COST);
         let epoch = self.barrier_epoch.get();
         self.barrier_epoch.set(epoch + 1);
+        // Every rank steps the epoch once per episode, GC barriers included.
+        let edge = Edge::Barrier(epoch);
+        let after = SyncCtx::AfterBarrier(index);
         let n = self.nprocs();
         if n == 1 {
             // A lone process never re-protects pages or makes diffs (nobody
@@ -340,7 +343,8 @@ impl<'a> Tmk<'a> {
             // real system's single-process execution has no write traps
             // after the first touch of each page.
             self.st.borrow_mut().stats.barriers += 1;
-            self.race_hook(|r| r.on_barrier_local(index));
+            self.race_hook(|r| r.release(edge));
+            self.race_hook(|r| r.acquire(edge, after));
             self.proc.span_end(SpanCat::BarrierWait);
             return;
         }
@@ -353,11 +357,11 @@ impl<'a> Tmk<'a> {
             // other requests that show up while waiting), then release.
             self.serve_until(|| self.arrivals.borrow().get(&epoch).map_or(0, |v| v.len()) == n - 1);
             let arrived = self.arrivals.borrow_mut().remove(&epoch).unwrap();
-            // Analysis barrier edge: every worker published its clock
-            // before sending the arrival just collected, so all n-1
-            // publications are visible; merge them before any release
-            // message can carry the episode forward.
-            self.race_hook(|r| r.on_barrier_manager(index, n - 1));
+            // Analysis barrier edge: every worker released before sending
+            // the arrival just collected, so the manager's release completes
+            // the slot, before any release message carries the episode on.
+            self.race_hook(|r| r.release(edge));
+            self.race_hook(|r| r.acquire(edge, after));
             for (src, src_vc) in arrived {
                 self.proc.compute(SYNC_OP_COST);
                 let payload = self
@@ -371,10 +375,10 @@ impl<'a> Tmk<'a> {
             st.last_barrier_vc = vc;
         } else {
             let payload = self.st.borrow_mut().encode_barrier_arrival(epoch);
-            // Analysis arrival edge: publish before the arrival message so
-            // the manager's merge (which runs only after receiving it) sees
-            // this clock.
-            self.race_hook(|r| r.on_barrier_publish());
+            // Analysis arrival edge: release before the arrival message so
+            // the manager's acquire (which runs only after receiving it)
+            // sees this clock.
+            self.race_hook(|r| r.release(edge));
             self.proc.send(0, TAG_BARRIER_ARRIVE, payload);
             let reply = self.wait_reply(TAG_BARRIER_RELEASE);
             let (got_epoch, merged_vc, records) = decode_barrier(reply.payload, n);
@@ -386,9 +390,9 @@ impl<'a> Tmk<'a> {
                 let vc = st.vc.clone();
                 st.last_barrier_vc = vc;
             }
-            // Analysis release edge: the manager merged and published
-            // before sending the release message received above.
-            self.race_hook(|r| r.on_barrier_done(index));
+            // Analysis acquire edge: the manager completed the slot before
+            // sending the release message received above.
+            self.race_hook(|r| r.acquire(edge, after));
         }
         self.proc.span_end(SpanCat::BarrierWait);
     }

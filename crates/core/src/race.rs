@@ -20,22 +20,27 @@
 //!
 //! * a rank's own component starts at `1`; accesses are stamped with the
 //!   clock current at access time;
-//! * at a **release edge** (lock release, barrier arrival) the rank first
-//!   publishes its clock to the side table, then increments its own
-//!   component;
-//! * at an **acquire edge** (lock grant applied, barrier release applied)
-//!   the rank joins the published clock into its own;
+//! * every synchronisation object is one [`Edge`] — a lock, or a barrier
+//!   episode keyed by the runtime's barrier epoch — with one slot in the
+//!   side table;
+//! * [`Recorder::release`] joins the rank's clock into the edge's slot, then
+//!   increments the rank's own component (lock release; barrier arrival);
+//! * [`Recorder::acquire`] joins the slot into the rank's clock (lock grant
+//!   applied; barrier release applied).  The barrier manager releases and
+//!   acquires at once, after the last arrival and before the first release
+//!   message, so its acquire sees every rank's release;
 //! * access `a` happens-before access `b` iff
 //!   `clock(b)[rank(a)] >= clock(a)[rank(a)]`.
 //!
 //! The side table ([`SyncClocks`]) is shared process memory, **not** wire
 //! traffic: piggybacking analysis clocks on protocol messages would change
 //! message sizes and therefore virtual times, and the analysis layer must be
-//! invisible to the cost model.  Every table update happens on the releasing
-//! side *before* the message that transfers the synchronisation right is
-//! sent, and every read happens on the acquiring side *after* that message
-//! is received, so the table is wall-clock ordered by the same queues that
-//! order the simulated messages — recording stays deterministic.
+//! invisible to the cost model.  Every release happens *before* the message
+//! that transfers the synchronisation right is sent, and every acquire
+//! *after* that message is received, so the table is wall-clock ordered by
+//! the same queues that order the simulated messages — recording stays
+//! deterministic.  A barrier slot is dropped once every rank has acquired
+//! it; a lock slot lives for the run.
 //!
 //! The lock release edge is taken at `lock_release` time rather than at
 //! grant time on purpose: the runtime serves lock grants *anachronistically*
@@ -53,6 +58,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::page::PageId;
+use crate::vc::VectorClock;
 use cluster::config::PAGE_SIZE;
 
 /// Whether a recorded access read or wrote shared memory.
@@ -103,112 +109,42 @@ impl fmt::Display for SyncCtx {
     }
 }
 
-fn join_into(dst: &mut [u32], src: &[u32]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = (*d).max(*s);
-    }
+/// A synchronisation object whose release→acquire edge carries analysis
+/// clocks from rank to rank: one slot of [`SyncClocks`] each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Edge {
+    /// Lock `id`.  Its slot joins every release and lives for the whole run.
+    Lock(u32),
+    /// The barrier episode with the runtime's barrier epoch (the GC
+    /// barrier's episodes included).  Every rank releases into its slot once
+    /// and then acquires it once; the last acquire drops the slot.
+    Barrier(u32),
 }
 
-/// State of one in-flight barrier episode in [`SyncClocks`].
-#[derive(Debug, Default)]
-struct BarrierSlot {
-    /// Clocks published by arriving workers (order is wall-clock arrival
-    /// order and therefore nondeterministic; only their componentwise
-    /// maximum is ever used, which is order-free).
-    arrivals: Vec<Vec<u32>>,
-    /// The merged clock the manager published for the release.
-    release: Option<Vec<u32>>,
-    /// Workers that still have to read `release` before the slot can be
-    /// garbage-collected.
-    readers_left: usize,
+/// One edge's slot: the join of every clock released into it.
+#[derive(Debug)]
+struct Slot {
+    clock: VectorClock,
+    releases: usize,
+    acquires: usize,
 }
 
 /// Shared side table carrying analysis clocks across synchronisation edges.
 ///
 /// One instance is shared by all ranks of a racechecked run.  It is *not*
 /// part of the simulated machine: see the module docs for why the table is
-/// deterministic despite living outside the virtual-time arbiter.
+/// deterministic despite living outside the virtual-time arbiter.  The
+/// `Mutex` is there because the run's closure that captures the table must
+/// be `Send + Sync`.
 #[derive(Debug, Default)]
 pub struct SyncClocks {
-    locks: Mutex<BTreeMap<u32, Vec<u32>>>,
-    barriers: Mutex<BTreeMap<u64, BarrierSlot>>,
+    edges: Mutex<BTreeMap<Edge, Slot>>,
 }
 
 impl SyncClocks {
     /// Create an empty table.
     pub fn new() -> Self {
         SyncClocks::default()
-    }
-
-    /// Release edge of `lock`: join the releaser's clock into the lock's
-    /// published clock.  Called *before* the grant can possibly be sent.
-    fn lock_release(&self, lock: u32, clock: &[u32]) {
-        let mut locks = self.locks.lock().unwrap();
-        match locks.get_mut(&lock) {
-            Some(l) => join_into(l, clock),
-            None => {
-                locks.insert(lock, clock.to_vec());
-            }
-        }
-    }
-
-    /// Acquire edge of `lock`: read the published clock, if any rank has
-    /// ever released this lock.
-    fn lock_acquire(&self, lock: u32) -> Option<Vec<u32>> {
-        self.locks.lock().unwrap().get(&lock).cloned()
-    }
-
-    /// A worker publishes its clock for barrier `episode` before sending
-    /// its arrival message.
-    fn barrier_publish(&self, episode: u64, clock: Vec<u32>) {
-        self.barriers
-            .lock()
-            .unwrap()
-            .entry(episode)
-            .or_default()
-            .arrivals
-            .push(clock);
-    }
-
-    /// The manager merges all published arrival clocks with its own and
-    /// publishes the result, to be read by `readers` workers.  Called after
-    /// all arrival messages were received and before any release message is
-    /// sent.
-    fn barrier_merge(&self, episode: u64, own: &[u32], readers: usize) -> Vec<u32> {
-        let mut barriers = self.barriers.lock().unwrap();
-        let slot = barriers.entry(episode).or_default();
-        assert_eq!(
-            slot.arrivals.len(),
-            readers,
-            "barrier episode {episode}: manager merged before all arrivals were published"
-        );
-        let mut merged = own.to_vec();
-        for a in &slot.arrivals {
-            join_into(&mut merged, a);
-        }
-        slot.release = Some(merged.clone());
-        slot.readers_left = readers;
-        if readers == 0 {
-            barriers.remove(&episode);
-        }
-        merged
-    }
-
-    /// A worker reads the merged clock after receiving its release message.
-    fn barrier_read_release(&self, episode: u64) -> Vec<u32> {
-        let mut barriers = self.barriers.lock().unwrap();
-        let slot = barriers
-            .get_mut(&episode)
-            .expect("barrier release read before the manager merged");
-        let merged = slot
-            .release
-            .clone()
-            .expect("barrier release read before the manager merged");
-        slot.readers_left -= 1;
-        if slot.readers_left == 0 {
-            barriers.remove(&episode);
-        }
-        merged
     }
 }
 
@@ -253,7 +189,7 @@ fn insert_range(ranges: &mut Vec<ByteRange>, start: u32, end: u32, now_ns: u64) 
 #[derive(Debug)]
 struct Segment {
     /// The analysis clock all accesses of this segment are stamped with.
-    clock: Vec<u32>,
+    clock: VectorClock,
     /// Synchronisation context the segment executed in.
     ctx: SyncCtx,
     /// Per-page coalesced accesses.
@@ -261,7 +197,7 @@ struct Segment {
 }
 
 impl Segment {
-    fn new(clock: Vec<u32>, ctx: SyncCtx) -> Self {
+    fn new(clock: VectorClock, ctx: SyncCtx) -> Self {
         Segment {
             clock,
             ctx,
@@ -270,8 +206,9 @@ impl Segment {
     }
 }
 
-/// Per-rank recorder driven by the DSM runtime's access and
-/// synchronisation hooks.
+/// Per-rank recorder driven by the DSM runtime's access hook and its two
+/// synchronisation-edge calls, [`Recorder::release`] and
+/// [`Recorder::acquire`].
 ///
 /// Created by `Tmk::enable_racecheck`, harvested by `Tmk::take_race_log`.
 /// Recording never touches the virtual clock or sends a message, so a
@@ -280,12 +217,7 @@ impl Segment {
 pub struct Recorder {
     rank: usize,
     shared: Arc<SyncClocks>,
-    clock: Vec<u32>,
-    /// Analysis barrier-episode counter.  Barrier episodes are globally
-    /// ordered in this SPMD runtime (including the GC barrier, which every
-    /// rank enters together), so the counter identifies the same barrier on
-    /// every rank — unlike the wire epoch, which the GC barrier reuses.
-    episode: u64,
+    clock: VectorClock,
     cur: Segment,
     done: Vec<Segment>,
     accesses: u64,
@@ -294,14 +226,13 @@ pub struct Recorder {
 impl Recorder {
     /// Create a recorder for `rank` of `nprocs` sharing `table`.
     pub fn new(rank: usize, nprocs: usize, table: Arc<SyncClocks>) -> Self {
-        let mut clock = vec![0u32; nprocs];
-        clock[rank] = 1;
+        let mut clock = VectorClock::new(nprocs);
+        clock.increment(rank);
         Recorder {
             rank,
             shared: table,
             cur: Segment::new(clock.clone(), SyncCtx::Start),
             clock,
-            episode: 0,
             done: Vec::new(),
             accesses: 0,
         }
@@ -337,59 +268,69 @@ impl Recorder {
         }
     }
 
-    /// Acquire edge: the grant for `lock` has been applied (or the rank
-    /// still held the token locally).
-    pub fn on_lock_acquired(&mut self, lock: u32) {
-        if let Some(published) = self.shared.lock_acquire(lock) {
-            join_into(&mut self.clock, &published);
+    /// Release `edge`: join this rank's clock into the edge's slot, then
+    /// advance the own component and open a segment.  Must run before the
+    /// message that passes the synchronisation on can be sent.
+    ///
+    /// A lock release opens the segment "after releasing" the lock; a
+    /// barrier release keeps the context, and its segment stays empty until
+    /// the barrier's acquire replaces it.
+    pub fn release(&mut self, edge: Edge) {
+        {
+            let mut edges = self.shared.edges.lock().expect("edge table poisoned");
+            let slot = edges.entry(edge).or_insert_with(|| Slot {
+                clock: VectorClock::new(self.clock.len()),
+                releases: 0,
+                acquires: 0,
+            });
+            slot.clock.merge(&self.clock);
+            slot.releases += 1;
         }
-        self.new_segment(SyncCtx::AfterAcquire(lock));
+        self.clock.increment(self.rank);
+        let ctx = match edge {
+            Edge::Lock(id) => SyncCtx::AfterRelease(id),
+            Edge::Barrier(_) => self.cur.ctx,
+        };
+        self.new_segment(ctx);
     }
 
-    /// Release edge for `lock`: publish, then advance the own component.
-    /// Must run before the grant message can be sent.
-    pub fn on_lock_release(&mut self, lock: u32) {
-        self.shared.lock_release(lock, &self.clock);
-        self.clock[self.rank] += 1;
-        self.new_segment(SyncCtx::AfterRelease(lock));
-    }
-
-    /// Barrier arrival on a worker rank: publish the clock for this
-    /// episode, then advance the own component.  Must run before the
-    /// arrival message is sent.
-    pub fn on_barrier_publish(&mut self) {
-        self.shared
-            .barrier_publish(self.episode, self.clock.clone());
-        self.clock[self.rank] += 1;
-    }
-
-    /// Barrier release applied on a worker rank: join the merged clock.
-    /// Must run after the release message was received.
-    pub fn on_barrier_done(&mut self, index: u32) {
-        let merged = self.shared.barrier_read_release(self.episode);
-        join_into(&mut self.clock, &merged);
-        self.episode += 1;
-        self.new_segment(SyncCtx::AfterBarrier(index));
-    }
-
-    /// The whole barrier on the manager rank: merge all published arrival
-    /// clocks with its own.  Must run after all arrivals were received and
-    /// before any release message is sent.
-    pub fn on_barrier_manager(&mut self, index: u32, workers: usize) {
-        let merged = self
-            .shared
-            .barrier_merge(self.episode, &self.clock, workers);
-        self.clock[self.rank] += 1;
-        join_into(&mut self.clock, &merged);
-        self.episode += 1;
-        self.new_segment(SyncCtx::AfterBarrier(index));
-    }
-
-    /// A barrier on a single-process run: a pure segment boundary.
-    pub fn on_barrier_local(&mut self, index: u32) {
-        self.clock[self.rank] += 1;
-        self.episode += 1;
-        self.new_segment(SyncCtx::AfterBarrier(index));
+    /// Acquire `edge`: join its slot into this rank's clock, then open a
+    /// segment in `ctx`.  Must run after the message that passed the
+    /// synchronisation on was received.  A lock nobody has released yet
+    /// joins nothing; a barrier must have every rank's release.
+    pub fn acquire(&mut self, edge: Edge, ctx: SyncCtx) {
+        let nprocs = self.clock.len();
+        {
+            let mut edges = self.shared.edges.lock().expect("edge table poisoned");
+            match edges.get_mut(&edge) {
+                Some(slot) => {
+                    self.clock.merge(&slot.clock);
+                    slot.acquires += 1;
+                    if let Edge::Barrier(epoch) = edge {
+                        assert_eq!(
+                            slot.releases, nprocs,
+                            "barrier epoch {epoch}: acquired before every rank released into it"
+                        );
+                        // Serving requests while the barrier is open goes
+                        // through `DsmState`, never the recorded accessors,
+                        // so the release's segment is still empty.
+                        debug_assert!(
+                            self.cur.pages.is_empty(),
+                            "rank {} recorded an access inside barrier epoch {epoch}",
+                            self.rank
+                        );
+                        if slot.acquires == nprocs {
+                            edges.remove(&edge);
+                        }
+                    }
+                }
+                None => assert!(
+                    matches!(edge, Edge::Lock(_)),
+                    "{edge:?} acquired before any rank released into it"
+                ),
+            }
+        }
+        self.new_segment(ctx);
     }
 
     /// Finish recording and hand back the rank's access log.
@@ -567,9 +508,9 @@ pub fn analyze(nprocs: usize, logs: Vec<RaceLog>) -> RaceReport {
         }
     }
 
-    let clock_of = |rec: &Rec| -> &[u32] { &logs[rec.rank].segments[rec.seg].clock };
+    let clock_of = |rec: &Rec| &logs[rec.rank].segments[rec.seg].clock;
     // `a` happens-before `b` iff b's clock covers a's own component.
-    let hb = |a: &Rec, b: &Rec| -> bool { clock_of(b)[a.rank] >= clock_of(a)[a.rank] };
+    let hb = |a: &Rec, b: &Rec| clock_of(b).covers(a.rank, clock_of(a).get(a.rank));
 
     // Dedup key: the identity of an access-site pair (page + both sites'
     // rank/segment/kind).  Byte ranges and times are accumulated.
@@ -656,13 +597,13 @@ pub fn analyze(nprocs: usize, logs: Vec<RaceLog>) -> RaceReport {
                 since_prune = 0;
                 shadow.retain(|&ai| {
                     let a = recs[ai];
-                    let own = clock_of(&a)[a.rank];
+                    let own = clock_of(&a).get(a.rank);
                     // Keep `a` while some other rank may still produce a
                     // record not ordered after it.
                     (0..nprocs).any(|s| {
                         s != a.rank
                             && cursor[s] < by_rank[s].len()
-                            && clock_of(&recs[by_rank[s][cursor[s]]])[a.rank] < own
+                            && !clock_of(&recs[by_rank[s][cursor[s]]]).covers(a.rank, own)
                     })
                 });
             }
@@ -690,6 +631,11 @@ mod tests {
     fn report(logs: Vec<RaceLog>) -> RaceReport {
         let n = logs.len();
         analyze(n, logs)
+    }
+
+    /// Acquire lock `id` the way `Tmk::lock_acquire` does.
+    fn lock(r: &mut Recorder, id: u32) {
+        r.acquire(Edge::Lock(id), SyncCtx::AfterAcquire(id));
     }
 
     #[test]
@@ -743,12 +689,12 @@ mod tests {
         let table = Arc::new(SyncClocks::new());
         let (mut r0, mut r1) = pair(&table);
         // Global order: r0's critical section completes, then r1's begins.
-        r0.on_lock_acquired(7);
+        lock(&mut r0, 7);
         r0.record(AccessKind::Write, 0, 8, 10);
-        r0.on_lock_release(7);
-        r1.on_lock_acquired(7);
+        r0.release(Edge::Lock(7));
+        lock(&mut r1, 7);
         r1.record(AccessKind::Write, 0, 8, 20);
-        r1.on_lock_release(7);
+        r1.release(Edge::Lock(7));
         assert!(report(vec![r0.finish(), r1.finish()]).is_race_free());
     }
 
@@ -756,11 +702,11 @@ mod tests {
     fn access_after_release_races_with_later_critical_section() {
         let table = Arc::new(SyncClocks::new());
         let (mut r0, mut r1) = pair(&table);
-        r0.on_lock_acquired(7);
-        r0.on_lock_release(7);
+        lock(&mut r0, 7);
+        r0.release(Edge::Lock(7));
         // r0 writes *after* releasing: concurrent with r1's section.
         r0.record(AccessKind::Write, 0, 8, 10);
-        r1.on_lock_acquired(7);
+        lock(&mut r1, 7);
         r1.record(AccessKind::Write, 0, 8, 20);
         let rep = report(vec![r0.finish(), r1.finish()]);
         assert_eq!(rep.races.len(), 1);
@@ -768,12 +714,38 @@ mod tests {
         assert_eq!(rep.races[0].b.ctx, SyncCtx::AfterAcquire(7));
     }
 
-    /// Run one barrier across two recorders in the manager/worker order the
-    /// runtime uses (worker publishes, manager merges, worker joins).
-    fn barrier(r0: &mut Recorder, r1: &mut Recorder, index: u32) {
-        r1.on_barrier_publish();
-        r0.on_barrier_manager(index, 1);
-        r1.on_barrier_done(index);
+    /// Run barrier epoch `epoch` across two recorders in the order the
+    /// runtime uses: the worker releases, the manager releases and acquires,
+    /// the worker acquires.  The tests' barrier index is the epoch.
+    fn barrier(r0: &mut Recorder, r1: &mut Recorder, epoch: u32) {
+        let edge = Edge::Barrier(epoch);
+        r1.release(edge);
+        r0.release(edge);
+        r0.acquire(edge, SyncCtx::AfterBarrier(epoch));
+        r1.acquire(edge, SyncCtx::AfterBarrier(epoch));
+    }
+
+    #[test]
+    fn a_barrier_joins_every_release_and_drops_its_slot() {
+        let table = Arc::new(SyncClocks::new());
+        let (mut r0, mut r1) = pair(&table);
+        lock(&mut r1, 3);
+        r1.release(Edge::Lock(3));
+        barrier(&mut r0, &mut r1, 0);
+        // Each rank is one past its own release and has the other's.
+        assert_eq!(r0.clock.entries(), &[2, 2]);
+        assert_eq!(r1.clock.entries(), &[1, 3]);
+        let edges = table.edges.lock().unwrap();
+        assert_eq!(edges.keys().collect::<Vec<_>>(), [&Edge::Lock(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "acquired before every rank released")]
+    fn a_barrier_acquired_before_every_release_panics() {
+        let table = Arc::new(SyncClocks::new());
+        let (mut r0, _r1) = pair(&table);
+        r0.release(Edge::Barrier(0));
+        r0.acquire(Edge::Barrier(0), SyncCtx::AfterBarrier(0));
     }
 
     #[test]
@@ -811,9 +783,9 @@ mod tests {
         let (mut r0, mut r1) = pair(&table);
         r0.record(AccessKind::Write, 0, 8, 1);
         for i in 0..200u64 {
-            r1.on_lock_acquired(1);
+            lock(&mut r1, 1);
             r1.record(AccessKind::Write, 4096, 8, 10 + i);
-            r1.on_lock_release(1);
+            r1.release(Edge::Lock(1));
         }
         r1.record(AccessKind::Read, 0, 8, 1000);
         let rep = report(vec![r0.finish(), r1.finish()]);

@@ -1,6 +1,7 @@
 //! Integration tests of the happens-before race detector (docs/ANALYSIS.md):
-//! a deliberately racy fixture must be flagged with the correct access
-//! pairs, deterministically; the full application suite must be data-race
+//! two deliberately racy fixtures, one across a barrier and one across a
+//! lock, must be flagged with the correct access pairs and pinned report
+//! text, deterministically; the full application suite must be data-race
 //! free under every protocol backend; and turning the detector on must
 //! never perturb a simulated byte.
 
@@ -11,16 +12,14 @@ use bench::{
 use netws::apps::runner::System;
 use netws::apps::Workload;
 use netws::cluster::{AnalysisLevel, Cluster, ClusterConfig};
-use netws::treadmarks::race::{self, AccessKind, RaceReport};
+use netws::treadmarks::race::{self, AccessKind, RaceReport, SyncCtx};
 use netws::treadmarks::{ProtocolKind, Tmk};
 use std::sync::Arc;
 
-/// The racy micro-app: after a common barrier, rank 0 writes bytes `[0, 8)`
-/// of a shared page while rank 1 — with no intervening synchronisation —
-/// writes the overlapping `[4, 12)` and reads `[0, 4)`.  That is one
-/// write/write conflict (overlap `[4, 8)`) and one write/read conflict
-/// (overlap `[0, 4)`), neither ordered by happens-before.
-fn racy_fixture(protocol: ProtocolKind) -> (usize, RaceReport) {
+/// Run `body` on two racechecked ranks between two barriers, over one
+/// freshly allocated shared page, and return the page's address next to the
+/// race report.
+fn two_rank_report(protocol: ProtocolKind, body: fn(&Tmk, usize)) -> (usize, RaceReport) {
     let table = Arc::new(race::SyncClocks::new());
     let mut rep = Cluster::run(ClusterConfig::calibrated_fddi(2), {
         let table = Arc::clone(&table);
@@ -29,12 +28,7 @@ fn racy_fixture(protocol: ProtocolKind) -> (usize, RaceReport) {
             tmk.enable_racecheck(Arc::clone(&table));
             let page = tmk.malloc(4096);
             tmk.barrier(0);
-            if tmk.id() == 0 {
-                tmk.write_i64(page, 1);
-            } else {
-                tmk.write_i64(page + 4, 2);
-                let _ = tmk.read_i32(page);
-            }
+            body(&tmk, page);
             tmk.barrier(1);
             tmk.exit();
             (page, tmk.take_race_log())
@@ -47,6 +41,44 @@ fn racy_fixture(protocol: ProtocolKind) -> (usize, RaceReport) {
         .map(|(_, log)| log.take().expect("racecheck enabled on every rank"))
         .collect();
     (page_addr, race::analyze(2, logs))
+}
+
+/// The racy micro-app: after a common barrier, rank 0 writes bytes `[0, 8)`
+/// of a shared page while rank 1 — with no intervening synchronisation —
+/// writes the overlapping `[4, 12)` and reads `[0, 4)`.  That is one
+/// write/write conflict (overlap `[4, 8)`) and one write/read conflict
+/// (overlap `[0, 4)`), neither ordered by happens-before.
+fn racy_fixture(protocol: ProtocolKind) -> (usize, RaceReport) {
+    two_rank_report(protocol, |tmk, page| {
+        if tmk.id() == 0 {
+            tmk.write_i64(page, 1);
+        } else {
+            tmk.write_i64(page + 4, 2);
+            let _ = tmk.read_i32(page);
+        }
+    })
+}
+
+/// The lock-edge input: after the barrier, rank 0 writes `[0, 8)` holding
+/// lock 0 and `[8, 16)` after releasing it; rank 1 computes long enough to
+/// acquire lock 0 second, then reads `[0, 8)` and writes `[8, 16)` holding
+/// it.  The lock orders the `[0, 8)` pair; rank 0's write after its release
+/// is concurrent with rank 1's critical section — exactly one race.
+fn lock_fixture(protocol: ProtocolKind) -> (usize, RaceReport) {
+    two_rank_report(protocol, |tmk, page| {
+        if tmk.id() == 0 {
+            tmk.lock_acquire(0);
+            tmk.write_i64(page, 1);
+            tmk.lock_release(0);
+            tmk.write_i64(page + 8, 2);
+        } else {
+            tmk.proc().compute(0.01);
+            tmk.lock_acquire(0);
+            let _ = tmk.read_i64(page);
+            tmk.write_i64(page + 8, 3);
+            tmk.lock_release(0);
+        }
+    })
 }
 
 #[test]
@@ -85,6 +117,54 @@ fn racy_fixture_is_flagged_with_the_correct_pairs_under_every_protocol() {
             "{protocol}: write/read overlap"
         );
         assert_eq!((wr.a.rank, wr.b.rank), (0, 1), "{protocol}");
+        assert_eq!(report.render(), racy_render(protocol), "{protocol}");
+
+        let (_, report) = lock_fixture(protocol);
+        assert_eq!(
+            report.races.len(),
+            1,
+            "{protocol}: expected only the write after the release, got\n{}",
+            report.render()
+        );
+        let race = &report.races[0];
+        assert_eq!((race.a.rank, race.b.rank), (0, 1), "{protocol}");
+        assert_eq!(race.a.ctx, SyncCtx::AfterRelease(0), "{protocol}");
+        assert_eq!(race.b.ctx, SyncCtx::AfterAcquire(0), "{protocol}");
+        assert_eq!(report.render(), lock_render(protocol), "{protocol}");
+    }
+}
+
+/// `racy_fixture`'s report, byte for byte.
+fn racy_render(protocol: ProtocolKind) -> &'static str {
+    match protocol {
+        ProtocolKind::Lrc | ProtocolKind::Hlrc => "\
+racecheck: 2 race(s) (3 accesses, 2 procs)
+  race: page 0 bytes [4, 8): rank 0 write [0, 8) @ 963924 ns (after barrier 0) || rank 1 write [4, 12) @ 1595448 ns (after barrier 0)
+  race: page 0 bytes [0, 4): rank 0 write [0, 8) @ 963924 ns (after barrier 0) || rank 1 read [0, 4) @ 1595448 ns (after barrier 0)
+",
+        ProtocolKind::Sc => "\
+racecheck: 2 race(s) (3 accesses, 2 procs)
+  race: page 0 bytes [4, 8): rank 0 write [0, 8) @ 2636590 ns (after barrier 0) || rank 1 write [4, 12) @ 3759848 ns (after barrier 0)
+  race: page 0 bytes [0, 4): rank 0 write [0, 8) @ 2636590 ns (after barrier 0) || rank 1 read [0, 4) @ 3759848 ns (after barrier 0)
+",
+    }
+}
+
+/// `lock_fixture`'s report, byte for byte.
+fn lock_render(protocol: ProtocolKind) -> &'static str {
+    match protocol {
+        ProtocolKind::Lrc => "\
+racecheck: 1 race(s) (4 accesses, 2 procs)
+  race: page 0 bytes [8, 16): rank 0 write [8, 16) @ 1086324 ns (after releasing lock 0) || rank 1 write [8, 16) @ 14341526 ns (holding lock 0)
+",
+        ProtocolKind::Hlrc => "\
+racecheck: 1 race(s) (4 accesses, 2 procs)
+  race: page 0 bytes [8, 16): rank 0 write [8, 16) @ 1086324 ns (after releasing lock 0) || rank 1 write [8, 16) @ 14827848 ns (holding lock 0)
+",
+        ProtocolKind::Sc => "\
+racecheck: 1 race(s) (4 accesses, 2 procs)
+  race: page 0 bytes [8, 16): rank 0 write [8, 16) @ 12454952 ns (after releasing lock 0) || rank 1 write [8, 16) @ 16814133 ns (holding lock 0)
+",
     }
 }
 
