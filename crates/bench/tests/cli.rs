@@ -57,6 +57,28 @@ fn a_procs_sweep_renders_the_pinned_bytes() {
     );
 }
 
+/// The one pinned run past eight ranks: every grant and barrier release fans
+/// interval records out to 63 peers, and diff accumulation spreads each
+/// diff over many holders.
+#[test]
+fn a_sixty_four_rank_table_renders_the_pinned_bytes() {
+    assert_stdout_hash(
+        &[
+            "--tiny",
+            "--table2",
+            "--workload",
+            "sor-zero",
+            "--workload",
+            "qsort",
+            "--procs",
+            "64",
+            "--protocol",
+            "all",
+        ],
+        0x1c1a_49fb_9ffb_12dd,
+    );
+}
+
 #[test]
 fn a_lossy_fuzz_campaign_renders_the_pinned_bytes() {
     assert_stdout_hash(

@@ -8,7 +8,8 @@
 //! run, and every process owns a [`Proc`] handle through which it
 //!
 //! * advances a **virtual clock** for computation via [`Proc::compute`], and
-//! * exchanges tagged byte messages via [`Proc::send`] / [`Proc::recv`],
+//! * exchanges tagged messages via [`Proc::send`] / [`Proc::recv`] — bytes,
+//!   or a value shared with the receiver ([`Payload`]) —
 //!   which charge a calibrated communication cost (fixed per-datagram
 //!   latency, per-fragment overhead, per-byte bandwidth cost, and optional
 //!   shared-medium contention that models FDDI ring saturation).
@@ -64,7 +65,7 @@ pub mod time;
 pub use analysis::AnalysisLevel;
 pub use config::{ClusterConfig, NetModel, NetPreset, Overrides};
 pub use fault::{Crash, CrashPoint, FaultKind, FaultPlan, Partition};
-pub use net::{Message, RunFailure, Tag};
+pub use net::{Message, Payload, RunFailure, Tag};
 pub use obs::{ClusterObs, Histogram, ObsLevel, ProcObs, SpanCat};
 pub use proc::Proc;
 pub use scenario::Scenario;
@@ -226,7 +227,7 @@ mod tests {
             if p.id() == 0 {
                 p.send(1, 1, Bytes::from_static(&[1, 2, 3, 4]));
                 let m = p.recv(Some(1), 2);
-                assert_eq!(m.payload.as_ref(), &[9]);
+                assert_eq!(m.payload.into_bytes().as_ref(), &[9]);
             } else {
                 let m = p.recv(Some(0), 1);
                 assert_eq!(m.payload.len(), 4);
@@ -273,7 +274,7 @@ mod tests {
                 let next = (p.id() + 1) % p.nprocs();
                 p.compute(0.001 * (p.id() + 1) as f64);
                 p.send(next, 1, Bytes::from(vec![p.id() as u8; 64]));
-                (p.recv(None, 1).payload, here())
+                (p.recv(None, 1).payload.into_bytes(), here())
             });
             let (payloads, mut hosts): (Vec<_>, Vec<_>) = rep.results.into_iter().unzip();
             hosts.dedup();

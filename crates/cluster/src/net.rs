@@ -22,8 +22,10 @@ use crate::fault::{FaultState, Injection};
 use crate::obs::{self, Event, EventKind, Trace};
 use crate::sched::{wait_graph, Arbiter, Decision, PState};
 use bytes::Bytes;
+use std::any::Any;
 use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Message tags distinguish independent conversations between two processes.
 pub type Tag = u32;
@@ -37,12 +39,83 @@ pub struct Message {
     pub dst: usize,
     /// Application-chosen tag.
     pub tag: Tag,
-    /// Payload bytes.
-    pub payload: Bytes,
+    /// What the message carries.
+    pub payload: Payload,
     /// Virtual time at which the message arrived at the destination.
     pub arrival: f64,
     /// Number of transport datagrams this message occupied on the wire.
     pub datagrams: u64,
+}
+
+/// What a message carries: bytes, or a value the sender shares with the
+/// receiver.
+///
+/// A run's ranks are coroutines on one thread, so a runtime that models its
+/// messages as data structures can hand the receiver the sender's own
+/// refcounted value instead of an encoding of it.  The cost model charges
+/// only the length: a value travels with the byte length its encoding
+/// would have, and every counter, arrival time and trace reads the same as
+/// for those bytes.
+#[derive(Clone, Debug)]
+pub enum Payload {
+    /// Encoded bytes (PVM's packed buffers, the DSM's small requests).
+    Bytes(Bytes),
+    /// A value shared with the sender, charged as `len` wire bytes.
+    Value {
+        /// The value; the receiver downcasts it with [`Payload::into_value`].
+        value: Rc<dyn Any>,
+        /// The byte length the cost model charges for the value.
+        len: usize,
+    },
+}
+
+impl Payload {
+    /// The byte length the cost model charges.
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Value { len, .. } => *len,
+        }
+    }
+
+    /// Whether the charged length is zero.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes of a byte payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is a value: the sender and the receiver of a
+    /// tag disagree about its form, a bug in the runtime that sent it.
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            Payload::Bytes(b) => b,
+            Payload::Value { len, .. } => panic!("expected bytes, got a {len}-byte value"),
+        }
+    }
+
+    /// The shared value of a value payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload is bytes or a value of another type.
+    pub fn into_value<T: Any>(self) -> Rc<T> {
+        let want = std::any::type_name::<T>();
+        match self {
+            Payload::Value { value, .. } => value
+                .downcast()
+                .unwrap_or_else(|_| panic!("expected a {want}, got another value")),
+            Payload::Bytes(b) => panic!("expected a {want}, got {} bytes", b.len()),
+        }
+    }
+}
+
+impl From<Bytes> for Payload {
+    fn from(bytes: Bytes) -> Self {
+        Payload::Bytes(bytes)
+    }
 }
 
 /// The one payload every engine teardown unwinds a rank with: a peer's
@@ -354,7 +427,7 @@ impl NetworkCore {
     /// The sender seizes the medium only once it holds the minimum virtual
     /// time among runnable processes, so the serialisation order — and with
     /// it every arrival time — is deterministic.
-    pub fn transmit(&self, src: usize, dst: usize, tag: Tag, payload: Bytes, depart: f64) -> u64 {
+    pub fn transmit(&self, src: usize, dst: usize, tag: Tag, payload: Payload, depart: f64) -> u64 {
         assert!(dst < self.cfg.nprocs, "send to nonexistent process {dst}");
         let mut st = self.park(self.state.borrow_mut(), src, PState::Parked { key: depart });
         let bytes = payload.len();
@@ -508,7 +581,8 @@ mod tests {
                 p.send(1, 5, Bytes::from_static(b"b"));
                 Vec::new()
             } else {
-                vec![p.recv(Some(0), 5).payload, p.recv(Some(0), 5).payload]
+                let next = || p.recv(Some(0), 5).payload.into_bytes();
+                vec![next(), next()]
             }
         });
         assert_eq!(rep.results[1][0].as_ref(), b"a");
@@ -526,7 +600,7 @@ mod tests {
                 let m = p.recv(None, 2);
                 // The tag-1 message is still queued (and has arrived).
                 let queued = std::iter::from_fn(|| p.try_recv_interrupt()).count();
-                (m.payload, queued)
+                (m.payload.into_bytes(), queued)
             }
         });
         assert_eq!(rep.results[1].0.as_ref(), b"two");
@@ -570,14 +644,16 @@ mod tests {
                 Vec::new()
             }
             _ => {
-                let first = p.recv(None, 7);
-                let second = p.recv(None, 7);
-                vec![first, second]
+                let next = || {
+                    let m = p.recv(None, 7);
+                    (m.src, m.arrival)
+                };
+                vec![next(), next()]
             }
         });
-        assert_eq!(rep.results[2][0].src, 1);
-        assert_eq!(rep.results[2][1].src, 0);
-        assert!(rep.results[2][0].arrival < rep.results[2][1].arrival);
+        assert_eq!(rep.results[2][0].0, 1);
+        assert_eq!(rep.results[2][1].0, 0);
+        assert!(rep.results[2][0].1 < rep.results[2][1].1);
     }
 
     #[test]
@@ -986,7 +1062,10 @@ mod tests {
                     p.compute(1.0);
                     p.send(2, 7, Bytes::from_static(b"survivor"));
                 }
-                _ => assert_eq!(p.recv(Some(1), 7).payload.as_ref(), b"survivor"),
+                _ => assert_eq!(
+                    p.recv(Some(1), 7).payload.into_bytes().as_ref(),
+                    b"survivor"
+                ),
             })
             .map(|_| ())
         });

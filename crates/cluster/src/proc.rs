@@ -2,11 +2,10 @@
 
 use crate::config::ClusterConfig;
 use crate::fault::CrashPoint;
-use crate::net::{Message, NetworkCore, Tag};
+use crate::net::{Message, NetworkCore, Payload, Tag};
 use crate::obs::{self, ProcObs, Recorder, SpanCat};
 use crate::stats::ProcStats;
 use crate::time::VirtualClock;
-use bytes::Bytes;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -101,10 +100,10 @@ impl Proc {
     ///
     /// The sender is charged the configured per-send CPU overhead; the
     /// message leaves at the sender's current virtual time.
-    pub fn send(&self, dst: usize, tag: Tag, payload: Bytes) {
+    pub fn send(&self, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         self.maybe_crash();
         self.clock.advance(self.core.config().send_overhead);
-        self.transmit(dst, tag, payload, self.clock.now());
+        self.transmit(dst, tag, payload.into(), self.clock.now());
     }
 
     /// Send `payload` with an explicit departure time.
@@ -115,13 +114,13 @@ impl Proc {
     /// The send is accounted to this process's statistics, and the per-send
     /// CPU overhead is charged to its clock as "stolen cycles" — the handler
     /// still costs real processor time, whenever it notionally ran.
-    pub fn send_at(&self, dst: usize, tag: Tag, payload: Bytes, depart: f64) {
+    pub fn send_at(&self, dst: usize, tag: Tag, payload: impl Into<Payload>, depart: f64) {
         self.maybe_crash();
         self.clock.advance(self.core.config().send_overhead);
-        self.transmit(dst, tag, payload, depart);
+        self.transmit(dst, tag, payload.into(), depart);
     }
 
-    fn transmit(&self, dst: usize, tag: Tag, payload: Bytes, depart: f64) {
+    fn transmit(&self, dst: usize, tag: Tag, payload: Payload, depart: f64) {
         let bytes = payload.len() as u64;
         let datagrams = self.core.transmit(self.id, dst, tag, payload, depart);
         let mut st = self.stats.borrow_mut();
@@ -232,6 +231,7 @@ impl Proc {
 mod tests {
     use super::*;
     use crate::{Cluster, ClusterConfig};
+    use bytes::Bytes;
 
     #[test]
     fn a_rank_records_only_when_observability_is_on() {

@@ -9,26 +9,27 @@
 //! lazy accounting of diff-creation cost (real TreadMarks creates a diff
 //! only when it is first requested, so the page+twin scan is charged at
 //! first serve, not at interval close).
+//!
+//! A diff is allocated once, by its creator.  A diff response shares the
+//! responder's stored diffs with the requester, which stores them in turn
+//! — so a diff fetched by seven ranks is still held once.
 
 use crate::page::{new_page, Diff, PageId};
-use crate::proto::{vc_wire, DiffResponsePart, WireDiff};
+use crate::proto::WireDiff;
 use crate::state::{DsmState, Notice};
 use crate::vc::VectorClock;
-use bytes::Bytes;
+use std::rc::Rc;
 
-/// A diff held locally, with the bookkeeping needed to charge its creation
-/// cost lazily: real TreadMarks creates diffs only when they are first
-/// requested, so the page+twin scan is charged to the creator the first
-/// time the diff is served, not at interval close.  (Creation is still
-/// *performed* eagerly here so later intervals cannot leak into earlier
-/// diffs; only the accounting is lazy.)
+/// A diff held locally — its creator's allocation, shared — with this
+/// rank's bookkeeping for charging the creation cost lazily: real
+/// TreadMarks creates diffs only when they are first requested, so the
+/// page+twin scan is charged to the creator the first time the diff is
+/// served, not at interval close.  (Creation is still *performed* eagerly
+/// here so later intervals cannot leak into earlier diffs; only the
+/// accounting is lazy.)
 #[derive(Debug)]
 pub(crate) struct StoredDiff {
-    vc: VectorClock,
-    /// The clock's wire encoding, computed once at store time and spliced
-    /// into every diff response that serves this diff.
-    vc_wire: Bytes,
-    diff: Diff,
+    diff: Rc<WireDiff>,
     /// Whether the creation scan has been charged (true for fetched diffs,
     /// whose cost was paid by their creator).
     scan_charged: bool,
@@ -37,18 +38,14 @@ pub(crate) struct StoredDiff {
 impl DsmState {
     /// Retain a diff created by this process at interval close so later
     /// diff requests can be served from it (the LRC disposition).
-    pub(crate) fn retain_own_diff(
-        &mut self,
-        page: PageId,
-        seq: u32,
-        vc: &VectorClock,
-        vc_wire: &Bytes,
-        diff: Diff,
-    ) {
+    pub(crate) fn retain_own_diff(&mut self, page: PageId, seq: u32, vc: &VectorClock, diff: Diff) {
         let handle = self.diff_slab.insert(StoredDiff {
-            vc: vc.clone(),
-            vc_wire: vc_wire.clone(),
-            diff,
+            diff: Rc::new(WireDiff {
+                creator: self.me,
+                seq,
+                vc: vc.clone(),
+                diff,
+            }),
             scan_charged: false,
         });
         self.diffs.insert((page, self.me, seq), handle);
@@ -95,36 +92,24 @@ impl DsmState {
     /// has previously fetched, even when later diffs completely overwrite
     /// them.
     ///
-    /// The response payload is built from the stored diffs and their
-    /// pre-encoded clocks by reference — no `Diff` or `VectorClock` clones —
-    /// into the state's reusable, exactly pre-sized wire buffer.  Returns
-    /// the payload, the summed encoded size of the served diffs (the
-    /// responder's copy cost), and the number of returned diffs whose
-    /// creation scan had not been charged yet (they are marked charged by
-    /// this call): the serving runtime charges the page+twin scan for
-    /// exactly those, which is the lazy diff creation of the real system.
-    pub fn encode_diffs_for_request(
+    /// The response shares the stored diffs, in `hb1` order.  Returns them
+    /// and the number whose creation scan had not been charged yet (they
+    /// are marked charged by this call): the serving runtime charges the
+    /// page+twin scan for exactly those, which is the lazy diff creation of
+    /// the real system.
+    pub fn diffs_for_request(
         &mut self,
         page: PageId,
         requester: usize,
         applied_vc: &VectorClock,
         global_vc: &VectorClock,
-    ) -> (Bytes, usize, usize) {
+    ) -> (Vec<Rc<WireDiff>>, usize) {
         let (keys, first_serves) = self.served_diff_keys(page, requester, applied_vc, global_vc);
-        let DsmState {
-            diff_slab, wire, ..
-        } = self;
-        let mut diff_bytes = 0usize;
-        let parts: Vec<DiffResponsePart<'_>> = keys
+        let diffs = keys
             .iter()
-            .map(|&(_, creator, seq, handle)| {
-                let stored = diff_slab.get(handle);
-                diff_bytes += stored.diff.encoded_len();
-                (creator, seq, &stored.vc_wire, &stored.diff)
-            })
+            .map(|&(.., handle)| Rc::clone(&self.diff_slab.get(handle).diff))
             .collect();
-        let payload = crate::proto::encode_diff_response_into(wire, page, &parts);
-        (payload, diff_bytes, first_serves)
+        (diffs, first_serves)
     }
 
     /// The diffs this process would serve for `page`, as `(hb1 sort key,
@@ -166,7 +151,7 @@ impl DsmState {
                     stored.scan_charged = true;
                     first_serves += 1;
                 }
-                keys.push((stored.vc.sum(), creator, seq, handle));
+                keys.push((stored.diff.vc.sum(), creator, seq, handle));
             }
         }
         keys.sort_unstable();
@@ -207,14 +192,15 @@ impl DsmState {
             }
             let stored = self.diff_slab.get(handle);
             first_serves += usize::from(!stored.scan_charged);
-            keys.push((stored.vc.sum(), creator, seq, handle));
+            keys.push((stored.diff.vc.sum(), creator, seq, handle));
         }
         keys.sort_unstable();
         (keys, first_serves)
     }
 
-    /// Apply fetched diffs to `page` (in `hb1` order) and store them so they
-    /// can be served to other processes later.
+    /// Apply fetched diffs to `page` (in `hb1` order) and store them — the
+    /// creator's allocations, not copies — so they can be served to other
+    /// processes later.
     ///
     /// Only the write notices actually covered by the updated per-page
     /// applied clock are cleared: a new notice can arrive *during* the fault
@@ -222,7 +208,7 @@ impl DsmState {
     /// fresh interval records), and wiping it here would leave the page
     /// permanently stale.  The page becomes valid only if no notice remains;
     /// the fault path re-faults otherwise.
-    pub fn apply_wire_diffs(&mut self, page: PageId, mut diffs: Vec<WireDiff>) {
+    pub fn apply_wire_diffs(&mut self, page: PageId, mut diffs: Vec<Rc<WireDiff>>) {
         diffs.sort_by_key(|d| (d.vc.sum(), d.creator, d.seq));
         {
             let slot = &mut self.pages[page as usize];
@@ -258,9 +244,7 @@ impl DsmState {
                 stats.diff_bytes_received += wd.diff.encoded_len() as u64;
                 index.entry((page, wd.creator, wd.seq)).or_insert_with(|| {
                     diff_slab.insert(StoredDiff {
-                        vc_wire: vc_wire(&wd.vc),
-                        vc: wd.vc,
-                        diff: wd.diff,
+                        diff: wd,
                         scan_charged: true,
                     })
                 });
@@ -301,31 +285,15 @@ impl DsmState {
 
 #[cfg(test)]
 impl DsmState {
-    /// The selection of
-    /// [`encode_diffs_for_request`](Self::encode_diffs_for_request) as
-    /// decoded values (clones of the stored diffs) — what the state-level
-    /// tests hand from one `DsmState` to another without a wire between.
-    pub(crate) fn diffs_for_request(
-        &mut self,
+    /// The stored diff of `(page, creator, seq)`, if held here.
+    pub(crate) fn stored_diff(
+        &self,
         page: PageId,
-        requester: usize,
-        applied_vc: &VectorClock,
-        global_vc: &VectorClock,
-    ) -> (Vec<WireDiff>, usize) {
-        let (keys, first_serves) = self.served_diff_keys(page, requester, applied_vc, global_vc);
-        let out = keys
-            .into_iter()
-            .map(|(_, creator, seq, handle)| {
-                let stored = self.diff_slab.get(handle);
-                WireDiff {
-                    creator,
-                    seq,
-                    vc: stored.vc.clone(),
-                    diff: stored.diff.clone(),
-                }
-            })
-            .collect();
-        (out, first_serves)
+        creator: usize,
+        seq: u32,
+    ) -> Option<&Rc<WireDiff>> {
+        let handle = self.diffs.get(&(page, creator, seq))?;
+        Some(&self.diff_slab.get(*handle).diff)
     }
 }
 
@@ -338,8 +306,8 @@ mod tests {
         DsmState::new(me, n, 1 << 20)
     }
 
-    /// Close the open interval and return a clone of its logged record.
-    fn close_record(s: &mut DsmState) -> crate::proto::IntervalRecord {
+    /// Close the open interval and return its logged record.
+    fn close_record(s: &mut DsmState) -> Rc<crate::proto::IntervalRecord> {
         let seq = s.close_interval().expect("interval must close").seq;
         s.interval_record(s.me, seq).clone()
     }
@@ -513,9 +481,12 @@ mod tests {
                 let mut vc = rng.clock(n, 12);
                 vc.set(creator, seq);
                 let handle = s.diff_slab.insert(StoredDiff {
-                    vc_wire: vc_wire(&vc),
-                    vc,
-                    diff: diff.clone(),
+                    diff: Rc::new(WireDiff {
+                        creator,
+                        seq,
+                        vc,
+                        diff: diff.clone(),
+                    }),
                     scan_charged: rng.below(2) == 0,
                 });
                 if let Some(old) = s.diffs.insert((page, creator, seq), handle) {

@@ -5,33 +5,17 @@
 //! An *interval* is the span between two synchronization operations of one
 //! process; closing it produces a write-notice record (the pages modified)
 //! and one diff per modified page.  This module owns the log of retained
-//! records — stored exactly once, with a pre-encoded wire buffer spliced
-//! into every grant or barrier message that carries the record — and the
-//! receiver side that turns records into page invalidations.  What becomes
-//! of each created diff, and which notices actually invalidate, are
+//! records — each one allocation, its creator's, which every grant or
+//! barrier message that carries the record shares with its receiver — and
+//! the receiver side that turns records into page invalidations.  What
+//! becomes of each created diff, and which notices actually invalidate, are
 //! protocol policy ([`crate::protocol`]).
 
 use crate::page::Diff;
-use crate::proto::{encode_sync_spliced, record_wire, vc_wire, IntervalRecord};
-use crate::state::{ClosedInterval, DsmState, Notice};
+use crate::proto::{IntervalRecord, SyncMessage};
+use crate::state::{ClosedInterval, DsmState};
 use crate::vc::VectorClock;
-use bytes::{BufMut, Bytes, BytesMut};
-
-/// One entry of a process's interval log: the record plus its wire encoding,
-/// computed once when the record enters the log (created locally or received
-/// from its creator) and spliced into every message that later carries it.
-#[derive(Debug)]
-pub(crate) struct LoggedInterval {
-    record: IntervalRecord,
-    wire: Bytes,
-}
-
-impl LoggedInterval {
-    fn new(record: IntervalRecord) -> Self {
-        let wire = record_wire(&record);
-        LoggedInterval { record, wire }
-    }
-}
+use std::rc::Rc;
 
 impl DsmState {
     /// Close the current interval if any page was written during it.
@@ -50,7 +34,6 @@ impl DsmState {
         }
         let seq = self.vc.increment(self.me);
         let vc = self.vc.clone();
-        let interval_vc_wire = vc_wire(&vc);
         let mut pages = std::mem::take(&mut self.dirty_pages);
         pages.sort_unstable();
         pages.dedup();
@@ -68,7 +51,7 @@ impl DsmState {
             let diff = Diff::create(&twin, data);
             self.pool.recycle(twin);
             self.stats.diffs_created += 1;
-            if let Some(flush) = self.dispose_closed_diff(page, seq, &vc, &interval_vc_wire, diff) {
+            if let Some(flush) = self.dispose_closed_diff(page, seq, &vc, diff) {
                 flushes.push(flush);
             }
         }
@@ -90,10 +73,10 @@ impl DsmState {
             self.interval_base[self.me] + self.intervals[self.me].len() as u32,
             seq - 1
         );
-        // The record is stored exactly once — in the creator's own log —
-        // and retrieved by index when published; no shadow copy travels in
-        // the return value.
-        self.intervals[self.me].push(LoggedInterval::new(record));
+        // The record is allocated exactly once — in the creator's own log —
+        // and shared by every message that publishes it; no shadow copy
+        // travels in the return value.
+        self.intervals[self.me].push(Rc::new(record));
         Some(ClosedInterval { seq, flushes })
     }
 
@@ -102,20 +85,21 @@ impl DsmState {
     /// # Panics
     ///
     /// Panics if the interval is unknown or already garbage collected.
-    pub fn interval_record(&self, creator: usize, seq: u32) -> &IntervalRecord {
+    pub fn interval_record(&self, creator: usize, seq: u32) -> &Rc<IntervalRecord> {
         let base = self.interval_base[creator];
         assert!(
             seq > base,
             "interval ({creator}, {seq}) was garbage collected"
         );
-        &self.intervals[creator][(seq - 1 - base) as usize].record
+        &self.intervals[creator][(seq - 1 - base) as usize]
     }
 
     /// Incorporate a write-notice record received from another process:
     /// record the interval and invalidate the pages it modified (except a
     /// master copy held here, which HLRC's flushes keep current).
-    /// Records already covered by the local clock are ignored.
-    pub fn apply_interval_record(&mut self, rec: &IntervalRecord) {
+    /// Records already covered by the local clock are ignored.  The log and
+    /// the notices keep `rec` itself, not a copy.
+    pub fn apply_interval_record(&mut self, rec: &Rc<IntervalRecord>) {
         if rec.creator == self.me || self.vc.covers(rec.creator, rec.seq) {
             return;
         }
@@ -125,72 +109,48 @@ impl DsmState {
             "interval records of one creator must arrive contiguously"
         );
         self.vc.set(rec.creator, rec.seq);
-        self.intervals[rec.creator].push(LoggedInterval::new(rec.clone()));
+        self.intervals[rec.creator].push(Rc::clone(rec));
         for &page in &rec.pages {
             if self.holds_master_copy(page) {
                 continue;
             }
             let slot = &mut self.pages[page as usize];
             slot.valid = false;
-            slot.notices.push(Notice {
-                creator: rec.creator,
-                seq: rec.seq,
-                vc: rec.vc.clone(),
-            });
+            slot.notices.push(Rc::clone(rec));
         }
     }
 
     /// Incorporate a batch of records, in an order consistent with `hb1`.
-    pub fn apply_interval_records(&mut self, records: &[IntervalRecord]) {
-        let mut sorted: Vec<&IntervalRecord> = records.iter().collect();
+    pub fn apply_interval_records(&mut self, records: &[Rc<IntervalRecord>]) {
+        let mut sorted: Vec<&Rc<IntervalRecord>> = records.iter().collect();
         sorted.sort_by_key(|r| (r.creator, r.seq));
         for r in sorted {
             self.apply_interval_record(r);
         }
     }
 
-    /// Encode a lock grant or barrier message `(head, this clock, records
-    /// not covered by other)` into the state's reusable wire buffer: the
-    /// hot send path of every grant and barrier message.  The record wires
-    /// are spliced straight from the interval log — no per-send vector of
-    /// references — and the message size is computed exactly up front, so
-    /// the encoding neither allocates (in steady state) nor grows.
-    /// Byte-identical to
-    /// [`encode_barrier`](crate::proto::encode_barrier) /
-    /// [`encode_lock_grant`](crate::proto::encode_lock_grant) over the same
-    /// records (what a releaser piggybacks on a lock grant and what the
-    /// barrier manager sends in each release message).
-    pub(crate) fn encode_sync_not_covered_by(&mut self, head: u32, other: &VectorClock) -> Bytes {
-        let DsmState {
-            intervals,
-            interval_base,
-            vc,
-            wire,
-            ..
-        } = self;
-        let (nrecords, records_len) = splice_size(intervals, interval_base, vc, other);
-        encode_sync_spliced(wire, head, vc, nrecords, records_len, |b| {
-            splice_records(intervals, interval_base, vc, other, b)
-        })
-    }
-
-    /// [`encode_sync_not_covered_by`](Self::encode_sync_not_covered_by)
-    /// against this process's own last barrier clock — the worker's barrier
-    /// arrival message (a separate entry point because the covering clock
-    /// is a field of the same state the encoder borrows).
-    pub(crate) fn encode_barrier_arrival(&mut self, epoch: u32) -> Bytes {
-        let DsmState {
-            intervals,
-            interval_base,
-            vc,
-            last_barrier_vc,
-            wire,
-            ..
-        } = self;
-        let (nrecords, records_len) = splice_size(intervals, interval_base, vc, last_barrier_vc);
-        encode_sync_spliced(wire, epoch, vc, nrecords, records_len, |b| {
-            splice_records(intervals, interval_base, vc, last_barrier_vc, b)
-        })
+    /// A lock grant or barrier message `(head, this clock, records not
+    /// covered by other)`: what a releaser piggybacks on a lock grant, what
+    /// the barrier manager sends in each release message, and — against
+    /// this process's own last barrier clock — a worker's barrier arrival.
+    /// The records are the log's own, shared.
+    pub(crate) fn sync_not_covered_by(&self, head: u32, other: &VectorClock) -> SyncMessage {
+        let mut records = Vec::new();
+        for (creator, log) in self.intervals.iter().enumerate() {
+            let (known, have) = (self.vc.get(creator), other.get(creator));
+            let base = self.interval_base[creator];
+            assert!(
+                have >= base,
+                "peer clock ({creator}:{have}) predates the GC horizon {base}"
+            );
+            let from = (have.min(known) - base) as usize;
+            records.extend_from_slice(&log[from..(known - base) as usize]);
+        }
+        SyncMessage {
+            head,
+            vc: self.vc.clone(),
+            records,
+        }
     }
 
     /// Total number of interval records currently retained (for tests).
@@ -220,77 +180,6 @@ impl DsmState {
     }
 }
 
-/// Count and summed wire length of the retained records not covered by
-/// `other` — the exact size pre-pass of the spliced sync encoding.
-fn splice_size(
-    intervals: &[Vec<LoggedInterval>],
-    interval_base: &[u32],
-    vc: &VectorClock,
-    other: &VectorClock,
-) -> (usize, usize) {
-    let mut count = 0usize;
-    let mut len = 0usize;
-    for (creator, log) in intervals.iter().enumerate() {
-        let known = vc.get(creator);
-        let have = other.get(creator);
-        let base = interval_base[creator];
-        assert!(
-            have >= base,
-            "peer clock ({creator}:{have}) predates the GC horizon {base}"
-        );
-        for seq in (have + 1)..=known {
-            count += 1;
-            len += log[(seq - 1 - base) as usize].wire.len();
-        }
-    }
-    (count, len)
-}
-
-/// Splice the same records, in the same order, into `buf`.
-fn splice_records(
-    intervals: &[Vec<LoggedInterval>],
-    interval_base: &[u32],
-    vc: &VectorClock,
-    other: &VectorClock,
-    buf: &mut BytesMut,
-) {
-    for (creator, log) in intervals.iter().enumerate() {
-        let known = vc.get(creator);
-        let have = other.get(creator);
-        let base = interval_base[creator];
-        for seq in (have + 1)..=known {
-            buf.put_slice(&log[(seq - 1 - base) as usize].wire);
-        }
-    }
-}
-
-#[cfg(test)]
-impl DsmState {
-    /// All interval records known locally that are not covered by `other`,
-    /// as values: the input of the reference encoders the spliced encoding
-    /// is tested byte-identical against.
-    pub(crate) fn records_not_covered_by(&self, other: &VectorClock) -> Vec<IntervalRecord> {
-        let mut out = Vec::new();
-        for creator in 0..self.nprocs {
-            let known = self.vc.get(creator);
-            let have = other.get(creator);
-            let base = self.interval_base[creator];
-            assert!(
-                have >= base,
-                "peer clock ({creator}:{have}) predates the GC horizon {base}"
-            );
-            for seq in (have + 1)..=known {
-                out.push(
-                    self.intervals[creator][(seq - 1 - base) as usize]
-                        .record
-                        .clone(),
-                );
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,8 +188,8 @@ mod tests {
         DsmState::new(me, n, 1 << 20)
     }
 
-    /// Close the open interval and return a clone of its logged record.
-    fn close_record(s: &mut DsmState) -> IntervalRecord {
+    /// Close the open interval and return its logged record.
+    fn close_record(s: &mut DsmState) -> Rc<IntervalRecord> {
         let seq = s.close_interval().expect("interval must close").seq;
         s.interval_record(s.me, seq).clone()
     }
@@ -341,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn records_not_covered_by_returns_exactly_the_gap() {
+    fn a_sync_message_shares_exactly_the_uncovered_records() {
         let mut s = state(0, 2);
         let addr = s.malloc(8, 8);
         for _ in 0..3 {
@@ -351,33 +240,15 @@ mod tests {
         }
         let mut other = VectorClock::new(2);
         other.set(0, 1);
-        let recs = s.records_not_covered_by(&other);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].seq, 2);
-        assert_eq!(recs[1].seq, 3);
-    }
-
-    #[test]
-    fn spliced_sync_encoding_matches_the_reference_encoders() {
-        let mut s = state(0, 2);
-        let addr = s.malloc(8, 8);
-        for _ in 0..3 {
-            s.mark_dirty(s.page_of(addr));
-            s.write_bytes(addr, &[9; 8]);
-            s.close_interval();
+        let msg = s.sync_not_covered_by(7, &other);
+        assert_eq!((msg.head, &msg.vc), (7, &s.vc));
+        let seqs: Vec<u32> = msg.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [2, 3]);
+        for r in &msg.records {
+            assert!(Rc::ptr_eq(r, s.interval_record(0, r.seq)), "a copy");
         }
-        let mut other = VectorClock::new(2);
-        other.set(0, 1);
-        let reference =
-            crate::proto::encode_lock_grant(7, &s.vc, &s.records_not_covered_by(&other));
-        // Repeated encodes reuse the buffer and stay byte-identical.
-        for _ in 0..3 {
-            assert_eq!(s.encode_sync_not_covered_by(7, &other), reference);
-        }
-        // The barrier-arrival entry point covers against last_barrier_vc
-        // (all zeros here), i.e. every record travels.
-        let all =
-            crate::proto::encode_barrier(1, &s.vc, &s.records_not_covered_by(&VectorClock::new(2)));
-        assert_eq!(s.encode_barrier_arrival(1), all);
+        // A peer ahead of this process is owed nothing.
+        other.set(0, 5);
+        assert!(s.sync_not_covered_by(7, &other).records.is_empty());
     }
 }

@@ -401,6 +401,68 @@ mod tests {
     }
 
     #[test]
+    fn a_record_and_a_diff_are_held_once_per_run() {
+        // Rank 0 writes a page under a lock; ranks 1-3 take the lock in
+        // turn, read the page and write a word of their own, so rank 2
+        // fetches rank 0's diff from rank 1 and rank 3 from rank 2 (diff
+        // accumulation).  Every rank must hold each diff and each interval
+        // record as its creator's allocation, never a decoded copy.
+        use crate::proto::{IntervalRecord, WireDiff};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        type Held = (Vec<Option<Rc<WireDiff>>>, Vec<Rc<IntervalRecord>>);
+        thread_local! {
+            // Every rank's holdings, gathered on the run's one thread.
+            static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+        }
+        let n = 4;
+        let rep = run(n, move |tmk| {
+            let block = tmk.malloc(cluster::config::PAGE_SIZE);
+            tmk.barrier(0);
+            let me = tmk.id();
+            tmk.proc().compute(0.01 * me as f64);
+            tmk.lock_acquire(0);
+            let seen = tmk.read_i64(block);
+            tmk.write_i64(block + 8 * me, me as i64 + 1);
+            tmk.lock_release(0);
+            tmk.barrier(1);
+            let held = {
+                let st = tmk.st.borrow();
+                let page = st.page_of(block);
+                let diffs = (0..n).map(|c| st.stored_diff(page, c, 1).cloned());
+                let records = (0..n).map(|c| Rc::clone(st.interval_record(c, 1)));
+                (diffs.collect(), records.collect())
+            };
+            HELD.with_borrow_mut(|h| h.push(held));
+            // The last rank to get here compares everyone's holdings with
+            // the creators' own.
+            let all = HELD.with_borrow_mut(|h| (h.len() == n).then(|| std::mem::take(h)));
+            let mut shared = 0;
+            for (diffs, records) in all.iter().flatten() {
+                for c in 0..n {
+                    let own = &all.as_ref().unwrap()[c];
+                    if let Some(d) = &diffs[c] {
+                        let creators = own.0[c].as_ref().expect("a creator holds its diff");
+                        assert!(Rc::ptr_eq(d, creators), "a copy of diff (page, {c}, 1)");
+                        shared += 1;
+                    }
+                    assert!(
+                        Rc::ptr_eq(&records[c], &own.1[c]),
+                        "a copy of record ({c}, 1)"
+                    );
+                    shared += 1;
+                }
+            }
+            (seen, shared)
+        });
+        // Each reader saw its predecessor's word under the lock.
+        let seen: Vec<i64> = rep.results.iter().map(|r| r.0).collect();
+        assert_eq!(seen, [0, 1, 1, 1]);
+        // Sixteen records and ten diffs: rank r holds the diffs of 0..=r.
+        assert_eq!(rep.results.iter().map(|r| r.1).sum::<usize>(), 16 + 10);
+    }
+
+    #[test]
     fn false_sharing_two_writers_one_page() {
         // Two processes write disjoint halves of the same page between
         // barriers; both see a consistent merged page afterwards.
@@ -653,20 +715,45 @@ mod tests {
         use crate::proto::*;
         let vc = VectorClock::new(2);
         let page = vec![5u8; cluster::config::PAGE_SIZE];
+        // Grants, barrier releases and diff responses travel as values.
+        let values = [TAG_LOCK_GRANT, TAG_BARRIER_RELEASE, TAG_DIFF_RESP];
         let replies = [
-            (TAG_LOCK_GRANT, encode_lock_grant(3, &vc, &[])),
-            (TAG_BARRIER_RELEASE, encode_barrier(3, &vc, &[])),
-            (TAG_DIFF_RESP, encode_diff_response(3, &[])),
             (TAG_FLUSH_ACK, encode_flush_ack(0, 3)),
             (TAG_PAGE_RESP, encode_page_response(3, &vc, &page)),
             (TAG_SC_PAGE_XFER, encode_sc_page_transfer(3, &[1], &page)),
             (TAG_SC_PAGE_COPY, encode_sc_page_copy(3, &page)),
             (TAG_SC_INVAL_ACK, encode_sc_ack(3)),
         ];
+        let tags: Vec<u32> = values
+            .into_iter()
+            .chain(replies.iter().map(|r| r.0))
+            .collect();
         for protocol in ProtocolKind::all() {
             let rep = Cluster::run(ClusterConfig::calibrated_fddi(2), |p| {
                 let tmk = Tmk::with_protocol(p, protocol);
                 if p.id() == 1 {
+                    for tag in values {
+                        let vc = VectorClock::new(2);
+                        match tag {
+                            TAG_DIFF_RESP => {
+                                let diffs = vec![];
+                                tmk.send_value(0, tag, DiffResponse { page: 3, diffs }, None);
+                            }
+                            _ => {
+                                let records = vec![];
+                                tmk.send_value(
+                                    0,
+                                    tag,
+                                    SyncMessage {
+                                        head: 3,
+                                        vc,
+                                        records,
+                                    },
+                                    None,
+                                );
+                            }
+                        }
+                    }
                     for (tag, payload) in &replies {
                         p.send(0, *tag, payload.clone());
                     }
@@ -678,17 +765,16 @@ mod tests {
                 tmk.wait_reply(TAG_TERMINATE);
                 // ...and each later wait recovers its own, last sent first.
                 let mut heads = Vec::new();
-                for &(tag, _) in replies.iter().rev() {
-                    let m = tmk.wait_reply(tag);
+                for &tag in tags.iter().rev() {
+                    let m = tmk.wait_reply(tag).payload;
                     heads.push(match tag {
-                        TAG_LOCK_GRANT => decode_lock_grant(m.payload, 2).0,
-                        TAG_BARRIER_RELEASE => decode_barrier(m.payload, 2).0,
-                        TAG_DIFF_RESP => decode_diff_response(m.payload, 2).0,
-                        TAG_FLUSH_ACK => decode_flush_ack(m.payload).1,
-                        TAG_PAGE_RESP => decode_page_response(m.payload, 2).0,
-                        TAG_SC_PAGE_XFER => decode_sc_page_transfer(m.payload).0,
-                        TAG_SC_PAGE_COPY => decode_sc_page_copy(m.payload).0,
-                        _ => decode_sc_ack(m.payload),
+                        TAG_LOCK_GRANT | TAG_BARRIER_RELEASE => m.into_value::<SyncMessage>().head,
+                        TAG_DIFF_RESP => m.into_value::<DiffResponse>().page,
+                        TAG_FLUSH_ACK => decode_flush_ack(m.into_bytes()).1,
+                        TAG_PAGE_RESP => decode_page_response(m.into_bytes(), 2).0,
+                        TAG_SC_PAGE_XFER => decode_sc_page_transfer(m.into_bytes()).0,
+                        TAG_SC_PAGE_COPY => decode_sc_page_copy(m.into_bytes()).0,
+                        _ => decode_sc_ack(m.into_bytes()),
                     });
                 }
                 heads

@@ -27,9 +27,10 @@ use crate::vc::VectorClock;
 use crate::{
     DEFAULT_GC_INTERVAL_THRESHOLD, DEFAULT_HEAP_BYTES, REQUEST_SERVICE_COST, SYNC_OP_COST,
 };
-use cluster::{Message, Proc, SpanCat};
+use cluster::{Message, Payload, Proc, SpanCat};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A TreadMarks endpoint bound to one simulated process.
@@ -265,13 +266,12 @@ impl<'a> Tmk<'a> {
         } else {
             self.proc.send(manager, TAG_LOCK_ACQ, payload);
         }
-        let reply = self.wait_reply(TAG_LOCK_GRANT);
-        let (lock, granter_vc, records) = decode_lock_grant(reply.payload, self.nprocs());
-        assert_eq!(lock, id, "grant for the wrong lock");
+        let grant: Rc<SyncMessage> = self.wait_reply(TAG_LOCK_GRANT).payload.into_value();
+        assert_eq!(grant.head, id, "grant for the wrong lock");
         {
             let mut st = self.st.borrow_mut();
-            st.apply_interval_records(&records);
-            debug_assert!(st.vc.dominates(&granter_vc));
+            st.apply_interval_records(&grant.records);
+            debug_assert!(st.vc.dominates(&grant.vc));
             let ls = st.lock_state_mut(id);
             ls.have_token = true;
             ls.in_cs = true;
@@ -364,29 +364,29 @@ impl<'a> Tmk<'a> {
             self.race_hook(|r| r.acquire(edge, after));
             for (src, src_vc) in arrived {
                 self.proc.compute(SYNC_OP_COST);
-                let payload = self
-                    .st
-                    .borrow_mut()
-                    .encode_sync_not_covered_by(epoch, &src_vc);
-                self.proc.send(src, TAG_BARRIER_RELEASE, payload);
+                let release = self.st.borrow().sync_not_covered_by(epoch, &src_vc);
+                self.send_value(src, TAG_BARRIER_RELEASE, release, None);
             }
             let mut st = self.st.borrow_mut();
             let vc = st.vc.clone();
             st.last_barrier_vc = vc;
         } else {
-            let payload = self.st.borrow_mut().encode_barrier_arrival(epoch);
+            let arrival = {
+                let st = self.st.borrow();
+                st.sync_not_covered_by(epoch, &st.last_barrier_vc)
+            };
             // Analysis arrival edge: release before the arrival message so
             // the manager's acquire (which runs only after receiving it)
             // sees this clock.
             self.race_hook(|r| r.release(edge));
-            self.proc.send(0, TAG_BARRIER_ARRIVE, payload);
-            let reply = self.wait_reply(TAG_BARRIER_RELEASE);
-            let (got_epoch, merged_vc, records) = decode_barrier(reply.payload, n);
-            assert_eq!(got_epoch, epoch, "barrier release for the wrong episode");
+            self.send_value(0, TAG_BARRIER_ARRIVE, arrival, None);
+            let release: Rc<SyncMessage> =
+                self.wait_reply(TAG_BARRIER_RELEASE).payload.into_value();
+            assert_eq!(release.head, epoch, "barrier release for the wrong episode");
             {
                 let mut st = self.st.borrow_mut();
-                st.apply_interval_records(&records);
-                st.vc.merge(&merged_vc);
+                st.apply_interval_records(&release.records);
+                st.vc.merge(&release.vc);
                 let vc = st.vc.clone();
                 st.last_barrier_vc = vc;
             }
@@ -534,7 +534,8 @@ impl<'a> Tmk<'a> {
         match m.tag {
             TAG_LOCK_ACQ => {
                 self.proc.compute(REQUEST_SERVICE_COST);
-                let (lock, requester, req_vc) = decode_lock_request(m.payload.clone(), n);
+                let (lock, requester, req_vc) =
+                    decode_lock_request(m.payload.clone().into_bytes(), n);
                 let prev = self.st.borrow_mut().chain_lock(lock, requester);
                 if prev == self.id() {
                     self.handle_forwarded(lock, requester, req_vc, m.arrival);
@@ -550,19 +551,21 @@ impl<'a> Tmk<'a> {
             }
             TAG_LOCK_FWD => {
                 self.proc.compute(REQUEST_SERVICE_COST);
-                let (lock, requester, req_vc) = decode_lock_request(m.payload, n);
+                let (lock, requester, req_vc) = decode_lock_request(m.payload.into_bytes(), n);
                 self.handle_forwarded(lock, requester, req_vc, m.arrival);
             }
             TAG_BARRIER_ARRIVE => {
                 assert_eq!(self.id(), 0, "only process 0 manages barriers");
                 self.proc.compute(REQUEST_SERVICE_COST);
-                let (epoch, src_vc, records) = decode_barrier(m.payload, n);
-                self.st.borrow_mut().apply_interval_records(&records);
+                let arrival: Rc<SyncMessage> = m.payload.into_value();
+                self.st
+                    .borrow_mut()
+                    .apply_interval_records(&arrival.records);
                 self.arrivals
                     .borrow_mut()
-                    .entry(epoch)
+                    .entry(arrival.head)
                     .or_default()
-                    .push((m.src, src_vc));
+                    .push((m.src, arrival.vc.clone()));
             }
             TAG_DONE => {
                 assert_eq!(self.id(), 0, "only process 0 collects DONE messages");
@@ -599,15 +602,39 @@ impl<'a> Tmk<'a> {
         // Handing the token over is a release edge: the open interval must
         // be published before the grant departs.
         self.close_and_publish();
-        let payload = {
+        let grant = {
             let mut st = self.st.borrow_mut();
             let ls = st.lock_state_mut(lock);
             assert!(ls.have_token && !ls.in_cs, "granting a lock we cannot give");
             ls.have_token = false;
-            st.encode_sync_not_covered_by(lock, req_vc)
+            st.sync_not_covered_by(lock, req_vc)
         };
-        self.proc
-            .send_at(requester, TAG_LOCK_GRANT, payload, depart);
+        self.send_value(requester, TAG_LOCK_GRANT, grant, Some(depart));
+    }
+
+    /// Send `msg` to `dst` as a value shared with the receiver, charged at
+    /// its encoded length ([`WireValue`]); it departs now, or at `depart`
+    /// when served interrupt-style.  Every grant, barrier message, diff
+    /// response and diff flush is sent here, so under `oracle-checks` this
+    /// is where each one is held to the codec.
+    pub(crate) fn send_value<M: WireValue>(
+        &self,
+        dst: usize,
+        tag: u32,
+        msg: M,
+        depart: Option<f64>,
+    ) {
+        #[cfg(feature = "oracle-checks")]
+        check_codec(tag, &msg, self.nprocs());
+        let len = msg.wire_len();
+        let payload = Payload::Value {
+            value: Rc::new(msg),
+            len,
+        };
+        match depart {
+            Some(at) => self.proc.send_at(dst, tag, payload, at),
+            None => self.proc.send(dst, tag, payload),
+        }
     }
 
     /// Barrier-time garbage collection, the paper's own GC point.

@@ -3,12 +3,23 @@
 //!
 //! Message sizes matter for the reproduction: Table 2 of the paper counts the
 //! UDP messages and the total amount of data TreadMarks sends, so every
-//! protocol message here is encoded into real bytes whose length is what the
+//! protocol message has an exact encoding here, and its length is what the
 //! simulated network charges and counts.
+//!
+//! The small requests travel as those bytes.  The four messages that carry
+//! protocol data — lock grants, barrier arrivals and releases, diff
+//! responses and HLRC diff flushes — travel as values ([`WireValue`]): a
+//! run's ranks share one address space, so a receiver keeps the sender's
+//! refcounted records and diffs instead of decoding a copy, and each record
+//! and diff is held once per run, not once per rank.  Such a message is
+//! charged its [`WireValue::wire_len`], computed from its shape; the codec
+//! stays the oracle — under `oracle-checks` every value sent is encoded,
+//! measured against that length, decoded and compared.
 
 use crate::page::{Diff, PageId};
 use crate::vc::VectorClock;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::rc::Rc;
 
 /// Lock acquire request, requester → lock manager.
 pub const TAG_LOCK_ACQ: u32 = 100;
@@ -56,91 +67,6 @@ pub const TAG_SC_INVAL: u32 = 126;
 /// SC invalidation acknowledgement, member → new owner.
 pub const TAG_SC_INVAL_ACK: u32 = 127;
 
-/// A reusable wire-encoding buffer for the hot send paths.
-///
-/// Every message used to be encoded into a fresh `BytesMut::new()`, which
-/// grew by doubling while records were appended — several reallocations and
-/// copies per message — before one more copy froze it into its final
-/// allocation.  A `WireBuf` instead computes the exact message size up
-/// front, stages the bytes in one long-lived `BytesMut` that is reused
-/// (and therefore stops growing) across messages, and copies once into an
-/// exactly-sized immutable [`Bytes`].
-#[derive(Debug, Default)]
-pub struct WireBuf {
-    buf: BytesMut,
-}
-
-impl WireBuf {
-    /// A fresh, empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Begin a message of exactly `size` bytes.
-    fn begin(&mut self, size: usize) -> &mut BytesMut {
-        debug_assert!(self.buf.is_empty(), "unfinished message in the wire buffer");
-        self.buf.reserve(size);
-        &mut self.buf
-    }
-
-    /// Freeze the written message out of the buffer, asserting its exact
-    /// size, and clear the buffer (retaining its allocation) for the next
-    /// message.
-    fn finish(&mut self, expect: usize) -> Bytes {
-        debug_assert_eq!(self.buf.len(), expect, "wire message mis-sized");
-        let out = Bytes::copy_from_slice(&self.buf);
-        self.buf.clear();
-        out
-    }
-}
-
-/// Encode a lock grant or barrier message — the two share the layout
-/// `(u32 head, vc, records)` — with the records spliced in by the caller
-/// from their pre-encoded wire buffers.  `nrecords`/`records_len` are the
-/// count and summed byte length the splice will write; the message is
-/// encoded into `wire` at exactly that pre-computed size.  Byte-identical
-/// to [`encode_lock_grant`] / [`encode_barrier`] over the same records.
-pub fn encode_sync_spliced(
-    wire: &mut WireBuf,
-    head: u32,
-    vc: &VectorClock,
-    nrecords: usize,
-    records_len: usize,
-    splice: impl FnOnce(&mut BytesMut),
-) -> Bytes {
-    let size = 8 + 4 * vc.len() + records_len;
-    let b = wire.begin(size);
-    b.put_u32_le(head);
-    put_vc(b, vc);
-    b.put_u32_le(nrecords as u32);
-    splice(b);
-    wire.finish(size)
-}
-
-/// [`encode_diff_response`] from borrowed parts with pre-encoded vector
-/// clocks, into a reusable, exactly pre-sized [`WireBuf`] — the serving path
-/// of the diff store (no `Diff` clones, no clock re-serialisation).
-pub fn encode_diff_response_into(
-    wire: &mut WireBuf,
-    page: PageId,
-    parts: &[DiffResponsePart<'_>],
-) -> Bytes {
-    let size = 8 + parts
-        .iter()
-        .map(|(_, _, vcw, diff)| 8 + vcw.len() + diff.wire_len())
-        .sum::<usize>();
-    let b = wire.begin(size);
-    b.put_u32_le(page);
-    b.put_u32_le(parts.len() as u32);
-    for (creator, seq, vc_wire, diff) in parts {
-        b.put_u32_le(*creator as u32);
-        b.put_u32_le(*seq);
-        b.put_slice(vc_wire);
-        diff.encode(b);
-    }
-    wire.finish(size)
-}
-
 /// A write-notice record: one closed interval of one process, listing the
 /// pages that process modified during the interval, together with the
 /// interval's vector timestamp.
@@ -163,29 +89,9 @@ pub fn put_vc(buf: &mut BytesMut, vc: &VectorClock) {
     }
 }
 
-/// The standalone wire encoding of `vc`.
-///
-/// Hot senders pre-encode vector clocks once (when a record or stored diff
-/// is created) and splice the buffer into every later message instead of
-/// cloning the clock and re-serialising it per send.
-pub fn vc_wire(vc: &VectorClock) -> Bytes {
-    let mut b = BytesMut::with_capacity(4 * vc.len());
-    put_vc(&mut b, vc);
-    b.freeze()
-}
-
 fn get_vc(buf: &mut Bytes, nprocs: usize) -> VectorClock {
     let entries = (0..nprocs).map(|_| buf.get_u32_le()).collect();
     VectorClock::from_entries(entries)
-}
-
-/// The standalone wire encoding of one interval record, computed once when
-/// the record enters a process's interval log and spliced (a memcpy) into
-/// every lock grant or barrier message that later carries the record.
-pub fn record_wire(r: &IntervalRecord) -> Bytes {
-    let mut b = BytesMut::with_capacity(16 + 4 * r.vc.len() + 4 * r.pages.len());
-    put_record(&mut b, r);
-    b.freeze()
 }
 
 fn put_record(buf: &mut BytesMut, r: &IntervalRecord) {
@@ -336,10 +242,6 @@ fn get_diff(buf: &mut Bytes) -> Diff {
     Diff::decode(buf).unwrap_or_else(|e| panic!("malformed diff payload: {e}"))
 }
 
-/// One borrowed entry of a diff response: `(creator, seq, pre-encoded
-/// creating-interval clock, diff)`.
-pub type DiffResponsePart<'a> = (usize, u32, &'a Bytes, &'a Diff);
-
 /// Diff response: `(page, diffs)`.
 pub fn encode_diff_response(page: PageId, diffs: &[WireDiff]) -> Bytes {
     let mut b = BytesMut::new();
@@ -401,6 +303,154 @@ pub fn decode_diff_flush(mut payload: Bytes) -> (usize, u32, Vec<(PageId, Diff)>
         })
         .collect();
     (creator, seq, entries)
+}
+
+/// A protocol message that travels as a shared value
+/// ([`cluster::Payload::Value`]) rather than as its encoding.
+///
+/// The network charges [`wire_len`](Self::wire_len), computed from the
+/// message's shape; [`encode`](Self::encode) and [`decode`](Self::decode)
+/// are the codec functions of its tag, which that length must equal.
+pub trait WireValue: std::any::Any + std::fmt::Debug + PartialEq {
+    /// The length in bytes of the message's encoding.
+    fn wire_len(&self) -> usize;
+    /// The message encoded as `tag` by the codec's `encode_*` function.
+    fn encode(&self, tag: u32) -> Bytes;
+    /// A message of `tag` decoded from `payload` on an `nprocs` cluster.
+    fn decode(tag: u32, payload: Bytes, nprocs: usize) -> Self;
+}
+
+/// The oracle of a value message: its encoding as `tag` is exactly
+/// [`WireValue::wire_len`] bytes long, and decodes back to it.
+///
+/// # Panics
+///
+/// Panics, naming the tag, if either does not hold.
+pub fn check_codec<M: WireValue>(tag: u32, msg: &M, nprocs: usize) {
+    let bytes = msg.encode(tag);
+    assert_eq!(
+        bytes.len(),
+        msg.wire_len(),
+        "tag {tag}: the computed size is not the encoded size"
+    );
+    assert_eq!(
+        &M::decode(tag, bytes, nprocs),
+        msg,
+        "tag {tag}: the encoding does not decode to the value sent"
+    );
+}
+
+impl IntervalRecord {
+    /// Bytes the record takes in a grant or barrier message: creator, seq,
+    /// clock, page count and pages.
+    pub(crate) fn wire_len(&self) -> usize {
+        12 + 4 * self.vc.len() + 4 * self.pages.len()
+    }
+}
+
+/// A lock grant or barrier message: `(head, vc, records)` — the lock id or
+/// barrier epoch, the sender's clock, and the interval records the receiver
+/// lacks, shared with the sender's interval log.
+#[derive(Debug, PartialEq)]
+pub struct SyncMessage {
+    /// Lock id (a grant) or barrier epoch (an arrival or release).
+    pub head: u32,
+    /// The sender's vector clock.
+    pub vc: VectorClock,
+    /// The write notices carried, as the sender holds them.
+    pub records: Vec<Rc<IntervalRecord>>,
+}
+
+impl WireValue for SyncMessage {
+    fn wire_len(&self) -> usize {
+        8 + 4 * self.vc.len() + self.records.iter().map(|r| r.wire_len()).sum::<usize>()
+    }
+
+    fn encode(&self, tag: u32) -> Bytes {
+        let records: Vec<IntervalRecord> = self.records.iter().map(|r| (**r).clone()).collect();
+        match tag {
+            TAG_LOCK_GRANT => encode_lock_grant(self.head, &self.vc, &records),
+            _ => encode_barrier(self.head, &self.vc, &records),
+        }
+    }
+
+    fn decode(tag: u32, payload: Bytes, nprocs: usize) -> Self {
+        let (head, vc, records) = match tag {
+            TAG_LOCK_GRANT => decode_lock_grant(payload, nprocs),
+            _ => decode_barrier(payload, nprocs),
+        };
+        let records = records.into_iter().map(Rc::new).collect();
+        SyncMessage { head, vc, records }
+    }
+}
+
+impl WireDiff {
+    /// Bytes the diff takes in a diff response: creator, seq, clock and the
+    /// diff's own encoding.
+    pub(crate) fn wire_len(&self) -> usize {
+        8 + 4 * self.vc.len() + self.diff.wire_len()
+    }
+}
+
+/// A diff response: `(page, diffs)`, each diff shared with the responder's
+/// diff store.
+#[derive(Debug, PartialEq)]
+pub struct DiffResponse {
+    /// The requested page.
+    pub page: PageId,
+    /// The diffs the requester lacks, as the responder holds them.
+    pub diffs: Vec<Rc<WireDiff>>,
+}
+
+impl WireValue for DiffResponse {
+    fn wire_len(&self) -> usize {
+        8 + self.diffs.iter().map(|d| d.wire_len()).sum::<usize>()
+    }
+
+    fn encode(&self, _tag: u32) -> Bytes {
+        let diffs: Vec<WireDiff> = self.diffs.iter().map(|d| (**d).clone()).collect();
+        encode_diff_response(self.page, &diffs)
+    }
+
+    fn decode(_tag: u32, payload: Bytes, nprocs: usize) -> Self {
+        let (page, diffs) = decode_diff_response(payload, nprocs);
+        let diffs = diffs.into_iter().map(Rc::new).collect();
+        DiffResponse { page, diffs }
+    }
+}
+
+/// An HLRC diff flush: one closed interval's diffs for one home.
+#[derive(Debug, PartialEq)]
+pub struct DiffFlush {
+    /// The writer.
+    pub creator: usize,
+    /// The flushed interval's sequence number on the writer.
+    pub seq: u32,
+    /// `(page, diff)` for every page of the interval this home holds.
+    pub entries: Vec<(PageId, Diff)>,
+}
+
+impl WireValue for DiffFlush {
+    fn wire_len(&self) -> usize {
+        12 + self
+            .entries
+            .iter()
+            .map(|(_, d)| 4 + d.wire_len())
+            .sum::<usize>()
+    }
+
+    fn encode(&self, _tag: u32) -> Bytes {
+        encode_diff_flush(self.creator, self.seq, &self.entries)
+    }
+
+    fn decode(_tag: u32, payload: Bytes, _nprocs: usize) -> Self {
+        let (creator, seq, entries) = decode_diff_flush(payload);
+        DiffFlush {
+            creator,
+            seq,
+            entries,
+        }
+    }
 }
 
 /// HLRC flush acknowledgement: echoes `(creator, seq)` of the flushed
@@ -677,40 +727,6 @@ mod tests {
         assert_eq!(got_data, data);
     }
 
-    #[test]
-    fn a_multi_diff_response_is_byte_identical_to_the_reference_encoder() {
-        let twin = new_page();
-        let mut page = new_page();
-        page[100] = 1;
-        page[2000] = 2;
-        let d = Diff::create(&twin, &page);
-        // A response of several diffs, one of them empty, through a fresh
-        // buffer: the exact size pre-pass must count each diff's own length.
-        let dvc = vc(&[0, 3, 1]);
-        let wire: Vec<WireDiff> = [
-            (1, 3, d.clone()),
-            (2, 1, Diff::default()),
-            (0, 9, d.clone()),
-        ]
-        .into_iter()
-        .map(|(creator, seq, diff)| WireDiff {
-            creator,
-            seq,
-            vc: dvc.clone(),
-            diff,
-        })
-        .collect();
-        let dvcw = vc_wire(&dvc);
-        let parts: Vec<DiffResponsePart<'_>> = wire
-            .iter()
-            .map(|wd| (wd.creator, wd.seq, &dvcw, &wd.diff))
-            .collect();
-        assert_eq!(
-            encode_diff_response_into(&mut WireBuf::new(), 12, &parts),
-            encode_diff_response(12, &wire)
-        );
-    }
-
     /// The two-diff response whose bytes [`GOLDEN_DIFF_RESPONSE`] pins.
     fn golden_input() -> Vec<WireDiff> {
         let twin = new_page();
@@ -765,25 +781,14 @@ mod tests {
             encode_diff_response(12, &input).as_ref(),
             GOLDEN_DIFF_RESPONSE
         );
-        let vcws: Vec<Bytes> = input.iter().map(|wd| vc_wire(&wd.vc)).collect();
-        let parts: Vec<DiffResponsePart<'_>> = input
-            .iter()
-            .zip(&vcws)
-            .map(|(wd, vcw)| (wd.creator, wd.seq, vcw, &wd.diff))
-            .collect();
-        assert_eq!(
-            encode_diff_response_into(&mut WireBuf::new(), 12, &parts).as_ref(),
-            GOLDEN_DIFF_RESPONSE
-        );
         let (page, got) = decode_diff_response(Bytes::from(GOLDEN_DIFF_RESPONSE.to_vec()), 3);
         assert_eq!((page, got), (12, input));
     }
 
     #[test]
     fn a_fetched_diff_is_the_response_buffer_itself() {
-        // What `apply_wire_diffs` stores for later accumulation is a window
-        // of the message payload: no second copy, and it must stay readable
-        // once the `Message` that carried it is gone.
+        // A decoded diff is a window of the message payload: no second
+        // copy, and it stays readable once the payload is gone.
         let payload = encode_diff_response(12, &golden_input());
         let span = payload.as_ptr_range();
         let (_, got) = decode_diff_response(payload, 3);
@@ -825,60 +830,93 @@ mod tests {
         decode_diff_flush(b.freeze());
     }
 
-    #[test]
-    fn wire_buf_messages_are_byte_identical_and_reusable() {
-        let records = vec![
-            IntervalRecord {
-                creator: 1,
-                seq: 5,
-                vc: vc(&[0, 5, 2]),
-                pages: vec![10, 11, 12],
-            },
-            IntervalRecord {
-                creator: 0,
-                seq: 2,
-                vc: vc(&[2, 0, 0]),
-                pages: vec![],
-            },
-        ];
-        let wires: Vec<Bytes> = records.iter().map(record_wire).collect();
-        let records_len: usize = wires.iter().map(Bytes::len).sum();
-        let clock = vc(&[2, 5, 0]);
-        let mut wb = WireBuf::new();
-        // The same buffer encodes message after message, each byte-identical
-        // to the single-shot reference encoder.
-        for _ in 0..3 {
-            let got = encode_sync_spliced(&mut wb, 3, &clock, records.len(), records_len, |b| {
-                for w in &wires {
-                    b.put_slice(w);
-                }
-            });
-            assert_eq!(got, encode_lock_grant(3, &clock, &records));
-            let got = encode_sync_spliced(&mut wb, 9, &clock, records.len(), records_len, |b| {
-                for w in &wires {
-                    b.put_slice(w);
-                }
-            });
-            assert_eq!(got, encode_barrier(9, &clock, &records));
-        }
+    fn record(creator: usize, seq: u32, clock: &[u32], pages: Vec<PageId>) -> Rc<IntervalRecord> {
+        Rc::new(IntervalRecord {
+            creator,
+            seq,
+            vc: vc(clock),
+            pages,
+        })
+    }
 
+    #[test]
+    fn the_computed_size_of_every_value_message_is_its_encoded_size() {
+        // Records: none, one, eight, and one with no pages.
+        let n8: Vec<Rc<IntervalRecord>> = (0..8)
+            .map(|i| record(i, 1 + i as u32, &[i as u32; 8], (0..i as PageId).collect()))
+            .collect();
+        let record_cases = [
+            vec![],
+            vec![record(1, 5, &[0, 5, 2, 0, 0, 0, 0, 0], vec![10, 11, 12])],
+            n8,
+            vec![record(0, 2, &[2, 0, 0, 0, 0, 0, 0, 0], vec![])],
+        ];
+        for records in record_cases {
+            let msg = SyncMessage {
+                head: 3,
+                vc: vc(&[2, 5, 0, 1, 0, 0, 0, 9]),
+                records,
+            };
+            let owned: Vec<IntervalRecord> = msg.records.iter().map(|r| (**r).clone()).collect();
+            let grant = encode_lock_grant(msg.head, &msg.vc, &owned);
+            let barrier = encode_barrier(msg.head, &msg.vc, &owned);
+            assert_eq!(
+                (grant.len(), barrier.len()),
+                (msg.wire_len(), msg.wire_len())
+            );
+            check_codec(TAG_LOCK_GRANT, &msg, 8);
+            check_codec(TAG_BARRIER_RELEASE, &msg, 8);
+        }
+        // Diffs: none, one, eight, an empty one, and the stencil diff
+        // SOR-Nonzero writes (1,024 three-byte runs, from `page.rs`).
         let twin = new_page();
-        let mut page = new_page();
-        page[100] = 1;
-        page[2000] = 2;
-        let d = Diff::create(&twin, &page);
-        let dvc = vc(&[0, 3, 1]);
-        let dvcw = vc_wire(&dvc);
-        let wire = vec![WireDiff {
-            creator: 1,
-            seq: 3,
-            vc: dvc.clone(),
-            diff: d.clone(),
-        }];
-        assert_eq!(
-            encode_diff_response_into(&mut wb, 12, &[(1, 3, &dvcw, &d)]),
-            encode_diff_response(12, &wire)
-        );
+        let mut sparse = new_page();
+        sparse[100] = 1;
+        sparse[2000] = 2;
+        let sparse = Diff::create(&twin, &sparse);
+        let mut old = new_page();
+        for (i, b) in old.iter_mut().enumerate() {
+            *b = (i % 251) as u8;
+        }
+        let mut relaxed = old.clone();
+        for word in relaxed.chunks_exact_mut(4) {
+            for b in &mut word[..3] {
+                *b ^= 0x5a;
+            }
+        }
+        let stencil = Diff::create(&old, &relaxed);
+        assert_eq!(stencil.runs().count(), 1024);
+        let wire = |seq: u32, diff: &Diff| {
+            Rc::new(WireDiff {
+                creator: seq as usize % 8,
+                seq,
+                vc: vc(&[seq; 8]),
+                diff: diff.clone(),
+            })
+        };
+        let diff_cases = [
+            vec![],
+            vec![wire(1, &sparse)],
+            (1..=8).map(|seq| wire(seq, &sparse)).collect(),
+            vec![wire(4, &Diff::default())],
+            vec![wire(2, &stencil)],
+        ];
+        for diffs in diff_cases {
+            let owned: Vec<WireDiff> = diffs.iter().map(|d| (**d).clone()).collect();
+            let flush = DiffFlush {
+                creator: 2,
+                seq: 7,
+                entries: owned.iter().map(|d| (d.seq, d.diff.clone())).collect(),
+            };
+            let response = DiffResponse { page: 12, diffs };
+            assert_eq!(encode_diff_response(12, &owned).len(), response.wire_len());
+            assert_eq!(
+                encode_diff_flush(2, 7, &flush.entries).len(),
+                flush.wire_len()
+            );
+            check_codec(TAG_DIFF_RESP, &response, 8);
+            check_codec(TAG_DIFF_FLUSH, &flush, 8);
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 use crate::page::{new_page, Diff, PageId};
 use crate::process::Tmk;
 use crate::proto::{
-    decode_diff_flush, decode_flush_ack, decode_page_request, decode_page_response,
-    encode_diff_flush, encode_flush_ack, encode_page_request, encode_page_response, TAG_DIFF_FLUSH,
-    TAG_FLUSH_ACK, TAG_PAGE_REQ, TAG_PAGE_RESP,
+    decode_flush_ack, decode_page_request, decode_page_response, encode_flush_ack,
+    encode_page_request, encode_page_response, DiffFlush, TAG_DIFF_FLUSH, TAG_FLUSH_ACK,
+    TAG_PAGE_REQ, TAG_PAGE_RESP,
 };
 use crate::state::{ClosedInterval, DsmState};
 use crate::vc::VectorClock;
@@ -37,6 +37,7 @@ use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
 use cluster::config::PAGE_SIZE;
 use cluster::Message;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// The home of `page`: pages are distributed round-robin over the processes
 /// of the cluster, so consecutive pages of the shared heap live on
@@ -54,7 +55,7 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
         .send(home, TAG_PAGE_REQ, encode_page_request(page, rt.id()));
     rt.st.borrow_mut().stats.page_requests_sent += 1;
     let m = rt.wait_reply(TAG_PAGE_RESP);
-    let (pid, home_applied, data) = decode_page_response(m.payload, rt.nprocs());
+    let (pid, home_applied, data) = decode_page_response(m.payload.into_bytes(), rt.nprocs());
     assert_eq!(pid, page, "page response for an unexpected page");
     // Installing the incoming page is a page-sized copy.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
@@ -86,18 +87,22 @@ pub(crate) fn flush(rt: &Tmk, closed: ClosedInterval) {
     let homes = by_home.len();
     for (home, entries) in by_home {
         let bytes: usize = entries.iter().map(|(_, d)| d.encoded_len()).sum();
-        let payload = encode_diff_flush(rt.id(), seq, &entries);
         // Creating each flushed diff scans the page and its twin (HLRC
         // pays diff creation eagerly, at flush time), and copying the
         // diffs into the flush message costs memory bandwidth too.
         let scan = entries.len() as f64 * 2.0 * PAGE_SIZE as f64;
         rt.proc().compute((scan + bytes as f64) / MEM_BANDWIDTH);
-        rt.proc().send(home, TAG_DIFF_FLUSH, payload);
+        let flush = DiffFlush {
+            creator: rt.id(),
+            seq,
+            entries,
+        };
+        rt.send_value(home, TAG_DIFF_FLUSH, flush, None);
         rt.st.borrow_mut().stats.diff_flushes_sent += 1;
     }
     for _ in 0..homes {
         let m = rt.wait_reply(TAG_FLUSH_ACK);
-        let (creator, acked_seq) = decode_flush_ack(m.payload);
+        let (creator, acked_seq) = decode_flush_ack(m.payload.into_bytes());
         assert_eq!(creator, rt.id(), "flush ack for another process");
         assert_eq!(acked_seq, seq, "flush ack for another interval");
     }
@@ -119,11 +124,12 @@ pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
 /// copy and acknowledge at the request's arrival time plus the service cost.
 fn serve_flush(rt: &Tmk, m: Message) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (creator, seq, entries) = decode_diff_flush(m.payload);
-    let bytes: usize = entries.iter().map(|(_, d)| d.encoded_len()).sum();
+    let flush: Rc<DiffFlush> = m.payload.into_value();
+    let (creator, seq) = (flush.creator, flush.seq);
+    let bytes: usize = flush.entries.iter().map(|(_, d)| d.encoded_len()).sum();
     {
         let mut st = rt.st.borrow_mut();
-        for (page, diff) in &entries {
+        for (page, diff) in &flush.entries {
             st.apply_flush(*page, creator, seq, diff);
         }
     }
@@ -141,7 +147,7 @@ fn serve_flush(rt: &Tmk, m: Message) {
 /// the request's arrival time plus the service cost.
 fn serve_page_request(rt: &Tmk, m: Message) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_page_request(m.payload);
+    let (page, requester) = decode_page_request(m.payload.into_bytes());
     let payload = {
         let mut st = rt.st.borrow_mut();
         st.stats.page_requests_served += 1;
@@ -357,12 +363,12 @@ mod tests {
         let _ = home.malloc(2 * PAGE_SIZE, 8);
         let _ = other.malloc(2 * PAGE_SIZE, 8);
         // Process 1 modifies pages 0 (homed at 0) and 1 (homed at 1).
-        let rec = IntervalRecord {
+        let rec = Rc::new(IntervalRecord {
             creator: 1,
             seq: 1,
             vc: VectorClock::from_entries(vec![0, 1]),
             pages: vec![0, 1],
-        };
+        });
         home.apply_interval_record(&rec);
         assert!(home.is_valid(0), "own-homed page stays valid");
         assert!(!home.is_valid(1), "remote-homed page is invalidated");

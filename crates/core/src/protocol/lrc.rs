@@ -14,11 +14,12 @@
 use crate::page::PageId;
 use crate::process::Tmk;
 use crate::proto::{
-    decode_diff_request, decode_diff_response, encode_diff_request, TAG_DIFF_REQ, TAG_DIFF_RESP,
+    decode_diff_request, encode_diff_request, DiffResponse, TAG_DIFF_REQ, TAG_DIFF_RESP,
 };
 use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
 use cluster::config::PAGE_SIZE;
 use cluster::Message;
+use std::rc::Rc;
 
 /// LRC fault service: request diffs for `page` from the minimal
 /// dominating set of writers, apply them in `hb1` order, and mark the
@@ -46,10 +47,9 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
     }
     let mut all = Vec::new();
     for _ in 0..targets.len() {
-        let m = rt.wait_reply(TAG_DIFF_RESP);
-        let (pid, diffs) = decode_diff_response(m.payload, rt.nprocs());
-        assert_eq!(pid, page, "diff response for an unexpected page");
-        all.extend(diffs);
+        let response: Rc<DiffResponse> = rt.wait_reply(TAG_DIFF_RESP).payload.into_value();
+        assert_eq!(response.page, page, "diff response for an unexpected page");
+        all.extend_from_slice(&response.diffs);
     }
     let bytes: usize = all.iter().map(|d| d.diff.encoded_len()).sum();
     rt.proc().compute(bytes as f64 / MEM_BANDWIDTH);
@@ -64,22 +64,24 @@ pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
         return Some(m);
     }
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester, applied_vc, global_vc) = decode_diff_request(m.payload, rt.nprocs());
-    let (payload, bytes, first_serves) = {
+    let (page, requester, applied_vc, global_vc) =
+        decode_diff_request(m.payload.into_bytes(), rt.nprocs());
+    let (diffs, first_serves) = {
         let mut st = rt.st.borrow_mut();
         st.stats.diff_requests_served += 1;
-        st.encode_diffs_for_request(page, requester, &applied_vc, &global_vc)
+        st.diffs_for_request(page, requester, &applied_vc, &global_vc)
     };
+    let bytes: usize = diffs.iter().map(|d| d.diff.encoded_len()).sum();
     // Diffs served for the first time are created now (the lazy diff
     // creation of the real system): scan the page and twin.
     let scan = first_serves as f64 * 2.0 * PAGE_SIZE as f64 / MEM_BANDWIDTH;
     // Copying the diffs into the response steals cycles here.
     rt.proc().compute(scan + bytes as f64 / MEM_BANDWIDTH);
-    rt.proc().send_at(
+    rt.send_value(
         requester,
         TAG_DIFF_RESP,
-        payload,
-        m.arrival + REQUEST_SERVICE_COST,
+        DiffResponse { page, diffs },
+        Some(m.arrival + REQUEST_SERVICE_COST),
     );
     None
 }

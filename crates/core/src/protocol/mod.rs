@@ -42,7 +42,6 @@ use crate::state::DsmState;
 use crate::stats::TmkStats;
 use crate::vc::VectorClock;
 use crate::{Diff, PAGE_FAULT_COST};
-use bytes::Bytes;
 use cluster::Message;
 
 /// Which coherence protocol a DSM endpoint runs.
@@ -182,13 +181,12 @@ impl DsmState {
         page: PageId,
         seq: u32,
         vc: &VectorClock,
-        vc_wire: &Bytes,
         diff: Diff,
     ) -> Option<(PageId, Diff)> {
         match self.protocol {
             ProtocolKind::Hlrc => Some((page, diff)),
             ProtocolKind::Lrc | ProtocolKind::Sc => {
-                self.retain_own_diff(page, seq, vc, vc_wire, diff);
+                self.retain_own_diff(page, seq, vc, diff);
                 None
             }
         }

@@ -236,7 +236,7 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
     });
     request(rt, page, Acquire::Read);
     let m = rt.wait_reply(TAG_SC_PAGE_COPY);
-    let (pid, data) = decode_sc_page_copy(m.payload);
+    let (pid, data) = decode_sc_page_copy(m.payload.into_bytes());
     assert_eq!(pid, page, "read copy for an unexpected page");
     // Installing the incoming page is a page-sized copy.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
@@ -365,7 +365,7 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
     } else {
         request(rt, page, Acquire::Write);
         let m = rt.wait_reply(TAG_SC_PAGE_XFER);
-        let (pid, cs, data) = decode_sc_page_transfer(m.payload);
+        let (pid, cs, data) = decode_sc_page_transfer(m.payload.into_bytes());
         assert_eq!(pid, page, "ownership transfer for an unexpected page");
         // Installing the incoming page is a page-sized copy.
         rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
@@ -389,7 +389,11 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
     }
     for _ in 0..targets.len() {
         let m = rt.wait_reply(TAG_SC_INVAL_ACK);
-        assert_eq!(decode_sc_ack(m.payload), page, "ack for an unexpected page");
+        assert_eq!(
+            decode_sc_ack(m.payload.into_bytes()),
+            page,
+            "ack for an unexpected page"
+        );
     }
     with_state(rt, |pages, s, _| {
         debug_assert!(
@@ -470,7 +474,7 @@ fn route(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Option
 /// here or forward it to the previous requester (lock-token style).
 fn serve_at_manager(rt: &Tmk, m: Message, kind: Acquire) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_sc_request(m.payload.clone());
+    let (page, requester) = decode_sc_request(m.payload.clone().into_bytes());
     let me = rt.id();
     let depart = m.arrival + REQUEST_SERVICE_COST;
     let prev = with_state(rt, |_, s, _| {
@@ -491,7 +495,7 @@ fn serve_at_manager(rt: &Tmk, m: Message, kind: Acquire) {
 /// Chained-holder side of a forwarded fault.
 fn serve_forwarded(rt: &Tmk, m: Message, kind: Acquire) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_sc_request(m.payload);
+    let (page, requester) = decode_sc_request(m.payload.into_bytes());
     let depart = m.arrival + REQUEST_SERVICE_COST;
     route(rt, page, kind, requester, Some(depart));
 }
@@ -501,7 +505,7 @@ fn serve_forwarded(rt: &Tmk, m: Message, kind: Acquire) {
 /// reader discards and refaults instead of installing it.
 fn serve_inval(rt: &Tmk, m: Message) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, new_owner) = decode_sc_request(m.payload);
+    let (page, new_owner) = decode_sc_request(m.payload.into_bytes());
     with_state(rt, |pages, s, _| {
         debug_assert!(!s.owner[page as usize], "an owner can never be invalidated");
         if matches!(s.acquiring, Some((p, Acquire::Read)) if p == page) {

@@ -14,15 +14,15 @@
 
 use crate::diffs::StoredDiff;
 use crate::heap::{PagePool, Slab};
-use crate::intervals::LoggedInterval;
 use crate::page::{new_page, Diff, PageId};
-use crate::proto::WireBuf;
+use crate::proto::IntervalRecord;
 use crate::protocol::sc::ScState;
 use crate::protocol::ProtocolKind;
 use crate::stats::TmkStats;
 use crate::vc::VectorClock;
 use cluster::config::PAGE_SIZE;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// The result of closing an interval: the write-notice record to publish,
 /// and the diffs the protocol handed back for flushing to remote homes
@@ -40,16 +40,10 @@ pub struct ClosedInterval {
 }
 
 /// A pending write notice: an interval known to have modified a page, whose
-/// diff has not yet been fetched and applied locally.
-#[derive(Debug, Clone)]
-pub struct Notice {
-    /// Creator of the interval.
-    pub creator: usize,
-    /// Interval sequence number on the creator.
-    pub seq: u32,
-    /// Vector timestamp of the interval.
-    pub vc: VectorClock,
-}
+/// diff has not yet been fetched and applied locally — the interval's record
+/// itself, shared with the interval log (and with every other rank that
+/// holds it).
+pub type Notice = Rc<IntervalRecord>;
 
 /// Local state of one shared page.
 #[derive(Debug, Default)]
@@ -101,8 +95,9 @@ pub struct DsmState {
     /// All interval records retained, indexed
     /// `[creator][seq - 1 - interval_base[creator]]`: garbage collection
     /// (see [`DsmState::gc`]) truncates the front of each log and advances
-    /// the base.
-    pub(crate) intervals: Vec<Vec<LoggedInterval>>,
+    /// the base.  Each record is its creator's allocation, shared by every
+    /// rank that has learnt of it.
+    pub(crate) intervals: Vec<Vec<Rc<IntervalRecord>>>,
     /// Number of leading intervals of each creator already garbage
     /// collected from `intervals`.
     pub(crate) interval_base: Vec<u32>,
@@ -117,9 +112,6 @@ pub struct DsmState {
     /// The diffs themselves, slab-allocated so the insert/GC churn of a
     /// long run recycles slots (see [`Slab`]).
     pub(crate) diff_slab: Slab<StoredDiff>,
-    /// Reusable wire-encoding buffer for the hot send paths (lock grants,
-    /// barrier messages, diff responses).
-    pub(crate) wire: WireBuf,
     /// Shared pages (crate-visible so the protocol backends can maintain
     /// master copies and ownership modes).
     pub(crate) pages: Vec<PageSlot>,
@@ -170,7 +162,6 @@ impl DsmState {
             interval_base: vec![0; nprocs],
             diffs: BTreeMap::new(),
             diff_slab: Slab::default(),
-            wire: WireBuf::new(),
             pages,
             dirty_pages: Vec::new(),
             heap_next: 0,

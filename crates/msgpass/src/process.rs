@@ -92,7 +92,7 @@ impl<'a> Pvm<'a> {
         let m = self.proc.recv(src, tag);
         self.charge_copy(m.payload.len());
         self.proc.span_end(SpanCat::RecvWait);
-        RecvBuffer::new(m.src, m.tag, m.payload)
+        RecvBuffer::new(m.src, m.tag, m.payload.into_bytes())
     }
 
     /// Blocking receive with a wildcard tag (`pvm_recv(src, -1)`): waits for
@@ -109,7 +109,7 @@ impl<'a> Pvm<'a> {
         let m = self.proc.recv_match(src, None);
         self.charge_copy(m.payload.len());
         self.proc.span_end(SpanCat::RecvWait);
-        RecvBuffer::new(m.src, m.tag, m.payload)
+        RecvBuffer::new(m.src, m.tag, m.payload.into_bytes())
     }
 
     /// Non-blocking receive (`pvm_nrecv`): returns `None` if no matching
@@ -121,7 +121,7 @@ impl<'a> Pvm<'a> {
     pub fn nrecv(&self, src: Option<usize>, tag: u32) -> Option<RecvBuffer> {
         let m = self.proc.try_recv(src, tag)?;
         self.charge_copy(m.payload.len());
-        Some(RecvBuffer::new(m.src, m.tag, m.payload))
+        Some(RecvBuffer::new(m.src, m.tag, m.payload.into_bytes()))
     }
 
     fn charge_copy(&self, bytes: usize) {
