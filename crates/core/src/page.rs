@@ -1,4 +1,4 @@
-//! Pages, twins, and run-length-encoded diffs — the multiple-writer protocol.
+//! Pages, twins, and diffs — the multiple-writer protocol.
 //!
 //! TreadMarks allows two or more processors to modify their own copy of a
 //! shared page simultaneously.  Before the first write of an interval the
@@ -9,6 +9,9 @@
 //! merged by applying them all, which is what eliminates most of the cost of
 //! false sharing relative to a single-writer protocol.
 //!
+//! A [`Diff`] travels as runs, `(offset, len, bytes)`, but is *held* as the
+//! changed bytes plus one bitmask per changed 64-byte block: a run header
+//! costs four bytes, and an f32 stencil page is a thousand three-byte runs.
 //! [`Diff::create`] never compares bytes one at a time: it turns each
 //! 64-byte block of twin and page into a `u64` mask, one bit per differing
 //! byte, and walks the mask's *edges* — the bits where a run starts or
@@ -21,36 +24,42 @@ use std::cell::RefCell;
 /// Index of a shared page within the shared address space.
 pub type PageId = u32;
 
-/// The longest run buffer a page can diff into: 2,048 runs (runs are
-/// separated by at least one unchanged byte), all of one byte but the last,
-/// which is two (`x.x.x…x.xx`) — `2048 × 4` header bytes and 2,049 data
-/// bytes.
-const MAX_WIRE: usize = PAGE_SIZE / 2 * 5 + 1;
+/// Blocks of 64 bytes in a page: one bit each in [`Diff`]'s block set.
+const BLOCKS: usize = PAGE_SIZE / 64;
+const _: () = assert!(BLOCKS == 64, "a page's block set is one u64");
 
-/// A run-length encoding of the modifications made to one page during one
-/// interval, produced by comparing the page to its twin.
+/// The most bytes a diff holds: every byte of the page and every mask.
+const MAX_HELD: usize = PAGE_SIZE + 8 * BLOCKS;
+
+/// The modifications made to one page during one interval, produced by
+/// comparing the page to its twin.
 ///
-/// The runs live in **one** buffer, in the layout they travel in:
-/// `([offset u16 LE][len u16 LE][len bytes])*`, offsets increasing, runs
-/// non-empty, non-overlapping and inside the page.  The same buffer is what
-/// [`Diff::create`] fills, what the diff store retains, what a diff
-/// response splices and — on the receiving side — a refcounted window of
-/// the message payload itself (`Diff::decode`), so a diff is never held
-/// as one heap object per run (an f32 stencil page diffs into ~1,000 runs
-/// of 3 bytes: per-run vectors cost eight times their payload).
+/// Bit `k` of `blocks` is set iff block `k` (bytes `64k..64k + 64`)
+/// changed.  **One** buffer holds the changed bytes in page order, then
+/// one `u64` LE mask per set bit of `blocks`, in block order — bit `i` of
+/// block `k`'s mask set iff byte `64k + i` changed.  `runs` counts the
+/// maximal runs of changed bytes, merged across block boundaries: the runs
+/// [`Diff::runs`] yields, `encode` writes as
+/// `[run count u32]([offset u16][len u16][len bytes])*` (all LE) and the
+/// cost model charges for.  So a diff holds `modified + 8 × changed blocks`
+/// bytes where its wire form takes `4 × runs + modified`: an f32 stencil
+/// page's 1,024 three-byte runs hold 3,584 bytes, not 7,168.  The buffer is
+/// frozen once by [`Diff::create`]; the diff store, every fetched copy and
+/// every message share it.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Diff {
     runs: u32,
-    wire: Bytes,
+    blocks: u64,
+    buf: Bytes,
 }
 
 thread_local! {
-    /// Where a thread's [`Diff::create`] stages its runs before freezing
-    /// them into one exactly-sized buffer: fixed-size, so staging never
-    /// allocates.  A run of up to eight bytes is copied as one whole word;
-    /// that never writes past [`MAX_WIRE`] (a run near the page end is
-    /// copied exactly), and the 8 bytes of slack are a margin.
-    static STAGING: RefCell<[u8; MAX_WIRE + 8]> = const { RefCell::new([0; MAX_WIRE + 8]) };
+    /// Where a thread's diffs are staged before freezing into one
+    /// exactly-sized buffer: fixed-size, so staging never allocates.
+    /// [`Diff::create`] copies a run of up to eight bytes as one whole word;
+    /// the up to seven bytes that land past the data are overwritten by
+    /// the next run or the masks, and stay inside [`MAX_HELD`].
+    static STAGING: RefCell<[u8; MAX_HELD]> = const { RefCell::new([0; MAX_HELD]) };
 }
 
 /// One bit per byte of a 64-byte block, bit `i` set iff byte `i` of `t`
@@ -80,23 +89,82 @@ fn block_mask(t: &[u8; 64], c: &[u8; 64]) -> u64 {
     }
 }
 
+/// The runs of one block's mask `m` as `(start, end)` byte offsets within
+/// the block: its edges `m ^ (m << 1)` alternate run start, run end, …,
+/// each found with `trailing_zeros` and cleared with `edges &= edges - 1`;
+/// a run reaching the block's end has no end edge and ends at 64.
+#[inline(always)]
+fn block_runs(m: u64) -> impl Iterator<Item = (usize, usize)> {
+    let mut edges = m ^ (m << 1);
+    std::iter::from_fn(move || {
+        if edges == 0 {
+            return None;
+        }
+        let start = edges.trailing_zeros() as usize;
+        edges &= edges - 1;
+        let end = if edges == 0 {
+            64
+        } else {
+            edges.trailing_zeros() as usize
+        };
+        edges &= edges.wrapping_sub(1);
+        Some((start, end))
+    })
+}
+
+/// `dst.copy_from_slice(src)` for a run within one block, as two
+/// fixed-size copies from its two ends that overlap in the middle (1,
+/// 2–3, 4–7, 8–15, 16–31 and 32–64 bytes), not a `memcpy` call per run.
+#[inline(always)]
+fn copy_run(dst: &mut [u8], src: &[u8]) {
+    #[inline(always)]
+    fn ends<const N: usize>(dst: &mut [u8], src: &[u8]) {
+        let n = src.len();
+        dst[..N].copy_from_slice(&src[..N]);
+        dst[n - N..].copy_from_slice(&src[n - N..]);
+    }
+    match src.len() {
+        1 => dst[0] = src[0],
+        2..=3 => ends::<2>(dst, src),
+        4..=7 => ends::<4>(dst, src),
+        8..=15 => ends::<8>(dst, src),
+        16..=31 => ends::<16>(dst, src),
+        32..=64 => ends::<32>(dst, src),
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// Freeze the `data` changed bytes staged at the front of `stage`, then
+/// the non-zero `masks`, into one exactly-sized buffer.
+fn seal(runs: u32, masks: &[u64; BLOCKS], stage: &mut [u8; MAX_HELD], data: usize) -> Diff {
+    let (mut blocks, mut at) = (0u64, data);
+    for (k, &m) in masks.iter().enumerate().filter(|&(_, &m)| m != 0) {
+        blocks |= 1 << k;
+        stage[at..at + 8].copy_from_slice(&m.to_le_bytes());
+        at += 8;
+    }
+    Diff {
+        runs,
+        blocks,
+        buf: Bytes::copy_from_slice(&stage[..at]),
+    }
+}
+
 impl Diff {
     /// Compute the diff between `twin` (the pre-modification copy) and
     /// `current` (the page as modified during the interval).
     ///
-    /// Outside a run, equal 512-byte chunks are skipped a compare each (an
-    /// equal page is eight compares).  Otherwise each 64-byte block
-    /// becomes a difference mask `m` (`block_mask`) whose edges
-    /// `m ^ (m << 1 | carry)` — `carry` set if the previous block ended
-    /// inside a run — alternate run start, run end, start, …; each is found
-    /// with `trailing_zeros` and cleared with `edges &= edges - 1`.  An f32
-    /// stencil page's 1,024 three-byte runs are 2,048 edges; a fully
-    /// rewritten page's all-ones blocks have none.  Runs are staged in a
-    /// fixed thread-local buffer — a header is one `u32` store, a run of up
-    /// to eight bytes one 8-byte copy — and frozen into one exactly-sized
-    /// buffer.  Boundaries are byte-precise: the result is identical to
-    /// [`Diff::create_reference`], property-tested and, under
-    /// `oracle-checks`, asserted on every diff.
+    /// Equal 512-byte chunks are skipped a compare each (an equal page is
+    /// eight compares).  Otherwise each 64-byte block becomes a difference
+    /// mask `m` (`block_mask`), kept as it is; its runs' bytes are gathered
+    /// by the edge walk (`block_runs`) — a run of up to eight bytes is one
+    /// 8-byte copy, an all-ones block one 64-byte copy — and the maximal
+    /// runs are counted across block boundaries without walking them:
+    /// `runs += popcount(m & !(m << 1 | carry))`, `carry` being the
+    /// previous block's last bit.  Bytes and masks are staged in a fixed
+    /// thread-local buffer and frozen into one exactly-sized buffer.  The
+    /// result is identical to [`Diff::create_reference`], property-tested
+    /// and, under `oracle-checks`, asserted on every diff.
     ///
     /// # Panics
     ///
@@ -105,49 +173,38 @@ impl Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
         const CHUNK: usize = 512;
-        let diff = STAGING.with_borrow_mut(|buf| {
-            let (mut runs, mut at) = (0u32, 0usize);
-            let mut push = |start: usize, end: usize| {
-                let len = end - start;
-                let head = start as u32 | (len as u32) << 16;
-                buf[at..at + 4].copy_from_slice(&head.to_le_bytes());
-                if len <= 8 && start + 8 <= PAGE_SIZE {
-                    buf[at + 4..at + 12].copy_from_slice(&current[start..start + 8]);
-                } else {
-                    buf[at + 4..at + 4 + len].copy_from_slice(&current[start..end]);
-                }
-                at += 4 + len;
-                runs += 1;
-            };
-            let (mut in_run, mut start) = (false, 0usize);
+        let diff = STAGING.with_borrow_mut(|stage| {
+            let (mut runs, mut at, mut carry) = (0u32, 0usize, 0u64);
+            let mut masks = [0u64; BLOCKS];
             let (twins, pages) = (twin.as_chunks::<CHUNK>().0, current.as_chunks().0);
-            for (chunk, (t, c)) in (0..).step_by(CHUNK).zip(twins.iter().zip(pages)) {
-                if !in_run && t == c {
+            for (chunk, (t, c)) in (0..).step_by(CHUNK / 64).zip(twins.iter().zip(pages)) {
+                if t == c {
+                    carry = 0;
                     continue;
                 }
                 let blocks = t.as_chunks::<64>().0.iter().zip(c.as_chunks().0);
-                for (base, (t, c)) in (chunk..).step_by(64).zip(blocks) {
+                for (k, (t, c)) in (chunk..).zip(blocks) {
                     let m = block_mask(t, c);
-                    let mut edges = m ^ (m << 1 | in_run as u64);
-                    while edges != 0 {
-                        let edge = base + edges.trailing_zeros() as usize;
-                        if in_run {
-                            push(start, edge);
+                    runs += (m & !(m << 1 | carry)).count_ones();
+                    carry = m >> 63;
+                    masks[k] = m;
+                    if m == !0 {
+                        stage[at..at + 64].copy_from_slice(c);
+                        at += 64;
+                        continue;
+                    }
+                    for (start, end) in block_runs(m) {
+                        let (from, len) = (64 * k + start, end - start);
+                        if len <= 8 && from + 8 <= PAGE_SIZE {
+                            stage[at..at + 8].copy_from_slice(&current[from..from + 8]);
                         } else {
-                            start = edge;
+                            copy_run(&mut stage[at..at + len], &current[from..from + len]);
                         }
-                        in_run = !in_run;
-                        edges &= edges - 1;
+                        at += len;
                     }
                 }
             }
-            if in_run {
-                push(start, PAGE_SIZE);
-            }
-            Diff {
-                runs,
-                wire: Bytes::copy_from_slice(&buf[..at]),
-            }
+            seal(runs, &masks, stage, at)
         });
         // With the `oracle-checks` feature (on in CI), every mask-walk diff
         // is checked against the byte-at-a-time reference; off by default
@@ -167,46 +224,71 @@ impl Diff {
     pub fn create_reference(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        let (mut runs, mut wire) = (0u32, Vec::new());
-        let mut i = 0usize;
-        while i < PAGE_SIZE {
-            if twin[i] != current[i] {
-                let start = i;
-                while i < PAGE_SIZE && twin[i] != current[i] {
-                    i += 1;
+        STAGING.with_borrow_mut(|stage| {
+            let (mut runs, mut at, mut masks) = (0u32, 0usize, [0u64; BLOCKS]);
+            for i in 0..PAGE_SIZE {
+                if twin[i] != current[i] {
+                    if i == 0 || twin[i - 1] == current[i - 1] {
+                        runs += 1;
+                    }
+                    masks[i / 64] |= 1 << (i % 64);
+                    stage[at] = current[i];
+                    at += 1;
                 }
-                runs += 1;
-                wire.extend_from_slice(&(start as u16).to_le_bytes());
-                wire.extend_from_slice(&((i - start) as u16).to_le_bytes());
-                wire.extend_from_slice(&current[start..i]);
-            } else {
-                i += 1;
             }
-        }
-        Diff {
-            runs,
-            wire: Bytes::from(wire),
-        }
-    }
-
-    /// The modified runs as `(offset within the page, new bytes)`, in
-    /// increasing offset order.
-    pub fn runs(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        let mut rest: &[u8] = &self.wire;
-        std::iter::from_fn(move || {
-            let (head, tail) = rest.split_first_chunk::<4>()?;
-            let len = u16::from_le_bytes([head[2], head[3]]) as usize;
-            let (data, tail) = tail.split_at(len);
-            rest = tail;
-            Some((u16::from_le_bytes([head[0], head[1]]), data))
+            seal(runs, &masks, stage, at)
         })
     }
 
-    /// Apply this diff to `page`.
+    /// The changed bytes, in page order, and each changed block as
+    /// `(block index, mask)`, in block order.
+    fn parts(&self) -> (&[u8], impl Iterator<Item = (usize, u64)> + '_) {
+        let (data, masks) = self.buf.split_at(self.modified_bytes());
+        let mut blocks = self.blocks;
+        let masks = masks.as_chunks::<8>().0.iter().map(move |m| {
+            let k = blocks.trailing_zeros() as usize;
+            blocks &= blocks - 1;
+            (k, u64::from_le_bytes(*m))
+        });
+        (data, masks)
+    }
+
+    /// The modified runs as `(offset within the page, new bytes)`, in
+    /// increasing offset order: maximal runs, one across a block boundary
+    /// being one run and one slice.
+    pub fn runs(&self) -> impl Iterator<Item = (u16, &[u8])> {
+        let (mut data, masks) = self.parts();
+        let mut pieces = masks
+            .flat_map(|(k, m)| block_runs(m).map(move |(s, e)| (64 * k + s, 64 * k + e)))
+            .peekable();
+        std::iter::from_fn(move || {
+            let (start, mut end) = pieces.next()?;
+            while let Some((_, more)) = pieces.next_if(|&(next, _)| next == end) {
+                end = more;
+            }
+            let (run, rest) = data.split_at(end - start);
+            data = rest;
+            Some((start as u16, run))
+        })
+    }
+
+    /// Apply this diff to `page`: block by block, each of a block's runs
+    /// one copy (an all-ones block is one 64-byte copy).
     pub fn apply(&self, page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "page must be one page");
-        for (offset, data) in self.runs() {
-            page[offset as usize..][..data.len()].copy_from_slice(data);
+        let (mut data, masks) = self.parts();
+        for (k, m) in masks {
+            let block = &mut page[64 * k..64 * k + 64];
+            if m == !0 {
+                block.copy_from_slice(&data[..64]);
+                data = &data[64..];
+                continue;
+            }
+            for (start, end) in block_runs(m) {
+                let (run, rest) = data.split_at(end - start);
+                copy_run(&mut block[start..end], run);
+                data = rest;
+            }
         }
     }
 
@@ -217,7 +299,7 @@ impl Diff {
 
     /// Number of modified bytes carried by the diff.
     pub fn modified_bytes(&self) -> usize {
-        self.wire.len() - 4 * self.runs as usize
+        self.buf.len() - 8 * self.blocks.count_ones() as usize
     }
 
     /// *Modelled* size of the diff on the wire: per-run header (offset +
@@ -228,29 +310,34 @@ impl Diff {
     /// count ahead of the same runs) — unifying the two would move every
     /// pinned value.
     pub fn encoded_len(&self) -> usize {
-        8 + self.wire.len()
+        8 + 4 * self.runs as usize + self.modified_bytes()
     }
 
     /// Bytes [`encode`](Self::encode) writes: the run count and the runs.
     pub(crate) fn wire_len(&self) -> usize {
-        4 + self.wire.len()
+        4 + 4 * self.runs as usize + self.modified_bytes()
     }
 
-    /// Append the host wire form — the run count, then the run buffer as
-    /// it is held — to `buf`.
+    /// Append the wire form — the run count, then each run's offset,
+    /// length and bytes — to `buf`.
     pub(crate) fn encode(&self, buf: &mut BytesMut) {
+        buf.reserve(self.wire_len());
         buf.put_u32_le(self.runs);
-        buf.put_slice(&self.wire);
+        for (offset, data) in self.runs() {
+            buf.put_u32_le(offset as u32 | (data.len() as u32) << 16);
+            buf.put_slice(data);
+        }
     }
 
     /// Decode one diff off the front of `buf`, consuming exactly the bytes
-    /// [`encode`](Self::encode) wrote.  The runs are walked once, to
-    /// validate them and find the end; the returned diff is a refcounted
-    /// window of `buf`'s allocation, not a copy.
+    /// [`encode`](Self::encode) wrote.  The runs are walked once to
+    /// validate them and find the end, then again to build the held form.
     ///
     /// Fails — before anything can index a page with it — if a run header
     /// or its data lies outside `buf`, a run is empty or ends past the
-    /// page, or the runs are not in increasing, non-overlapping order.
+    /// page, or the runs are not in increasing order with a gap between
+    /// each two (two adjacent runs are one run split: [`Diff::create`]
+    /// never writes that, and the held form cannot keep them apart).
     pub(crate) fn decode(buf: &mut Bytes) -> Result<Diff, String> {
         if buf.len() < 4 {
             return Err(format!(
@@ -273,6 +360,8 @@ impl Diff {
                 "is empty".to_string()
             } else if offset < floor {
                 format!("starts before the previous run's end {floor}")
+            } else if run > 0 && offset == floor {
+                format!("starts at the previous run's end {floor}: adjacent runs are one run")
             } else if offset + len > PAGE_SIZE {
                 format!("ends past the {PAGE_SIZE}-byte page")
             } else if 4 + len > left {
@@ -286,10 +375,21 @@ impl Diff {
                 "diff run {run} of {runs} (offset {offset}, len {len}) {why}"
             ));
         }
-        Ok(Diff {
-            runs,
-            wire: buf.split_to(at),
-        })
+        let mut rest: &[u8] = &buf.split_to(at);
+        Ok(STAGING.with_borrow_mut(|stage| {
+            let (mut at, mut masks) = (0usize, [0u64; BLOCKS]);
+            while let Some((head, tail)) = rest.split_first_chunk::<4>() {
+                let offset = u16::from_le_bytes([head[0], head[1]]) as usize;
+                let (data, tail) = tail.split_at(u16::from_le_bytes([head[2], head[3]]) as usize);
+                for i in offset..offset + data.len() {
+                    masks[i / 64] |= 1 << (i % 64);
+                }
+                stage[at..at + data.len()].copy_from_slice(data);
+                at += data.len();
+                rest = tail;
+            }
+            seal(runs, &masks, stage, at)
+        }))
     }
 }
 
@@ -405,12 +505,9 @@ mod tests {
         assert!(d.encoded_len() >= PAGE_SIZE);
     }
 
-    #[test]
-    fn f32_stencil_page_is_a_thousand_three_byte_runs_in_one_buffer() {
-        // A relaxation step changes a float's mantissa bytes while its
-        // exponent byte survives: every 4-byte word differs in its low
-        // three bytes.  This is the shape SOR-Nonzero produces on every
-        // page it writes, and the one per-run heap objects were worst at.
+    /// A page and its twin as one f32 relaxation step leaves them: every
+    /// 4-byte word differs in its low three bytes.
+    fn stencil_pages() -> (Box<[u8]>, Box<[u8]>) {
         let mut twin = new_page();
         for (i, b) in twin.iter_mut().enumerate() {
             *b = (i % 251) as u8;
@@ -421,6 +518,16 @@ mod tests {
                 *b ^= 0x5a;
             }
         }
+        (twin, page)
+    }
+
+    #[test]
+    fn f32_stencil_page_is_a_thousand_three_byte_runs_in_one_buffer() {
+        // A relaxation step changes a float's mantissa bytes while its
+        // exponent byte survives: every 4-byte word differs in its low
+        // three bytes.  This is the shape SOR-Nonzero produces on every
+        // page it writes, and the one per-run heap objects were worst at.
+        let (twin, page) = stencil_pages();
         let d = Diff::create(&twin, &page);
         assert_eq!(d, Diff::create_reference(&twin, &page));
         assert_eq!(d.runs().count(), 1024);
@@ -436,9 +543,10 @@ mod tests {
     }
 
     #[test]
-    fn the_worst_case_page_fits_the_staging_buffer_exactly() {
-        // Every other byte modified: the most runs a page can hold, one
-        // byte short of the longest wire (and of the staging bound).
+    fn the_worst_case_page_fits_the_staging_buffer() {
+        // Every other byte modified: the most runs a page can hold (2,048
+        // one-byte runs), every block changed — the longest wire, and with
+        // the last run two bytes long, one byte longer.
         let twin = new_page();
         let mut page = new_page();
         for b in page.iter_mut().step_by(2) {
@@ -447,12 +555,14 @@ mod tests {
         assert_equivalent(&twin, &page, "every other byte");
         let d = Diff::create(&twin, &page);
         assert_eq!(d.runs().count(), PAGE_SIZE / 2);
-        assert_eq!(d.wire_len(), 4 + MAX_WIRE - 1);
-        // The same 2,048 runs with the last one two bytes long fill
-        // `MAX_WIRE` exactly, and stay within the staging buffer.
+        assert_eq!(d.wire_len(), 4 + 2048 * 5);
         page[PAGE_SIZE - 1] = 1;
         assert_equivalent(&twin, &page, "every other byte, last run of two");
-        assert_eq!(Diff::create(&twin, &page).wire_len(), 4 + MAX_WIRE);
+        assert_eq!(Diff::create(&twin, &page).wire_len(), 4 + 2048 * 5 + 1);
+        // Every byte modified fills the staging buffer exactly.
+        page.fill(1);
+        assert_equivalent(&twin, &page, "every byte");
+        assert_eq!(Diff::create(&twin, &page).buf.len(), MAX_HELD);
     }
 
     #[test]
@@ -537,10 +647,35 @@ mod tests {
     }
 
     #[test]
-    fn a_diff_is_one_buffer_handle_whatever_its_run_count() {
-        // A run count and a `Bytes` handle (shared pointer + window).  If
-        // this grows, a per-run heap object has probably come back.
-        assert_eq!(std::mem::size_of::<Diff>(), 40);
+    fn a_diff_is_a_block_set_and_one_buffer_handle_whatever_its_run_count() {
+        // A run count, the changed-block set and a `Bytes` handle (shared
+        // pointer + window).  If this grows, a per-run or per-block heap
+        // object has probably come back.
+        assert_eq!(std::mem::size_of::<Diff>(), 48);
+    }
+
+    #[test]
+    fn a_diff_holds_its_changed_bytes_and_one_mask_per_changed_block() {
+        let twin = new_page();
+        // One byte: the byte and its block's mask.
+        let d = Diff::create(&twin, &page_with(&[(3000, 1)]));
+        assert_eq!((d.buf.len(), d.encoded_len()), (1 + 8, 8 + 4 + 1));
+        // The f32 stencil page: 3,072 bytes in all 64 blocks, where its
+        // 1,024 runs take 7,168 bytes on the wire.
+        let (old, relaxed) = stencil_pages();
+        let d = Diff::create(&old, &relaxed);
+        assert_eq!((d.buf.len(), d.wire_len()), (3072 + 512, 4 + 7168));
+        // Every other byte: 2,048 bytes plus 64 masks.
+        let mut page = new_page();
+        for b in page.iter_mut().step_by(2) {
+            *b = 1;
+        }
+        assert_eq!(Diff::create(&twin, &page).buf.len(), 2048 + 512);
+        // A run across a block boundary is held in both blocks, and is
+        // still one run of one slice.
+        let d = Diff::create(&twin, &page_with(&[(63, 1), (64, 2)]));
+        assert_eq!(d.buf.len(), 2 + 16);
+        assert_eq!(d.runs().collect::<Vec<_>>(), [(63, &[1u8, 2][..])]);
     }
 
     fn encoded(d: &Diff) -> Bytes {
@@ -580,7 +715,7 @@ mod tests {
             v
         }
         let good = run(10, 2, &[1, 2]);
-        let cases: [(&str, Bytes, &str); 9] = [
+        let cases: [(&str, Bytes, &str); 10] = [
             (
                 "no run count",
                 Bytes::from(vec![1, 0]),
@@ -612,6 +747,12 @@ mod tests {
                 "run 1 of 2 (offset 11, len 1) starts before the previous run's end 12",
             ),
             (
+                "adjacent runs",
+                payload(2, &[run(4092, 2, &[1, 2]), run(4094, 2, &[3, 4])].concat()),
+                "run 1 of 2 (offset 4094, len 2) starts at the previous run's end 4094: \
+                 adjacent runs are one run",
+            ),
+            (
                 "empty run",
                 payload(1, &run(10, 0, &[])),
                 "run 0 of 1 (offset 10, len 0) is empty",
@@ -631,14 +772,13 @@ mod tests {
             let err = Diff::decode(&mut bytes).expect_err(what);
             assert!(err.ends_with(expect), "{what}: got {err:?}");
         }
-        // Adjacent runs and a run ending exactly at the page end are legal.
-        let mut ok = payload(2, &[run(4092, 2, &[1, 2]), run(4094, 2, &[3, 4])].concat());
-        let d = Diff::decode(&mut ok).expect("adjacent runs to the page end");
+        // Runs one byte apart, the last ending exactly at the page end, are
+        // legal, and encode back to the bytes they were decoded from.
+        let legal = payload(2, &[run(4091, 2, &[1, 2]), run(4094, 2, &[3, 4])].concat());
+        let mut ok = legal.clone();
+        let d = Diff::decode(&mut ok).expect("gapped runs to the page end");
         assert_eq!((d.modified_bytes(), ok.len()), (4, 0));
-        assert_eq!(
-            encoded(&d),
-            payload(2, &[run(4092, 2, &[1, 2]), run(4094, 2, &[3, 4])].concat())
-        );
+        assert_eq!(encoded(&d), legal);
     }
 
     /// Deterministic xorshift generator for the equivalence property tests
@@ -736,6 +876,45 @@ mod tests {
             *b ^= 0x55;
         }
         assert_equivalent(&twin, &page, "full rewrite");
+    }
+
+    #[test]
+    fn seeded_pages_round_trip_through_the_wire_form() {
+        // Sparse bytes, unaligned runs, block-crossing runs and rewritten
+        // blocks over random pages: the held form encodes to exactly the
+        // reference's runs, decodes back to itself, and rebuilds the page.
+        let mut rng = Rng(0x0dd5_ba11_5eed_0044);
+        for case in 0..300 {
+            let mut twin = new_page();
+            for b in twin.iter_mut() {
+                *b = rng.next() as u8;
+            }
+            let mut page = twin.clone();
+            for _ in 0..rng.below(24) {
+                let start = rng.below(PAGE_SIZE);
+                let longest = [4, 70, 300][rng.below(3)];
+                let len = 1 + rng.below(longest);
+                for b in &mut page[start..(start + len).min(PAGE_SIZE)] {
+                    *b ^= 1 + (rng.next() as u8 & 0x7f);
+                }
+            }
+            let ctx = format!("round-trip case {case}");
+            let d = Diff::create(&twin, &page);
+            let wire = encoded(&d);
+            assert_eq!(
+                wire,
+                encoded(&Diff::create_reference(&twin, &page)),
+                "{ctx}"
+            );
+            assert_eq!(wire.len(), d.wire_len(), "{ctx}");
+            assert_eq!(d.encoded_len(), d.wire_len() + 4, "{ctx}");
+            let mut cursor = wire.clone();
+            assert_eq!(Diff::decode(&mut cursor).as_ref(), Ok(&d), "{ctx}");
+            assert!(cursor.is_empty(), "{ctx}");
+            let mut rebuilt = twin.clone();
+            d.apply(&mut rebuilt);
+            assert_eq!(rebuilt, page, "{ctx}");
+        }
     }
 
     #[test]

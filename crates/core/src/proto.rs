@@ -235,9 +235,9 @@ pub struct WireDiff {
     pub diff: Diff,
 }
 
-/// Decode one diff off the front of `buf` as a window of `buf` itself
-/// ([`Diff::decode`]); a malformed one is a bug in a sender of this
-/// program, so it panics — with the located message, not a slice index.
+/// Decode one diff off the front of `buf` ([`Diff::decode`]); a malformed
+/// one is a bug in a sender of this program, so it panics — with the
+/// located message, not a slice index.
 fn get_diff(buf: &mut Bytes) -> Diff {
     Diff::decode(buf).unwrap_or_else(|e| panic!("malformed diff payload: {e}"))
 }
@@ -494,14 +494,13 @@ pub fn encode_page_response(page: PageId, applied: &VectorClock, data: &[u8]) ->
     b.freeze()
 }
 
-/// Decode an HLRC page fetch response.
-pub fn decode_page_response(mut payload: Bytes, nprocs: usize) -> (PageId, VectorClock, Vec<u8>) {
+/// Decode an HLRC page fetch response; the page is a window of the
+/// payload, not a copy.
+pub fn decode_page_response(mut payload: Bytes, nprocs: usize) -> (PageId, VectorClock, Bytes) {
     let page = payload.get_u32_le();
     let applied = get_vc(&mut payload, nprocs);
     let len = payload.get_u32_le() as usize;
-    let mut data = vec![0u8; len];
-    payload.copy_to_slice(&mut data);
-    (page, applied, data)
+    (page, applied, payload.split_to(len))
 }
 
 /// SC request: `(page, process)` — the shape shared by write requests, read
@@ -544,13 +543,12 @@ pub fn encode_sc_page_transfer(page: PageId, copyset: &[usize], data: &[u8]) -> 
     b.freeze()
 }
 
-/// Decode an SC ownership transfer.
-pub fn decode_sc_page_transfer(mut payload: Bytes) -> (PageId, Vec<usize>, Vec<u8>) {
+/// Decode an SC ownership transfer; the page is the rest of the payload,
+/// not a copy.
+pub fn decode_sc_page_transfer(mut payload: Bytes) -> (PageId, Vec<usize>, Bytes) {
     let page = payload.get_u32_le();
     let copyset = get_procs(&mut payload);
-    let mut data = vec![0u8; payload.remaining()];
-    payload.copy_to_slice(&mut data);
-    (page, copyset, data)
+    (page, copyset, payload)
 }
 
 /// SC read copy: `(page, data)`.
@@ -561,12 +559,11 @@ pub fn encode_sc_page_copy(page: PageId, data: &[u8]) -> Bytes {
     b.freeze()
 }
 
-/// Decode an SC read copy.
-pub fn decode_sc_page_copy(mut payload: Bytes) -> (PageId, Vec<u8>) {
+/// Decode an SC read copy; the page is the rest of the payload, not a
+/// copy.
+pub fn decode_sc_page_copy(mut payload: Bytes) -> (PageId, Bytes) {
     let page = payload.get_u32_le();
-    let mut data = vec![0u8; payload.remaining()];
-    payload.copy_to_slice(&mut data);
-    (page, data)
+    (page, payload)
 }
 
 /// SC invalidation acknowledgement: the invalidated page.
@@ -681,11 +678,11 @@ mod tests {
         let (page, cs, got) = decode_sc_page_transfer(encode_sc_page_transfer(5, &[1, 4], &data));
         assert_eq!(page, 5);
         assert_eq!(cs, vec![1, 4]);
-        assert_eq!(got, data);
+        assert_eq!(got[..], data[..]);
 
         let (page, got) = decode_sc_page_copy(encode_sc_page_copy(11, &data));
         assert_eq!(page, 11);
-        assert_eq!(got, data);
+        assert_eq!(got[..], data[..]);
 
         assert_eq!(decode_sc_ack(encode_sc_ack(42)), 42);
     }
@@ -724,7 +721,29 @@ mod tests {
         let (pid, got_applied, got_data) = decode_page_response(payload, 3);
         assert_eq!(pid, 42);
         assert_eq!(got_applied, applied);
-        assert_eq!(got_data, data);
+        assert_eq!(got_data[..], data[..]);
+    }
+
+    #[test]
+    fn a_decoded_page_is_a_window_of_its_payload() {
+        // HLRC responses, SC transfers and SC copies hand the page over as
+        // the payload's own bytes: the receiver's only copy is into its page.
+        let mut data = new_page().to_vec();
+        data[7] = 7;
+        let within = |payload: &Bytes, got: &Bytes| {
+            let (span, r) = (payload.as_ptr_range(), got.as_ptr_range());
+            assert!(
+                span.start <= r.start && r.end <= span.end,
+                "copied, not shared"
+            );
+            assert_eq!(got[..], data[..]);
+        };
+        let payload = encode_page_response(3, &vc(&[1, 0]), &data);
+        within(&payload, &decode_page_response(payload.clone(), 2).2);
+        let payload = encode_sc_page_transfer(3, &[1, 2], &data);
+        within(&payload, &decode_sc_page_transfer(payload.clone()).2);
+        let payload = encode_sc_page_copy(3, &data);
+        within(&payload, &decode_sc_page_copy(payload.clone()).1);
     }
 
     /// The two-diff response whose bytes [`GOLDEN_DIFF_RESPONSE`] pins.
@@ -783,27 +802,6 @@ mod tests {
         );
         let (page, got) = decode_diff_response(Bytes::from(GOLDEN_DIFF_RESPONSE.to_vec()), 3);
         assert_eq!((page, got), (12, input));
-    }
-
-    #[test]
-    fn a_fetched_diff_is_the_response_buffer_itself() {
-        // A decoded diff is a window of the message payload: no second
-        // copy, and it stays readable once the payload is gone.
-        let payload = encode_diff_response(12, &golden_input());
-        let span = payload.as_ptr_range();
-        let (_, got) = decode_diff_response(payload, 3);
-        for wd in &got {
-            for (_, data) in wd.diff.runs() {
-                let r = data.as_ptr_range();
-                assert!(
-                    span.start <= r.start && r.end <= span.end,
-                    "copied, not shared"
-                );
-            }
-        }
-        let mut rebuilt = new_page();
-        got[0].diff.apply(&mut rebuilt);
-        assert_eq!((rebuilt[100], rebuilt[2000], rebuilt[4095]), (1, 9, 5));
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn serve_page_request(rt: &Tmk, m: Message) {
         let mut st = rt.st.borrow_mut();
         st.stats.page_requests_served += 1;
         let (data, applied) = st.page_snapshot(page);
-        encode_page_response(page, &applied, &data)
+        encode_page_response(page, &applied, data)
     };
     // Copying the page into the response steals cycles at the home.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
@@ -204,13 +204,17 @@ impl DsmState {
     /// *twin* is served: it carries every committed flush (twins are kept in
     /// sync by [`Self::apply_flush`]) but not the home's own uncommitted
     /// writes, which no correctly synchronized reader may observe yet.
-    pub fn page_snapshot(&self, page: PageId) -> (Vec<u8>, VectorClock) {
+    ///
+    /// The page is borrowed from its slot, so the response is encoded
+    /// straight from it.
+    pub fn page_snapshot(&self, page: PageId) -> (&[u8], VectorClock) {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         debug_assert_eq!(self.home_of(page), self.me, "page fetch sent to a non-home");
         let slot = &self.pages[page as usize];
         let data = match (&slot.twin, &slot.data) {
-            (Some(twin), _) => twin.to_vec(),
-            (None, Some(data)) => data.to_vec(),
-            (None, None) => vec![0u8; PAGE_SIZE],
+            (Some(twin), _) => &**twin,
+            (None, Some(data)) => &**data,
+            (None, None) => &ZERO_PAGE,
         };
         let applied = slot
             .applied
