@@ -183,12 +183,12 @@ fn named_plan(name: &str, procs: usize) -> Result<FaultPlan, String> {
              got {procs}"
         )),
         "partition" | "partitioned" => Ok(FaultPlan::partitioned(1, procs)),
-        path => read_scenario(path)?.fault.ok_or_else(|| {
-            format!(
-                "{path} carries no [fault] section; \
-                 --faults takes `lossy`, `partitioned` or a scenario file with [fault]"
-            )
-        }),
+        path => {
+            let takes = "--faults takes `lossy`, `partitioned` or a scenario file with [fault]";
+            let file = read_scenario(path).map_err(|e| format!("{takes}, not `{path}` ({e})"))?;
+            file.fault
+                .ok_or_else(|| format!("{path} carries no [fault] section; {takes}"))
+        }
     }
 }
 
@@ -299,6 +299,15 @@ mod tests {
         assert!(e.contains("at least 2 processes, got 1"), "{e}");
         let e = request("fuzz --faults no/such/plan.toml", file).unwrap_err();
         assert!(e.contains("no/such/plan.toml"), "{e}");
+        // A mistyped plan name says what the flag takes.
+        let e = request("fuzz --faults nonsense", file).unwrap_err();
+        assert!(
+            e.starts_with(
+                "--faults takes `lossy`, `partitioned` or a scenario file with [fault], \
+                 not `nonsense` (scenario: nonsense: cannot read"
+            ),
+            "{e}"
+        );
     }
 
     #[test]

@@ -58,9 +58,9 @@ pub struct Message {
 /// for those bytes.
 #[derive(Clone, Debug)]
 pub enum Payload {
-    /// Encoded bytes (PVM's packed buffers, the DSM's small requests).
+    /// Encoded bytes: PVM's packed buffers (pack/unpack is the PVM model).
     Bytes(Bytes),
-    /// A value shared with the sender, charged as `len` wire bytes.
+    /// A value shared with the sender (every DSM message), charged as `len` wire bytes.
     Value {
         /// The value; the receiver downcasts it with [`Payload::into_value`].
         value: Rc<dyn Any>,

@@ -12,7 +12,7 @@
 //! protocol policy ([`crate::protocol`]).
 
 use crate::page::Diff;
-use crate::proto::{IntervalRecord, SyncMessage};
+use crate::proto::{IntervalRecord, Msg};
 use crate::state::{ClosedInterval, DsmState};
 use crate::vc::VectorClock;
 use std::rc::Rc;
@@ -134,7 +134,7 @@ impl DsmState {
     /// the barrier manager sends in each release message, and — against
     /// this process's own last barrier clock — a worker's barrier arrival.
     /// The records are the log's own, shared.
-    pub(crate) fn sync_not_covered_by(&self, head: u32, other: &VectorClock) -> SyncMessage {
+    pub(crate) fn sync_not_covered_by(&self, head: u32, other: &VectorClock) -> Msg {
         let mut records = Vec::new();
         for (creator, log) in self.intervals.iter().enumerate() {
             let (known, have) = (self.vc.get(creator), other.get(creator));
@@ -146,7 +146,7 @@ impl DsmState {
             let from = (have.min(known) - base) as usize;
             records.extend_from_slice(&log[from..(known - base) as usize]);
         }
-        SyncMessage {
+        Msg::Sync {
             head,
             vc: self.vc.clone(),
             records,
@@ -240,15 +240,18 @@ mod tests {
         }
         let mut other = VectorClock::new(2);
         other.set(0, 1);
-        let msg = s.sync_not_covered_by(7, &other);
-        assert_eq!((msg.head, &msg.vc), (7, &s.vc));
-        let seqs: Vec<u32> = msg.records.iter().map(|r| r.seq).collect();
+        let Msg::Sync { head, vc, records } = s.sync_not_covered_by(7, &other) else {
+            unreachable!()
+        };
+        assert_eq!((head, &vc), (7, &s.vc));
+        let seqs: Vec<u32> = records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, [2, 3]);
-        for r in &msg.records {
+        for r in &records {
             assert!(Rc::ptr_eq(r, s.interval_record(0, r.seq)), "a copy");
         }
         // A peer ahead of this process is owed nothing.
         other.set(0, 5);
-        assert!(s.sync_not_covered_by(7, &other).records.is_empty());
+        let owed = s.sync_not_covered_by(7, &other);
+        assert!(matches!(owed, Msg::Sync { records, .. } if records.is_empty()));
     }
 }

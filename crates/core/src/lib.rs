@@ -710,55 +710,56 @@ mod tests {
         // tag (HLRC flush acks nest inside fault waits); it must be stashed
         // and handed to the wait that expects it, not rejected or lost.
         // Every reply tag arrives ahead of its wait, under every protocol:
-        // one that `Tmk::serve` took for a request would be decoded as one
+        // one that `Tmk::serve` took for a request would be read as one
         // (and panic) or never reach the stash (and the wait deadlock).
         use crate::proto::*;
-        let vc = VectorClock::new(2);
-        let page = vec![5u8; cluster::config::PAGE_SIZE];
-        // Grants, barrier releases and diff responses travel as values.
-        let values = [TAG_LOCK_GRANT, TAG_BARRIER_RELEASE, TAG_DIFF_RESP];
-        let replies = [
-            (TAG_FLUSH_ACK, encode_flush_ack(0, 3)),
-            (TAG_PAGE_RESP, encode_page_response(3, &vc, &page)),
-            (TAG_SC_PAGE_XFER, encode_sc_page_transfer(3, &[1], &page)),
-            (TAG_SC_PAGE_COPY, encode_sc_page_copy(3, &page)),
-            (TAG_SC_INVAL_ACK, encode_sc_ack(3)),
+        let page = || vec![5u8; cluster::config::PAGE_SIZE].into_boxed_slice();
+        let reply = |tag| match tag {
+            TAG_LOCK_GRANT | TAG_BARRIER_RELEASE => Msg::Sync {
+                head: 3,
+                vc: VectorClock::new(2),
+                records: vec![],
+            },
+            TAG_DIFF_RESP => Msg::DiffResponse {
+                page: 3,
+                diffs: vec![],
+            },
+            TAG_FLUSH_ACK => Msg::FlushAck { creator: 0, seq: 3 },
+            TAG_PAGE_RESP => Msg::PageResponse {
+                page: 3,
+                applied: VectorClock::new(2),
+                data: page(),
+            },
+            TAG_SC_PAGE_XFER => Msg::ScTransfer {
+                page: 3,
+                copyset: vec![1],
+                data: page(),
+            },
+            TAG_SC_PAGE_COPY => Msg::ScCopy {
+                page: 3,
+                data: page(),
+            },
+            _ => Msg::ScAck { page: 3 },
+        };
+        let tags = [
+            TAG_LOCK_GRANT,
+            TAG_BARRIER_RELEASE,
+            TAG_DIFF_RESP,
+            TAG_FLUSH_ACK,
+            TAG_PAGE_RESP,
+            TAG_SC_PAGE_XFER,
+            TAG_SC_PAGE_COPY,
+            TAG_SC_INVAL_ACK,
         ];
-        let tags: Vec<u32> = values
-            .into_iter()
-            .chain(replies.iter().map(|r| r.0))
-            .collect();
         for protocol in ProtocolKind::all() {
             let rep = Cluster::run(ClusterConfig::calibrated_fddi(2), |p| {
                 let tmk = Tmk::with_protocol(p, protocol);
                 if p.id() == 1 {
-                    for tag in values {
-                        let vc = VectorClock::new(2);
-                        match tag {
-                            TAG_DIFF_RESP => {
-                                let diffs = vec![];
-                                tmk.send_value(0, tag, DiffResponse { page: 3, diffs }, None);
-                            }
-                            _ => {
-                                let records = vec![];
-                                tmk.send_value(
-                                    0,
-                                    tag,
-                                    SyncMessage {
-                                        head: 3,
-                                        vc,
-                                        records,
-                                    },
-                                    None,
-                                );
-                            }
-                        }
-                    }
-                    for (tag, payload) in &replies {
-                        p.send(0, *tag, payload.clone());
+                    for tag in tags {
+                        tmk.send(0, tag, reply(tag), None);
                     }
                     // The marker stands in for the reply of an outer wait.
-                    p.send(0, TAG_TERMINATE, bytes::Bytes::new());
+                    tmk.send(0, TAG_TERMINATE, Msg::Empty, None);
                     return vec![];
                 }
                 // Waiting for the marker stashes every reply ahead of it...
@@ -766,15 +767,15 @@ mod tests {
                 // ...and each later wait recovers its own, last sent first.
                 let mut heads = Vec::new();
                 for &tag in tags.iter().rev() {
-                    let m = tmk.wait_reply(tag).payload;
-                    heads.push(match tag {
-                        TAG_LOCK_GRANT | TAG_BARRIER_RELEASE => m.into_value::<SyncMessage>().head,
-                        TAG_DIFF_RESP => m.into_value::<DiffResponse>().page,
-                        TAG_FLUSH_ACK => decode_flush_ack(m.into_bytes()).1,
-                        TAG_PAGE_RESP => decode_page_response(m.into_bytes(), 2).0,
-                        TAG_SC_PAGE_XFER => decode_sc_page_transfer(m.into_bytes()).0,
-                        TAG_SC_PAGE_COPY => decode_sc_page_copy(m.into_bytes()).0,
-                        _ => decode_sc_ack(m.into_bytes()),
+                    heads.push(match *tmk.wait_reply(tag) {
+                        Msg::Sync { head, .. } => head,
+                        Msg::FlushAck { seq, .. } => seq,
+                        Msg::DiffResponse { page, .. }
+                        | Msg::PageResponse { page, .. }
+                        | Msg::ScTransfer { page, .. }
+                        | Msg::ScCopy { page, .. }
+                        | Msg::ScAck { page } => page,
+                        ref other => panic!("tag {tag} read back as {other:?}"),
                     });
                 }
                 heads

@@ -253,25 +253,29 @@ impl<'a> Tmk<'a> {
         // latency of the metrics layer (one span per remote acquire, so the
         // span count cross-checks against `remote_lock_acquires`).
         self.proc.span_begin(SpanCat::LockWait, id as u64);
-        let payload = {
-            let st = self.st.borrow();
-            encode_lock_request(id, self.id(), &st.vc)
+        let request = Msg::LockRequest {
+            lock: id,
+            requester: self.id(),
+            vc: self.st.borrow().vc.clone(),
         };
         if manager == self.id() {
             // We are the manager but do not hold the token: forward straight
             // to the last requester without a message to ourselves.
             let prev = self.st.borrow_mut().chain_lock(id, self.id());
             assert_ne!(prev, self.id(), "manager without token must know a holder");
-            self.proc.send(prev, TAG_LOCK_FWD, payload);
+            self.send(prev, TAG_LOCK_FWD, request, None);
         } else {
-            self.proc.send(manager, TAG_LOCK_ACQ, payload);
+            self.send(manager, TAG_LOCK_ACQ, request, None);
         }
-        let grant: Rc<SyncMessage> = self.wait_reply(TAG_LOCK_GRANT).payload.into_value();
-        assert_eq!(grant.head, id, "grant for the wrong lock");
+        let grant = self.wait_reply(TAG_LOCK_GRANT);
+        let Msg::Sync { head, vc, records } = &*grant else {
+            unreachable!()
+        };
+        assert_eq!(*head, id, "grant for the wrong lock");
         {
             let mut st = self.st.borrow_mut();
-            st.apply_interval_records(&grant.records);
-            debug_assert!(st.vc.dominates(&grant.vc));
+            st.apply_interval_records(records);
+            debug_assert!(st.vc.dominates(vc));
             let ls = st.lock_state_mut(id);
             ls.have_token = true;
             ls.in_cs = true;
@@ -365,7 +369,7 @@ impl<'a> Tmk<'a> {
             for (src, src_vc) in arrived {
                 self.proc.compute(SYNC_OP_COST);
                 let release = self.st.borrow().sync_not_covered_by(epoch, &src_vc);
-                self.send_value(src, TAG_BARRIER_RELEASE, release, None);
+                self.send(src, TAG_BARRIER_RELEASE, release, None);
             }
             let mut st = self.st.borrow_mut();
             let vc = st.vc.clone();
@@ -379,14 +383,16 @@ impl<'a> Tmk<'a> {
             // the manager's acquire (which runs only after receiving it)
             // sees this clock.
             self.race_hook(|r| r.release(edge));
-            self.send_value(0, TAG_BARRIER_ARRIVE, arrival, None);
-            let release: Rc<SyncMessage> =
-                self.wait_reply(TAG_BARRIER_RELEASE).payload.into_value();
-            assert_eq!(release.head, epoch, "barrier release for the wrong episode");
+            self.send(0, TAG_BARRIER_ARRIVE, arrival, None);
+            let release = self.wait_reply(TAG_BARRIER_RELEASE);
+            let Msg::Sync { head, vc, records } = &*release else {
+                unreachable!()
+            };
+            assert_eq!(*head, epoch, "barrier release for the wrong episode");
             {
                 let mut st = self.st.borrow_mut();
-                st.apply_interval_records(&release.records);
-                st.vc.merge(&release.vc);
+                st.apply_interval_records(records);
+                st.vc.merge(vc);
                 let vc = st.vc.clone();
                 st.last_barrier_vc = vc;
             }
@@ -425,10 +431,10 @@ impl<'a> Tmk<'a> {
         if self.id() == 0 {
             self.serve_until(|| self.done_count.get() >= n - 1);
             for dst in 1..n {
-                self.proc.send(dst, TAG_TERMINATE, bytes::Bytes::new());
+                self.send(dst, TAG_TERMINATE, Msg::Empty, None);
             }
         } else {
-            self.proc.send(0, TAG_DONE, bytes::Bytes::new());
+            self.send(0, TAG_DONE, Msg::Empty, None);
             loop {
                 let m = self.proc.recv_any();
                 if m.tag == TAG_TERMINATE {
@@ -483,24 +489,24 @@ impl<'a> Tmk<'a> {
     }
 
     /// Block until a message with `want_tag` arrives, serving every protocol
-    /// request that shows up in the meantime.
+    /// request that shows up in the meantime, and return what it carries.
     ///
     /// A reply that is *not* the awaited tag is stashed rather than
     /// rejected: serving a request can itself initiate a nested wait (an
     /// HLRC flush triggered by granting a lock awaits its acknowledgement),
     /// and the outer wait's reply may arrive during the nested one.
-    pub(crate) fn wait_reply(&self, want_tag: u32) -> Message {
+    pub(crate) fn wait_reply(&self, want_tag: u32) -> Rc<Msg> {
         // The shared borrow must end before the mutable one below: in
         // edition 2021 an `if let` scrutinee's temporary lives to the end
         // of the body, so the position lookup is a separate statement.
         let stashed_pos = self.stashed.borrow().iter().position(|m| m.tag == want_tag);
         if let Some(pos) = stashed_pos {
-            return self.stashed.borrow_mut().remove(pos);
+            return self.stashed.borrow_mut().remove(pos).payload.into_value();
         }
         loop {
             let m = self.proc.recv_any();
             if m.tag == want_tag {
-                return m;
+                return m.payload.into_value();
             }
             if let Some(m) = self.serve(m) {
                 self.stashed.borrow_mut().push(m);
@@ -530,42 +536,50 @@ impl<'a> Tmk<'a> {
     /// time plus the service cost (interrupt-style service); the CPU cost is
     /// charged to this process as stolen cycles.
     fn serve(&self, m: Message) -> Option<Message> {
-        let n = self.nprocs();
         match m.tag {
-            TAG_LOCK_ACQ => {
+            TAG_LOCK_ACQ | TAG_LOCK_FWD => {
                 self.proc.compute(REQUEST_SERVICE_COST);
-                let (lock, requester, req_vc) =
-                    decode_lock_request(m.payload.clone().into_bytes(), n);
-                let prev = self.st.borrow_mut().chain_lock(lock, requester);
+                let msg: Rc<Msg> = m.payload.into_value();
+                let Msg::LockRequest {
+                    lock,
+                    requester,
+                    ref vc,
+                } = *msg
+                else {
+                    unreachable!()
+                };
+                // The manager takes the chain step; a forward has reached
+                // the last requester already.
+                let prev = match m.tag {
+                    TAG_LOCK_ACQ => self.st.borrow_mut().chain_lock(lock, requester),
+                    _ => self.id(),
+                };
                 if prev == self.id() {
-                    self.handle_forwarded(lock, requester, req_vc, m.arrival);
+                    self.handle_forwarded(lock, requester, vc, m.arrival);
                 } else {
                     assert_ne!(prev, requester, "requester cannot be the last holder");
-                    self.proc.send_at(
-                        prev,
-                        TAG_LOCK_FWD,
-                        m.payload,
-                        m.arrival + REQUEST_SERVICE_COST,
-                    );
+                    let depart = m.arrival + REQUEST_SERVICE_COST;
+                    self.send(prev, TAG_LOCK_FWD, msg, Some(depart));
                 }
-            }
-            TAG_LOCK_FWD => {
-                self.proc.compute(REQUEST_SERVICE_COST);
-                let (lock, requester, req_vc) = decode_lock_request(m.payload.into_bytes(), n);
-                self.handle_forwarded(lock, requester, req_vc, m.arrival);
             }
             TAG_BARRIER_ARRIVE => {
                 assert_eq!(self.id(), 0, "only process 0 manages barriers");
                 self.proc.compute(REQUEST_SERVICE_COST);
-                let arrival: Rc<SyncMessage> = m.payload.into_value();
-                self.st
-                    .borrow_mut()
-                    .apply_interval_records(&arrival.records);
+                let msg: Rc<Msg> = m.payload.into_value();
+                let Msg::Sync {
+                    head,
+                    ref vc,
+                    ref records,
+                } = *msg
+                else {
+                    unreachable!()
+                };
+                self.st.borrow_mut().apply_interval_records(records);
                 self.arrivals
                     .borrow_mut()
-                    .entry(arrival.head)
+                    .entry(head)
                     .or_default()
-                    .push((m.src, arrival.vc.clone()));
+                    .push((m.src, vc.clone()));
             }
             TAG_DONE => {
                 assert_eq!(self.id(), 0, "only process 0 collects DONE messages");
@@ -581,19 +595,19 @@ impl<'a> Tmk<'a> {
     }
 
     /// Handle a (possibly forwarded) lock acquire directed at this process.
-    fn handle_forwarded(&self, lock: u32, requester: usize, req_vc: VectorClock, arrival: f64) {
+    fn handle_forwarded(&self, lock: u32, requester: usize, req_vc: &VectorClock, arrival: f64) {
         assert_ne!(requester, self.id(), "a process never forwards to itself");
         let depart = {
             let mut st = self.st.borrow_mut();
             let ls = st.lock_state_mut(lock);
             if !ls.have_token || ls.in_cs {
-                ls.pending.push_back((requester, req_vc));
+                ls.pending.push_back((requester, req_vc.clone()));
                 return;
             }
             // A grant never departs before the release it follows.
             (arrival + REQUEST_SERVICE_COST).max(ls.released_at)
         };
-        self.grant_lock(lock, requester, &req_vc, depart);
+        self.grant_lock(lock, requester, req_vc, depart);
     }
 
     /// Hand the lock token to `requester`, piggybacking the write notices of
@@ -609,28 +623,20 @@ impl<'a> Tmk<'a> {
             ls.have_token = false;
             st.sync_not_covered_by(lock, req_vc)
         };
-        self.send_value(requester, TAG_LOCK_GRANT, grant, Some(depart));
+        self.send(requester, TAG_LOCK_GRANT, grant, Some(depart));
     }
 
     /// Send `msg` to `dst` as a value shared with the receiver, charged at
-    /// its encoded length ([`WireValue`]); it departs now, or at `depart`
-    /// when served interrupt-style.  Every grant, barrier message, diff
-    /// response and diff flush is sent here, so under `oracle-checks` this
-    /// is where each one is held to the codec.
-    pub(crate) fn send_value<M: WireValue>(
-        &self,
-        dst: usize,
-        tag: u32,
-        msg: M,
-        depart: Option<f64>,
-    ) {
+    /// [`Msg::wire_len`]; it departs now, or at `depart` when served
+    /// interrupt-style.  Every DSM message is sent here — a forward passes
+    /// on the `Rc` it received — so under `oracle-checks` this is where each
+    /// one is held to the codec.
+    pub(crate) fn send(&self, dst: usize, tag: u32, msg: impl Into<Rc<Msg>>, depart: Option<f64>) {
+        let msg = msg.into();
         #[cfg(feature = "oracle-checks")]
         check_codec(tag, &msg, self.nprocs());
         let len = msg.wire_len();
-        let payload = Payload::Value {
-            value: Rc::new(msg),
-            len,
-        };
+        let payload = Payload::Value { value: msg, len };
         match depart {
             Some(at) => self.proc.send_at(dst, tag, payload, at),
             None => self.proc.send(dst, tag, payload),

@@ -1,20 +1,23 @@
 //! Wire protocol of the DSM runtime: message tags, interval records (write
-//! notices), and their encodings.
+//! notices), the one message type [`Msg`], and its encoding.
 //!
 //! Message sizes matter for the reproduction: Table 2 of the paper counts the
 //! UDP messages and the total amount of data TreadMarks sends, so every
 //! protocol message has an exact encoding here, and its length is what the
 //! simulated network charges and counts.
 //!
-//! The small requests travel as those bytes.  The four messages that carry
-//! protocol data — lock grants, barrier arrivals and releases, diff
-//! responses and HLRC diff flushes — travel as values ([`WireValue`]): a
-//! run's ranks share one address space, so a receiver keeps the sender's
-//! refcounted records and diffs instead of decoding a copy, and each record
-//! and diff is held once per run, not once per rank.  Such a message is
-//! charged its [`WireValue::wire_len`], computed from its shape; the codec
-//! stays the oracle — under `oracle-checks` every value sent is encoded,
-//! measured against that length, decoded and compared.
+//! No DSM message travels as that encoding.  A run's ranks share one address
+//! space, so every message is a [`Msg`] value ([`cluster::Payload::Value`]):
+//! a receiver keeps the sender's refcounted records and diffs instead of
+//! decoding a copy, each record and diff is held once per run, not once per
+//! rank, and a page image is one owned snapshot.  A message is charged its
+//! [`Msg::wire_len`], computed from its shape.  The codec —
+//! [`Msg::encode`] and [`Msg::decode`] — is the oracle of that length:
+//! [`check_codec`] encodes a message, measures the bytes against the length,
+//! decodes them and compares, on every DSM send under `oracle-checks`.  A
+//! tag always carries the same shape, which that check pins too, so a
+//! receiver destructures the variant its tag names and treats any other as
+//! unreachable.
 
 use crate::page::{Diff, PageId};
 use crate::vc::VectorClock;
@@ -82,143 +85,12 @@ pub struct IntervalRecord {
     pub pages: Vec<PageId>,
 }
 
-/// Append `vc` to `buf` in wire order (little-endian `u32` entries).
-pub fn put_vc(buf: &mut BytesMut, vc: &VectorClock) {
-    for &e in vc.entries() {
-        buf.put_u32_le(e);
+impl IntervalRecord {
+    /// Bytes the record takes in a grant or barrier message: creator, seq,
+    /// clock, page count and pages.
+    pub(crate) fn wire_len(&self) -> usize {
+        12 + 4 * self.vc.len() + 4 * self.pages.len()
     }
-}
-
-fn get_vc(buf: &mut Bytes, nprocs: usize) -> VectorClock {
-    let entries = (0..nprocs).map(|_| buf.get_u32_le()).collect();
-    VectorClock::from_entries(entries)
-}
-
-fn put_record(buf: &mut BytesMut, r: &IntervalRecord) {
-    buf.put_u32_le(r.creator as u32);
-    buf.put_u32_le(r.seq);
-    put_vc(buf, &r.vc);
-    buf.put_u32_le(r.pages.len() as u32);
-    for &p in &r.pages {
-        buf.put_u32_le(p);
-    }
-}
-
-fn get_record(buf: &mut Bytes, nprocs: usize) -> IntervalRecord {
-    let creator = buf.get_u32_le() as usize;
-    let seq = buf.get_u32_le();
-    let vc = get_vc(buf, nprocs);
-    let npages = buf.get_u32_le() as usize;
-    let pages = (0..npages).map(|_| buf.get_u32_le()).collect();
-    IntervalRecord {
-        creator,
-        seq,
-        vc,
-        pages,
-    }
-}
-
-/// Encode a list of interval records preceded by their count.
-pub fn put_records(buf: &mut BytesMut, records: &[IntervalRecord]) {
-    buf.put_u32_le(records.len() as u32);
-    for r in records {
-        put_record(buf, r);
-    }
-}
-
-/// Decode a list of interval records.
-pub fn get_records(buf: &mut Bytes, nprocs: usize) -> Vec<IntervalRecord> {
-    let n = buf.get_u32_le() as usize;
-    (0..n).map(|_| get_record(buf, nprocs)).collect()
-}
-
-/// Lock acquire / forwarded acquire: `(lock_id, requester, requester_vc)`.
-pub fn encode_lock_request(lock_id: u32, requester: usize, vc: &VectorClock) -> Bytes {
-    let mut b = BytesMut::with_capacity(12 + 4 * vc.len());
-    b.put_u32_le(lock_id);
-    b.put_u32_le(requester as u32);
-    put_vc(&mut b, vc);
-    b.freeze()
-}
-
-/// Decode a lock acquire / forwarded acquire.
-pub fn decode_lock_request(mut payload: Bytes, nprocs: usize) -> (u32, usize, VectorClock) {
-    let lock_id = payload.get_u32_le();
-    let requester = payload.get_u32_le() as usize;
-    let vc = get_vc(&mut payload, nprocs);
-    (lock_id, requester, vc)
-}
-
-/// Lock grant: `(lock_id, granter_vc, write notices the requester lacks)`.
-pub fn encode_lock_grant(lock_id: u32, vc: &VectorClock, records: &[IntervalRecord]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(lock_id);
-    put_vc(&mut b, vc);
-    put_records(&mut b, records);
-    b.freeze()
-}
-
-/// Decode a lock grant.
-pub fn decode_lock_grant(
-    mut payload: Bytes,
-    nprocs: usize,
-) -> (u32, VectorClock, Vec<IntervalRecord>) {
-    let lock_id = payload.get_u32_le();
-    let vc = get_vc(&mut payload, nprocs);
-    let records = get_records(&mut payload, nprocs);
-    (lock_id, vc, records)
-}
-
-/// Barrier arrival / release: `(epoch, vc, records)`.
-pub fn encode_barrier(epoch: u32, vc: &VectorClock, records: &[IntervalRecord]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(epoch);
-    put_vc(&mut b, vc);
-    put_records(&mut b, records);
-    b.freeze()
-}
-
-/// Decode a barrier arrival / release.
-pub fn decode_barrier(
-    mut payload: Bytes,
-    nprocs: usize,
-) -> (u32, VectorClock, Vec<IntervalRecord>) {
-    let epoch = payload.get_u32_le();
-    let vc = get_vc(&mut payload, nprocs);
-    let records = get_records(&mut payload, nprocs);
-    (epoch, vc, records)
-}
-
-/// Diff request: `(page, requester, applied_vc, global_vc)`.
-///
-/// `applied_vc` says which intervals' modifications the requester has already
-/// incorporated into its copy of the page; `global_vc` says which intervals
-/// the requester knows about at all.  The responder returns every diff it
-/// holds for the page whose interval lies between the two.
-pub fn encode_diff_request(
-    page: PageId,
-    requester: usize,
-    applied_vc: &VectorClock,
-    global_vc: &VectorClock,
-) -> Bytes {
-    let mut b = BytesMut::with_capacity(12 + 8 * applied_vc.len());
-    b.put_u32_le(page);
-    b.put_u32_le(requester as u32);
-    put_vc(&mut b, applied_vc);
-    put_vc(&mut b, global_vc);
-    b.freeze()
-}
-
-/// Decode a diff request into `(page, requester, applied_vc, global_vc)`.
-pub fn decode_diff_request(
-    mut payload: Bytes,
-    nprocs: usize,
-) -> (PageId, usize, VectorClock, VectorClock) {
-    let page = payload.get_u32_le();
-    let requester = payload.get_u32_le() as usize;
-    let applied = get_vc(&mut payload, nprocs);
-    let global = get_vc(&mut payload, nprocs);
-    (page, requester, applied, global)
 }
 
 /// One diff travelling in a diff response: who created it, in which interval,
@@ -235,155 +107,6 @@ pub struct WireDiff {
     pub diff: Diff,
 }
 
-/// Decode one diff off the front of `buf` ([`Diff::decode`]); a malformed
-/// one is a bug in a sender of this program, so it panics — with the
-/// located message, not a slice index.
-fn get_diff(buf: &mut Bytes) -> Diff {
-    Diff::decode(buf).unwrap_or_else(|e| panic!("malformed diff payload: {e}"))
-}
-
-/// Diff response: `(page, diffs)`.
-pub fn encode_diff_response(page: PageId, diffs: &[WireDiff]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(page);
-    b.put_u32_le(diffs.len() as u32);
-    for wd in diffs {
-        b.put_u32_le(wd.creator as u32);
-        b.put_u32_le(wd.seq);
-        put_vc(&mut b, &wd.vc);
-        wd.diff.encode(&mut b);
-    }
-    b.freeze()
-}
-
-/// Decode a diff response.
-pub fn decode_diff_response(mut payload: Bytes, nprocs: usize) -> (PageId, Vec<WireDiff>) {
-    let page = payload.get_u32_le();
-    let n = payload.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let creator = payload.get_u32_le() as usize;
-        let seq = payload.get_u32_le();
-        let vc = get_vc(&mut payload, nprocs);
-        let diff = get_diff(&mut payload);
-        out.push(WireDiff {
-            creator,
-            seq,
-            vc,
-            diff,
-        });
-    }
-    (page, out)
-}
-
-/// HLRC diff flush: `(creator, seq, [(page, diff)])` — one closed interval's
-/// diffs destined for one home, batched into a single message.
-pub fn encode_diff_flush(creator: usize, seq: u32, entries: &[(PageId, Diff)]) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_u32_le(creator as u32);
-    b.put_u32_le(seq);
-    b.put_u32_le(entries.len() as u32);
-    for (page, diff) in entries {
-        b.put_u32_le(*page);
-        diff.encode(&mut b);
-    }
-    b.freeze()
-}
-
-/// Decode an HLRC diff flush.
-pub fn decode_diff_flush(mut payload: Bytes) -> (usize, u32, Vec<(PageId, Diff)>) {
-    let creator = payload.get_u32_le() as usize;
-    let seq = payload.get_u32_le();
-    let n = payload.get_u32_le() as usize;
-    let entries = (0..n)
-        .map(|_| {
-            let page = payload.get_u32_le();
-            let diff = get_diff(&mut payload);
-            (page, diff)
-        })
-        .collect();
-    (creator, seq, entries)
-}
-
-/// A protocol message that travels as a shared value
-/// ([`cluster::Payload::Value`]) rather than as its encoding.
-///
-/// The network charges [`wire_len`](Self::wire_len), computed from the
-/// message's shape; [`encode`](Self::encode) and [`decode`](Self::decode)
-/// are the codec functions of its tag, which that length must equal.
-pub trait WireValue: std::any::Any + std::fmt::Debug + PartialEq {
-    /// The length in bytes of the message's encoding.
-    fn wire_len(&self) -> usize;
-    /// The message encoded as `tag` by the codec's `encode_*` function.
-    fn encode(&self, tag: u32) -> Bytes;
-    /// A message of `tag` decoded from `payload` on an `nprocs` cluster.
-    fn decode(tag: u32, payload: Bytes, nprocs: usize) -> Self;
-}
-
-/// The oracle of a value message: its encoding as `tag` is exactly
-/// [`WireValue::wire_len`] bytes long, and decodes back to it.
-///
-/// # Panics
-///
-/// Panics, naming the tag, if either does not hold.
-pub fn check_codec<M: WireValue>(tag: u32, msg: &M, nprocs: usize) {
-    let bytes = msg.encode(tag);
-    assert_eq!(
-        bytes.len(),
-        msg.wire_len(),
-        "tag {tag}: the computed size is not the encoded size"
-    );
-    assert_eq!(
-        &M::decode(tag, bytes, nprocs),
-        msg,
-        "tag {tag}: the encoding does not decode to the value sent"
-    );
-}
-
-impl IntervalRecord {
-    /// Bytes the record takes in a grant or barrier message: creator, seq,
-    /// clock, page count and pages.
-    pub(crate) fn wire_len(&self) -> usize {
-        12 + 4 * self.vc.len() + 4 * self.pages.len()
-    }
-}
-
-/// A lock grant or barrier message: `(head, vc, records)` — the lock id or
-/// barrier epoch, the sender's clock, and the interval records the receiver
-/// lacks, shared with the sender's interval log.
-#[derive(Debug, PartialEq)]
-pub struct SyncMessage {
-    /// Lock id (a grant) or barrier epoch (an arrival or release).
-    pub head: u32,
-    /// The sender's vector clock.
-    pub vc: VectorClock,
-    /// The write notices carried, as the sender holds them.
-    pub records: Vec<Rc<IntervalRecord>>,
-}
-
-impl WireValue for SyncMessage {
-    fn wire_len(&self) -> usize {
-        8 + 4 * self.vc.len() + self.records.iter().map(|r| r.wire_len()).sum::<usize>()
-    }
-
-    fn encode(&self, tag: u32) -> Bytes {
-        let records: Vec<IntervalRecord> = self.records.iter().map(|r| (**r).clone()).collect();
-        match tag {
-            TAG_LOCK_GRANT => encode_lock_grant(self.head, &self.vc, &records),
-            _ => encode_barrier(self.head, &self.vc, &records),
-        }
-    }
-
-    fn decode(tag: u32, payload: Bytes, nprocs: usize) -> Self {
-        let (head, vc, records) = match tag {
-            TAG_LOCK_GRANT => decode_lock_grant(payload, nprocs),
-            _ => decode_barrier(payload, nprocs),
-        };
-        let records = records.into_iter().map(Rc::new).collect();
-        SyncMessage { head, vc, records }
-    }
-}
-
 impl WireDiff {
     /// Bytes the diff takes in a diff response: creator, seq, clock and the
     /// diff's own encoding.
@@ -392,190 +115,403 @@ impl WireDiff {
     }
 }
 
-/// A diff response: `(page, diffs)`, each diff shared with the responder's
-/// diff store.
+/// A DSM message: one variant per payload shape.  Which tags carry which
+/// shape is [`Msg::decode`]'s `match`.
 #[derive(Debug, PartialEq)]
-pub struct DiffResponse {
-    /// The requested page.
-    pub page: PageId,
-    /// The diffs the requester lacks, as the responder holds them.
-    pub diffs: Vec<Rc<WireDiff>>,
+pub enum Msg {
+    /// Lock acquire or forwarded acquire: the lock, the requester and its
+    /// clock.
+    LockRequest {
+        /// The lock.
+        lock: u32,
+        /// The acquiring process.
+        requester: usize,
+        /// The requester's vector clock.
+        vc: VectorClock,
+    },
+    /// A lock grant, barrier arrival or barrier release: the lock id or
+    /// barrier epoch, the sender's clock, and the interval records the
+    /// receiver lacks, shared with the sender's interval log.
+    Sync {
+        /// Lock id (a grant) or barrier epoch (an arrival or release).
+        head: u32,
+        /// The sender's vector clock.
+        vc: VectorClock,
+        /// The write notices carried, as the sender holds them.
+        records: Vec<Rc<IntervalRecord>>,
+    },
+    /// Diff request.  `applied` says which intervals' modifications the
+    /// requester has already incorporated into its copy of the page;
+    /// `global` says which intervals it knows about at all.  The responder
+    /// returns every diff it holds for the page whose interval lies between
+    /// the two.
+    DiffRequest {
+        /// The faulting page.
+        page: PageId,
+        /// The faulting process.
+        requester: usize,
+        /// Intervals already applied to the requester's copy.
+        applied: VectorClock,
+        /// The requester's vector clock.
+        global: VectorClock,
+    },
+    /// Diff response: the diffs the requester lacks, each shared with the
+    /// responder's diff store.
+    DiffResponse {
+        /// The requested page.
+        page: PageId,
+        /// The diffs, as the responder holds them.
+        diffs: Vec<Rc<WireDiff>>,
+    },
+    /// HLRC diff flush: one closed interval's diffs for one home.
+    DiffFlush {
+        /// The writer.
+        creator: usize,
+        /// The flushed interval's sequence number on the writer.
+        seq: u32,
+        /// `(page, diff)` for every page of the interval this home holds.
+        entries: Vec<(PageId, Diff)>,
+    },
+    /// HLRC flush acknowledgement: echoes the flushed interval so the
+    /// writer can match acknowledgements to flushes.
+    FlushAck {
+        /// The writer.
+        creator: usize,
+        /// The flushed interval's sequence number.
+        seq: u32,
+    },
+    /// `(page, process)`: an HLRC page fetch, an SC read or write request
+    /// or its forward (the process is the requester), or an SC
+    /// invalidation (the process is the new owner awaiting the ack).
+    PageRequest {
+        /// The page.
+        page: PageId,
+        /// The requester, or the new owner.
+        process: usize,
+    },
+    /// HLRC page response: the home's master copy and the clock of the
+    /// intervals it incorporates.
+    PageResponse {
+        /// The page.
+        page: PageId,
+        /// Intervals applied to the home's copy.
+        applied: VectorClock,
+        /// Snapshot of the page, taken when the home served the request.
+        data: Box<[u8]>,
+    },
+    /// SC ownership transfer: the page, its token and the copyset to
+    /// invalidate (an owner that merely upgrades a downgraded copy never
+    /// sends one).
+    ScTransfer {
+        /// The page.
+        page: PageId,
+        /// The processes holding readable copies.
+        copyset: Vec<usize>,
+        /// Snapshot of the page, taken when the owner handed it over.
+        data: Box<[u8]>,
+    },
+    /// SC read copy of a page, owner → reader.
+    ScCopy {
+        /// The page.
+        page: PageId,
+        /// Snapshot of the page, taken when the owner served the read.
+        data: Box<[u8]>,
+    },
+    /// SC invalidation acknowledgement.
+    ScAck {
+        /// The invalidated page.
+        page: PageId,
+    },
+    /// No payload: the exit protocol's `DONE` and `TERMINATE`.
+    Empty,
 }
 
-impl WireValue for DiffResponse {
-    fn wire_len(&self) -> usize {
-        8 + self.diffs.iter().map(|d| d.wire_len()).sum::<usize>()
+impl Msg {
+    /// The `(page, process)` of a [`Msg::PageRequest`], the shape six tags
+    /// share.
+    pub(crate) fn page_request(&self) -> (PageId, usize) {
+        let Msg::PageRequest { page, process } = *self else {
+            unreachable!("not a (page, process) request: {self:?}")
+        };
+        (page, process)
     }
 
-    fn encode(&self, _tag: u32) -> Bytes {
-        let diffs: Vec<WireDiff> = self.diffs.iter().map(|d| (**d).clone()).collect();
-        encode_diff_response(self.page, &diffs)
-    }
-
-    fn decode(_tag: u32, payload: Bytes, nprocs: usize) -> Self {
-        let (page, diffs) = decode_diff_response(payload, nprocs);
-        let diffs = diffs.into_iter().map(Rc::new).collect();
-        DiffResponse { page, diffs }
-    }
-}
-
-/// An HLRC diff flush: one closed interval's diffs for one home.
-#[derive(Debug, PartialEq)]
-pub struct DiffFlush {
-    /// The writer.
-    pub creator: usize,
-    /// The flushed interval's sequence number on the writer.
-    pub seq: u32,
-    /// `(page, diff)` for every page of the interval this home holds.
-    pub entries: Vec<(PageId, Diff)>,
-}
-
-impl WireValue for DiffFlush {
-    fn wire_len(&self) -> usize {
-        12 + self
-            .entries
-            .iter()
-            .map(|(_, d)| 4 + d.wire_len())
-            .sum::<usize>()
-    }
-
-    fn encode(&self, _tag: u32) -> Bytes {
-        encode_diff_flush(self.creator, self.seq, &self.entries)
-    }
-
-    fn decode(_tag: u32, payload: Bytes, _nprocs: usize) -> Self {
-        let (creator, seq, entries) = decode_diff_flush(payload);
-        DiffFlush {
-            creator,
-            seq,
-            entries,
+    /// The length in bytes of the message's encoding, which the network
+    /// charges.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            Msg::LockRequest { vc, .. } => 8 + 4 * vc.len(),
+            Msg::Sync { vc, records, .. } => {
+                8 + 4 * vc.len() + records.iter().map(|r| r.wire_len()).sum::<usize>()
+            }
+            Msg::DiffRequest {
+                applied, global, ..
+            } => 8 + 4 * (applied.len() + global.len()),
+            Msg::DiffResponse { diffs, .. } => {
+                8 + diffs.iter().map(|d| d.wire_len()).sum::<usize>()
+            }
+            Msg::DiffFlush { entries, .. } => {
+                12 + entries.iter().map(|(_, d)| 4 + d.wire_len()).sum::<usize>()
+            }
+            Msg::FlushAck { .. } | Msg::PageRequest { .. } => 8,
+            Msg::PageResponse { applied, data, .. } => 8 + 4 * applied.len() + data.len(),
+            Msg::ScTransfer { copyset, data, .. } => 8 + 4 * copyset.len() + data.len(),
+            Msg::ScCopy { data, .. } => 4 + data.len(),
+            Msg::ScAck { .. } => 4,
+            Msg::Empty => 0,
         }
     }
-}
 
-/// HLRC flush acknowledgement: echoes `(creator, seq)` of the flushed
-/// interval so the writer can match acknowledgements to flushes.
-pub fn encode_flush_ack(creator: usize, seq: u32) -> Bytes {
-    let mut b = BytesMut::with_capacity(8);
-    b.put_u32_le(creator as u32);
-    b.put_u32_le(seq);
-    b.freeze()
-}
+    /// The message's encoding: little-endian `u32` fields in declaration
+    /// order, clocks as their `nprocs` entries, lists behind their `u32`
+    /// count — except the page image of an SC transfer or copy, which runs
+    /// to the end of the payload.
+    pub fn encode(&self) -> Bytes {
+        let mut b = BytesMut::with_capacity(self.wire_len());
+        match self {
+            Msg::LockRequest {
+                lock,
+                requester,
+                vc,
+            } => {
+                put_u32s(&mut b, [*lock, *requester as u32]);
+                put_vc(&mut b, vc);
+            }
+            Msg::Sync { head, vc, records } => {
+                b.put_u32_le(*head);
+                put_vc(&mut b, vc);
+                b.put_u32_le(records.len() as u32);
+                for r in records {
+                    put_u32s(&mut b, [r.creator as u32, r.seq]);
+                    put_vc(&mut b, &r.vc);
+                    b.put_u32_le(r.pages.len() as u32);
+                    put_u32s(&mut b, r.pages.iter().copied());
+                }
+            }
+            Msg::DiffRequest {
+                page,
+                requester,
+                applied,
+                global,
+            } => {
+                put_u32s(&mut b, [*page, *requester as u32]);
+                put_vc(&mut b, applied);
+                put_vc(&mut b, global);
+            }
+            Msg::DiffResponse { page, diffs } => {
+                put_diff_response(&mut b, *page, diffs.iter().map(|d| &**d));
+            }
+            Msg::DiffFlush {
+                creator,
+                seq,
+                entries,
+            } => {
+                put_u32s(&mut b, [*creator as u32, *seq, entries.len() as u32]);
+                for (page, diff) in entries {
+                    b.put_u32_le(*page);
+                    diff.encode(&mut b);
+                }
+            }
+            Msg::FlushAck { creator, seq } => put_u32s(&mut b, [*creator as u32, *seq]),
+            Msg::PageRequest { page, process } => put_u32s(&mut b, [*page, *process as u32]),
+            Msg::PageResponse {
+                page,
+                applied,
+                data,
+            } => {
+                b.put_u32_le(*page);
+                put_vc(&mut b, applied);
+                b.put_u32_le(data.len() as u32);
+                b.put_slice(data);
+            }
+            Msg::ScTransfer {
+                page,
+                copyset,
+                data,
+            } => {
+                put_u32s(&mut b, [*page, copyset.len() as u32]);
+                put_u32s(&mut b, copyset.iter().map(|&p| p as u32));
+                b.put_slice(data);
+            }
+            Msg::ScCopy { page, data } => {
+                b.put_u32_le(*page);
+                b.put_slice(data);
+            }
+            Msg::ScAck { page } => b.put_u32_le(*page),
+            Msg::Empty => {}
+        }
+        b.freeze()
+    }
 
-/// Decode an HLRC flush acknowledgement.
-pub fn decode_flush_ack(mut payload: Bytes) -> (usize, u32) {
-    let creator = payload.get_u32_le() as usize;
-    let seq = payload.get_u32_le();
-    (creator, seq)
-}
-
-/// HLRC page fetch request: `(page, requester)`.
-pub fn encode_page_request(page: PageId, requester: usize) -> Bytes {
-    let mut b = BytesMut::with_capacity(8);
-    b.put_u32_le(page);
-    b.put_u32_le(requester as u32);
-    b.freeze()
-}
-
-/// Decode an HLRC page fetch request.
-pub fn decode_page_request(mut payload: Bytes) -> (PageId, usize) {
-    let page = payload.get_u32_le();
-    let requester = payload.get_u32_le() as usize;
-    (page, requester)
-}
-
-/// HLRC page fetch response: `(page, home's applied clock, full page)`.
-pub fn encode_page_response(page: PageId, applied: &VectorClock, data: &[u8]) -> Bytes {
-    let mut b = BytesMut::with_capacity(8 + 4 * applied.len() + data.len());
-    b.put_u32_le(page);
-    put_vc(&mut b, applied);
-    b.put_u32_le(data.len() as u32);
-    b.put_slice(data);
-    b.freeze()
-}
-
-/// Decode an HLRC page fetch response; the page is a window of the
-/// payload, not a copy.
-pub fn decode_page_response(mut payload: Bytes, nprocs: usize) -> (PageId, VectorClock, Bytes) {
-    let page = payload.get_u32_le();
-    let applied = get_vc(&mut payload, nprocs);
-    let len = payload.get_u32_le() as usize;
-    (page, applied, payload.split_to(len))
-}
-
-/// SC request: `(page, process)` — the shape shared by write requests, read
-/// requests, forwarded read requests and invalidations (the process is the
-/// requester, or for an invalidation the new owner awaiting the ack).
-pub fn encode_sc_request(page: PageId, process: usize) -> Bytes {
-    let mut b = BytesMut::with_capacity(8);
-    b.put_u32_le(page);
-    b.put_u32_le(process as u32);
-    b.freeze()
-}
-
-/// Decode an SC `(page, process)` request.
-pub fn decode_sc_request(mut payload: Bytes) -> (PageId, usize) {
-    let page = payload.get_u32_le();
-    let process = payload.get_u32_le() as usize;
-    (page, process)
-}
-
-fn put_procs(buf: &mut BytesMut, procs: &[usize]) {
-    buf.put_u32_le(procs.len() as u32);
-    for &p in procs {
-        buf.put_u32_le(p as u32);
+    /// The message of `tag` encoded in `payload`, on an `nprocs` cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is not a DSM tag, a diff is malformed, or the
+    /// payload is shorter or longer than the message.
+    pub fn decode(tag: u32, mut payload: Bytes, nprocs: usize) -> Msg {
+        let b = &mut payload;
+        let msg = match tag {
+            TAG_LOCK_ACQ | TAG_LOCK_FWD => Msg::LockRequest {
+                lock: b.get_u32_le(),
+                requester: get_usize(b),
+                vc: get_vc(b, nprocs),
+            },
+            TAG_LOCK_GRANT | TAG_BARRIER_ARRIVE | TAG_BARRIER_RELEASE => Msg::Sync {
+                head: b.get_u32_le(),
+                vc: get_vc(b, nprocs),
+                records: (0..b.get_u32_le())
+                    .map(|_| {
+                        Rc::new(IntervalRecord {
+                            creator: get_usize(b),
+                            seq: b.get_u32_le(),
+                            vc: get_vc(b, nprocs),
+                            pages: (0..b.get_u32_le()).map(|_| b.get_u32_le()).collect(),
+                        })
+                    })
+                    .collect(),
+            },
+            TAG_DIFF_REQ => Msg::DiffRequest {
+                page: b.get_u32_le(),
+                requester: get_usize(b),
+                applied: get_vc(b, nprocs),
+                global: get_vc(b, nprocs),
+            },
+            TAG_DIFF_RESP => {
+                let (page, diffs) = get_diff_response(b, nprocs);
+                let diffs = diffs.into_iter().map(Rc::new).collect();
+                Msg::DiffResponse { page, diffs }
+            }
+            TAG_DIFF_FLUSH => Msg::DiffFlush {
+                creator: get_usize(b),
+                seq: b.get_u32_le(),
+                entries: (0..b.get_u32_le())
+                    .map(|_| (b.get_u32_le(), get_diff(b)))
+                    .collect(),
+            },
+            TAG_FLUSH_ACK => Msg::FlushAck {
+                creator: get_usize(b),
+                seq: b.get_u32_le(),
+            },
+            TAG_PAGE_REQ | TAG_SC_WRITE_REQ | TAG_SC_WRITE_FWD | TAG_SC_READ_REQ
+            | TAG_SC_READ_FWD | TAG_SC_INVAL => Msg::PageRequest {
+                page: b.get_u32_le(),
+                process: get_usize(b),
+            },
+            TAG_PAGE_RESP => Msg::PageResponse {
+                page: b.get_u32_le(),
+                applied: get_vc(b, nprocs),
+                data: {
+                    let len = b.get_u32_le() as usize;
+                    b.split_to(len).as_slice().into()
+                },
+            },
+            TAG_SC_PAGE_XFER => Msg::ScTransfer {
+                page: b.get_u32_le(),
+                copyset: (0..b.get_u32_le()).map(|_| get_usize(b)).collect(),
+                data: std::mem::take(b).as_slice().into(),
+            },
+            TAG_SC_PAGE_COPY => Msg::ScCopy {
+                page: b.get_u32_le(),
+                data: std::mem::take(b).as_slice().into(),
+            },
+            TAG_SC_INVAL_ACK => Msg::ScAck {
+                page: b.get_u32_le(),
+            },
+            TAG_DONE | TAG_TERMINATE => Msg::Empty,
+            _ => panic!("tag {tag} is not a DSM message"),
+        };
+        assert!(
+            payload.is_empty(),
+            "tag {tag}: {} bytes past the message",
+            payload.len()
+        );
+        msg
     }
 }
 
-fn get_procs(buf: &mut Bytes) -> Vec<usize> {
-    let n = buf.get_u32_le() as usize;
-    (0..n).map(|_| buf.get_u32_le() as usize).collect()
+/// The oracle of a message: its encoding is exactly [`Msg::wire_len`] bytes
+/// long, and decodes as `tag` back to it.
+///
+/// # Panics
+///
+/// Panics, naming the tag, if either does not hold.
+pub fn check_codec(tag: u32, msg: &Msg, nprocs: usize) {
+    let bytes = msg.encode();
+    assert_eq!(
+        bytes.len(),
+        msg.wire_len(),
+        "tag {tag}: the computed size is not the encoded size"
+    );
+    assert_eq!(
+        &Msg::decode(tag, bytes, nprocs),
+        msg,
+        "tag {tag}: the encoding does not decode to the message sent"
+    );
 }
 
-/// SC ownership transfer: `(page, copyset, data)` — the full page always
-/// travels with the token (an owner that merely upgrades a downgraded copy
-/// never sends a message at all).
-pub fn encode_sc_page_transfer(page: PageId, copyset: &[usize], data: &[u8]) -> Bytes {
-    let mut b = BytesMut::with_capacity(8 + 4 * copyset.len() + data.len());
-    b.put_u32_le(page);
-    put_procs(&mut b, copyset);
-    b.put_slice(data);
+/// Diff response `(page, diffs)` as bytes: [`Msg::encode`]'s layout for
+/// [`TAG_DIFF_RESP`], from owned diffs.
+pub fn encode_diff_response(page: PageId, diffs: &[WireDiff]) -> Bytes {
+    let mut b = BytesMut::new();
+    put_diff_response(&mut b, page, diffs.iter());
     b.freeze()
 }
 
-/// Decode an SC ownership transfer; the page is the rest of the payload,
-/// not a copy.
-pub fn decode_sc_page_transfer(mut payload: Bytes) -> (PageId, Vec<usize>, Bytes) {
-    let page = payload.get_u32_le();
-    let copyset = get_procs(&mut payload);
-    (page, copyset, payload)
+/// Decode a diff response encoded by [`encode_diff_response`].
+pub fn decode_diff_response(mut payload: Bytes, nprocs: usize) -> (PageId, Vec<WireDiff>) {
+    get_diff_response(&mut payload, nprocs)
 }
 
-/// SC read copy: `(page, data)`.
-pub fn encode_sc_page_copy(page: PageId, data: &[u8]) -> Bytes {
-    let mut b = BytesMut::with_capacity(4 + data.len());
-    b.put_u32_le(page);
-    b.put_slice(data);
-    b.freeze()
+fn put_u32s(buf: &mut BytesMut, words: impl IntoIterator<Item = u32>) {
+    for w in words {
+        buf.put_u32_le(w);
+    }
 }
 
-/// Decode an SC read copy; the page is the rest of the payload, not a
-/// copy.
-pub fn decode_sc_page_copy(mut payload: Bytes) -> (PageId, Bytes) {
-    let page = payload.get_u32_le();
-    (page, payload)
+fn put_vc(buf: &mut BytesMut, vc: &VectorClock) {
+    put_u32s(buf, vc.entries().iter().copied());
 }
 
-/// SC invalidation acknowledgement: the invalidated page.
-pub fn encode_sc_ack(page: PageId) -> Bytes {
-    let mut b = BytesMut::with_capacity(4);
-    b.put_u32_le(page);
-    b.freeze()
+fn put_diff_response<'a>(
+    buf: &mut BytesMut,
+    page: PageId,
+    diffs: impl ExactSizeIterator<Item = &'a WireDiff>,
+) {
+    put_u32s(buf, [page, diffs.len() as u32]);
+    for wd in diffs {
+        put_u32s(buf, [wd.creator as u32, wd.seq]);
+        put_vc(buf, &wd.vc);
+        wd.diff.encode(buf);
+    }
 }
 
-/// Decode an SC invalidation acknowledgement.
-pub fn decode_sc_ack(mut payload: Bytes) -> PageId {
-    payload.get_u32_le()
+fn get_usize(buf: &mut Bytes) -> usize {
+    buf.get_u32_le() as usize
+}
+
+fn get_vc(buf: &mut Bytes, nprocs: usize) -> VectorClock {
+    VectorClock::from_entries((0..nprocs).map(|_| buf.get_u32_le()).collect())
+}
+
+/// Decode one diff off the front of `buf` ([`Diff::decode`]); a malformed
+/// one is a bug in a sender of this program, so it panics — with the
+/// located message, not a slice index.
+fn get_diff(buf: &mut Bytes) -> Diff {
+    Diff::decode(buf).unwrap_or_else(|e| panic!("malformed diff payload: {e}"))
+}
+
+fn get_diff_response(buf: &mut Bytes, nprocs: usize) -> (PageId, Vec<WireDiff>) {
+    let page = buf.get_u32_le();
+    let diffs = (0..buf.get_u32_le())
+        .map(|_| WireDiff {
+            creator: get_usize(buf),
+            seq: buf.get_u32_le(),
+            vc: get_vc(buf, nprocs),
+            diff: get_diff(buf),
+        })
+        .collect();
+    (page, diffs)
 }
 
 #[cfg(test)]
@@ -585,165 +521,6 @@ mod tests {
 
     fn vc(v: &[u32]) -> VectorClock {
         VectorClock::from_entries(v.to_vec())
-    }
-
-    #[test]
-    fn lock_request_round_trip() {
-        let payload = encode_lock_request(7, 3, &vc(&[1, 2, 3, 4]));
-        let (lock, req, v) = decode_lock_request(payload, 4);
-        assert_eq!(lock, 7);
-        assert_eq!(req, 3);
-        assert_eq!(v.entries(), &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn lock_grant_round_trip_with_records() {
-        let records = vec![
-            IntervalRecord {
-                creator: 1,
-                seq: 5,
-                vc: vc(&[0, 5]),
-                pages: vec![10, 11, 12],
-            },
-            IntervalRecord {
-                creator: 0,
-                seq: 2,
-                vc: vc(&[2, 0]),
-                pages: vec![],
-            },
-        ];
-        let payload = encode_lock_grant(3, &vc(&[2, 5]), &records);
-        let (lock, v, recs) = decode_lock_grant(payload, 2);
-        assert_eq!(lock, 3);
-        assert_eq!(v.entries(), &[2, 5]);
-        assert_eq!(recs, records);
-    }
-
-    #[test]
-    fn barrier_round_trip() {
-        let records = vec![IntervalRecord {
-            creator: 2,
-            seq: 1,
-            vc: vc(&[0, 0, 1]),
-            pages: vec![42],
-        }];
-        let payload = encode_barrier(9, &vc(&[1, 1, 1]), &records);
-        let (epoch, v, recs) = decode_barrier(payload, 3);
-        assert_eq!(epoch, 9);
-        assert_eq!(v.entries(), &[1, 1, 1]);
-        assert_eq!(recs, records);
-    }
-
-    #[test]
-    fn diff_request_round_trip() {
-        let applied = vc(&[1, 0, 0, 0, 0, 0, 0, 0]);
-        let global = vc(&[9, 8, 7, 6, 5, 4, 3, 2]);
-        let payload = encode_diff_request(77, 5, &applied, &global);
-        let (page, req, a, g) = decode_diff_request(payload, 8);
-        assert_eq!(page, 77);
-        assert_eq!(req, 5);
-        assert_eq!(a, applied);
-        assert_eq!(g.get(0), 9);
-    }
-
-    #[test]
-    fn diff_response_round_trip() {
-        let twin = new_page();
-        let mut page = new_page();
-        page[100] = 1;
-        page[2000] = 2;
-        let d = Diff::create(&twin, &page);
-        let wire = vec![WireDiff {
-            creator: 4,
-            seq: 3,
-            vc: vc(&[0, 0, 0, 0, 3]),
-            diff: d.clone(),
-        }];
-        let payload = encode_diff_response(12, &wire);
-        let (pid, diffs) = decode_diff_response(payload, 5);
-        assert_eq!(pid, 12);
-        assert_eq!(diffs.len(), 1);
-        assert_eq!(diffs[0].diff, d);
-        assert_eq!(diffs[0].creator, 4);
-    }
-
-    #[test]
-    fn sc_messages_round_trip() {
-        let (page, proc) = decode_sc_request(encode_sc_request(7, 3));
-        assert_eq!((page, proc), (7, 3));
-
-        let mut data = new_page().to_vec();
-        data[0] = 1;
-        data[4095] = 2;
-        let (page, cs, got) = decode_sc_page_transfer(encode_sc_page_transfer(5, &[1, 4], &data));
-        assert_eq!(page, 5);
-        assert_eq!(cs, vec![1, 4]);
-        assert_eq!(got[..], data[..]);
-
-        let (page, got) = decode_sc_page_copy(encode_sc_page_copy(11, &data));
-        assert_eq!(page, 11);
-        assert_eq!(got[..], data[..]);
-
-        assert_eq!(decode_sc_ack(encode_sc_ack(42)), 42);
-    }
-
-    #[test]
-    fn diff_flush_round_trip() {
-        let twin = new_page();
-        let mut page = new_page();
-        page[10] = 3;
-        page[900] = 4;
-        let d = Diff::create(&twin, &page);
-        let entries = vec![(5u32, d.clone()), (9u32, Diff::default())];
-        let payload = encode_diff_flush(2, 7, &entries);
-        let (creator, seq, got) = decode_diff_flush(payload);
-        assert_eq!(creator, 2);
-        assert_eq!(seq, 7);
-        assert_eq!(got, entries);
-    }
-
-    #[test]
-    fn flush_ack_round_trip() {
-        let (creator, seq) = decode_flush_ack(encode_flush_ack(3, 11));
-        assert_eq!((creator, seq), (3, 11));
-    }
-
-    #[test]
-    fn page_fetch_round_trip() {
-        let (page, requester) = decode_page_request(encode_page_request(42, 6));
-        assert_eq!((page, requester), (42, 6));
-
-        let mut data = new_page().to_vec();
-        data[0] = 1;
-        data[4095] = 2;
-        let applied = vc(&[3, 0, 1]);
-        let payload = encode_page_response(42, &applied, &data);
-        let (pid, got_applied, got_data) = decode_page_response(payload, 3);
-        assert_eq!(pid, 42);
-        assert_eq!(got_applied, applied);
-        assert_eq!(got_data[..], data[..]);
-    }
-
-    #[test]
-    fn a_decoded_page_is_a_window_of_its_payload() {
-        // HLRC responses, SC transfers and SC copies hand the page over as
-        // the payload's own bytes: the receiver's only copy is into its page.
-        let mut data = new_page().to_vec();
-        data[7] = 7;
-        let within = |payload: &Bytes, got: &Bytes| {
-            let (span, r) = (payload.as_ptr_range(), got.as_ptr_range());
-            assert!(
-                span.start <= r.start && r.end <= span.end,
-                "copied, not shared"
-            );
-            assert_eq!(got[..], data[..]);
-        };
-        let payload = encode_page_response(3, &vc(&[1, 0]), &data);
-        within(&payload, &decode_page_response(payload.clone(), 2).2);
-        let payload = encode_sc_page_transfer(3, &[1, 2], &data);
-        within(&payload, &decode_sc_page_transfer(payload.clone()).2);
-        let payload = encode_sc_page_copy(3, &data);
-        within(&payload, &decode_sc_page_copy(payload.clone()).1);
     }
 
     /// The two-diff response whose bytes [`GOLDEN_DIFF_RESPONSE`] pins.
@@ -825,7 +602,7 @@ mod tests {
         b.put_u16_le(4095);
         b.put_u16_le(2);
         b.put_slice(&[1, 2]);
-        decode_diff_flush(b.freeze());
+        Msg::decode(TAG_DIFF_FLUSH, b.freeze(), 8);
     }
 
     fn record(creator: usize, seq: u32, clock: &[u32], pages: Vec<PageId>) -> Rc<IntervalRecord> {
@@ -837,41 +614,186 @@ mod tests {
         })
     }
 
+    /// Every DSM tag.
+    const TAGS: [u32; 21] = [
+        TAG_LOCK_ACQ,
+        TAG_LOCK_FWD,
+        TAG_LOCK_GRANT,
+        TAG_BARRIER_ARRIVE,
+        TAG_BARRIER_RELEASE,
+        TAG_DIFF_REQ,
+        TAG_DIFF_RESP,
+        TAG_DONE,
+        TAG_TERMINATE,
+        TAG_DIFF_FLUSH,
+        TAG_FLUSH_ACK,
+        TAG_PAGE_REQ,
+        TAG_PAGE_RESP,
+        TAG_SC_WRITE_REQ,
+        TAG_SC_WRITE_FWD,
+        TAG_SC_PAGE_XFER,
+        TAG_SC_READ_REQ,
+        TAG_SC_READ_FWD,
+        TAG_SC_PAGE_COPY,
+        TAG_SC_INVAL,
+        TAG_SC_INVAL_ACK,
+    ];
+
+    /// A page with a byte set at either end: what every page image below
+    /// carries after its golden header.
+    fn page_image() -> Box<[u8]> {
+        let mut data = new_page();
+        data[0] = 1;
+        data[4095] = 2;
+        data
+    }
+
+    /// One message of each shape on a 3-process cluster, with the tags that
+    /// carry it and its bytes as the per-message encoders of commit 885eacb
+    /// wrote them — for a page image, the header ahead of the page's 4,096
+    /// bytes.
+    #[rustfmt::skip]
+    fn pinned() -> Vec<(Vec<u32>, Msg, Vec<u8>)> {
+        let twin = new_page();
+        let mut flushed = new_page();
+        flushed[10] = 3;
+        flushed[900] = 4;
+        let page_request = [0x2a, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00]; // page 42, process 6
+        vec![
+            (vec![TAG_LOCK_ACQ, TAG_LOCK_FWD],
+             Msg::LockRequest { lock: 7, requester: 3, vc: vc(&[1, 2, 3]) },
+             vec![
+                0x07, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // lock 7, requester 3
+                0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // vc [1, 2, 3]
+             ]),
+            (vec![TAG_LOCK_GRANT, TAG_BARRIER_ARRIVE, TAG_BARRIER_RELEASE],
+             Msg::Sync {
+                 head: 9,
+                 vc: vc(&[2, 5, 1]),
+                 records: vec![record(1, 5, &[0, 5, 1], vec![10, 11]), record(0, 2, &[2, 0, 0], vec![])],
+             },
+             vec![
+                0x09, 0x00, 0x00, 0x00, // head 9
+                0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // vc [2, 5, 1]
+                0x02, 0x00, 0x00, 0x00, // two records
+                0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, // creator 1, seq 5
+                0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // vc [0, 5, 1]
+                0x02, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00, // pages 10, 11
+                0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // creator 0, seq 2
+                0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // vc [2, 0, 0]
+                0x00, 0x00, 0x00, 0x00, // no pages
+             ]),
+            (vec![TAG_DIFF_REQ],
+             Msg::DiffRequest { page: 77, requester: 2, applied: vc(&[1, 0, 0]), global: vc(&[9, 8, 7]) },
+             vec![
+                0x4d, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // page 77, requester 2
+                0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // applied [1, 0, 0]
+                0x09, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, // global [9, 8, 7]
+             ]),
+            (vec![TAG_DIFF_RESP],
+             Msg::DiffResponse { page: 12, diffs: golden_input().into_iter().map(Rc::new).collect() },
+             GOLDEN_DIFF_RESPONSE.to_vec()),
+            (vec![TAG_DIFF_FLUSH],
+             Msg::DiffFlush {
+                 creator: 2,
+                 seq: 7,
+                 entries: vec![(5, Diff::create(&twin, &flushed)), (9, Diff::default())],
+             },
+             vec![
+                0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, // creator 2, seq 7
+                0x02, 0x00, 0x00, 0x00, // two entries
+                0x05, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // page 5, two runs
+                0x0a, 0x00, 0x01, 0x00, 0x03, // 10: 3
+                0x84, 0x03, 0x01, 0x00, 0x04, // 900: 4
+                0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // page 9, no runs
+             ]),
+            (vec![TAG_FLUSH_ACK],
+             Msg::FlushAck { creator: 3, seq: 11 },
+             vec![0x03, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00]),
+            (vec![TAG_PAGE_REQ, TAG_SC_WRITE_REQ, TAG_SC_WRITE_FWD, TAG_SC_READ_REQ, TAG_SC_READ_FWD, TAG_SC_INVAL],
+             Msg::PageRequest { page: 42, process: 6 },
+             page_request.to_vec()),
+            (vec![TAG_PAGE_RESP],
+             Msg::PageResponse { page: 42, applied: vc(&[3, 0, 1]), data: page_image() },
+             vec![
+                0x2a, 0x00, 0x00, 0x00, // page 42
+                0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, // applied [3, 0, 1]
+                0x00, 0x10, 0x00, 0x00, // 4,096 page bytes follow
+             ]),
+            (vec![TAG_SC_PAGE_XFER],
+             Msg::ScTransfer { page: 5, copyset: vec![1, 2], data: page_image() },
+             vec![
+                0x05, 0x00, 0x00, 0x00, // page 5
+                0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // copyset [1, 2]
+             ]),
+            (vec![TAG_SC_PAGE_COPY],
+             Msg::ScCopy { page: 11, data: page_image() },
+             vec![0x0b, 0x00, 0x00, 0x00]),
+            (vec![TAG_SC_INVAL_ACK],
+             Msg::ScAck { page: 42 },
+             vec![0x2a, 0x00, 0x00, 0x00]),
+            (vec![TAG_DONE, TAG_TERMINATE], Msg::Empty, vec![]),
+        ]
+    }
+
     #[test]
-    fn the_computed_size_of_every_value_message_is_its_encoded_size() {
-        // Records: none, one, eight, and one with no pages.
-        let n8: Vec<Rc<IntervalRecord>> = (0..8)
+    fn every_tag_encodes_to_its_golden_bytes_and_round_trips() {
+        let mut covered = Vec::new();
+        for (tags, msg, mut golden) in pinned() {
+            if let Msg::PageResponse { data, .. }
+            | Msg::ScTransfer { data, .. }
+            | Msg::ScCopy { data, .. } = &msg
+            {
+                golden.extend_from_slice(data);
+            }
+            assert_eq!(msg.encode().as_ref(), golden, "{msg:?}");
+            assert_eq!(msg.wire_len(), golden.len());
+            for &tag in &tags {
+                check_codec(tag, &msg, 3);
+                assert_eq!(Msg::decode(tag, Bytes::from(golden.clone()), 3), msg);
+            }
+            covered.extend(tags);
+        }
+        covered.sort_unstable();
+        let mut all = TAGS.to_vec();
+        all.sort_unstable();
+        assert_eq!(covered, all, "each tag is pinned exactly once");
+
+        // The sizes grow with the content, so the codec checks the shapes
+        // that vary on an 8-process cluster too.  Records: none, one,
+        // eight, one with no pages, and twenty with ten pages each.
+        let sync = |records| Msg::Sync {
+            head: 3,
+            vc: vc(&[2, 5, 0, 1, 0, 0, 0, 9]),
+            records,
+        };
+        let eight = (0..8)
             .map(|i| record(i, 1 + i as u32, &[i as u32; 8], (0..i as PageId).collect()))
             .collect();
-        let record_cases = [
-            vec![],
-            vec![record(1, 5, &[0, 5, 2, 0, 0, 0, 0, 0], vec![10, 11, 12])],
-            n8,
-            vec![record(0, 2, &[2, 0, 0, 0, 0, 0, 0, 0], vec![])],
+        let twenty: Vec<_> = (0..20)
+            .map(|i| record(i % 8, i as u32, &[i as u32; 8], (0..10).collect()))
+            .collect();
+        let mut varying = vec![
+            sync(vec![]),
+            sync(vec![record(
+                1,
+                5,
+                &[0, 5, 2, 0, 0, 0, 0, 0],
+                vec![10, 11, 12],
+            )]),
+            sync(eight),
+            sync(vec![record(0, 2, &[2, 0, 0, 0, 0, 0, 0, 0], vec![])]),
+            sync(twenty),
         ];
-        for records in record_cases {
-            let msg = SyncMessage {
-                head: 3,
-                vc: vc(&[2, 5, 0, 1, 0, 0, 0, 9]),
-                records,
-            };
-            let owned: Vec<IntervalRecord> = msg.records.iter().map(|r| (**r).clone()).collect();
-            let grant = encode_lock_grant(msg.head, &msg.vc, &owned);
-            let barrier = encode_barrier(msg.head, &msg.vc, &owned);
-            assert_eq!(
-                (grant.len(), barrier.len()),
-                (msg.wire_len(), msg.wire_len())
-            );
-            check_codec(TAG_LOCK_GRANT, &msg, 8);
-            check_codec(TAG_BARRIER_RELEASE, &msg, 8);
-        }
-        // Diffs: none, one, eight, an empty one, and the stencil diff
-        // SOR-Nonzero writes (1,024 three-byte runs, from `page.rs`).
-        let twin = new_page();
+        assert!(varying[0].wire_len() < 64);
+        assert!(varying[4].wire_len() > 20 * (8 + 4 * 8 + 4 * 10));
+        // Diffs, in a response and in a flush: none, one, eight, an empty
+        // one, and the stencil diff SOR-Nonzero writes (1,024 three-byte
+        // runs, from `page.rs`).
         let mut sparse = new_page();
         sparse[100] = 1;
         sparse[2000] = 2;
-        let sparse = Diff::create(&twin, &sparse);
+        let sparse = Diff::create(&new_page(), &sparse);
         let mut old = new_page();
         for (i, b) in old.iter_mut().enumerate() {
             *b = (i % 251) as u8;
@@ -892,7 +814,7 @@ mod tests {
                 diff: diff.clone(),
             })
         };
-        let diff_cases = [
+        let diff_cases: [Vec<Rc<WireDiff>>; 5] = [
             vec![],
             vec![wire(1, &sparse)],
             (1..=8).map(|seq| wire(seq, &sparse)).collect(),
@@ -900,37 +822,20 @@ mod tests {
             vec![wire(2, &stencil)],
         ];
         for diffs in diff_cases {
-            let owned: Vec<WireDiff> = diffs.iter().map(|d| (**d).clone()).collect();
-            let flush = DiffFlush {
+            varying.push(Msg::DiffFlush {
                 creator: 2,
                 seq: 7,
-                entries: owned.iter().map(|d| (d.seq, d.diff.clone())).collect(),
-            };
-            let response = DiffResponse { page: 12, diffs };
-            assert_eq!(encode_diff_response(12, &owned).len(), response.wire_len());
-            assert_eq!(
-                encode_diff_flush(2, 7, &flush.entries).len(),
-                flush.wire_len()
-            );
-            check_codec(TAG_DIFF_RESP, &response, 8);
-            check_codec(TAG_DIFF_FLUSH, &flush, 8);
+                entries: diffs.iter().map(|d| (d.seq, d.diff.clone())).collect(),
+            });
+            varying.push(Msg::DiffResponse { page: 12, diffs });
         }
-    }
-
-    #[test]
-    fn message_sizes_scale_with_content() {
-        // A grant with no notices is small; one with many notices is larger.
-        let small = encode_lock_grant(0, &vc(&[0; 8]), &[]);
-        let many: Vec<IntervalRecord> = (0..20)
-            .map(|i| IntervalRecord {
-                creator: i % 8,
-                seq: i as u32,
-                vc: vc(&[i as u32; 8]),
-                pages: (0..10).collect(),
-            })
-            .collect();
-        let big = encode_lock_grant(0, &vc(&[0; 8]), &many);
-        assert!(small.len() < 64);
-        assert!(big.len() > 20 * (8 + 4 * 8 + 4 * 10));
+        for msg in &varying {
+            let tag = match msg {
+                Msg::Sync { .. } => TAG_LOCK_GRANT,
+                Msg::DiffFlush { .. } => TAG_DIFF_FLUSH,
+                _ => TAG_DIFF_RESP,
+            };
+            check_codec(tag, msg, 8);
+        }
     }
 }

@@ -26,11 +26,7 @@
 
 use crate::page::{new_page, Diff, PageId};
 use crate::process::Tmk;
-use crate::proto::{
-    decode_flush_ack, decode_page_request, decode_page_response, encode_flush_ack,
-    encode_page_request, encode_page_response, DiffFlush, TAG_DIFF_FLUSH, TAG_FLUSH_ACK,
-    TAG_PAGE_REQ, TAG_PAGE_RESP,
-};
+use crate::proto::{Msg, TAG_DIFF_FLUSH, TAG_FLUSH_ACK, TAG_PAGE_REQ, TAG_PAGE_RESP};
 use crate::state::{ClosedInterval, DsmState};
 use crate::vc::VectorClock;
 use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
@@ -51,15 +47,25 @@ pub fn home_of(page: PageId, nprocs: usize) -> usize {
 pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
     let home = rt.st.borrow().home_of(page);
     debug_assert_ne!(home, rt.id(), "the home never faults on its own pages");
-    rt.proc()
-        .send(home, TAG_PAGE_REQ, encode_page_request(page, rt.id()));
+    let request = Msg::PageRequest {
+        page,
+        process: rt.id(),
+    };
+    rt.send(home, TAG_PAGE_REQ, request, None);
     rt.st.borrow_mut().stats.page_requests_sent += 1;
-    let m = rt.wait_reply(TAG_PAGE_RESP);
-    let (pid, home_applied, data) = decode_page_response(m.payload.into_bytes(), rt.nprocs());
-    assert_eq!(pid, page, "page response for an unexpected page");
+    let response = rt.wait_reply(TAG_PAGE_RESP);
+    let Msg::PageResponse {
+        page: got,
+        applied,
+        data,
+    } = &*response
+    else {
+        unreachable!()
+    };
+    assert_eq!(*got, page, "page response for an unexpected page");
     // Installing the incoming page is a page-sized copy.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
-    rt.st.borrow_mut().apply_page(page, &data, &home_applied);
+    rt.st.borrow_mut().apply_page(page, data, applied);
 }
 
 /// Writer side of the eager flush: group the closed interval's diffs by
@@ -92,19 +98,21 @@ pub(crate) fn flush(rt: &Tmk, closed: ClosedInterval) {
         // diffs into the flush message costs memory bandwidth too.
         let scan = entries.len() as f64 * 2.0 * PAGE_SIZE as f64;
         rt.proc().compute((scan + bytes as f64) / MEM_BANDWIDTH);
-        let flush = DiffFlush {
+        let flush = Msg::DiffFlush {
             creator: rt.id(),
             seq,
             entries,
         };
-        rt.send_value(home, TAG_DIFF_FLUSH, flush, None);
+        rt.send(home, TAG_DIFF_FLUSH, flush, None);
         rt.st.borrow_mut().stats.diff_flushes_sent += 1;
     }
     for _ in 0..homes {
-        let m = rt.wait_reply(TAG_FLUSH_ACK);
-        let (creator, acked_seq) = decode_flush_ack(m.payload.into_bytes());
-        assert_eq!(creator, rt.id(), "flush ack for another process");
-        assert_eq!(acked_seq, seq, "flush ack for another interval");
+        let ack = rt.wait_reply(TAG_FLUSH_ACK);
+        let expected = Msg::FlushAck {
+            creator: rt.id(),
+            seq,
+        };
+        assert_eq!(*ack, expected, "flush ack for another process or interval");
     }
     rt.proc().span_end(cluster::SpanCat::Flush);
 }
@@ -124,44 +132,49 @@ pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
 /// copy and acknowledge at the request's arrival time plus the service cost.
 fn serve_flush(rt: &Tmk, m: Message) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let flush: Rc<DiffFlush> = m.payload.into_value();
-    let (creator, seq) = (flush.creator, flush.seq);
-    let bytes: usize = flush.entries.iter().map(|(_, d)| d.encoded_len()).sum();
+    let msg: Rc<Msg> = m.payload.into_value();
+    let Msg::DiffFlush {
+        creator,
+        seq,
+        ref entries,
+    } = *msg
+    else {
+        unreachable!()
+    };
+    let bytes: usize = entries.iter().map(|(_, d)| d.encoded_len()).sum();
     {
         let mut st = rt.st.borrow_mut();
-        for (page, diff) in &flush.entries {
+        for (page, diff) in entries {
             st.apply_flush(*page, creator, seq, diff);
         }
     }
     // Applying the diffs to the master copy costs memory bandwidth.
     rt.proc().compute(bytes as f64 / MEM_BANDWIDTH);
-    rt.proc().send_at(
-        creator,
-        TAG_FLUSH_ACK,
-        encode_flush_ack(creator, seq),
-        m.arrival + REQUEST_SERVICE_COST,
-    );
+    let ack = Msg::FlushAck { creator, seq };
+    let depart = m.arrival + REQUEST_SERVICE_COST;
+    rt.send(creator, TAG_FLUSH_ACK, ack, Some(depart));
 }
 
-/// Serve an incoming page fetch (home side): reply with the master copy at
-/// the request's arrival time plus the service cost.
+/// Serve an incoming page fetch (home side): reply with a snapshot of the
+/// master copy at the request's arrival time plus the service cost.
 fn serve_page_request(rt: &Tmk, m: Message) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_page_request(m.payload.into_bytes());
-    let payload = {
+    let (page, requester) = m.payload.into_value::<Msg>().page_request();
+    let response = {
         let mut st = rt.st.borrow_mut();
         st.stats.page_requests_served += 1;
         let (data, applied) = st.page_snapshot(page);
-        encode_page_response(page, &applied, data)
+        let data = data.into();
+        Msg::PageResponse {
+            page,
+            applied,
+            data,
+        }
     };
     // Copying the page into the response steals cycles at the home.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
-    rt.proc().send_at(
-        requester,
-        TAG_PAGE_RESP,
-        payload,
-        m.arrival + REQUEST_SERVICE_COST,
-    );
+    let depart = m.arrival + REQUEST_SERVICE_COST;
+    rt.send(requester, TAG_PAGE_RESP, response, Some(depart));
 }
 
 impl DsmState {
@@ -205,8 +218,8 @@ impl DsmState {
     /// sync by [`Self::apply_flush`]) but not the home's own uncommitted
     /// writes, which no correctly synchronized reader may observe yet.
     ///
-    /// The page is borrowed from its slot, so the response is encoded
-    /// straight from it.
+    /// The page is borrowed from its slot: the response's snapshot is its one
+    /// copy at the home.
     pub fn page_snapshot(&self, page: PageId) -> (&[u8], VectorClock) {
         static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
         debug_assert_eq!(self.home_of(page), self.me, "page fetch sent to a non-home");

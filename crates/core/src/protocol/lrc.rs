@@ -13,9 +13,7 @@
 
 use crate::page::PageId;
 use crate::process::Tmk;
-use crate::proto::{
-    decode_diff_request, encode_diff_request, DiffResponse, TAG_DIFF_REQ, TAG_DIFF_RESP,
-};
+use crate::proto::{Msg, TAG_DIFF_REQ, TAG_DIFF_RESP};
 use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
 use cluster::config::PAGE_SIZE;
 use cluster::Message;
@@ -40,16 +38,24 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
         rt.st.borrow_mut().apply_wire_diffs(page, Vec::new());
         return;
     }
+    let request = Rc::new(Msg::DiffRequest {
+        page,
+        requester: rt.id(),
+        applied: applied_vc,
+        global: my_vc,
+    });
     for &t in &targets {
-        let payload = encode_diff_request(page, rt.id(), &applied_vc, &my_vc);
-        rt.proc().send(t, TAG_DIFF_REQ, payload);
+        rt.send(t, TAG_DIFF_REQ, Rc::clone(&request), None);
         rt.st.borrow_mut().stats.diff_requests_sent += 1;
     }
     let mut all = Vec::new();
     for _ in 0..targets.len() {
-        let response: Rc<DiffResponse> = rt.wait_reply(TAG_DIFF_RESP).payload.into_value();
-        assert_eq!(response.page, page, "diff response for an unexpected page");
-        all.extend_from_slice(&response.diffs);
+        let response = rt.wait_reply(TAG_DIFF_RESP);
+        let Msg::DiffResponse { page: got, diffs } = &*response else {
+            unreachable!()
+        };
+        assert_eq!(*got, page, "diff response for an unexpected page");
+        all.extend_from_slice(diffs);
     }
     let bytes: usize = all.iter().map(|d| d.diff.encoded_len()).sum();
     rt.proc().compute(bytes as f64 / MEM_BANDWIDTH);
@@ -64,12 +70,20 @@ pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
         return Some(m);
     }
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester, applied_vc, global_vc) =
-        decode_diff_request(m.payload.into_bytes(), rt.nprocs());
+    let msg: Rc<Msg> = m.payload.into_value();
+    let Msg::DiffRequest {
+        page,
+        requester,
+        ref applied,
+        ref global,
+    } = *msg
+    else {
+        unreachable!()
+    };
     let (diffs, first_serves) = {
         let mut st = rt.st.borrow_mut();
         st.stats.diff_requests_served += 1;
-        st.diffs_for_request(page, requester, &applied_vc, &global_vc)
+        st.diffs_for_request(page, requester, applied, global)
     };
     let bytes: usize = diffs.iter().map(|d| d.diff.encoded_len()).sum();
     // Diffs served for the first time are created now (the lazy diff
@@ -77,12 +91,9 @@ pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
     let scan = first_serves as f64 * 2.0 * PAGE_SIZE as f64 / MEM_BANDWIDTH;
     // Copying the diffs into the response steals cycles here.
     rt.proc().compute(scan + bytes as f64 / MEM_BANDWIDTH);
-    rt.send_value(
-        requester,
-        TAG_DIFF_RESP,
-        DiffResponse { page, diffs },
-        Some(m.arrival + REQUEST_SERVICE_COST),
-    );
+    let response = Msg::DiffResponse { page, diffs };
+    let depart = m.arrival + REQUEST_SERVICE_COST;
+    rt.send(requester, TAG_DIFF_RESP, response, Some(depart));
     None
 }
 

@@ -43,10 +43,8 @@
 use crate::page::{new_page, PageId};
 use crate::process::Tmk;
 use crate::proto::{
-    decode_sc_ack, decode_sc_page_copy, decode_sc_page_transfer, decode_sc_request, encode_sc_ack,
-    encode_sc_page_copy, encode_sc_page_transfer, encode_sc_request, TAG_SC_INVAL,
-    TAG_SC_INVAL_ACK, TAG_SC_PAGE_COPY, TAG_SC_PAGE_XFER, TAG_SC_READ_FWD, TAG_SC_READ_REQ,
-    TAG_SC_WRITE_FWD, TAG_SC_WRITE_REQ,
+    Msg, TAG_SC_INVAL, TAG_SC_INVAL_ACK, TAG_SC_PAGE_COPY, TAG_SC_PAGE_XFER, TAG_SC_READ_FWD,
+    TAG_SC_READ_REQ, TAG_SC_WRITE_FWD, TAG_SC_WRITE_REQ,
 };
 use crate::state::{DsmState, PageSlot};
 use crate::stats::TmkStats;
@@ -54,6 +52,7 @@ use crate::{MEM_BANDWIDTH, PAGE_FAULT_COST, REQUEST_SERVICE_COST};
 use cluster::config::PAGE_SIZE;
 use cluster::Message;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// Local coherence state of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,9 +234,11 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
         s.retry_read = false;
     });
     request(rt, page, Acquire::Read);
-    let m = rt.wait_reply(TAG_SC_PAGE_COPY);
-    let (pid, data) = decode_sc_page_copy(m.payload.into_bytes());
-    assert_eq!(pid, page, "read copy for an unexpected page");
+    let copy = rt.wait_reply(TAG_SC_PAGE_COPY);
+    let Msg::ScCopy { page: got, data } = &*copy else {
+        unreachable!()
+    };
+    assert_eq!(*got, page, "read copy for an unexpected page");
     // Installing the incoming page is a page-sized copy.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
     with_state(rt, |pages, s, stats| {
@@ -248,9 +249,7 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
             return; // page stays invalid; the fault loop re-requests
         }
         let slot = &mut pages[page as usize];
-        slot.data
-            .get_or_insert_with(new_page)
-            .copy_from_slice(&data);
+        slot.data.get_or_insert_with(new_page).copy_from_slice(data);
         slot.valid = true;
         s.mode[page as usize] = Mode::Shared;
     });
@@ -330,12 +329,13 @@ fn request(rt: &Tmk, page: PageId, kind: Acquire) {
         s.manager_of(page)
     });
     let (to_manager, chained) = kind.tags();
+    let request = Msg::PageRequest { page, process: me };
     if mgr == me {
         let prev = with_state(rt, |_, s, _| s.chain(page, kind, me));
         assert_ne!(prev, me, "a faulting process cannot be its own predecessor");
-        rt.proc().send(prev, chained, encode_sc_request(page, me));
+        rt.send(prev, chained, request, None);
     } else {
-        rt.proc().send(mgr, to_manager, encode_sc_request(page, me));
+        rt.send(mgr, to_manager, request, None);
     }
 }
 
@@ -364,9 +364,16 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
         with_state(rt, |_, s, _| s.take_copyset(page))
     } else {
         request(rt, page, Acquire::Write);
-        let m = rt.wait_reply(TAG_SC_PAGE_XFER);
-        let (pid, cs, data) = decode_sc_page_transfer(m.payload.into_bytes());
-        assert_eq!(pid, page, "ownership transfer for an unexpected page");
+        let transfer = rt.wait_reply(TAG_SC_PAGE_XFER);
+        let Msg::ScTransfer {
+            page: got,
+            copyset,
+            data,
+        } = &*transfer
+        else {
+            unreachable!()
+        };
+        assert_eq!(*got, page, "ownership transfer for an unexpected page");
         // Installing the incoming page is a page-sized copy.
         rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
         with_state(rt, |pages, s, stats| {
@@ -375,25 +382,22 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
             pages[page as usize]
                 .data
                 .get_or_insert_with(new_page)
-                .copy_from_slice(&data);
+                .copy_from_slice(data);
             // The token is here; requests arriving from now on queue
             // behind this acquisition instead of chaining further.
             s.owner[page as usize] = true;
             s.copyset.insert(page, Vec::new());
-            cs.into_iter().filter(|&p| p != me).collect()
+            copyset.iter().copied().filter(|&p| p != me).collect()
         })
     };
+    let inval = Rc::new(Msg::PageRequest { page, process: me });
     for &t in &targets {
-        rt.proc().send(t, TAG_SC_INVAL, encode_sc_request(page, me));
+        rt.send(t, TAG_SC_INVAL, Rc::clone(&inval), None);
         rt.st.borrow_mut().stats.invalidations_sent += 1;
     }
     for _ in 0..targets.len() {
-        let m = rt.wait_reply(TAG_SC_INVAL_ACK);
-        assert_eq!(
-            decode_sc_ack(m.payload.into_bytes()),
-            page,
-            "ack for an unexpected page"
-        );
+        let ack = rt.wait_reply(TAG_SC_INVAL_ACK);
+        assert_eq!(*ack, Msg::ScAck { page }, "ack for an unexpected page");
     }
     with_state(rt, |pages, s, _| {
         debug_assert!(
@@ -414,45 +418,41 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
 /// interrupt-style departure time when this answers an incoming request
 /// directly; `None` sends now (a queued request drained after an access).
 fn hand_over(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Option<f64>) {
-    let (tag, payload) = with_state(rt, |pages, s, stats| {
+    let (tag, msg) = with_state(rt, |pages, s, stats| {
         debug_assert!(s.owner[page as usize], "serving a page not owned here");
         stats.page_requests_served += 1;
         let slot = &mut pages[page as usize];
-        let zero;
-        let data = match &slot.data {
-            Some(data) => &**data,
-            None => {
-                zero = new_page();
-                &*zero
-            }
-        };
+        // The reply's snapshot of the page: its one copy at this end.
+        let data = slot.data.as_deref().map_or_else(new_page, Box::from);
         match kind {
             Acquire::Write => {
-                let mut cs = s.take_copyset(page);
-                cs.retain(|&p| p != requester); // the new owner is no copy-holder
-                let payload = encode_sc_page_transfer(page, &cs, data);
-                // The transfer invalidates this copy itself, so this process
-                // never appears in the copyset it sends.
+                let mut copyset = s.take_copyset(page);
+                // The new owner is no copy-holder, and the transfer
+                // invalidates this copy itself, so this process never appears
+                // in the copyset it sends.
+                copyset.retain(|&p| p != requester);
                 slot.valid = false;
                 s.owner[page as usize] = false;
                 s.mode[page as usize] = Mode::Invalid;
-                (TAG_SC_PAGE_XFER, payload)
+                let transfer = Msg::ScTransfer {
+                    page,
+                    copyset,
+                    data,
+                };
+                (TAG_SC_PAGE_XFER, transfer)
             }
             Acquire::Read => {
                 s.copyset_add(page, requester);
                 if s.mode[page as usize] == Mode::Exclusive {
                     s.mode[page as usize] = Mode::Shared;
                 }
-                (TAG_SC_PAGE_COPY, encode_sc_page_copy(page, data))
+                (TAG_SC_PAGE_COPY, Msg::ScCopy { page, data })
             }
         }
     });
     // Copying the page into the reply steals cycles here.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
-    match depart {
-        Some(t) => rt.proc().send_at(requester, tag, payload, t),
-        None => rt.proc().send(requester, tag, payload),
-    }
+    rt.send(requester, tag, msg, depart);
 }
 
 /// Serve `requester` now, or queue the request behind the access in
@@ -474,7 +474,8 @@ fn route(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Option
 /// here or forward it to the previous requester (lock-token style).
 fn serve_at_manager(rt: &Tmk, m: Message, kind: Acquire) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_sc_request(m.payload.clone().into_bytes());
+    let msg: Rc<Msg> = m.payload.into_value();
+    let (page, requester) = msg.page_request();
     let me = rt.id();
     let depart = m.arrival + REQUEST_SERVICE_COST;
     let prev = with_state(rt, |_, s, _| {
@@ -488,14 +489,14 @@ fn serve_at_manager(rt: &Tmk, m: Message, kind: Acquire) {
     if prev == me {
         route(rt, page, kind, requester, Some(depart));
     } else {
-        rt.proc().send_at(prev, kind.tags().1, m.payload, depart);
+        rt.send(prev, kind.tags().1, msg, Some(depart));
     }
 }
 
 /// Chained-holder side of a forwarded fault.
 fn serve_forwarded(rt: &Tmk, m: Message, kind: Acquire) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = decode_sc_request(m.payload.into_bytes());
+    let (page, requester) = m.payload.into_value::<Msg>().page_request();
     let depart = m.arrival + REQUEST_SERVICE_COST;
     route(rt, page, kind, requester, Some(depart));
 }
@@ -505,7 +506,7 @@ fn serve_forwarded(rt: &Tmk, m: Message, kind: Acquire) {
 /// reader discards and refaults instead of installing it.
 fn serve_inval(rt: &Tmk, m: Message) {
     rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, new_owner) = decode_sc_request(m.payload.into_bytes());
+    let (page, new_owner) = m.payload.into_value::<Msg>().page_request();
     with_state(rt, |pages, s, _| {
         debug_assert!(!s.owner[page as usize], "an owner can never be invalidated");
         if matches!(s.acquiring, Some((p, Acquire::Read)) if p == page) {
@@ -514,11 +515,12 @@ fn serve_inval(rt: &Tmk, m: Message) {
         s.mode[page as usize] = Mode::Invalid;
         pages[page as usize].valid = false;
     });
-    rt.proc().send_at(
+    let depart = m.arrival + REQUEST_SERVICE_COST;
+    rt.send(
         new_owner,
         TAG_SC_INVAL_ACK,
-        encode_sc_ack(page),
-        m.arrival + REQUEST_SERVICE_COST,
+        Msg::ScAck { page },
+        Some(depart),
     );
 }
 
