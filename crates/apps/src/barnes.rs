@@ -394,7 +394,7 @@ impl App for BarnesParams {
         if tmk.id() == 0 {
             let init = self.initial();
             let flat: Vec<f64> = init.iter().flat_map(pack_body).collect();
-            tmk.write_f64_slice(bodies_addr, &flat);
+            tmk.write_slice(bodies_addr, &flat);
         }
         tmk.barrier(0);
 
@@ -403,7 +403,7 @@ impl App for BarnesParams {
         for _ in 0..self.steps {
             // MakeTree: read all shared bodies and build a private tree.
             let mut flat = vec![0.0f64; n * BODY_F64];
-            tmk.read_f64_slice(bodies_addr, &mut flat);
+            tmk.read_slice(bodies_addr, &mut flat);
             let mut bodies: Vec<Body> = flat.chunks_exact(BODY_F64).map(unpack_body).collect();
             let field = step_field(&bodies);
             tmk.proc().compute(field.inserts as f64 * COST_INSERT);
@@ -414,13 +414,13 @@ impl App for BarnesParams {
             let interactions = step_bodies(&mut bodies, mine.clone(), &field);
             tmk.proc().compute(interactions as f64 * COST_INTERACTION);
             let flat_mine: Vec<f64> = bodies[mine.clone()].iter().flat_map(pack_body).collect();
-            tmk.write_f64_slice(bodies_addr + mine.start * BODY_F64 * 8, &flat_mine);
+            tmk.write_slice(bodies_addr + mine.start * BODY_F64 * 8, &flat_mine);
             tmk.barrier(barrier);
             barrier += 1;
         }
 
         let mut flat = vec![0.0f64; mine.len() * BODY_F64];
-        tmk.read_f64_slice(bodies_addr + mine.start * BODY_F64 * 8, &mut flat);
+        tmk.read_slice(bodies_addr + mine.start * BODY_F64 * 8, &mut flat);
         let own: Vec<Body> = flat.chunks_exact(BODY_F64).map(unpack_body).collect();
         checksum(&own)
     }

@@ -145,14 +145,14 @@ impl App for EpParams {
         #[allow(clippy::needless_range_loop)]
         // indexing is clearer for the coordinate/matrix access
         for i in 0..BINS {
-            let v = tmk.read_i64(shared + i * 8);
-            tmk.write_i64(shared + i * 8, v + bins[i]);
+            let v = tmk.read::<i64>(shared + i * 8);
+            tmk.write::<i64>(shared + i * 8, v + bins[i]);
         }
         tmk.lock_release(0);
         tmk.barrier(1);
         let mut total = [0i64; BINS];
         for (i, t) in total.iter_mut().enumerate() {
-            *t = tmk.read_i64(shared + i * 8);
+            *t = tmk.read::<i64>(shared + i * 8);
         }
         tmk.barrier(2);
         // Every process read the final tabulation (as the NAS rules require);

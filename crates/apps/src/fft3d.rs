@@ -247,7 +247,7 @@ impl App for FftParams {
         let a_addr = tmk.malloc(elems * 16);
         let b_addr = tmk.malloc(elems * 16);
         if me == 0 {
-            tmk.write_f64_slice(a_addr, &self.initial());
+            tmk.write_slice(a_addr, &self.initial());
         }
         tmk.barrier(0);
 
@@ -266,14 +266,14 @@ impl App for FftParams {
             // Local FFTs on my planes of the source array.
             let plane = cur.n2 * cur.n3 * 2;
             let mut slab = vec![0.0f64; my_x.len() * plane];
-            tmk.read_f64_slice(src_addr + my_x.start * plane * 8, &mut slab);
+            tmk.read_slice(src_addr + my_x.start * plane * 8, &mut slab);
             let local = FftParams {
                 n1: my_x.len(),
                 ..cur.clone()
             };
             let cost = local_ffts(&mut slab, &local, 0..my_x.len());
             tmk.proc().compute(cost);
-            tmk.write_f64_slice(src_addr + my_x.start * plane * 8, &slab);
+            tmk.write_slice(src_addr + my_x.start * plane * 8, &slab);
             tmk.barrier(barrier);
             barrier += 1;
 
@@ -286,7 +286,7 @@ impl App for FftParams {
                 for y in 0..cur.n2 {
                     let base = ((x * cur.n2 + y) * cur.n3 + my_z.start) * 2;
                     let mut seg = vec![0.0f64; my_z.len() * 2];
-                    tmk.read_f64_slice(src_addr + base * 8, &mut seg);
+                    tmk.read_slice(src_addr + base * 8, &mut seg);
                     for (k, z) in my_z.clone().enumerate() {
                         let dst = (((z - my_z.start) * cur.n2 + y) * cur.n1 + x) * 2;
                         dst_slab[dst] = seg[k * 2];
@@ -296,7 +296,7 @@ impl App for FftParams {
             }
             let cost = transposed_ffts(&mut dst_slab, &cur, 0..my_z.len());
             tmk.proc().compute(cost);
-            tmk.write_f64_slice(dst_addr + my_z.start * dplane * 8, &dst_slab);
+            tmk.write_slice(dst_addr + my_z.start * dplane * 8, &dst_slab);
             tmk.barrier(barrier);
             barrier += 1;
 

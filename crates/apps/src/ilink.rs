@@ -152,7 +152,7 @@ impl App for IlinkParams {
                 for &(i, v) in &gen {
                     full[i] = v;
                 }
-                tmk.write_f64_slice(bank, &full);
+                tmk.write_slice(bank, &full);
             }
             tmk.barrier(barrier);
             barrier += 1;
@@ -161,8 +161,8 @@ impl App for IlinkParams {
             let mut mine = 0u64;
             for (k, &(i, _)) in gen.iter().enumerate() {
                 if k % n == me {
-                    let v = tmk.read_f64(bank + i * 8);
-                    tmk.write_f64(bank + i * 8, update_element(v, f));
+                    let v = tmk.read::<f64>(bank + i * 8);
+                    tmk.write::<f64>(bank + i * 8, update_element(v, f));
                     mine += 1;
                 }
             }
@@ -173,7 +173,7 @@ impl App for IlinkParams {
             // The master sums the contributions.
             if me == 0 {
                 let mut full = vec![0.0f64; self.genarray];
-                tmk.read_f64_slice(bank, &mut full);
+                tmk.read_slice(bank, &mut full);
                 let sum: f64 = gen.iter().map(|&(i, _)| full[i]).sum();
                 tmk.proc().compute(gen.len() as f64 * COST_SUM);
                 likelihood += sum.ln();

@@ -178,18 +178,18 @@ impl App for IsParams {
             // Add the private counts to the shared array under the lock; the
             // first writer of the iteration overwrites instead of adding.
             tmk.lock_acquire(0);
-            let done = tmk.read_i64(counter);
+            let done = tmk.read::<i64>(counter);
             if done % n as i64 == 0 {
-                tmk.write_i32_slice(shared, &private);
+                tmk.write_slice(shared, &private);
             } else {
                 let mut global = vec![0i32; self.buckets];
-                tmk.read_i32_slice(shared, &mut global);
+                tmk.read_slice(shared, &mut global);
                 for b in 0..self.buckets {
                     global[b] += private[b];
                 }
-                tmk.write_i32_slice(shared, &global);
+                tmk.write_slice(shared, &global);
             }
-            tmk.write_i64(counter, done + 1);
+            tmk.write::<i64>(counter, done + 1);
             tmk.proc().compute(self.buckets as f64 * COST_ADD);
             tmk.lock_release(0);
             tmk.barrier(barrier);
@@ -197,7 +197,7 @@ impl App for IsParams {
 
             // Read the final sums and rank this block's keys.
             let mut global = vec![0i32; self.buckets];
-            tmk.read_i32_slice(shared, &mut global);
+            tmk.read_slice(shared, &mut global);
             checksum = rank_block(self, my_keys.clone(), &global);
             tmk.proc().compute(my_keys.len() as f64 * COST_RANK);
             tmk.barrier(barrier);

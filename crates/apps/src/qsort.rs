@@ -173,27 +173,27 @@ impl App for QsortParams {
         let queue_addr = tmk.malloc(QUEUE_CAP * 8); // (start, len) pairs of i32
 
         if tmk.id() == 0 {
-            tmk.write_i32_slice(data_addr, &self.input());
-            tmk.write_i32(qlen_addr, 1);
-            tmk.write_i32(outstanding_addr, 1);
-            tmk.write_i32(queue_addr, 0);
-            tmk.write_i32(queue_addr + 4, self.elems as i32);
+            tmk.write_slice(data_addr, &self.input());
+            tmk.write::<i32>(qlen_addr, 1);
+            tmk.write::<i32>(outstanding_addr, 1);
+            tmk.write::<i32>(queue_addr, 0);
+            tmk.write::<i32>(queue_addr + 4, self.elems as i32);
         }
         tmk.barrier(0);
 
         loop {
             // Pop a task (or detect global completion) under the queue lock.
             tmk.lock_acquire(LOCK_QUEUE);
-            let qlen = tmk.read_i32(qlen_addr);
+            let qlen = tmk.read::<i32>(qlen_addr);
             let task = if qlen > 0 {
-                let start = tmk.read_i32(queue_addr + (qlen as usize - 1) * 8) as usize;
-                let len = tmk.read_i32(queue_addr + (qlen as usize - 1) * 8 + 4) as usize;
-                tmk.write_i32(qlen_addr, qlen - 1);
+                let start = tmk.read::<i32>(queue_addr + (qlen as usize - 1) * 8) as usize;
+                let len = tmk.read::<i32>(queue_addr + (qlen as usize - 1) * 8 + 4) as usize;
+                tmk.write::<i32>(qlen_addr, qlen - 1);
                 Some((start, len))
             } else {
                 None
             };
-            let outstanding = tmk.read_i32(outstanding_addr);
+            let outstanding = tmk.read::<i32>(outstanding_addr);
             tmk.lock_release(LOCK_QUEUE);
 
             let Some((start, len)) = task else {
@@ -206,29 +206,29 @@ impl App for QsortParams {
 
             // Fetch the sublist, process it privately, write it back.
             let mut sub = vec![0i32; len];
-            tmk.read_i32_slice(data_addr + start * 4, &mut sub);
+            tmk.read_slice(data_addr + start * 4, &mut sub);
             if len <= self.threshold {
                 let cmps = leaf_sort(&mut sub);
                 tmk.proc().compute(cmps as f64 * COST_CMP);
-                tmk.write_i32_slice(data_addr + start * 4, &sub);
+                tmk.write_slice(data_addr + start * 4, &sub);
                 tmk.lock_acquire(LOCK_QUEUE);
-                let o = tmk.read_i32(outstanding_addr);
-                tmk.write_i32(outstanding_addr, o - 1);
+                let o = tmk.read::<i32>(outstanding_addr);
+                tmk.write::<i32>(outstanding_addr, o - 1);
                 tmk.lock_release(LOCK_QUEUE);
             } else {
                 let pivot = partition(&mut sub);
                 tmk.proc().compute(len as f64 * COST_PART);
-                tmk.write_i32_slice(data_addr + start * 4, &sub);
+                tmk.write_slice(data_addr + start * 4, &sub);
                 tmk.lock_acquire(LOCK_QUEUE);
-                let qlen = tmk.read_i32(qlen_addr) as usize;
+                let qlen = tmk.read::<i32>(qlen_addr) as usize;
                 assert!(qlen + 2 <= QUEUE_CAP, "work queue overflow");
-                tmk.write_i32(queue_addr + qlen * 8, start as i32);
-                tmk.write_i32(queue_addr + qlen * 8 + 4, pivot as i32);
-                tmk.write_i32(queue_addr + (qlen + 1) * 8, (start + pivot + 1) as i32);
-                tmk.write_i32(queue_addr + (qlen + 1) * 8 + 4, (len - pivot - 1) as i32);
-                tmk.write_i32(qlen_addr, qlen as i32 + 2);
-                let o = tmk.read_i32(outstanding_addr);
-                tmk.write_i32(outstanding_addr, o + 1);
+                tmk.write::<i32>(queue_addr + qlen * 8, start as i32);
+                tmk.write::<i32>(queue_addr + qlen * 8 + 4, pivot as i32);
+                tmk.write::<i32>(queue_addr + (qlen + 1) * 8, (start + pivot + 1) as i32);
+                tmk.write::<i32>(queue_addr + (qlen + 1) * 8 + 4, (len - pivot - 1) as i32);
+                tmk.write::<i32>(qlen_addr, qlen as i32 + 2);
+                let o = tmk.read::<i32>(outstanding_addr);
+                tmk.write::<i32>(outstanding_addr, o + 1);
                 tmk.lock_release(LOCK_QUEUE);
             }
         }
@@ -236,7 +236,7 @@ impl App for QsortParams {
         tmk.barrier(1);
         if tmk.id() == 0 {
             let mut data = vec![0i32; self.elems];
-            tmk.read_i32_slice(data_addr, &mut data);
+            tmk.read_slice(data_addr, &mut data);
             checksum(&data)
         } else {
             0.0

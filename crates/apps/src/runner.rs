@@ -427,11 +427,11 @@ mod tests {
         let run = try_run_treadmarks_on(&fddi(2), 1 << 20, ProtocolKind::Lrc, |tmk| {
             let a = tmk.malloc(8);
             if tmk.id() == 0 {
-                tmk.write_f64(a, 7.0);
+                tmk.write::<f64>(a, 7.0);
             }
             tmk.barrier(0);
             if tmk.id() == 0 {
-                tmk.read_f64(a)
+                tmk.read::<f64>(a)
             } else {
                 0.0
             }
@@ -451,10 +451,10 @@ mod tests {
         let body = |tmk: &Tmk| {
             let a = tmk.malloc(8);
             if tmk.id() == 0 {
-                tmk.write_f64(a, 7.0);
+                tmk.write::<f64>(a, 7.0);
             }
             tmk.barrier(0);
-            let v = tmk.read_f64(a);
+            let v = tmk.read::<f64>(a);
             tmk.barrier(1);
             if tmk.id() == 0 {
                 v

@@ -192,8 +192,8 @@ impl App for SorParams {
         let init: Vec<f32> = (my_rows.start * self.cols..my_rows.end * self.cols)
             .map(|i| self.initial(i / self.cols, i % self.cols))
             .collect();
-        tmk.write_f32_slice(red_addr + my_rows.start * self.cols * 4, &init);
-        tmk.write_f32_slice(black_addr + my_rows.start * self.cols * 4, &init);
+        tmk.write_slice(red_addr + my_rows.start * self.cols * 4, &init);
+        tmk.write_slice(black_addr + my_rows.start * self.cols * 4, &init);
         tmk.barrier(0);
 
         // Rows needed for the stencil: my band plus one halo row on each side.
@@ -210,13 +210,13 @@ impl App for SorParams {
             // Red phase, then black: read the other colour (with halo) and
             // my rows of this one, update them, write them back.
             for (dst, src) in [(red_addr, black_addr), (black_addr, red_addr)] {
-                tmk.read_f32_slice(src + lo * cols * 4, &mut other);
-                tmk.read_f32_slice(dst + my_rows.start * cols * 4, &mut own);
+                tmk.read_slice(src + lo * cols * 4, &mut other);
+                tmk.read_slice(dst + my_rows.start * cols * 4, &mut own);
                 let mut local = vec![0.0f32; span_rows * cols];
                 local[first..first + mine].copy_from_slice(&own);
                 let cost = relax_band(&mut local, &other, cols, span_rows, band.clone());
                 tmk.proc().compute(cost);
-                tmk.write_f32_slice(dst + my_rows.start * cols * 4, &local[first..][..mine]);
+                tmk.write_slice(dst + my_rows.start * cols * 4, &local[first..][..mine]);
                 tmk.barrier(barrier);
                 barrier += 1;
             }
@@ -227,8 +227,8 @@ impl App for SorParams {
         let len = my_rows.len() * self.cols;
         let mut red_own = vec![0.0f32; len];
         let mut black_own = vec![0.0f32; len];
-        tmk.read_f32_slice(red_addr + my_rows.start * self.cols * 4, &mut red_own);
-        tmk.read_f32_slice(black_addr + my_rows.start * self.cols * 4, &mut black_own);
+        tmk.read_slice(red_addr + my_rows.start * self.cols * 4, &mut red_own);
+        tmk.read_slice(black_addr + my_rows.start * self.cols * 4, &mut black_own);
         grid_checksum(&red_own, &black_own)
     }
 

@@ -399,11 +399,11 @@ impl SharedTsp {
 
     fn write_tour(&self, tmk: &Tmk, slot: usize, t: &Tour) {
         let base = self.pool + slot * SLOT_BYTES;
-        tmk.write_f64(base, t.cost);
-        tmk.write_i32(base + 8, t.cities.len() as i32);
+        tmk.write::<f64>(base, t.cost);
+        tmk.write::<i32>(base + 8, t.cities.len() as i32);
         let mut cities = [0u8; MAX_CITIES];
         cities[..t.cities.len()].copy_from_slice(&t.cities);
-        tmk.write_bytes(base + 12, &cities);
+        tmk.write_slice(base + 12, &cities);
     }
 
     /// Publish `found` as the incumbent if it beats `seen`, the incumbent
@@ -414,18 +414,18 @@ impl SharedTsp {
             return;
         }
         tmk.lock_acquire(LOCK_BEST);
-        if found < tmk.read_f64(self.best) {
-            tmk.write_f64(self.best, found);
+        if found < tmk.read::<f64>(self.best) {
+            tmk.write::<f64>(self.best, found);
         }
         tmk.lock_release(LOCK_BEST);
     }
 
     fn read_tour(&self, tmk: &Tmk, slot: usize) -> Tour {
         let base = self.pool + slot * SLOT_BYTES;
-        let cost = tmk.read_f64(base);
-        let len = tmk.read_i32(base + 8) as usize;
+        let cost = tmk.read::<f64>(base);
+        let len = tmk.read::<i32>(base + 8) as usize;
         let mut cities = vec![0u8; MAX_CITIES];
-        tmk.read_bytes(base + 12, &mut cities);
+        tmk.read_slice(base + 12, &mut cities);
         cities.truncate(len);
         Tour { cities, cost }
     }
@@ -469,18 +469,18 @@ impl App for TspParams {
         let sh = SharedTsp::alloc(tmk);
 
         if tmk.id() == 0 {
-            tmk.write_f64(sh.best, greedy_cost(&dist));
+            tmk.write::<f64>(sh.best, greedy_cost(&dist));
             let root = Tour {
                 cities: vec![0],
                 cost: 0.0,
             };
             sh.write_tour(tmk, 0, &root);
-            tmk.write_f64(sh.bounds, lower_bound(&dist, &root));
-            tmk.write_i32(sh.qlen, 1);
-            tmk.write_i32(sh.queue, 0);
+            tmk.write::<f64>(sh.bounds, lower_bound(&dist, &root));
+            tmk.write::<i32>(sh.qlen, 1);
+            tmk.write::<i32>(sh.queue, 0);
             let free: Vec<i32> = (1..POOL_SLOTS as i32).rev().collect();
-            tmk.write_i32(sh.free_sp, free.len() as i32);
-            tmk.write_i32_slice(sh.free, &free);
+            tmk.write::<i32>(sh.free_sp, free.len() as i32);
+            tmk.write_slice(sh.free, &free);
         }
         tmk.barrier(0);
 
@@ -490,7 +490,7 @@ impl App for TspParams {
             let mut found: Option<Tour> = None;
             let mut expansions = 0u64;
             loop {
-                let qlen = tmk.read_i32(sh.qlen) as usize;
+                let qlen = tmk.read::<i32>(sh.qlen) as usize;
                 if qlen == 0 {
                     break;
                 }
@@ -499,11 +499,11 @@ impl App for TspParams {
                 // and every update re-checks under LOCK_BEST.
                 let best = tmk.read_f64_unsync(sh.best);
                 let mut slots = vec![0i32; qlen];
-                tmk.read_i32_slice(sh.queue, &mut slots);
+                tmk.read_slice(sh.queue, &mut slots);
                 let mut best_idx = 0usize;
                 let mut best_bound = f64::INFINITY;
                 for (i, &s) in slots.iter().enumerate() {
-                    let b = tmk.read_f64(sh.bounds + s as usize * 8);
+                    let b = tmk.read::<f64>(sh.bounds + s as usize * 8);
                     if b < best_bound {
                         best_bound = b;
                         best_idx = i;
@@ -513,11 +513,11 @@ impl App for TspParams {
                 let tour = sh.read_tour(tmk, slot);
                 // Remove from the queue and return the slot to the free stack.
                 slots[best_idx] = slots[qlen - 1];
-                tmk.write_i32_slice(sh.queue, &slots[..qlen]);
-                tmk.write_i32(sh.qlen, qlen as i32 - 1);
-                let sp = tmk.read_i32(sh.free_sp);
-                tmk.write_i32(sh.free + sp as usize * 4, slot as i32);
-                tmk.write_i32(sh.free_sp, sp + 1);
+                tmk.write_slice(sh.queue, &slots[..qlen]);
+                tmk.write::<i32>(sh.qlen, qlen as i32 - 1);
+                let sp = tmk.read::<i32>(sh.free_sp);
+                tmk.write::<i32>(sh.free + sp as usize * 4, slot as i32);
+                tmk.write::<i32>(sh.free_sp, sp + 1);
 
                 if best_bound >= best {
                     continue;
@@ -527,7 +527,7 @@ impl App for TspParams {
                     break;
                 }
                 for (child, child_bound) in children(&dist, &tour, best) {
-                    let sp = tmk.read_i32(sh.free_sp);
+                    let sp = tmk.read::<i32>(sh.free_sp);
                     if sp == 0 {
                         // Pool exhausted: solve the child in place rather
                         // than queueing it (bounds the shared pool), unless
@@ -543,13 +543,13 @@ impl App for TspParams {
                         sh.offer_best(tmk, found_best, cur);
                         continue;
                     }
-                    let child_slot = tmk.read_i32(sh.free + (sp - 1) as usize * 4) as usize;
-                    tmk.write_i32(sh.free_sp, sp - 1);
+                    let child_slot = tmk.read::<i32>(sh.free + (sp - 1) as usize * 4) as usize;
+                    tmk.write::<i32>(sh.free_sp, sp - 1);
                     sh.write_tour(tmk, child_slot, &child);
-                    tmk.write_f64(sh.bounds + child_slot * 8, child_bound);
-                    let ql = tmk.read_i32(sh.qlen);
-                    tmk.write_i32(sh.queue + ql as usize * 4, child_slot as i32);
-                    tmk.write_i32(sh.qlen, ql + 1);
+                    tmk.write::<f64>(sh.bounds + child_slot * 8, child_bound);
+                    let ql = tmk.read::<i32>(sh.qlen);
+                    tmk.write::<i32>(sh.queue + ql as usize * 4, child_slot as i32);
+                    tmk.write::<i32>(sh.qlen, ql + 1);
                     expansions += 1;
                 }
             }
@@ -570,7 +570,7 @@ impl App for TspParams {
 
         tmk.barrier(1);
         if tmk.id() == 0 {
-            checksum(tmk.read_f64(sh.best))
+            checksum(tmk.read::<f64>(sh.best))
         } else {
             0.0
         }

@@ -175,7 +175,7 @@ impl App for WaterParams {
         if tmk.id() == 0 {
             let init = self.initial_positions();
             let flat: Vec<f64> = init.iter().flat_map(|m| m.iter().copied()).collect();
-            tmk.write_f64_slice(pos_addr, &flat);
+            tmk.write_slice(pos_addr, &flat);
         }
         tmk.barrier(0);
 
@@ -186,7 +186,7 @@ impl App for WaterParams {
             // following it, wraparound); simply read the whole array as the
             // SPLASH code effectively touches nearly all of it at 8 processes.
             let mut flat = vec![0.0f64; n * 3];
-            tmk.read_f64_slice(pos_addr, &mut flat);
+            tmk.read_slice(pos_addr, &mut flat);
             let pos: Vec<[f64; 3]> = flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
 
             // Private force accumulation.
@@ -203,13 +203,13 @@ impl App for WaterParams {
                 }
                 tmk.lock_acquire(owner as u32);
                 let mut shared = vec![0.0f64; owned.len() * 3];
-                tmk.read_f64_slice(force_addr + owned.start * 24, &mut shared);
+                tmk.read_slice(force_addr + owned.start * 24, &mut shared);
                 for (k, i) in owned.clone().enumerate() {
                     for c in 0..3 {
                         shared[k * 3 + c] += forces[i][c];
                     }
                 }
-                tmk.write_f64_slice(force_addr + owned.start * 24, &shared);
+                tmk.write_slice(force_addr + owned.start * 24, &shared);
                 tmk.lock_release(owner as u32);
             }
             tmk.barrier(barrier);
@@ -218,8 +218,8 @@ impl App for WaterParams {
             // Update phase: integrate own molecules and clear their forces.
             let mut own_pos = vec![0.0f64; mine.len() * 3];
             let mut own_force = vec![0.0f64; mine.len() * 3];
-            tmk.read_f64_slice(pos_addr + mine.start * 24, &mut own_pos);
-            tmk.read_f64_slice(force_addr + mine.start * 24, &mut own_force);
+            tmk.read_slice(pos_addr + mine.start * 24, &mut own_pos);
+            tmk.read_slice(force_addr + mine.start * 24, &mut own_force);
             for k in 0..mine.len() {
                 let mut pmol = [own_pos[k * 3], own_pos[k * 3 + 1], own_pos[k * 3 + 2]];
                 let f = [own_force[k * 3], own_force[k * 3 + 1], own_force[k * 3 + 2]];
@@ -227,15 +227,15 @@ impl App for WaterParams {
                 own_pos[k * 3..k * 3 + 3].copy_from_slice(&pmol);
             }
             tmk.proc().compute(mine.len() as f64 * COST_UPDATE);
-            tmk.write_f64_slice(pos_addr + mine.start * 24, &own_pos);
-            tmk.write_f64_slice(force_addr + mine.start * 24, &vec![0.0f64; mine.len() * 3]);
+            tmk.write_slice(pos_addr + mine.start * 24, &own_pos);
+            tmk.write_slice(force_addr + mine.start * 24, &vec![0.0f64; mine.len() * 3]);
             tmk.barrier(barrier);
             barrier += 1;
         }
 
         // Contribution of this process's own molecules to the run checksum.
         let mut own_pos = vec![0.0f64; mine.len() * 3];
-        tmk.read_f64_slice(pos_addr + mine.start * 24, &mut own_pos);
+        tmk.read_slice(pos_addr + mine.start * 24, &mut own_pos);
         let own: Vec<[f64; 3]> = own_pos
             .chunks_exact(3)
             .map(|c| [c[0], c[1], c[2]])

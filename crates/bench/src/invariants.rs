@@ -184,13 +184,13 @@ pub fn check_release_acquire(cfg: &ClusterConfig, protocol: ProtocolKind) -> Run
             for round in 0..n {
                 if tmk.id() == round {
                     tmk.lock_acquire(0);
-                    seen = tmk.read_i64(slot);
-                    tmk.write_i64(slot, seen + 1);
+                    seen = tmk.read::<i64>(slot);
+                    tmk.write::<i64>(slot, seen + 1);
                     tmk.lock_release(0);
                 }
                 tmk.barrier(1 + round as u32);
             }
-            (seen, tmk.read_i64(slot))
+            (seen, tmk.read::<i64>(slot))
         },
         move |results| {
             for (rank, &(seen, final_v)) in results.iter().enumerate() {
@@ -225,13 +225,13 @@ pub fn check_barrier_visibility(cfg: &ClusterConfig, protocol: ProtocolKind) -> 
             let me = tmk.id();
             let stride = 4096 / n.max(1);
             for i in 0..8 {
-                tmk.write_i64(region + me * stride + i * 8, (me * 1000 + i) as i64);
+                tmk.write::<i64>(region + me * stride + i * 8, (me * 1000 + i) as i64);
             }
             tmk.barrier(1);
             let mut missed = Vec::new();
             for w in 0..n {
                 for i in 0..8 {
-                    let got = tmk.read_i64(region + w * stride + i * 8);
+                    let got = tmk.read::<i64>(region + w * stride + i * 8);
                     if got != (w * 1000 + i) as i64 {
                         missed.push((w, i, got));
                     }

@@ -320,7 +320,7 @@ mod tests {
         let _ = reader.malloc(1024, 8);
         let page = writer.page_of(addr);
         writer.mark_dirty(page);
-        writer.write_bytes(addr, &[42u8; 1024]);
+        writer.store(addr, &[42u8; 1024]);
         let rec = close_record(&mut writer);
         reader.apply_interval_record(&rec);
 
@@ -337,7 +337,7 @@ mod tests {
         reader.apply_wire_diffs(page, diffs);
         assert!(reader.is_valid(page));
         let mut out = [0u8; 1024];
-        reader.read_bytes(addr, &mut out);
+        reader.load(addr, &mut out);
         assert!(out.iter().all(|&b| b == 42));
     }
 
@@ -357,7 +357,7 @@ mod tests {
         let page = p0.page_of(addr);
 
         p0.mark_dirty(page);
-        p0.write_bytes(addr, &[1u8; 512]);
+        p0.store(addr, &[1u8; 512]);
         let rec0 = close_record(&mut p0);
 
         p1.apply_interval_record(&rec0);
@@ -371,7 +371,7 @@ mod tests {
             .0;
         p1.apply_wire_diffs(page, diffs);
         p1.mark_dirty(page);
-        p1.write_bytes(addr, &[2u8; 512]);
+        p1.store(addr, &[2u8; 512]);
         let rec1 = close_record(&mut p1);
 
         p2.apply_interval_record(&rec0);
@@ -390,7 +390,7 @@ mod tests {
         assert_eq!(diffs.len(), 2);
         p2.apply_wire_diffs(page, diffs);
         let mut out = [0u8; 512];
-        p2.read_bytes(addr, &mut out);
+        p2.load(addr, &mut out);
         assert!(out.iter().all(|&b| b == 2));
     }
 
@@ -406,10 +406,10 @@ mod tests {
         }
         let page = 0;
         p0.mark_dirty(page);
-        p0.write_bytes(0, &[1u8; 100]);
+        p0.store(0, &[1u8; 100]);
         let rec0 = close_record(&mut p0);
         p1.mark_dirty(page);
-        p1.write_bytes(2000, &[2u8; 100]);
+        p1.store(2000, &[2u8; 100]);
         let rec1 = close_record(&mut p1);
 
         p2.apply_interval_records(&[rec0, rec1]);
@@ -435,9 +435,9 @@ mod tests {
             .0;
         p2.apply_wire_diffs(page, d0.into_iter().chain(d1).collect());
         let mut out = [0u8; 100];
-        p2.read_bytes(0, &mut out);
+        p2.load(0, &mut out);
         assert!(out.iter().all(|&b| b == 1));
-        p2.read_bytes(2000, &mut out);
+        p2.load(2000, &mut out);
         assert!(out.iter().all(|&b| b == 2));
     }
 
@@ -521,11 +521,11 @@ mod tests {
         let _ = p1.malloc(PAGE_SIZE, 8);
         let page = 0;
         p0.mark_dirty(page);
-        p0.write_bytes(0, &[5u8; 64]);
+        p0.store(0, &[5u8; 64]);
         let rec0 = close_record(&mut p0);
 
         p1.mark_dirty(page);
-        p1.write_bytes(1000, &[6u8; 64]);
+        p1.store(1000, &[6u8; 64]);
         // Now p1 learns about p0's interval and fetches its diff while still
         // having its own uncommitted writes.
         p1.apply_interval_record(&rec0);

@@ -1,11 +1,14 @@
-//! Shared-memory allocation and typed access.
+//! Shared-memory allocation and access.
 //!
 //! The real TreadMarks detects accesses to shared memory with the virtual
 //! memory hardware; this reproduction detects them in software at the same
-//! granularity (the 4 KB page): every accessor below checks the validity of
-//! the pages it touches, triggers the fault path (diff request / response /
-//! apply) for invalid pages, and creates twins on the first write of an
-//! interval.  See README.md §Design notes for why this substitution preserves the
+//! granularity (the 4 KB page).  Every shared access is one of four generic
+//! accessors over a [`Word`] type — [`Tmk::read`], [`Tmk::write`],
+//! [`Tmk::read_slice`], [`Tmk::write_slice`] — and all four are one trap:
+//! check the validity of the pages touched, run the fault path (diff request
+//! / response / apply) for invalid pages, create twins on the first write of
+//! an interval, then copy through `DsmState::load` or `DsmState::store`.
+//! See README.md §Design notes for why this substitution preserves the
 //! protocol behaviour the paper measures.
 //!
 //! Addresses are plain byte offsets into the shared heap, obtained from
@@ -15,12 +18,44 @@
 
 use crate::page::PageId;
 use crate::process::Tmk;
-use crate::state::DsmState;
-use crate::MEM_BANDWIDTH;
 use cluster::config::PAGE_SIZE;
 
 /// An address in the shared heap (a byte offset).
 pub type SharedAddr = usize;
+
+/// A fixed-width value that shared memory holds as its little-endian bytes:
+/// `u8`, `i32`, `i64`, `f32` or `f64` (the trait is sealed).
+pub trait Word: sealed::Sealed + Copy + Default {
+    /// The width in bytes (at most 8).
+    const SIZE: usize;
+    /// The value whose little-endian bytes are `b` (`SIZE` of them).
+    fn decode(b: &[u8]) -> Self;
+    /// Write the value's little-endian bytes into `b` (`SIZE` of them).
+    fn encode(self, b: &mut [u8]);
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Word for $t {
+            const SIZE: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn decode(b: &[u8]) -> Self {
+                <$t>::from_le_bytes(b.try_into().expect("one word's bytes"))
+            }
+            #[inline]
+            fn encode(self, b: &mut [u8]) {
+                b.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+
+word!(u8, i32, i64, f32, f64);
 
 /// A free list of page-sized buffers.
 ///
@@ -173,27 +208,55 @@ impl<'a> Tmk<'a> {
         self.st.borrow_mut().malloc(bytes, align)
     }
 
-    // ------------------------------------------------------------ raw bytes
+    // --------------------------------------------------------------- access
 
-    /// Read `out.len()` bytes of shared memory starting at `addr`.
-    pub fn read_bytes(&self, addr: SharedAddr, out: &mut [u8]) {
-        self.read_with(addr, out.len(), |st| st.read_bytes(addr, out));
+    /// Read the `T` at `addr`.
+    pub fn read<T: Word>(&self, addr: SharedAddr) -> T {
+        let mut v = [T::default()];
+        self.read_slice(addr, &mut v);
+        v[0]
     }
 
-    /// The read trap around `read`, which copies the `len` bytes at `addr`
-    /// out of the pages: the fault path before it, the race-detector record
-    /// after.
-    fn read_with(&self, addr: SharedAddr, len: usize, read: impl FnOnce(&DsmState)) {
+    /// Write `v` at `addr`.  Give an integer literal its type (`0i64`, or
+    /// `write::<i64>`): a bare `0` is an `i32` and writes four bytes.
+    pub fn write<T: Word>(&self, addr: SharedAddr, v: T) {
+        self.write_slice(addr, &[v]);
+    }
+
+    /// Read `out.len()` consecutive `T`s starting at `addr`: the fault path
+    /// for every invalid page of the span, one
+    /// [`DsmState::load`](crate::state::DsmState::load), then the
+    /// race-detector record.
+    pub fn read_slice<T: Word>(&self, addr: SharedAddr, out: &mut [T]) {
+        let len = std::mem::size_of_val(out);
         if len == 0 {
             return;
         }
         self.ensure_valid(addr, len);
-        read(&self.st.borrow());
+        self.st.borrow().load(addr, out);
         self.race_record(crate::race::AccessKind::Read, addr, len);
     }
 
+    /// Write `src`'s `T`s consecutively starting at `addr`.
+    ///
+    /// The trap is the protocol's decision (`Tmk::prepare_write` in
+    /// [`crate::protocol`]): the twinning backends validate the span and
+    /// twin + dirty each page; SC acquires exclusive ownership.
+    /// `access_done` then lets the protocol serve whatever it deferred while
+    /// acquiring (SC's ownership hand-offs).
+    pub fn write_slice<T: Word>(&self, addr: SharedAddr, src: &[T]) {
+        let len = std::mem::size_of_val(src);
+        if len == 0 {
+            return;
+        }
+        self.prepare_write(addr, len);
+        self.st.borrow_mut().store(addr, src);
+        self.access_done();
+        self.race_record(crate::race::AccessKind::Write, addr, len);
+    }
+
     /// Read one `f64` as an *annotated unsynchronized read*: identical to
-    /// [`Tmk::read_f64`] in cost and protocol behaviour, but exempt from the
+    /// `read::<f64>` in cost and protocol behaviour, but exempt from the
     /// happens-before race detector — the DSM analogue of a relaxed atomic
     /// load or a ThreadSanitizer benign-race annotation.
     ///
@@ -204,126 +267,31 @@ impl<'a> Tmk<'a> {
     /// caught.  `xtask lint` requires every call site to carry a
     /// `lint:allow(unsync-read)` justification marker.
     pub fn read_f64_unsync(&self, addr: SharedAddr) -> f64 {
-        // `read_f64`'s fault path and copy, so both cost exactly the same
-        // simulated time, without the record.
-        let mut b = [0u8; 8];
-        self.ensure_valid(addr, b.len());
-        self.st.borrow().read_bytes(addr, &mut b);
-        f64::from_le_bytes(b)
+        let mut v = [0.0];
+        self.ensure_valid(addr, 8);
+        self.st.borrow().load(addr, &mut v);
+        v[0]
     }
 
-    /// Write `src` to shared memory starting at `addr`.
-    pub fn write_bytes(&self, addr: SharedAddr, src: &[u8]) {
-        self.write_with(addr, src.len(), |st| st.write_bytes(addr, src));
-    }
-
-    /// The write trap around `write`, which stores the `len` bytes at
-    /// `addr` into the pages.
-    ///
-    /// The trap is the protocol's decision (`Tmk::prepare_write` in
-    /// [`crate::protocol`]): the twinning backends validate the span and
-    /// twin + dirty each page; SC acquires exclusive ownership.
-    /// `access_done` then lets the protocol serve whatever it deferred while
-    /// acquiring (SC's ownership hand-offs).
-    fn write_with(&self, addr: SharedAddr, len: usize, write: impl FnOnce(&mut DsmState)) {
-        if len == 0 {
-            return;
-        }
-        self.prepare_write(addr, len);
-        write(&mut self.st.borrow_mut());
-        self.access_done();
-        self.race_record(crate::race::AccessKind::Write, addr, len);
-    }
-
-    // --------------------------------------------------------- typed access
-
-    /// Read one `f64`.
+    /// `read::<f64>`, kept only because `benchmark/layers` calls it;
+    /// deleted with its probes (ROADMAP item 0(i)).
     pub fn read_f64(&self, addr: SharedAddr) -> f64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        f64::from_le_bytes(b)
+        self.read(addr)
     }
 
-    /// Write one `f64`.
+    /// `write::<f64>`, kept like [`Tmk::read_f64`].
     pub fn write_f64(&self, addr: SharedAddr, v: f64) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.write(addr, v)
     }
 
-    /// Read one `i64`.
+    /// `read::<i64>`, kept like [`Tmk::read_f64`].
     pub fn read_i64(&self, addr: SharedAddr) -> i64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        i64::from_le_bytes(b)
+        self.read(addr)
     }
 
-    /// Write one `i64`.
+    /// `write::<i64>`, kept like [`Tmk::read_f64`].
     pub fn write_i64(&self, addr: SharedAddr, v: i64) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read one `i32`.
-    pub fn read_i32(&self, addr: SharedAddr) -> i32 {
-        let mut b = [0u8; 4];
-        self.read_bytes(addr, &mut b);
-        i32::from_le_bytes(b)
-    }
-
-    /// Write one `i32`.
-    pub fn write_i32(&self, addr: SharedAddr, v: i32) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
-    /// Read `out.len()` `N`-byte elements starting at `addr`, decoded
-    /// straight from the pages into `out` under the same trap as
-    /// [`Tmk::read_bytes`] over the elements' bytes.
-    fn read_elems<T, const N: usize>(
-        &self,
-        addr: SharedAddr,
-        out: &mut [T],
-        decode: impl Fn([u8; N]) -> T,
-    ) {
-        self.read_with(addr, out.len() * N, |st| st.read_elems(addr, out, decode));
-    }
-
-    /// Write `src`'s `N`-byte elements starting at `addr`, encoded straight
-    /// into the pages under the same trap as [`Tmk::write_bytes`].
-    fn write_elems<T, const N: usize>(
-        &self,
-        addr: SharedAddr,
-        src: &[T],
-        encode: impl Fn(&T) -> [u8; N],
-    ) {
-        self.write_with(addr, src.len() * N, |st| st.write_elems(addr, src, encode));
-    }
-
-    /// Read a contiguous run of `out.len()` `f64` values starting at `addr`.
-    pub fn read_f64_slice(&self, addr: SharedAddr, out: &mut [f64]) {
-        self.read_elems(addr, out, f64::from_le_bytes);
-    }
-
-    /// Write a contiguous run of `f64` values starting at `addr`.
-    pub fn write_f64_slice(&self, addr: SharedAddr, src: &[f64]) {
-        self.write_elems(addr, src, |v| v.to_le_bytes());
-    }
-
-    /// Read a contiguous run of `f32` values starting at `addr`.
-    pub fn read_f32_slice(&self, addr: SharedAddr, out: &mut [f32]) {
-        self.read_elems(addr, out, f32::from_le_bytes);
-    }
-
-    /// Write a contiguous run of `f32` values starting at `addr`.
-    pub fn write_f32_slice(&self, addr: SharedAddr, src: &[f32]) {
-        self.write_elems(addr, src, |v| v.to_le_bytes());
-    }
-
-    /// Read a contiguous run of `i32` values starting at `addr`.
-    pub fn read_i32_slice(&self, addr: SharedAddr, out: &mut [i32]) {
-        self.read_elems(addr, out, i32::from_le_bytes);
-    }
-
-    /// Write a contiguous run of `i32` values starting at `addr`.
-    pub fn write_i32_slice(&self, addr: SharedAddr, src: &[i32]) {
-        self.write_elems(addr, src, |v| v.to_le_bytes());
+        self.write(addr, v)
     }
 
     // --------------------------------------------------------------- faults
@@ -332,37 +300,28 @@ impl<'a> Tmk<'a> {
     /// the configured protocol's fault-service path (see [`crate::protocol`])
     /// for the invalid ones.
     ///
-    /// Servicing one page's fault can re-invalidate an earlier page of the
-    /// same range (a barrier arrival served while waiting applies fresh
-    /// write notices), so the scan repeats until the whole range is clean.
-    /// No requests are served between this returning and the access itself,
+    /// Pages fault in ascending order: a scan stops at the first invalid
+    /// page, faults it in and resumes after it.  Servicing one page's fault
+    /// can re-invalidate an earlier page of the same range (a barrier
+    /// arrival served while waiting applies fresh write notices), so a scan
+    /// that reaches the end starts over until the whole range is clean.  No
+    /// requests are served between this returning and the access itself,
     /// so the range stays valid for the caller.
     ///
     /// This is the software write/read trap on the hottest path of the
     /// whole simulation (every shared access), so the all-valid case — the
-    /// overwhelming majority — must not allocate: pages are checked one at
-    /// a time in ascending order rather than collected into a vector.
+    /// overwhelming majority — is one scan under one borrow, and allocates
+    /// nothing.
     pub fn ensure_valid(&self, addr: SharedAddr, len: usize) {
-        loop {
-            let pages = self.st.borrow().pages_spanning(addr, len);
-            let mut faulted_any = false;
-            for page in pages {
-                if !self.st.borrow().is_valid(page) {
-                    self.fault_in(page);
-                    faulted_any = true;
-                }
-            }
-            if !faulted_any {
-                return;
-            }
-        }
-    }
-
-    /// Mark `page` dirty, charging the twin-copy cost if a twin is created.
-    pub(crate) fn mark_dirty_charged(&self, page: PageId) {
-        let twinned = self.st.borrow_mut().mark_dirty(page);
-        if twinned {
-            self.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
+        let pages = self.st.borrow().pages_spanning(addr, len);
+        let first_invalid = |from: PageId| {
+            let st = self.st.borrow();
+            (from..=*pages.end()).find(|&p| !st.is_valid(p))
+        };
+        let mut next = first_invalid(*pages.start());
+        while let Some(page) = next {
+            self.fault_in(page);
+            next = first_invalid(page + 1).or_else(|| first_invalid(*pages.start()));
         }
     }
 }

@@ -199,7 +199,7 @@ mod tests {
         let mut s = state(0, 2);
         let addr = s.malloc(16, 8);
         s.mark_dirty(s.page_of(addr));
-        s.write_bytes(addr, &[1; 16]);
+        s.store(addr, &[1u8; 16]);
         let rec = close_record(&mut s);
         assert_eq!(rec.creator, 0);
         assert_eq!(rec.seq, 1);
@@ -217,7 +217,7 @@ mod tests {
         let addr = writer.malloc(16, 8);
         let _ = reader.malloc(16, 8);
         writer.mark_dirty(writer.page_of(addr));
-        writer.write_bytes(addr, &[7; 16]);
+        writer.store(addr, &[7u8; 16]);
         let rec = close_record(&mut writer);
 
         assert!(reader.is_valid(reader.page_of(addr)));
@@ -235,7 +235,7 @@ mod tests {
         let addr = s.malloc(8, 8);
         for _ in 0..3 {
             s.mark_dirty(s.page_of(addr));
-            s.write_bytes(addr, &[9; 8]);
+            s.store(addr, &[9u8; 8]);
             s.close_interval();
         }
         let mut other = VectorClock::new(2);

@@ -33,8 +33,10 @@
 //! The programming interface mirrors the TreadMarks API used by the paper's
 //! applications: `Tmk_malloc`, `Tmk_barrier`, `Tmk_lock_acquire`,
 //! `Tmk_lock_release`, and ordinary reads/writes of shared memory (here:
-//! typed accessors, because access detection is done in software at page
-//! granularity rather than with the VM hardware — see README §Design notes).
+//! [`Tmk::read`], [`Tmk::write`], [`Tmk::read_slice`] and
+//! [`Tmk::write_slice`] over any [`Word`] type, because access detection is
+//! done in software at page granularity rather than with the VM hardware —
+//! see README §Design notes).
 //!
 //! # Example
 //!
@@ -49,12 +51,12 @@
 //!     tmk.barrier(0);
 //!     for _ in 0..5 {
 //!         tmk.lock_acquire(0);
-//!         let v = tmk.read_i64(counter);
-//!         tmk.write_i64(counter, v + 1);
+//!         let v: i64 = tmk.read(counter);
+//!         tmk.write(counter, v + 1);
 //!         tmk.lock_release(0);
 //!     }
 //!     tmk.barrier(1);
-//!     let total = tmk.read_i64(counter);
+//!     let total = tmk.read::<i64>(counter);
 //!     tmk.exit();
 //!     total
 //! });
@@ -75,7 +77,7 @@ pub mod state;
 pub mod stats;
 pub mod vc;
 
-pub use heap::SharedAddr;
+pub use heap::{SharedAddr, Word};
 pub use page::{Diff, PageId};
 pub use process::Tmk;
 pub use protocol::ProtocolKind;
@@ -137,10 +139,10 @@ mod tests {
             let a = tmk.malloc(1024);
             tmk.barrier(0);
             tmk.lock_acquire(3);
-            tmk.write_f64(a, 2.5);
+            tmk.write::<f64>(a, 2.5);
             tmk.lock_release(3);
             tmk.barrier(1);
-            tmk.read_f64(a)
+            tmk.read::<f64>(a)
         });
         assert_eq!(rep.results[0], 2.5);
         assert_eq!(rep.total_messages(), 0);
@@ -148,41 +150,106 @@ mod tests {
 
     #[test]
     fn typed_slices_round_trip_across_page_boundaries_under_every_protocol() {
-        // Elements straddling a page boundary are assembled through a
-        // stack buffer: an f64 at `PAGE_SIZE - 4`, f32s at an odd address,
-        // i32s spanning three pages from an unaligned start.  Rank 0
-        // writes, rank 1 faults the pages in and reads back, both compare
-        // the decoded values and the raw little-endian bytes.
+        // Words straddling a page boundary are assembled through a stack
+        // buffer: an f64 at `PAGE_SIZE - 4`, f32s at an odd address, i32s
+        // spanning three pages from an unaligned start, then lone scalars
+        // (an i32 at `PAGE_SIZE - 2`, an i64 and an f64 at `k·PAGE_SIZE -
+        // 4`).  Rank 0 writes, rank 1 faults the pages in and reads back,
+        // both compare the decoded values and the raw little-endian bytes.
         use cluster::config::PAGE_SIZE;
         let f64s: Vec<f64> = (0..3).map(|i| 1.0 / (i as f64 + 3.0)).collect();
         let f32s: Vec<f32> = (0..700).map(|i| i as f32 * 0.37 - 9.0).collect();
         let i32s: Vec<i32> = (0..1100).map(|i| i * -7919 + 13).collect();
         let at = [PAGE_SIZE - 4, 4 * PAGE_SIZE + 1, 7 * PAGE_SIZE - 2];
+        let (x, y, z) = (-123_456_789i32, -(1i64 << 40) - 5, -1.0f64 / 7.0);
+        let scalar_at = [PAGE_SIZE - 2, 2 * PAGE_SIZE - 4, 9 * PAGE_SIZE - 4];
         for protocol in ProtocolKind::all() {
             let rep = run_under(protocol, 2, |tmk| {
                 tmk.malloc(10 * PAGE_SIZE);
                 if tmk.id() == 0 {
-                    tmk.write_f64_slice(at[0], &f64s);
-                    tmk.write_f32_slice(at[1], &f32s);
-                    tmk.write_i32_slice(at[2], &i32s);
+                    tmk.write_slice(at[0], &f64s);
+                    tmk.write_slice(at[1], &f32s);
+                    tmk.write_slice(at[2], &i32s);
                 }
                 tmk.barrier(0);
-                let (mut a, mut b, mut c) = (vec![0.0; 3], vec![0.0; 700], vec![0; 1100]);
-                tmk.read_f64_slice(at[0], &mut a);
-                tmk.read_f32_slice(at[1], &mut b);
-                tmk.read_i32_slice(at[2], &mut c);
+                let (mut a, mut b, mut c) = (vec![0f64; 3], vec![0f32; 700], vec![0i32; 1100]);
+                tmk.read_slice(at[0], &mut a);
+                tmk.read_slice(at[1], &mut b);
+                tmk.read_slice(at[2], &mut c);
                 let mut raw = vec![0u8; 1100 * 4];
-                tmk.read_bytes(at[2], &mut raw);
+                tmk.read_slice(at[2], &mut raw);
                 let bytes_ok = raw
                     .chunks_exact(4)
                     .zip(&i32s)
                     .all(|(r, v)| r == v.to_le_bytes());
                 tmk.barrier(1);
-                (a == f64s, b == f32s, c == i32s, bytes_ok)
+                if tmk.id() == 0 {
+                    tmk.write(scalar_at[0], x);
+                    tmk.write(scalar_at[1], y);
+                    tmk.write(scalar_at[2], z);
+                }
+                tmk.barrier(2);
+                let scalars = (
+                    tmk.read::<i32>(scalar_at[0]),
+                    tmk.read::<i64>(scalar_at[1]),
+                    tmk.read::<f64>(scalar_at[2]),
+                );
+                let mut raw = [0u8; 8];
+                tmk.read_slice(scalar_at[1], &mut raw);
+                tmk.barrier(3);
+                (a == f64s, b == f32s, c == i32s, bytes_ok, scalars, raw)
             });
             for (rank, r) in rep.results.iter().enumerate() {
-                assert_eq!(*r, (true, true, true, true), "{protocol} rank {rank}");
+                let expect = (true, true, true, true, (x, y, z), y.to_le_bytes());
+                assert_eq!(*r, expect, "{protocol} rank {rank}");
             }
+        }
+    }
+
+    #[test]
+    fn a_read_spanning_invalid_pages_faults_them_in_ascending_order() {
+        // Rank 0 dirties pages 1-3 with one straddling write; after a
+        // barrier rank 1 reads the span back.  Its fault spans name every
+        // page it holds invalid — all three, but under HLRC not page 1, whose
+        // home it is — once each, in ascending order.
+        use cluster::config::PAGE_SIZE;
+        use cluster::obs::{EventKind, ObsLevel};
+        for protocol in ProtocolKind::all() {
+            let mut cfg = ClusterConfig::calibrated_fddi(3);
+            cfg.obs = ObsLevel::Trace;
+            let rep = Cluster::run(cfg, |p| {
+                let tmk = Tmk::with_protocol(p, protocol);
+                tmk.malloc(4 * PAGE_SIZE);
+                let span = vec![7u8; PAGE_SIZE + 8];
+                if tmk.id() == 0 {
+                    tmk.write_slice(2 * PAGE_SIZE - 4, &span);
+                }
+                tmk.barrier(0);
+                let mut out = vec![0u8; span.len()];
+                if tmk.id() == 1 {
+                    tmk.read_slice(2 * PAGE_SIZE - 4, &mut out);
+                }
+                tmk.barrier(1);
+                tmk.exit();
+                tmk.id() != 1 || out == span
+            });
+            assert!(rep.results.iter().all(|&ok| ok), "{protocol}");
+            let faults: Vec<u64> = rep.obs.as_ref().unwrap().procs[1]
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::SpanBegin {
+                        cat: cluster::SpanCat::Fault,
+                        arg,
+                    } => Some(arg),
+                    _ => None,
+                })
+                .collect();
+            let expect: Vec<u64> = (1..=3)
+                .filter(|&p| protocol != ProtocolKind::Hlrc || protocol::hlrc::home_of(p, 3) != 1)
+                .map(u64::from)
+                .collect();
+            assert_eq!(faults, expect, "{protocol}");
         }
     }
 
@@ -192,13 +259,13 @@ mod tests {
             let a = tmk.malloc(4096);
             if tmk.id() == 0 {
                 for i in 0..512 {
-                    tmk.write_f64(a + i * 8, i as f64);
+                    tmk.write::<f64>(a + i * 8, i as f64);
                 }
             }
             tmk.barrier(0);
             let mut sum = 0.0;
             for i in 0..512 {
-                sum += tmk.read_f64(a + i * 8);
+                sum += tmk.read::<f64>(a + i * 8);
             }
             sum
         });
@@ -223,14 +290,14 @@ mod tests {
             for round in 0..rounds {
                 if tmk.id() == round as usize % n {
                     let slot = a + 8 * tmk.id();
-                    let v = tmk.read_f64(slot);
-                    tmk.write_f64(slot, v + 1.0 + round as f64);
+                    let v = tmk.read::<f64>(slot);
+                    tmk.write::<f64>(slot, v + 1.0 + round as f64);
                 }
                 tmk.barrier(1 + round);
             }
             let mut sum = 0.0;
             for r in 0..n {
-                sum += tmk.read_f64(a + 8 * r);
+                sum += tmk.read::<f64>(a + 8 * r);
             }
             let st = tmk.st.borrow();
             (
@@ -321,7 +388,7 @@ mod tests {
             tmk.set_gc_threshold(1);
             tmk.barrier(0);
             if tmk.id() == 1 {
-                tmk.write_f64(a, 2.5);
+                tmk.write::<f64>(a, 2.5);
             }
             tmk.barrier(1);
             let st = tmk.st.borrow();
@@ -339,12 +406,12 @@ mod tests {
             tmk.barrier(0);
             for _ in 0..iters {
                 tmk.lock_acquire(0);
-                let v = tmk.read_i64(counter);
-                tmk.write_i64(counter, v + 1);
+                let v = tmk.read::<i64>(counter);
+                tmk.write::<i64>(counter, v + 1);
                 tmk.lock_release(0);
             }
             tmk.barrier(1);
-            tmk.read_i64(counter)
+            tmk.read::<i64>(counter)
         });
         assert!(rep.results.iter().all(|&v| v == (n * iters) as i64));
     }
@@ -388,13 +455,13 @@ mod tests {
                 if tmk.id() == round {
                     tmk.lock_acquire(0);
                     for i in 0..32 {
-                        tmk.write_i64(block + i * 8, (round * 100 + i) as i64);
+                        tmk.write::<i64>(block + i * 8, (round * 100 + i) as i64);
                     }
                     tmk.lock_release(0);
                 }
                 tmk.barrier(1 + round as u32);
             }
-            tmk.read_i64(block)
+            tmk.read::<i64>(block)
         });
         let last = ((n - 1) * 100) as i64;
         assert!(rep.results.iter().all(|&v| v == last));
@@ -422,8 +489,8 @@ mod tests {
             let me = tmk.id();
             tmk.proc().compute(0.01 * me as f64);
             tmk.lock_acquire(0);
-            let seen = tmk.read_i64(block);
-            tmk.write_i64(block + 8 * me, me as i64 + 1);
+            let seen = tmk.read::<i64>(block);
+            tmk.write::<i64>(block + 8 * me, me as i64 + 1);
             tmk.lock_release(0);
             tmk.barrier(1);
             let held = {
@@ -472,14 +539,14 @@ mod tests {
             let me = tmk.id();
             let base = a + me * 2048;
             for i in 0..256 {
-                tmk.write_i64(base + i * 8, (me * 1000 + i) as i64);
+                tmk.write::<i64>(base + i * 8, (me * 1000 + i) as i64);
             }
             tmk.barrier(1);
             let other = 1 - me;
             let other_base = a + other * 2048;
             let mut ok = true;
             for i in 0..256 {
-                ok &= tmk.read_i64(other_base + i * 8) == (other * 1000 + i) as i64;
+                ok &= tmk.read::<i64>(other_base + i * 8) == (other * 1000 + i) as i64;
             }
             ok
         });
@@ -494,16 +561,16 @@ mod tests {
             tmk.barrier(0);
             if tmk.id() == 0 {
                 tmk.lock_acquire(0);
-                tmk.write_i64(slot, 42);
+                tmk.write::<i64>(slot, 42);
                 tmk.lock_release(0);
             }
             tmk.barrier(1);
             tmk.lock_acquire(0);
-            let v = tmk.read_i64(slot);
-            tmk.write_i64(slot, v + 1);
+            let v = tmk.read::<i64>(slot);
+            tmk.write::<i64>(slot, v + 1);
             tmk.lock_release(0);
             tmk.barrier(2);
-            tmk.read_i64(slot)
+            tmk.read::<i64>(slot)
         });
         assert!(rep.results.iter().all(|&v| v == 42 + n as i64));
     }
@@ -517,12 +584,12 @@ mod tests {
             let a = tmk.malloc(64 * 1024);
             if tmk.id() == 0 {
                 let data: Vec<i32> = (0..16 * 1024).collect();
-                tmk.write_i32_slice(a, &data);
+                tmk.write_slice(a, &data);
             }
             tmk.barrier(0);
             if tmk.id() == 1 {
                 let mut out = vec![0i32; 16 * 1024];
-                tmk.read_i32_slice(a, &mut out);
+                tmk.read_slice(a, &mut out);
                 assert!(out.iter().enumerate().all(|(i, &v)| v == i as i32));
             }
             tmk.barrier(1);
@@ -546,32 +613,32 @@ mod tests {
                 let block = tmk.malloc(256);
                 if tmk.id() == 0 {
                     for i in 0..512 {
-                        tmk.write_f64(a + i * 8, i as f64);
+                        tmk.write::<f64>(a + i * 8, i as f64);
                     }
                 }
                 tmk.barrier(0);
                 let mut sum = 0.0;
                 for i in 0..512 {
-                    sum += tmk.read_f64(a + i * 8);
+                    sum += tmk.read::<f64>(a + i * 8);
                 }
                 for _ in 0..5 {
                     tmk.lock_acquire(0);
-                    let v = tmk.read_i64(counter);
-                    tmk.write_i64(counter, v + 1);
+                    let v = tmk.read::<i64>(counter);
+                    tmk.write::<i64>(counter, v + 1);
                     tmk.lock_release(0);
                 }
                 for round in 0..n {
                     if tmk.id() == round {
                         tmk.lock_acquire(1);
                         for i in 0..32 {
-                            tmk.write_i64(block + i * 8, (round * 100 + i) as i64);
+                            tmk.write::<i64>(block + i * 8, (round * 100 + i) as i64);
                         }
                         tmk.lock_release(1);
                     }
                     tmk.barrier(1 + round as u32);
                 }
-                sum += tmk.read_i64(counter) as f64;
-                sum += tmk.read_i64(block) as f64;
+                sum += tmk.read::<i64>(counter) as f64;
+                sum += tmk.read::<i64>(block) as f64;
                 sum
             });
             let expect: f64 =
@@ -589,9 +656,9 @@ mod tests {
         let rep = run_under(ProtocolKind::Hlrc, 1, |tmk| {
             let a = tmk.malloc(1024);
             tmk.barrier(0);
-            tmk.write_f64(a, 2.5);
+            tmk.write::<f64>(a, 2.5);
             tmk.barrier(1);
-            tmk.read_f64(a)
+            tmk.read::<f64>(a)
         });
         assert_eq!(rep.results[0], 2.5);
         assert_eq!(rep.total_messages(), 0);
@@ -608,12 +675,12 @@ mod tests {
             if tmk.id() < 2 {
                 let base = a + tmk.id() * 2048;
                 for i in 0..16 {
-                    tmk.write_i64(base + i * 8, (tmk.id() * 10 + i) as i64);
+                    tmk.write::<i64>(base + i * 8, (tmk.id() * 10 + i) as i64);
                 }
             }
             tmk.barrier(1);
             if tmk.id() == 2 {
-                let _ = tmk.read_i64(a);
+                let _ = tmk.read::<i64>(a);
             }
             tmk.barrier(2);
             tmk.stats()
@@ -638,14 +705,14 @@ mod tests {
             // Page 0 is homed on process 0; let process 1 write it.
             if tmk.id() == 1 {
                 for i in 0..64 {
-                    tmk.write_i64(a + i * 8, i as i64);
+                    tmk.write::<i64>(a + i * 8, i as i64);
                 }
             }
             tmk.barrier(0);
             if tmk.id() == 2 {
                 let mut out = vec![0i64; 64];
                 for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = tmk.read_i64(a + i * 8);
+                    *slot = tmk.read::<i64>(a + i * 8);
                 }
                 assert!(out.iter().enumerate().all(|(i, &v)| v == i as i64));
             }
@@ -675,13 +742,13 @@ mod tests {
                 if tmk.id() == round {
                     tmk.lock_acquire(0);
                     for i in 0..64 {
-                        tmk.write_i64(block + i * 8, (round * 1000 + i) as i64);
+                        tmk.write::<i64>(block + i * 8, (round * 1000 + i) as i64);
                     }
                     tmk.lock_release(0);
                 }
                 tmk.barrier(1 + round as u32);
             }
-            let v = tmk.read_i64(block);
+            let v = tmk.read::<i64>(block);
             tmk.barrier(100);
             (v, tmk.stats())
         };
@@ -821,22 +888,22 @@ mod tests {
                 let counter = tmk.malloc(8);
                 if tmk.id() == 0 {
                     for i in 0..512 {
-                        tmk.write_f64(a + i * 8, i as f64);
+                        tmk.write::<f64>(a + i * 8, i as f64);
                     }
                 }
                 tmk.barrier(0);
                 let mut sum = 0.0;
                 for i in 0..512 {
-                    sum += tmk.read_f64(a + i * 8);
+                    sum += tmk.read::<f64>(a + i * 8);
                 }
                 for _ in 0..5 {
                     tmk.lock_acquire(0);
-                    let v = tmk.read_i64(counter);
-                    tmk.write_i64(counter, v + 1);
+                    let v = tmk.read::<i64>(counter);
+                    tmk.write::<i64>(counter, v + 1);
                     tmk.lock_release(0);
                 }
                 tmk.barrier(1);
-                sum + tmk.read_i64(counter) as f64
+                sum + tmk.read::<i64>(counter) as f64
             });
             assert!(
                 races.is_race_free(),
@@ -855,7 +922,7 @@ mod tests {
                 let a = tmk.malloc(4096);
                 tmk.barrier(0);
                 // Both ranks write the same eight bytes with no sync.
-                tmk.write_i64(a, tmk.id() as i64);
+                tmk.write::<i64>(a, tmk.id() as i64);
                 tmk.barrier(1);
             });
             assert_eq!(races.races.len(), 1, "{protocol}:\n{}", races.render());
@@ -881,9 +948,9 @@ mod tests {
                 tmk.barrier(0);
                 for round in 0..4u32 {
                     let mine = a + 8 * tmk.id();
-                    tmk.write_f64(mine, f64::from(round));
+                    tmk.write::<f64>(mine, f64::from(round));
                     tmk.barrier(1 + 2 * round);
-                    let _ = tmk.read_f64(a + 8 * ((tmk.id() + 1) % n));
+                    let _ = tmk.read::<f64>(a + 8 * ((tmk.id() + 1) % n));
                     tmk.barrier(2 + 2 * round);
                 }
                 tmk.st.borrow().stats.gc_collections
@@ -901,11 +968,11 @@ mod tests {
             let a = tmk.malloc(8 * 1024);
             if tmk.id() == 0 {
                 let data: Vec<f64> = (0..1024).map(|i| i as f64).collect();
-                tmk.write_f64_slice(a, &data);
+                tmk.write_slice(a, &data);
             }
             tmk.barrier(0);
-            let mut out = vec![0.0; 1024];
-            tmk.read_f64_slice(a, &mut out);
+            let mut out = vec![0f64; 1024];
+            tmk.read_slice(a, &mut out);
             tmk.barrier(1);
             out[1023]
         };
@@ -931,11 +998,11 @@ mod tests {
             let a = tmk.malloc(8 * 1024);
             if tmk.id() == 0 {
                 let data: Vec<f64> = (0..1024).map(|i| i as f64).collect();
-                tmk.write_f64_slice(a, &data);
+                tmk.write_slice(a, &data);
             }
             tmk.barrier(0);
-            let mut out = vec![0.0; 1024];
-            tmk.read_f64_slice(a, &mut out);
+            let mut out = vec![0f64; 1024];
+            tmk.read_slice(a, &mut out);
             tmk.barrier(1);
             out[1023]
         });

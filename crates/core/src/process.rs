@@ -9,7 +9,8 @@
 //! * `Tmk_barrier(i)`  → [`Tmk::barrier`]
 //! * `Tmk_lock_acquire(i)` / `Tmk_lock_release(i)` → [`Tmk::lock_acquire`] /
 //!   [`Tmk::lock_release`]
-//! * shared reads and writes → the typed accessors in `heap.rs`
+//! * shared reads and writes → [`Tmk::read`], [`Tmk::write`],
+//!   [`Tmk::read_slice`] and [`Tmk::write_slice`] (in `heap.rs`)
 //! * `Tmk_exit`        → [`Tmk::exit`]
 //!
 //! Requests from other processes (lock acquires to a manager or last holder,
@@ -38,7 +39,8 @@ use std::sync::Arc;
 /// # Example
 ///
 /// Two processes increment a lock-protected shared counter; every shared
-/// access goes through the DSM's page-based coherence protocol:
+/// access goes through the DSM's page-based coherence protocol, and the
+/// counter's type — here `i64` — picks the width read and written:
 ///
 /// ```
 /// use cluster::{Cluster, ClusterConfig};
@@ -50,12 +52,12 @@ use std::sync::Arc;
 ///     tmk.barrier(0);
 ///     for _ in 0..3 {
 ///         tmk.lock_acquire(0);
-///         let v = tmk.read_i64(counter);
-///         tmk.write_i64(counter, v + 1);
+///         let v: i64 = tmk.read(counter);
+///         tmk.write(counter, v + 1);
 ///         tmk.lock_release(0);
 ///     }
 ///     tmk.barrier(1);
-///     let total = tmk.read_i64(counter);
+///     let total = tmk.read::<i64>(counter);
 ///     tmk.exit();
 ///     total
 /// });
@@ -75,6 +77,8 @@ pub struct Tmk<'a> {
     stashed: RefCell<Vec<Message>>,
     /// Exit-protocol counter at process 0.
     done_count: Cell<usize>,
+    /// Whether process 0's `TAG_TERMINATE` has arrived (exit protocol).
+    terminated: Cell<bool>,
     /// Cluster-wide interval-count growth that triggers barrier-time GC.
     gc_threshold: Cell<u64>,
     /// `vc.sum()` at the last garbage collection.
@@ -124,6 +128,7 @@ impl<'a> Tmk<'a> {
             arrivals: RefCell::new(BTreeMap::new()),
             stashed: RefCell::new(Vec::new()),
             done_count: Cell::new(0),
+            terminated: Cell::new(false),
             gc_threshold: Cell::new(DEFAULT_GC_INTERVAL_THRESHOLD),
             last_gc_sum: Cell::new(0),
             race: RefCell::new(None),
@@ -435,19 +440,7 @@ impl<'a> Tmk<'a> {
             }
         } else {
             self.send(0, TAG_DONE, Msg::Empty, None);
-            loop {
-                let m = self.proc.recv_any();
-                if m.tag == TAG_TERMINATE {
-                    break;
-                }
-                if let Some(m) = self.serve(m) {
-                    panic!(
-                        "process {} got unexpected non-request tag {}",
-                        self.id(),
-                        m.tag
-                    );
-                }
-            }
+            self.serve_until(|| self.terminated.get());
         }
         self.proc.span_end(SpanCat::Exit);
     }
@@ -529,12 +522,13 @@ impl<'a> Tmk<'a> {
     }
 
     /// Serve `m` if it is a request and return `None`; hand it back unserved
-    /// if it is a reply (or the exit protocol's `TAG_TERMINATE`).  This is
-    /// the one place that tells a request from a reply: the runtime serves
-    /// its lock, barrier and exit tags here and the configured protocol
-    /// backend serves its own.  Replies to a request depart at its arrival
-    /// time plus the service cost (interrupt-style service); the CPU cost is
-    /// charged to this process as stolen cycles.
+    /// if it is a reply.  This is the one place that tells a request from a
+    /// reply: the runtime serves its lock, barrier and exit tags here
+    /// (`TAG_TERMINATE` sets `terminated`, which ends [`Tmk::exit`]'s wait)
+    /// and the configured protocol backend serves its own.  Replies to a
+    /// request depart at its arrival time plus the service cost
+    /// (interrupt-style service); the CPU cost is charged to this process as
+    /// stolen cycles.
     fn serve(&self, m: Message) -> Option<Message> {
         match m.tag {
             TAG_LOCK_ACQ | TAG_LOCK_FWD => {
@@ -585,6 +579,7 @@ impl<'a> Tmk<'a> {
                 assert_eq!(self.id(), 0, "only process 0 collects DONE messages");
                 self.done_count.set(self.done_count.get() + 1);
             }
+            TAG_TERMINATE => self.terminated.set(true),
             // Everything else belongs to the configured protocol backend
             // (diff requests under LRC, flushes and page fetches under
             // HLRC, the ownership protocol under SC), which hands back

@@ -10,7 +10,7 @@
 //! space, so every message is a [`Msg`] value ([`cluster::Payload::Value`]):
 //! a receiver keeps the sender's refcounted records and diffs instead of
 //! decoding a copy, each record and diff is held once per run, not once per
-//! rank, and a page image is one owned snapshot.  A message is charged its
+//! rank, and a page image is one owned buffer.  A message is charged its
 //! [`Msg::wire_len`], computed from its shape.  The codec —
 //! [`Msg::encode`] and [`Msg::decode`] — is the oracle of that length:
 //! [`check_codec`] encodes a message, measures the bytes against the length,
@@ -207,7 +207,8 @@ pub enum Msg {
         page: PageId,
         /// The processes holding readable copies.
         copyset: Vec<usize>,
-        /// Snapshot of the page, taken when the owner handed it over.
+        /// The page itself, moved out of the owner's slot, which the
+        /// transfer invalidates.
         data: Box<[u8]>,
     },
     /// SC read copy of a page, owner → reader.

@@ -301,7 +301,7 @@ mod tests {
         let _ = writer.malloc(2 * PAGE_SIZE, 8);
         let _ = home.malloc(2 * PAGE_SIZE, 8);
         writer.mark_dirty(writer.page_of(addr));
-        writer.write_bytes(addr, &[9u8; 64]);
+        writer.store(addr, &[9u8; 64]);
         let closed = close(&mut writer);
         assert_eq!(closed.flushes.len(), 1);
         let (page, diff) = &closed.flushes[0];
@@ -319,7 +319,7 @@ mod tests {
         let mut s = state(0, 2);
         let _ = s.malloc(2 * PAGE_SIZE, 8);
         s.mark_dirty(0); // page 0 is homed on process 0
-        s.write_bytes(0, &[5u8; 16]);
+        s.store(0, &[5u8; 16]);
         let closed = close(&mut s);
         assert!(closed.flushes.is_empty());
         let (snapshot, applied) = s.page_snapshot(0);
@@ -332,11 +332,11 @@ mod tests {
         let mut home = state(0, 2);
         let _ = home.malloc(PAGE_SIZE, 8);
         home.mark_dirty(0);
-        home.write_bytes(0, &[1u8; 8]);
+        home.store(0, &[1u8; 8]);
         home.close_interval();
         // A second, still-open interval must not leak into the snapshot.
         home.mark_dirty(0);
-        home.write_bytes(8, &[2u8; 8]);
+        home.store(8, &[2u8; 8]);
         let (snapshot, _) = home.page_snapshot(0);
         assert!(snapshot[..8].iter().all(|&b| b == 1));
         assert!(snapshot[8..16].iter().all(|&b| b == 0));
@@ -349,7 +349,7 @@ mod tests {
         let page = 1; // homed on process 1
         let addr = PAGE_SIZE;
         reader.mark_dirty(page);
-        reader.write_bytes(addr, &[7u8; 8]);
+        reader.store(addr, &[7u8; 8]);
 
         // The home's copy carries another writer's committed interval.
         let mut incoming = vec![0u8; PAGE_SIZE];
@@ -360,10 +360,10 @@ mod tests {
         reader.apply_page(page, &incoming, &home_applied);
 
         let mut own = [0u8; 8];
-        reader.read_bytes(addr, &mut own);
+        reader.load(addr, &mut own);
         assert_eq!(own, [7u8; 8], "local uncommitted writes survive the fetch");
         let mut other = [0u8; 8];
-        reader.read_bytes(addr + 100, &mut other);
+        reader.load(addr + 100, &mut other);
         assert_eq!(other, [3u8; 8], "the home's committed data is adopted");
 
         // The rebased twin keeps the eventual flush minimal.

@@ -41,7 +41,8 @@ use crate::process::Tmk;
 use crate::state::DsmState;
 use crate::stats::TmkStats;
 use crate::vc::VectorClock;
-use crate::{Diff, PAGE_FAULT_COST};
+use crate::{Diff, MEM_BANDWIDTH, PAGE_FAULT_COST};
+use cluster::config::PAGE_SIZE;
 use cluster::Message;
 
 /// Which coherence protocol a DSM endpoint runs.
@@ -242,7 +243,11 @@ impl Tmk<'_> {
                 self.ensure_valid(addr, len);
                 let pages = self.st.borrow().pages_spanning(addr, len);
                 for page in pages {
-                    self.mark_dirty_charged(page);
+                    // The first write of an interval twins the page: charge
+                    // the copy.
+                    if self.st.borrow_mut().mark_dirty(page) {
+                        self.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
+                    }
                 }
             }
             ProtocolKind::Sc => sc::prepare_write(self, addr, len),
@@ -309,7 +314,7 @@ mod tests {
                 let a = tmk.malloc(8);
                 tmk.barrier(0);
                 if tmk.id() == 1 {
-                    tmk.write_i64(a, 1);
+                    tmk.write::<i64>(a, 1);
                 }
                 tmk.barrier(1);
                 let twins = tmk.stats().twins_created;

@@ -422,8 +422,6 @@ fn hand_over(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Op
         debug_assert!(s.owner[page as usize], "serving a page not owned here");
         stats.page_requests_served += 1;
         let slot = &mut pages[page as usize];
-        // The reply's snapshot of the page: its one copy at this end.
-        let data = slot.data.as_deref().map_or_else(new_page, Box::from);
         match kind {
             Acquire::Write => {
                 let mut copyset = s.take_copyset(page);
@@ -434,6 +432,8 @@ fn hand_over(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Op
                 slot.valid = false;
                 s.owner[page as usize] = false;
                 s.mode[page as usize] = Mode::Invalid;
+                // The invalidated copy itself travels: no snapshot.
+                let data = slot.data.take().unwrap_or_else(new_page);
                 let transfer = Msg::ScTransfer {
                     page,
                     copyset,
@@ -446,11 +446,14 @@ fn hand_over(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Op
                 if s.mode[page as usize] == Mode::Exclusive {
                     s.mode[page as usize] = Mode::Shared;
                 }
+                // The reply's snapshot of the page: this copy stays valid.
+                let data = slot.data.as_deref().map_or_else(new_page, Box::from);
                 (TAG_SC_PAGE_COPY, Msg::ScCopy { page, data })
             }
         }
     });
-    // Copying the page into the reply steals cycles here.
+    // Copying the page into the reply steals cycles here: the modelled
+    // host copies it onto the wire, whether or not this one moves it.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
     rt.send(requester, tag, msg, depart);
 }
@@ -544,9 +547,9 @@ mod tests {
         let rep = run(1, |tmk| {
             let a = tmk.malloc(1024);
             tmk.barrier(0);
-            tmk.write_f64(a, 2.5);
+            tmk.write::<f64>(a, 2.5);
             tmk.barrier(1);
-            tmk.read_f64(a)
+            tmk.read::<f64>(a)
         });
         assert_eq!(rep.results[0], 2.5);
         assert_eq!(rep.total_messages(), 0);
@@ -558,10 +561,10 @@ mod tests {
         let rep = run(n, move |tmk| {
             let a = tmk.malloc(8);
             if tmk.id() == 1 {
-                tmk.write_i64(a, 7);
+                tmk.write::<i64>(a, 7);
             }
             tmk.barrier(0);
-            let v = tmk.read_i64(a);
+            let v = tmk.read::<i64>(a);
             tmk.barrier(1);
             (v, tmk.stats())
         });
@@ -583,7 +586,7 @@ mod tests {
             let a = tmk.malloc(64);
             if tmk.id() == 0 {
                 for i in 0..8 {
-                    tmk.write_i64(a + i * 8, i as i64);
+                    tmk.write::<i64>(a + i * 8, i as i64);
                 }
             }
             tmk.barrier(0);
@@ -603,12 +606,12 @@ mod tests {
             tmk.barrier(0);
             for round in 0..3u32 {
                 if tmk.id() == round as usize % 2 {
-                    let v = tmk.read_i64(a);
-                    tmk.write_i64(a, v + 1);
+                    let v = tmk.read::<i64>(a);
+                    tmk.write::<i64>(a, v + 1);
                 }
                 tmk.barrier(1 + round);
             }
-            tmk.read_i64(a)
+            tmk.read::<i64>(a)
         });
         assert!(rep.results.iter().all(|&v| v == 3));
     }
@@ -620,16 +623,16 @@ mod tests {
             let a = tmk.malloc(8);
             tmk.barrier(0);
             if tmk.id() == 0 {
-                tmk.write_i64(a, 10);
+                tmk.write::<i64>(a, 10);
             }
             tmk.barrier(1);
-            let first = tmk.read_i64(a);
+            let first = tmk.read::<i64>(a);
             tmk.barrier(2);
             if tmk.id() == 1 {
-                tmk.write_i64(a, 20);
+                tmk.write::<i64>(a, 20);
             }
             tmk.barrier(3);
-            first * 100 + tmk.read_i64(a)
+            first * 100 + tmk.read::<i64>(a)
         });
         assert!(rep.results.iter().all(|&v| v == 1020));
     }
@@ -643,12 +646,12 @@ mod tests {
             tmk.barrier(0);
             for _ in 0..iters {
                 tmk.lock_acquire(0);
-                let v = tmk.read_i64(counter);
-                tmk.write_i64(counter, v + 1);
+                let v = tmk.read::<i64>(counter);
+                tmk.write::<i64>(counter, v + 1);
                 tmk.lock_release(0);
             }
             tmk.barrier(1);
-            tmk.read_i64(counter)
+            tmk.read::<i64>(counter)
         });
         assert!(rep.results.iter().all(|&v| v == (n * iters) as i64));
     }
@@ -663,13 +666,13 @@ mod tests {
             tmk.barrier(0);
             let me = tmk.id();
             for i in 0..16 {
-                tmk.write_i64(a + me * 2048 + i * 8, (me * 100 + i) as i64);
+                tmk.write::<i64>(a + me * 2048 + i * 8, (me * 100 + i) as i64);
             }
             tmk.barrier(1);
             let other = 1 - me;
             let mut ok = true;
             for i in 0..16 {
-                ok &= tmk.read_i64(a + other * 2048 + i * 8) == (other * 100 + i) as i64;
+                ok &= tmk.read::<i64>(a + other * 2048 + i * 8) == (other * 100 + i) as i64;
             }
             (ok, tmk.stats())
         });
@@ -698,11 +701,11 @@ mod tests {
                     // One span crossing the page boundary: both pages must
                     // be held exclusively before the bytes land.
                     let src = vec![round as u8 + 1; PAGE_SIZE];
-                    tmk.write_bytes(a + PAGE_SIZE / 2, &src);
+                    tmk.write_slice(a + PAGE_SIZE / 2, &src);
                 }
                 tmk.barrier(1 + round);
                 let mut buf = [0u8; 16];
-                tmk.read_bytes(a + PAGE_SIZE - 8, &mut buf);
+                tmk.read_slice(a + PAGE_SIZE - 8, &mut buf);
                 assert!(
                     buf.iter().all(|&b| b == round as u8 + 1),
                     "round {round}: read {buf:?} across the boundary"
@@ -731,11 +734,11 @@ mod tests {
             tmk.barrier(0);
             let src = vec![9u8; PAGE_SIZE];
             for _ in 0..iters {
-                tmk.write_bytes(a + PAGE_SIZE / 2, &src);
+                tmk.write_slice(a + PAGE_SIZE / 2, &src);
             }
             tmk.barrier(1);
             let mut buf = [0u8; 128];
-            tmk.read_bytes(a + PAGE_SIZE - 64, &mut buf);
+            tmk.read_slice(a + PAGE_SIZE - 64, &mut buf);
             assert!(buf.iter().all(|&b| b == 9));
             tmk.barrier(2);
             i64::from(buf[0])
@@ -752,12 +755,12 @@ mod tests {
                 for round in 0..2u32 {
                     if tmk.id() == round as usize % 4 {
                         for i in 0..32 {
-                            tmk.write_i64(a + i * 8, (round as usize * 1000 + i) as i64);
+                            tmk.write::<i64>(a + i * 8, (round as usize * 1000 + i) as i64);
                         }
                     }
                     tmk.barrier(1 + round);
                 }
-                tmk.read_i64(a)
+                tmk.read::<i64>(a)
             })
         };
         let a = go();

@@ -13,7 +13,7 @@
 //! (The diff store half of the state lives in [`crate::diffs`].)
 
 use crate::diffs::StoredDiff;
-use crate::heap::{PagePool, Slab};
+use crate::heap::{PagePool, Slab, Word};
 use crate::page::{new_page, Diff, PageId};
 use crate::proto::IntervalRecord;
 use crate::protocol::sc::ScState;
@@ -215,83 +215,55 @@ impl DsmState {
         self.page_of(addr)..=self.page_of(addr + len - 1)
     }
 
-    /// Read `out.len()` bytes starting at `addr`.  All spanned pages must be
-    /// valid (the caller resolves faults first).
-    pub fn read_bytes(&self, addr: usize, out: &mut [u8]) {
-        let mut done = 0;
-        for page in self.pages_spanning(addr, out.len()) {
-            let off = (addr + done) % PAGE_SIZE;
-            let take = (PAGE_SIZE - off).min(out.len() - done);
-            out[done..][..take].copy_from_slice(&self.page(page)[off..][..take]);
-            done += take;
+    /// Decode `out.len()` consecutive `T`s starting at `addr` straight from
+    /// the pages: each page's whole words in place, a word straddling a page
+    /// boundary through a stack `[u8; 8]`.  All spanned pages must be valid
+    /// (the caller resolves faults first).
+    pub fn load<T: Word>(&self, mut addr: usize, mut out: &mut [T]) {
+        while !out.is_empty() {
+            let (page, off) = (self.page_of(addr), addr % PAGE_SIZE);
+            let fit = ((PAGE_SIZE - off) / T::SIZE).min(out.len());
+            let n = if fit == 0 {
+                let mut word = [0; 8];
+                let (head, tail) = word[..T::SIZE].split_at_mut(PAGE_SIZE - off);
+                head.copy_from_slice(&self.page(page)[off..]);
+                tail.copy_from_slice(&self.page(page + 1)[..tail.len()]);
+                out[0] = T::decode(&word[..T::SIZE]);
+                1
+            } else {
+                let words = self.page(page)[off..][..fit * T::SIZE].chunks_exact(T::SIZE);
+                for (o, b) in out.iter_mut().zip(words) {
+                    *o = T::decode(b);
+                }
+                fit
+            };
+            (addr, out) = (addr + n * T::SIZE, &mut std::mem::take(&mut out)[n..]);
         }
     }
 
-    /// Write `src` starting at `addr`.  All spanned pages must be valid and
+    /// Encode `src`'s `T`s straight into the pages starting at `addr` — the
+    /// mirror of [`DsmState::load`].  All spanned pages must be valid and
     /// already trapped by the protocol's write path (twinned and dirtied
     /// under a twinning backend, held exclusively under SC).
-    pub fn write_bytes(&mut self, addr: usize, src: &[u8]) {
-        let mut done = 0;
-        for page in self.pages_spanning(addr, src.len()) {
-            let off = (addr + done) % PAGE_SIZE;
-            let take = (PAGE_SIZE - off).min(src.len() - done);
-            self.page_mut(page)[off..][..take].copy_from_slice(&src[done..][..take]);
-            done += take;
-        }
-    }
-
-    /// Decode `out.len()` consecutive `N`-byte elements starting at `addr`
-    /// straight from the pages into `out`: each page's whole elements in
-    /// place, an element straddling a page boundary through a stack
-    /// `[u8; N]`.  All spanned pages must be valid.
-    pub(crate) fn read_elems<T, const N: usize>(
-        &self,
-        mut addr: usize,
-        mut out: &mut [T],
-        decode: impl Fn([u8; N]) -> T,
-    ) {
-        while !out.is_empty() {
-            let off = addr % PAGE_SIZE;
-            let fit = ((PAGE_SIZE - off) / N).min(out.len());
-            let n = if fit == 0 {
-                let mut bytes = [0; N];
-                self.read_bytes(addr, &mut bytes);
-                out[0] = decode(bytes);
-                1
-            } else {
-                let page = &self.page(self.page_of(addr))[off..][..fit * N];
-                for (o, bytes) in out.iter_mut().zip(page.as_chunks().0) {
-                    *o = decode(*bytes);
-                }
-                fit
-            };
-            (addr, out) = (addr + n * N, &mut std::mem::take(&mut out)[n..]);
-        }
-    }
-
-    /// Encode `src`'s `N`-byte elements straight into the pages starting at
-    /// `addr` — the mirror of [`DsmState::read_elems`].  All spanned pages
-    /// must be trapped as for [`DsmState::write_bytes`].
-    pub(crate) fn write_elems<T, const N: usize>(
-        &mut self,
-        mut addr: usize,
-        mut src: &[T],
-        encode: impl Fn(&T) -> [u8; N],
-    ) {
+    pub fn store<T: Word>(&mut self, mut addr: usize, mut src: &[T]) {
         while !src.is_empty() {
-            let off = addr % PAGE_SIZE;
-            let fit = ((PAGE_SIZE - off) / N).min(src.len());
+            let (page, off) = (self.page_of(addr), addr % PAGE_SIZE);
+            let fit = ((PAGE_SIZE - off) / T::SIZE).min(src.len());
             let n = if fit == 0 {
-                self.write_bytes(addr, &encode(&src[0]));
+                let mut word = [0; 8];
+                src[0].encode(&mut word[..T::SIZE]);
+                let (head, tail) = word[..T::SIZE].split_at(PAGE_SIZE - off);
+                self.page_mut(page)[off..].copy_from_slice(head);
+                self.page_mut(page + 1)[..tail.len()].copy_from_slice(tail);
                 1
             } else {
-                let page = &mut self.page_mut(self.page_of(addr))[off..][..fit * N];
-                for (bytes, v) in page.as_chunks_mut::<N>().0.iter_mut().zip(src) {
-                    bytes.copy_from_slice(&encode(v));
+                let words = self.page_mut(page)[off..][..fit * T::SIZE].chunks_exact_mut(T::SIZE);
+                for (b, v) in words.zip(src) {
+                    v.encode(b);
                 }
                 fit
             };
-            (addr, src) = (addr + n * N, &src[n..]);
+            (addr, src) = (addr + n * T::SIZE, &src[n..]);
         }
     }
 
@@ -443,7 +415,7 @@ mod tests {
         let mut s = state(0, 2);
         let addr = s.malloc(64, 8);
         let mut out = [1u8; 64];
-        s.read_bytes(addr, &mut out);
+        s.load(addr, &mut out);
         assert!(out.iter().all(|&b| b == 0));
     }
 
@@ -455,9 +427,9 @@ mod tests {
             s.mark_dirty(p);
         }
         let src: Vec<u8> = (0..20u8).collect();
-        s.write_bytes(addr, &src);
+        s.store(addr, &src);
         let mut out = [0u8; 20];
-        s.read_bytes(addr, &mut out);
+        s.load(addr, &mut out);
         assert_eq!(&out[..], &src[..]);
     }
 
@@ -474,19 +446,19 @@ mod tests {
         let f32s: Vec<f32> = (0..300).map(|i| i as f32 * 1.5 - 3.0).collect();
         let i32s: Vec<i32> = (0..1100).map(|i| i * -7919 + 13).collect();
         let at = [PAGE_SIZE - 4, 3 * PAGE_SIZE - 601, 5 * PAGE_SIZE - 2];
-        s.write_elems(at[0], &f64s, |v| v.to_le_bytes());
-        s.write_elems(at[1], &f32s, |v| v.to_le_bytes());
-        s.write_elems(at[2], &i32s, |v| v.to_le_bytes());
+        s.store(at[0], &f64s);
+        s.store(at[1], &f32s);
+        s.store(at[2], &i32s);
         let mut a = [0f64; 3];
         let mut b = vec![0f32; 300];
         let mut c = vec![0i32; 1100];
-        s.read_elems(at[0], &mut a, f64::from_le_bytes);
-        s.read_elems(at[1], &mut b, f32::from_le_bytes);
-        s.read_elems(at[2], &mut c, i32::from_le_bytes);
+        s.load(at[0], &mut a);
+        s.load(at[1], &mut b);
+        s.load(at[2], &mut c);
         assert_eq!((a, b), (f64s, f32s.clone()));
         assert_eq!(c, i32s);
         let mut raw = vec![0u8; 8 * 3];
-        s.read_bytes(at[0], &mut raw);
+        s.load(at[0], &mut raw);
         let expect: Vec<u8> = f64s.iter().flat_map(|v| v.to_le_bytes()).collect();
         assert_eq!(raw, expect);
         let page = |p: usize| s.pages[p].data.as_deref().unwrap();
@@ -494,7 +466,7 @@ mod tests {
         assert_eq!(page(1)[..4], f64s[0].to_le_bytes()[4..]);
         // Reads of never-written pages decode zeros, whatever the offset.
         let mut z = [1f32; 5];
-        s.read_elems(9 * PAGE_SIZE - 9, &mut z, f32::from_le_bytes);
+        s.load(9 * PAGE_SIZE - 9, &mut z);
         assert_eq!(z, [0.0; 5]);
     }
 

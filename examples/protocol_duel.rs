@@ -32,14 +32,14 @@ fn false_sharing(protocol: ProtocolKind) -> (f64, u64, f64, TmkStats) {
                 for page in 0..4 {
                     let base = a + page * 4096 + tmk.id() * 1024;
                     for i in 0..16 {
-                        tmk.write_i64(base + i * 8, (round as usize * 100 + i) as i64);
+                        tmk.write::<i64>(base + i * 8, (round as usize * 100 + i) as i64);
                     }
                 }
             }
             tmk.barrier(1 + 2 * round);
             let mut sink = 0i64;
             for page in 0..4 {
-                sink ^= tmk.read_i64(a + page * 4096);
+                sink ^= tmk.read::<i64>(a + page * 4096);
             }
             std::hint::black_box(sink);
             tmk.barrier(2 + 2 * round);
@@ -60,7 +60,7 @@ fn migratory(protocol: ProtocolKind) -> (f64, u64, f64, TmkStats) {
             if tmk.id() == (round as usize) % 4 {
                 tmk.lock_acquire(0);
                 let data = vec![round as i32 + 1; 4096];
-                tmk.write_i32_slice(a, &data);
+                tmk.write_slice(a, &data);
                 tmk.lock_release(0);
             }
             tmk.barrier(1 + round);

@@ -28,14 +28,14 @@ fn main() {
         let per = SLOTS / p.nprocs();
         let mine = p.id() * per..(p.id() + 1) * per;
         for i in mine {
-            tmk.write_i64(table + i * 8, (i * i) as i64);
+            tmk.write::<i64>(table + i * 8, (i * i) as i64);
         }
         tmk.barrier(1);
 
         // Everyone reads the whole table and computes the total.
         let mut total = 0i64;
         for i in 0..SLOTS {
-            total += tmk.read_i64(table + i * 8);
+            total += tmk.read::<i64>(table + i * 8);
         }
         tmk.exit();
         total

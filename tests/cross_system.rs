@@ -132,13 +132,13 @@ fn migratory_block_bytes(protocol: ProtocolKind, n: usize) -> u64 {
         for round in 0..n {
             if tmk.id() == round {
                 tmk.lock_acquire(0);
-                tmk.write_i32_slice(addr, &vec![round as i32 + 1; BLOCK / 4]);
+                tmk.write_slice(addr, &vec![round as i32 + 1; BLOCK / 4]);
                 tmk.lock_release(0);
             }
             tmk.barrier(1 + round as u32);
         }
         let mut out = vec![0i32; BLOCK / 4];
-        tmk.read_i32_slice(addr, &mut out);
+        tmk.read_slice(addr, &mut out);
         tmk.exit();
         assert_eq!(out[0], n as i32);
     });
@@ -187,11 +187,11 @@ fn shared_write_messages(protocol: ProtocolKind, n: usize, interleaved: bool) ->
             } else {
                 tmk.id() * SLOTS + s
             };
-            tmk.write_bytes(addr + slot * 64, &[tmk.id() as u8 + 1; 64]);
+            tmk.write_slice(addr + slot * 64, &[tmk.id() as u8 + 1; 64]);
         }
         tmk.barrier(1);
         let mut all = vec![0u8; total];
-        tmk.read_bytes(addr, &mut all);
+        tmk.read_slice(addr, &mut all);
         tmk.barrier(2);
         tmk.exit();
     });

@@ -43,12 +43,12 @@ fn lock_protected_counters_are_exact_at_eight_processes() {
                 let lock = (i % 4) as u32;
                 tmk.lock_acquire(lock);
                 let addr = counters + (lock as usize) * 8;
-                let v = tmk.read_i64(addr);
-                tmk.write_i64(addr, v + 1);
+                let v = tmk.read::<i64>(addr);
+                tmk.write::<i64>(addr, v + 1);
                 tmk.lock_release(lock);
             }
             tmk.barrier(1);
-            let total: i64 = (0..4).map(|k| tmk.read_i64(counters + k * 8)).sum();
+            let total: i64 = (0..4).map(|k| tmk.read::<i64>(counters + k * 8)).sum();
             tmk.exit();
             total
         });
@@ -73,7 +73,7 @@ fn barrier_visibility(protocol: ProtocolKind, nprocs: usize, writes: Vec<(u8, u1
             // Each process writes the subset of slots assigned to it.
             for (k, &(owner, slot)) in writes.iter().enumerate() {
                 if owner as usize % p.nprocs() == p.id() {
-                    tmk.write_i64(region + (slot as usize) * 8, (k + 1) as i64);
+                    tmk.write::<i64>(region + (slot as usize) * 8, (k + 1) as i64);
                 }
             }
             tmk.barrier(1);
@@ -87,7 +87,7 @@ fn barrier_visibility(protocol: ProtocolKind, nprocs: usize, writes: Vec<(u8, u1
                     .map(|(i, _)| i + 1)
                     .max()
                     .unwrap();
-                let got = tmk.read_i64(region + (slot as usize) * 8);
+                let got = tmk.read::<i64>(region + (slot as usize) * 8);
                 // Slots written by several owners in the same interval are
                 // data races; restrict the check to single-writer slots.
                 let writers: std::collections::HashSet<usize> = writes
@@ -160,13 +160,13 @@ fn protocols_agree_while_hlrc_needs_fewer_fault_round_trips() {
                 if tmk.id() < 3 {
                     let base = region + tmk.id() * 1024;
                     for i in 0..8 {
-                        tmk.write_i64(base + i * 8, (round as usize * 100 + i) as i64);
+                        tmk.write::<i64>(base + i * 8, (round as usize * 100 + i) as i64);
                     }
                 }
                 tmk.barrier(1 + 2 * round);
                 let mut sum = 0i64;
                 for w in 0..3 {
-                    sum += tmk.read_i64(region + w * 1024);
+                    sum += tmk.read::<i64>(region + w * 1024);
                 }
                 tmk.barrier(2 + 2 * round);
                 assert_eq!(sum, 3 * (round as i64) * 100);
@@ -193,12 +193,12 @@ fn transfer_time(protocol: ProtocolKind, bytes: usize) -> f64 {
         let tmk = Tmk::with_heap_and_protocol(p, 4 << 20, protocol);
         let a = tmk.malloc(bytes);
         if tmk.id() == 0 {
-            tmk.write_bytes(a, &vec![7u8; bytes]);
+            tmk.write_slice(a, &vec![7u8; bytes]);
         }
         tmk.barrier(0);
         if tmk.id() == 1 {
             let mut buf = vec![0u8; bytes];
-            tmk.read_bytes(a, &mut buf);
+            tmk.read_slice(a, &mut buf);
             assert!(buf.iter().all(|&b| b == 7));
         }
         tmk.barrier(1);

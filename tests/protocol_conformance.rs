@@ -52,25 +52,25 @@ fn mixed_workload(tmk: &Tmk) -> i64 {
     let block = tmk.malloc(256);
     if tmk.id() == 0 {
         for i in 0..64 {
-            tmk.write_i64(grid + i * 8, i as i64);
+            tmk.write::<i64>(grid + i * 8, i as i64);
         }
     }
     tmk.barrier(0);
     let mut sum = 0;
     for i in 0..64 {
-        sum += tmk.read_i64(grid + i * 8);
+        sum += tmk.read::<i64>(grid + i * 8);
     }
     for _ in 0..4 {
         tmk.lock_acquire(0);
-        let v = tmk.read_i64(counter);
-        tmk.write_i64(counter, v + 1);
+        let v = tmk.read::<i64>(counter);
+        tmk.write::<i64>(counter, v + 1);
         tmk.lock_release(0);
     }
     for round in 0..n {
         if tmk.id() == round {
             tmk.lock_acquire(1);
             for i in 0..8 {
-                tmk.write_i64(block + i * 8, (round * 10 + i) as i64);
+                tmk.write::<i64>(block + i * 8, (round * 10 + i) as i64);
             }
             tmk.lock_release(1);
         }
@@ -79,12 +79,12 @@ fn mixed_workload(tmk: &Tmk) -> i64 {
     // False sharing: the two lowest ranks write disjoint halves of the grid
     // page, everyone reads both afterwards.
     if tmk.id() < 2 {
-        tmk.write_i64(grid + 2048 + tmk.id() * 8, (100 + tmk.id()) as i64);
+        tmk.write::<i64>(grid + 2048 + tmk.id() * 8, (100 + tmk.id()) as i64);
     }
     tmk.barrier(100);
-    sum += tmk.read_i64(counter);
-    sum += tmk.read_i64(block);
-    sum += tmk.read_i64(grid + 2048) + tmk.read_i64(grid + 2056);
+    sum += tmk.read::<i64>(counter);
+    sum += tmk.read::<i64>(block);
+    sum += tmk.read::<i64>(grid + 2048) + tmk.read::<i64>(grid + 2056);
     sum
 }
 
@@ -201,10 +201,10 @@ fn every_backend_is_silent_on_a_single_process() {
             let a = tmk.malloc(1024);
             tmk.barrier(0);
             tmk.lock_acquire(0);
-            tmk.write_f64(a, 3.25);
+            tmk.write::<f64>(a, 3.25);
             tmk.lock_release(0);
             tmk.barrier(1);
-            tmk.read_f64(a)
+            tmk.read::<f64>(a)
         });
         assert_eq!(rep.results[0], 3.25, "{protocol}");
         assert_eq!(rep.total_messages(), 0, "{protocol}: a lone process spoke");

@@ -51,10 +51,10 @@ fn two_rank_report(protocol: ProtocolKind, body: fn(&Tmk, usize)) -> (usize, Rac
 fn racy_fixture(protocol: ProtocolKind) -> (usize, RaceReport) {
     two_rank_report(protocol, |tmk, page| {
         if tmk.id() == 0 {
-            tmk.write_i64(page, 1);
+            tmk.write::<i64>(page, 1);
         } else {
-            tmk.write_i64(page + 4, 2);
-            let _ = tmk.read_i32(page);
+            tmk.write::<i64>(page + 4, 2);
+            let _ = tmk.read::<i32>(page);
         }
     })
 }
@@ -68,14 +68,14 @@ fn lock_fixture(protocol: ProtocolKind) -> (usize, RaceReport) {
     two_rank_report(protocol, |tmk, page| {
         if tmk.id() == 0 {
             tmk.lock_acquire(0);
-            tmk.write_i64(page, 1);
+            tmk.write::<i64>(page, 1);
             tmk.lock_release(0);
-            tmk.write_i64(page + 8, 2);
+            tmk.write::<i64>(page + 8, 2);
         } else {
             tmk.proc().compute(0.01);
             tmk.lock_acquire(0);
-            let _ = tmk.read_i64(page);
-            tmk.write_i64(page + 8, 3);
+            let _ = tmk.read::<i64>(page);
+            tmk.write::<i64>(page + 8, 3);
             tmk.lock_release(0);
         }
     })
