@@ -444,13 +444,13 @@ impl App for BarnesParams {
                 let tag = 300 + step as u32;
                 let mut b = pvm.new_buffer();
                 let flat: Vec<f64> = bodies[mine.clone()].iter().flat_map(pack_body).collect();
-                b.pack_f64(&flat);
+                b.pack(&flat);
                 pvm.bcast(tag, b);
                 for _ in 0..nprocs - 1 {
                     let mut m = pvm.recv(None, tag);
                     let src = m.src();
                     let owned = block_range(n, nprocs, src);
-                    let flat = m.unpack_f64(owned.len() * BODY_F64);
+                    let flat = m.unpack::<f64>(owned.len() * BODY_F64);
                     for (k, i) in owned.enumerate() {
                         bodies[i] = unpack_body(&flat[k * BODY_F64..(k + 1) * BODY_F64]);
                     }

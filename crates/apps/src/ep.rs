@@ -174,23 +174,23 @@ impl App for EpParams {
             let mut total = bins;
             for _ in 1..n {
                 let mut m = pvm.recv(None, 1);
-                let other = m.unpack_i64(BINS);
+                let other = m.unpack::<i64>(BINS);
                 for i in 0..BINS {
                     total[i] += other[i];
                 }
             }
             if n > 1 {
                 let mut b = pvm.new_buffer();
-                b.pack_i64(&total);
+                b.pack(&total);
                 pvm.bcast(2, b);
             }
             checksum(&total)
         } else {
             let mut b = pvm.new_buffer();
-            b.pack_i64(&bins);
+            b.pack(&bins);
             pvm.send(0, 1, b);
             let mut m = pvm.recv(Some(0), 2);
-            let total = m.unpack_i64(BINS);
+            let total = m.unpack::<i64>(BINS);
             let mut arr = [0i64; BINS];
             arr.copy_from_slice(&total);
             // Slaves verify the broadcast result but contribute zero so the

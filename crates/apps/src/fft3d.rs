@@ -372,14 +372,14 @@ impl App for FftParams {
                         }
                     }
                 }
-                buf.pack_f64(&block);
+                buf.pack(&block);
                 pvm.send(dst, tag, buf);
             }
             for _ in 0..nprocs.saturating_sub(1) {
                 let mut m = pvm.recv(None, tag);
                 let src = m.src();
                 let src_x = block_range(cur.n1, nprocs, src);
-                let block = m.unpack_f64(src_x.len() * cur.n2 * my_z.len() * 2);
+                let block = m.unpack::<f64>(src_x.len() * cur.n2 * my_z.len() * 2);
                 let mut it = 0usize;
                 for x in src_x.clone() {
                     for y in 0..cur.n2 {

@@ -207,9 +207,9 @@ impl App for IlinkParams {
                         .map(|(_, &e)| e)
                         .collect();
                     let mut b = pvm.new_buffer();
-                    b.pack_u64(&[f as u64, share.len() as u64]);
-                    b.pack_u64(&share.iter().map(|&(i, _)| i as u64).collect::<Vec<_>>());
-                    b.pack_f64(&share.iter().map(|&(_, v)| v).collect::<Vec<_>>());
+                    b.pack(&[f as u64, share.len() as u64]);
+                    b.pack(&share.iter().map(|&(i, _)| i as u64).collect::<Vec<_>>());
+                    b.pack(&share.iter().map(|&(_, v)| v).collect::<Vec<_>>());
                     pvm.send(slave, TAG_ASSIGN, b);
                 }
                 // Master's own share.
@@ -223,9 +223,9 @@ impl App for IlinkParams {
                 // Collect the slaves' results (only the non-zero elements travel).
                 for _ in 1..n {
                     let mut m = pvm.recv(None, TAG_RESULT);
-                    let count = m.unpack_u64(1)[0] as usize;
-                    let idx = m.unpack_u64(count);
-                    let vals = m.unpack_f64(count);
+                    let count = m.unpack::<u64>(1)[0] as usize;
+                    let idx = m.unpack::<u64>(count);
+                    let vals = m.unpack::<f64>(count);
                     for k in 0..count {
                         results.push((idx[k] as usize, vals[k]));
                     }
@@ -235,16 +235,16 @@ impl App for IlinkParams {
                 likelihood += sum.ln();
             } else {
                 let mut m = pvm.recv(Some(0), TAG_ASSIGN);
-                let hdr = m.unpack_u64(2);
+                let hdr = m.unpack::<u64>(2);
                 let (family, count) = (hdr[0] as usize, hdr[1] as usize);
-                let idx = m.unpack_u64(count);
-                let vals = m.unpack_f64(count);
+                let idx = m.unpack::<u64>(count);
+                let vals = m.unpack::<f64>(count);
                 let updated: Vec<f64> = vals.iter().map(|&v| update_element(v, family)).collect();
                 pvm.proc().compute(count as f64 * COST_ELEMENT);
                 let mut b = pvm.new_buffer();
-                b.pack_u64(&[count as u64]);
-                b.pack_u64(&idx);
-                b.pack_f64(&updated);
+                b.pack(&[count as u64]);
+                b.pack(&idx);
+                b.pack(&updated);
                 pvm.send(0, TAG_RESULT, b);
             }
         }

@@ -226,28 +226,28 @@ impl App for IsParams {
                 private
             } else if me == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack_i32(&private);
+                b.pack(&private);
                 pvm.send(1, tag_chain, b);
                 let mut m = pvm.recv(Some(n - 1), tag_final);
-                m.unpack_i32(self.buckets)
+                m.unpack::<i32>(self.buckets)
             } else {
                 let mut m = pvm.recv(Some(me - 1), tag_chain);
-                let mut sums = m.unpack_i32(self.buckets);
+                let mut sums = m.unpack::<i32>(self.buckets);
                 for b in 0..self.buckets {
                     sums[b] += private[b];
                 }
                 pvm.proc().compute(self.buckets as f64 * COST_ADD);
                 if me == n - 1 {
                     let mut b = pvm.new_buffer();
-                    b.pack_i32(&sums);
+                    b.pack(&sums);
                     pvm.bcast(tag_final, b);
                     sums
                 } else {
                     let mut b = pvm.new_buffer();
-                    b.pack_i32(&sums);
+                    b.pack(&sums);
                     pvm.send(me + 1, tag_chain, b);
                     let mut m = pvm.recv(Some(n - 1), tag_final);
-                    m.unpack_i32(self.buckets)
+                    m.unpack::<i32>(self.buckets)
                 }
             };
 

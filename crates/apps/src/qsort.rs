@@ -261,13 +261,13 @@ impl App for QsortParams {
                 |m: &mut msgpass::RecvBuffer,
                  data: &mut Vec<i32>,
                  queue: &mut Vec<(usize, usize)>| {
-                    let hdr = m.unpack_u64(3);
+                    let hdr = m.unpack::<u64>(3);
                     let (start, len, kind) = (hdr[0] as usize, hdr[1] as usize, hdr[2]);
-                    let content = m.unpack_i32(len);
+                    let content = m.unpack::<i32>(len);
                     data[start..start + len].copy_from_slice(&content);
                     if kind == 1 {
                         // Partitioned: the pivot position follows.
-                        let pivot = m.unpack_u64(1)[0] as usize;
+                        let pivot = m.unpack::<u64>(1)[0] as usize;
                         queue.push((start, pivot));
                         queue.push((start + pivot + 1, len - pivot - 1));
                     }
@@ -280,8 +280,8 @@ impl App for QsortParams {
                              len: usize,
                              threshold: usize| {
                 let mut b = pvm.new_buffer();
-                b.pack_u64(&[start as u64, len as u64, u64::from(len <= threshold)]);
-                b.pack_i32(&data[start..start + len]);
+                b.pack(&[start as u64, len as u64, u64::from(len <= threshold)]);
+                b.pack(&data[start..start + len]);
                 pvm.send(slave, TAG_TASK, b);
             };
 
@@ -373,21 +373,21 @@ impl App for QsortParams {
                     other => unreachable!("slave got unexpected tag {other}"),
                 };
                 let Some(mut m) = reply else { break };
-                let hdr = m.unpack_u64(3);
+                let hdr = m.unpack::<u64>(3);
                 let (start, len, kind) = (hdr[0] as usize, hdr[1] as usize, hdr[2]);
-                let mut sub = m.unpack_i32(len);
+                let mut sub = m.unpack::<i32>(len);
                 let mut b = pvm.new_buffer();
                 if kind == 1 {
                     let cmps = leaf_sort(&mut sub);
                     pvm.proc().compute(cmps as f64 * COST_CMP);
-                    b.pack_u64(&[start as u64, len as u64, 0]);
-                    b.pack_i32(&sub);
+                    b.pack(&[start as u64, len as u64, 0]);
+                    b.pack(&sub);
                 } else {
                     let pivot = partition(&mut sub);
                     pvm.proc().compute(len as f64 * COST_PART);
-                    b.pack_u64(&[start as u64, len as u64, 1]);
-                    b.pack_i32(&sub);
-                    b.pack_u64(&[pivot as u64]);
+                    b.pack(&[start as u64, len as u64, 1]);
+                    b.pack(&sub);
+                    b.pack(&[pivot as u64]);
                 }
                 pvm.send(0, TAG_RESULT, b);
             }

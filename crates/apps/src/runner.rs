@@ -12,7 +12,7 @@
 //! * for the **PVM** versions, messages are the user-level sends and data is
 //!   the user data packed into them, as PVM itself counts.
 
-use cluster::{Cluster, ClusterConfig, ClusterObs, ClusterReport, Proc, ProcStats, RunFailure};
+use cluster::{Cluster, ClusterConfig, ClusterObs, ClusterReport, ProcStats, RunFailure};
 use msgpass::Pvm;
 use std::sync::Arc;
 use treadmarks::race::{self, RaceReport, SyncClocks};
@@ -350,14 +350,6 @@ pub fn block_range(count: usize, nprocs: usize, rank: usize) -> std::ops::Range<
     start..start + len
 }
 
-/// Convenience used by several compute models: charge `units * unit_cost`
-/// seconds of virtual computation to the process.
-pub fn charge(proc: &Proc, units: f64, unit_cost: f64) {
-    if units > 0.0 {
-        proc.compute(units * unit_cost);
-    }
-}
-
 /// Shorthands the per-application unit tests share.
 #[cfg(test)]
 pub(crate) mod testing {
@@ -476,11 +468,11 @@ mod tests {
         let pvm_run = try_run_pvm_on(&ClusterConfig::atm_155mbit(2), |pvm| {
             if pvm.id() == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack_f64(&[2.5]);
+                b.pack(&[2.5f64]);
                 pvm.send(1, 1, b);
                 0.0
             } else {
-                pvm.recv(Some(0), 1).unpack_f64(1)[0]
+                pvm.recv(Some(0), 1).unpack::<f64>(1)[0]
             }
         })
         .unwrap();
@@ -493,11 +485,11 @@ mod tests {
         let run = try_run_pvm_on(&fddi(2), |pvm| {
             if pvm.id() == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack_f64(&[3.5]);
+                b.pack(&[3.5f64]);
                 pvm.send(1, 1, b);
                 0.0
             } else {
-                pvm.recv(Some(0), 1).unpack_f64(1)[0]
+                pvm.recv(Some(0), 1).unpack::<f64>(1)[0]
             }
         })
         .unwrap();

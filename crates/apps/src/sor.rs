@@ -278,13 +278,13 @@ impl App for SorParams {
                     if let Some(up) = up_neighbour {
                         let mut b = pvm.new_buffer();
                         let first_owned = (my_rows.start - lo) * cols;
-                        b.pack_f32(&src[first_owned..first_owned + cols]);
+                        b.pack(&src[first_owned..first_owned + cols]);
                         pvm.send(up, tag, b);
                     }
                     if let Some(down) = down_neighbour {
                         let mut b = pvm.new_buffer();
                         let last_owned = (my_rows.end - 1 - lo) * cols;
-                        b.pack_f32(&src[last_owned..last_owned + cols]);
+                        b.pack(&src[last_owned..last_owned + cols]);
                         pvm.send(down, tag, b);
                     }
                 }
@@ -296,13 +296,13 @@ impl App for SorParams {
                     };
                     if let Some(up) = up_neighbour {
                         let mut m = pvm.recv(Some(up), tag);
-                        let row = m.unpack_f32(cols);
+                        let row = m.unpack::<f32>(cols);
                         let halo = (my_rows.start - 1 - lo) * cols;
                         dst[halo..halo + cols].copy_from_slice(&row);
                     }
                     if let Some(down) = down_neighbour {
                         let mut m = pvm.recv(Some(down), tag);
-                        let row = m.unpack_f32(cols);
+                        let row = m.unpack::<f32>(cols);
                         let halo = (my_rows.end - lo) * cols;
                         dst[halo..halo + cols].copy_from_slice(&row);
                     }

@@ -588,7 +588,7 @@ impl App for TspParams {
             // Fold every slave's best-tour update that has arrived so far.
             let drain_best = |eng: &mut Engine| {
                 while let Some(mut m) = pvm.nrecv(None, TAG_BEST) {
-                    eng.best = eng.best.min(m.unpack_f64(1)[0]);
+                    eng.best = eng.best.min(m.unpack::<f64>(1)[0]);
                 }
             };
             loop {
@@ -602,9 +602,9 @@ impl App for TspParams {
                     match tour {
                         Some(t) => {
                             let mut b = pvm.new_buffer();
-                            b.pack_f64(&[eng.best, t.cost]);
-                            b.pack_u32(&[t.cities.len() as u32]);
-                            b.pack_bytes(&t.cities);
+                            b.pack(&[eng.best, t.cost]);
+                            b.pack(&[t.cities.len() as u32]);
+                            b.pack(&t.cities);
                             pvm.send(slave, TAG_WORK, b);
                         }
                         None => {
@@ -653,10 +653,10 @@ impl App for TspParams {
                     other => unreachable!("slave got unexpected tag {other}"),
                 };
                 let Some(mut m) = reply else { break };
-                let header = m.unpack_f64(2);
+                let header = m.unpack::<f64>(2);
                 let (master_best, cost) = (header[0], header[1]);
-                let len = m.unpack_u32(1)[0] as usize;
-                let cities = m.unpack_bytes(len);
+                let len = m.unpack::<u32>(1)[0] as usize;
+                let cities = m.unpack::<u8>(len);
                 let tour = Tour { cities, cost };
                 let bound = master_best.min(my_best);
                 let (best, nodes) = recursive_solve(self, &dist, &tour, bound);
@@ -664,7 +664,7 @@ impl App for TspParams {
                 if best < bound {
                     my_best = best;
                     let mut b = pvm.new_buffer();
-                    b.pack_f64(&[best]);
+                    b.pack(&[best]);
                     pvm.send(0, TAG_BEST, b);
                 }
             }

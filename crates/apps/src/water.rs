@@ -265,14 +265,14 @@ impl App for WaterParams {
                     .iter()
                     .flat_map(|m| m.iter().copied())
                     .collect();
-                b.pack_f64(&flat);
+                b.pack(&flat);
                 let others: Vec<usize> = (0..nprocs).filter(|&q| q != me).collect();
                 pvm.mcast(&others, tag_pos, b);
                 for _ in 0..nprocs - 1 {
                     let mut m = pvm.recv(None, tag_pos);
                     let src = m.src();
                     let owned = block_range(n, nprocs, src);
-                    let flat = m.unpack_f64(owned.len() * 3);
+                    let flat = m.unpack::<f64>(owned.len() * 3);
                     for (k, i) in owned.enumerate() {
                         pos[i] = [flat[k * 3], flat[k * 3 + 1], flat[k * 3 + 2]];
                     }
@@ -294,12 +294,12 @@ impl App for WaterParams {
                     let owned = block_range(n, nprocs, owner);
                     let flat: Vec<f64> = owned.clone().flat_map(|i| forces[i].to_vec()).collect();
                     let mut b = pvm.new_buffer();
-                    b.pack_f64(&flat);
+                    b.pack(&flat);
                     pvm.send(owner, tag_force, b);
                 }
                 for _ in 0..nprocs - 1 {
                     let mut m = pvm.recv(None, tag_force);
-                    let flat = m.unpack_f64(mine.len() * 3);
+                    let flat = m.unpack::<f64>(mine.len() * 3);
                     for k in 0..mine.len() {
                         for c in 0..3 {
                             my_forces[k][c] += flat[k * 3 + c];

@@ -19,6 +19,42 @@ use crate::obs::ObsLevel;
 /// Virtual-memory page size of the simulated workstations (HP-735: 4 KB).
 pub const PAGE_SIZE: usize = 4096;
 
+/// A fixed-width value that both runtimes hold as its little-endian bytes —
+/// in a shared page and in a PVM buffer alike, because every simulated host
+/// is the same machine (PVM runs with XDR off): `u8`, `i32`, `u32`, `i64`,
+/// `u64`, `f32` or `f64` (the trait is sealed).
+pub trait Word: sealed::Sealed + Copy + Default {
+    /// The width in bytes (at most 8).
+    const SIZE: usize;
+    /// The value whose little-endian bytes are `b` (`SIZE` of them).
+    fn decode(b: &[u8]) -> Self;
+    /// Write the value's little-endian bytes into `b` (`SIZE` of them).
+    fn encode(self, b: &mut [u8]);
+}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Word for $t {
+            const SIZE: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn decode(b: &[u8]) -> Self {
+                <$t>::from_le_bytes(b.try_into().expect("one word's bytes"))
+            }
+            #[inline]
+            fn encode(self, b: &mut [u8]) {
+                b.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+
+word!(u8, i32, u32, i64, u64, f32, f64);
+
 /// Communication and timing model for a simulated cluster.
 ///
 /// A logical message of `b` payload bytes sent from one process to another is

@@ -16,9 +16,11 @@
 //!
 //! Both runtime systems of the study are built on top of this crate: the
 //! PVM-style message passing library (`msgpass`) and the TreadMarks-style
-//! software DSM (`treadmarks`).  All quantities the paper reports — virtual
-//! execution time, number of messages, and bytes transferred — are tracked
-//! per process in [`ProcStats`] and aggregated by [`Cluster::run`].
+//! software DSM (`treadmarks`).  Both hold a value in one layout, [`Word`]'s
+//! little-endian bytes, in a shared page and a PVM buffer alike, since every
+//! simulated host is the same machine.  All quantities the paper reports —
+//! virtual execution time, number of messages, and bytes transferred — are
+//! tracked per process in [`ProcStats`] and aggregated by [`Cluster::run`].
 //!
 //! Execution is **deterministic**: a conservative virtual-time arbiter (see
 //! `sched` and [`net`]) serialises every shared-medium acquisition and
@@ -60,17 +62,15 @@ pub mod proc;
 pub mod scenario;
 pub(crate) mod sched;
 pub mod stats;
-pub mod time;
 
 pub use analysis::AnalysisLevel;
-pub use config::{ClusterConfig, NetModel, NetPreset, Overrides};
+pub use config::{ClusterConfig, NetModel, NetPreset, Overrides, Word};
 pub use fault::{Crash, CrashPoint, FaultKind, FaultPlan, Partition};
 pub use net::{Message, Payload, RunFailure, Tag};
 pub use obs::{ClusterObs, Histogram, ObsLevel, ProcObs, SpanCat};
 pub use proc::Proc;
 pub use scenario::Scenario;
 pub use stats::{ClusterReport, ProcStats};
-pub use time::VirtualClock;
 
 use std::rc::Rc;
 

@@ -5,7 +5,6 @@ use crate::fault::CrashPoint;
 use crate::net::{Message, NetworkCore, Payload, Tag};
 use crate::obs::{self, ProcObs, Recorder, SpanCat};
 use crate::stats::ProcStats;
-use crate::time::VirtualClock;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -18,7 +17,14 @@ use std::rc::Rc;
 pub struct Proc {
     id: usize,
     core: Rc<NetworkCore>,
-    clock: VirtualClock,
+    /// Virtual time in seconds.  Computation advances it explicitly (the
+    /// application layer's work model); communication advances it through
+    /// the transport, which stamps each message with its arrival time and
+    /// synchronises the receiver to `max(own, arrival)` on consume.  This is
+    /// the standard "logical execution time" construction: a process's
+    /// parallel time is the virtual time at which it finishes, and speedup
+    /// is sequential virtual time over the latest finish.
+    clock: Cell<f64>,
     stats: RefCell<ProcStats>,
     /// Observability recorder; `None` when the config says `Off`, so every
     /// emission site costs one predictable branch.
@@ -44,7 +50,7 @@ impl Proc {
         Proc {
             id,
             core,
-            clock: VirtualClock::new(),
+            clock: Cell::new(0.0),
             stats: RefCell::new(stats),
             obs: level.enabled().then(|| Recorder::new(id as u32, level)),
             crash,
@@ -62,11 +68,11 @@ impl Proc {
         let Some(at) = self.crash else { return };
         self.events.set(self.events.get() + 1);
         let fired = match at {
-            CrashPoint::Time(t) => self.clock.now() >= t,
+            CrashPoint::Time(t) => self.clock.get() >= t,
             CrashPoint::Event(n) => self.events.get() >= n,
         };
         if fired {
-            self.core.crash(self.id, self.clock.now());
+            self.core.crash(self.id, self.clock.get());
         }
     }
 
@@ -87,12 +93,12 @@ impl Proc {
 
     /// Current virtual time of this process, seconds.
     pub fn clock(&self) -> f64 {
-        self.clock.now()
+        self.clock.get()
     }
 
     /// Charge `seconds` of local computation to this process's clock.
     pub fn compute(&self, seconds: f64) {
-        self.clock.advance(seconds);
+        self.advance(seconds);
         self.stats.borrow_mut().compute_time += seconds;
     }
 
@@ -102,8 +108,8 @@ impl Proc {
     /// message leaves at the sender's current virtual time.
     pub fn send(&self, dst: usize, tag: Tag, payload: impl Into<Payload>) {
         self.maybe_crash();
-        self.clock.advance(self.core.config().send_overhead);
-        self.transmit(dst, tag, payload.into(), self.clock.now());
+        self.advance(self.core.config().send_overhead);
+        self.transmit(dst, tag, payload.into(), self.clock.get());
     }
 
     /// Send `payload` with an explicit departure time.
@@ -116,7 +122,7 @@ impl Proc {
     /// still costs real processor time, whenever it notionally ran.
     pub fn send_at(&self, dst: usize, tag: Tag, payload: impl Into<Payload>, depart: f64) {
         self.maybe_crash();
-        self.clock.advance(self.core.config().send_overhead);
+        self.advance(self.core.config().send_overhead);
         self.transmit(dst, tag, payload.into(), depart);
     }
 
@@ -134,7 +140,7 @@ impl Proc {
     /// the arrival time of the message and charged the per-receive overhead.
     pub fn recv_match(&self, src: Option<usize>, tag: Option<Tag>) -> Message {
         self.maybe_crash();
-        let m = self.core.recv_match(self.id, src, tag, self.clock.now());
+        let m = self.core.recv_match(self.id, src, tag, self.clock.get());
         self.consume(&m);
         m
     }
@@ -162,7 +168,7 @@ impl Proc {
         self.maybe_crash();
         let m = self
             .core
-            .try_recv_match(self.id, src, Some(tag), self.clock.now())?;
+            .try_recv_match(self.id, src, Some(tag), self.clock.get())?;
         self.consume(&m);
         Some(m)
     }
@@ -178,8 +184,8 @@ impl Proc {
         self.maybe_crash();
         let m = self
             .core
-            .try_recv_match(self.id, None, None, self.clock.now())?;
-        self.clock.advance(self.core.config().recv_overhead);
+            .try_recv_match(self.id, None, None, self.clock.get())?;
+        self.advance(self.core.config().recv_overhead);
         let mut st = self.stats.borrow_mut();
         st.messages_received += 1;
         st.datagrams_received += m.datagrams;
@@ -194,7 +200,7 @@ impl Proc {
     /// category before the process finishes.
     pub fn span_begin(&self, cat: SpanCat, arg: u64) {
         if let Some(r) = &self.obs {
-            r.span_begin(obs::ns(self.clock.now()), cat, arg);
+            r.span_begin(obs::ns(self.clock.get()), cat, arg);
         }
     }
 
@@ -202,7 +208,7 @@ impl Proc {
     /// A no-op when observability is off.
     pub fn span_end(&self, cat: SpanCat) {
         if let Some(r) = &self.obs {
-            r.span_end(obs::ns(self.clock.now()), cat);
+            r.span_end(obs::ns(self.clock.get()), cat);
         }
     }
 
@@ -212,13 +218,29 @@ impl Proc {
     pub(crate) fn finish(self) -> (ProcStats, Option<ProcObs>) {
         self.core.finish(self.id);
         let mut st = self.stats.into_inner();
-        st.finish_time = self.clock.now();
+        st.finish_time = self.clock.get();
         (st, self.obs.map(Recorder::finish))
     }
 
+    /// Advance the clock by `dt` seconds of local activity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is negative or not finite.
+    fn advance(&self, dt: f64) {
+        assert!(dt.is_finite() && dt >= 0.0, "invalid clock advance: {dt}");
+        self.clock.set(self.clock.get() + dt);
+    }
+
     fn consume(&self, m: &Message) {
-        let idle = self.clock.sync_to(m.arrival);
-        self.clock.advance(self.core.config().recv_overhead);
+        let now = self.clock.get();
+        let idle = if m.arrival > now {
+            self.clock.set(m.arrival);
+            m.arrival - now
+        } else {
+            0.0
+        };
+        self.advance(self.core.config().recv_overhead);
         let mut st = self.stats.borrow_mut();
         st.idle_time += idle;
         st.messages_received += 1;
@@ -262,6 +284,40 @@ mod tests {
         });
         assert!((rep.stats[0].compute_time - 1.0).abs() < 1e-12);
         assert!((rep.stats[0].finish_time - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_clock_starts_at_zero_and_advances_exactly() {
+        let rep = Cluster::run(ClusterConfig::ideal(1), |p| {
+            let start = p.clock();
+            p.compute(1.25);
+            p.compute(0.75);
+            (start, p.clock())
+        });
+        assert_eq!(rep.results[0], (0.0, 2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid clock advance")]
+    fn a_negative_compute_panics() {
+        Cluster::run(ClusterConfig::ideal(1), |p| p.compute(-1.0));
+    }
+
+    #[test]
+    fn receiving_an_arrived_message_does_not_move_the_clock_back() {
+        let cfg = ClusterConfig::calibrated_fddi(2);
+        let recv_oh = cfg.recv_overhead;
+        let rep = Cluster::run(cfg, |p| {
+            if p.id() == 0 {
+                p.send(1, 0, Bytes::from_static(b"early"));
+            } else {
+                p.compute(5.0);
+                assert!(p.recv(Some(0), 0).arrival < 5.0);
+            }
+            p.clock()
+        });
+        assert_eq!(rep.results[1], 5.0 + recv_oh);
+        assert_eq!(rep.stats[1].idle_time, 0.0);
     }
 
     #[test]

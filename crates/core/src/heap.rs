@@ -8,6 +8,8 @@
 //! check the validity of the pages touched, run the fault path (diff request
 //! / response / apply) for invalid pages, create twins on the first write of
 //! an interval, then copy through `DsmState::load` or `DsmState::store`.
+//! `Word` is [`cluster::Word`], re-exported: PVM's buffers pack the same
+//! little-endian layout.
 //! See README.md §Design notes for why this substitution preserves the
 //! protocol behaviour the paper measures.
 //!
@@ -19,43 +21,10 @@
 use crate::page::PageId;
 use crate::process::Tmk;
 use cluster::config::PAGE_SIZE;
+pub use cluster::Word;
 
 /// An address in the shared heap (a byte offset).
 pub type SharedAddr = usize;
-
-/// A fixed-width value that shared memory holds as its little-endian bytes:
-/// `u8`, `i32`, `i64`, `f32` or `f64` (the trait is sealed).
-pub trait Word: sealed::Sealed + Copy + Default {
-    /// The width in bytes (at most 8).
-    const SIZE: usize;
-    /// The value whose little-endian bytes are `b` (`SIZE` of them).
-    fn decode(b: &[u8]) -> Self;
-    /// Write the value's little-endian bytes into `b` (`SIZE` of them).
-    fn encode(self, b: &mut [u8]);
-}
-
-mod sealed {
-    pub trait Sealed {}
-}
-
-macro_rules! word {
-    ($($t:ty),*) => {$(
-        impl sealed::Sealed for $t {}
-        impl Word for $t {
-            const SIZE: usize = std::mem::size_of::<$t>();
-            #[inline]
-            fn decode(b: &[u8]) -> Self {
-                <$t>::from_le_bytes(b.try_into().expect("one word's bytes"))
-            }
-            #[inline]
-            fn encode(self, b: &mut [u8]) {
-                b.copy_from_slice(&self.to_le_bytes());
-            }
-        }
-    )*};
-}
-
-word!(u8, i32, i64, f32, f64);
 
 /// A free list of page-sized buffers.
 ///

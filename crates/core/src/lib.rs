@@ -152,7 +152,8 @@ mod tests {
     fn typed_slices_round_trip_across_page_boundaries_under_every_protocol() {
         // Words straddling a page boundary are assembled through a stack
         // buffer: an f64 at `PAGE_SIZE - 4`, f32s at an odd address, i32s
-        // spanning three pages from an unaligned start, then lone scalars
+        // spanning three pages from an unaligned start, u64s the third of
+        // which straddles the last page boundary, then lone scalars
         // (an i32 at `PAGE_SIZE - 2`, an i64 and an f64 at `k·PAGE_SIZE -
         // 4`).  Rank 0 writes, rank 1 faults the pages in and reads back,
         // both compare the decoded values and the raw little-endian bytes.
@@ -160,22 +161,31 @@ mod tests {
         let f64s: Vec<f64> = (0..3).map(|i| 1.0 / (i as f64 + 3.0)).collect();
         let f32s: Vec<f32> = (0..700).map(|i| i as f32 * 0.37 - 9.0).collect();
         let i32s: Vec<i32> = (0..1100).map(|i| i * -7919 + 13).collect();
-        let at = [PAGE_SIZE - 4, 4 * PAGE_SIZE + 1, 7 * PAGE_SIZE - 2];
+        let u64s: Vec<u64> = (0..5).map(|i| u64::MAX - i * 0x0101_0101_0101).collect();
+        let at = [
+            PAGE_SIZE - 4,
+            4 * PAGE_SIZE + 1,
+            7 * PAGE_SIZE - 2,
+            10 * PAGE_SIZE - 21,
+        ];
         let (x, y, z) = (-123_456_789i32, -(1i64 << 40) - 5, -1.0f64 / 7.0);
         let scalar_at = [PAGE_SIZE - 2, 2 * PAGE_SIZE - 4, 9 * PAGE_SIZE - 4];
         for protocol in ProtocolKind::all() {
             let rep = run_under(protocol, 2, |tmk| {
-                tmk.malloc(10 * PAGE_SIZE);
+                tmk.malloc(11 * PAGE_SIZE);
                 if tmk.id() == 0 {
                     tmk.write_slice(at[0], &f64s);
                     tmk.write_slice(at[1], &f32s);
                     tmk.write_slice(at[2], &i32s);
+                    tmk.write_slice(at[3], &u64s);
                 }
                 tmk.barrier(0);
                 let (mut a, mut b, mut c) = (vec![0f64; 3], vec![0f32; 700], vec![0i32; 1100]);
+                let mut d = vec![0u64; 5];
                 tmk.read_slice(at[0], &mut a);
                 tmk.read_slice(at[1], &mut b);
                 tmk.read_slice(at[2], &mut c);
+                tmk.read_slice(at[3], &mut d);
                 let mut raw = vec![0u8; 1100 * 4];
                 tmk.read_slice(at[2], &mut raw);
                 let bytes_ok = raw
@@ -197,10 +207,11 @@ mod tests {
                 let mut raw = [0u8; 8];
                 tmk.read_slice(scalar_at[1], &mut raw);
                 tmk.barrier(3);
-                (a == f64s, b == f32s, c == i32s, bytes_ok, scalars, raw)
+                let slices_ok = [a == f64s, b == f32s, c == i32s, d == u64s];
+                (slices_ok, bytes_ok, scalars, raw)
             });
             for (rank, r) in rep.results.iter().enumerate() {
-                let expect = (true, true, true, true, (x, y, z), y.to_le_bytes());
+                let expect = ([true; 4], true, (x, y, z), y.to_le_bytes());
                 assert_eq!(*r, expect, "{protocol} rank {rank}");
             }
         }

@@ -54,6 +54,11 @@ use cluster::Message;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+/// Why a received page is moved into its slot, not copied: `Tmk::send` moves
+/// the sender's `Rc` into the payload and `Tmk::wait_reply` moves it out, so
+/// the requester holds the message's only reference.
+const DELIVERED: &str = "a delivered page message has no other holder";
+
 /// Local coherence state of one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -235,11 +240,12 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
     });
     request(rt, page, Acquire::Read);
     let copy = rt.wait_reply(TAG_SC_PAGE_COPY);
-    let Msg::ScCopy { page: got, data } = &*copy else {
+    let Msg::ScCopy { page: got, data } = Rc::into_inner(copy).expect(DELIVERED) else {
         unreachable!()
     };
-    assert_eq!(*got, page, "read copy for an unexpected page");
-    // Installing the incoming page is a page-sized copy.
+    assert_eq!(got, page, "read copy for an unexpected page");
+    // Installing the incoming page is a page-sized copy on the modelled
+    // host, whether or not this one moves it.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
     with_state(rt, |pages, s, stats| {
         stats.page_bytes_fetched += PAGE_SIZE as u64;
@@ -249,7 +255,7 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
             return; // page stays invalid; the fault loop re-requests
         }
         let slot = &mut pages[page as usize];
-        slot.data.get_or_insert_with(new_page).copy_from_slice(data);
+        slot.data = Some(data);
         slot.valid = true;
         s.mode[page as usize] = Mode::Shared;
     });
@@ -369,25 +375,23 @@ fn acquire_exclusive(rt: &Tmk, page: PageId) {
             page: got,
             copyset,
             data,
-        } = &*transfer
+        } = Rc::into_inner(transfer).expect(DELIVERED)
         else {
             unreachable!()
         };
-        assert_eq!(*got, page, "ownership transfer for an unexpected page");
-        // Installing the incoming page is a page-sized copy.
+        assert_eq!(got, page, "ownership transfer for an unexpected page");
+        // Installing the incoming page is a page-sized copy on the modelled
+        // host, whether or not this one moves it.
         rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
         with_state(rt, |pages, s, stats| {
             stats.page_bytes_fetched += PAGE_SIZE as u64;
             stats.ownership_transfers += 1;
-            pages[page as usize]
-                .data
-                .get_or_insert_with(new_page)
-                .copy_from_slice(data);
+            pages[page as usize].data = Some(data);
             // The token is here; requests arriving from now on queue
             // behind this acquisition instead of chaining further.
             s.owner[page as usize] = true;
             s.copyset.insert(page, Vec::new());
-            copyset.iter().copied().filter(|&p| p != me).collect()
+            copyset.into_iter().filter(|&p| p != me).collect()
         })
     };
     let inval = Rc::new(Msg::PageRequest { page, process: me });

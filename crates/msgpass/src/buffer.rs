@@ -1,13 +1,16 @@
-//! Typed pack/unpack buffers, mirroring PVM's `pvm_pk*` / `pvm_upk*` calls.
+//! Pack/unpack buffers, mirroring PVM's `pvm_pk*` / `pvm_upk*` calls.
 //!
-//! PVM pack routines take the beginning of a user data structure, the number
-//! of items, and a stride; unpack calls must match the pack calls in type and
-//! count.  The buffers here behave the same way: values are appended in
-//! little-endian order by the pack calls and consumed in order by the unpack
-//! calls.  A mismatched unpack panics, which mirrors the programming error
-//! the PVM manual warns about.
+//! PVM pack routines take the beginning of a user data structure and the
+//! number of items; unpack calls must match the pack calls in type and
+//! count.  The buffers here behave the same way: [`SendBuffer::pack`]
+//! appends a slice of any [`Word`] type as its little-endian bytes (the
+//! layout shared pages hold too: every simulated host is the same machine,
+//! so XDR is off) and [`RecvBuffer::unpack`] consumes them in order.  A
+//! mismatched unpack panics, which mirrors the programming error the PVM
+//! manual warns about.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
+use cluster::Word;
 
 /// A buffer being filled by pack calls before a send.
 #[derive(Debug, Default)]
@@ -33,68 +36,22 @@ impl SendBuffer {
         self.data.is_empty()
     }
 
-    /// Pack a slice of `f64` values.
+    /// Pack `vals` as their little-endian bytes.  Give an integer literal
+    /// its type (`pack(&[0u64])`): a bare `0` is an `i32` and packs four
+    /// bytes.
+    pub fn pack<T: Word>(&mut self, vals: &[T]) {
+        self.data.reserve(vals.len() * T::SIZE);
+        for v in vals {
+            let mut word = [0; 8];
+            v.encode(&mut word[..T::SIZE]);
+            self.data.extend_from_slice(&word[..T::SIZE]);
+        }
+    }
+
+    /// `pack::<f64>`, kept only because `benchmark/layers` calls it;
+    /// deleted with its probes (ROADMAP item 0(i)).
     pub fn pack_f64(&mut self, vals: &[f64]) {
-        self.data.reserve(vals.len() * 8);
-        for v in vals {
-            self.data.put_f64_le(*v);
-        }
-    }
-
-    /// Pack every `stride`-th `f64` starting at index 0 (PVM stride packing).
-    pub fn pack_f64_strided(&mut self, vals: &[f64], count: usize, stride: usize) {
-        assert!(stride >= 1, "stride must be at least 1");
-        self.data.reserve(count * 8);
-        let mut idx = 0usize;
-        for _ in 0..count {
-            self.data.put_f64_le(vals[idx]);
-            idx += stride;
-        }
-    }
-
-    /// Pack a slice of `f32` values.
-    pub fn pack_f32(&mut self, vals: &[f32]) {
-        self.data.reserve(vals.len() * 4);
-        for v in vals {
-            self.data.put_f32_le(*v);
-        }
-    }
-
-    /// Pack a slice of `i64` values.
-    pub fn pack_i64(&mut self, vals: &[i64]) {
-        self.data.reserve(vals.len() * 8);
-        for v in vals {
-            self.data.put_i64_le(*v);
-        }
-    }
-
-    /// Pack a slice of `i32` values.
-    pub fn pack_i32(&mut self, vals: &[i32]) {
-        self.data.reserve(vals.len() * 4);
-        for v in vals {
-            self.data.put_i32_le(*v);
-        }
-    }
-
-    /// Pack a slice of `u32` values.
-    pub fn pack_u32(&mut self, vals: &[u32]) {
-        self.data.reserve(vals.len() * 4);
-        for v in vals {
-            self.data.put_u32_le(*v);
-        }
-    }
-
-    /// Pack a slice of `u64` values (used for sizes and indices).
-    pub fn pack_u64(&mut self, vals: &[u64]) {
-        self.data.reserve(vals.len() * 8);
-        for v in vals {
-            self.data.put_u64_le(*v);
-        }
-    }
-
-    /// Pack raw bytes.
-    pub fn pack_bytes(&mut self, vals: &[u8]) {
-        self.data.extend_from_slice(vals);
+        self.pack(vals)
     }
 
     /// Freeze into an immutable payload for the transport layer.
@@ -132,68 +89,32 @@ impl RecvBuffer {
         self.data.len()
     }
 
-    /// Unpack `n` `f64` values.
-    pub fn unpack_f64(&mut self, n: usize) -> Vec<f64> {
-        self.check(n * 8, "f64");
-        (0..n).map(|_| self.data.get_f64_le()).collect()
-    }
-
-    /// Unpack `n` `f64` values into `out[0], out[stride], out[2*stride], ...`.
-    pub fn unpack_f64_strided(&mut self, out: &mut [f64], n: usize, stride: usize) {
-        assert!(stride >= 1, "stride must be at least 1");
-        self.check(n * 8, "f64");
-        let mut idx = 0usize;
-        for _ in 0..n {
-            out[idx] = self.data.get_f64_le();
-            idx += stride;
-        }
-    }
-
-    /// Unpack `n` `f32` values.
-    pub fn unpack_f32(&mut self, n: usize) -> Vec<f32> {
-        self.check(n * 4, "f32");
-        (0..n).map(|_| self.data.get_f32_le()).collect()
-    }
-
-    /// Unpack `n` `i64` values.
-    pub fn unpack_i64(&mut self, n: usize) -> Vec<i64> {
-        self.check(n * 8, "i64");
-        (0..n).map(|_| self.data.get_i64_le()).collect()
-    }
-
-    /// Unpack `n` `i32` values.
-    pub fn unpack_i32(&mut self, n: usize) -> Vec<i32> {
-        self.check(n * 4, "i32");
-        (0..n).map(|_| self.data.get_i32_le()).collect()
-    }
-
-    /// Unpack `n` `u32` values.
-    pub fn unpack_u32(&mut self, n: usize) -> Vec<u32> {
-        self.check(n * 4, "u32");
-        (0..n).map(|_| self.data.get_u32_le()).collect()
-    }
-
-    /// Unpack `n` `u64` values.
-    pub fn unpack_u64(&mut self, n: usize) -> Vec<u64> {
-        self.check(n * 8, "u64");
-        (0..n).map(|_| self.data.get_u64_le()).collect()
-    }
-
-    /// Unpack `n` raw bytes.
-    pub fn unpack_bytes(&mut self, n: usize) -> Vec<u8> {
-        self.check(n, "u8");
-        let mut out = vec![0u8; n];
-        self.data.copy_to_slice(&mut out);
-        out
-    }
-
-    fn check(&self, need: usize, ty: &str) {
+    /// Unpack the next `n` `T`s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` `T`s remain: the unpack calls do not match
+    /// the sender's pack calls.
+    pub fn unpack<T: Word>(&mut self, n: usize) -> Vec<T> {
+        let need = n * T::SIZE;
         assert!(
             self.data.len() >= need,
-            "unpack of {need} bytes of {ty} exceeds the {} bytes remaining \
+            "unpack of {need} bytes of {} exceeds the {} bytes remaining \
              (unpack calls must match the pack calls of the sender)",
+            std::any::type_name::<T>(),
             self.data.len()
         );
+        let vals = self.data[..need]
+            .chunks_exact(T::SIZE)
+            .map(T::decode)
+            .collect();
+        self.data.advance(need);
+        vals
+    }
+
+    /// `unpack::<f64>`, kept like [`SendBuffer::pack_f64`].
+    pub fn unpack_f64(&mut self, n: usize) -> Vec<f64> {
+        self.unpack(n)
     }
 }
 
@@ -204,44 +125,53 @@ mod tests {
     #[test]
     fn round_trip_all_types() {
         let mut b = SendBuffer::new();
-        b.pack_i32(&[-1, 2, 3]);
-        b.pack_f64(&[1.5, -2.5]);
-        b.pack_u64(&[7]);
-        b.pack_bytes(&[9, 8, 7]);
-        b.pack_i64(&[-100]);
-        b.pack_u32(&[42]);
-        b.pack_f32(&[0.25]);
+        b.pack(&[-1i32, 2, 3]);
+        b.pack(&[1.5f64, -2.5]);
+        b.pack(&[7u64]);
+        b.pack(&[9u8, 8, 7]);
+        b.pack(&[-100i64]);
+        b.pack(&[42u32]);
+        b.pack(&[0.25f32]);
         let mut r = RecvBuffer::new(0, 0, b.into_payload());
-        assert_eq!(r.unpack_i32(3), vec![-1, 2, 3]);
-        assert_eq!(r.unpack_f64(2), vec![1.5, -2.5]);
-        assert_eq!(r.unpack_u64(1), vec![7]);
-        assert_eq!(r.unpack_bytes(3), vec![9, 8, 7]);
-        assert_eq!(r.unpack_i64(1), vec![-100]);
-        assert_eq!(r.unpack_u32(1), vec![42]);
-        assert_eq!(r.unpack_f32(1), vec![0.25]);
+        assert_eq!(r.unpack::<i32>(3), vec![-1, 2, 3]);
+        assert_eq!(r.unpack::<f64>(2), vec![1.5, -2.5]);
+        assert_eq!(r.unpack::<u64>(1), vec![7]);
+        assert_eq!(r.unpack::<u8>(3), vec![9, 8, 7]);
+        assert_eq!(r.unpack::<i64>(1), vec![-100]);
+        assert_eq!(r.unpack::<u32>(1), vec![42]);
+        assert_eq!(r.unpack::<f32>(1), vec![0.25]);
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
-    fn strided_pack_and_unpack() {
-        // Pack every 3rd element of a molecule-like record array.
-        let records = vec![1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0];
+    fn every_word_type_packs_to_its_little_endian_bytes() {
         let mut b = SendBuffer::new();
-        b.pack_f64_strided(&records, 3, 3);
-        assert_eq!(b.len(), 24);
-        let mut r = RecvBuffer::new(0, 0, b.into_payload());
-        let mut out = vec![0.0; 9];
-        r.unpack_f64_strided(&mut out, 3, 3);
-        assert_eq!(out, vec![1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0]);
+        b.pack(&[0xabu8]);
+        b.pack(&[-2i32]);
+        b.pack(&[0x0102_0304u32]);
+        b.pack(&[-3i64]);
+        b.pack(&[0x0102_0304_0506_0708u64]);
+        b.pack(&[1.5f32]);
+        b.pack(&[-2.5f64]);
+        let golden: [&[u8]; 7] = [
+            &[0xab],
+            &[0xfe, 0xff, 0xff, 0xff],
+            &[0x04, 0x03, 0x02, 0x01],
+            &[0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff],
+            &[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01],
+            &[0x00, 0x00, 0xc0, 0x3f],
+            &[0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xc0],
+        ];
+        assert_eq!(&b.into_payload()[..], &golden.concat()[..]);
     }
 
     #[test]
-    #[should_panic(expected = "unpack")]
+    #[should_panic(expected = "unpack of 8 bytes of f64 exceeds the 4 bytes remaining")]
     fn mismatched_unpack_panics() {
         let mut b = SendBuffer::new();
-        b.pack_i32(&[1]);
+        b.pack(&[1i32]);
         let mut r = RecvBuffer::new(0, 0, b.into_payload());
-        r.unpack_f64(1);
+        r.unpack::<f64>(1);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! or non-blocking receive, and *unpacked* back into application data
 //! structures.  This crate reproduces that interface:
 //!
-//! * [`SendBuffer`] / [`RecvBuffer`] — typed pack/unpack with optional stride,
+//! * [`SendBuffer::pack`] / [`RecvBuffer::unpack`] — pack and unpack a slice
+//!   of any [`cluster::Word`] type (the value layout shared pages hold too),
 //! * [`Pvm::send`], [`Pvm::mcast`], [`Pvm::bcast`] — non-blocking sends,
 //! * [`Pvm::recv`] / [`Pvm::nrecv`] — blocking / non-blocking receives,
 //! * user-level message and byte counters (the quantities the paper reports
@@ -27,12 +28,12 @@
 //!     let pvm = Pvm::new(p);
 //!     if p.id() == 0 {
 //!         let mut buf = pvm.new_buffer();
-//!         buf.pack_f64(&[1.0, 2.0, 3.0]);
+//!         buf.pack(&[1.0f64, 2.0, 3.0]);
 //!         pvm.send(1, 42, buf);
 //!         0.0
 //!     } else {
 //!         let mut m = pvm.recv(Some(0), 42);
-//!         m.unpack_f64(3).iter().sum()
+//!         m.unpack::<f64>(3).iter().sum()
 //!     }
 //! });
 //! assert_eq!(rep.results[1], 6.0);

@@ -148,12 +148,12 @@ mod tests {
             let pvm = Pvm::new(p);
             if p.id() == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack_i32(&[10, 20, 30]);
+                b.pack(&[10i32, 20, 30]);
                 pvm.send(1, 1, b);
                 pvm.user_stats()
             } else {
                 let mut r = pvm.recv(Some(0), 1);
-                assert_eq!(r.unpack_i32(3), vec![10, 20, 30]);
+                assert_eq!(r.unpack::<i32>(3), vec![10, 20, 30]);
                 pvm.user_stats()
             }
         });
@@ -170,11 +170,11 @@ mod tests {
             let pvm = Pvm::new(p);
             if p.id() == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack_u64(&[99]);
+                b.pack(&[99u64]);
                 pvm.bcast(7, b);
                 99
             } else {
-                pvm.recv(Some(0), 7).unpack_u64(1)[0]
+                pvm.recv(Some(0), 7).unpack::<u64>(1)[0]
             }
         });
         assert!(rep.results.iter().all(|&v| v == 99));
@@ -188,11 +188,11 @@ mod tests {
             let pvm = Pvm::new(p);
             if p.id() == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack_u32(&[5]);
+                b.pack(&[5u32]);
                 pvm.mcast(&[2, 3], 9, b);
                 true
             } else if p.id() >= 2 {
-                pvm.recv(Some(0), 9).unpack_u32(1)[0] == 5
+                pvm.recv(Some(0), 9).unpack::<u32>(1)[0] == 5
             } else {
                 // Process 1 must not receive anything.
                 pvm.nrecv(Some(0), 9).is_none()
@@ -208,7 +208,7 @@ mod tests {
             if p.id() == 0 {
                 p.compute(0.01);
                 let mut b = pvm.new_buffer();
-                b.pack_i32(&[1]);
+                b.pack(&[1i32]);
                 pvm.send(1, 3, b);
                 1
             } else {
@@ -216,12 +216,12 @@ mod tests {
                 let mut polls = 0;
                 loop {
                     if let Some(mut r) = pvm.nrecv(Some(0), 3) {
-                        return r.unpack_i32(1)[0];
+                        return r.unpack::<i32>(1)[0];
                     }
                     polls += 1;
                     if polls > 1000 {
                         let mut r = pvm.recv(Some(0), 3);
-                        return r.unpack_i32(1)[0];
+                        return r.unpack::<i32>(1)[0];
                     }
                 }
             }
@@ -235,7 +235,7 @@ mod tests {
             let pvm = Pvm::new(p);
             if p.id() == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack_bytes(&vec![0u8; 4_000_000]);
+                b.pack(&vec![0u8; 4_000_000]);
                 pvm.send(1, 1, b);
             } else {
                 pvm.recv(Some(0), 1);

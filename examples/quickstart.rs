@@ -52,18 +52,18 @@ fn main() {
             let mut table = mine;
             for _ in 1..p.nprocs() {
                 let mut m = pvm.recv(None, 1);
-                table.extend(m.unpack_i64(per));
+                table.extend(m.unpack::<i64>(per));
             }
             let total: i64 = table.iter().sum();
             let mut b = pvm.new_buffer();
-            b.pack_i64(&[total]);
+            b.pack(&[total]);
             pvm.bcast(2, b);
             total
         } else {
             let mut b = pvm.new_buffer();
-            b.pack_i64(&mine);
+            b.pack(&mine);
             pvm.send(0, 1, b);
-            pvm.recv(Some(0), 2).unpack_i64(1)[0]
+            pvm.recv(Some(0), 2).unpack::<i64>(1)[0]
         }
     });
 

@@ -146,33 +146,6 @@ pub trait Buf {
         self.copy_to_slice(&mut b);
         u32::from_le_bytes(b)
     }
-
-    /// Read a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Read a little-endian `i32`.
-    fn get_i32_le(&mut self) -> i32 {
-        self.get_u32_le() as i32
-    }
-
-    /// Read a little-endian `i64`.
-    fn get_i64_le(&mut self) -> i64 {
-        self.get_u64_le() as i64
-    }
-
-    /// Read a little-endian `f32`.
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_bits(self.get_u32_le())
-    }
-
-    /// Read a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
 }
 
 impl Buf for Bytes {
@@ -261,31 +234,6 @@ pub trait BufMut {
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
-
-    /// Append a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i32`.
-    fn put_i32_le(&mut self, v: i32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i64`.
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `f32`.
-    fn put_f32_le(&mut self, v: f32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_slice(&v.to_le_bytes());
-    }
 }
 
 impl BufMut for BytesMut {
@@ -303,20 +251,10 @@ mod tests {
         let mut b = BytesMut::with_capacity(64);
         b.put_u16_le(7);
         b.put_u32_le(1_000_000);
-        b.put_u64_le(u64::MAX - 1);
-        b.put_i32_le(-5);
-        b.put_i64_le(-6);
-        b.put_f32_le(0.25);
-        b.put_f64_le(-2.5);
         b.put_slice(&[1, 2, 3]);
         let mut r = b.freeze();
         assert_eq!(r.get_u16_le(), 7);
         assert_eq!(r.get_u32_le(), 1_000_000);
-        assert_eq!(r.get_u64_le(), u64::MAX - 1);
-        assert_eq!(r.get_i32_le(), -5);
-        assert_eq!(r.get_i64_le(), -6);
-        assert_eq!(r.get_f32_le(), 0.25);
-        assert_eq!(r.get_f64_le(), -2.5);
         let mut out = [0u8; 3];
         r.copy_to_slice(&mut out);
         assert_eq!(out, [1, 2, 3]);

@@ -81,6 +81,13 @@
 //! feeding pseudo-random transition sequences — and the marker is honoured
 //! even in the simulation crates.)
 //!
+//! **Probe-kept delegations**: `Tmk::read_f64`/`write_f64`/`read_i64`/
+//! `write_i64` and `SendBuffer::pack_f64`/`RecvBuffer::unpack_f64` are
+//! one-line delegations to the generic accessors, kept only because
+//! `benchmark/layers`' probes call them.  A call to any of them in the
+//! linted crates (anywhere but its own `fn` line) is a finding, and no
+//! marker is honoured, so they stay probe-only until the probes go.
+//!
 //! A marker must carry a non-empty reason after its colon; a bare
 //! `lint:allow(wall-clock):` is itself a finding.  Doc and line comments
 //! are stripped before token matching, so prose *about* a hazard never
@@ -151,6 +158,29 @@ const PROCESS_STATE_TOKENS: [&str; 7] = [
     "static mut",
     "thread_local!",
 ];
+
+/// Delegations kept only for `benchmark/layers`' probes: no call site in the
+/// linted crates may name them.
+const PROBE_KEPT: [&str; 6] = [
+    "read_f64",
+    "write_f64",
+    "read_i64",
+    "write_i64",
+    "pack_f64",
+    "unpack_f64",
+];
+
+/// The probe-kept delegation `code` calls, if any: `name(` not preceded by
+/// an identifier character (`unpack_f64(` is no `pack_f64(` call) or by the
+/// `fn ` of its definition.
+fn probe_kept_call(code: &str) -> Option<&'static str> {
+    PROBE_KEPT.into_iter().find(|name| {
+        code.match_indices(&format!("{name}(")).any(|(i, _)| {
+            let before = &code[..i];
+            !before.ends_with(|c: char| c.is_alphanumeric() || c == '_') && !before.ends_with("fn ")
+        })
+    })
+}
 
 /// Tokens that spawn (or name machinery that spawns) OS threads.  Ordered
 /// longest-prefix first so the reported token is the most specific match.
@@ -296,6 +326,15 @@ fn lint_source(rel: &Path, text: &str, findings: &mut Vec<Finding>) {
                         ),
                     );
                 }
+            }
+            if let Some(name) = probe_kept_call(code) {
+                push(
+                    i,
+                    format!(
+                        "`{name}` is kept only for benchmark/layers' probes: call the \
+                         generic `read`/`write`/`pack`/`unpack`, and no marker lifts this"
+                    ),
+                );
             }
             if host && code.contains("_unsync(") && !has_marker(&lines, i, "unsync-read") {
                 push(
@@ -552,6 +591,49 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].file.ends_with("a.rs"));
         assert!(f[0].msg.contains("unsync-read"));
+    }
+
+    #[test]
+    fn probe_kept_delegations_have_no_callers() {
+        let t = Tree::new("probe-kept");
+        // The definitions themselves, and names that merely contain one.
+        t.write(
+            "crates/msgpass/src/buffer.rs",
+            "pub fn pack_f64(&mut self, vals: &[f64]) { self.pack(vals) }\n\
+             pub fn unpack_f64(&mut self, n: usize) -> Vec<f64> { self.unpack(n) }\n",
+        );
+        t.write(
+            "crates/apps/src/tsp.rs",
+            "// lint:allow(unsync-read): an annotated read, not a delegation\n\
+             fn f(t: &Tmk) { let _ = t.read_f64_unsync(0); let _ = t.read::<f64>(0); }\n",
+        );
+        // Every call is a finding, marker or not, in any linted crate.
+        t.write(
+            "crates/apps/src/ep.rs",
+            "fn f(t: &Tmk) { t.write_i64(0, 1); }\n\
+             // lint:allow(probe-kept): markers are not honoured\n\
+             fn g(b: &mut SendBuffer) { b.pack_f64(&[1.0]); }\n",
+        );
+        t.write(
+            "crates/core/src/lib.rs",
+            "fn f(t: &Tmk) -> f64 { Tmk::read_f64(t, 0) }\n\
+             fn g(r: &mut RecvBuffer) { r.unpack_f64(1); }\n",
+        );
+        let f = t.lint();
+        assert_eq!(f.len(), 4, "{f:#?}");
+        assert!(f.iter().all(|f| f.msg.contains("benchmark/layers")));
+        for (file, line, name) in [
+            ("ep.rs", 1, "`write_i64`"),
+            ("ep.rs", 3, "`pack_f64`"),
+            ("lib.rs", 1, "`read_f64`"),
+            ("lib.rs", 2, "`unpack_f64`"),
+        ] {
+            assert!(
+                f.iter()
+                    .any(|f| f.file.ends_with(file) && f.line == line && f.msg.starts_with(name)),
+                "{file}:{line}: {f:#?}"
+            );
+        }
     }
 
     #[test]
