@@ -7,10 +7,13 @@
 //! collect exactly those quantities:
 //!
 //! * for the **TreadMarks** versions, messages are the transport datagrams
-//!   (the UDP messages of the real system) and data is the total payload
-//!   bytes, as counted by the `cluster` transport;
-//! * for the **PVM** versions, messages are the user-level sends and data is
-//!   the user data packed into them, as PVM itself counts.
+//!   (the UDP messages of the real system);
+//! * for the **PVM** versions, messages are the user-level sends, as PVM
+//!   itself counts;
+//! * for both, data is the payload bytes sent.
+//!
+//! The `cluster` transport counts all three for every rank, so both systems
+//! read them from one ledger, the run's [`ClusterReport`].
 
 use cluster::{Cluster, ClusterConfig, ClusterObs, ClusterReport, ProcStats, RunFailure};
 use msgpass::Pvm;
@@ -181,7 +184,7 @@ pub fn run<A: App>(app: &A, sys: System, cfg: &ClusterConfig) -> Result<AppRun, 
 /// *contribution*; the contributions are summed into the run's checksum (so
 /// a gather that the paper's programs do not perform is not needed just for
 /// validation).
-pub fn try_run_treadmarks_on<F>(
+fn try_run_treadmarks_on<F>(
     cfg: &ClusterConfig,
     heap_bytes: usize,
     protocol: ProtocolKind,
@@ -216,30 +219,20 @@ where
     Ok(AppRun { race, ..run })
 }
 
-/// Run `body` on PVM processes over `cfg`'s cluster model.  Messages and
-/// data are PVM's own user-level counts.
-pub fn try_run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> Result<AppRun, RunFailure>
+/// Run `body` on PVM processes over `cfg`'s cluster model.
+fn try_run_pvm_on<F>(cfg: &ClusterConfig, body: F) -> Result<AppRun, RunFailure>
 where
     F: Fn(&Pvm) -> f64 + Send + Sync,
 {
-    let rep = Cluster::try_run(cfg.clone(), move |p| {
-        let pvm = Pvm::new(p);
-        let checksum = body(&pvm);
-        (checksum, pvm.user_stats())
-    })?;
-    let (run, ranks) = finish(cfg, System::Pvm, rep, |_| None);
-    Ok(AppRun {
-        messages: ranks.iter().map(|s| s.messages).sum(),
-        kilobytes: ranks.iter().map(|s| s.bytes).sum::<u64>() as f64 / 1024.0,
-        ..run
-    })
+    let rep = Cluster::try_run(cfg.clone(), move |p| (body(&Pvm::new(p)), ()))?;
+    Ok(finish(cfg, System::Pvm, rep, |_| None).0)
 }
 
 /// The [`AppRun`] of a finished run whose ranks each returned
-/// `(checksum, R)`, plus the ranks' `R`s.  Messages and data are the
-/// transport's datagrams and payload (TreadMarks' convention); `tmk_of`
-/// finds a rank's DSM statistics, aggregated into `tmk_stats` (and, under
-/// `oracle-checks`, cross-checked against the observability output).
+/// `(checksum, R)`, plus the ranks' `R`s.  Messages and data follow the
+/// module doc's convention for `system`; `tmk_of` finds a rank's DSM
+/// statistics, aggregated into `tmk_stats` (and, under `oracle-checks`,
+/// cross-checked against the observability output).
 fn finish<R>(
     cfg: &ClusterConfig,
     system: System,
@@ -263,7 +256,10 @@ fn finish<R>(
         nprocs: cfg.nprocs,
         checksum: rep.results.iter().map(|(c, _)| *c).sum(),
         time: rep.parallel_time(),
-        messages: rep.total_datagrams(),
+        messages: match system {
+            System::Pvm => rep.total_messages(),
+            System::TreadMarks(_) => rep.total_datagrams(),
+        },
         kilobytes: rep.total_kilobytes(),
         sched_seed: cfg.sched_seed,
         fault_hash: cfg.fault.hash(),
@@ -416,21 +412,31 @@ mod tests {
 
     #[test]
     fn treadmarks_runner_reports_messages() {
-        let run = try_run_treadmarks_on(&fddi(2), 1 << 20, ProtocolKind::Lrc, |tmk| {
-            let a = tmk.malloc(8);
-            if tmk.id() == 0 {
-                tmk.write::<f64>(a, 7.0);
+        // Rank 1 rewrites a whole page, so rank 0's fault fetches a 4 KiB
+        // diff: three datagrams at Ethernet's 1,500-byte MTU, so only
+        // TreadMarks' counting rule counts that reply three times.
+        const N: usize = 512;
+        let cfg = ClusterConfig::ethernet_10mbit(2);
+        let run = try_run_treadmarks_on(&cfg, 1 << 20, ProtocolKind::Lrc, |tmk| {
+            let a = tmk.malloc_aligned(N * 8, 4096);
+            if tmk.id() == 1 {
+                tmk.write_slice(a, &[1.0; N]);
             }
             tmk.barrier(0);
             if tmk.id() == 0 {
-                tmk.read::<f64>(a)
+                let mut page = [0.0; N];
+                tmk.read_slice(a, &mut page);
+                page.iter().sum()
             } else {
                 0.0
             }
         })
         .unwrap();
-        assert_eq!(run.checksum, 7.0);
-        assert!(run.messages > 0);
+        assert_eq!(run.checksum, N as f64);
+        let sends: u64 = run.proc_stats.iter().map(|s| s.messages_sent).sum();
+        let datagrams: u64 = run.proc_stats.iter().map(|s| s.datagrams_sent).sum();
+        assert_eq!(run.messages, datagrams, "TreadMarks counts datagrams");
+        assert!(datagrams > sends, "{datagrams} datagrams, {sends} sends");
         assert!(run.time > 0.0);
         assert!(run.tmk_stats.is_some());
     }
@@ -482,19 +488,23 @@ mod tests {
 
     #[test]
     fn pvm_runner_reports_user_messages() {
+        // 2,048 f64 values are 16 KiB: one user message, but two datagrams
+        // at the FDDI MTU, so only PVM's counting rule gives 1.
+        const N: usize = 2048;
         let run = try_run_pvm_on(&fddi(2), |pvm| {
             if pvm.id() == 0 {
                 let mut b = pvm.new_buffer();
-                b.pack(&[3.5f64]);
+                b.pack(&[3.5f64; N]);
                 pvm.send(1, 1, b);
                 0.0
             } else {
-                pvm.recv(Some(0), 1).unpack::<f64>(1)[0]
+                pvm.recv(Some(0), 1).unpack::<f64>(N).iter().sum()
             }
         })
         .unwrap();
-        assert_eq!(run.checksum, 3.5);
+        assert_eq!(run.checksum, 3.5 * N as f64);
         assert_eq!(run.messages, 1);
-        assert!((run.kilobytes - 8.0 / 1024.0).abs() < 1e-9);
+        assert_eq!(run.kilobytes, 16.0);
+        assert_eq!(run.proc_stats[0].datagrams_sent, 2);
     }
 }

@@ -1,15 +1,15 @@
 //! Reusable run invariants: the checks every execution owes the user
 //! regardless of schedule or fault plan, promoted out of the
-//! protocol-conformance test battery so the fuzzing harness
-//! ([`crate::fuzz`]) can apply them to every `(app, system, seed)` point it
-//! explores.
+//! protocol-conformance test battery.
 //!
 //! The invariants come in two layers:
 //!
-//! * **Run-level** — [`check_run`] / [`verdict`] classify a completed (or
-//!   failed) application run: the checksum must agree with the sequential
-//!   baseline, the race detector (when enabled) must be clean, and a
-//!   structured [`RunFailure`] is wrapped as [`RunVerdict::Failed`] —
+//! * **Run-level**, applied by the fuzzing harness ([`crate::fuzz`]) to
+//!   every `(app, system, seed)` point it explores — [`check_run`] /
+//!   [`verdict`] classify a completed (or failed) application run: the
+//!   checksum must agree with the sequential baseline, the race detector
+//!   (when enabled) must be clean, and a structured [`RunFailure`] is
+//!   wrapped as [`RunVerdict::Failed`] —
 //!   deadlock verdicts carry the wait graph *and the fault context* (which
 //!   peer crashed, which partition was active), so a hang caused by an
 //!   injected fault names its cause.  [`cross_backend_equality`] adds the
@@ -20,8 +20,9 @@
 //!   run the conformance suite's visibility programs (lock-token passing,
 //!   multi-writer barrier publication) under an *arbitrary*
 //!   [`ClusterConfig`] — fault plan, schedule seed and all — and return a
-//!   verdict instead of asserting, so a seeded schedule or a lossy link
-//!   that breaks coherence is a reportable finding, not a harness panic.
+//!   verdict instead of asserting.  The fuzzer does not run them: their
+//!   one caller is `tests/protocol_conformance.rs`, and ROADMAP item 6's
+//!   exhaustive tie enumeration is their planned second.
 
 use apps::runner::{AppRun, SeqRun, System};
 use cluster::{Cluster, ClusterConfig, RunFailure};

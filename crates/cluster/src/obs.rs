@@ -225,8 +225,6 @@ const SUB_COUNT: u64 = 1 << SUB_BITS; // 32
 pub struct Histogram {
     buckets: BTreeMap<u16, u64>,
     count: u64,
-    sum: u64,
-    min: u64,
     max: u64,
 }
 
@@ -263,15 +261,8 @@ impl Histogram {
 
     /// Record one value.
     pub fn record(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
+        self.max = self.max.max(v);
         self.count += 1;
-        self.sum = self.sum.saturating_add(v);
         *self.buckets.entry(Self::bucket_index(v)).or_insert(0) += 1;
     }
 
@@ -280,27 +271,9 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of recorded values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
     /// Largest recorded value (0 when empty).
     pub fn max(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max
-        }
+        self.max
     }
 
     /// True when nothing has been recorded.
@@ -310,18 +283,8 @@ impl Histogram {
 
     /// Merge another histogram into this one (bucket-wise addition).
     pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
+        self.max = self.max.max(other.max);
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
         for (&idx, &c) in &other.buckets {
             *self.buckets.entry(idx).or_insert(0) += c;
         }
@@ -514,7 +477,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 32);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 31);
         // Every value below 32 has its own bucket: quantiles are exact.
         assert_eq!(h.value_at_quantile(1.0 / 32.0), 0);
@@ -573,7 +535,6 @@ mod tests {
         let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.value_at_quantile(0.5), 0);
     }
@@ -591,9 +552,13 @@ mod tests {
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.count(), 7);
-        assert_eq!(merged.min(), 5);
         assert_eq!(merged.max(), 7_000_000);
-        assert_eq!(merged.sum(), a.sum() + b.sum());
+        // The same as recording every value into one histogram.
+        let mut all = a.clone();
+        for v in [7u64, 700, 70_000, 7_000_000] {
+            all.record(v);
+        }
+        assert_eq!(merged, all);
         // Merging an empty histogram is the identity.
         let mut c = a.clone();
         c.merge(&Histogram::new());

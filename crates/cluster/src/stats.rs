@@ -4,23 +4,17 @@
 //! application, the number of messages and the amount of data sent under
 //! each system.  For PVM the paper counts user-level messages and user data;
 //! for TreadMarks it counts UDP messages and total data.  The transport layer
-//! of this crate therefore counts *datagrams* and payload bytes (what
-//! TreadMarks reports); the `msgpass` crate additionally counts user-level
-//! sends (what PVM reports).
+//! of this crate counts all of them for every rank: logical messages (one
+//! per send call, so one per PVM user-level send), *datagrams* (after MTU
+//! fragmentation, TreadMarks' UDP messages) and payload bytes.
 
 use crate::obs::ClusterObs;
 
 /// Communication and timing statistics of a single simulated process.
 #[derive(Debug, Clone, Default)]
 pub struct ProcStats {
-    /// Process rank.
-    pub id: usize,
     /// Virtual time (seconds) at which the process finished its closure.
     pub finish_time: f64,
-    /// Total virtual time spent in [`crate::Proc::compute`].
-    pub compute_time: f64,
-    /// Total virtual time spent idle-waiting for messages.
-    pub idle_time: f64,
     /// Logical messages sent (one per `send` call).
     pub messages_sent: u64,
     /// Transport datagrams sent (after MTU fragmentation).
@@ -34,10 +28,6 @@ pub struct ProcStats {
     /// consumed, so Table-2 datagram counts can be cross-checked on the
     /// receive side.
     pub datagrams_received: u64,
-    /// Payload bytes received.
-    pub bytes_received: u64,
-    /// The configured per-message latency, recorded for test introspection.
-    pub config_latency: f64,
 }
 
 /// The result of running a closure on every process of a cluster.

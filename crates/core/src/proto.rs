@@ -600,8 +600,7 @@ mod tests {
         for word in [2u32, 7, 1, 5, 1] {
             b.put_u32_le(word); // creator, seq, one entry, page 5, one run
         }
-        b.put_u16_le(4095);
-        b.put_u16_le(2);
+        b.put_u32_le(4095 | 2 << 16); // the run header: offset 4095, len 2
         b.put_slice(&[1, 2]);
         Msg::decode(TAG_DIFF_FLUSH, b.freeze(), 8);
     }

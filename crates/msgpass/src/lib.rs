@@ -10,9 +10,9 @@
 //!   of any [`cluster::Word`] type (the value layout shared pages hold too),
 //! * [`Pvm::send`], [`Pvm::mcast`], [`Pvm::bcast`] — non-blocking sends,
 //! * [`Pvm::recv`] / [`Pvm::nrecv`] — blocking / non-blocking receives,
-//! * user-level message and byte counters (the quantities the paper reports
-//!   for PVM in Table 2), independent of the transport-level datagram counts
-//!   kept by the cluster.
+//! * one transport send per user-level message, so the `cluster`
+//!   transport's `messages_sent` and `bytes_sent` are the quantities the
+//!   paper reports for PVM in Table 2.
 //!
 //! As in the paper's experiments, processes talk over direct connections and
 //! XDR conversion is disabled (all simulated hosts are identical), so packing
@@ -45,7 +45,7 @@ pub mod buffer;
 pub mod process;
 
 pub use buffer::{RecvBuffer, SendBuffer};
-pub use process::{Pvm, UserStats};
+pub use process::Pvm;
 
 /// Memory-copy bandwidth used to charge pack/unpack time (bytes per second).
 /// Calibrated to an early-90s workstation memory system (~40 MB/s copies).

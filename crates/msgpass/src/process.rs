@@ -1,34 +1,20 @@
-//! The PVM process interface: sends, receives, and user-level statistics.
+//! The PVM process interface: sends and receives.  Every user-level send is
+//! one transport send, so the `cluster` transport's per-process counters
+//! (`messages_sent`, `bytes_sent`) are PVM's own user-level counts.
 
 use crate::buffer::{RecvBuffer, SendBuffer};
 use crate::COPY_BANDWIDTH;
 use cluster::{Proc, SpanCat};
-use std::cell::RefCell;
-
-/// User-level communication statistics, the quantities Table 2 of the paper
-/// reports for the PVM programs: number of user messages and user data bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UserStats {
-    /// User-level messages sent (one per `send`, one per destination for
-    /// `mcast`/`bcast`, as PVM counts them).
-    pub messages: u64,
-    /// User data bytes sent.
-    pub bytes: u64,
-}
 
 /// A PVM endpoint bound to one simulated process.
 pub struct Pvm<'a> {
     proc: &'a Proc,
-    stats: RefCell<UserStats>,
 }
 
 impl<'a> Pvm<'a> {
     /// Create the PVM endpoint for this process.
     pub fn new(proc: &'a Proc) -> Self {
-        Pvm {
-            proc,
-            stats: RefCell::new(UserStats::default()),
-        }
+        Pvm { proc }
     }
 
     /// Rank of this process.
@@ -51,17 +37,11 @@ impl<'a> Pvm<'a> {
         SendBuffer::new()
     }
 
-    /// User-level statistics accumulated so far.
-    pub fn user_stats(&self) -> UserStats {
-        *self.stats.borrow()
-    }
-
     /// Non-blocking send of the packed buffer to `dst` with tag `tag`
     /// (`pvm_send`).  Charges the pack copy cost to the caller.
     pub fn send(&self, dst: usize, tag: u32, buf: SendBuffer) {
         let payload = buf.into_payload();
         self.charge_copy(payload.len());
-        self.account(payload.len());
         self.proc.send(dst, tag, payload);
     }
 
@@ -71,7 +51,6 @@ impl<'a> Pvm<'a> {
         self.charge_copy(payload.len());
         for &dst in dsts {
             assert_ne!(dst, self.id(), "multicast to self is not meaningful");
-            self.account(payload.len());
             self.proc.send(dst, tag, payload.clone());
         }
     }
@@ -129,12 +108,6 @@ impl<'a> Pvm<'a> {
             self.proc.compute(bytes as f64 / COPY_BANDWIDTH);
         }
     }
-
-    fn account(&self, bytes: usize) {
-        let mut st = self.stats.borrow_mut();
-        st.messages += 1;
-        st.bytes += bytes as u64;
-    }
 }
 
 #[cfg(test)]
@@ -150,17 +123,15 @@ mod tests {
                 let mut b = pvm.new_buffer();
                 b.pack(&[10i32, 20, 30]);
                 pvm.send(1, 1, b);
-                pvm.user_stats()
             } else {
                 let mut r = pvm.recv(Some(0), 1);
                 assert_eq!(r.unpack::<i32>(3), vec![10, 20, 30]);
-                pvm.user_stats()
             }
         });
-        assert_eq!(rep.results[0].messages, 1);
-        assert_eq!(rep.results[0].bytes, 12);
+        assert_eq!(rep.stats[0].messages_sent, 1);
+        assert_eq!(rep.stats[0].bytes_sent, 12);
         // The receiver sent nothing.
-        assert_eq!(rep.results[1].messages, 0);
+        assert_eq!(rep.stats[1].messages_sent, 0);
     }
 
     #[test]

@@ -126,24 +126,12 @@ pub trait Buf {
     /// Consume `cnt` bytes.
     fn advance(&mut self, cnt: usize);
 
-    /// Copy `dst.len()` bytes into `dst` and consume them.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Read a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
     /// Read a little-endian `u32`.
     fn get_u32_le(&mut self) -> u32 {
+        assert!(self.remaining() >= 4, "buffer underflow");
         let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
+        b.copy_from_slice(&self.chunk()[..4]);
+        self.advance(4);
         u32::from_le_bytes(b)
     }
 }
@@ -225,11 +213,6 @@ pub trait BufMut {
     /// Append raw bytes.
     fn put_slice(&mut self, src: &[u8]);
 
-    /// Append a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
     /// Append a little-endian `u32`.
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
@@ -249,24 +232,19 @@ mod tests {
     #[test]
     fn round_trip_scalars() {
         let mut b = BytesMut::with_capacity(64);
-        b.put_u16_le(7);
         b.put_u32_le(1_000_000);
         b.put_slice(&[1, 2, 3]);
         let mut r = b.freeze();
-        assert_eq!(r.get_u16_le(), 7);
         assert_eq!(r.get_u32_le(), 1_000_000);
-        let mut out = [0u8; 3];
-        r.copy_to_slice(&mut out);
-        assert_eq!(out, [1, 2, 3]);
-        assert!(r.is_empty());
+        assert_eq!(r.chunk(), &[1, 2, 3]);
     }
 
     #[test]
     fn clones_share_but_consume_independently() {
-        let b = Bytes::from(vec![1, 2, 3, 4]);
+        let b = Bytes::from(vec![1, 2, 3, 4, 5, 6]);
         let mut c = b.clone();
-        assert_eq!(c.get_u16_le(), u16::from_le_bytes([1, 2]));
-        assert_eq!(b.len(), 4);
+        assert_eq!(c.get_u32_le(), u32::from_le_bytes([1, 2, 3, 4]));
+        assert_eq!(b.len(), 6);
         assert_eq!(c.len(), 2);
     }
 

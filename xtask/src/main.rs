@@ -8,8 +8,9 @@
 //! cargo run -p xtask -- lint --root DIR # lint another tree (used by CI's
 //!                                       # seeded-violation check)
 //! cargo run -p xtask -- loc             # non-test lines per crate, the
-//!                                       # apps + bench + cluster sum and
-//!                                       # the five largest files
+//!                                       # apps + bench + cluster sum, the
+//!                                       # two budgets and their margins,
+//!                                       # and the five largest files
 //! ```
 //!
 //! A file's non-test lines are the lines above its column-0 `#[cfg(test)]`
@@ -403,7 +404,8 @@ fn non_test_lines(text: &str) -> usize {
 
 /// The `loc` report for the tree at `root`: one row per linted crate (its
 /// `src/` only — integration tests and benches are not production lines),
-/// the tracked sum of the apps, bench and cluster rows, then the five
+/// the tracked sum of the apps, bench and cluster rows, ROADMAP.md's two
+/// budgets (cluster, and that sum) with each one's margin, then the five
 /// largest files.
 fn loc_report(root: &Path) -> std::io::Result<String> {
     use std::fmt::Write as _;
@@ -419,7 +421,7 @@ fn loc_report(root: &Path) -> std::io::Result<String> {
         }
     }
     let mut out = String::new();
-    let mut tracked = 0;
+    let (mut tracked, mut cluster) = (0, 0);
     for crate_root in crates {
         let in_crate = files.iter().filter(|(_, rel)| rel.starts_with(crate_root));
         let total: usize = in_crate.map(|(lines, _)| lines).sum();
@@ -427,8 +429,23 @@ fn loc_report(root: &Path) -> std::io::Result<String> {
         if ["crates/apps", "crates/bench", "crates/cluster"].contains(&crate_root) {
             tracked += total;
         }
+        if crate_root == "crates/cluster" {
+            cluster = total;
+        }
     }
     let _ = writeln!(out, "{tracked:>6}  apps + bench + cluster");
+    let _ = writeln!(out, "budgets:");
+    for (label, lines, budget) in [
+        ("crates/cluster", cluster, 4_000),
+        ("apps + bench + cluster", tracked, 10_000),
+    ] {
+        let margin = if lines > budget {
+            format!("{} over", lines - budget)
+        } else {
+            format!("{} under", budget - lines)
+        };
+        let _ = writeln!(out, "{budget:>6}  {label}: {margin}");
+    }
     files.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     let _ = writeln!(out, "five largest files:");
     for (lines, rel) in files.iter().take(5) {
@@ -864,10 +881,7 @@ mod tests {
     #[test]
     fn loc_reports_every_crate_and_the_largest_files_first() {
         let t = Tree::new("loc");
-        t.write(
-            "crates/cluster/src/a.rs",
-            "fn a() {}\nfn b() {}\nfn c() {}\n",
-        );
+        t.write("crates/cluster/src/a.rs", &"fn a() {}\n".repeat(4_000));
         t.write(
             "crates/cluster/src/b.rs",
             "fn f() {}\n#[cfg(test)]\nmod tests {\n}\n",
@@ -880,13 +894,16 @@ mod tests {
             rows,
             [
                 "     0  crates/core",
-                "     4  crates/cluster",
+                "  4001  crates/cluster",
                 "     0  crates/msgpass",
                 "     0  crates/apps",
                 "     2  crates/bench",
-                "     6  apps + bench + cluster",
+                "  4003  apps + bench + cluster",
+                "budgets:",
+                "  4000  crates/cluster: 1 over",
+                " 10000  apps + bench + cluster: 5997 under",
                 "five largest files:",
-                "     3  crates/cluster/src/a.rs",
+                "  4000  crates/cluster/src/a.rs",
                 "     2  crates/bench/src/lib.rs",
                 "     1  crates/cluster/src/b.rs",
             ]
