@@ -27,8 +27,8 @@ use bench::fuzz::{self, run_fuzz, FuzzSpec};
 use bench::scenario::Request;
 use bench::sweep::{Sweep, Vary};
 use bench::{
-    obs, proc_series, render_race_reports, run_config, run_matrix_exec, run_record_json, Preset,
-    RunKey, RunMatrix,
+    obs, proc_series, render_race_reports, run_matrix_exec, run_record_json, Preset, RunKey,
+    RunMatrix,
 };
 use cluster::{FaultKind, NetModel, NetPreset};
 use treadmarks::ProtocolKind;
@@ -435,18 +435,8 @@ fn replay_verdicts(req: &Request) {
         req.net.label(),
         req.preset
     );
-    let seqs: Vec<_> = req
-        .workloads
-        .iter()
-        .map(|&w| (w, w.sequential(req.preset)))
-        .collect();
-    let points: Vec<_> = req
-        .workloads
-        .iter()
-        .flat_map(|&w| req.systems.iter().map(move |&sys| (w, sys)))
-        .collect();
-    let top = run_config(req.net, req.procs, &req.exec, &req.tuning);
-    let verdicts = fuzz::verdicts(req.preset, &points, &seqs, &top, req.exec.jobs);
+    let points = req.points();
+    let verdicts = fuzz::verdicts(req, &req.exec, &points, &req.baselines(), &req.tuning);
     for (&(w, sys), (verdict, _)) in points.iter().zip(verdicts) {
         outln!(
             "  {:<12} {:<10} {}",

@@ -22,19 +22,20 @@
 
 use crate::invariants::{self, RunVerdict};
 use crate::scenario::Request;
-use crate::{exec, run_config, shrink, Exec, Preset, RunTuning};
+use crate::{exec, run_config, shrink, Exec, RunTuning};
 use apps::{SeqRun, System, Workload};
-use cluster::{AnalysisLevel, ClusterConfig, FaultPlan, Scenario};
+use cluster::{AnalysisLevel, FaultPlan, Scenario};
 
 /// What to fuzz: the request's cross product of workloads and systems at
 /// its preset, network and process count, explored over `seeds` fuzz seeds.
 #[derive(Debug, Clone)]
 pub struct FuzzSpec {
-    /// The points and their testbed.  Its tuning's fault plan is the base
-    /// plan, which seed `s > 0` runs re-keyed via [`FaultPlan::for_seed`].
-    /// Of its execution settings only the worker count is read (the report
-    /// is identical for every value): every run is race-checked and none
-    /// records.
+    /// The points ([`Request::points`]), their baselines
+    /// ([`Request::baselines`]) and their testbed.  Its tuning's fault plan
+    /// is the base plan, which seed `s > 0` runs re-keyed via
+    /// [`FaultPlan::for_seed`].  Of its execution settings only the worker
+    /// count is read (the report is identical for every value): every run
+    /// [`verdicts`] makes for the campaign is race-checked and none records.
     pub request: Request,
     /// Number of fuzz seeds; seed 0 is always the pristine run.
     pub seeds: u64,
@@ -88,42 +89,49 @@ pub fn tuning_for(plan: &FaultPlan, seed: u64) -> RunTuning {
     }
 }
 
-/// The cluster configuration of one fuzz point: the spec's interconnect at
-/// its processor count, racecheck enabled (the race detector is one of the
-/// invariants and never perturbs simulated output), and the tuning applied.
-pub fn point_config(spec: &FuzzSpec, tuning: &RunTuning) -> ClusterConfig {
-    let req = &spec.request;
-    let exec = Exec {
-        analysis: AnalysisLevel::Race,
-        ..Exec::with_jobs(req.exec.jobs)
-    };
-    run_config(req.net, req.procs, &exec, tuning)
-}
-
-/// Run every `(workload, system)` point under `cfg` on the ordered executor
-/// and classify each through the invariant battery: one verdict per point,
-/// in point order, with the checksum of each run that completed.  A fuzz
-/// seed's batch and the crash-plan replay of `reproduce --scenario` are this
-/// fan; `seqs` holds the sequential baseline of every workload named.
+/// Run every `(workload, system)` point at the request's preset, network
+/// and process count, configured by [`run_config`] with `exec` and `tuning`,
+/// on the ordered executor over `exec.jobs` workers, and classify each
+/// through the invariant battery: one verdict per point, in point order,
+/// with the checksum of each run that completed.  `seqs` holds the
+/// sequential baseline of every workload named.  A fuzz seed's batch, both
+/// shrink predicates and the crash-plan replay of `reproduce --scenario`
+/// all run their points here.
 pub fn verdicts(
-    preset: Preset,
+    req: &Request,
+    exec: &Exec,
     points: &[(Workload, System)],
     seqs: &[(Workload, SeqRun)],
-    cfg: &ClusterConfig,
-    jobs: usize,
+    tuning: &RunTuning,
 ) -> Vec<(RunVerdict, Option<f64>)> {
+    let cfg = &run_config(req.net, req.procs, exec, tuning);
     let tasks: Vec<_> = points
         .iter()
         .map(|&(w, sys)| {
             let seq = &seqs.iter().find(|(k, _)| *k == w).expect("a baseline").1;
             move || {
-                let result = w.run(preset, sys, cfg);
+                let result = w.run(req.preset, sys, cfg);
                 let checksum = result.as_ref().ok().map(|r| r.checksum);
                 (invariants::verdict(result, seq), checksum)
             }
         })
         .collect();
-    exec::run_ordered(jobs, tasks)
+    exec::run_ordered(exec.jobs, tasks)
+}
+
+/// The checksum of every completed run of `w` among `points` (whose
+/// outcomes [`verdicts`] returned), with its system, in point order.
+fn completed(
+    w: Workload,
+    points: &[(Workload, System)],
+    outcomes: &[(RunVerdict, Option<f64>)],
+) -> Vec<(System, f64)> {
+    points
+        .iter()
+        .zip(outcomes)
+        .filter(|((pw, _), _)| *pw == w)
+        .filter_map(|(&(_, sys), (_, checksum))| checksum.map(|c| (sys, c)))
+        .collect()
 }
 
 /// Render the shrunk failure as a scenario file that `reproduce --scenario`
@@ -141,7 +149,7 @@ fn reproducer(req: &Request, w: Workload, systems: &[System], tuning: &RunTuning
         overrides: req.net.overrides,
         sched_seed: (tuning.sched_seed != 0).then_some(tuning.sched_seed),
         tie_limit: tuning.tie_limit,
-        fault: (!tuning.fault.is_empty() || tuning.fault.seed != 0).then(|| tuning.fault.clone()),
+        fault: (tuning.fault.hash() != 0).then(|| tuning.fault.clone()),
     }
     .to_toml()
 }
@@ -160,17 +168,14 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
     use std::fmt::Write as _;
     let req = &spec.request;
     let plan = &req.tuning.fault;
-    let seqs: Vec<(Workload, SeqRun)> = req
-        .workloads
-        .iter()
-        .map(|&w| (w, w.sequential(req.preset)))
-        .collect();
-    let seq_of = |w: Workload| &seqs.iter().find(|(k, _)| *k == w).unwrap().1;
-    let points: Vec<(Workload, System)> = req
-        .workloads
-        .iter()
-        .flat_map(|&w| req.systems.iter().map(move |&s| (w, s)))
-        .collect();
+    // The race detector is one of the invariants and never perturbs
+    // simulated output, so every campaign run carries it.
+    let exec = Exec {
+        analysis: AnalysisLevel::Race,
+        ..Exec::with_jobs(req.exec.jobs)
+    };
+    let seqs = req.baselines();
+    let points = req.points();
 
     let mut report = String::new();
     writeln!(
@@ -184,7 +189,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
         req.preset.name(),
         req.net.label(),
         req.procs,
-        if plan.is_empty() && plan.seed == 0 {
+        if plan.hash() == 0 {
             "empty".to_string()
         } else {
             format!("{:016x}", plan.hash())
@@ -195,8 +200,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
     let mut findings: Vec<Finding> = Vec::new();
     for seed in 0..spec.seeds {
         let tuning = tuning_for(plan, seed);
-        let cfg = point_config(spec, &tuning);
-        let outcomes = verdicts(req.preset, &points, &seqs, &cfg, req.exec.jobs);
+        let outcomes = verdicts(req, &exec, &points, &seqs, &tuning);
 
         // Per-point verdicts, then the per-workload cross-backend check
         // over whichever DSM backends completed this seed.
@@ -207,12 +211,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
             }
         }
         for &w in &req.workloads {
-            let completed: Vec<(System, f64)> = points
-                .iter()
-                .zip(&outcomes)
-                .filter(|((pw, _), _)| *pw == w)
-                .filter_map(|(&(_, sys), (_, checksum))| checksum.map(|c| (sys, c)))
-                .collect();
+            let completed = completed(w, &points, &outcomes);
             let v = invariants::cross_backend_equality(&completed);
             if v.is_failure() {
                 let offender = completed.first().map(|&(s, _)| s).unwrap_or(System::Pvm);
@@ -234,7 +233,7 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
                 .unwrap();
             }
             for (w, sys, v) in seed_failures {
-                let finding = shrink_finding(spec, w, sys, seed, v, &tuning, seq_of(w));
+                let finding = shrink_finding(req, &exec, &seqs, (w, sys), seed, v, &tuning);
                 writeln!(
                     report,
                     "  shrunk reproducer for {}/{}:",
@@ -261,38 +260,37 @@ pub fn run_fuzz(spec: &FuzzSpec) -> FuzzReport {
     FuzzReport { findings, report }
 }
 
-/// Shrink one failure: re-run the failing point under candidate tunings,
-/// keeping a candidate only while the verdict kind still reproduces, then
-/// render the reproducer scenario.  Cross-backend violations re-run every
-/// completing system of the workload and reproduce when any pair of DSM
-/// backends still disagrees bitwise.
+/// Shrink one failure: re-run the failing point through [`verdicts`] under
+/// candidate tunings, keeping a candidate only while the verdict kind still
+/// reproduces, then render the reproducer scenario.  Cross-backend
+/// violations re-run the workload's DSM systems (the only ones the check
+/// compares) and reproduce while any pair of them still disagrees bitwise.
 fn shrink_finding(
-    spec: &FuzzSpec,
-    w: Workload,
-    sys: System,
+    req: &Request,
+    exec: &Exec,
+    seqs: &[(Workload, SeqRun)],
+    (w, sys): (Workload, System),
     seed: u64,
     verdict: RunVerdict,
     tuning: &RunTuning,
-    seq: &SeqRun,
 ) -> Finding {
-    let req = &spec.request;
     let kind = verdict.kind();
     let cross_backend =
         matches!(&verdict, RunVerdict::Violation(msg) if msg.contains("backends disagree"));
     let shrunk = if cross_backend {
+        let dsm: Vec<(Workload, System)> = req
+            .systems
+            .iter()
+            .filter(|s| matches!(s, System::TreadMarks(_)))
+            .map(|&s| (w, s))
+            .collect();
         shrink::shrink(tuning, |t| {
-            let cfg = point_config(spec, t);
-            let completed: Vec<(System, f64)> = req
-                .systems
-                .iter()
-                .filter_map(|&s| w.run(req.preset, s, &cfg).ok().map(|r| (s, r.checksum)))
-                .collect();
-            invariants::cross_backend_equality(&completed).is_failure()
+            let outcomes = verdicts(req, exec, &dsm, seqs, t);
+            invariants::cross_backend_equality(&completed(w, &dsm, &outcomes)).is_failure()
         })
     } else {
         shrink::shrink(tuning, |t| {
-            let cfg = point_config(spec, t);
-            invariants::verdict(w.run(req.preset, sys, &cfg), seq).kind() == kind
+            verdicts(req, exec, &[(w, sys)], seqs, t)[0].0.kind() == kind
         })
     };
     let systems: Vec<System> = if cross_backend {
@@ -314,6 +312,7 @@ fn shrink_finding(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Preset;
     use cluster::{NetModel, NetPreset};
     use treadmarks::ProtocolKind;
 

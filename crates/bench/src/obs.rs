@@ -22,11 +22,13 @@ use cluster::obs::EventKind;
 use cluster::{Histogram, SpanCat};
 use std::fmt::Write as _;
 
-/// Render an integer virtual-nanosecond stamp as a trace timestamp in
-/// microseconds (`123456` ns → `"123.456"`): pure integer formatting, the
-/// decimal fraction being exactly the sub-microsecond nanoseconds.
-fn ts_us(t_ns: u64) -> String {
-    format!("{}.{:03}", t_ns / 1000, t_ns % 1000)
+/// Render an integer virtual-nanosecond stamp or duration in microseconds
+/// (`123456` ns → `"123.456"`): pure integer formatting, the decimal
+/// fraction being exactly the sub-microsecond nanoseconds.  Every virtual
+/// µs the harness prints (trace timestamps, metrics quantiles, a sweep's
+/// p99 lock-acquire column) is this.
+pub(crate) fn us(ns: u64) -> String {
+    format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -87,14 +89,14 @@ pub fn chrome_trace_json(matrix: &RunMatrix) -> String {
                         "{{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"B\", \"ts\": {}, \
                          \"pid\": {pid}, \"tid\": {}, \"args\": {{\"arg\": {arg}}}}}",
                         cat.name(),
-                        ts_us(ev.t_ns),
+                        us(ev.t_ns),
                         ev.rank
                     )),
                     EventKind::SpanEnd { cat } => lines.push(format!(
                         "{{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"E\", \"ts\": {}, \
                          \"pid\": {pid}, \"tid\": {}}}",
                         cat.name(),
-                        ts_us(ev.t_ns),
+                        us(ev.t_ns),
                         ev.rank
                     )),
                     // Send/Consume/Grant live on the central stream, not here.
@@ -115,7 +117,7 @@ pub fn chrome_trace_json(matrix: &RunMatrix) -> String {
                         "{{\"name\": \"send\", \"cat\": \"msg\", \"ph\": \"i\", \"s\": \"t\", \
                          \"ts\": {}, \"pid\": {pid}, \"tid\": {}, \"args\": {{\"dst\": {dst}, \
                          \"tag\": {tag}, \"bytes\": {bytes}, \"datagrams\": {datagrams}}}}}",
-                        ts_us(ev.t_ns),
+                        us(ev.t_ns),
                         ev.rank
                     ));
                     // The delivery instant on the destination track, so a
@@ -124,7 +126,7 @@ pub fn chrome_trace_json(matrix: &RunMatrix) -> String {
                         "{{\"name\": \"deliver\", \"cat\": \"msg\", \"ph\": \"i\", \"s\": \"t\", \
                          \"ts\": {}, \"pid\": {pid}, \"tid\": {dst}, \"args\": {{\"src\": {}, \
                          \"tag\": {tag}}}}}",
-                        ts_us(*arrival_ns),
+                        us(*arrival_ns),
                         ev.rank
                     ));
                 }
@@ -136,13 +138,13 @@ pub fn chrome_trace_json(matrix: &RunMatrix) -> String {
                     "{{\"name\": \"consume\", \"cat\": \"msg\", \"ph\": \"i\", \"s\": \"t\", \
                      \"ts\": {}, \"pid\": {pid}, \"tid\": {}, \"args\": {{\"src\": {src}, \
                      \"tag\": {tag}, \"arrival_ns\": {arrival_ns}}}}}",
-                    ts_us(ev.t_ns),
+                    us(ev.t_ns),
                     ev.rank
                 )),
                 EventKind::Grant => lines.push(format!(
                     "{{\"name\": \"grant\", \"cat\": \"sched\", \"ph\": \"i\", \"s\": \"t\", \
                      \"ts\": {}, \"pid\": {pid}, \"tid\": {}}}",
-                    ts_us(ev.t_ns),
+                    us(ev.t_ns),
                     ev.rank
                 )),
                 EventKind::Fault {
@@ -154,7 +156,7 @@ pub fn chrome_trace_json(matrix: &RunMatrix) -> String {
                      \"ts\": {}, \"pid\": {pid}, \"tid\": {}, \"args\": {{\"dst\": {dst}, \
                      \"delay_ns\": {delay_ns}}}}}",
                     kind.name(),
-                    ts_us(ev.t_ns),
+                    us(ev.t_ns),
                     ev.rank
                 )),
                 _ => unreachable!("central stream holds transport/sched events only"),
@@ -165,12 +167,6 @@ pub fn chrome_trace_json(matrix: &RunMatrix) -> String {
     out.push_str(&lines.join(",\n"));
     out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
     out
-}
-
-/// Format a virtual-nanosecond duration in microseconds with nanosecond
-/// fraction (integer formatting, deterministic).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
 /// `p50/p99/p999` of a histogram, in microseconds, or `-` when empty.
@@ -424,10 +420,10 @@ mod tests {
 
     #[test]
     fn ts_formatting_is_pure_integer() {
-        assert_eq!(ts_us(0), "0.000");
-        assert_eq!(ts_us(999), "0.999");
-        assert_eq!(ts_us(1_000), "1.000");
-        assert_eq!(ts_us(123_456_789), "123456.789");
+        assert_eq!(us(0), "0.000");
+        assert_eq!(us(999), "0.999");
+        assert_eq!(us(1_000), "1.000");
+        assert_eq!(us(123_456_789), "123456.789");
     }
 
     #[test]

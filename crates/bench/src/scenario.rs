@@ -12,7 +12,7 @@
 
 use crate::cli::{Invocation, Mode};
 use crate::{exec, Exec, Preset, RunTuning};
-use apps::{System, Workload};
+use apps::{SeqRun, System, Workload};
 use cluster::{AnalysisLevel, FaultPlan, NetModel, ObsLevel, Scenario};
 use std::path::Path;
 use std::str::FromStr;
@@ -154,6 +154,23 @@ impl Request {
             tuning,
         })
     }
+
+    /// Every `(workload, system)` point: the workloads in figure order, each
+    /// under the systems in [`System::all`] order.
+    pub fn points(&self) -> Vec<(Workload, System)> {
+        self.workloads
+            .iter()
+            .flat_map(|&w| self.systems.iter().map(move |&sys| (w, sys)))
+            .collect()
+    }
+
+    /// The sequential baseline of every workload at the request's preset.
+    pub fn baselines(&self) -> Vec<(Workload, SeqRun)> {
+        self.workloads
+            .iter()
+            .map(|&w| (w, w.sequential(self.preset)))
+            .collect()
+    }
 }
 
 fn read_scenario(path: &str) -> Result<Scenario, String> {
@@ -261,6 +278,20 @@ mod tests {
         );
         let tiny = request("--tiny", "preset = \"paper\"").unwrap();
         assert_eq!(tiny.preset, Preset::Tiny);
+    }
+
+    #[test]
+    fn the_points_pair_each_workload_with_each_system_in_order() {
+        let r = request("--protocol lrc --workload TSP --workload EP", "").unwrap();
+        assert_eq!(
+            r.points(),
+            [
+                (Workload::Ep, LRC),
+                (Workload::Ep, System::Pvm),
+                (Workload::Tsp, LRC),
+                (Workload::Tsp, System::Pvm),
+            ]
+        );
     }
 
     #[test]

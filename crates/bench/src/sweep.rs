@@ -104,32 +104,20 @@ impl Sweep {
                     nprocs: n,
                 })
                 .collect(),
-            Vary::Bandwidth => {
-                let base = base_net.config(procs).bandwidth;
+            Vary::Bandwidth | Vary::Latency => {
+                let base = base_net.config(procs);
                 SCALES
                     .iter()
                     .map(|&scale| {
-                        let value = base * scale;
                         let mut net = base_net;
-                        net.overrides.bandwidth = Some(value);
+                        let (field, value, unit) = if self.vary == Vary::Bandwidth {
+                            (&mut net.overrides.bandwidth, base.bandwidth * scale, "B/s")
+                        } else {
+                            (&mut net.overrides.latency, base.latency * scale, "s")
+                        };
+                        *field = Some(value);
                         SweepPoint {
-                            label: format!("{scale}x ({value} B/s)"),
-                            net,
-                            nprocs: procs,
-                        }
-                    })
-                    .collect()
-            }
-            Vary::Latency => {
-                let base = base_net.config(procs).latency;
-                SCALES
-                    .iter()
-                    .map(|&scale| {
-                        let value = base * scale;
-                        let mut net = base_net;
-                        net.overrides.latency = Some(value);
-                        SweepPoint {
-                            label: format!("{scale}x ({value} s)"),
+                            label: format!("{scale}x ({value} {unit})"),
                             net,
                             nprocs: procs,
                         }
@@ -230,10 +218,7 @@ impl Sweep {
                             .as_ref()
                             .map(|o| o.merged_hist(SpanCat::LockWait))
                             .filter(|h| !h.is_empty())
-                            .map(|h| {
-                                let p99 = h.value_at_quantile(0.99);
-                                format!("{}.{:03}", p99 / 1000, p99 % 1000)
-                            })
+                            .map(|h| crate::obs::us(h.value_at_quantile(0.99)))
                             .unwrap_or_else(|| "-".to_string()),
                     );
                 }

@@ -21,8 +21,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 fn assert_stdout_hash(args: &[&str], want: u64) {
+    assert_exit_and_stdout_hash(args, 0, want);
+}
+
+fn assert_exit_and_stdout_hash(args: &[&str], code: i32, want: u64) {
     let out = reproduce(args);
-    assert!(out.status.success(), "{args:?}: {out:?}");
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
     assert_eq!(
         fnv1a64(&out.stdout),
         want,
@@ -55,6 +59,17 @@ fn a_procs_sweep_renders_the_pinned_bytes() {
         &["sweep", "--vary", "procs", "--tiny", "--workload", "EP"],
         0xc20d_a129_8ace_9a06,
     );
+}
+
+#[test]
+fn the_network_sweeps_render_the_pinned_bytes() {
+    for (axis, want) in [
+        ("bandwidth", 0x556e_25d9_a8a6_3264),
+        ("latency", 0xe295_7a3d_b298_4631),
+    ] {
+        let args = ["sweep", "--vary", axis, "--tiny", "--workload", "EP"];
+        assert_stdout_hash(&args, want);
+    }
 }
 
 /// The one pinned run past eight ranks: every grant and barrier release fans
@@ -507,4 +522,44 @@ fn a_fuzz_campaign_over_a_seeded_scenario_runs_nothing() {
         stderr.contains("fuzz mode does not apply sched_seed or tie_limit"),
         "{stderr}"
     );
+}
+
+/// A scenario for three tiny EP processes under LRC and PVM whose plan
+/// crashes rank 1 ten virtual microseconds in, written to a temp file named
+/// after `case`.
+fn crash_scenario(case: &str) -> std::path::PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("reproduce-cli-{case}-{}.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        "procs = 3\npreset = \"tiny\"\nworkloads = [\"EP\"]\nsystems = [\"lrc\", \"pvm\"]\n\n\
+         [fault]\ncrashes = [\"1@0.00001\"]\n",
+    )
+    .unwrap();
+    path
+}
+
+/// A crash plan replays as a verdict table: one line per point, each naming
+/// the crashed rank as the deadlock's fault context.
+#[test]
+fn a_crash_replay_renders_the_pinned_verdict_table() {
+    let path = crash_scenario("replay");
+    assert_stdout_hash(
+        &["--scenario", path.to_str().unwrap()],
+        0x3788_c356_6cb6_013a,
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A campaign over the crash plan finds every point deadlocked on every seed
+/// and prints each finding's shrunk reproducer; it exits 1.
+#[test]
+fn a_crash_campaign_renders_the_pinned_findings() {
+    let path = crash_scenario("campaign");
+    assert_exit_and_stdout_hash(
+        &["fuzz", "--scenario", path.to_str().unwrap(), "--seeds", "2"],
+        1,
+        0x469f_fe7e_daee_54eb,
+    );
+    std::fs::remove_file(&path).unwrap();
 }

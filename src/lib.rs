@@ -18,21 +18,3 @@ pub use apps;
 pub use cluster;
 pub use msgpass;
 pub use treadmarks;
-
-/// The two parallel-programming paradigms compared by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Paradigm {
-    /// Explicit message passing (PVM-style).
-    MessagePassing,
-    /// Software distributed shared memory (TreadMarks-style).
-    SharedMemory,
-}
-
-impl std::fmt::Display for Paradigm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Paradigm::MessagePassing => write!(f, "PVM"),
-            Paradigm::SharedMemory => write!(f, "TreadMarks"),
-        }
-    }
-}

@@ -19,7 +19,7 @@
 
 use apps::runner::System;
 use apps::Workload;
-use bench::fuzz::{run_fuzz, FuzzSpec};
+use bench::fuzz::{run_fuzz, verdicts, FuzzSpec};
 use bench::invariants::{self, RunVerdict};
 use bench::scenario::Request;
 use bench::shrink::shrink;
@@ -96,19 +96,14 @@ fn shrinking_is_a_fixpoint_against_the_real_cluster_oracle() {
     let found = &out.findings[0];
     let want = found.verdict.kind();
 
-    let seq = run_sequential(Workload::Ep, Preset::Tiny);
-    let mut oracle = |t: &RunTuning| {
-        let race = Exec {
-            analysis: AnalysisLevel::Race,
-            ..Exec::with_jobs(1)
-        };
-        let cfg = run_config(NetModel::preset(NetPreset::Fddi), 2, &race, t);
-        let v = invariants::verdict(
-            Workload::Ep.run(Preset::Tiny, System::TreadMarks(ProtocolKind::Lrc), &cfg),
-            &seq,
-        );
-        v.kind() == want
+    let req = &s.request;
+    let race = Exec {
+        analysis: AnalysisLevel::Race,
+        ..Exec::with_jobs(1)
     };
+    let seqs = req.baselines();
+    let mut oracle =
+        |t: &RunTuning| verdicts(req, &race, &req.points(), &seqs, t)[0].0.kind() == want;
     assert!(oracle(&found.shrunk), "the shrunk tuning must reproduce");
     let again = shrink(&found.shrunk, &mut oracle);
     assert_eq!(again, found.shrunk, "shrinking the shrunk tuning moved it");

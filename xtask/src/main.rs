@@ -10,7 +10,9 @@
 //! cargo run -p xtask -- loc             # non-test lines per crate, the
 //!                                       # apps + bench + cluster sum, the
 //!                                       # two budgets and their margins,
-//!                                       # and the five largest files
+//!                                       # and the five largest files; exits
+//!                                       # 1 when crates/cluster is over its
+//!                                       # budget (the sum's is report-only)
 //! ```
 //!
 //! A file's non-test lines are the lines above its column-0 `#[cfg(test)]`
@@ -402,12 +404,17 @@ fn non_test_lines(text: &str) -> usize {
         .unwrap_or(lines.len())
 }
 
+/// ROADMAP.md's non-test line budget for `crates/cluster`; `loc` fails
+/// past it.
+const CLUSTER_BUDGET: usize = 4_000;
+
 /// The `loc` report for the tree at `root`: one row per linted crate (its
 /// `src/` only — integration tests and benches are not production lines),
 /// the tracked sum of the apps, bench and cluster rows, ROADMAP.md's two
 /// budgets (cluster, and that sum) with each one's margin, then the five
-/// largest files.
-fn loc_report(root: &Path) -> std::io::Result<String> {
+/// largest files.  The flag is true when `crates/cluster` is over its
+/// budget.
+fn loc_report(root: &Path) -> std::io::Result<(String, bool)> {
     use std::fmt::Write as _;
     let crates: Vec<&str> = SIM_CRATES.iter().chain(&HOST_CRATES).copied().collect();
     let mut files = Vec::new();
@@ -436,7 +443,7 @@ fn loc_report(root: &Path) -> std::io::Result<String> {
     let _ = writeln!(out, "{tracked:>6}  apps + bench + cluster");
     let _ = writeln!(out, "budgets:");
     for (label, lines, budget) in [
-        ("crates/cluster", cluster, 4_000),
+        ("crates/cluster", cluster, CLUSTER_BUDGET),
         ("apps + bench + cluster", tracked, 10_000),
     ] {
         let margin = if lines > budget {
@@ -451,7 +458,7 @@ fn loc_report(root: &Path) -> std::io::Result<String> {
     for (lines, rel) in files.iter().take(5) {
         let _ = writeln!(out, "{lines:>6}  {}", rel.display());
     }
-    Ok(out)
+    Ok((out, cluster > CLUSTER_BUDGET))
 }
 
 fn usage() -> ! {
@@ -481,7 +488,12 @@ fn main() {
         std::process::exit(2);
     };
     if task == "loc" {
-        print!("{}", loc_report(&root).unwrap_or_else(|e| unreadable(e)));
+        let (report, cluster_over) = loc_report(&root).unwrap_or_else(|e| unreadable(e));
+        print!("{report}");
+        if cluster_over {
+            eprintln!("xtask loc: crates/cluster is over its {CLUSTER_BUDGET}-line budget");
+            std::process::exit(1);
+        }
         return;
     }
     let findings = lint_tree(&root).unwrap_or_else(|e| unreadable(e));
@@ -888,7 +900,7 @@ mod tests {
         );
         t.write("crates/cluster/tests/it.rs", "fn not_production() {}\n");
         t.write("crates/bench/src/lib.rs", "fn f() {}\nfn g() {}\n");
-        let report = loc_report(&t.0).unwrap();
+        let (report, _) = loc_report(&t.0).unwrap();
         let rows: Vec<&str> = report.lines().collect();
         assert_eq!(
             rows,
@@ -907,6 +919,32 @@ mod tests {
                 "     2  crates/bench/src/lib.rs",
                 "     1  crates/cluster/src/b.rs",
             ]
+        );
+    }
+
+    #[test]
+    fn loc_fails_only_past_the_cluster_budget() {
+        let t = Tree::new("loc-budget");
+        t.write("crates/cluster/src/a.rs", &"fn a() {}\n".repeat(4_000));
+        // The sum's budget is report-only: 7,000 more lines elsewhere put it
+        // over without failing.
+        t.write("crates/apps/src/a.rs", &"fn a() {}\n".repeat(7_000));
+        let (report, cluster_over) = loc_report(&t.0).unwrap();
+        assert!(!cluster_over, "{report}");
+        assert!(
+            report.contains("  4000  crates/cluster: 0 under\n"),
+            "{report}"
+        );
+        assert!(
+            report.contains("apps + bench + cluster: 1000 over\n"),
+            "{report}"
+        );
+        t.write("crates/cluster/src/b.rs", "fn b() {}\n");
+        let (report, cluster_over) = loc_report(&t.0).unwrap();
+        assert!(cluster_over, "{report}");
+        assert!(
+            report.contains("  4000  crates/cluster: 1 over\n"),
+            "{report}"
         );
     }
 
