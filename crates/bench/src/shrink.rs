@@ -6,8 +6,8 @@
 //! of seeded tie-breaks of which only the first few steered the schedule
 //! off the rank-order path.  [`shrink`] strips all of that: it repeatedly
 //! tries simplifications — zero a probability, remove a crash or a
-//! partition, shorten a partition window, drop the schedule seed, bisect
-//! the tie-break stream — keeping each one only if the failure still
+//! partition, shorten a partition window, drop the fault seed or the
+//! schedule seed, bisect the tie-break stream — keeping each one only if the failure still
 //! *reproduces with the same verdict kind*, until no simplification
 //! survives.  Because every trial run is deterministic, the result is a
 //! fixpoint: shrinking a shrunk tuning returns it unchanged (the
@@ -92,6 +92,14 @@ where
                     changed |= attempt(cand, &mut cur);
                 }
             }
+        }
+
+        // Drop the fault streams' key: a plan whose probabilities are all
+        // zero draws nothing from it.
+        if cur.fault.seed != 0 {
+            let mut cand = cur.clone();
+            cand.fault.seed = 0;
+            changed |= attempt(cand, &mut cur);
         }
 
         // Drop the schedule exploration entirely if the fault plan alone
@@ -227,6 +235,23 @@ mod tests {
         let p = &shrunk.fault.partitions[0];
         assert!(p.until - p.from < 0.003, "window was not shortened: {p}");
         assert!(p.from <= 0.0015 && p.until > 0.0015);
+    }
+
+    #[test]
+    fn a_crash_only_plan_drops_its_fault_seed() {
+        // The crash alone fails, whatever the fault streams' key.
+        let tuning = RunTuning {
+            sched_seed: 0,
+            tie_limit: None,
+            fault: FaultPlan {
+                seed: 9,
+                crashes: vec!["1@0.002".parse().unwrap()],
+                ..FaultPlan::default()
+            },
+        };
+        let shrunk = shrink(&tuning, |t: &RunTuning| !t.fault.crashes.is_empty());
+        assert_eq!(shrunk.fault.seed, 0, "{shrunk:?}");
+        assert_eq!(shrunk.fault.crashes, tuning.fault.crashes);
     }
 
     #[test]

@@ -167,9 +167,10 @@ impl std::str::FromStr for Partition {
             from: from.trim().parse().map_err(|_| err())?,
             until: until.trim().parse().map_err(|_| err())?,
         };
-        // Both ends finite: a partition healing at `inf` would carry the
-        // run's virtual time (and its JSON) to `inf`.
-        let window = parsed.from.is_finite() && parsed.until.is_finite();
+        // A partition healing at `inf` would carry the run's virtual time
+        // (and its JSON) to `inf`, and a negative start would act like
+        // `from = 0`.
+        let window = parsed.from >= 0.0 && parsed.until.is_finite();
         let overlap = parsed.a.iter().any(|r| parsed.b.contains(r));
         if parsed.a.is_empty()
             || parsed.b.is_empty()
@@ -221,11 +222,13 @@ impl std::str::FromStr for Crash {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || format!("bad crash spec '{s}'; expected 'rank@time' or 'rank#event'");
         if let Some((rank, t)) = s.split_once('@') {
-            // A NaN or infinite crash time would never fire.
+            // A NaN or infinite crash time would never fire, and a negative
+            // one would fire exactly like `@0`.
             let t: f64 = t.trim().parse().map_err(|_| err())?;
+            let ok = t.is_finite() && t >= 0.0;
             Ok(Crash {
                 rank: rank.trim().parse().map_err(|_| err())?,
-                at: CrashPoint::Time(t.is_finite().then_some(t).ok_or_else(err)?),
+                at: CrashPoint::Time(ok.then_some(t).ok_or_else(err)?),
             })
         } else if let Some((rank, n)) = s.split_once('#') {
             // Events count from 1: `#0` would fire exactly like `#1`.
@@ -792,6 +795,19 @@ mod tests {
             "bad crash spec '2#0'; expected 'rank@time' or 'rank#event'"
         );
         assert!("2#1".parse::<Crash>().is_ok());
+        // A negative time would fire like `@0`, or open the window at 0.
+        let e = "2@-0.001".parse::<Crash>().unwrap_err();
+        assert_eq!(
+            e,
+            "bad crash spec '2@-0.001'; expected 'rank@time' or 'rank#event'"
+        );
+        let e = "0|1@-0.001..0.004".parse::<Partition>().unwrap_err();
+        assert_eq!(
+            e,
+            "bad partition spec '0|1@-0.001..0.004'; expected 'a,b|c,d@from..until'"
+        );
+        assert!("2@0".parse::<Crash>().is_ok());
+        assert!("0|1@0..0.004".parse::<Partition>().is_ok());
     }
 
     #[test]

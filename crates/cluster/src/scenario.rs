@@ -784,13 +784,16 @@ mod tests {
         assert!(e.to_string().contains("bad crash spec"), "{e}");
         // Non-finite times would never fire (a crash) or carry the run's
         // virtual time to `inf` (a partition's heal).  A rank on both sides
-        // of a cut, or a crash at event 0, would be silently reinterpreted.
+        // of a cut, a crash at event 0 or a negative time would be silently
+        // reinterpreted.
         for (key, spec, kind) in [
             ("crashes", "1@NaN", "crash"),
             ("crashes", "1@inf", "crash"),
             ("partitions", "0|1@0..inf", "partition"),
             ("partitions", "0,1|1,2@0.001..0.004", "partition"),
             ("crashes", "2#0", "crash"),
+            ("crashes", "2@-0.001", "crash"),
+            ("partitions", "0|1@-0.001..0.004", "partition"),
         ] {
             let e = Scenario::parse_toml(&format!("[fault]\n{key} = [\"{spec}\"]")).unwrap_err();
             assert!(

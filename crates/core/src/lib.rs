@@ -79,7 +79,7 @@ pub mod vc;
 
 pub use heap::{SharedAddr, Word};
 pub use page::{Diff, PageId};
-pub use process::Tmk;
+pub use process::{Tmk, REQUEST_SERVICE_COST};
 pub use protocol::ProtocolKind;
 pub use race::RaceReport;
 pub use stats::TmkStats;
@@ -95,10 +95,6 @@ pub const MEM_BANDWIDTH: f64 = 40.0e6;
 
 /// Fixed CPU cost of taking an access fault and entering the fault handler.
 pub const PAGE_FAULT_COST: f64 = 100e-6;
-
-/// CPU cost of fielding a protocol request (the SIGIO handler of the real
-/// system), charged to the serving process as stolen cycles.
-pub const REQUEST_SERVICE_COST: f64 = 50e-6;
 
 /// Local bookkeeping cost of a synchronization operation.
 pub const SYNC_OP_COST: f64 = 10e-6;
@@ -998,6 +994,121 @@ mod tests {
         for (p, (c, _)) in plain.results.iter().zip(&checked.results) {
             assert_eq!(p.to_bits(), c.to_bits());
         }
+    }
+
+    /// The requests of each request tag that gets a reply, as a client at
+    /// rank 0 sends them to an endpoint of `kind` at rank 1 of 2, with the
+    /// tag of the reply each gets.  Odd pages and locks are managed and
+    /// homed at rank 1, and each case names its own page or lock, so every
+    /// request is served at once; page 0 is owned by rank 0.
+    fn replied_requests(kind: ProtocolKind) -> Vec<(u32, proto::Msg, u32)> {
+        use proto::*;
+        let lock = |lock| Msg::LockRequest {
+            lock,
+            requester: 0,
+            vc: VectorClock::new(2),
+        };
+        let page = |page| Msg::PageRequest { page, process: 0 };
+        let mut cases = vec![
+            (TAG_LOCK_ACQ, lock(1), TAG_LOCK_GRANT),
+            (TAG_LOCK_FWD, lock(3), TAG_LOCK_GRANT),
+        ];
+        cases.extend(match kind {
+            ProtocolKind::Lrc => {
+                let (applied, global) = (VectorClock::new(2), VectorClock::new(2));
+                let req = Msg::DiffRequest {
+                    page: 1,
+                    requester: 0,
+                    applied,
+                    global,
+                };
+                vec![(TAG_DIFF_REQ, req, TAG_DIFF_RESP)]
+            }
+            ProtocolKind::Hlrc => {
+                let mut written = [0u8; cluster::config::PAGE_SIZE];
+                written[..8].fill(7);
+                let diff = Diff::create(&[0u8; cluster::config::PAGE_SIZE], &written);
+                let flush = Msg::DiffFlush {
+                    creator: 0,
+                    seq: 1,
+                    entries: vec![(1, diff)],
+                };
+                vec![
+                    (TAG_DIFF_FLUSH, flush, TAG_FLUSH_ACK),
+                    (TAG_PAGE_REQ, page(3), TAG_PAGE_RESP),
+                ]
+            }
+            ProtocolKind::Sc => vec![
+                (TAG_SC_WRITE_REQ, page(1), TAG_SC_PAGE_XFER),
+                (TAG_SC_READ_REQ, page(3), TAG_SC_PAGE_COPY),
+                (TAG_SC_WRITE_FWD, page(5), TAG_SC_PAGE_XFER),
+                (TAG_SC_READ_FWD, page(7), TAG_SC_PAGE_COPY),
+                (TAG_SC_INVAL, page(0), TAG_SC_INVAL_ACK),
+            ],
+        });
+        cases
+    }
+
+    /// Send `msg` to rank 1 from a process with no DSM endpoint, as
+    /// `Tmk::send` would; returns its length.
+    fn send_raw(p: &cluster::Proc, tag: u32, msg: proto::Msg) -> usize {
+        let len = msg.wire_len();
+        let value = std::rc::Rc::new(msg);
+        p.send(1, tag, cluster::Payload::Value { value, len });
+        len
+    }
+
+    #[test]
+    fn every_reply_departs_at_its_request_arrival_plus_the_service_cost() {
+        // No shared medium, so a message arrives at its departure plus its
+        // occupancy and the latency, summed as the transport sums them.
+        let cfg = ClusterConfig::atm_155mbit(2);
+        assert!(!cfg.shared_medium);
+        let wire = |depart: f64, len: usize| depart + cfg.occupancy(len) + cfg.latency;
+        for kind in ProtocolKind::all() {
+            let rep = Cluster::run(cfg.clone(), |p| {
+                if p.id() == 1 {
+                    Tmk::with_protocol(p, kind).exit();
+                    return Vec::new();
+                }
+                p.recv(Some(1), proto::TAG_DONE);
+                let mut seen = Vec::new();
+                for (tag, msg, reply_tag) in replied_requests(kind) {
+                    let len = send_raw(p, tag, msg);
+                    let depart = wire(p.clock(), len) + REQUEST_SERVICE_COST;
+                    let reply = p.recv_any();
+                    assert_eq!(reply.tag, reply_tag, "{kind}: the reply to tag {tag}");
+                    let want = wire(depart, reply.payload.len());
+                    seen.push((tag, reply.arrival, want));
+                }
+                send_raw(p, proto::TAG_TERMINATE, proto::Msg::Empty);
+                seen
+            });
+            let seen = &rep.results[0];
+            assert_eq!(seen.len(), replied_requests(kind).len());
+            for &(tag, got, want) in seen {
+                assert_eq!(
+                    got, want,
+                    "{kind}: the reply to tag {tag} arrived off the rule"
+                );
+            }
+        }
+    }
+
+    /// A backend's request tag at an endpoint of another backend fails
+    /// loudly instead of being served against the wrong state.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "foreign request tag 105")]
+    fn a_request_tag_of_another_backend_is_refused() {
+        Cluster::run(ClusterConfig::atm_155mbit(2), |p| {
+            if p.id() == 1 {
+                return Tmk::with_protocol(p, ProtocolKind::Sc).exit();
+            }
+            let (tag, msg, _) = replied_requests(ProtocolKind::Lrc).pop().unwrap();
+            send_raw(p, tag, msg);
+            p.recv(Some(1), proto::TAG_DIFF_RESP);
+        });
     }
 
     #[test]

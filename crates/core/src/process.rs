@@ -14,25 +14,40 @@
 //! * `Tmk_exit`        → [`Tmk::exit`]
 //!
 //! Requests from other processes (lock acquires to a manager or last holder,
-//! diff requests, barrier arrivals) are served whenever this process is
-//! blocked waiting for a reply, and replies to them depart at the virtual
-//! time the request arrived plus a small service cost — the interrupt-driven
-//! (SIGIO) request handling of the real system.
+//! barrier arrivals, and each protocol backend's diff, page and ownership
+//! requests) are served whenever this process is blocked waiting for a
+//! reply, and replies to them depart at the virtual time the request arrived
+//! plus a small service cost — the interrupt-driven (SIGIO) request handling
+//! of the real system, whose one handler here is `Tmk::serve`.
 
 use crate::proto::*;
-use crate::protocol::{hlrc, ProtocolKind};
+use crate::protocol::{hlrc, lrc, sc, ProtocolKind};
 use crate::race::{self, Edge, SyncCtx};
 use crate::state::DsmState;
 use crate::stats::TmkStats;
 use crate::vc::VectorClock;
-use crate::{
-    DEFAULT_GC_INTERVAL_THRESHOLD, DEFAULT_HEAP_BYTES, REQUEST_SERVICE_COST, SYNC_OP_COST,
-};
+use crate::{DEFAULT_GC_INTERVAL_THRESHOLD, DEFAULT_HEAP_BYTES, SYNC_OP_COST};
 use cluster::{Message, Payload, Proc, SpanCat};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// CPU cost of fielding a protocol request (the SIGIO handler of the real
+/// system), charged to the serving process as stolen cycles; a reply departs
+/// at the request's arrival plus this cost.  `Tmk::serve` applies both.
+pub const REQUEST_SERVICE_COST: f64 = 50e-6;
+
+/// A request as [`Tmk::serve`] hands it to its handler: charged, unwrapped
+/// and dated.
+pub(crate) struct Request {
+    /// The sender.
+    pub(crate) src: usize,
+    /// The message.
+    pub(crate) msg: Rc<Msg>,
+    /// When its replies depart: its arrival plus [`REQUEST_SERVICE_COST`].
+    pub(crate) depart: f64,
+}
 
 /// A TreadMarks endpoint bound to one simulated process.
 ///
@@ -299,7 +314,7 @@ impl<'a> Tmk<'a> {
     pub fn lock_release(&self, id: u32) {
         self.proc.compute(SYNC_OP_COST);
         // Analysis release edge, *before* any grant can be sent (here or
-        // later from `handle_forwarded`): join the clock covering the
+        // later from `serve_lock_request`): join the clock covering the
         // critical section into the lock's slot, then advance past it.
         // Taking the edge at grant time instead would let the
         // anachronistically-served grant cover accesses made after this
@@ -489,22 +504,23 @@ impl<'a> Tmk<'a> {
     /// HLRC flush triggered by granting a lock awaits its acknowledgement),
     /// and the outer wait's reply may arrive during the nested one.
     pub(crate) fn wait_reply(&self, want_tag: u32) -> Rc<Msg> {
-        // The shared borrow must end before the mutable one below: in
-        // edition 2021 an `if let` scrutinee's temporary lives to the end
-        // of the body, so the position lookup is a separate statement.
+        // The shared borrow must end before the mutable one below: a
+        // `match` scrutinee's temporary lives to the end of the match, so
+        // the position lookup is a separate statement.
         let stashed_pos = self.stashed.borrow().iter().position(|m| m.tag == want_tag);
-        if let Some(pos) = stashed_pos {
-            return self.stashed.borrow_mut().remove(pos).payload.into_value();
-        }
-        loop {
-            let m = self.proc.recv_any();
-            if m.tag == want_tag {
-                return m.payload.into_value();
-            }
-            if let Some(m) = self.serve(m) {
-                self.stashed.borrow_mut().push(m);
-            }
-        }
+        let reply = match stashed_pos {
+            Some(pos) => self.stashed.borrow_mut().remove(pos),
+            None => loop {
+                let m = self.proc.recv_any();
+                if m.tag == want_tag {
+                    break m;
+                }
+                if let Some(m) = self.serve(m) {
+                    self.stashed.borrow_mut().push(m);
+                }
+            },
+        };
+        reply.payload.into_value()
     }
 
     /// Serve requests until `done` holds.  No reply is awaited here, so a
@@ -522,87 +538,104 @@ impl<'a> Tmk<'a> {
     }
 
     /// Serve `m` if it is a request and return `None`; hand it back unserved
-    /// if it is a reply.  This is the one place that tells a request from a
-    /// reply: the runtime serves its lock, barrier and exit tags here
-    /// (`TAG_TERMINATE` sets `terminated`, which ends [`Tmk::exit`]'s wait)
-    /// and the configured protocol backend serves its own.  Replies to a
-    /// request depart at its arrival time plus the service cost
-    /// (interrupt-style service); the CPU cost is charged to this process as
-    /// stolen cycles.
+    /// if it is a reply.  The one match from a request tag to its handler:
+    /// the runtime's lock, barrier and exit tags and each backend's own,
+    /// which are disjoint, so a backend's tag at another backend's endpoint
+    /// trips the debug assertion below.  Every handled request is charged
+    /// [`REQUEST_SERVICE_COST`] and handed over as a [`Request`]; the exit
+    /// tags are uncharged (`TAG_TERMINATE` ends [`Tmk::exit`]'s wait).
     fn serve(&self, m: Message) -> Option<Message> {
-        match m.tag {
-            TAG_LOCK_ACQ | TAG_LOCK_FWD => {
-                self.proc.compute(REQUEST_SERVICE_COST);
-                let msg: Rc<Msg> = m.payload.into_value();
-                let Msg::LockRequest {
-                    lock,
-                    requester,
-                    ref vc,
-                } = *msg
-                else {
-                    unreachable!()
-                };
-                // The manager takes the chain step; a forward has reached
-                // the last requester already.
-                let prev = match m.tag {
-                    TAG_LOCK_ACQ => self.st.borrow_mut().chain_lock(lock, requester),
-                    _ => self.id(),
-                };
-                if prev == self.id() {
-                    self.handle_forwarded(lock, requester, vc, m.arrival);
-                } else {
-                    assert_ne!(prev, requester, "requester cannot be the last holder");
-                    let depart = m.arrival + REQUEST_SERVICE_COST;
-                    self.send(prev, TAG_LOCK_FWD, msg, Some(depart));
-                }
-            }
-            TAG_BARRIER_ARRIVE => {
-                assert_eq!(self.id(), 0, "only process 0 manages barriers");
-                self.proc.compute(REQUEST_SERVICE_COST);
-                let msg: Rc<Msg> = m.payload.into_value();
-                let Msg::Sync {
-                    head,
-                    ref vc,
-                    ref records,
-                } = *msg
-                else {
-                    unreachable!()
-                };
-                self.st.borrow_mut().apply_interval_records(records);
-                self.arrivals
-                    .borrow_mut()
-                    .entry(head)
-                    .or_default()
-                    .push((m.src, vc.clone()));
-            }
+        use sc::Acquire::{Read, Write};
+        use ProtocolKind::{Hlrc, Lrc, Sc};
+        // The backend whose endpoints alone receive the tag, if it is not
+        // the runtime's own.
+        let (only, handler): (Option<ProtocolKind>, fn(&Self, Request)) = match m.tag {
             TAG_DONE => {
                 assert_eq!(self.id(), 0, "only process 0 collects DONE messages");
                 self.done_count.set(self.done_count.get() + 1);
+                return None;
             }
-            TAG_TERMINATE => self.terminated.set(true),
-            // Everything else belongs to the configured protocol backend
-            // (diff requests under LRC, flushes and page fetches under
-            // HLRC, the ownership protocol under SC), which hands back
-            // whatever is not its own request.
-            _ => return self.serve_protocol_request(m),
+            TAG_TERMINATE => {
+                self.terminated.set(true);
+                return None;
+            }
+            TAG_LOCK_ACQ => (None, |rt, req| rt.serve_lock_request(req, true)),
+            TAG_LOCK_FWD => (None, |rt, req| rt.serve_lock_request(req, false)),
+            TAG_BARRIER_ARRIVE => (None, Self::serve_barrier_arrival),
+            TAG_DIFF_REQ => (Some(Lrc), lrc::serve_diff_request),
+            TAG_DIFF_FLUSH => (Some(Hlrc), hlrc::serve_flush),
+            TAG_PAGE_REQ => (Some(Hlrc), hlrc::serve_page_request),
+            TAG_SC_WRITE_REQ => (Some(Sc), |rt, req| sc::serve_at_manager(rt, req, Write)),
+            TAG_SC_READ_REQ => (Some(Sc), |rt, req| sc::serve_at_manager(rt, req, Read)),
+            TAG_SC_WRITE_FWD => (Some(Sc), |rt, req| sc::serve_forwarded(rt, req, Write)),
+            TAG_SC_READ_FWD => (Some(Sc), |rt, req| sc::serve_forwarded(rt, req, Read)),
+            TAG_SC_INVAL => (Some(Sc), sc::serve_inval),
+            _ => return Some(m),
+        };
+        if let Some(kind) = only {
+            debug_assert_eq!(kind, self.protocol(), "foreign request tag {}", m.tag);
         }
+        self.proc.compute(REQUEST_SERVICE_COST);
+        let depart = m.arrival + REQUEST_SERVICE_COST;
+        let (src, msg) = (m.src, m.payload.into_value());
+        handler(self, Request { src, msg, depart });
         None
     }
 
-    /// Handle a (possibly forwarded) lock acquire directed at this process.
-    fn handle_forwarded(&self, lock: u32, requester: usize, req_vc: &VectorClock, arrival: f64) {
+    /// Serve a lock acquire.  The manager (`at_manager`) takes the chain
+    /// step and forwards the request on unless it was the last requester
+    /// itself; there, the lock is granted now or queued until the token is
+    /// here and free.
+    fn serve_lock_request(&self, req: Request, at_manager: bool) {
+        let Msg::LockRequest {
+            lock,
+            requester,
+            ref vc,
+        } = *req.msg
+        else {
+            unreachable!()
+        };
+        let prev = if at_manager {
+            self.st.borrow_mut().chain_lock(lock, requester)
+        } else {
+            self.id()
+        };
+        if prev != self.id() {
+            assert_ne!(prev, requester, "requester cannot be the last holder");
+            return self.send(prev, TAG_LOCK_FWD, req.msg, Some(req.depart));
+        }
         assert_ne!(requester, self.id(), "a process never forwards to itself");
         let depart = {
             let mut st = self.st.borrow_mut();
             let ls = st.lock_state_mut(lock);
             if !ls.have_token || ls.in_cs {
-                ls.pending.push_back((requester, req_vc.clone()));
+                ls.pending.push_back((requester, vc.clone()));
                 return;
             }
             // A grant never departs before the release it follows.
-            (arrival + REQUEST_SERVICE_COST).max(ls.released_at)
+            req.depart.max(ls.released_at)
         };
-        self.grant_lock(lock, requester, req_vc, depart);
+        self.grant_lock(lock, requester, vc, depart);
+    }
+
+    /// Record a barrier arrival at the manager, applying the write notices
+    /// it carries.
+    fn serve_barrier_arrival(&self, req: Request) {
+        assert_eq!(self.id(), 0, "only process 0 manages barriers");
+        let Msg::Sync {
+            head,
+            ref vc,
+            ref records,
+        } = *req.msg
+        else {
+            unreachable!()
+        };
+        self.st.borrow_mut().apply_interval_records(records);
+        self.arrivals
+            .borrow_mut()
+            .entry(head)
+            .or_default()
+            .push((req.src, vc.clone()));
     }
 
     /// Hand the lock token to `requester`, piggybacking the write notices of

@@ -25,15 +25,13 @@
 //! release and full-page fetches on every fault.
 
 use crate::page::{new_page, Diff, PageId};
-use crate::process::Tmk;
+use crate::process::{Request, Tmk};
 use crate::proto::{Msg, TAG_DIFF_FLUSH, TAG_FLUSH_ACK, TAG_PAGE_REQ, TAG_PAGE_RESP};
 use crate::state::{ClosedInterval, DsmState};
 use crate::vc::VectorClock;
-use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
+use crate::MEM_BANDWIDTH;
 use cluster::config::PAGE_SIZE;
-use cluster::Message;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// The home of `page`: pages are distributed round-robin over the processes
 /// of the cluster, so consecutive pages of the shared heap live on
@@ -117,27 +115,14 @@ pub(crate) fn flush(rt: &Tmk, closed: ClosedInterval) {
     rt.proc().span_end(cluster::SpanCat::Flush);
 }
 
-/// Serve one HLRC request (home side): a diff flush or a page fetch.
-/// Hands any other message back unserved.
-pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
-    match m.tag {
-        TAG_DIFF_FLUSH => serve_flush(rt, m),
-        TAG_PAGE_REQ => serve_page_request(rt, m),
-        _ => return Some(m),
-    }
-    None
-}
-
 /// Serve an incoming diff flush (home side): apply each diff to the master
-/// copy and acknowledge at the request's arrival time plus the service cost.
-fn serve_flush(rt: &Tmk, m: Message) {
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let msg: Rc<Msg> = m.payload.into_value();
+/// copy and acknowledge.
+pub(crate) fn serve_flush(rt: &Tmk, req: Request) {
     let Msg::DiffFlush {
         creator,
         seq,
         ref entries,
-    } = *msg
+    } = *req.msg
     else {
         unreachable!()
     };
@@ -151,15 +136,13 @@ fn serve_flush(rt: &Tmk, m: Message) {
     // Applying the diffs to the master copy costs memory bandwidth.
     rt.proc().compute(bytes as f64 / MEM_BANDWIDTH);
     let ack = Msg::FlushAck { creator, seq };
-    let depart = m.arrival + REQUEST_SERVICE_COST;
-    rt.send(creator, TAG_FLUSH_ACK, ack, Some(depart));
+    rt.send(creator, TAG_FLUSH_ACK, ack, Some(req.depart));
 }
 
 /// Serve an incoming page fetch (home side): reply with a snapshot of the
-/// master copy at the request's arrival time plus the service cost.
-fn serve_page_request(rt: &Tmk, m: Message) {
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = m.payload.into_value::<Msg>().page_request();
+/// master copy.
+pub(crate) fn serve_page_request(rt: &Tmk, req: Request) {
+    let (page, requester) = req.msg.page_request();
     let response = {
         let mut st = rt.st.borrow_mut();
         st.stats.page_requests_served += 1;
@@ -173,8 +156,7 @@ fn serve_page_request(rt: &Tmk, m: Message) {
     };
     // Copying the page into the response steals cycles at the home.
     rt.proc().compute(PAGE_SIZE as f64 / MEM_BANDWIDTH);
-    let depart = m.arrival + REQUEST_SERVICE_COST;
-    rt.send(requester, TAG_PAGE_RESP, response, Some(depart));
+    rt.send(requester, TAG_PAGE_RESP, response, Some(req.depart));
 }
 
 impl DsmState {
@@ -375,6 +357,7 @@ mod tests {
     #[test]
     fn write_notices_do_not_invalidate_the_home() {
         use crate::proto::IntervalRecord;
+        use std::rc::Rc;
         let mut home = state(0, 2);
         let mut other = state(1, 2);
         let _ = home.malloc(2 * PAGE_SIZE, 8);

@@ -12,11 +12,10 @@
 //! the paper's barrier-time GC.
 
 use crate::page::PageId;
-use crate::process::Tmk;
+use crate::process::{Request, Tmk};
 use crate::proto::{Msg, TAG_DIFF_REQ, TAG_DIFF_RESP};
-use crate::{MEM_BANDWIDTH, REQUEST_SERVICE_COST};
+use crate::MEM_BANDWIDTH;
 use cluster::config::PAGE_SIZE;
-use cluster::Message;
 use std::rc::Rc;
 
 /// LRC fault service: request diffs for `page` from the minimal
@@ -63,20 +62,14 @@ pub(crate) fn serve_fault(rt: &Tmk, page: PageId) {
 }
 
 /// Serve a diff request straight out of the diff store, charging the
-/// lazily deferred creation scan for first-time serves.  Hands any other
-/// message back unserved.
-pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
-    if m.tag != TAG_DIFF_REQ {
-        return Some(m);
-    }
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let msg: Rc<Msg> = m.payload.into_value();
+/// lazily deferred creation scan for first-time serves.
+pub(crate) fn serve_diff_request(rt: &Tmk, req: Request) {
     let Msg::DiffRequest {
         page,
         requester,
         ref applied,
         ref global,
-    } = *msg
+    } = *req.msg
     else {
         unreachable!()
     };
@@ -92,9 +85,7 @@ pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
     // Copying the diffs into the response steals cycles here.
     rt.proc().compute(scan + bytes as f64 / MEM_BANDWIDTH);
     let response = Msg::DiffResponse { page, diffs };
-    let depart = m.arrival + REQUEST_SERVICE_COST;
-    rt.send(requester, TAG_DIFF_RESP, response, Some(depart));
-    None
+    rt.send(requester, TAG_DIFF_RESP, response, Some(req.depart));
 }
 
 /// Validate every invalid page (applying every outstanding diff at or

@@ -23,13 +23,16 @@
 //!   measured against.
 //!
 //! The set is closed, so the layer is one `match` on the kind per policy
-//! point, all in this file: fault and request service, the write trap and
-//! its completion, GC preparation, close-time diff disposal, HLRC's
-//! master-copy predicate, and the `--list`/Table-2 renderings.  Each backend
-//! module holds free functions over the shared core; SC's per-process
-//! ownership tables are the typed `DsmState::sc` field.  Adding a protocol
-//! means a variant, a module, and one arm per `match` here (the compiler
-//! lists them) — see `docs/ARCHITECTURE.md` §"Writing a new protocol
+//! point, all in this file: fault service, the write trap and its
+//! completion, GC preparation, close-time diff disposal, HLRC's master-copy
+//! predicate, and the `--list`/Table-2 renderings.  Request service needs no
+//! match on the kind: every backend's request tags are its own, so
+//! `Tmk::serve`'s one match on the tag (in [`crate::process`]) names each
+//! backend's handler directly.  Each backend module holds free functions
+//! over the shared core; SC's per-process ownership tables are the typed
+//! `DsmState::sc` field.  Adding a protocol means a variant, a module, one
+//! arm per `match` here (the compiler lists them) and its request tags in
+//! `Tmk::serve` — see `docs/ARCHITECTURE.md` §"Writing a new protocol
 //! backend".
 
 pub mod hlrc;
@@ -43,7 +46,6 @@ use crate::stats::TmkStats;
 use crate::vc::VectorClock;
 use crate::{Diff, MEM_BANDWIDTH, PAGE_FAULT_COST};
 use cluster::config::PAGE_SIZE;
-use cluster::Message;
 
 /// Which coherence protocol a DSM endpoint runs.
 ///
@@ -221,17 +223,6 @@ impl Tmk<'_> {
             }
         }
         self.proc().span_end(cluster::SpanCat::Fault);
-    }
-
-    /// Serve one protocol-specific wire request (a tag outside the generic
-    /// lock/barrier/termination set) and return `None`, or hand `m` back
-    /// unserved if it is not a request of this endpoint's protocol.
-    pub(crate) fn serve_protocol_request(&self, m: Message) -> Option<Message> {
-        match self.protocol() {
-            ProtocolKind::Lrc => lrc::serve_request(self, m),
-            ProtocolKind::Hlrc => hlrc::serve_request(self, m),
-            ProtocolKind::Sc => sc::serve_request(self, m),
-        }
     }
 
     /// Make every page spanned by a write access writable.  The twinning

@@ -41,16 +41,15 @@
 //! stale page can never be installed over a newer invalidation.
 
 use crate::page::{new_page, PageId};
-use crate::process::Tmk;
+use crate::process::{Request, Tmk};
 use crate::proto::{
     Msg, TAG_SC_INVAL, TAG_SC_INVAL_ACK, TAG_SC_PAGE_COPY, TAG_SC_PAGE_XFER, TAG_SC_READ_FWD,
     TAG_SC_READ_REQ, TAG_SC_WRITE_FWD, TAG_SC_WRITE_REQ,
 };
 use crate::state::{DsmState, PageSlot};
 use crate::stats::TmkStats;
-use crate::{MEM_BANDWIDTH, PAGE_FAULT_COST, REQUEST_SERVICE_COST};
+use crate::{MEM_BANDWIDTH, PAGE_FAULT_COST};
 use cluster::config::PAGE_SIZE;
-use cluster::Message;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -74,7 +73,7 @@ enum Mode {
 /// token and its copyset — and what a process is blocked acquiring (one
 /// access at a time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Acquire {
+pub(crate) enum Acquire {
     Read,
     Write,
 }
@@ -310,21 +309,6 @@ pub(crate) fn access_done(rt: &Tmk) {
     }
 }
 
-/// Serve one SC request: an ownership or read-copy request (at the
-/// manager or chained on), or an invalidation.  Hands any other message
-/// back unserved.
-pub(crate) fn serve_request(rt: &Tmk, m: Message) -> Option<Message> {
-    match m.tag {
-        TAG_SC_WRITE_REQ => serve_at_manager(rt, m, Acquire::Write),
-        TAG_SC_READ_REQ => serve_at_manager(rt, m, Acquire::Read),
-        TAG_SC_WRITE_FWD => serve_forwarded(rt, m, Acquire::Write),
-        TAG_SC_READ_FWD => serve_forwarded(rt, m, Acquire::Read),
-        TAG_SC_INVAL => serve_inval(rt, m),
-        _ => return Some(m),
-    }
-    None
-}
-
 /// Send this process's own request for `page` into the manager's chain.
 /// The manager itself takes the chain step locally and forwards straight to
 /// the requester before it, without a message to itself.
@@ -479,12 +463,9 @@ fn route(rt: &Tmk, page: PageId, kind: Acquire, requester: usize, depart: Option
 
 /// Manager side of a fault: take the chain step, then serve the request
 /// here or forward it to the previous requester (lock-token style).
-fn serve_at_manager(rt: &Tmk, m: Message, kind: Acquire) {
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let msg: Rc<Msg> = m.payload.into_value();
-    let (page, requester) = msg.page_request();
+pub(crate) fn serve_at_manager(rt: &Tmk, req: Request, kind: Acquire) {
+    let (page, requester) = req.msg.page_request();
     let me = rt.id();
-    let depart = m.arrival + REQUEST_SERVICE_COST;
     let prev = with_state(rt, |_, s, _| {
         debug_assert_eq!(s.manager_of(page), me, "request sent to a non-manager");
         s.chain(page, kind, requester)
@@ -494,26 +475,23 @@ fn serve_at_manager(rt: &Tmk, m: Message, kind: Acquire) {
         "a faulting process cannot be its own predecessor"
     );
     if prev == me {
-        route(rt, page, kind, requester, Some(depart));
+        route(rt, page, kind, requester, Some(req.depart));
     } else {
-        rt.send(prev, kind.tags().1, msg, Some(depart));
+        rt.send(prev, kind.tags().1, req.msg, Some(req.depart));
     }
 }
 
 /// Chained-holder side of a forwarded fault.
-fn serve_forwarded(rt: &Tmk, m: Message, kind: Acquire) {
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, requester) = m.payload.into_value::<Msg>().page_request();
-    let depart = m.arrival + REQUEST_SERVICE_COST;
-    route(rt, page, kind, requester, Some(depart));
+pub(crate) fn serve_forwarded(rt: &Tmk, req: Request, kind: Acquire) {
+    let (page, requester) = req.msg.page_request();
+    route(rt, page, kind, requester, Some(req.depart));
 }
 
 /// Copyset-member side of an invalidation: discard the local copy and
 /// acknowledge.  A read fetch in flight for the page is marked stale so the
 /// reader discards and refaults instead of installing it.
-fn serve_inval(rt: &Tmk, m: Message) {
-    rt.proc().compute(REQUEST_SERVICE_COST);
-    let (page, new_owner) = m.payload.into_value::<Msg>().page_request();
+pub(crate) fn serve_inval(rt: &Tmk, req: Request) {
+    let (page, new_owner) = req.msg.page_request();
     with_state(rt, |pages, s, _| {
         debug_assert!(!s.owner[page as usize], "an owner can never be invalidated");
         if matches!(s.acquiring, Some((p, Acquire::Read)) if p == page) {
@@ -522,13 +500,8 @@ fn serve_inval(rt: &Tmk, m: Message) {
         s.mode[page as usize] = Mode::Invalid;
         pages[page as usize].valid = false;
     });
-    let depart = m.arrival + REQUEST_SERVICE_COST;
-    rt.send(
-        new_owner,
-        TAG_SC_INVAL_ACK,
-        Msg::ScAck { page },
-        Some(depart),
-    );
+    let ack = Msg::ScAck { page };
+    rt.send(new_owner, TAG_SC_INVAL_ACK, ack, Some(req.depart));
 }
 
 #[cfg(test)]
